@@ -8,4 +8,4 @@ __version__ = "0.1.0"
 from .abst import AbelianStructure, ExtensionDescriptor, cyclic, direct_sum  # noqa: F401
 from .errors import (AmbiguousCase, CapExceeded, DomainError,  # noqa: F401
                      EndotrivError, GroupSpecError)
-from .gf import FieldElement, FieldSpec, field_spec  # noqa: F401
+from .gf import FieldSpec, field_spec  # noqa: F401

@@ -2,8 +2,6 @@
 
 AbelianStructure is the value type of every classification answer:
 free rank plus a divisibility chain d_1 | d_2 | ... | d_k (no factor 1).
-Smith normal form works over exact Python integers; intermediate entries
-can blow up even for 4x4 inputs, so nothing here touches floats.
 """
 
 from __future__ import annotations
@@ -119,94 +117,6 @@ def prime_to_p_part(a: AbelianStructure, p: int) -> AbelianStructure:
         if d > 1:
             stripped.append(d)
     return from_cyclic_orders(stripped)
-
-
-def p_primary_part(a: AbelianStructure, p: int) -> AbelianStructure:
-    if a.free_rank != 0:
-        raise DomainError("p-primary part requires a finite group")
-    kept = []
-    for d in a.invariant_factors:
-        pp = 1
-        while d % p == 0:
-            pp *= p
-            d //= p
-        if pp > 1:
-            kept.append(pp)
-    return from_cyclic_orders(kept)
-
-
-# ---------------------------------------------------------------------------
-# integer Smith normal form
-
-def smith_normal_form(mat) -> tuple[list[int], int]:
-    """Diagonal invariant chain of an integer matrix.
-
-    Returns (diagonal, nullity): the nonzero diagonal d_1 | d_2 | ... of a
-    unimodular-equivalent diagonal matrix, and the number of columns beyond
-    the rank.  Every swap strictly shrinks the pivot magnitude, so the
-    Euclid loops terminate.
-    """
-    a = [[int(x) for x in row] for row in mat]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    diag: list[int] = []
-    r = 0
-    while r < min(rows, cols):
-        piv = None
-        best = None
-        for i in range(r, rows):
-            for j in range(r, cols):
-                v = abs(a[i][j])
-                if v and (best is None or v < best):
-                    best, piv = v, (i, j)
-        if piv is None:
-            break
-        pi, pj = piv
-        a[r], a[pi] = a[pi], a[r]
-        if pj != r:
-            for row in a:
-                row[r], row[pj] = row[pj], row[r]
-        while True:
-            for i in range(r + 1, rows):
-                while a[i][r]:
-                    q = a[i][r] // a[r][r]
-                    if q:
-                        for j in range(r, cols):
-                            a[i][j] -= q * a[r][j]
-                    if a[i][r]:
-                        a[r], a[i] = a[i], a[r]
-            for j in range(r + 1, cols):
-                while a[r][j]:
-                    q = a[r][j] // a[r][r]
-                    if q:
-                        for i in range(r, rows):
-                            a[i][j] -= q * a[i][r]
-                    if a[r][j]:
-                        for i in range(r, rows):
-                            a[i][r], a[i][j] = a[i][j], a[i][r]
-            if any(a[i][r] for i in range(r + 1, rows)):
-                continue  # a column swap re-dirtied column r
-            stubborn = None
-            for i in range(r + 1, rows):
-                for j in range(r + 1, cols):
-                    if a[i][j] % a[r][r]:
-                        stubborn = i
-                        break
-                if stubborn is not None:
-                    break
-            if stubborn is None:
-                break
-            for j in range(r, cols):
-                a[r][j] += a[stubborn][j]
-        diag.append(abs(a[r][r]))
-        r += 1
-    return diag, cols - r
-
-
-def cokernel_structure(mat) -> AbelianStructure:
-    """Structure of Z^cols / (row space of mat)."""
-    diag, nullity = smith_normal_form(mat)
-    return from_cyclic_orders([d for d in diag if d > 1], free_rank=nullity)
 
 
 @dataclass(frozen=True)

@@ -1,192 +1,24 @@
-"""Batched GF(q) matrix kernels: numba-jitted with a pure-numpy fallback.
+"""Batched GF(q) matrix kernels in numpy.
 
 Matrices are (n, n) uint8 arrays of field-element encodings; batches are
 (m, n, n).  Field arithmetic goes through the q x q `mul`/`add` tables of
 a FieldSpec (uint8 for q <= 256, which is the enumeration regime).
-
-Backend selection: set ENDOTRIV_BACKEND=numpy to force the fallback path;
-anything else (default "numba") uses the jitted kernels when numba imports.
-The two paths are exercised against each other in the test suite and the
-benchmark script.
+tests/test_backend.py checks every kernel against scalar references built
+from the field's element operations.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_REQUESTED = os.environ.get("ENDOTRIV_BACKEND", "numba").strip().lower()
-
-if _REQUESTED == "numpy":
-    NUMBA_ENABLED = False
-else:
-    try:
-        from numba import njit
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover
-        NUMBA_ENABLED = False
-
-if not NUMBA_ENABLED:
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-        return wrap
 
 
 def backend_name() -> str:
-    return "numba" if NUMBA_ENABLED else "numpy"
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# jitted kernels (also run as plain python under the dummy decorator, but the
-# numpy fallback below never calls them)
-
-@njit(cache=True)
-def _mm_one_jit(batch, b, mul, add):
-    m, n, _ = batch.shape
-    out = np.empty_like(batch)
-    for t in range(m):
-        for i in range(n):
-            for j in range(n):
-                acc = mul[batch[t, i, 0], b[0, j]]
-                for k in range(1, n):
-                    acc = add[acc, mul[batch[t, i, k], b[k, j]]]
-                out[t, i, j] = acc
-    return out
-
-
-@njit(cache=True)
-def _mm_pairs_jit(A, B, mul, add):
-    m, n, _ = A.shape
-    out = np.empty_like(A)
-    for t in range(m):
-        for i in range(n):
-            for j in range(n):
-                acc = mul[A[t, i, 0], B[t, 0, j]]
-                for k in range(1, n):
-                    acc = add[acc, mul[A[t, i, k], B[t, k, j]]]
-                out[t, i, j] = acc
-    return out
-
-
-@njit(cache=True)
-def _inverse_many_jit(batch, mul, add, neg, inv, out, ok):
-    m, n, _ = batch.shape
-    for t in range(m):
-        a = np.empty((n, 2 * n), dtype=batch.dtype)
-        for i in range(n):
-            for j in range(n):
-                a[i, j] = batch[t, i, j]
-                a[i, n + j] = 1 if i == j else 0
-        good = True
-        for col in range(n):
-            piv = -1
-            for i in range(col, n):
-                if a[i, col] != 0:
-                    piv = i
-                    break
-            if piv < 0:
-                good = False
-                break
-            if piv != col:
-                for j in range(2 * n):
-                    tmp = a[col, j]
-                    a[col, j] = a[piv, j]
-                    a[piv, j] = tmp
-            pinv = inv[a[col, col]]
-            for j in range(2 * n):
-                a[col, j] = mul[a[col, j], pinv]
-            for i in range(n):
-                if i != col and a[i, col] != 0:
-                    f = a[i, col]
-                    for j in range(2 * n):
-                        a[i, j] = add[a[i, j], neg[mul[f, a[col, j]]]]
-        ok[t] = good
-        if good:
-            for i in range(n):
-                for j in range(n):
-                    out[t, i, j] = a[i, n + j]
-
-
-@njit(cache=True)
-def _det_many_jit(batch, mul, add, neg, inv, out):
-    m, n, _ = batch.shape
-    for t in range(m):
-        a = batch[t].copy()
-        det = 1
-        for col in range(n):
-            piv = -1
-            for i in range(col, n):
-                if a[i, col] != 0:
-                    piv = i
-                    break
-            if piv < 0:
-                det = 0
-                break
-            if piv != col:
-                for j in range(n):
-                    tmp = a[col, j]
-                    a[col, j] = a[piv, j]
-                    a[piv, j] = tmp
-                det = neg[det]
-            det = mul[det, a[col, col]]
-            pinv = inv[a[col, col]]
-            for i in range(col + 1, n):
-                if a[i, col] != 0:
-                    f = mul[a[i, col], pinv]
-                    for j in range(col, n):
-                        a[i, j] = add[a[i, j], neg[mul[f, a[col, j]]]]
-        out[t] = det
-
-
-@njit(cache=True)
-def _scale_many_jit(batch, s, mul):
-    m, n, _ = batch.shape
-    out = np.empty_like(batch)
-    for t in range(m):
-        for i in range(n):
-            for j in range(n):
-                out[t, i, j] = mul[s, batch[t, i, j]]
-    return out
-
-
-@njit(cache=True)
-def _canon_min_jit(batch, scalars, mul):
-    """Per matrix, the lexicographically least scalar multiple."""
-    m, n, _ = batch.shape
-    z = scalars.shape[0]
-    out = batch.copy()
-    for t in range(m):
-        for si in range(1, z):
-            s = scalars[si]
-            smaller = False
-            decided = False
-            for i in range(n):
-                for j in range(n):
-                    v = mul[s, batch[t, i, j]]
-                    if v < out[t, i, j]:
-                        smaller = True
-                        decided = True
-                    elif v > out[t, i, j]:
-                        decided = True
-                    if decided:
-                        break
-                if decided:
-                    break
-            if smaller:
-                for i in range(n):
-                    for j in range(n):
-                        out[t, i, j] = mul[s, batch[t, i, j]]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# numpy fallback implementations
-
-def _mm_one_np(batch, b, mul, add):
+def mm_one(batch, b, field):
+    """Right-multiply every matrix in `batch` by `b`."""
+    mul, add = field.mul, field.add
     terms = mul[batch[:, :, :, None], b[None, None, :, :]]
     acc = terms[:, :, 0, :]
     for k in range(1, batch.shape[1]):
@@ -194,7 +26,9 @@ def _mm_one_np(batch, b, mul, add):
     return acc
 
 
-def _mm_pairs_np(A, B, mul, add):
+def mm_pairs(A, B, field):
+    """Pairwise products A[i] @ B[i]."""
+    mul, add = field.mul, field.add
     terms = mul[A[:, :, :, None], B[:, None, :, :]]
     acc = terms[:, :, 0, :]
     for k in range(1, A.shape[1]):
@@ -202,8 +36,13 @@ def _mm_pairs_np(A, B, mul, add):
     return acc
 
 
-def _inverse_many_np(batch, mul, add, neg, inv, out, ok):
+def inverse_many(batch, field):
+    """(inverses, ok): Gauss-Jordan per matrix; ok[t] is False where
+    batch[t] is singular, and out[t] is then unspecified."""
+    mul, add, neg, inv = field.mul, field.add, field.neg, field.inv_table
     m, n, _ = batch.shape
+    out = np.empty_like(batch)
+    ok = np.empty(m, dtype=np.bool_)
     for t in range(m):
         a = np.concatenate([batch[t], np.eye(n, dtype=batch.dtype)], axis=1)
         good = True
@@ -222,10 +61,13 @@ def _inverse_many_np(batch, mul, add, neg, inv, out, ok):
         ok[t] = good
         if good:
             out[t] = a[:, n:]
+    return out, ok
 
 
-def _det_many_np(batch, mul, add, neg, inv, out):
+def det_many(batch, field):
+    mul, add, neg, inv = field.mul, field.add, field.neg, field.inv_table
     m, n, _ = batch.shape
+    out = np.empty(m, dtype=np.int64)
     for t in range(m):
         a = batch[t].copy()
         det = 1
@@ -245,74 +87,25 @@ def _det_many_np(batch, mul, add, neg, inv, out):
                     f = mul[a[i, col], pinv]
                     a[i] = add[a[i], neg[mul[f, a[col]]]]
         out[t] = det
-
-
-def _scale_many_np(batch, s, mul):
-    return mul[s, batch]
-
-
-def _canon_min_np(batch, scalars, mul):
-    m = batch.shape[0]
-    flat = batch.reshape(m, -1)
-    best = flat.copy()
-    for s in scalars[1:]:
-        cand = mul[int(s), flat]
-        # lexicographic comparison row by row
-        diff = cand.astype(np.int32) - best.astype(np.int32)
-        idx = np.argmax(diff != 0, axis=1)
-        take = diff[np.arange(m), idx] < 0
-        best[take] = cand[take]
-    return best.reshape(batch.shape)
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-def mm_one(batch, b, field):
-    """Right-multiply every matrix in `batch` by `b`."""
-    if NUMBA_ENABLED:
-        return _mm_one_jit(batch, b, field.mul, field.add)
-    return _mm_one_np(batch, b, field.mul, field.add)
-
-
-def mm_pairs(A, B, field):
-    """Pairwise products A[i] @ B[i]."""
-    if NUMBA_ENABLED:
-        return _mm_pairs_jit(A, B, field.mul, field.add)
-    return _mm_pairs_np(A, B, field.mul, field.add)
-
-
-def inverse_many(batch, field):
-    out = np.empty_like(batch)
-    ok = np.empty(batch.shape[0], dtype=np.bool_)
-    args = (batch, field.mul, field.add, field.neg, field.inv_table, out, ok)
-    if NUMBA_ENABLED:
-        _inverse_many_jit(*args)
-    else:
-        _inverse_many_np(*args)
-    return out, ok
-
-
-def det_many(batch, field):
-    out = np.empty(batch.shape[0], dtype=np.int64)
-    args = (batch, field.mul, field.add, field.neg, field.inv_table, out)
-    if NUMBA_ENABLED:
-        _det_many_jit(*args)
-    else:
-        _det_many_np(*args)
     return out
 
 
 def scale_many(batch, s, field):
-    if NUMBA_ENABLED:
-        return _scale_many_jit(batch, np.uint8(s) if batch.dtype == np.uint8 else s, field.mul)
-    return _scale_many_np(batch, int(s), field.mul)
+    return field.mul[int(s), batch]
 
 
 def canon_min(batch, scalars, field):
     """Lexicographically least scalar multiple, per matrix."""
     if scalars.shape[0] <= 1:
         return batch
-    if NUMBA_ENABLED:
-        return _canon_min_jit(batch, scalars, field.mul)
-    return _canon_min_np(batch, scalars, field.mul)
+    m = batch.shape[0]
+    flat = batch.reshape(m, -1)
+    best = flat.copy()
+    for s in scalars[1:]:
+        cand = field.mul[int(s), flat]
+        # lexicographic comparison row by row
+        diff = cand.astype(np.int32) - best.astype(np.int32)
+        idx = np.argmax(diff != 0, axis=1)
+        take = diff[np.arange(m), idx] < 0
+        best[take] = cand[take]
+    return best.reshape(batch.shape)

@@ -168,7 +168,7 @@ def _cmd_rho(args) -> int:
     if G.order % args.p != 0:
         raise DomainError(f"p = {args.p} does not divide |{spec.name}| = {G.order}")
     S = mg.sylow_subgroup_of(G, args.p)
-    Q = S if args.Q == "S" else _center_of(G, S)
+    Q = S if args.Q == "S" else mg.intersection(mg.centralizer(G, S), S)
     chain = rho.rho_chain(G, S, Q, max_i=args.max_i)
     payload = {"group": spec.name, "p": args.p, "sylow_order": S.order,
                **chain.to_json()}
@@ -177,16 +177,6 @@ def _cmd_rho(args) -> int:
            f"{chain.orders()}, N(Q) order {chain.normalizer.order}, "
            f"reached={chain.reached_normalizer}"])
     return 0
-
-
-def _center_of(G: mg.MatrixGroup, S: mg.Subgroup) -> mg.Subgroup:
-    import numpy as np
-    members = np.ones(G.order, dtype=bool)
-    for h in S.gen_idx:
-        conj = G.sandwich_all(int(h))
-        members &= conj == np.arange(G.order)
-    idx = [int(i) for i in S.idx if members[i]]
-    return mg.Subgroup(G, np.array(idx, dtype=np.int64))
 
 
 def _cmd_certify(args) -> int:

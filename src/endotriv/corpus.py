@@ -16,9 +16,6 @@ from importlib import resources
 from .classify import classify, tf_rank_oracle
 from .errors import EndotrivError
 
-ORACLE_LIMIT = 100_000
-
-
 @dataclass(frozen=True)
 class CorpusEntry:
     name: str

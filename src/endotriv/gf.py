@@ -14,13 +14,11 @@ The modulus is the lexicographically least monic irreducible of degree k,
 from __future__ import annotations
 
 import math
-import re
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, GroupSpecError
+from .errors import DomainError
 
 Q_CAP = 1 << 16
 TABLE_LIMIT = 4096
@@ -87,7 +85,8 @@ def p_val(n: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# polynomial arithmetic over GF(p), little-endian coefficient lists
+# polynomial arithmetic over a field F, little-endian coefficient lists of
+# element encodings; every coefficient operation goes through F's element ops
 
 def _poly_trim(a):
     while a and a[-1] == 0:
@@ -95,89 +94,88 @@ def _poly_trim(a):
     return a
 
 
-def _poly_mulmod(a, b, mod, p):
+def _poly_mul(F: FieldSpec, a, b):
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_rem(out, mod, p)
+                out[i + j] = F.add_el(out[i + j], F.mul_el(ai, bj))
+    return _poly_trim(out)
 
 
-def _poly_rem(a, mod, p):
-    a = list(a)
-    dm = len(mod) - 1
-    lead_inv = pow(mod[-1], p - 2, p)
-    while len(a) - 1 >= dm and a:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = (a[-1] * lead_inv) % p
-        shift = len(a) - 1 - dm
-        for i, mi in enumerate(mod):
-            a[shift + i] = (a[shift + i] - c * mi) % p
+def _poly_divmod(F: FieldSpec, a, b):
+    """(quotient, remainder) of a by a nonzero trimmed b."""
+    a = _poly_trim(list(a))
+    quo = [0] * max(0, len(a) - len(b) + 1)
+    lead_inv = F.inv_el(b[-1])
+    while len(a) >= len(b):
+        c = F.mul_el(a[-1], lead_inv)
+        shift = len(a) - len(b)
+        quo[shift] = c
+        for i, bi in enumerate(b):
+            a[shift + i] = F.add_el(a[shift + i], F.neg_el(F.mul_el(c, bi)))
         _poly_trim(a)
-    return a
+    return _poly_trim(quo), a
 
 
-def _poly_powmod(a, e, mod, p):
+def _poly_rem(F: FieldSpec, a, mod):
+    return _poly_divmod(F, a, mod)[1]
+
+
+def _poly_powmod(F: FieldSpec, a, e, mod):
     result = [1]
-    base = _poly_rem(a, mod, p)
+    base = _poly_rem(F, a, mod)
     while e:
         if e & 1:
-            result = _poly_mulmod(result, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
+            result = _poly_rem(F, _poly_mul(F, result, base), mod)
+        base = _poly_rem(F, _poly_mul(F, base, base), mod)
         e >>= 1
     return result
 
 
-def _poly_gcd(a, b, p):
+def _poly_sub(F: FieldSpec, a, b):
+    n = max(len(a), len(b))
+    return _poly_trim([F.add_el(a[i] if i < len(a) else 0,
+                                F.neg_el(b[i] if i < len(b) else 0)) for i in range(n)])
+
+
+def _poly_gcd(F: FieldSpec, a, b):
     a, b = list(a), list(b)
     while b:
-        a = _poly_rem(a, b, p)
-        a, b = b, a
+        a, b = b, _poly_rem(F, a, b)
     return a
 
 
-def _is_irreducible(mod, p):
-    """mod monic of degree k >= 1 over GF(p)."""
+def _is_irreducible(F: FieldSpec, mod) -> bool:
+    """mod monic of degree k >= 1 over F."""
     k = len(mod) - 1
     if k == 1:
         return True
     if mod[0] == 0:
         return False
     x = [0, 1]
-    # x^(p^k) == x mod f, and gcd(x^(p^(k/r)) - x, f) == 1 for prime r | k
-    xp = _poly_powmod(x, p ** k, mod, p)
-    if _poly_sub(xp, x, p):
+    # x^(q^k) == x mod f, and gcd(x^(q^(k/r)) - x, f) == 1 for prime r | k
+    if _poly_sub(F, _poly_powmod(F, x, F.q ** k, mod), x):
         return False
-    for d in {k // r for r in factorize(k)}:
-        g = _poly_gcd(_poly_sub(_poly_powmod(x, p ** d, mod, p), x, p), mod, p)
+    for r in factorize(k):
+        g = _poly_gcd(F, _poly_sub(F, _poly_powmod(F, x, F.q ** (k // r), mod), x), mod)
         if len(g) - 1 >= 1:
             return False
     return True
 
 
-def _poly_sub(a, b, p):
-    n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p for i in range(n)]
-    return _poly_trim(out)
-
-
-def _least_irreducible(p: int, k: int) -> tuple[int, ...]:
-    """Monic degree-k irreducible over GF(p) with least non-leading encoding."""
-    if k == 1:
-        return (0, 1)
-    for low in range(p ** k):
+def _least_irreducible(F: FieldSpec, k: int) -> tuple[int, ...]:
+    """Monic degree-k irreducible over F with least non-leading encoding."""
+    for low in range(F.q ** k):
         coeffs = []
         v = low
         for _ in range(k):
-            coeffs.append(v % p)
-            v //= p
+            coeffs.append(v % F.q)
+            v //= F.q
         mod = coeffs + [1]
-        if _is_irreducible(mod, p):
+        if _is_irreducible(F, mod):
             return tuple(mod)
-    raise DomainError(f"no irreducible of degree {k} over GF({p})")  # pragma: no cover
+    raise DomainError(f"no irreducible of degree {k} over {F}")  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +192,9 @@ class FieldSpec:
             raise DomainError(f"field size {q} outside supported range [2, {Q_CAP}]")
         self.q = q
         self.char, self.degree = prime_power_split(q)
-        self.modulus = _least_irreducible(self.char, self.degree)
+        # GF(p^k) = GF(p)[x]/(modulus); a prime field is its own base
+        self.modulus = (0, 1) if self.degree == 1 else \
+            _least_irreducible(field_spec(self.char), self.degree)
         self._build_tables()
 
     # -- raw polynomial-level ops (used to bootstrap the tables) -----------
@@ -213,9 +213,11 @@ class FieldSpec:
         return v
 
     def _raw_mul(self, a: int, b: int) -> int:
-        prod = _poly_mulmod(list(self.coeffs(a)), list(self.coeffs(b)),
-                            list(self.modulus), self.char)
-        return self.from_coeffs(prod + [0] * self.degree)
+        if self.degree == 1:
+            return a * b % self.q
+        P = field_spec(self.char)
+        prod = _poly_mul(P, list(self.coeffs(a)), list(self.coeffs(b)))
+        return self.from_coeffs(_poly_rem(P, prod, self.modulus))
 
     def _raw_pow(self, a: int, e: int) -> int:
         result, base = 1, a
@@ -230,19 +232,18 @@ class FieldSpec:
         """Inverse by extended Euclid on coefficient polynomials."""
         if a == 0:
             raise DomainError("zero is not invertible")
-        p = self.char
+        if self.degree == 1:
+            return pow(a, self.q - 2, self.q)
+        P = field_spec(self.char)
         r0, r1 = list(self.modulus), _poly_trim(list(self.coeffs(a)))
         s0, s1 = [], [1]
         while r1:
-            # divide r0 by r1
-            q_poly, rem = _poly_divmod(r0, r1, p)
+            quo, rem = _poly_divmod(P, r0, r1)
             r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mulmod_plain(q_poly, s1, p), p)
+            s0, s1 = s1, _poly_sub(P, s0, _poly_mul(P, quo, s1))
         # r0 is a nonzero constant gcd
-        c_inv = pow(r0[0], p - 2, p)
-        inv = [(c_inv * c) % p for c in s0]
-        inv = _poly_rem(inv, list(self.modulus), p)
-        return self.from_coeffs(inv + [0] * self.degree)
+        c_inv = P.inv_el(r0[0])
+        return self.from_coeffs(_poly_rem(P, [P.mul_el(c_inv, c) for c in s0], self.modulus))
 
     # -- table construction -------------------------------------------------
 
@@ -371,105 +372,6 @@ class FieldSpec:
         return hash(("FieldSpec", self.q))
 
 
-def _poly_divmod(a, b, p):
-    a = list(a)
-    q_out = [0] * max(1, len(a) - len(b) + 1)
-    inv_lead = pow(b[-1], p - 2, p)
-    while len(a) >= len(b) and a:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = (a[-1] * inv_lead) % p
-        shift = len(a) - len(b)
-        q_out[shift] = c
-        for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - c * bi) % p
-        _poly_trim(a)
-    return _poly_trim(q_out), a
-
-
-def _poly_mulmod_plain(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
 @lru_cache(maxsize=None)
 def field_spec(q: int) -> FieldSpec:
     return FieldSpec(q)
-
-
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A GF(q) element bound to its field; thin wrapper over the encoding."""
-
-    spec: FieldSpec
-    val: int
-
-    def __post_init__(self):
-        if not 0 <= self.val < self.spec.q:
-            raise DomainError(f"encoding {self.val} outside GF({self.spec.q})")
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.spec.coeffs(self.val)
-
-    def _check(self, other: "FieldElement"):
-        if self.spec != other.spec:
-            raise DomainError("field elements from mismatched specs")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.spec, self.spec.add_el(self.val, other.val))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement(self.spec, self.spec.mul_el(self.val, other.val))
-
-    def __neg__(self):
-        return FieldElement(self.spec, self.spec.neg_el(self.val))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def inverse(self):
-        return FieldElement(self.spec, self.spec.inv_el(self.val))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.spec, self.spec.pow_el(self.val, e))
-
-    def __str__(self):
-        return "[" + ",".join(str(c) for c in self.coeffs) + "]"
-
-
-def mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
-def mult_order(a: FieldElement) -> int:
-    return a.spec.mult_order(a.val)
-
-
-def primitive_element(spec: FieldSpec) -> FieldElement:
-    return FieldElement(spec, spec.primitive)
-
-
-_FIELD_RE = re.compile(r"^GF\((\d+)\)$")
-
-
-def parse_field(text: str) -> FieldSpec:
-    """Parse a CLI field literal like "GF(9)"."""
-    m = _FIELD_RE.match(text.strip())
-    if not m:
-        raise GroupSpecError(f"malformed field literal: {text!r}")
-    try:
-        return field_spec(int(m.group(1)))
-    except DomainError as exc:
-        raise GroupSpecError(str(exc)) from exc

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import matgrp as mg
 from .errors import CapExceeded, DomainError, GroupSpecError
-from .gf import (FieldSpec, factorize, field_spec, is_prime, p_part, p_val,
+from .gf import (FieldSpec, _least_irreducible, _poly_mul, _poly_powmod, _poly_rem,
+                 _poly_trim, factorize, field_spec, is_prime, p_part, p_val,
                  prime_power_split)
 
 
@@ -239,93 +240,6 @@ def _default_name(n, q, det_order):
 # extension-field blocks: the regular embedding of GF(q^e) into e x e
 # matrices over GF(q), its Singer generator, and the Frobenius element
 
-def _px_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _px_mul(F: FieldSpec, a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = F.add_el(out[i + j], F.mul_el(ai, bj))
-    return _px_trim(out)
-
-
-def _px_rem(F: FieldSpec, a, mod):
-    a = list(a)
-    dm = len(mod) - 1
-    lead_inv = F.inv_el(mod[-1])
-    while len(a) - 1 >= dm and a:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = F.mul_el(a[-1], lead_inv)
-        shift = len(a) - 1 - dm
-        for i, mi in enumerate(mod):
-            a[shift + i] = F.add_el(a[shift + i], F.neg_el(F.mul_el(c, mi)))
-        _px_trim(a)
-    return a
-
-
-def _px_powmod(F, a, e, mod):
-    result = [1]
-    base = _px_rem(F, list(a), mod)
-    while e:
-        if e & 1:
-            result = _px_rem(F, _px_mul(F, result, base), mod)
-        base = _px_rem(F, _px_mul(F, base, base), mod)
-        e >>= 1
-    return result
-
-
-def _px_sub(F, a, b):
-    n = max(len(a), len(b))
-    out = [F.add_el(a[i] if i < len(a) else 0,
-                    F.neg_el(b[i] if i < len(b) else 0)) for i in range(n)]
-    return _px_trim(out)
-
-
-def _px_gcd(F, a, b):
-    a, b = list(a), list(b)
-    while b:
-        a = _px_rem(F, a, b)
-        a, b = b, a
-    return a
-
-
-def _ext_irreducible(F: FieldSpec, mod) -> bool:
-    k = len(mod) - 1
-    if k == 1:
-        return True
-    if mod[0] == 0:
-        return False
-    x = [0, 1]
-    if _px_sub(F, _px_powmod(F, x, F.q ** k, mod), x):
-        return False
-    for dprime in factorize(k):
-        g = _px_gcd(F, _px_sub(F, _px_powmod(F, x, F.q ** (k // dprime), mod), x), mod)
-        if len(g) - 1 >= 1:
-            return False
-    return True
-
-
-def _ext_modulus(F: FieldSpec, e: int):
-    for low in range(F.q ** e):
-        coeffs, v = [], low
-        for _ in range(e):
-            coeffs.append(v % F.q)
-            v //= F.q
-        mod = coeffs + [1]
-        if _ext_irreducible(F, mod):
-            return mod
-    raise DomainError("no irreducible modulus found")  # pragma: no cover
-
-
 def singer_block(q: int, e: int) -> tuple[np.ndarray, np.ndarray]:
     """(w, g): the regular-embedding image of a generator of GF(q^e)^x and
     the Frobenius element with g w g^-1 = w^q, both as e x e matrices."""
@@ -333,7 +247,7 @@ def singer_block(q: int, e: int) -> tuple[np.ndarray, np.ndarray]:
     if e == 1:
         w = np.array([[F.primitive]], dtype=np.uint8)
         return w, mg.identity_matrix(1)
-    mod = _ext_modulus(F, e)
+    mod = _least_irreducible(F, e)
     ext_order = q ** e - 1
     fac = factorize(ext_order)
     gen = None
@@ -342,8 +256,8 @@ def singer_block(q: int, e: int) -> tuple[np.ndarray, np.ndarray]:
         for _ in range(e):
             coeffs.append(vv % q)
             vv //= q
-        poly = _px_trim(list(coeffs))
-        if all(_px_powmod(F, poly, ext_order // rp, mod) != [1] for rp in fac):
+        poly = _poly_trim(list(coeffs))
+        if all(_poly_powmod(F, poly, ext_order // rp, mod) != [1] for rp in fac):
             gen = poly
             break
     if gen is None:
@@ -357,10 +271,10 @@ def singer_block(q: int, e: int) -> tuple[np.ndarray, np.ndarray]:
     frob = np.zeros((e, e), dtype=np.uint8)
     for j in range(e):
         yj = [0] * j + [1]
-        col = as_column(_px_rem(F, _px_mul(F, gen, yj), mod))
+        col = as_column(_poly_rem(F, _poly_mul(F, gen, yj), mod))
         for i in range(e):
             w[i, j] = col[i]
-        colf = as_column(_px_powmod(F, yj, q, mod))
+        colf = as_column(_poly_powmod(F, yj, q, mod))
         for i in range(e):
             frob[i, j] = colf[i]
     return w, frob

@@ -279,18 +279,6 @@ class MatrixGroup:
             self._conj_maps[g] = self.lookup_batch(full)
         return self._conj_maps[g]
 
-    def power_idx(self, i: int, e: int) -> int:
-        if e < 0:
-            return self.power_idx(self.inv_idx(i), -e)
-        acc = self.identity_idx
-        base = i
-        while e:
-            if e & 1:
-                acc = self.mul_idx(acc, base)
-            base = self.mul_idx(base, base)
-            e >>= 1
-        return acc
-
     def order_of(self, i: int) -> int:
         k, j = 1, i
         while j != self.identity_idx:
@@ -327,18 +315,8 @@ class MatrixGroup:
         return Subgroup(self, np.arange(self.order, dtype=np.int64),
                         gen_idx=tuple(self.gen_idx), _checked=True)
 
-    def subgroup_of_matrices(self, mats) -> "Subgroup":
-        idxs = sorted({self.index_of(m) for m in mats})
-        return Subgroup(self, np.array(idxs, dtype=np.int64))
-
     def __repr__(self):
         return f"<{self.name}: order {self.order} over GF({self.field.q})>"
-
-
-def closure(field: FieldSpec, gens, cap: int | None = None,
-            scalars=None, name: str = "G") -> MatrixGroup:
-    """Breadth-first closure of generator matrices into an enumerated group."""
-    return MatrixGroup.generate(field, gens, cap=cap, scalars=scalars, name=name)
 
 
 def _left_mul(a: np.ndarray, batch: np.ndarray, field) -> np.ndarray:
@@ -532,11 +510,6 @@ def intersection(H1: Subgroup, H2: Subgroup) -> Subgroup:
 
 def join(H1: Subgroup, H2: Subgroup) -> Subgroup:
     return subgroup_closure(H1.parent, tuple(H1.gen_idx) + tuple(H2.gen_idx))
-
-
-def conjugate_subgroup(G: MatrixGroup, H: Subgroup, g: int) -> Subgroup:
-    cmap = G.conj_map(int(g))
-    return Subgroup(G, cmap[H.idx])
 
 
 def normal_closure(H: Subgroup, seed_idx) -> Subgroup:

@@ -159,8 +159,10 @@ def rho_chain(G: mg.MatrixGroup, S: mg.Subgroup, Q: mg.Subgroup,
     chain = []
     prev: frozenset = frozenset([G.identity_idx])
     for cs in chain_sets:
-        assert prev <= cs, "chain monotonicity violated"
-        assert cs <= NQ.members, "chain escaped the normalizer"
+        if not prev <= cs:
+            raise DomainError("chain monotonicity violated")
+        if not cs <= NQ.members:
+            raise DomainError("chain escaped the normalizer")
         prev = cs
         chain.append(mg.Subgroup(G, np.array(sorted(cs), dtype=np.int64)))
     return RhoChain(Q, NQ, chain, stabilized, chain_sets[-1] == NQ.members)
@@ -347,10 +349,6 @@ def _common_order(A: mg.MatrixGroup, B: mg.MatrixGroup) -> int:
     return sum(1 for i in range(small.order) if flat[i].tobytes() in big._index)
 
 
-def _member(mat: np.ndarray, G: mg.MatrixGroup) -> bool:
-    return G.contains_matrix(mat)
-
-
 def _check_triviality(K: mg.MatrixGroup, p: int, ev: TrivialityEvidence,
                       clauses: list[ClauseResult], tag: str) -> bool:
     if ev.kind == "normal-p-subgroup":
@@ -433,7 +431,7 @@ def _check_containment(cert: MethodCertificate,
             return False
         S = mg.Subgroup(G, np.array(sidx, dtype=np.int64))
         N = mg.normalizer(G, S)
-        ok = all(_member(G.elements[i], H) for i in N.idx)
+        ok = all(H.contains_matrix(G.elements[i]) for i in N.idx)
         clauses.append(ClauseResult("(S)", ok,
                                     f"N(S) of order {N.order} scanned in ambient" if ok
                                     else "ambient N(S) escapes H"))
@@ -900,7 +898,7 @@ def _scalar_root(F, value, k):
 
 
 # ---------------------------------------------------------------------------
-# replay运行 of the proof families
+# replay of the proof families
 
 _FAMILY_DEFAULTS = {
     "rp-case": [(3, 19, 3)],

@@ -19,7 +19,7 @@ from endotriv.gf import field_spec, p_part
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    # pay the jit compilation outside the timed criteria
+    # build field tables and warm imports outside the timed criteria
     classify(2, 5, 2)
     G = liea.enumerate_group(2, 3)
     mg.normalizer(G, G.as_subgroup())

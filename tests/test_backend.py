@@ -7,43 +7,86 @@ from endotriv.gf import field_spec
 RNG = np.random.default_rng(42)
 
 
-def batches(q, n, m=64):
-    F = field_spec(q)
-    # random invertible-ish matrices: rejection by determinant
-    out = []
-    while len(out) < m:
-        cand = RNG.integers(0, q, size=(n, n)).astype(np.uint8)
-        if backend.det_many(cand[None], F)[0] != 0:
-            out.append(cand)
-    return F, np.stack(out)
+def ref_product(F, a, b):
+    """a @ b by the scalar triple loop over the field's element ops."""
+    n = a.shape[0]
+    out = np.zeros_like(a)
+    for i in range(n):
+        for j in range(n):
+            acc = 0
+            for k in range(n):
+                acc = F.add_el(acc, F.mul_el(int(a[i, k]), int(b[k, j])))
+            out[i, j] = acc
+    return out
+
+
+def random_matrices(q, n, m=64):
+    return RNG.integers(0, q, size=(m, n, n)).astype(np.uint8)
+
+
+def random_invertible(F, n, m=64):
+    """m matrices P L U, invertible by construction, with the determinants
+    sign(P) * prod(diag U) read off the factors."""
+    mats, dets = [], []
+    for _ in range(m):
+        L = np.tril(RNG.integers(0, F.q, size=(n, n)), -1).astype(np.uint8)
+        L[np.arange(n), np.arange(n)] = 1
+        U = np.triu(RNG.integers(0, F.q, size=(n, n)), 1).astype(np.uint8)
+        U[np.arange(n), np.arange(n)] = RNG.integers(1, F.q, size=n)
+        perm = RNG.permutation(n)
+        det = 1
+        for d in U.diagonal():
+            det = F.mul_el(det, int(d))
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        mats.append(ref_product(F, L, U)[perm])
+        dets.append(F.neg_el(det) if inversions % 2 else det)
+    return np.stack(mats), np.array(dets)
 
 
 @pytest.mark.parametrize("q,n", [(2, 3), (3, 2), (4, 3), (5, 4), (9, 2)])
-def test_numpy_fallback_matches_primary_backend(q, n):
-    F, A = batches(q, n)
-    B = A[::-1].copy()
-    one = A[0]
-    got = backend.mm_one(A, one, F)
-    assert np.array_equal(got, backend._mm_one_np(A, one, F.mul, F.add))
-    gotp = backend.mm_pairs(A, B, F)
-    assert np.array_equal(gotp, backend._mm_pairs_np(A, B, F.mul, F.add))
-    det_a = backend.det_many(A, F)
-    out = np.empty(A.shape[0], dtype=np.int64)
-    backend._det_many_np(A, F.mul, F.add, F.neg, F.inv_table, out)
-    assert np.array_equal(det_a, out)
-    inv_a, ok_a = backend.inverse_many(A, F)
-    out_i = np.empty_like(A)
-    ok_i = np.empty(A.shape[0], dtype=np.bool_)
-    backend._inverse_many_np(A, F.mul, F.add, F.neg, F.inv_table, out_i, ok_i)
-    assert np.array_equal(ok_a, ok_i) and np.array_equal(inv_a, out_i)
-    scal = np.array(sorted(F.subgroup_values(q - 1) if q > 2 else [1]),
-                    dtype=np.uint8)
-    assert np.array_equal(backend.canon_min(A, scal, F),
-                          backend._canon_min_np(A, scal, F.mul))
+def test_kernels_match_scalar_references(q, n):
+    F = field_spec(q)
+    ident = np.eye(n, dtype=np.uint8)
+
+    # products: the scalar triple loop
+    A, B = random_matrices(q, n), random_matrices(q, n)
+    got = backend.mm_one(A, B[0], F)
+    assert all(np.array_equal(got[t], ref_product(F, A[t], B[0])) for t in range(len(A)))
+    got = backend.mm_pairs(A, B, F)
+    assert all(np.array_equal(got[t], ref_product(F, A[t], B[t])) for t in range(len(A)))
+
+    # determinant is multiplicative, also across singular factors
+    dA, dB = backend.det_many(A, F), backend.det_many(B, F)
+    dAB = backend.det_many(backend.mm_pairs(A, B, F), F)
+    assert all(dAB[t] == F.mul_el(int(dA[t]), int(dB[t])) for t in range(len(A)))
+
+    # invertible inputs: known determinants, A A^-1 = A^-1 A = I
+    M, dets = random_invertible(F, n)
+    assert np.array_equal(backend.det_many(M, F), dets)
+    inv, ok = backend.inverse_many(M, F)
+    assert ok.all()
+    for t in range(len(M)):
+        assert np.array_equal(ref_product(F, M[t], inv[t]), ident)
+        assert np.array_equal(ref_product(F, inv[t], M[t]), ident)
+
+    # singular inputs: last row a multiple of the first
+    S = M.copy()
+    S[:, -1] = F.mul[RNG.integers(0, q, size=(len(S), 1)), S[:, 0]]
+    assert (backend.det_many(S, F) == 0).all()
+    assert not backend.inverse_many(S, F)[1].any()
+
+    # canon_min: the brute-force least scalar multiple
+    for scalars in ({1}, F.subgroup_values(q - 1), F.subgroup_values(2) if q % 2 else {1}):
+        scal = np.array(sorted(scalars), dtype=np.uint8)
+        got = backend.canon_min(A, scal, F)
+        for t in range(len(A)):
+            least = min(tuple(F.mul_el(int(s), int(x)) for x in A[t].ravel()) for s in scal)
+            assert tuple(got[t].ravel()) == least
 
 
 def test_inverse_roundtrip():
-    F, A = batches(7, 3)
+    F = field_spec(7)
+    A, _ = random_invertible(F, 3)
     inv, ok = backend.inverse_many(A, F)
     assert ok.all()
     prod = backend.mm_pairs(A, inv, F)
@@ -52,4 +95,4 @@ def test_inverse_roundtrip():
 
 
 def test_backend_name():
-    assert backend.backend_name() in ("numba", "numpy")
+    assert backend.backend_name() == "numpy"

@@ -76,6 +76,14 @@ def test_rho_subcommand(capsys):
     assert payload["reached_normalizer"] is True
 
 
+def test_rho_center_subcommand(capsys):
+    code, out, _ = run_cli(capsys, "rho", "SL(2,3)", "2", "--Q", "center", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["base_order"] == 2  # Z(Q8) = {I, -I}
+    assert payload["chain_orders"]
+
+
 def test_certify_subcommand(capsys):
     code, out, _ = run_cli(capsys, "certify", "sl62", "--json")
     assert code == 0

@@ -2,46 +2,35 @@ import random
 
 import pytest
 
-from endotriv.errors import DomainError, GroupSpecError
-from endotriv.gf import (FieldElement, field_spec, mul, mult_order, parse_field,
-                         primitive_element)
+from endotriv.errors import DomainError
+from endotriv.gf import _is_irreducible, field_spec
 
 PRIME_POWERS_64 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29,
                    31, 32, 37, 41, 43, 47, 49, 53, 59, 61, 64]
 
 
-def el(q, v):
-    return FieldElement(field_spec(q), v)
-
-
 def test_mul_examples():
-    assert mul(el(2, 1), el(2, 1)).val == 1
+    assert field_spec(2).mul_el(1, 1) == 1
     # GF(4) with modulus x^2+x+1: x*x = x+1
     F4 = field_spec(4)
     assert F4.modulus == (1, 1, 1)
-    x = el(4, 2)
-    assert (x * x).val == 3
-    assert mul(el(5, 2), el(5, 3)).val == 1
-
-
-def test_mul_mismatched_specs():
-    with pytest.raises(DomainError):
-        mul(el(4, 1), el(5, 1))
+    assert F4.mul_el(2, 2) == 3
+    assert field_spec(5).mul_el(2, 3) == 1
 
 
 def test_mult_order_examples():
-    assert mult_order(el(5, 1)) == 1
-    assert mult_order(el(5, 2)) == 4
-    g4 = primitive_element(field_spec(4))
-    assert mult_order(g4) == 3
+    F5, F4 = field_spec(5), field_spec(4)
+    assert F5.mult_order(1) == 1
+    assert F5.mult_order(2) == 4
+    assert F4.mult_order(F4.primitive) == 3
     with pytest.raises(DomainError):
-        mult_order(el(5, 0))
+        F5.mult_order(0)
 
 
 def test_primitive_element_examples():
-    assert primitive_element(field_spec(2)).val == 1
-    assert primitive_element(field_spec(5)).val == 2
-    assert primitive_element(field_spec(4)).val == 2  # the class of the variable
+    assert field_spec(2).primitive == 1
+    assert field_spec(5).primitive == 2
+    assert field_spec(4).primitive == 2  # the class of the variable
 
 
 def test_primitive_element_order_property():
@@ -78,23 +67,27 @@ def test_order_divides_exhaustive_small_fields():
 
 
 def test_extended_euclid_inverse_matches_table():
-    for q in (9, 16, 27):
+    for q in (7, 9, 16, 27):
         F = field_spec(q)
         for a in range(1, q):
             assert F._raw_inv(a) == F.inv_el(a)
 
 
-def test_coeff_printing():
-    assert str(el(4, 3)) == "[1,1]"
-    assert str(el(5, 3)) == "[3]"
+def test_irreducibility_matches_root_test():
+    # over any field, a polynomial of degree 2 or 3 is irreducible iff it has no root
+    for q in (2, 3, 4, 9):
+        F = field_spec(q)
+        for k in (2, 3):
+            for low in range(q ** k):
+                mod = [(low // q ** i) % q for i in range(k)] + [1]
 
+                def value(x):
+                    acc = 0
+                    for c in reversed(mod):
+                        acc = F.add_el(F.mul_el(acc, x), c)
+                    return acc
 
-def test_parse_field():
-    assert parse_field("GF(9)").q == 9
-    with pytest.raises(GroupSpecError):
-        parse_field("GF(6)")
-    with pytest.raises(GroupSpecError):
-        parse_field("F(9)")
+                assert _is_irreducible(F, mod) == all(value(x) for x in range(q))
 
 
 def test_q_cap():
