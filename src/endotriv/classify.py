@@ -167,10 +167,14 @@ def cyclic_quotient_normalizer(params: LieParams, cap: int | None = None) -> mg.
                               needed=expected, cap=cap_val)
         N = liea.monomial_group(n, q, d, cap=cap)
     else:
-        expected = e * (q ** e - 1) * liea.order_gl(f, q) * d // (q - 1)
+        ngl_order = e * (q ** e - 1) * liea.order_gl(f, q)
+        expected = ngl_order * d // (q - 1)
         if expected > cap_val:
             raise CapExceeded("Sylow normalizer too large to enumerate",
                               needed=expected, cap=cap_val)
+        if ngl_order > cap_val:  # the message `generate` would raise, before the work
+            raise CapExceeded(f"closure of N_GL(S) exceeds cap {cap_val}",
+                              needed=ngl_order, cap=cap_val)
         w, g = liea.singer_block(q, e)
         gens = [mg.block_embed(n, [(0, w)]), mg.block_embed(n, [(0, g)])]
         for gmat in liea.group_generators(f, q, q - 1) if f else []:

@@ -277,21 +277,20 @@ class FieldSpec:
         mul[np.ix_(nz, nz)] = exp[(log[nz][:, None] + log[nz][None, :]) % (q - 1)]
         self.mul = mul
 
-        digits = np.zeros((q, self.degree), dtype=np.int64)
-        vals = np.arange(q)
-        for i in range(self.degree):
-            digits[:, i] = vals % p
-            vals = vals // p
-        summed = (digits[:, None, :] + digits[None, :, :]) % p
-        add = np.zeros((q, q), dtype=np.int64)
-        for i in reversed(range(self.degree)):
-            add = add * p + summed[:, :, i]
+        # digit-wise mod-p sums, one base-p digit at a time into (q, q) int32
+        add = np.zeros((q, q), dtype=np.int32)
+        neg = np.zeros(q, dtype=np.int32)
+        vals = np.arange(q, dtype=np.int32)
+        place = 1
+        for _ in range(self.degree):
+            digit = vals // place % p
+            term = digit[:, None] + digit[None, :]
+            term %= p
+            term *= place
+            add += term
+            neg += (-digit) % p * place
+            place *= p
         self.add = add.astype(dtype)
-
-        negd = (-digits) % p
-        neg = np.zeros(q, dtype=np.int64)
-        for i in reversed(range(self.degree)):
-            neg = neg * p + negd[:, i]
         self.neg = neg.astype(dtype)
 
         inv = np.zeros(q, dtype=dtype)

@@ -137,12 +137,8 @@ class MatrixGroup:
         invs, ok = backend.inverse_many(elements, field)
         if not np.all(ok):
             raise DomainError("non-invertible element reached in closure")
-        invs = canon(invs)
-        inv_idx = np.empty(count, dtype=np.int64)
-        flat = invs.reshape(count, -1)
-        for i in range(count):
-            inv_idx[i] = index[flat[i].tobytes()]
-        grp = cls(field, n, elements, index, inv_idx, [], scalars=scal, name=name)
+        grp = cls(field, n, elements, index, None, [], scalars=scal, name=name)
+        grp.inv = grp.lookup_batch(canon(invs))
         grp.gen_idx = [grp.index_of(gmats[i]) for i in range(gmats.shape[0])]
         return grp
 
@@ -169,13 +165,8 @@ class MatrixGroup:
         elements = reps[np.array(keep, dtype=np.int64)]
         grp = MatrixGroup(self.field, self.n, elements, index, None, [],
                           scalars=scal, name=name or f"{self.name}/Z{len(scal)}")
-        invs = backend.canon_min(
-            backend.inverse_many(elements, self.field)[0], scal, self.field)
-        inv_idx = np.empty(elements.shape[0], dtype=np.int64)
-        iflat = invs.reshape(elements.shape[0], -1)
-        for i in range(elements.shape[0]):
-            inv_idx[i] = index[iflat[i].tobytes()]
-        grp.inv = inv_idx
+        grp.inv = grp.lookup_batch(grp.canon(
+            backend.inverse_many(elements, self.field)[0]))
         grp.gen_idx = [grp.index_of(grp.canon_one(self.elements[g]))
                        for g in self.gen_idx]
         return grp
@@ -423,45 +414,61 @@ def _abelian_type_from_orders(orders) -> AbelianStructure:
 # ---------------------------------------------------------------------------
 # subgroup algebra
 
-def find_generators(G: MatrixGroup, idx: np.ndarray) -> tuple[int, ...]:
-    """Greedy small generating set for the subgroup with the given indices."""
-    target = frozenset(int(i) for i in idx)
-    if target == {G.identity_idx}:
-        return ()
+def generated_subgroup(G: MatrixGroup, seeds) -> Subgroup:
+    """<seeds>, generated greedily: each seed, in increasing order, that the
+    closure so far misses becomes a generator and extends that closure."""
     gens: list[int] = []
     have = frozenset([G.identity_idx])
-    for i in idx:
-        i = int(i)
-        if i not in have:
-            gens.append(i)
-            have = _closure_indices(G, gens)
-            if have == target:
-                return tuple(gens)
-    if have != target:
+    for x in sorted(int(s) for s in seeds):
+        if x not in have:
+            gens.append(x)
+            have = _closure_indices(G, gens, have)
+    return Subgroup(G, np.array(sorted(have), dtype=np.int64), gen_idx=tuple(gens))
+
+
+def find_generators(G: MatrixGroup, idx: np.ndarray) -> tuple[int, ...]:
+    """Greedy small generating set for the subgroup with the given indices."""
+    H = generated_subgroup(G, idx)
+    if H.members != frozenset(int(i) for i in idx):
         raise DomainError("index set is not closed (not a subgroup)")
-    return tuple(gens)
+    return H.gen_idx
 
 
-def _closure_indices(G: MatrixGroup, gen_idx) -> frozenset[int]:
-    seen = {G.identity_idx}
-    frontier = [G.identity_idx]
-    while frontier:
+def _closure_indices(G: MatrixGroup, gen_idx, base=None) -> frozenset[int]:
+    """<base, gen_idx> as an index set, grown from `base` (default {1}).
+
+    `base` must be a subgroup contained in <gen_idx> (in practice: generated
+    by some of gen_idx).  It is closed already, so the first round multiplies
+    it by the generators outside it only; later rounds multiply only the new
+    elements, by every generator (Dimino's idea of extending a closed
+    subgroup instead of closing it again)."""
+    gens = [int(g) for g in gen_idx]
+    seen = {G.identity_idx} if base is None else set(base)
+    frontier = list(seen)
+    round_gens = [g for g in gens if g not in seen]
+    while frontier and round_gens:
         arr = np.array(frontier, dtype=np.int64)
         frontier = []
-        for g in gen_idx:
-            prods = G.right_mul_batch(arr, int(g))
-            for v in prods:
+        for g in round_gens:
+            for v in G.right_mul_batch(arr, g):
                 v = int(v)
                 if v not in seen:
                     seen.add(v)
                     frontier.append(v)
+        round_gens = gens
     return frozenset(seen)
 
 
 def subgroup_closure(G: MatrixGroup, gen_idx, name: str = "") -> Subgroup:
-    idxs = _closure_indices(G, [int(g) for g in gen_idx])
-    return Subgroup(G, np.array(sorted(idxs), dtype=np.int64),
-                    gen_idx=tuple(int(g) for g in gen_idx if g != G.identity_idx))
+    return _extend(trivial_subgroup(G), gen_idx)
+
+
+def _extend(H: Subgroup, extra) -> Subgroup:
+    """<H, extra>, grown from H's members and generated by H.gen_idx + extra."""
+    G = H.parent
+    gens = tuple(int(g) for g in tuple(H.gen_idx) + tuple(extra) if g != G.identity_idx)
+    idxs = _closure_indices(G, gens, H.members)
+    return Subgroup(G, np.array(sorted(idxs), dtype=np.int64), gen_idx=gens)
 
 
 def trivial_subgroup(G: MatrixGroup) -> Subgroup:
@@ -508,8 +515,21 @@ def intersection(H1: Subgroup, H2: Subgroup) -> Subgroup:
     return Subgroup(H1.parent, np.array(sorted(common), dtype=np.int64))
 
 
+def common_order(A: MatrixGroup, B: MatrixGroup) -> int:
+    """Order of the intersection of two groups over one field, via element keys."""
+    if A.field is not B.field and A.field != B.field:
+        raise DomainError("intersection across different fields")
+    za = None if A.scalars is None else tuple(int(s) for s in A.scalars)
+    zb = None if B.scalars is None else tuple(int(s) for s in B.scalars)
+    if za != zb:
+        raise DomainError("intersection across different central quotients")
+    small, big = (A, B) if A.order <= B.order else (B, A)
+    flat = small.elements.reshape(small.order, -1)
+    return sum(1 for i in range(small.order) if flat[i].tobytes() in big._index)
+
+
 def join(H1: Subgroup, H2: Subgroup) -> Subgroup:
-    return subgroup_closure(H1.parent, tuple(H1.gen_idx) + tuple(H2.gen_idx))
+    return _extend(H1, H2.gen_idx)
 
 
 def normal_closure(H: Subgroup, seed_idx) -> Subgroup:
@@ -518,17 +538,16 @@ def normal_closure(H: Subgroup, seed_idx) -> Subgroup:
     gens = sorted({int(s) for s in seed_idx} - {G.identity_idx})
     if not gens:
         return trivial_subgroup(G)
+    members, fresh = None, gens
     while True:
-        S = subgroup_closure(G, gens)
-        new = []
-        for h in H.gen_idx:
-            for x in gens:
-                c = G.conj_idx(int(h), int(x))
-                if c not in S.members:
-                    new.append(c)
+        members = _closure_indices(G, gens, members)
+        # conjugates of older generators lie in the older closure already
+        new = {G.conj_idx(int(h), x) for h in H.gen_idx for x in fresh} - members
         if not new:
-            return S
-        gens.extend(sorted(set(new)))
+            return Subgroup(G, np.array(sorted(members), dtype=np.int64),
+                            gen_idx=tuple(gens))
+        fresh = sorted(new)
+        gens.extend(fresh)
 
 
 def commutator_subgroup(H: Subgroup) -> Subgroup:
@@ -672,11 +691,8 @@ def elementary_abelian_subgroups(T: Subgroup | MatrixGroup, p: int,
     # rank 1
     level: dict[frozenset, tuple[int, ...]] = {}
     for x in pts:
-        s = _cyclic_set(G, x, p)
-        if s not in level:
-            level[s] = (x,)
+        level.setdefault(_closure_indices(G, [x]), (x,))
     rank = 1
-    pts_set = set(pts)
     while level:
         nxt: dict[frozenset, tuple[int, ...]] = {}
         for members, gens in level.items():
@@ -685,7 +701,7 @@ def elementary_abelian_subgroups(T: Subgroup | MatrixGroup, p: int,
                 if x in members:
                     continue
                 if all(G.mul_idx(x, g) == G.mul_idx(g, x) for g in gens):
-                    new_members = _join_ea(G, members, x, p)
+                    new_members = _closure_indices(G, gens + (x,), members)
                     extended = True
                     if new_members not in nxt:
                         nxt[new_members] = gens + (x,)
@@ -694,25 +710,6 @@ def elementary_abelian_subgroups(T: Subgroup | MatrixGroup, p: int,
         level = nxt
         rank += 1
     return out
-
-
-def _cyclic_set(G: MatrixGroup, x: int, p: int) -> frozenset:
-    s = {G.identity_idx}
-    y = x
-    for _ in range(p - 1):
-        s.add(y)
-        y = G.mul_idx(y, x)
-    return frozenset(s)
-
-
-def _join_ea(G: MatrixGroup, members: frozenset, x: int, p: int) -> frozenset:
-    new = set(members)
-    xp = G.identity_idx
-    for _ in range(p - 1):
-        xp = G.mul_idx(xp, x)
-        for m in members:
-            new.add(G.mul_idx(m, xp))
-    return frozenset(new)
 
 
 def p_rank(T: Subgroup | MatrixGroup, p: int) -> int:
@@ -728,15 +725,8 @@ def all_subgroups(S: Subgroup, count_cap: int = 200_000) -> list[Subgroup]:
     G = S.parent
     cyclics: dict[frozenset, tuple[int, ...]] = {frozenset([G.identity_idx]): ()}
     for i in S.idx:
-        i = int(i)
-        if i == G.identity_idx:
-            continue
-        s = {G.identity_idx}
-        y = i
-        while y != G.identity_idx:
-            s.add(y)
-            y = G.mul_idx(y, i)
-        cyclics.setdefault(frozenset(s), (i,))
+        if i != G.identity_idx:
+            cyclics.setdefault(_closure_indices(G, [i]), (int(i),))
     subs: dict[frozenset, tuple[int, ...]] = dict(cyclics)
     frontier = list(cyclics.items())
     while frontier:
@@ -745,7 +735,7 @@ def all_subgroups(S: Subgroup, count_cap: int = 200_000) -> list[Subgroup]:
             for cmem, cgens in cyclics.items():
                 if cmem <= members:
                     continue
-                jidx = _closure_indices(G, gens + cgens)
+                jidx = _closure_indices(G, gens + cgens, members)
                 if jidx not in subs:
                     subs[jidx] = gens + cgens
                     nxt.append((jidx, gens + cgens))
@@ -775,7 +765,7 @@ def sylow_subgroup_of(G: MatrixGroup, p: int) -> Subgroup:
         for i in N.idx:
             i = int(i)
             if pmask[i] and i not in P.members:
-                cand = subgroup_closure(G, tuple(P.gen_idx) + (i,))
+                cand = _extend(P, (i,))
                 if p_part(cand.order, p) == cand.order:
                     P = cand
                     grown = True

@@ -57,17 +57,6 @@ class RhoChain:
         }
 
 
-def _generated_subgroup(G: mg.MatrixGroup, seed) -> mg.Subgroup:
-    gens: list[int] = []
-    have = frozenset([G.identity_idx])
-    for x in sorted(seed):
-        if x not in have:
-            gens.append(int(x))
-            have = mg._closure_indices(G, gens)
-    return mg.Subgroup(G, np.array(sorted(have), dtype=np.int64),
-                       gen_idx=tuple(gens))
-
-
 def nontrivial_subgroups(G: mg.MatrixGroup, S: mg.Subgroup) -> list[mg.Subgroup]:
     if S.order > S_ORDER_CAP:
         raise CapExceeded(
@@ -147,7 +136,7 @@ def rho_chain(G: mg.MatrixGroup, S: mg.Subgroup, Q: mg.Subgroup,
             if seed == level[tk]:
                 nxt[tk] = level[tk]  # already a subgroup: no growth
             else:
-                nxt[tk] = _generated_subgroup(G, seed).members
+                nxt[tk] = mg.generated_subgroup(G, seed).members
         fixpoint = all(nxt[k] == level[k] for k in nxt)
         level = nxt
         chain_sets.append(level[qk])
@@ -334,19 +323,6 @@ class CertificateReport:
             "clauses": [{"clause": c.clause, "ok": c.ok, "detail": c.detail}
                         for c in self.clauses],
         }
-
-
-def _common_order(A: mg.MatrixGroup, B: mg.MatrixGroup) -> int:
-    """Order of the intersection via canonical element keys."""
-    if A.field is not B.field and A.field != B.field:
-        raise DomainError("intersection across different fields")
-    za = None if A.scalars is None else tuple(int(s) for s in A.scalars)
-    zb = None if B.scalars is None else tuple(int(s) for s in B.scalars)
-    if za != zb:
-        raise DomainError("intersection across different central quotients")
-    small, big = (A, B) if A.order <= B.order else (B, A)
-    flat = small.elements.reshape(small.order, -1)
-    return sum(1 for i in range(small.order) if flat[i].tobytes() in big._index)
 
 
 def _check_triviality(K: mg.MatrixGroup, p: int, ev: TrivialityEvidence,
@@ -705,7 +681,7 @@ def check_certificate(cert: MethodCertificate) -> CertificateReport:
         if not _check_triviality(K, cert.p, w.aux_evidence, clauses,
                                  f"(2)(a)[{w.label}]"):
             return CertificateReport("FAIL", clauses, "(2)(a)", cert.description)
-        inter = _common_order(K, H)
+        inter = mg.common_order(K, H)
         ok = inter % cert.p == 0
         clauses.append(ClauseResult(
             f"(2)(b)[{w.label}]", ok,

@@ -3,9 +3,10 @@ import random
 import pytest
 
 from endotriv import abst, liea
+from endotriv import matgrp as mg
 from endotriv.abst import ExtensionDescriptor, cyclic, from_cyclic_orders
 from endotriv.classify import classify, tf_rank_oracle, x_group
-from endotriv.errors import AmbiguousCase, DomainError, EndotrivError
+from endotriv.errors import AmbiguousCase, CapExceeded, DomainError, EndotrivError
 
 CASES = [
     ((2, 3, 2, 1, 2), 1, (3,), "n2-char2.A.1.b.i"),
@@ -202,3 +203,19 @@ def test_cyclic_closed_forms_factor_through_normalizer(n, q, p, det):
     tc = classify(n, q, p, det, 1)
     assert tc.case_tag.startswith("cyclic.")
     assert tc.result.torsion_order == x.torsion_order * ts
+
+
+def test_normalizer_cap_refused_before_closure(monkeypatch):
+    # N_GL(S) has order 6 (4^6 - 1) = 24570 > 20000, though N_G(S) has 8190
+    names = []
+    generate = mg.MatrixGroup.generate.__func__
+
+    def spy(cls, field, gens, cap=None, scalars=None, name="G"):
+        names.append(name)
+        return generate(cls, field, gens, cap=cap, scalars=scalars, name=name)
+
+    monkeypatch.setattr(mg.MatrixGroup, "generate", classmethod(spy))
+    with pytest.raises(CapExceeded, match=r"^closure of N_GL\(S\) exceeds cap 20000$") as exc:
+        classify(6, 4, 13, 1, 3, cap=20000)
+    assert exc.value.needed == 24570
+    assert "N_GL(S)" not in names

@@ -1,9 +1,10 @@
 import random
+import tracemalloc
 
 import pytest
 
 from endotriv.errors import DomainError
-from endotriv.gf import _is_irreducible, field_spec
+from endotriv.gf import FieldSpec, _is_irreducible, field_spec
 
 PRIME_POWERS_64 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29,
                    31, 32, 37, 41, 43, 47, 49, 53, 59, 61, 64]
@@ -103,3 +104,13 @@ def test_element_of_order_and_subgroup_values():
         assert len(F.subgroup_values(m)) == m
     with pytest.raises(DomainError):
         F.element_of_order(5)
+
+
+def test_large_field_tables_stay_small():
+    tracemalloc.start()
+    try:
+        FieldSpec(2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 150 * 2 ** 20

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from endotriv import liea
+from endotriv import liea, rho
 from endotriv import matgrp as mg
 from endotriv.abst import cyclic, from_cyclic_orders
 from endotriv.errors import CapExceeded, DomainError
@@ -204,3 +204,24 @@ def test_global_elementary_abelian_rank_matches_formula():
         G = liea.enumerate_group(n, q, det)
         params = liea.compute_params(n, q, p, det)
         assert mg.p_rank(G, p) == params.p_rank, (n, q, p, det)
+
+
+@pytest.mark.parametrize("n, q, det", [(2, 5, 1), (2, 3, 2)])  # SL(2,5), GL(2,3)
+def test_closure_extends_closed_subgroups(n, q, det):
+    # the naive twin closes <H, x> from scratch and is the reference
+    G = liea.enumerate_group(n, q, det)
+    for H in mg.all_subgroups(mg.sylow_subgroup_of(G, 2)):
+        for x in range(G.order):
+            grown = mg._closure_indices(G, H.gen_idx + (x,), H.members)
+            assert grown == rho._naive_closure(G, H.members | {x}), (H.key(), x)
+
+
+def test_find_generators_rejects_unclosed_set():
+    G = sl23()
+    x = next(i for i in range(G.order) if G.order_of(i) > 2)
+    with pytest.raises(DomainError, match="not closed"):
+        mg.find_generators(G, np.array([G.identity_idx, x]))
+    H = mg.generated_subgroup(G, [x, G.inv_idx(x)])
+    assert H.gen_idx == (min(x, G.inv_idx(x)),)
+    assert H.members == rho._naive_closure(G, [x])
+    assert mg.subgroup_closure(G, mg.find_generators(G, H.idx)) == H
