@@ -2,7 +2,10 @@
 
 Matrices are (n, n) uint8 arrays of field-element encodings; batches are
 (m, n, n).  Field arithmetic goes through the q x q `mul`/`add` tables of
-a FieldSpec (uint8 for q <= 256, which is the enumeration regime).
+a FieldSpec (uint8 for q <= 256, which is the enumeration regime).  Each
+kernel works on the whole batch at once: its Python loops run over matrix
+columns and rows (n <= 6) or canon_min's scalars, never over the batch.
+Inverses and determinants share one Gauss-Jordan elimination.
 tests/test_backend.py checks every kernel against scalar references built
 from the field's element operations.
 """
@@ -36,58 +39,43 @@ def mm_pairs(A, B, field):
     return acc
 
 
-def inverse_many(batch, field):
-    """(inverses, ok): Gauss-Jordan per matrix; ok[t] is False where
-    batch[t] is singular, and out[t] is then unspecified."""
+def _gauss_jordan(a, field):
+    """Row-reduce the left (n, n) block of every (n, w) matrix in `a` to
+    the identity, in place, one batched step per column and row (so the
+    temporaries are (m, w), not (m, n, w)).  Returns (det, ok) of the left
+    blocks; a singular row meets a zero pivot, so its det is 0."""
     mul, add, neg, inv = field.mul, field.add, field.neg, field.inv_table
-    m, n, _ = batch.shape
-    out = np.empty_like(batch)
-    ok = np.empty(m, dtype=np.bool_)
-    for t in range(m):
-        a = np.concatenate([batch[t], np.eye(n, dtype=batch.dtype)], axis=1)
-        good = True
-        for col in range(n):
-            nz = np.nonzero(a[col:, col])[0]
-            if nz.size == 0:
-                good = False
-                break
-            piv = col + int(nz[0])
-            if piv != col:
-                a[[col, piv]] = a[[piv, col]]
-            a[col] = mul[a[col], inv[a[col, col]]]
-            for i in range(n):
-                if i != col and a[i, col]:
-                    a[i] = add[a[i], neg[mul[a[i, col], a[col]]]]
-        ok[t] = good
-        if good:
-            out[t] = a[:, n:]
-    return out, ok
+    m, n, _ = a.shape
+    rows = np.arange(m)
+    det = np.ones(m, dtype=mul.dtype)
+    ok = np.ones(m, dtype=np.bool_)
+    for col in range(n):
+        piv = col + np.argmax(a[:, col:, col] != 0, axis=1)
+        det = np.where(piv != col, neg[det], det)
+        a[rows, col], a[rows, piv] = a[rows, piv], a[rows, col]
+        pv = a[:, col, col]
+        ok &= pv != 0
+        det = mul[det, pv]
+        prow = mul[a[:, col, col:], inv[pv][:, None]]
+        a[:, col, col:] = prow
+        for i in range(n):
+            if i != col:
+                a[:, i, col:] = add[a[:, i, col:], neg[mul[a[:, i, col, None], prow]]]
+    return det, ok
+
+
+def inverse_many(batch, field):
+    """(inverses, ok): Gauss-Jordan on [A | I], batched over the leading axis;
+    ok[t] is False where batch[t] is singular, and its inverse unspecified."""
+    n = batch.shape[1]
+    a = np.concatenate([batch, np.broadcast_to(np.eye(n, dtype=batch.dtype), batch.shape)], 2)
+    ok = _gauss_jordan(a, field)[1]
+    return np.ascontiguousarray(a[:, :, n:]), ok
 
 
 def det_many(batch, field):
-    mul, add, neg, inv = field.mul, field.add, field.neg, field.inv_table
-    m, n, _ = batch.shape
-    out = np.empty(m, dtype=np.int64)
-    for t in range(m):
-        a = batch[t].copy()
-        det = 1
-        for col in range(n):
-            nz = np.nonzero(a[col:, col])[0]
-            if nz.size == 0:
-                det = 0
-                break
-            piv = col + int(nz[0])
-            if piv != col:
-                a[[col, piv]] = a[[piv, col]]
-                det = int(neg[det])
-            det = int(mul[det, a[col, col]])
-            pinv = inv[a[col, col]]
-            for i in range(col + 1, n):
-                if a[i, col]:
-                    f = mul[a[i, col], pinv]
-                    a[i] = add[a[i], neg[mul[f, a[col]]]]
-        out[t] = det
-    return out
+    """int64 determinants, batched over the leading axis; 0 on singular rows."""
+    return _gauss_jordan(batch.copy(), field)[0].astype(np.int64)
 
 
 def scale_many(batch, s, field):

@@ -297,20 +297,26 @@ class FieldSpec:
         inv[exp] = exp[(-(np.arange(q - 1))) % (q - 1)]
         self.inv_table = inv
 
-    # -- public element ops --------------------------------------------------
+    # -- public element ops (prime fields: plain integer arithmetic) ---------
 
     def add_el(self, a: int, b: int) -> int:
+        if self.degree == 1:
+            return (int(a) + int(b)) % self.q
         if self.add is not None:
             return int(self.add[a, b])
         s = [(x + y) % self.char for x, y in zip(self.coeffs(a), self.coeffs(b))]
         return self.from_coeffs(s)
 
     def mul_el(self, a: int, b: int) -> int:
+        if self.degree == 1:
+            return int(a) * int(b) % self.q
         if self.mul is not None:
             return int(self.mul[a, b])
         return self._raw_mul(a, b)
 
     def neg_el(self, a: int) -> int:
+        if self.degree == 1:
+            return -int(a) % self.q
         if self.neg is not None:
             return int(self.neg[a])
         return self.from_coeffs([(-c) % self.char for c in self.coeffs(a)])

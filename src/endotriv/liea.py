@@ -206,6 +206,7 @@ def enumerate_group(n: int, q: int, det_order: int = 1, cap: int | None = None,
         raise CapExceeded(
             f"group of order {expected} exceeds cap {cap_val}",
             needed=expected, cap=cap_val)
+    mg.require_enumerable(q)
     F = field_spec(q)
     G = mg.MatrixGroup.generate(F, group_generators(n, q, det_order), cap=cap,
                                 name=name or _default_name(n, q, det_order))
@@ -416,13 +417,14 @@ def build_sylow(params: LieParams, cap: int | None = None) -> tuple[SylowPresent
     n, q, p = params.n, params.q, params.p
     if params.sylow_trivial:
         raise DomainError(f"p={p} does not divide the group order (n < e)")
-    F = params.field
-    gl_gens, shape = _gl_sylow_generators(n, q, p, params.e, params.t)
     gl_order = p_part(order_gl(n, q), p)
     cap_val = mg.enumeration_cap(cap)
     if gl_order > cap_val:
         raise CapExceeded(f"Sylow of order {gl_order} exceeds cap {cap_val}",
                           needed=gl_order, cap=cap_val)
+    mg.require_enumerable(q)
+    F = params.field
+    gl_gens, shape = _gl_sylow_generators(n, q, p, params.e, params.t)
     S_gl = mg.MatrixGroup.generate(F, gl_gens, cap=cap, name=f"Syl_{p}(GL({n},{q}))")
     if S_gl.order != gl_order:
         raise DomainError(
@@ -430,10 +432,8 @@ def build_sylow(params: LieParams, cap: int | None = None) -> tuple[SylowPresent
     claimed = params.sylow_order()
     if params.det_order == q - 1:
         return SylowPresentation(gl_gens, claimed, shape), S_gl
-    dvals = F.subgroup_values(params.det_order)
-    dets = S_gl.dets()
-    keep = np.array([i for i in range(S_gl.order) if int(dets[i]) in dvals],
-                    dtype=np.int64)
+    dvals = list(F.subgroup_values(params.det_order))
+    keep = np.flatnonzero(np.isin(S_gl.dets(), dvals))
     sub = mg.Subgroup(S_gl, keep)
     gen_idx = mg.find_generators(S_gl, sub.idx)
     gens = [S_gl.elements[i] for i in gen_idx] or [mg.identity_matrix(n)]

@@ -24,6 +24,13 @@ from .errors import CapExceeded, DomainError
 from .gf import FieldSpec, factorize
 
 DEFAULT_CAP = 2_000_000
+Q_ENUM_LIMIT = 256  # uint8 element encodings
+
+
+def require_enumerable(q: int) -> None:
+    """Refuse fields too large to enumerate, before any table is built."""
+    if q > Q_ENUM_LIMIT:
+        raise DomainError(f"enumeration supports q <= {Q_ENUM_LIMIT}, got q={q}")
 
 
 def enumeration_cap(override: int | None = None) -> int:
@@ -86,8 +93,7 @@ class MatrixGroup:
     def generate(cls, field: FieldSpec, gens, cap: int | None = None,
                  scalars=None, name: str = "G") -> "MatrixGroup":
         """Breadth-first closure of the generators (deterministic order)."""
-        if field.q > 256:
-            raise DomainError(f"enumeration supports q <= 256, got q={field.q}")
+        require_enumerable(field.q)
         cap = enumeration_cap(cap)
         gens = [matrix(g) for g in gens]
         if not gens:

@@ -433,8 +433,8 @@ def _check_diagonal_characters(cert, clauses) -> bool:
     if not (Sg.order == amb_sylow and p_part(Sg.order, p) == Sg.order):
         clauses.append(ClauseResult("(S)", False, "S has wrong order"))
         return False
-    dvals = F.subgroup_values(c.monomial_det_order)
-    if not all(int(x) in dvals for x in backend.det_many(Sg.elements, F)):
+    dvals = list(F.subgroup_values(c.monomial_det_order))
+    if not np.isin(backend.det_many(Sg.elements, F), dvals).all():
         clauses.append(ClauseResult("(S)", False, "S violates the determinant condition"))
         return False
     # the kernel scalars must sit inside Q (so quotient normalizers correspond)
@@ -579,8 +579,8 @@ def _check_isotypic_blocks(cert, clauses) -> bool:
     if not (Sg.order == amb_sylow and p_part(Sg.order, p) == Sg.order):
         clauses.append(ClauseResult("(S)", False, "S has wrong order"))
         return False
-    dvals = F.subgroup_values(c.levi_det_order)
-    if not all(int(x) in dvals for x in backend.det_many(Sg.elements, F)):
+    dvals = list(F.subgroup_values(c.levi_det_order))
+    if not np.isin(backend.det_many(Sg.elements, F), dvals).all():
         clauses.append(ClauseResult("(S)", False, "S violates the determinant condition"))
         return False
     smats = [Sg.elements[i] for i in Sg.gen_idx]

@@ -84,6 +84,62 @@ def test_kernels_match_scalar_references(q, n):
             assert tuple(got[t].ravel()) == least
 
 
+@pytest.mark.parametrize("q,n", [(2, 1), (2, 6), (256, 1), (256, 6), (7, 3)])
+def test_mixed_batches_keep_rows_apart(q, n):
+    """Singular and invertible rows interleaved in one batch: each row's
+    verdict, determinant and inverse is that of the row alone."""
+    F = field_spec(q)
+    M, dets = random_invertible(F, n)
+    singular = RNG.random(len(M)) < 0.5
+    for t in np.nonzero(singular)[0]:
+        # one row set to a multiple of another (the zero row when n = 1)
+        i, j = RNG.choice(n, size=2, replace=False) if n > 1 else (0, 0)
+        M[t, i] = 0 if n == 1 else F.mul[int(RNG.integers(0, q)), M[t, j]]
+    inv, ok = backend.inverse_many(M, F)
+    det = backend.det_many(M, F)
+    assert det.dtype == np.int64 and ok.dtype == np.bool_
+    assert np.array_equal(ok, ~singular)
+    assert np.array_equal(det, np.where(singular, 0, dets))
+    ident = np.eye(n, dtype=np.uint8)
+    for t in np.nonzero(ok)[0]:
+        assert np.array_equal(ref_product(F, M[t], inv[t]), ident)
+
+
+@pytest.mark.parametrize("q,n", [(2, 6), (5, 4), (256, 3)])
+def test_pivot_in_last_row_for_every_column(q, n):
+    """Rows U_1, ..., U_{n-1}, U_0 of an invertible upper triangular U:
+    after each swap the next pivot is again the only candidate in its
+    column, and it sits in the last row.  det = (-1)^(n-1) prod(diag U)."""
+    F = field_spec(q)
+    mats, dets = [], []
+    for _ in range(16):
+        U = np.triu(RNG.integers(0, q, size=(n, n)), 1).astype(np.uint8)
+        U[np.arange(n), np.arange(n)] = RNG.integers(1, q, size=n)
+        det = 1
+        for d in U.diagonal():
+            det = F.mul_el(det, int(d))
+        mats.append(np.roll(U, -1, axis=0))
+        dets.append(F.neg_el(det) if n % 2 == 0 else det)
+    A = np.stack(mats)
+    assert not A[:, :-1, 0].any()
+    assert np.array_equal(backend.det_many(A, F), dets)
+    inv, ok = backend.inverse_many(A, F)
+    assert ok.all()
+    ident = np.eye(n, dtype=np.uint8)
+    for t in range(len(A)):
+        assert np.array_equal(ref_product(F, A[t], inv[t]), ident)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_empty_batch(n):
+    F = field_spec(4)
+    empty = np.zeros((0, n, n), dtype=np.uint8)
+    inv, ok = backend.inverse_many(empty, F)
+    det = backend.det_many(empty, F)
+    assert inv.shape == (0, n, n) and ok.shape == (0,) and det.shape == (0,)
+    assert inv.dtype == np.uint8 and det.dtype == np.int64
+
+
 def test_inverse_roundtrip():
     F = field_spec(7)
     A, _ = random_invertible(F, 3)

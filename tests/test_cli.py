@@ -1,8 +1,12 @@
 import json
 
+import pytest
+
 from endotriv import corpus as corpus_mod
+from endotriv import gf, liea
 from endotriv.cli import main
 from endotriv.corpus import CorpusEntry, load_corpus, run_corpus
+from endotriv.errors import DomainError
 
 
 def run_cli(capsys, *args):
@@ -41,6 +45,26 @@ def test_exit_code_domain_error(capsys):
     code, out, _ = run_cli(capsys, "classify", "2", "6", "2")
     assert code == 1
     assert json.loads(out)["error"] == "domain"
+
+
+def test_large_field_refused_before_tables(monkeypatch, capsys):
+    """q > 256 is refused before any GF(q) table is built."""
+    seen = []
+    real = gf.field_spec
+
+    def spy(q):
+        seen.append(q)
+        return real(q)
+
+    for mod in (gf, liea):
+        monkeypatch.setattr(mod, "field_spec", spy)
+    code, out, _ = run_cli(capsys, "sylow", "2", "4096", "3", "--json")
+    assert code == 1
+    assert json.loads(out) == {"error": "domain",
+                               "message": "enumeration supports q <= 256, got q=4096"}
+    with pytest.raises(DomainError, match="q <= 256"):
+        liea.enumerate_group(1, 4096)
+    assert 4096 not in seen
 
 
 def test_exit_code_cap(capsys):
