@@ -409,7 +409,3 @@ def tf_rank_oracle(n: int, q: int, p: int, det_order: int = 1, z_order: int = 1,
     tf = n_g if p_rank <= 2 else n_g + 1
     return RankOracle(p_rank, n_g, tf)
 
-
-def oracle_for_spec(spec_text: str, p: int, cap: int | None = None) -> RankOracle:
-    spec = liea.parse_group_spec(spec_text)
-    return tf_rank_oracle(spec.n, spec.q, p, spec.det_order, spec.z_order, cap=cap)

@@ -281,25 +281,6 @@ def singer_block(q: int, e: int) -> tuple[np.ndarray, np.ndarray]:
     return w, frob
 
 
-def sylow_normalizer_block(e: int, q: int, p: int | None = None,
-                           cap: int | None = None) -> mg.MatrixGroup:
-    """The normalizer of the cyclic Sylow block inside GL(e,q): the group
-    generated by the Singer element w and the Frobenius g, of order e(q^e-1)."""
-    if e == 1:
-        if p is not None and (q - 1) % p != 0:
-            raise DomainError("for e=1 the block requires p | q-1")
-        w, _ = singer_block(q, 1)
-        N = mg.MatrixGroup.generate(field_spec(q), [w], cap=cap,
-                                    name=f"N-block(1,{q})")
-        return N
-    w, g = singer_block(q, e)
-    N = mg.MatrixGroup.generate(field_spec(q), [w, g], cap=cap,
-                                name=f"N-block({e},{q})")
-    if N.order != e * (q ** e - 1):
-        raise DomainError("Singer normalizer has unexpected order")  # pragma: no cover
-    return N
-
-
 # ---------------------------------------------------------------------------
 # Sylow p-subgroup construction
 
@@ -596,6 +577,12 @@ def monomial_order(n: int, q: int, det_order: int) -> int:
 
 def monomial_group(n: int, q: int, det_order: int = 1, cap: int | None = None) -> mg.MatrixGroup:
     """Monomial matrices with determinant in the chosen subgroup."""
+    name = f"monomial({n},{q}):{det_order}"
+    order = monomial_order(n, q, det_order)
+    cap_val = mg.enumeration_cap(cap)
+    if order > cap_val:  # the refusal `generate` would reach, before the work
+        raise CapExceeded(f"closure of {name} exceeds cap {cap_val}",
+                          needed=order, cap=cap_val)
     F = field_spec(q)
     gens = levi_generators([1] * n, q, det_order)
     for i in range(n - 1):
@@ -605,9 +592,8 @@ def monomial_group(n: int, q: int, det_order: int = 1, cap: int | None = None) -
         swap[i, i + 1] = 1
         swap[i + 1, i] = F.neg_el(1)  # determinant 1
         gens.append(swap)
-    M = mg.MatrixGroup.generate(F, gens, cap=cap,
-                                name=f"monomial({n},{q}):{det_order}")
-    if M.order != monomial_order(n, q, det_order):
+    M = mg.MatrixGroup.generate(F, gens, cap=cap, name=name)
+    if M.order != order:
         raise DomainError("monomial group order mismatch")  # pragma: no cover
     return M
 

@@ -2,18 +2,24 @@
 
 A MatrixGroup holds the full element table of a finite group of invertible
 n x n matrices over GF(q) (q <= 256), keyed by the canonical byte string of
-the entry array.  Central quotients (PGL, PSL, G/Z) use the same machinery:
-every element is stored as the lexicographically least scalar multiple over
-the quotient kernel, and all products are re-canonicalized, so a quotient
-behaves exactly like a plain group.
+the entry array.  Central quotients (PGL, PSL, G/Z) are stored the same way:
+every element is the lexicographically least scalar multiple over the
+quotient kernel.
 
-Scans (normalizer, centralizer, conjugation maps) are batched through the
-kernels in `backend`; everything here is read-only after construction.
+Alongside the elements a group keeps the Schreier data of its closure as
+int32 index tables (Holt, Eick and O'Brien, Handbook of Computational Group
+Theory, ch. 4): the product of every element with every generator, and the
+breadth-first tree through which each element was first reached.  Every
+index-level operation (products, conjugation maps, normalizer scans) is an
+integer gather over these tables; the matrix kernels in `backend` and the
+element keys are used only to build a group and to look up a given matrix.
+Everything here is read-only after construction.
 """
 
 from __future__ import annotations
 
 import os
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,20 +76,32 @@ def block_embed(n: int, blocks: list[tuple[int, np.ndarray]]) -> np.ndarray:
 
 
 class MatrixGroup:
-    """A fully enumerated matrix group, optionally modulo central scalars."""
+    """A fully enumerated matrix group, optionally modulo central scalars.
+
+    The closure's Schreier data, as int32 tables over element indices:
+    `acts[k, x]` is the index of x * gens[k]; element x > 0 was first
+    reached as parent[x] * gens[via[x]]; BFS level i holds the indices
+    levels[i] <= x < levels[i + 1], and level 0 is the identity alone.
+    """
 
     def __init__(self, field: FieldSpec, n: int, elements: np.ndarray,
-                 index: dict, inv: np.ndarray, gen_idx: list[int],
+                 index: dict, inv: np.ndarray | None, acts: np.ndarray,
+                 parent: np.ndarray, via: np.ndarray, levels: np.ndarray,
                  scalars: np.ndarray | None = None, name: str = "G"):
         self.field = field
         self.n = n
         self.elements = elements
         self._index = index
         self.inv = inv
-        self.gen_idx = list(gen_idx)
+        self.acts = acts
+        self.parent = parent
+        self.via = via
+        self.levels = levels
+        self.gen_idx = [int(g) for g in acts[:, 0]]
         self.scalars = scalars  # quotient kernel as sorted field values, or None
         self.name = name
         self._conj_maps: dict[int, np.ndarray] = {}
+        self._gen_conj: np.ndarray | None = None
         self._dets = None
         self._cayley: np.ndarray | None = None
 
@@ -118,38 +136,49 @@ class MatrixGroup:
         blocks = [ident]
         index = {ident[0].tobytes(): 0}
         count = 1
+        acts, parent, via, levels = [], array("i", [0]), array("i", [0]), [0, 1]
         gmats = canon(np.stack(gens))
         frontier = ident
-        while frontier.shape[0]:
-            new_rows = []
+        while True:
+            lo = levels[-2]
+            level, new_rows = array("i"), []  # this level's products, generator-major
             for gi in range(gmats.shape[0]):
                 prods = canon(backend.mm_one(frontier, gmats[gi], field))
                 flat = prods.reshape(prods.shape[0], -1)
                 for r in range(flat.shape[0]):
-                    key = flat[r].tobytes()
-                    if key not in index:
-                        index[key] = count
+                    x = index.setdefault(flat[r].tobytes(), count)
+                    if x == count:
                         count += 1
                         new_rows.append(prods[r])
+                        parent.append(lo + r)
+                        via.append(gi)
                         if count > cap:
                             raise CapExceeded(
                                 f"closure of {name} exceeds cap {cap}",
                                 needed=count, cap=cap)
+                    level.append(x)
+            acts.append(np.asarray(level).reshape(gmats.shape[0], -1))
             if not new_rows:
                 break
+            levels.append(count)
             frontier = np.stack(new_rows)
             blocks.append(frontier)
+        acts = np.concatenate(acts, axis=1)
         elements = np.concatenate(blocks, axis=0)
+        del blocks  # a large closure peaks in memory in inverse_many, below
         invs, ok = backend.inverse_many(elements, field)
         if not np.all(ok):
             raise DomainError("non-invertible element reached in closure")
-        grp = cls(field, n, elements, index, None, [], scalars=scal, name=name)
+        grp = cls(field, n, elements, index, None, acts, np.asarray(parent),
+                  np.asarray(via), np.array(levels), scalars=scal, name=name)
         grp.inv = grp.lookup_batch(canon(invs))
-        grp.gen_idx = [grp.index_of(gmats[i]) for i in range(gmats.shape[0])]
         return grp
 
     def central_quotient(self, scalar_values, name: str | None = None) -> "MatrixGroup":
-        """Quotient by the central subgroup of scalar matrices with the given values."""
+        """Quotient by the central subgroup of scalar matrices with the given values.
+
+        Each coset is numbered by its first element in this group's order,
+        and this group's tables are relabelled through that numbering."""
         if self.scalars is not None:
             raise DomainError("group is already a central quotient")
         scal = np.array(sorted(int(s) for s in scalar_values), dtype=np.uint8)
@@ -162,20 +191,20 @@ class MatrixGroup:
         reps = backend.canon_min(self.elements, scal, self.field)
         flat = reps.reshape(reps.shape[0], -1)
         index: dict = {}
-        keep = []
+        keep, coset = [], array("i")
         for i in range(flat.shape[0]):
-            key = flat[i].tobytes()
-            if key not in index:
-                index[key] = len(keep)
+            x = index.setdefault(flat[i].tobytes(), len(keep))
+            if x == len(keep):
                 keep.append(i)
-        elements = reps[np.array(keep, dtype=np.int64)]
-        grp = MatrixGroup(self.field, self.n, elements, index, None, [],
-                          scalars=scal, name=name or f"{self.name}/Z{len(scal)}")
-        grp.inv = grp.lookup_batch(grp.canon(
-            backend.inverse_many(elements, self.field)[0]))
-        grp.gen_idx = [grp.index_of(grp.canon_one(self.elements[g]))
-                       for g in self.gen_idx]
-        return grp
+            coset.append(x)
+        keep = np.array(keep, dtype=np.int64)
+        coset = np.asarray(coset)
+        # a coset lies in the BFS level of its first element, and that
+        # element's parent lies in the level before
+        return MatrixGroup(self.field, self.n, reps[keep], index, coset[self.inv[keep]],
+                           coset[self.acts[:, keep]], coset[self.parent[keep]],
+                           self.via[keep], np.unique(np.searchsorted(keep, self.levels)),
+                           scalars=scal, name=name or f"{self.name}/Z{len(scal)}")
 
     # -- canonical form and lookup -------------------------------------------
 
@@ -216,28 +245,40 @@ class MatrixGroup:
 
     # -- index-level arithmetic ------------------------------------------------
 
+    # Up to this order products come from a full multiplication table;
+    # above it, from a walk along the BFS word of the right factor.
     CAYLEY_LIMIT = 1024
 
     def cayley(self) -> np.ndarray | None:
-        """Full multiplication table for small groups (index-level ops then
-        run off one array instead of per-call kernel launches)."""
+        """Full multiplication table table[i, j] = i * j, for small groups.
+
+        Column j is column parent[j] moved by gens[via[j]], filled one BFS
+        level at a time."""
         if self._cayley is None and self.order <= self.CAYLEY_LIMIT:
-            n = self.order
-            left = np.repeat(np.arange(n), n)
-            right = np.tile(np.arange(n), n)
-            prods = self.canon(backend.mm_pairs(self.elements[left],
-                                                self.elements[right], self.field))
-            self._cayley = self.lookup_batch(prods).reshape(n, n)
+            cols = np.empty((self.order, self.order), dtype=np.int32)
+            cols[0] = np.arange(self.order)
+            for lo, hi in zip(self.levels[1:-1], self.levels[2:]):
+                cols[lo:hi] = self.acts[self.via[lo:hi, None], cols[self.parent[lo:hi]]]
+            self._cayley = cols.T
         return self._cayley
 
+    def _right(self, idxs, j: int):
+        """Indices of x * j for the index or index array x = idxs."""
+        table = self._cayley if self._cayley is not None else self.cayley()
+        if table is not None:
+            return table[idxs, j]
+        word = []  # j = gens[word[-1]] ... gens[word[0]], up the BFS tree
+        while j:
+            word.append(self.via[j])
+            j = self.parent[j]
+        for k in reversed(word):
+            idxs = self.acts[k][idxs]
+        return idxs
+
     def mul_idx(self, i: int, j: int) -> int:
-        if self._cayley is not None or self.order <= self.CAYLEY_LIMIT:
-            table = self.cayley()
-            if table is not None:
-                return int(table[i, j])
-        prod = self.canon(backend.mm_one(self.elements[i][None],
-                                         self.elements[j], self.field))
-        return self._index[prod[0].tobytes()]
+        if self._cayley is not None:
+            return int(self._cayley[i, j])
+        return int(self._right(i, j))
 
     def inv_idx(self, i: int) -> int:
         return int(self.inv[i])
@@ -247,33 +288,29 @@ class MatrixGroup:
         return self.mul_idx(self.mul_idx(g, x), self.inv_idx(g))
 
     def right_mul_batch(self, idxs: np.ndarray, j: int) -> np.ndarray:
-        if self.order <= self.CAYLEY_LIMIT:
-            table = self.cayley()
-            if table is not None:
-                return table[np.asarray(idxs, dtype=np.int64), j]
-        prods = self.canon(backend.mm_one(self.elements[idxs],
-                                          self.elements[j], self.field))
-        return self.lookup_batch(prods)
+        """Indices of x * j for every index x in idxs."""
+        return self._right(np.asarray(idxs), j)
 
     def sandwich_all(self, h: int) -> np.ndarray:
-        """Indices of g h g^-1 for every g in enumeration order."""
-        if self.order <= self.CAYLEY_LIMIT:
-            table = self.cayley()
-            if table is not None:
-                gh = table[:, h]
-                return table[gh, self.inv]
-        gh = backend.mm_one(self.elements, self.elements[h], self.field)
-        r = self.canon(backend.mm_pairs(gh, self.elements[self.inv], self.field))
-        return self.lookup_batch(r)
+        """Indices of g h g^-1 for every g in enumeration order.
+
+        d[y] = y^-1 h y is filled down the BFS tree, d[p * s] = s^-1 d[p] s
+        for each generator s, and g h g^-1 = d[g^-1]."""
+        if self._gen_conj is None:  # row k: x -> gens[k]^-1 x gens[k]
+            a = self.acts
+            self._gen_conj = np.take_along_axis(a, self.inv[a[:, self.inv]], axis=1)
+        d = np.empty(self.order, dtype=np.int32)
+        d[0] = h
+        for lo, hi in zip(self.levels[1:-1], self.levels[2:]):
+            d[lo:hi] = self._gen_conj[self.via[lo:hi], d[self.parent[lo:hi]]]
+        return d[self.inv]
 
     def conj_map(self, g: int) -> np.ndarray:
-        """Permutation array x -> g x g^-1 over all element indices."""
+        """Permutation array x -> g x g^-1 over all element indices, as
+        x -> x^-1 g^-1 -> g x -> g x g^-1."""
         if g not in self._conj_maps:
-            ge = self.elements[g]
-            gi = self.elements[self.inv_idx(g)]
-            right = backend.mm_one(self.elements, gi, self.field)  # x @ g^-1
-            full = self.canon(_left_mul(ge, right, self.field))    # g x g^-1
-            self._conj_maps[g] = self.lookup_batch(full)
+            gi = self.inv_idx(g)
+            self._conj_maps[g] = self._right(self.inv[self._right(self.inv, gi)], gi)
         return self._conj_maps[g]
 
     def order_of(self, i: int) -> int:
@@ -314,12 +351,6 @@ class MatrixGroup:
 
     def __repr__(self):
         return f"<{self.name}: order {self.order} over GF({self.field.q})>"
-
-
-def _left_mul(a: np.ndarray, batch: np.ndarray, field) -> np.ndarray:
-    """a @ batch[i] for every i."""
-    tiled = np.repeat(a[None], batch.shape[0], axis=0)
-    return backend.mm_pairs(tiled, batch, field)
 
 
 # ---------------------------------------------------------------------------
@@ -591,22 +622,19 @@ def quotient_structure(H: Subgroup, K: Subgroup) -> AbelianStructure:
             c = G.mul_idx(G.mul_idx(int(a), int(b)), G.mul_idx(ia, ib))
             if c not in K.members:
                 raise DomainError("H/K is not abelian")
-    # enumerate cosets by BFS over generator translates
+    # enumerate cosets by BFS over generator translates; K is normal, so
+    # the coset of x is K x, labelled by its least index
     reps = [G.identity_idx]
-
-    def coset_of(x: int) -> int | None:
-        for ridx, r in enumerate(reps):
-            if G.mul_idx(G.inv_idx(r), x) in K.members:
-                return ridx
-        return None
-
+    labels = {G.identity_idx}
     frontier = [G.identity_idx]
     while frontier:
         nxt = []
         for r in frontier:
             for h in H.gen_idx:
                 c = G.mul_idx(r, int(h))
-                if coset_of(c) is None:
+                label = int(G.right_mul_batch(K.idx, c).min())
+                if label not in labels:
+                    labels.add(label)
                     reps.append(c)
                     nxt.append(c)
         frontier = nxt
@@ -623,6 +651,26 @@ def quotient_structure(H: Subgroup, K: Subgroup) -> AbelianStructure:
     return _abelian_type_from_orders(orders)
 
 
+def conjugate_orbit(G: MatrixGroup, key: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """The conjugates of the subgroup with sorted index tuple `key`, in BFS
+    order under conjugation by G's generators, each mapped to the first
+    witness g found with g H g^-1 equal to it (the identity for H itself)."""
+    orbit = {key: G.identity_idx}
+    maps = [(int(g), G.conj_map(g)) for g in G.gen_idx]
+    frontier = [(np.array(key, dtype=np.int64), G.identity_idx)]
+    while frontier:
+        nxt = []
+        for arr, wit in frontier:
+            for g, cmap in maps:
+                img = np.sort(cmap[arr])
+                ik = tuple(int(i) for i in img)
+                if ik not in orbit:
+                    orbit[ik] = G.mul_idx(g, wit)
+                    nxt.append((img, orbit[ik]))
+        frontier = nxt
+    return orbit
+
+
 def subgroup_conjugacy_classes(G: MatrixGroup, subs: list[Subgroup]) -> list[list[Subgroup]]:
     """Partition subgroups under conjugation; deterministic representatives.
 
@@ -632,27 +680,10 @@ def subgroup_conjugacy_classes(G: MatrixGroup, subs: list[Subgroup]) -> list[lis
     """
     pending = {s.key(): s for s in subs}
     classes = []
-    gen_maps = [G.conj_map(g) for g in G.gen_idx]
     while pending:
-        start_key = min(pending)
-        start = pending.pop(start_key)
-        orbit_seen = {start_key}
-        in_class = [start]
-        frontier = [np.array(start_key, dtype=np.int64)]
-        while frontier:
-            nxt = []
-            for arr in frontier:
-                for cmap in gen_maps:
-                    img = np.sort(cmap[arr])
-                    key = tuple(int(i) for i in img)
-                    if key not in orbit_seen:
-                        orbit_seen.add(key)
-                        nxt.append(img)
-                        if key in pending:
-                            in_class.append(pending.pop(key))
-            frontier = nxt
-        in_class.sort(key=lambda s: s.key())
-        classes.append(in_class)
+        orbit = conjugate_orbit(G, min(pending))
+        in_class = [pending.pop(k) for k in orbit if k in pending]
+        classes.append(sorted(in_class, key=lambda s: s.key()))
     classes.sort(key=lambda c: c[0].key())
     return classes
 

@@ -83,25 +83,10 @@ def rho_chain(G: mg.MatrixGroup, S: mg.Subgroup, Q: mg.Subgroup,
     key_set = set(keys)
     for T in subs:
         tk = T.key()
-        if tk in assigned:
-            continue
-        assigned[tk] = (tk, G.identity_idx)
-        frontier = [(np.array(tk, dtype=np.int64), G.identity_idx)]
-        seen = {tk}
-        while frontier:
-            nxt = []
-            for arr, wit in frontier:
-                for g in G.gen_idx:
-                    img = np.sort(G.conj_map(g)[arr])
-                    ik = tuple(int(i) for i in img)
-                    if ik in seen:
-                        continue
-                    seen.add(ik)
-                    w2 = G.mul_idx(int(g), wit)
-                    nxt.append((img, w2))
-                    if ik in key_set and ik not in assigned:
-                        assigned[ik] = (tk, w2)
-            frontier = nxt
+        if tk not in assigned:
+            for ik, wit in mg.conjugate_orbit(G, tk).items():
+                if ik in key_set and ik not in assigned:
+                    assigned[ik] = (tk, wit)
 
     norm_members: dict[tuple, frozenset] = {}
     level: dict[tuple, frozenset] = {}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from endotriv import backend, liea
+from endotriv import backend, liea, rho
 from endotriv import matgrp as mg
 from endotriv.errors import CapExceeded, DomainError, GroupSpecError
 from endotriv.gf import field_spec, p_part
@@ -74,12 +74,6 @@ def test_singer_relation():
         assert np.array_equal(lhs, wq)
 
 
-def test_sylow_normalizer_block():
-    assert liea.sylow_normalizer_block(1, 5, 2).order == 4  # q-1
-    assert liea.sylow_normalizer_block(2, 3).order == 16
-    assert liea.sylow_normalizer_block(2, 5).order == 48
-
-
 def test_levi_examples():
     full = liea.levi([3], 4, det_order=1)
     assert full.order == liea.order_sl(3, 4)  # single block: the whole group
@@ -95,6 +89,21 @@ def test_levi_split():
     assert liea.levi_split([2, 1], 4, 1, 3) is None  # only one block > 1
     sp2 = liea.levi_split([2, 2, 1], 5, 1, 3)  # e = 2: two blocks >= e
     assert sp2 is not None and sp2.valid()
+
+
+def test_monomial_cap_refused_before_closure(monkeypatch):
+    # monomial(3,19):1 has order 18^2 * 3! = 1944 > 1000
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("closure started")
+
+    monkeypatch.setattr(mg.MatrixGroup, "generate", classmethod(refuse))
+    with pytest.raises(CapExceeded,
+                       match=r"^closure of monomial\(3,19\):1 exceeds cap 1000$") as exc:
+        liea.monomial_group(3, 19, 1, cap=1000)
+    assert exc.value.needed == liea.monomial_order(3, 19, 1) == 1944
+    [entry] = rho.replay_proof_certificates("rp-case", cap=1000)
+    assert entry["verdict"] == "SKIPPED"
+    assert entry["reason"] == "closure of monomial(3,19):1 exceeds cap 1000"
 
 
 def test_levi_normalizer_matches_ambient_scan():

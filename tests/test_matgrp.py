@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from endotriv import liea, rho
+from endotriv import backend, liea, rho
 from endotriv import matgrp as mg
 from endotriv.abst import cyclic, from_cyclic_orders
 from endotriv.errors import CapExceeded, DomainError
@@ -225,3 +225,77 @@ def test_find_generators_rejects_unclosed_set():
     assert H.gen_idx == (min(x, G.inv_idx(x)),)
     assert H.members == rho._naive_closure(G, [x])
     assert mg.subgroup_closure(G, mg.find_generators(G, H.idx)) == H
+
+
+# index arithmetic against matrix products, on both sides of CAYLEY_LIMIT:
+# GL(2,7) (2016) and SL(2,13)/Z2 (1092) above it, SL(2,5) and PGL(2,5) below
+INDEX_GROUPS = [(2, 7, 6, 1), (2, 13, 1, 2), (2, 5, 1, 1), (2, 5, 4, 4)]
+
+
+def _index_group(n, q, det, z):
+    return liea.enumerate_quotient(n, q, det, z)
+
+
+def _products(G, left, j):
+    """index_of(x * j) for every index x in `left`, from the matrix kernel."""
+    prods = backend.mm_one(G.elements[np.asarray(left, dtype=np.int64)],
+                           G.elements[j], G.field)
+    return [G.index_of(m) for m in prods]
+
+
+@pytest.mark.parametrize("n, q, det, z", INDEX_GROUPS)
+def test_index_arithmetic_matches_matrix_products(n, q, det, z):
+    G = _index_group(n, q, det, z)
+    F = G.field
+    assert (G.order > G.CAYLEY_LIMIT) == (q > 5)
+    rng = np.random.default_rng(5)
+    xs = rng.integers(0, G.order, size=48)
+    for j in [0, *G.gen_idx, *rng.integers(0, G.order, size=4)]:
+        ref = _products(G, xs, int(j))
+        assert list(G.right_mul_batch(xs, int(j))) == ref
+        assert [G.mul_idx(int(x), int(j)) for x in xs] == ref
+    for g in rng.integers(0, G.order, size=3):
+        g = int(g)
+        ginv = backend.inverse_many(G.elements[g][None], F)[0][0]
+        assert G.inv_idx(g) == G.index_of(ginv)
+        cmap = G.conj_map(g)
+        for x in xs:
+            gxg = backend.mm_one(backend.mm_one(G.elements[g][None], G.elements[int(x)], F),
+                                 ginv, F)[0]
+            assert cmap[int(x)] == G.index_of(gxg)
+        sandwich = G.sandwich_all(g)
+        for y in xs:
+            y = int(y)
+            yinv = backend.inverse_many(G.elements[y][None], F)[0][0]
+            ygy = backend.mm_one(backend.mm_one(G.elements[y][None], G.elements[g], F),
+                                 yinv, F)[0]
+            assert sandwich[y] == G.index_of(ygy)
+    table = G.cayley()
+    if G.order > G.CAYLEY_LIMIT:
+        assert table is None
+    else:
+        for j in range(G.order):
+            assert list(table[:, j]) == _products(G, range(G.order), j)
+
+
+@pytest.mark.parametrize("n, q, det, z", INDEX_GROUPS[:2])
+def test_index_layer_needs_no_kernel_or_key_after_construction(monkeypatch, n, q, det, z):
+    G = _index_group(n, q, det, z)
+    S = mg.sylow_subgroup_of(G, 2)  # built with the power kernel, before the guard
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("kernel or element-key lookup after construction")
+
+    for name in ("mm_one", "mm_pairs", "inverse_many", "det_many", "scale_many",
+                 "canon_min"):
+        monkeypatch.setattr(backend, name, refuse)
+    for name in ("lookup_batch", "index_of", "contains_matrix"):
+        monkeypatch.setattr(mg.MatrixGroup, name, refuse)
+    monkeypatch.setattr(G, "_index", None)
+    N = mg.normalizer(G, S)
+    assert mg.centralizer(G, S).members <= N.members
+    comm = mg.commutator_subgroup(N)
+    assert mg.quotient_structure(N, comm).torsion_order == N.order // comm.order
+    subs = mg.all_subgroups(S)
+    classes = mg.subgroup_conjugacy_classes(G, subs)
+    assert sum(len(c) for c in classes) == len(subs)
