@@ -4,7 +4,7 @@ Matrices are (n, n) uint8 arrays of field-element encodings; batches are
 (m, n, n).  Field arithmetic goes through the q x q `mul`/`add` tables of
 a FieldSpec (uint8 for q <= 256, which is the enumeration regime).  Each
 kernel works on the whole batch at once: its Python loops run over matrix
-columns and rows (n <= 6) or canon_min's scalars, never over the batch.
+columns and rows, never over the batch.
 Inverses and determinants share one Gauss-Jordan elimination.
 tests/test_backend.py checks every kernel against scalar references built
 from the field's element operations.
@@ -20,11 +20,12 @@ def backend_name() -> str:
 
 
 def mm_one(batch, b, field):
-    """Right-multiply every matrix in `batch` by `b`."""
+    """Right-multiply every (r, n) matrix in the (m, r, n) `batch` by the
+    (n, k) matrix `b`."""
     mul, add = field.mul, field.add
     terms = mul[batch[:, :, :, None], b[None, None, :, :]]
     acc = terms[:, :, 0, :]
-    for k in range(1, batch.shape[1]):
+    for k in range(1, batch.shape[2]):
         acc = add[acc, terms[:, :, k, :]]
     return acc
 
@@ -76,24 +77,3 @@ def inverse_many(batch, field):
 def det_many(batch, field):
     """int64 determinants, batched over the leading axis; 0 on singular rows."""
     return _gauss_jordan(batch.copy(), field)[0].astype(np.int64)
-
-
-def scale_many(batch, s, field):
-    return field.mul[int(s), batch]
-
-
-def canon_min(batch, scalars, field):
-    """Lexicographically least scalar multiple, per matrix."""
-    if scalars.shape[0] <= 1:
-        return batch
-    m = batch.shape[0]
-    flat = batch.reshape(m, -1)
-    best = flat.copy()
-    for s in scalars[1:]:
-        cand = field.mul[int(s), flat]
-        # lexicographic comparison row by row
-        diff = cand.astype(np.int32) - best.astype(np.int32)
-        idx = np.argmax(diff != 0, axis=1)
-        take = diff[np.arange(m), idx] < 0
-        best[take] = cand[take]
-    return best.reshape(batch.shape)

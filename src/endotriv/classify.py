@@ -180,10 +180,7 @@ def cyclic_quotient_normalizer(params: LieParams, cap: int | None = None) -> mg.
         for gmat in liea.group_generators(f, q, q - 1) if f else []:
             gens.append(mg.block_embed(n, [(e, gmat)]))
         Ngl = mg.MatrixGroup.generate(F, gens, cap=cap, name="N_GL(S)")
-        dvals = F.subgroup_values(d)
-        dets = Ngl.dets()
-        keep = np.array([i for i in range(Ngl.order) if int(dets[i]) in dvals],
-                        dtype=np.int64)
+        keep = np.flatnonzero(np.isin(Ngl.dets(), list(F.subgroup_values(d))))
         gen_idx = mg.find_generators(Ngl, keep)
         N = mg.MatrixGroup.generate(
             F, [Ngl.elements[i] for i in gen_idx] or [mg.identity_matrix(n)],

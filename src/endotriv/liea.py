@@ -429,8 +429,7 @@ def build_sylow(params: LieParams, cap: int | None = None) -> tuple[SylowPresent
 def sylow_in(G: mg.MatrixGroup, params: LieParams, cap: int | None = None) -> mg.Subgroup:
     """Image of the constructed Sylow inside an enumerated G (or G/Z)."""
     _, S = build_sylow(params, cap=cap)
-    idxs = sorted({G.index_of(S.elements[i]) for i in range(S.order)})
-    return mg.Subgroup(G, np.array(idxs, dtype=np.int64))
+    return mg.Subgroup(G, np.unique(G.lookup_batch(S.elements)))
 
 
 # ---------------------------------------------------------------------------

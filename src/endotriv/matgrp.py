@@ -1,10 +1,12 @@
 """Enumerated matrix groups over GF(q) and the classical subgroup toolbox.
 
 A MatrixGroup holds the full element table of a finite group of invertible
-n x n matrices over GF(q) (q <= 256), keyed by the canonical byte string of
-the entry array.  Central quotients (PGL, PSL, G/Z) are stored the same way:
-every element is the lexicographically least scalar multiple over the
-quotient kernel.
+n x n matrices over GF(q) (q <= 256), found by binary search in its sorted
+element keys.  Central quotients (PGL, PSL, G/Z) are stored the same way:
+every element is the scalar multiple of least key over the quotient kernel.
+The closure acts on rows (R. A. Parker's row vectors from the Meat-axe):
+each row is a vector index in [0, q^n), a key reads the rows in base q^n,
+and x * g is the rows of x each multiplied by g.
 
 Alongside the elements a group keeps the Schreier data of its closure as
 int32 index tables (Holt, Eick and O'Brien, Handbook of Computational Group
@@ -19,7 +21,6 @@ Everything here is read-only after construction.
 from __future__ import annotations
 
 import os
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +76,41 @@ def block_embed(n: int, blocks: list[tuple[int, np.ndarray]]) -> np.ndarray:
     return m
 
 
+# Row indices and keys below this bound are int64; wider ones (every key of a
+# 6 x 6 matrix over GF(4), say) are Python ints, which numpy handles alike.
+INT_KEY_LIMIT = 1 << 63
+
+
+def _int_dtype(bound: int):
+    return np.int64 if bound <= INT_KEY_LIMIT else object
+
+
+def _keys(mats: np.ndarray, q: int) -> np.ndarray:
+    """Keys of (..., n, n) matrices: the entries (equally, the rows as vector
+    indices in [0, q^n)) read most significant first; summed in place."""
+    n = mats.shape[-1]
+    keys = np.zeros(mats.shape[:-2], dtype=_int_dtype(q ** (n * n)))
+    for i, j in np.ndindex(n, n):
+        keys *= q
+        keys += mats[..., i, j]
+    return keys
+
+
+def _unique_first(vals: np.ndarray):
+    """np.unique(vals, return_index=True, return_inverse=True) without its slow stable sort."""
+    uniq, at = np.unique(vals, return_inverse=True)
+    first = np.full(len(uniq), len(vals))
+    np.minimum.at(first, at, np.arange(len(vals)))
+    return uniq, first, at
+
+
+def _kernel(scalars) -> np.ndarray:
+    scal = np.array(sorted(int(s) for s in scalars), dtype=np.uint8)
+    if scal[0] != 1:
+        raise DomainError("quotient kernel must contain 1")
+    return scal
+
+
 class MatrixGroup:
     """A fully enumerated matrix group, optionally modulo central scalars.
 
@@ -82,16 +118,18 @@ class MatrixGroup:
     `acts[k, x]` is the index of x * gens[k]; element x > 0 was first
     reached as parent[x] * gens[via[x]]; BFS level i holds the indices
     levels[i] <= x < levels[i + 1], and level 0 is the identity alone.
+    `keys` are the element keys in increasing order, `key_idx` their elements.
     """
 
     def __init__(self, field: FieldSpec, n: int, elements: np.ndarray,
-                 index: dict, inv: np.ndarray | None, acts: np.ndarray,
-                 parent: np.ndarray, via: np.ndarray, levels: np.ndarray,
-                 scalars: np.ndarray | None = None, name: str = "G"):
+                 keys: np.ndarray, key_idx: np.ndarray, inv: np.ndarray | None,
+                 acts: np.ndarray, parent: np.ndarray, via: np.ndarray,
+                 levels: np.ndarray, scalars: np.ndarray | None = None, name: str = "G"):
         self.field = field
         self.n = n
         self.elements = elements
-        self._index = index
+        self._keys = keys
+        self._key_idx = key_idx
         self.inv = inv
         self.acts = acts
         self.parent = parent
@@ -110,7 +148,9 @@ class MatrixGroup:
     @classmethod
     def generate(cls, field: FieldSpec, gens, cap: int | None = None,
                  scalars=None, name: str = "G") -> "MatrixGroup":
-        """Breadth-first closure of the generators (deterministic order)."""
+        """Breadth-first closure of the generators (deterministic order): each
+        level multiplies its distinct rows by every generator (and kernel scalar,
+        keeping the least key) and numbers new products by first occurrence."""
         require_enumerable(field.q)
         cap = enumeration_cap(cap)
         gens = [matrix(g) for g in gens]
@@ -119,102 +159,88 @@ class MatrixGroup:
         n = gens[0].shape[0]
         if any(g.shape[0] != n for g in gens):
             raise DomainError("generators of mixed dimension")
-        gd = backend.det_many(np.stack(gens), field)
-        if np.any(gd == 0):
+        if np.any(backend.det_many(np.stack(gens), field) == 0):
             raise DomainError("singular generator")
 
-        scal = None
-        if scalars is not None:
-            scal = np.array(sorted(int(s) for s in scalars), dtype=np.uint8)
-            if scal[0] != 1:
-                raise DomainError("quotient kernel must contain 1")
+        scal = None if scalars is None else _kernel(scalars)
+        zs = np.ones(1, dtype=np.uint8) if scal is None else scal
+        q, ng, nz = field.q, len(gens), len(zs)
+        wq = np.array([q ** j for j in range(n - 1, -1, -1)], dtype=_int_dtype(q ** n))
+        # every product matrix side by side, zs[s] gens[k] in column block s * ng + k
+        wide = field.mul[zs[:, None, None, None], np.stack(gens)[None]]
+        wide = wide.transpose(2, 0, 1, 3).reshape(n, -1)
 
-        def canon(batch):
-            return batch if scal is None else backend.canon_min(batch, scal, field)
-
-        ident = identity_matrix(n)[None]
-        blocks = [ident]
-        index = {ident[0].tobytes(): 0}
-        count = 1
-        acts, parent, via, levels = [], array("i", [0]), array("i", [0]), [0, 1]
-        gmats = canon(np.stack(gens))
-        frontier = ident
-        while True:
-            lo = levels[-2]
-            level, new_rows = array("i"), []  # this level's products, generator-major
-            for gi in range(gmats.shape[0]):
-                prods = canon(backend.mm_one(frontier, gmats[gi], field))
-                flat = prods.reshape(prods.shape[0], -1)
-                for r in range(flat.shape[0]):
-                    x = index.setdefault(flat[r].tobytes(), count)
-                    if x == count:
-                        count += 1
-                        new_rows.append(prods[r])
-                        parent.append(lo + r)
-                        via.append(gi)
-                        if count > cap:
-                            raise CapExceeded(
-                                f"closure of {name} exceeds cap {cap}",
-                                needed=count, cap=cap)
-                    level.append(x)
-            acts.append(np.asarray(level).reshape(gmats.shape[0], -1))
-            if not new_rows:
+        frontier = (identity_matrix(n) @ wq)[None]  # the rows of this level's elements
+        blocks, keys, key_idx = [], _keys(identity_matrix(n)[None], q), np.zeros(1, dtype=np.int32)
+        acts, parent, via, levels = [], [key_idx], [key_idx], [0, 1]
+        while True:  # keys (sorted) and key_idx hold the levels[-1] elements so far
+            m, count = len(frontier), levels[-1]
+            rows, rix = np.unique(frontier, return_inverse=True)
+            rix = rix.reshape(frontier.shape)  # numpy < 2 returns it flat
+            digits = ((rows[:, None] // wq) % q).astype(np.uint8)
+            blocks.append(digits[rix])  # this level's elements
+            imgs = backend.mm_one(digits[None], wide, field)
+            imgs = (imgs.reshape(len(rows), nz * ng, n) @ wq).T  # [s * ng + k, row]
+            ckeys = np.zeros((nz * ng, m), dtype=keys.dtype)
+            for i in range(n):  # the products' keys, without their rows
+                ckeys *= q ** n
+                ckeys += imgs[:, rix[:, i]]
+            least, pick = ckeys.reshape(nz, ng * m).argmin(axis=0), np.arange(ng * m)
+            ckeys = ckeys.reshape(nz, ng * m)[least, pick]
+            ukeys, first, at = _unique_first(ckeys)
+            pos = np.minimum(np.searchsorted(keys, ukeys), count - 1)
+            ids, new = key_idx[pos], np.flatnonzero(keys[pos] != ukeys)
+            src = np.sort(first[new])  # the new elements' first products, in order
+            ids[new[np.argsort(first[new])]] = np.arange(count, count + len(new))
+            acts.append(ids[at].reshape(ng, m))
+            if not len(new):
                 break
-            levels.append(count)
-            frontier = np.stack(new_rows)
-            blocks.append(frontier)
-        acts = np.concatenate(acts, axis=1)
-        elements = np.concatenate(blocks, axis=0)
+            if count + len(new) > cap:
+                raise CapExceeded(f"closure of {name} exceeds cap {cap}",
+                                  needed=cap + 1, cap=cap)
+            parent.append((levels[-2] + src % m).astype(np.int32))
+            via.append((src // m).astype(np.int32))
+            frontier = imgs[(least[src] * ng + src // m)[:, None], rix[src % m]]
+            at = np.searchsorted(keys, ukeys[new])
+            keys, key_idx = np.insert(keys, at, ukeys[new]), np.insert(key_idx, at, ids[new])
+            levels.append(count + len(new))
+        elements = np.concatenate(blocks)
         del blocks  # a large closure peaks in memory in inverse_many, below
         invs, ok = backend.inverse_many(elements, field)
         if not np.all(ok):
             raise DomainError("non-invertible element reached in closure")
-        grp = cls(field, n, elements, index, None, acts, np.asarray(parent),
-                  np.asarray(via), np.array(levels), scalars=scal, name=name)
-        grp.inv = grp.lookup_batch(canon(invs))
+        grp = cls(field, n, elements, keys, key_idx, None, np.concatenate(acts, axis=1),
+                  np.concatenate(parent), np.concatenate(via), np.array(levels),
+                  scalars=scal, name=name)
+        grp.inv = grp.lookup_batch(invs)
         return grp
 
     def central_quotient(self, scalar_values, name: str | None = None) -> "MatrixGroup":
         """Quotient by the central subgroup of scalar matrices with the given values.
 
-        Each coset is numbered by its first element in this group's order,
-        and this group's tables are relabelled through that numbering."""
+        Each coset is its element of least key, numbered by its first element
+        in this group's order; this group's tables are relabelled to match."""
         if self.scalars is not None:
             raise DomainError("group is already a central quotient")
-        scal = np.array(sorted(int(s) for s in scalar_values), dtype=np.uint8)
-        if scal[0] != 1:
-            raise DomainError("quotient kernel must contain 1")
-        for s in scal:
-            smat = backend.scale_many(identity_matrix(self.n)[None], int(s), self.field)[0]
-            if smat.tobytes() not in self._index:
-                raise DomainError(f"scalar {int(s)} I is not an element of {self.name}")
-        reps = backend.canon_min(self.elements, scal, self.field)
-        flat = reps.reshape(reps.shape[0], -1)
-        index: dict = {}
-        keep, coset = [], array("i")
-        for i in range(flat.shape[0]):
-            x = index.setdefault(flat[i].tobytes(), len(keep))
-            if x == len(keep):
-                keep.append(i)
-            coset.append(x)
-        keep = np.array(keep, dtype=np.int64)
-        coset = np.asarray(coset)
+        scal = _kernel(scalar_values)
+        found = self.locate(self.field.mul[scal[:, None, None], identity_matrix(self.n)])[1]
+        if not found.all():
+            raise DomainError(f"scalar {int(scal[~found][0])} I is not an element of {self.name}")
+        multiples = self.field.mul[scal[:, None, None, None], self.elements]
+        keys = _keys(multiples, self.field.q)
+        least = keys.argmin(axis=0)
+        ukeys, first, coset = _unique_first(keys[least, np.arange(self.order)])
+        rank = np.argsort(np.argsort(first)).astype(np.int32)
+        keep, coset = np.sort(first), rank[coset]
         # a coset lies in the BFS level of its first element, and that
         # element's parent lies in the level before
-        return MatrixGroup(self.field, self.n, reps[keep], index, coset[self.inv[keep]],
-                           coset[self.acts[:, keep]], coset[self.parent[keep]],
-                           self.via[keep], np.unique(np.searchsorted(keep, self.levels)),
+        return MatrixGroup(self.field, self.n, multiples[least[keep], keep], ukeys, rank,
+                           coset[self.inv[keep]], coset[self.acts[:, keep]],
+                           coset[self.parent[keep]], self.via[keep],
+                           np.unique(np.searchsorted(keep, self.levels)),
                            scalars=scal, name=name or f"{self.name}/Z{len(scal)}")
 
-    # -- canonical form and lookup -------------------------------------------
-
-    def canon(self, batch: np.ndarray) -> np.ndarray:
-        if self.scalars is None:
-            return batch
-        return backend.canon_min(batch, self.scalars, self.field)
-
-    def canon_one(self, mat: np.ndarray) -> np.ndarray:
-        return self.canon(mat[None])[0]
+    # -- lookup ----------------------------------------------------------------
 
     @property
     def order(self) -> int:
@@ -224,24 +250,32 @@ class MatrixGroup:
     def identity_idx(self) -> int:
         return 0
 
-    def index_of(self, mat: np.ndarray) -> int:
-        key = self.canon_one(np.ascontiguousarray(mat, dtype=np.uint8)).tobytes()
-        if key not in self._index:
+    def locate(self, batch) -> tuple[np.ndarray, np.ndarray]:
+        """(index, found) per matrix of `batch`, by the key of its canonical
+        form: the least key over its multiples by the quotient's scalars."""
+        batch = np.asarray(batch, dtype=np.uint8)
+        if batch.ndim != 3:
+            raise DomainError("locate takes a batch of matrices, shape (m, n, n)")
+        if batch.shape[1:] != (self.n, self.n):  # a matrix of another size
+            return np.zeros(len(batch), dtype=np.int64), np.zeros(len(batch), dtype=bool)
+        zs = self.scalars
+        mults = batch[None] if zs is None else self.field.mul[zs[:, None, None, None], batch]
+        keys = _keys(mults, self.field.q).min(axis=0)
+        pos = np.minimum(np.searchsorted(self._keys, keys), self.order - 1)
+        return self._key_idx[pos].astype(np.int64), self._keys[pos] == keys
+
+    def lookup_batch(self, batch) -> np.ndarray:
+        """Indices of the matrices in `batch` (KeyError if any is missing)."""
+        idx, found = self.locate(batch)
+        if not found.all():
             raise KeyError("matrix is not an element of this group")
-        return self._index[key]
+        return idx
+
+    def index_of(self, mat: np.ndarray) -> int:
+        return int(self.lookup_batch(np.asarray(mat)[None])[0])
 
     def contains_matrix(self, mat) -> bool:
-        key = self.canon_one(np.ascontiguousarray(mat, dtype=np.uint8)).tobytes()
-        return key in self._index
-
-    def lookup_batch(self, batch: np.ndarray) -> np.ndarray:
-        """Indices of already-canonical matrices (KeyError if any is missing)."""
-        flat = batch.reshape(batch.shape[0], -1)
-        out = np.empty(batch.shape[0], dtype=np.int64)
-        idx = self._index
-        for i in range(flat.shape[0]):
-            out[i] = idx[flat[i].tobytes()]
-        return out
+        return bool(self.locate(np.asarray(mat)[None])[1][0])
 
     # -- index-level arithmetic ------------------------------------------------
 
@@ -321,22 +355,15 @@ class MatrixGroup:
         return k
 
     def elements_satisfying_power(self, e: int) -> np.ndarray:
-        """Boolean mask of x with x^e == identity, computed batched."""
-        n = self.order
-        acc = np.repeat(identity_matrix(self.n)[None], n, axis=0)
-        base = self.elements
-        first = True
-        ee = e
-        while ee:
-            if ee & 1:
-                acc = base.copy() if first else self.canon(
-                    backend.mm_pairs(acc, base, self.field))
-                first = False
-            ee >>= 1
-            if ee:
-                base = self.canon(backend.mm_pairs(base, base, self.field))
-        ident = self.canon_one(identity_matrix(self.n))
-        return np.all(acc.reshape(n, -1) == ident.reshape(-1), axis=1)
+        """Boolean mask of x with x^e == identity (e >= 1), computed batched."""
+        acc, base = None, self.elements
+        while e:
+            if e & 1:
+                acc = base if acc is None else backend.mm_pairs(acc, base, self.field)
+            e >>= 1
+            if e:
+                base = backend.mm_pairs(base, base, self.field)
+        return self.locate(acc)[0] == self.identity_idx
 
     def dets(self) -> np.ndarray:
         if self._dets is None:
@@ -560,9 +587,7 @@ def common_order(A: MatrixGroup, B: MatrixGroup) -> int:
     zb = None if B.scalars is None else tuple(int(s) for s in B.scalars)
     if za != zb:
         raise DomainError("intersection across different central quotients")
-    small, big = (A, B) if A.order <= B.order else (B, A)
-    flat = small.elements.reshape(small.order, -1)
-    return sum(1 for i in range(small.order) if flat[i].tobytes() in big._index)
+    return int(B.locate(A.elements)[1].sum())
 
 
 def join(H1: Subgroup, H2: Subgroup) -> Subgroup:

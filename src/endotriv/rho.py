@@ -385,14 +385,12 @@ def _check_containment(cert: MethodCertificate,
     if c.kind == "ambient-scan":
         G = c.ambient
         try:
-            sidx = sorted({G.index_of(cert.H.elements[i])
-                           for i in cert.sylow_in_H.idx})
+            sidx = np.unique(G.lookup_batch(cert.H.elements[cert.sylow_in_H.idx]))
         except KeyError:
             clauses.append(ClauseResult("(S)", False, "Sylow not inside ambient"))
             return False
-        S = mg.Subgroup(G, np.array(sidx, dtype=np.int64))
-        N = mg.normalizer(G, S)
-        ok = all(H.contains_matrix(G.elements[i]) for i in N.idx)
+        N = mg.normalizer(G, mg.Subgroup(G, sidx))
+        ok = bool(H.locate(G.elements[N.idx])[1].all())
         clauses.append(ClauseResult("(S)", ok,
                                     f"N(S) of order {N.order} scanned in ambient" if ok
                                     else "ambient N(S) escapes H"))
@@ -423,26 +421,23 @@ def _check_diagonal_characters(cert, clauses) -> bool:
         clauses.append(ClauseResult("(S)", False, "S violates the determinant condition"))
         return False
     # the kernel scalars must sit inside Q (so quotient normalizers correspond)
-    if cert.H.scalars is not None:
-        for s in cert.H.scalars:
-            smat = backend.scale_many(mg.identity_matrix(n)[None], int(s), F)[0]
-            if not Qg.contains_matrix(smat):
-                clauses.append(ClauseResult("(S)", False,
-                                            "quotient kernel not inside Q"))
-                return False
+    zs = cert.H.scalars
+    if zs is not None and not Qg.locate(F.mul[zs[:, None, None], mg.identity_matrix(n)])[1].all():
+        clauses.append(ClauseResult("(S)", False, "quotient kernel not inside Q"))
+        return False
     # sylow_in_H must be exactly the image of S in H
-    image = {cert.H.index_of(Sg.elements[i]) for i in range(Sg.order)}
+    image = set(cert.H.lookup_batch(Sg.elements).tolist())
     if image != cert.sylow_in_H.members:
         clauses.append(ClauseResult("(S)", False,
                                     "declared Sylow image mismatches S"))
         return False
     # Q <= S
     try:
-        q_in_s = sorted({Sg.index_of(Qg.elements[i]) for i in range(Qg.order)})
+        q_in_s = np.unique(Sg.lookup_batch(Qg.elements))
     except KeyError:
         clauses.append(ClauseResult("(S)", False, "Q is not contained in S"))
         return False
-    Qs = mg.Subgroup(Sg, np.array(q_in_s, dtype=np.int64))
+    Qs = mg.Subgroup(Sg, q_in_s)
     # Q characteristic in S: unique abelian subgroup of its type and order
     qtype = Qs.abelian_type()
     same = [T for T in mg.all_subgroups(Sg.as_subgroup())
@@ -589,7 +584,7 @@ def _check_isotypic_blocks(cert, clauses) -> bool:
         clauses.append(ClauseResult("(S)", False, "H is not the full block group"))
         return False
     try:
-        image = {H.index_of(Sg.elements[i]) for i in range(Sg.order)}
+        image = set(H.lookup_batch(Sg.elements).tolist())
     except KeyError:
         clauses.append(ClauseResult("(S)", False, "S is not contained in H"))
         return False
@@ -700,7 +695,7 @@ def build_central_scalar_certificate(n: int, q: int, p: int,
     G = liea.enumerate_group(n, q, 1, cap=cap)
     F = field_spec(q)
     zeta = F.element_of_order(p)
-    zmat = backend.scale_many(mg.identity_matrix(n)[None], zeta, F)[0]
+    zmat = F.mul[zeta, mg.identity_matrix(n)]
     S = liea.sylow_in(G, params, cap=cap)
     witnesses = [GeneratorWitness(f"g{i}", G.elements[g], "B1")
                  for i, g in enumerate(G.gen_idx)]
@@ -749,8 +744,7 @@ def build_torus_quotient_certificate(n: int, q: int, p: int,
     Qg = mg.MatrixGroup.generate(F, qgens, cap=cap, name="torus p-part")
 
     Hbar = Hg.central_quotient(zvals, name=f"N(Q)/Z{z_order}")
-    s_image = sorted({Hbar.index_of(Sg.elements[i]) for i in range(Sg.order)})
-    Sbar = mg.Subgroup(Hbar, np.array(s_image, dtype=np.int64))
+    Sbar = mg.Subgroup(Hbar, np.unique(Hbar.lookup_batch(Sg.elements)))
 
     nm = liea.named_matrices("torus-corner", n, q, p=p)
     X = nm["X-corner"]
@@ -797,8 +791,7 @@ def build_block_count_certificate(q: int, p: int, a: int = 1, s: int = 1,
     blocks = [small, big]
     N = liea.levi(blocks, q, 1, cap=cap, name="two-block group")
     _, Sg = liea.build_sylow(params, cap=cap)
-    s_image = sorted({N.index_of(Sg.elements[i]) for i in range(Sg.order)})
-    Sn = mg.Subgroup(N, np.array(s_image, dtype=np.int64))
+    Sn = mg.Subgroup(N, np.unique(N.lookup_batch(Sg.elements)))
 
     w = F.primitive
     sigma = mg.identity_matrix(n)

@@ -52,6 +52,11 @@ def test_kernels_match_scalar_references(q, n):
     A, B = random_matrices(q, n), random_matrices(q, n)
     got = backend.mm_one(A, B[0], F)
     assert all(np.array_equal(got[t], ref_product(F, A[t], B[0])) for t in range(len(A)))
+    # one tall matrix times a wide one: every row of A times B[0] and B[1]
+    wide = backend.mm_one(A.reshape(1, -1, n), np.concatenate(B[:2], axis=1), F)[0]
+    ref = [np.concatenate([ref_product(F, A[t], B[0]), ref_product(F, A[t], B[1])], axis=1)
+           for t in range(len(A))]
+    assert np.array_equal(wide, np.concatenate(ref))
     got = backend.mm_pairs(A, B, F)
     assert all(np.array_equal(got[t], ref_product(F, A[t], B[t])) for t in range(len(A)))
 
@@ -74,14 +79,6 @@ def test_kernels_match_scalar_references(q, n):
     S[:, -1] = F.mul[RNG.integers(0, q, size=(len(S), 1)), S[:, 0]]
     assert (backend.det_many(S, F) == 0).all()
     assert not backend.inverse_many(S, F)[1].any()
-
-    # canon_min: the brute-force least scalar multiple
-    for scalars in ({1}, F.subgroup_values(q - 1), F.subgroup_values(2) if q % 2 else {1}):
-        scal = np.array(sorted(scalars), dtype=np.uint8)
-        got = backend.canon_min(A, scal, F)
-        for t in range(len(A)):
-            least = min(tuple(F.mul_el(int(s), int(x)) for x in A[t].ravel()) for s in scal)
-            assert tuple(got[t].ravel()) == least
 
 
 @pytest.mark.parametrize("q,n", [(2, 1), (2, 6), (256, 1), (256, 6), (7, 3)])

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -153,3 +157,14 @@ def test_corpus_has_paper_citations():
         if e.provenance == "PAPER":
             assert e.clause  # every pinned value names its clause
         assert e.cap_class in ("enumerable", "formula-only")
+
+
+def test_offline_module_route():
+    """`PYTHONPATH=src python -m endotriv.cli`, the route that needs no install."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run([sys.executable, "-m", "endotriv.cli", "params", "2", "5", "3", "--json"],
+                         cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    payload = json.loads(out.stdout)
+    assert (payload["n"], payload["q"], payload["p"], payload["e"], payload["t"]) == (2, 5, 3, 2, 1)

@@ -286,12 +286,11 @@ def test_index_layer_needs_no_kernel_or_key_after_construction(monkeypatch, n, q
     def refuse(*args, **kwargs):
         raise AssertionError("kernel or element-key lookup after construction")
 
-    for name in ("mm_one", "mm_pairs", "inverse_many", "det_many", "scale_many",
-                 "canon_min"):
+    for name in ("mm_one", "mm_pairs", "inverse_many", "det_many"):
         monkeypatch.setattr(backend, name, refuse)
-    for name in ("lookup_batch", "index_of", "contains_matrix"):
+    for name in ("locate", "lookup_batch", "index_of", "contains_matrix"):
         monkeypatch.setattr(mg.MatrixGroup, name, refuse)
-    monkeypatch.setattr(G, "_index", None)
+    monkeypatch.setattr(G, "_keys", None)
     N = mg.normalizer(G, S)
     assert mg.centralizer(G, S).members <= N.members
     comm = mg.commutator_subgroup(N)
@@ -299,3 +298,178 @@ def test_index_layer_needs_no_kernel_or_key_after_construction(monkeypatch, n, q
     subs = mg.all_subgroups(S)
     classes = mg.subgroup_conjugacy_classes(G, subs)
     assert sum(len(c) for c in classes) == len(subs)
+
+
+# the closure against an independent reference: a plain-Python BFS over
+# tuple matrices, products from the field's element operations and the
+# brute-force least scalar multiple as each coset's representative
+
+def _ref_mul(F, a, b):
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = 0
+            for k in range(n):
+                acc = F.add_el(acc, F.mul_el(a[i][k], b[k][j]))
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _ref_closure(F, gens, scalars=(1,)):
+    """(elements, acts, parent, via, levels, inv) of the generator-major BFS."""
+    def canon(a):
+        return min(tuple(tuple(F.mul_el(s, x) for x in row) for row in a) for s in scalars)
+
+    gens = [canon(tuple(tuple(int(x) for x in row) for row in g)) for g in gens]
+    n = len(gens[0])
+    ident = canon(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+    elements, index = [ident], {ident: 0}
+    acts, parent, via, levels = [[] for _ in gens], [0], [0], [0, 1]
+    while True:
+        lo, hi = levels[-2], len(elements)
+        for k, g in enumerate(gens):
+            for x in range(lo, hi):
+                y = canon(_ref_mul(F, elements[x], g))
+                if y not in index:
+                    index[y] = len(elements)
+                    elements.append(y)
+                    parent.append(x)
+                    via.append(k)
+                acts[k].append(index[y])
+        if len(elements) == hi:
+            break
+        levels.append(len(elements))
+    # inverses down the tree: (p g)^-1 = g^-1 p^-1, g^-1 a power of g
+    ginv = []
+    for g in gens:
+        y = g
+        while canon(_ref_mul(F, y, g)) != ident:
+            y = canon(_ref_mul(F, y, g))
+        ginv.append(y)
+    inv_mats = [ident]
+    for x in range(1, len(elements)):
+        inv_mats.append(canon(_ref_mul(F, ginv[via[x]], inv_mats[parent[x]])))
+    return elements, acts, parent, via, levels, [index[m] for m in inv_mats]
+
+
+def _assert_matches_reference(G, ref):
+    elements, acts, parent, via, levels, inv = ref
+    assert [tuple(map(tuple, m.tolist())) for m in G.elements] == elements
+    assert G.acts.tolist() == acts
+    assert G.gen_idx == [a[0] for a in acts]
+    assert G.parent.tolist() == parent and G.via.tolist() == via
+    assert G.levels.tolist() == levels and G.inv.tolist() == inv
+
+
+def _dihedral(q):
+    """<diag(w, w^-1, 1), a transposition> over GF(q): row indices reach q^3."""
+    F = field_spec(q)
+    d = mg.identity_matrix(3)
+    d[0, 0], d[1, 1] = F.primitive, F.inv_el(F.primitive)
+    return F, [d, mg.permutation_matrix([1, 0, 2])]
+
+
+def _wreath_6_4():
+    """C3 wr C3 inside GL(6,4): keys of 6 x 6 matrices over GF(4) pass int64."""
+    F = field_spec(4)
+    d = mg.identity_matrix(6)
+    d[0, 0] = F.primitive
+    return F, [d, mg.permutation_matrix([1, 2, 0, 3, 4, 5])]
+
+
+REFERENCE_GROUPS = {
+    "GL(2,5)": lambda: (field_spec(5), liea.group_generators(2, 5, 4)),
+    "C3 wr C3 in GL(6,4)": _wreath_6_4,
+    "D254 in GL(3,128)": lambda: _dihedral(128),
+    "D510 in GL(3,256)": lambda: _dihedral(256),
+}
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_GROUPS))
+def test_closure_matches_reference_bfs(name):
+    F, gens = REFERENCE_GROUPS[name]()
+    G = mg.MatrixGroup.generate(F, gens)
+    _assert_matches_reference(G, _ref_closure(F, gens))
+    wide = F.q ** (G.n * G.n) > mg.INT_KEY_LIMIT
+    assert (G._keys.dtype == object) == wide
+    assert name in ("C3 wr C3 in GL(6,4)", "D510 in GL(3,256)") or not wide
+
+
+# PGL(2,5) and SL(2,13)/Z2: (n, q, det order, scalar subgroup order)
+QUOTIENTS = [(2, 5, 4, 4), (2, 13, 1, 2)]
+
+
+@pytest.mark.parametrize("n, q, det, z", QUOTIENTS)
+def test_quotients_match_reference_bfs(n, q, det, z):
+    F = field_spec(q)
+    gens = liea.group_generators(n, q, det)
+    zvals = sorted(F.subgroup_values(z))
+    ref = _ref_closure(F, gens, zvals)
+    _assert_matches_reference(mg.MatrixGroup.generate(F, gens, scalars=zvals), ref)
+    _assert_matches_reference(mg.MatrixGroup.generate(F, gens).central_quotient(zvals), ref)
+
+
+@pytest.mark.parametrize("n, q, det, z", [(2, 7, 1, 1), *QUOTIENTS])
+def test_lookup_refuses_non_members(n, q, det, z):
+    """KeyError and False on matrices outside G (singular, of another size,
+    and for SL(2,q)/Z of a determinant other than 1, among them a multiple
+    of an element by a scalar outside the quotient kernel); a multiple by a
+    kernel scalar is the same element."""
+    G = liea.enumerate_quotient(n, q, det, z)
+    F = G.field
+    x = G.elements[G.gen_idx[0]]
+    zvals = sorted(F.subgroup_values(z))
+    singular = np.zeros((n, n), dtype=np.uint8)
+    singular[0, 0] = 1
+    wider = np.zeros((n + 1) ** 2, dtype=np.uint8)
+    wider[-n * n:] = x.ravel()  # read in base q, the same number as x's entries
+    outside = [singular, wider.reshape(n + 1, n + 1)]
+    if det == 1:
+        s = next(s for s in range(2, q) if F.mul_el(s, s) != 1)  # det(s x) = s^2
+        assert s not in zvals
+        outside += [F.mul[s, x], mg.block_embed(n, [(0, np.array([[s]], dtype=np.uint8))])]
+    for mat in outside:
+        with pytest.raises(KeyError):
+            G.index_of(mat)
+        assert not G.contains_matrix(mat)
+    with pytest.raises(KeyError):
+        G.lookup_batch(np.stack([x, singular]))
+    for zs in zvals:
+        assert G.index_of(F.mul[zs, x]) == G.gen_idx[0]
+    assert G.lookup_batch(G.elements).tolist() == list(range(G.order))
+    with pytest.raises(DomainError):  # a single matrix, not a batch of them
+        G.locate(x)
+
+
+@pytest.mark.parametrize("q, n", [(2, 8), (4, 6), (7, 3), (256, 3)])
+def test_keys_order_matrices_lexicographically(q, n):
+    """A key is the flattened entries read in base q, most significant
+    first (so key order is their lexicographic order), on both sides of
+    INT_KEY_LIMIT; the keys of 8 x 8 over GF(2) need 64 bits."""
+    rng = np.random.default_rng(q + n)
+    mats = rng.integers(0, q, size=(200, n, n), dtype=np.uint8)
+    mats[:3] = [np.full((n, n), q - 1), np.zeros((n, n)), mats[5]]
+    keys = mg._keys(mats, q)
+    assert (keys.dtype == object) == (q ** (n * n) > mg.INT_KEY_LIMIT)
+    flat = [m.ravel().tolist() for m in mats]
+    assert [int(k) for k in keys] == [sum(d * q ** (n * n - 1 - i) for i, d in enumerate(f))
+                                      for f in flat]
+
+
+def test_int_key_limit_both_sides(monkeypatch):
+    """The int64 path and the Python-int path build identical groups."""
+    built = {}
+    for limit in (mg.INT_KEY_LIMIT, 1):
+        monkeypatch.setattr(mg, "INT_KEY_LIMIT", limit)
+        G = liea.enumerate_group(2, 5, 4)
+        Q = G.central_quotient([1, 4])
+        assert (G._keys.dtype == object) == (limit == 1)
+        built[limit] = [(H.elements, H.acts, H.parent, H.via, H.levels, H.inv, H._keys)
+                        for H in (G, Q)]
+        assert Q.index_of(Q.elements[7]) == 7
+    for a, b in zip(*built.values()):
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)
