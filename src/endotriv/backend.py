@@ -1,11 +1,12 @@
-"""Batched GF(q) matrix kernels in numpy.
+"""Batched GF(q) matrix kernels in numpy: the row product of the closure
+and the determinants of generators.
 
 Matrices are (n, n) uint8 arrays of field-element encodings; batches are
 (m, n, n).  Field arithmetic goes through the q x q `mul`/`add` tables of
 a FieldSpec (uint8 for q <= 256, which is the enumeration regime).  Each
 kernel works on the whole batch at once: its Python loops run over matrix
-columns and rows, never over the batch.
-Inverses and determinants share one Gauss-Jordan elimination.
+columns and rows, never over the batch.  Inverses, determinants and powers
+of group elements come from the closure's index tables, in matgrp.
 tests/test_backend.py checks every kernel against scalar references built
 from the field's element operations.
 """
@@ -30,50 +31,21 @@ def mm_one(batch, b, field):
     return acc
 
 
-def mm_pairs(A, B, field):
-    """Pairwise products A[i] @ B[i]."""
-    mul, add = field.mul, field.add
-    terms = mul[A[:, :, :, None], B[:, None, :, :]]
-    acc = terms[:, :, 0, :]
-    for k in range(1, A.shape[1]):
-        acc = add[acc, terms[:, :, k, :]]
-    return acc
-
-
-def _gauss_jordan(a, field):
-    """Row-reduce the left (n, n) block of every (n, w) matrix in `a` to
-    the identity, in place, one batched step per column and row (so the
-    temporaries are (m, w), not (m, n, w)).  Returns (det, ok) of the left
-    blocks; a singular row meets a zero pivot, so its det is 0."""
+def det_many(batch, field):
+    """int64 determinants, batched over the leading axis; 0 on singular rows.
+    Gaussian elimination, one step per column over the whole batch."""
     mul, add, neg, inv = field.mul, field.add, field.neg, field.inv_table
+    a = batch.copy()
     m, n, _ = a.shape
     rows = np.arange(m)
     det = np.ones(m, dtype=mul.dtype)
-    ok = np.ones(m, dtype=np.bool_)
     for col in range(n):
         piv = col + np.argmax(a[:, col:, col] != 0, axis=1)
         det = np.where(piv != col, neg[det], det)
         a[rows, col], a[rows, piv] = a[rows, piv], a[rows, col]
         pv = a[:, col, col]
-        ok &= pv != 0
         det = mul[det, pv]
         prow = mul[a[:, col, col:], inv[pv][:, None]]
-        a[:, col, col:] = prow
-        for i in range(n):
-            if i != col:
-                a[:, i, col:] = add[a[:, i, col:], neg[mul[a[:, i, col, None], prow]]]
-    return det, ok
-
-
-def inverse_many(batch, field):
-    """(inverses, ok): Gauss-Jordan on [A | I], batched over the leading axis;
-    ok[t] is False where batch[t] is singular, and its inverse unspecified."""
-    n = batch.shape[1]
-    a = np.concatenate([batch, np.broadcast_to(np.eye(n, dtype=batch.dtype), batch.shape)], 2)
-    ok = _gauss_jordan(a, field)[1]
-    return np.ascontiguousarray(a[:, :, n:]), ok
-
-
-def det_many(batch, field):
-    """int64 determinants, batched over the leading axis; 0 on singular rows."""
-    return _gauss_jordan(batch.copy(), field)[0].astype(np.int64)
+        for i in range(col + 1, n):
+            a[:, i, col:] = add[a[:, i, col:], neg[mul[a[:, i, col, None], prow]]]
+    return det.astype(np.int64)

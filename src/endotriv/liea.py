@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import backend
 from . import matgrp as mg
 from .errors import CapExceeded, DomainError, GroupSpecError
 from .gf import (FieldSpec, _least_irreducible, _poly_mul, _poly_powmod, _poly_rem,
@@ -370,7 +371,6 @@ def _gl_sylow_generators(n: int, q: int, p: int, e: int, t: int) -> tuple[list[n
 
 
 def _matrix_power(F: FieldSpec, m: np.ndarray, e: int) -> np.ndarray:
-    from . import backend
     acc = mg.identity_matrix(m.shape[0])
     base = m.copy()
     while e:

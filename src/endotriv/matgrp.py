@@ -12,16 +12,18 @@ Alongside the elements a group keeps the Schreier data of its closure as
 int32 index tables (Holt, Eick and O'Brien, Handbook of Computational Group
 Theory, ch. 4): the product of every element with every generator, and the
 breadth-first tree through which each element was first reached.  Every
-index-level operation (products, conjugation maps, normalizer scans) is an
-integer gather over these tables; the matrix kernels in `backend` and the
-element keys are used only to build a group and to look up a given matrix.
-Everything here is read-only after construction.
+index-level operation (products, inverses, powers, conjugation maps,
+normalizer scans) is an integer gather over these tables, and determinants
+are multiplied down the tree from the generators'.  The matrix kernels in
+`backend` are used only to build a group, and the element keys only to
+look up a given matrix.  Everything here is read-only after construction.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -111,6 +113,26 @@ def _kernel(scalars) -> np.ndarray:
     return scal
 
 
+def _inverse_acts(acts: np.ndarray) -> np.ndarray:
+    """Row k: x -> x * gens[k]^-1, the inverse permutation of acts[k]."""
+    ainv = np.empty_like(acts)
+    ainv[np.arange(len(acts))[:, None], acts] = np.arange(acts.shape[1], dtype=acts.dtype)
+    return ainv
+
+
+def _walk_up(ainv, parent, via, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x[i] * y[i]^-1: for y = gens[k1] ... gens[kd] along the BFS tree, x moved
+    by gens[kd]^-1, ..., gens[k1]^-1, read from y up to the identity."""
+    x, y = x.astype(np.int64), y.astype(np.int64)
+    live = np.flatnonzero(y)
+    while len(live):
+        yl = y[live]
+        x[live] = ainv[via[yl], x[live]]
+        y[live] = yl = parent[yl]
+        live = live[yl != 0]
+    return x
+
+
 class MatrixGroup:
     """A fully enumerated matrix group, optionally modulo central scalars.
 
@@ -122,7 +144,7 @@ class MatrixGroup:
     """
 
     def __init__(self, field: FieldSpec, n: int, elements: np.ndarray,
-                 keys: np.ndarray, key_idx: np.ndarray, inv: np.ndarray | None,
+                 keys: np.ndarray, key_idx: np.ndarray, inv: np.ndarray,
                  acts: np.ndarray, parent: np.ndarray, via: np.ndarray,
                  levels: np.ndarray, scalars: np.ndarray | None = None, name: str = "G"):
         self.field = field
@@ -204,16 +226,11 @@ class MatrixGroup:
             at = np.searchsorted(keys, ukeys[new])
             keys, key_idx = np.insert(keys, at, ukeys[new]), np.insert(key_idx, at, ids[new])
             levels.append(count + len(new))
-        elements = np.concatenate(blocks)
-        del blocks  # a large closure peaks in memory in inverse_many, below
-        invs, ok = backend.inverse_many(elements, field)
-        if not np.all(ok):
-            raise DomainError("non-invertible element reached in closure")
-        grp = cls(field, n, elements, keys, key_idx, None, np.concatenate(acts, axis=1),
-                  np.concatenate(parent), np.concatenate(via), np.array(levels),
-                  scalars=scal, name=name)
-        grp.inv = grp.lookup_batch(invs)
-        return grp
+        acts, parent, via = map(np.hstack, (acts, parent, via))
+        ids = np.arange(len(parent))
+        inv = _walk_up(_inverse_acts(acts), parent, via, np.zeros_like(ids), ids)
+        return cls(field, n, np.concatenate(blocks), keys, key_idx, inv, acts,
+                   parent, via, np.array(levels), scalars=scal, name=name)
 
     def central_quotient(self, scalar_values, name: str | None = None) -> "MatrixGroup":
         """Quotient by the central subgroup of scalar matrices with the given values.
@@ -355,21 +372,28 @@ class MatrixGroup:
         return k
 
     def elements_satisfying_power(self, e: int) -> np.ndarray:
-        """Boolean mask of x with x^e == identity (e >= 1), computed batched."""
-        acc, base = None, self.elements
+        """Boolean mask of x with x^e == identity (e >= 1): repeated squaring
+        in index space, each product a * b walked as a * (b^-1)^-1."""
+        up = partial(_walk_up, _inverse_acts(self.acts), self.parent, self.via)
+        acc, base = None, np.arange(self.order)
         while e:
             if e & 1:
-                acc = base if acc is None else backend.mm_pairs(acc, base, self.field)
+                acc = base if acc is None else up(acc, self.inv[base])
             e >>= 1
             if e:
-                base = backend.mm_pairs(base, base, self.field)
-        return self.locate(acc)[0] == self.identity_idx
+                base = up(base, self.inv[base])
+        return acc == self.identity_idx
 
     def dets(self) -> np.ndarray:
+        """int64 determinants, d[x] = d[parent[x]] det(gens[via[x]]) by BFS level."""
         if self._dets is None:
             if self.scalars is not None:
                 raise DomainError("determinants are not defined on a central quotient")
-            self._dets = backend.det_many(self.elements, self.field)
+            gen_dets = backend.det_many(self.elements[self.gen_idx], self.field)
+            d = np.ones(self.order, dtype=np.int64)
+            for lo, hi in zip(self.levels[1:-1], self.levels[2:]):
+                d[lo:hi] = self.field.mul[d[self.parent[lo:hi]], gen_dets[self.via[lo:hi]]]
+            self._dets = d
         return self._dets
 
     def as_subgroup(self) -> "Subgroup":

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import backend, liea
+from . import liea
 from . import matgrp as mg
 from .errors import CapExceeded, DomainError
 from .gf import field_spec, p_part, p_val  # noqa: F401 (p_val used by builders)
@@ -417,7 +417,7 @@ def _check_diagonal_characters(cert, clauses) -> bool:
         clauses.append(ClauseResult("(S)", False, "S has wrong order"))
         return False
     dvals = list(F.subgroup_values(c.monomial_det_order))
-    if not np.isin(backend.det_many(Sg.elements, F), dvals).all():
+    if not np.isin(Sg.dets(), dvals).all():
         clauses.append(ClauseResult("(S)", False, "S violates the determinant condition"))
         return False
     # the kernel scalars must sit inside Q (so quotient normalizers correspond)
@@ -560,7 +560,7 @@ def _check_isotypic_blocks(cert, clauses) -> bool:
         clauses.append(ClauseResult("(S)", False, "S has wrong order"))
         return False
     dvals = list(F.subgroup_values(c.levi_det_order))
-    if not np.isin(backend.det_many(Sg.elements, F), dvals).all():
+    if not np.isin(Sg.dets(), dvals).all():
         clauses.append(ClauseResult("(S)", False, "S violates the determinant condition"))
         return False
     smats = [Sg.elements[i] for i in Sg.gen_idx]

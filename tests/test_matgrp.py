@@ -243,6 +243,11 @@ def _products(G, left, j):
     return [G.index_of(m) for m in prods]
 
 
+def _inverse_matrix(G, x):
+    """The matrix x^-1 as x^(|GL(n,q)| - 1), by matrix powers."""
+    return liea._matrix_power(G.field, G.elements[x], liea.order_gl(G.n, G.field.q) - 1)
+
+
 @pytest.mark.parametrize("n, q, det, z", INDEX_GROUPS)
 def test_index_arithmetic_matches_matrix_products(n, q, det, z):
     G = _index_group(n, q, det, z)
@@ -256,7 +261,7 @@ def test_index_arithmetic_matches_matrix_products(n, q, det, z):
         assert [G.mul_idx(int(x), int(j)) for x in xs] == ref
     for g in rng.integers(0, G.order, size=3):
         g = int(g)
-        ginv = backend.inverse_many(G.elements[g][None], F)[0][0]
+        ginv = _inverse_matrix(G, g)
         assert G.inv_idx(g) == G.index_of(ginv)
         cmap = G.conj_map(g)
         for x in xs:
@@ -266,7 +271,7 @@ def test_index_arithmetic_matches_matrix_products(n, q, det, z):
         sandwich = G.sandwich_all(g)
         for y in xs:
             y = int(y)
-            yinv = backend.inverse_many(G.elements[y][None], F)[0][0]
+            yinv = _inverse_matrix(G, y)
             ygy = backend.mm_one(backend.mm_one(G.elements[y][None], G.elements[g], F),
                                  yinv, F)[0]
             assert sandwich[y] == G.index_of(ygy)
@@ -281,16 +286,16 @@ def test_index_arithmetic_matches_matrix_products(n, q, det, z):
 @pytest.mark.parametrize("n, q, det, z", INDEX_GROUPS[:2])
 def test_index_layer_needs_no_kernel_or_key_after_construction(monkeypatch, n, q, det, z):
     G = _index_group(n, q, det, z)
-    S = mg.sylow_subgroup_of(G, 2)  # built with the power kernel, before the guard
 
     def refuse(*args, **kwargs):
         raise AssertionError("kernel or element-key lookup after construction")
 
-    for name in ("mm_one", "mm_pairs", "inverse_many", "det_many"):
+    for name in ("mm_one", "det_many"):
         monkeypatch.setattr(backend, name, refuse)
     for name in ("locate", "lookup_batch", "index_of", "contains_matrix"):
         monkeypatch.setattr(mg.MatrixGroup, name, refuse)
     monkeypatch.setattr(G, "_keys", None)
+    S = mg.sylow_subgroup_of(G, 2)
     N = mg.normalizer(G, S)
     assert mg.centralizer(G, S).members <= N.members
     comm = mg.commutator_subgroup(N)
@@ -298,6 +303,44 @@ def test_index_layer_needs_no_kernel_or_key_after_construction(monkeypatch, n, q
     subs = mg.all_subgroups(S)
     classes = mg.subgroup_conjugacy_classes(G, subs)
     assert sum(len(c) for c in classes) == len(subs)
+
+
+@pytest.mark.parametrize("n, q, det, z", INDEX_GROUPS)
+def test_power_masks_match_element_orders(n, q, det, z):
+    G = _index_group(n, q, det, z)
+    orders = np.array([G.order_of(i) for i in range(G.order)])
+    for e in (1, 2, 3, 4, 6, 8, 9, 12):
+        mask = G.elements_satisfying_power(e)
+        assert mask.dtype == np.bool_
+        assert np.array_equal(mask, e % orders == 0), e
+
+
+@pytest.mark.parametrize("n, q, det, z", INDEX_GROUPS)
+def test_dets_follow_the_tree(n, q, det, z):
+    G = _index_group(n, q, det, z)
+    if z > 1:
+        with pytest.raises(DomainError):
+            G.dets()
+    else:
+        d = G.dets()
+        assert d.dtype == np.int64
+        assert np.array_equal(d, backend.det_many(G.elements, G.field))
+
+
+def test_inverse_roundtrip():
+    """x * x^-1 is the identity, by matrix products, in groups and quotients."""
+    F = field_spec(5)
+    gens = liea.group_generators(2, 5, 4)
+    rng = np.random.default_rng(3)
+    # int64 from the closure, int32 when relabelled by central_quotient
+    for G, dtype in [(mg.MatrixGroup.generate(F, gens), np.int64),
+                     (mg.MatrixGroup.generate(F, gens, scalars=[1, 4]), np.int64),
+                     (_index_group(2, 13, 1, 2), np.int32)]:
+        assert G.inv.dtype == dtype
+        for x in [0, *G.gen_idx, *rng.integers(0, G.order, size=16)]:
+            x = int(x)
+            prod = backend.mm_one(G.elements[x][None], G.elements[G.inv[x]], G.field)[0]
+            assert G.index_of(prod) == G.identity_idx
 
 
 # the closure against an independent reference: a plain-Python BFS over
