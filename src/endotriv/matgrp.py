@@ -161,6 +161,7 @@ class MatrixGroup:
         self.scalars = scalars  # quotient kernel as sorted field values, or None
         self.name = name
         self._conj_maps: dict[int, np.ndarray] = {}
+        self._power_masks: dict[int, np.ndarray] = {}
         self._gen_conj: np.ndarray | None = None
         self._dets = None
         self._cayley: np.ndarray | None = None
@@ -372,17 +373,19 @@ class MatrixGroup:
         return k
 
     def elements_satisfying_power(self, e: int) -> np.ndarray:
-        """Boolean mask of x with x^e == identity (e >= 1): repeated squaring
-        in index space, each product a * b walked as a * (b^-1)^-1."""
-        up = partial(_walk_up, _inverse_acts(self.acts), self.parent, self.via)
-        acc, base = None, np.arange(self.order)
-        while e:
-            if e & 1:
-                acc = base if acc is None else up(acc, self.inv[base])
-            e >>= 1
-            if e:
-                base = up(base, self.inv[base])
-        return acc == self.identity_idx
+        """Boolean mask of x with x^e == identity (e >= 1), kept per e: repeated
+        squaring in index space, each product a * b walked as a * (b^-1)^-1."""
+        if e not in self._power_masks:
+            up = partial(_walk_up, _inverse_acts(self.acts), self.parent, self.via)
+            acc, base, k = None, np.arange(self.order), e
+            while k:
+                if k & 1:
+                    acc = base if acc is None else up(acc, self.inv[base])
+                k >>= 1
+                if k:
+                    base = up(base, self.inv[base])
+            self._power_masks[e] = acc == self.identity_idx
+        return self._power_masks[e]
 
     def dets(self) -> np.ndarray:
         """int64 determinants, d[x] = d[parent[x]] det(gens[via[x]]) by BFS level."""
@@ -807,32 +810,54 @@ def p_rank(T: Subgroup | MatrixGroup, p: int) -> int:
 # full subgroup lattice of a small group (used by the chain engine)
 
 def all_subgroups(S: Subgroup, count_cap: int = 200_000) -> list[Subgroup]:
-    """Every subgroup of S, via iterated joins of cyclic subgroups."""
+    """Every subgroup of the p-group S, sorted by (order, key), by cyclic
+    extension (Neubüser, Numer. Math. 2, 1960; see Holt, Eick and O'Brien).
+
+    A subgroup U > 1 of a p-group has a normal subgroup M of index p, and
+    U = M u Mx u ... u Mx^(p-1) for any x in U \\ M, which lies in N_S(M)
+    with x^p in M.  So the subgroups of order p^(k+1) are these coset
+    unions over the subgroups M of order p^k, integer gathers in a
+    multiplication table on S's own elements; every x in U \\ M gives the
+    same U and is skipped.  U is generated by M.gen_idx + (x,)."""
     G = S.parent
-    cyclics: dict[frozenset, tuple[int, ...]] = {frozenset([G.identity_idx]): ()}
-    for i in S.idx:
-        if i != G.identity_idx:
-            cyclics.setdefault(_closure_indices(G, [i]), (int(i),))
-    subs: dict[frozenset, tuple[int, ...]] = dict(cyclics)
-    frontier = list(cyclics.items())
-    while frontier:
-        nxt = []
-        for members, gens in frontier:
-            for cmem, cgens in cyclics.items():
-                if cmem <= members:
+    p = min(factorize(S.order), default=1)
+    if p > 1 and not _is_p_group(S, p):
+        raise DomainError(f"subgroup lattice needs a p-group, got order {S.order}")
+    pos = partial(np.searchsorted, S.idx)  # G index -> position in S.idx
+    table = pos(np.stack([G.right_mul_batch(S.idx, int(j)) for j in S.idx], axis=1))
+    inv = pos(G.inv[S.idx])
+    power = np.zeros(S.order, dtype=np.int64)  # power[a]: a^p
+    for _ in range(p):
+        power = table[power, np.arange(S.order)]
+
+    layer: dict[tuple[int, ...], tuple[int, ...]] = {(0,): ()}  # positions -> gens
+    subs = list(layer.items())
+    while layer:
+        nxt: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for key in sorted(layer):
+            gens, M = layer[key], np.array(key)
+            seen = np.zeros(S.order, dtype=bool)  # M, then each U found from M
+            seen[M] = True
+            cands = seen[power] & ~seen
+            for h in gens:  # x h x^-1 in M
+                cands &= seen[table[table[:, pos(h)], inv]]
+            for x in np.flatnonzero(cands):
+                if seen[x]:
                     continue
-                jidx = _closure_indices(G, gens + cgens, members)
-                if jidx not in subs:
-                    subs[jidx] = gens + cgens
-                    nxt.append((jidx, gens + cgens))
-                    if len(subs) > count_cap:
+                cosets = [M]
+                for _ in range(p - 1):
+                    cosets.append(table[cosets[-1], x])
+                U = np.concatenate(cosets)
+                seen[U] = True
+                ukey = tuple(np.sort(U).tolist())
+                if ukey not in nxt:
+                    nxt[ukey] = gens + (int(S.idx[x]),)
+                    if len(subs) + len(nxt) > count_cap:
                         raise CapExceeded("subgroup lattice too large",
-                                          needed=len(subs), cap=count_cap)
-        frontier = nxt
-    out = [Subgroup(G, np.array(sorted(m), dtype=np.int64), gen_idx=g)
-           for m, g in subs.items()]
-    out.sort(key=lambda s: (s.order, s.key()))
-    return out
+                                          needed=len(subs) + len(nxt), cap=count_cap)
+        layer = nxt
+        subs.extend(sorted(nxt.items()))
+    return [Subgroup(G, S.idx[list(key)], gen_idx=gens) for key, gens in subs]
 
 
 def sylow_subgroup_of(G: MatrixGroup, p: int) -> Subgroup:

@@ -11,8 +11,9 @@ Sylow restriction; the chain engine only reports the group theory.
 
 Two implementations are kept deliberately separate: the fast engine caches
 normalizers by conjugacy class (N(gRg^-1) = g N(R) g^-1) and uses the
-identity < U_R (N /\\ A_R) > = < N /\\ U_R A_R >; the naive engine rescans
-every subgroup from definitions.  The test suite diffs them.
+identity < U_R (N /\\ A_R) > = < N /\\ U_R A_R >; the naive engine enumerates
+its own subgroup lattice and rescans every subgroup from definitions.  The
+test suite diffs them.
 
 Certificates package the hypotheses of the one-dimensionality criterion
 (a subgroup H containing N_G(S), generator witnesses, and per-condition
@@ -57,11 +58,15 @@ class RhoChain:
         }
 
 
-def nontrivial_subgroups(G: mg.MatrixGroup, S: mg.Subgroup) -> list[mg.Subgroup]:
+def _require_lattice_size(S: mg.Subgroup) -> None:
     if S.order > S_ORDER_CAP:
         raise CapExceeded(
             f"|S| = {S.order} exceeds the subgroup-lattice cap {S_ORDER_CAP}",
             needed=S.order, cap=S_ORDER_CAP)
+
+
+def nontrivial_subgroups(G: mg.MatrixGroup, S: mg.Subgroup) -> list[mg.Subgroup]:
+    _require_lattice_size(S)
     return [T for T in mg.all_subgroups(S) if T.order > 1]
 
 
@@ -196,12 +201,39 @@ def _naive_commutator(G, members):
     return _naive_closure(G, seeds)
 
 
+def _naive_subgroups(G: mg.MatrixGroup, S: mg.Subgroup) -> list[mg.Subgroup]:
+    """Every subgroup of S, sorted by (order, key): joins of cyclic
+    subgroups, each join closed from its generators."""
+    _require_lattice_size(S)
+    cyclics: dict[frozenset, tuple[int, ...]] = {frozenset([G.identity_idx]): ()}
+    for x in S.idx:
+        if x != G.identity_idx:
+            cyclics.setdefault(_naive_closure(G, [int(x)]), (int(x),))
+    subs = dict(cyclics)
+    frontier = list(cyclics.items())
+    while frontier:
+        nxt = []
+        for members, gens in frontier:
+            for cmem, cgens in cyclics.items():
+                if not cmem <= members:
+                    joined = _naive_closure(G, gens + cgens)
+                    if joined not in subs:
+                        subs[joined] = gens + cgens
+                        nxt.append((joined, gens + cgens))
+        frontier = nxt
+    out = [mg.Subgroup(G, np.array(sorted(m), dtype=np.int64), gen_idx=g)
+           for m, g in subs.items()]
+    out.sort(key=lambda T: (T.order, T.key()))
+    return out
+
+
 def rho_chain_naive(G: mg.MatrixGroup, S: mg.Subgroup, Q: mg.Subgroup,
                     max_i: int = 4) -> RhoChain:
-    """Definition-chasing reimplementation used as the agreement oracle."""
+    """Definition-chasing reimplementation used as the agreement oracle,
+    on its own subgroup lattice."""
     if Q.order <= 1:
         raise DomainError("Q must be a nontrivial subgroup of S")
-    subs = [T for T in mg.all_subgroups(S) if T.order > 1]
+    subs = [T for T in _naive_subgroups(G, S) if T.order > 1]
     if Q.key() not in [T.key() for T in subs]:
         subs.append(Q)
     norms = {T.key(): _naive_normalizer(G, T.members) for T in subs}

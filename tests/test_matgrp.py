@@ -188,6 +188,14 @@ def test_all_subgroups_of_quaternion():
     assert sorted(s.order for s in subs) == [1, 2, 4, 4, 4, 8]
 
 
+def test_all_subgroups_refuses_non_p_group(monkeypatch):
+    G = sl23()  # order 24
+    assert [s.order for s in mg.all_subgroups(mg.trivial_subgroup(G))] == [1]
+    monkeypatch.setattr(G, "right_mul_batch", None)  # refused before any product
+    with pytest.raises(DomainError, match="p-group"):
+        mg.all_subgroups(G.as_subgroup())
+
+
 def test_commutator_is_normal_with_abelian_quotient():
     for (n, q, det) in [(2, 3, 2), (2, 4, 3), (2, 5, 4)]:
         G = liea.enumerate_group(n, q, det)
@@ -313,6 +321,10 @@ def test_power_masks_match_element_orders(n, q, det, z):
         mask = G.elements_satisfying_power(e)
         assert mask.dtype == np.bool_
         assert np.array_equal(mask, e % orders == 0), e
+    for e in (2, 3, 9):  # kept per exponent, still equal to the element orders
+        cached = G.elements_satisfying_power(e)
+        assert cached is G.elements_satisfying_power(e)
+        assert np.array_equal(cached, e % orders == 0), e
 
 
 @pytest.mark.parametrize("n, q, det, z", INDEX_GROUPS)

@@ -51,11 +51,15 @@ def test_chain_independent_of_subgroup_order():
         assert [c.members for c in again.chain] == [c.members for c in base.chain]
 
 
-def test_lattice_cap():
+def test_lattice_cap(monkeypatch):
     G = liea.enumerate_group(2, 17, 16)  # Sylow 2-subgroup of order 512
     S = liea.sylow_in(G, liea.compute_params(2, 17, 2, 16))
+    monkeypatch.setattr(mg, "all_subgroups", None)  # refused before any enumeration
+    monkeypatch.setattr(rho, "_naive_closure", None)
     with pytest.raises(CapExceeded):
         rho.nontrivial_subgroups(G, S)
+    with pytest.raises(CapExceeded):
+        rho.rho_chain_naive(G, S, S)
 
 
 DUAL_CASES = [(2, 3, 1, 2), (2, 3, 2, 2), (2, 4, 1, 3), (2, 5, 1, 2),
@@ -73,6 +77,33 @@ def test_fast_and_naive_engines_agree(n, q, det, p):
     assert [c.members for c in fast.chain] == [c.members for c in slow.chain]
     assert fast.reached_normalizer == slow.reached_normalizer
     assert fast.normalizer.members == slow.normalizer.members
+
+
+def _lattice_case(case):
+    if case == "Q8":
+        G = quaternion_group()
+        return G, G.as_subgroup()
+    if case == "rp-case":  # the Sylow subgroup of the rp-case certificate, order 243
+        _, Sg = liea.build_sylow(liea.compute_params(3, 19, 3, 1, 3))
+        return Sg, Sg.as_subgroup()
+    n, q, det, p = case
+    G = liea.enumerate_group(n, q, det)
+    return G, mg.sylow_subgroup_of(G, p)
+
+
+@pytest.mark.parametrize("case", ["Q8", "rp-case", *DUAL_CASES],
+                         ids=lambda c: c if isinstance(c, str) else "-".join(map(str, c)))
+def test_lattice_matches_naive_twin(case):
+    # cyclic extension against the twin's joins of cyclic subgroups
+    G, S = _lattice_case(case)
+    fast = mg.all_subgroups(S)
+    slow = rho._naive_subgroups(G, S)
+    assert [T.members for T in fast] == [T.members for T in slow]
+    assert [(T.order, T.key()) for T in fast] == sorted((T.order, T.key()) for T in fast)
+    for T in fast:
+        assert rho._naive_closure(G, T.gen_idx) == T.members, T.key()
+    if case == "rp-case":
+        assert len(fast) == 144
 
 
 def test_first_level_equals_normalizer_commutator():
