@@ -12,8 +12,11 @@ Sylow restriction; the chain engine only reports the group theory.
 Two implementations are kept deliberately separate: the fast engine caches
 normalizers by conjugacy class (N(gRg^-1) = g N(R) g^-1) and uses the
 identity < U_R (N /\\ A_R) > = < N /\\ U_R A_R >; the naive engine enumerates
-its own subgroup lattice and rescans every subgroup from definitions.  The
-test suite diffs them.
+its own subgroup lattice and rescans every subgroup from definitions, as
+whole-array scans of all of G on its multiplication table: a normalizer
+checks every member, a commutator subgroup closes the commutators of every
+pair, and a group above MatrixGroup.CAYLEY_LIMIT is refused.  The test
+suite diffs them.
 
 Certificates package the hypotheses of the one-dimensionality criterion
 (a subgroup H containing N_G(S), generator witnesses, and per-condition
@@ -149,56 +152,48 @@ def rho_chain(G: mg.MatrixGroup, S: mg.Subgroup, Q: mg.Subgroup,
 
 # -- the deliberately naive twin ---------------------------------------------
 
-def _naive_conj(G, g, x):
-    return G.mul_idx(G.mul_idx(g, x), G.inv_idx(g))
+def _naive_table(G: mg.MatrixGroup) -> np.ndarray:
+    """G's multiplication table; a group too large for one is refused
+    before any product."""
+    if G.order > G.CAYLEY_LIMIT:
+        raise CapExceeded(
+            f"|G| = {G.order} exceeds the multiplication-table cap {G.CAYLEY_LIMIT}",
+            needed=G.order, cap=G.CAYLEY_LIMIT)
+    return G.cayley()
 
 
 def _naive_closure(G, seed):
-    elems = set(seed) | {G.identity_idx}
-    frontier = list(elems)
-    gens = sorted(set(seed))
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = G.mul_idx(x, g)
-                if y not in elems:
-                    elems.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return frozenset(elems)
+    """Every product of the seed elements: a BFS on a mask over G, each
+    round multiplying the new elements by every seed element."""
+    tab = _naive_table(G)
+    gens = np.unique(np.fromiter(seed, dtype=np.int64))
+    inside = np.zeros(G.order, dtype=bool)
+    inside[G.identity_idx] = True
+    inside[gens] = True
+    frontier = np.flatnonzero(inside)
+    while frontier.size:
+        prods = tab[frontier[:, None], gens]
+        frontier = np.unique(prods[~inside[prods]])
+        inside[frontier] = True
+    return frozenset(np.flatnonzero(inside).tolist())
 
 
 def _naive_normalizer(G, members):
-    out = set()
-    gens = mg.find_generators(G, np.array(sorted(members), dtype=np.int64))
-    for g in range(G.order):
-        if all(_naive_conj(G, g, x) in members for x in gens):
-            out.add(g)
-    return frozenset(out)
+    """Every g with g x g^-1 in the set for every member x."""
+    tab = _naive_table(G)
+    xs = np.fromiter(members, dtype=np.int64)
+    inside = np.zeros(G.order, dtype=bool)
+    inside[xs] = True
+    conj = tab[tab[:, xs], G.inv[:, None]]
+    return frozenset(np.flatnonzero(inside[conj].all(axis=1)).tolist())
 
 
 def _naive_commutator(G, members):
-    members = sorted(members)
-    if len(members) <= 300:
-        seeds = {G.mul_idx(G.mul_idx(a, b),
-                           G.mul_idx(G.inv_idx(a), G.inv_idx(b)))
-                 for a in members for b in members}
-    else:
-        gens = mg.find_generators(G, np.array(members, dtype=np.int64))
-        seeds = {G.mul_idx(G.mul_idx(a, b),
-                           G.mul_idx(G.inv_idx(a), G.inv_idx(b)))
-                 for a in gens for b in gens}
-        # normal closure under the subgroup, scanned directly
-        while True:
-            closed = _naive_closure(G, seeds)
-            extra = {_naive_conj(G, h, x)
-                     for h in gens for x in closed
-                     if _naive_conj(G, h, x) not in closed}
-            if not extra:
-                return closed
-            seeds |= extra
-    return _naive_closure(G, seeds)
+    """The closure of a b a^-1 b^-1 over every pair of members."""
+    tab = _naive_table(G)
+    xs = np.fromiter(members, dtype=np.int64)
+    ys = G.inv[xs]
+    return _naive_closure(G, np.unique(tab[tab[xs[:, None], xs], tab[ys[:, None], ys]]))
 
 
 def _naive_subgroups(G: mg.MatrixGroup, S: mg.Subgroup) -> list[mg.Subgroup]:
@@ -233,6 +228,8 @@ def rho_chain_naive(G: mg.MatrixGroup, S: mg.Subgroup, Q: mg.Subgroup,
     on its own subgroup lattice."""
     if Q.order <= 1:
         raise DomainError("Q must be a nontrivial subgroup of S")
+    if not Q.members <= S.members:
+        raise DomainError("Q must be contained in S")
     subs = [T for T in _naive_subgroups(G, S) if T.order > 1]
     if Q.key() not in [T.key() for T in subs]:
         subs.append(Q)

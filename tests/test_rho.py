@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from endotriv import liea, rho
@@ -77,6 +78,110 @@ def test_fast_and_naive_engines_agree(n, q, det, p):
     assert [c.members for c in fast.chain] == [c.members for c in slow.chain]
     assert fast.reached_normalizer == slow.reached_normalizer
     assert fast.normalizer.members == slow.normalizer.members
+
+
+def test_both_engines_refuse_q_outside_s():
+    G = liea.enumerate_group(2, 3)
+    S = mg.sylow_subgroup_of(G, 2)
+    Q = mg.sylow_subgroup_of(G, 3)
+    for engine in (rho.rho_chain, rho.rho_chain_naive):
+        with pytest.raises(DomainError, match="contained in S"):
+            engine(G, S, Q)
+
+
+@pytest.mark.parametrize("n,q,det,p", [(2, 3, 2, 2), (2, 7, 1, 3)])
+def test_naive_twin_runs_without_the_subgroup_algebra(monkeypatch, n, q, det, p):
+    # the twin is evidence only while it shares no subgroup routine with the engine
+    G = liea.enumerate_group(n, q, det)
+    S = mg.sylow_subgroup_of(G, p)
+    fast = rho.rho_chain(G, S, S, max_i=3)
+    for name in ("_closure_indices", "generated_subgroup", "find_generators",
+                 "normalizer", "commutator_subgroup", "all_subgroups"):
+        monkeypatch.setattr(mg, name, None)
+    for name in ("sandwich_all", "conj_map"):
+        monkeypatch.setattr(G, name, None)
+    slow = rho.rho_chain_naive(G, S, S, max_i=3)
+    assert [c.members for c in slow.chain] == [c.members for c in fast.chain]
+    assert slow.normalizer.members == fast.normalizer.members
+    assert slow.reached_normalizer == fast.reached_normalizer
+
+
+def _matrix_mul(F, a, b):
+    prods = F.mul[a[:, :, None], b[None, :, :]]  # [i, k, j] = a[i, k] b[k, j]
+    out = prods[:, 0]
+    for k in range(1, a.shape[0]):
+        out = F.add[out, prods[:, k]]
+    return out
+
+
+def _matrix_twin(G):
+    """Closure, normalizer and commutator subgroup computed on G's matrices
+    with the field tables, each result mapped back to indices by index_of."""
+    F, one = G.field, mg.identity_matrix(G.n)
+    mats = [G.elements[i] for i in range(G.order)]
+    invs = []
+    for a in mats:  # a^-1 is the power b of a with b a = 1
+        b = one
+        while not np.array_equal(_matrix_mul(F, b, a), one):
+            b = _matrix_mul(F, b, a)
+        invs.append(b)
+
+    def closure(seed):
+        out, frontier = {G.index_of(one)}, [one]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for g in seed:
+                    y = _matrix_mul(F, x, mats[g])
+                    if (i := G.index_of(y)) not in out:
+                        out.add(i)
+                        nxt.append(y)
+            frontier = nxt
+        return out
+
+    def conj(g, x):
+        return G.index_of(_matrix_mul(F, _matrix_mul(F, mats[g], mats[x]), invs[g]))
+
+    def normalizer(members):
+        return {g for g in range(G.order) if all(conj(g, x) in members for x in members)}
+
+    def commutator(members):
+        return closure({G.index_of(_matrix_mul(F, _matrix_mul(F, mats[a], mats[b]),
+                                               _matrix_mul(F, invs[a], invs[b])))
+                        for a in members for b in members})
+
+    return closure, normalizer, commutator
+
+
+@pytest.mark.parametrize("group", ["Q8", "SL(2,3)"])
+def test_naive_primitives_match_matrix_arithmetic(group):
+    # the twin reads G's multiplication table; this checks it against matrices
+    G = quaternion_group() if group == "Q8" else liea.enumerate_group(2, 3)
+    closure, normalizer, commutator = _matrix_twin(G)
+    for p in (2, 3):
+        if G.order % p:
+            continue
+        for key in mg.conjugate_orbit(G, mg.sylow_subgroup_of(G, p).key()):
+            members = frozenset(key)
+            for x in key:
+                for y in key:
+                    assert rho._naive_closure(G, [x, y]) == closure([x, y])
+            N = rho._naive_normalizer(G, members)
+            assert N == normalizer(members)
+            assert rho._naive_commutator(G, members) == commutator(members)
+            assert rho._naive_commutator(G, N) == commutator(N)
+
+
+def test_naive_twin_refuses_groups_without_a_table(monkeypatch):
+    G = liea.enumerate_quotient(2, 7, 6, 1)  # GL(2,7), 2016 elements
+    S = mg.sylow_subgroup_of(G, 3)
+    for name in ("right_mul_batch", "cayley", "mul_idx"):  # refused before any product
+        monkeypatch.setattr(G, name, None)
+    for run in (lambda: rho._naive_closure(G, G.gen_idx),
+                lambda: rho.rho_chain_naive(G, S, S)):
+        with pytest.raises(CapExceeded) as exc:
+            run()
+        assert exc.value.cap == mg.MatrixGroup.CAYLEY_LIMIT < G.order
 
 
 def _lattice_case(case):
