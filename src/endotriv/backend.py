@@ -2,11 +2,11 @@
 and the determinants of generators.
 
 Matrices are (n, n) uint8 arrays of field-element encodings; batches are
-(m, n, n).  Field arithmetic goes through the q x q `mul`/`add` tables of
-a FieldSpec (uint8 for q <= 256, which is the enumeration regime).  Each
-kernel works on the whole batch at once: its Python loops run over matrix
-columns and rows, never over the batch.  Inverses, determinants and powers
-of group elements come from the closure's index tables, in matgrp.
+(m, n, n).  Field arithmetic goes through the q x q uint8 `mul`/`add`
+tables that every FieldSpec has (q <= 256).  Each kernel works on the
+whole batch at once: its Python loops run over matrix columns and rows,
+never over the batch.  Inverses, determinants and powers of group
+elements come from the closure's index tables, in matgrp.
 tests/test_backend.py checks every kernel against scalar references built
 from the field's element operations.
 """

@@ -27,7 +27,7 @@ import numpy as np
 from . import abst, liea
 from . import matgrp as mg
 from .abst import AbelianStructure, ExtensionDescriptor, cyclic, direct_sum, free
-from .errors import AmbiguousCase, CapExceeded, DomainError
+from .errors import AmbiguousCase, DomainError
 from .gf import p_val
 from .liea import LieParams, compute_params
 
@@ -158,23 +158,17 @@ def cyclic_quotient_normalizer(params: LieParams, cap: int | None = None) -> mg.
     """
     n, q, e, f, d, z = (params.n, params.q, params.e, params.f,
                         params.det_order, params.z_order)
-    F = params.field
-    cap_val = mg.enumeration_cap(cap)
+    too_large = "Sylow normalizer too large to enumerate"
     if e == 1:
-        expected = liea.monomial_order(n, q, d)
-        if expected > cap_val:
-            raise CapExceeded("Sylow normalizer too large to enumerate",
-                              needed=expected, cap=cap_val)
+        mg.admit(q, cap, (liea.monomial_order(n, q, d), too_large))
         N = liea.monomial_group(n, q, d, cap=cap)
     else:
         ngl_order = e * (q ** e - 1) * liea.order_gl(f, q)
         expected = ngl_order * d // (q - 1)
-        if expected > cap_val:
-            raise CapExceeded("Sylow normalizer too large to enumerate",
-                              needed=expected, cap=cap_val)
-        if ngl_order > cap_val:  # the message `generate` would raise, before the work
-            raise CapExceeded(f"closure of N_GL(S) exceeds cap {cap_val}",
-                              needed=ngl_order, cap=cap_val)
+        # the second message is the one `generate` would raise, before the work
+        mg.admit(q, cap, (expected, too_large),
+                 (ngl_order, "closure of N_GL(S) exceeds cap {cap}"))
+        F = params.field
         w, g = liea.singer_block(q, e)
         gens = [mg.block_embed(n, [(0, w)]), mg.block_embed(n, [(0, g)])]
         for gmat in liea.group_generators(f, q, q - 1) if f else []:
@@ -188,7 +182,7 @@ def cyclic_quotient_normalizer(params: LieParams, cap: int | None = None) -> mg.
         if N.order != expected:
             raise DomainError("normalizer order mismatch")  # pragma: no cover
     if z > 1:
-        N = N.central_quotient(sorted(F.subgroup_values(z)))
+        N = N.central_quotient(sorted(params.field.subgroup_values(z)))
     return N
 
 

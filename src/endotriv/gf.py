@@ -2,8 +2,9 @@
 
 Field elements are canonically encoded as integers in [0, q): the element
 with coefficient vector (c_0, ..., c_{k-1}) over GF(p) is the integer
-sum(c_i * p**i).  All arithmetic below the table limit runs off dense
-q x q lookup tables built once per field; the tables themselves are
+sum(c_i * p**i).  Fields go up to q = Q_ENUM_LIMIT = 256, so every
+element fits in a byte: each field has dense q x q uint8 lookup tables,
+built once, and all arithmetic runs off them.  The tables themselves are
 produced from a discrete-log pair (exp/log) so construction is O(q^2)
 in numpy rather than O(q^2) polynomial multiplications.
 
@@ -20,8 +21,7 @@ import numpy as np
 
 from .errors import DomainError
 
-Q_CAP = 1 << 16
-TABLE_LIMIT = 4096
+Q_ENUM_LIMIT = 256  # uint8 element encodings
 
 
 # ---------------------------------------------------------------------------
@@ -103,23 +103,17 @@ def _poly_mul(F: FieldSpec, a, b):
     return _poly_trim(out)
 
 
-def _poly_divmod(F: FieldSpec, a, b):
-    """(quotient, remainder) of a by a nonzero trimmed b."""
+def _poly_rem(F: FieldSpec, a, b):
+    """Remainder of a by a nonzero trimmed b."""
     a = _poly_trim(list(a))
-    quo = [0] * max(0, len(a) - len(b) + 1)
     lead_inv = F.inv_el(b[-1])
     while len(a) >= len(b):
         c = F.mul_el(a[-1], lead_inv)
         shift = len(a) - len(b)
-        quo[shift] = c
         for i, bi in enumerate(b):
             a[shift + i] = F.add_el(a[shift + i], F.neg_el(F.mul_el(c, bi)))
         _poly_trim(a)
-    return _poly_trim(quo), a
-
-
-def _poly_rem(F: FieldSpec, a, mod):
-    return _poly_divmod(F, a, mod)[1]
+    return a
 
 
 def _poly_powmod(F: FieldSpec, a, e, mod):
@@ -188,8 +182,8 @@ class FieldSpec:
     """
 
     def __init__(self, q: int):
-        if q < 2 or q > Q_CAP:
-            raise DomainError(f"field size {q} outside supported range [2, {Q_CAP}]")
+        if q < 2 or q > Q_ENUM_LIMIT:
+            raise DomainError(f"field size {q} outside supported range [2, {Q_ENUM_LIMIT}]")
         self.q = q
         self.char, self.degree = prime_power_split(q)
         # GF(p^k) = GF(p)[x]/(modulus); a prime field is its own base
@@ -228,23 +222,6 @@ class FieldSpec:
             e >>= 1
         return result
 
-    def _raw_inv(self, a: int) -> int:
-        """Inverse by extended Euclid on coefficient polynomials."""
-        if a == 0:
-            raise DomainError("zero is not invertible")
-        if self.degree == 1:
-            return pow(a, self.q - 2, self.q)
-        P = field_spec(self.char)
-        r0, r1 = list(self.modulus), _poly_trim(list(self.coeffs(a)))
-        s0, s1 = [], [1]
-        while r1:
-            quo, rem = _poly_divmod(P, r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(P, s0, _poly_mul(P, quo, s1))
-        # r0 is a nonzero constant gcd
-        c_inv = P.inv_el(r0[0])
-        return self.from_coeffs(_poly_rem(P, [P.mul_el(c_inv, c) for c in s0], self.modulus))
-
     # -- table construction -------------------------------------------------
 
     def _build_tables(self):
@@ -258,10 +235,6 @@ class FieldSpec:
                 break
         self.primitive = prim
 
-        if q > TABLE_LIMIT:
-            self.exp = self.log = self.add = self.mul = self.neg = self.inv_table = None
-            return
-
         exp = np.empty(q - 1, dtype=np.int32)
         acc = 1
         for i in range(q - 1):
@@ -271,8 +244,7 @@ class FieldSpec:
         log[exp] = np.arange(q - 1)
         self.exp, self.log = exp, log
 
-        dtype = np.uint8 if q <= 256 else np.int32
-        mul = np.zeros((q, q), dtype=dtype)
+        mul = np.zeros((q, q), dtype=np.uint8)
         nz = exp  # all nonzero values
         mul[np.ix_(nz, nz)] = exp[(log[nz][:, None] + log[nz][None, :]) % (q - 1)]
         self.mul = mul
@@ -290,10 +262,10 @@ class FieldSpec:
             add += term
             neg += (-digit) % p * place
             place *= p
-        self.add = add.astype(dtype)
-        self.neg = neg.astype(dtype)
+        self.add = add.astype(np.uint8)
+        self.neg = neg.astype(np.uint8)
 
-        inv = np.zeros(q, dtype=dtype)
+        inv = np.zeros(q, dtype=np.uint8)
         inv[exp] = exp[(-(np.arange(q - 1))) % (q - 1)]
         self.inv_table = inv
 
@@ -302,31 +274,22 @@ class FieldSpec:
     def add_el(self, a: int, b: int) -> int:
         if self.degree == 1:
             return (int(a) + int(b)) % self.q
-        if self.add is not None:
-            return int(self.add[a, b])
-        s = [(x + y) % self.char for x, y in zip(self.coeffs(a), self.coeffs(b))]
-        return self.from_coeffs(s)
+        return int(self.add[a, b])
 
     def mul_el(self, a: int, b: int) -> int:
         if self.degree == 1:
             return int(a) * int(b) % self.q
-        if self.mul is not None:
-            return int(self.mul[a, b])
-        return self._raw_mul(a, b)
+        return int(self.mul[a, b])
 
     def neg_el(self, a: int) -> int:
         if self.degree == 1:
             return -int(a) % self.q
-        if self.neg is not None:
-            return int(self.neg[a])
-        return self.from_coeffs([(-c) % self.char for c in self.coeffs(a)])
+        return int(self.neg[a])
 
     def inv_el(self, a: int) -> int:
         if a == 0:
             raise DomainError("zero is not invertible")
-        if self.inv_table is not None:
-            return int(self.inv_table[a])
-        return self._raw_inv(a)
+        return int(self.inv_table[a])
 
     def pow_el(self, a: int, e: int) -> int:
         if a == 0:
@@ -336,21 +299,13 @@ class FieldSpec:
                 raise DomainError("zero is not invertible")
             return 0
         e %= (self.q - 1)
-        if self.log is not None:
-            return int(self.exp[(int(self.log[a]) * e) % (self.q - 1)])
-        return self._raw_pow(a, e)
+        return int(self.exp[(int(self.log[a]) * e) % (self.q - 1)])
 
     def mult_order(self, a: int) -> int:
         if a == 0:
             raise DomainError("multiplicative order of zero is undefined")
         m = self.q - 1
-        if self.log is not None:
-            return m // math.gcd(m, int(self.log[a]))
-        order = m
-        for r, _ in factorize(m).items():
-            while order % r == 0 and self._raw_pow(a, order // r) == 1:
-                order //= r
-        return order
+        return m // math.gcd(m, int(self.log[a]))
 
     def element_of_order(self, m: int) -> int:
         """Element of F_q^x of multiplicative order m (m must divide q-1)."""

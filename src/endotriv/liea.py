@@ -22,7 +22,7 @@ import numpy as np
 
 from . import backend
 from . import matgrp as mg
-from .errors import CapExceeded, DomainError, GroupSpecError
+from .errors import DomainError, GroupSpecError
 from .gf import (FieldSpec, _least_irreducible, _poly_mul, _poly_powmod, _poly_rem,
                  _poly_trim, factorize, field_spec, is_prime, p_part, p_val,
                  prime_power_split)
@@ -202,12 +202,7 @@ def group_generators(n: int, q: int, det_order: int = 1) -> list[np.ndarray]:
 def enumerate_group(n: int, q: int, det_order: int = 1, cap: int | None = None,
                     name: str | None = None) -> mg.MatrixGroup:
     expected = group_order(n, q, det_order)
-    cap_val = mg.enumeration_cap(cap)
-    if expected > cap_val:
-        raise CapExceeded(
-            f"group of order {expected} exceeds cap {cap_val}",
-            needed=expected, cap=cap_val)
-    mg.require_enumerable(q)
+    mg.admit(q, cap, (expected, "group of order {needed} exceeds cap {cap}"))
     F = field_spec(q)
     G = mg.MatrixGroup.generate(F, group_generators(n, q, det_order), cap=cap,
                                 name=name or _default_name(n, q, det_order))
@@ -399,11 +394,7 @@ def build_sylow(params: LieParams, cap: int | None = None) -> tuple[SylowPresent
     if params.sylow_trivial:
         raise DomainError(f"p={p} does not divide the group order (n < e)")
     gl_order = p_part(order_gl(n, q), p)
-    cap_val = mg.enumeration_cap(cap)
-    if gl_order > cap_val:
-        raise CapExceeded(f"Sylow of order {gl_order} exceeds cap {cap_val}",
-                          needed=gl_order, cap=cap_val)
-    mg.require_enumerable(q)
+    mg.admit(q, cap, (gl_order, "Sylow of order {needed} exceeds cap {cap}"))
     F = params.field
     gl_gens, shape = _gl_sylow_generators(n, q, p, params.e, params.t)
     S_gl = mg.MatrixGroup.generate(F, gl_gens, cap=cap, name=f"Syl_{p}(GL({n},{q}))")
@@ -475,10 +466,7 @@ def levi(blocks, q: int, det_order: int = 1, cap: int | None = None,
     if any(b < 1 for b in blocks):
         raise DomainError("block sizes must be positive")
     expected = levi_order(blocks, q, det_order)
-    cap_val = mg.enumeration_cap(cap)
-    if expected > cap_val:
-        raise CapExceeded(f"block group of order {expected} exceeds cap {cap_val}",
-                          needed=expected, cap=cap_val)
+    mg.admit(q, cap, (expected, "block group of order {needed} exceeds cap {cap}"))
     L = mg.MatrixGroup.generate(
         field_spec(q), levi_generators(blocks, q, det_order), cap=cap,
         name=name or f"L{tuple(blocks)}:{det_order} over GF({q})")
@@ -541,12 +529,9 @@ def levi_normalizer_equal_blocks(s: int, r: int, q: int,
     if r < 2 or s < 1:
         raise DomainError("need r >= 2 equal blocks")
     n = s * r
-    F = field_spec(q)
     expected = levi_order([s] * r, q, 1) * math.factorial(r)
-    cap_val = mg.enumeration_cap(cap)
-    if expected > cap_val:
-        raise CapExceeded(f"block normalizer of order {expected} exceeds cap",
-                          needed=expected, cap=cap_val)
+    mg.admit(q, cap, (expected, "block normalizer of order {needed} exceeds cap"))
+    F = field_spec(q)
     gens = levi_generators([s] * r, q, det_order=1)
     for i in range(r - 1):
         perm = list(range(n))
@@ -578,10 +563,8 @@ def monomial_group(n: int, q: int, det_order: int = 1, cap: int | None = None) -
     """Monomial matrices with determinant in the chosen subgroup."""
     name = f"monomial({n},{q}):{det_order}"
     order = monomial_order(n, q, det_order)
-    cap_val = mg.enumeration_cap(cap)
-    if order > cap_val:  # the refusal `generate` would reach, before the work
-        raise CapExceeded(f"closure of {name} exceeds cap {cap_val}",
-                          needed=order, cap=cap_val)
+    # the refusal `generate` would reach, before the work
+    mg.admit(q, cap, (order, f"closure of {name} exceeds cap {{cap}}"))
     F = field_spec(q)
     gens = levi_generators([1] * n, q, det_order)
     for i in range(n - 1):

@@ -30,14 +30,21 @@ import numpy as np
 from . import backend
 from .abst import AbelianStructure, from_cyclic_orders
 from .errors import CapExceeded, DomainError
-from .gf import FieldSpec, factorize
+from .gf import Q_ENUM_LIMIT, FieldSpec, factorize
 
 DEFAULT_CAP = 2_000_000
-Q_ENUM_LIMIT = 256  # uint8 element encodings
 
 
-def require_enumerable(q: int) -> None:
-    """Refuse fields too large to enumerate, before any table is built."""
+def admit(q: int, cap: int | None, *limits: tuple[int, str]) -> None:
+    """Refuse an enumeration over GF(q) before any work: first each
+    (order, message) limit whose order exceeds the cap, the message
+    formatted with `needed` and `cap`, then a field too large to tabulate.
+    Every constructor calls this before it asks for the field."""
+    cap_val = enumeration_cap(cap)
+    for order, message in limits:
+        if order > cap_val:
+            raise CapExceeded(message.format(needed=order, cap=cap_val),
+                              needed=order, cap=cap_val)
     if q > Q_ENUM_LIMIT:
         raise DomainError(f"enumeration supports q <= {Q_ENUM_LIMIT}, got q={q}")
 
@@ -174,7 +181,6 @@ class MatrixGroup:
         """Breadth-first closure of the generators (deterministic order): each
         level multiplies its distinct rows by every generator (and kernel scalar,
         keeping the least key) and numbers new products by first occurrence."""
-        require_enumerable(field.q)
         cap = enumeration_cap(cap)
         gens = [matrix(g) for g in gens]
         if not gens:
@@ -401,7 +407,7 @@ class MatrixGroup:
 
     def as_subgroup(self) -> "Subgroup":
         return Subgroup(self, np.arange(self.order, dtype=np.int64),
-                        gen_idx=tuple(self.gen_idx), _checked=True)
+                        gen_idx=tuple(self.gen_idx))
 
     def __repr__(self):
         return f"<{self.name}: order {self.order} over GF({self.field.q})>"
@@ -413,7 +419,7 @@ class Subgroup:
     """A subgroup of an enumerated group, held as a sorted index set."""
 
     def __init__(self, parent: MatrixGroup, idx: np.ndarray,
-                 gen_idx: tuple[int, ...] | None = None, _checked: bool = False):
+                 gen_idx: tuple[int, ...] | None = None):
         self.parent = parent
         self.idx = np.sort(np.asarray(idx, dtype=np.int64))
         self.members = frozenset(int(i) for i in self.idx)
@@ -423,7 +429,6 @@ class Subgroup:
             raise DomainError(
                 f"Lagrange violation: {len(self.members)} does not divide {parent.order}")
         self._gen_idx = tuple(gen_idx) if gen_idx is not None else None
-        self._checked = _checked
 
     @property
     def order(self) -> int:
@@ -550,7 +555,7 @@ def _closure_indices(G: MatrixGroup, gen_idx, base=None) -> frozenset[int]:
     return frozenset(seen)
 
 
-def subgroup_closure(G: MatrixGroup, gen_idx, name: str = "") -> Subgroup:
+def subgroup_closure(G: MatrixGroup, gen_idx) -> Subgroup:
     return _extend(trivial_subgroup(G), gen_idx)
 
 

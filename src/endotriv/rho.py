@@ -32,7 +32,7 @@ import numpy as np
 from . import liea
 from . import matgrp as mg
 from .errors import CapExceeded, DomainError
-from .gf import field_spec, p_part, p_val  # noqa: F401 (p_val used by builders)
+from .gf import field_spec, p_part, p_val
 
 S_ORDER_CAP = 256
 
@@ -752,16 +752,16 @@ def build_torus_quotient_certificate(n: int, q: int, p: int,
     if n == p == 3 and (q - 1) % 9:
         raise DomainError(
             "for n = p = 3 the scaled-torus witness is scalar unless 9 | q-1")
-    F = field_spec(q)
     t = p_val(q - 1, p)
     zc = liea.scalar_center_order(n, q, 1)
     z_order = z_order if z_order is not None else p_part(zc, p)
     if z_order <= 1 or p_part(z_order, p) != z_order or zc % z_order != 0:
         raise DomainError("Z must be a nontrivial central p-subgroup")
-    zvals = sorted(F.subgroup_values(z_order))
     params = liea.compute_params(n, q, p, 1, z_order)
 
     Hg = liea.monomial_group(n, q, 1, cap=cap)
+    F = field_spec(q)
+    zvals = sorted(F.subgroup_values(z_order))
     _, Sg = liea.build_sylow(params, cap=cap)
     zeta = F.element_of_order(p ** t)
     qgens = []
@@ -814,11 +814,11 @@ def build_block_count_certificate(q: int, p: int, a: int = 1, s: int = 1,
     r = a * p ** s + b
     n = r * e
     params = liea.compute_params(n, q, p, 1, 1)
-    F = field_spec(q)
     big, small = a * p ** s * e, b * e
     # the Sylow builder lays blocks out in increasing width
     blocks = [small, big]
     N = liea.levi(blocks, q, 1, cap=cap, name="two-block group")
+    F = field_spec(q)
     _, Sg = liea.build_sylow(params, cap=cap)
     Sn = mg.Subgroup(N, np.unique(N.lookup_batch(Sg.elements)))
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from endotriv import corpus as corpus_mod
-from endotriv import gf, liea
+from endotriv import gf, liea, rho
 from endotriv.cli import main
 from endotriv.corpus import CorpusEntry, load_corpus, run_corpus
 from endotriv.errors import DomainError
@@ -52,7 +52,8 @@ def test_exit_code_domain_error(capsys):
 
 
 def test_large_field_refused_before_tables(monkeypatch, capsys):
-    """q > 256 is refused before any GF(q) table is built."""
+    """q > 256 is refused before any GF(q) table is built; a group over the
+    cap is refused first."""
     seen = []
     real = gf.field_spec
 
@@ -60,15 +61,26 @@ def test_large_field_refused_before_tables(monkeypatch, capsys):
         seen.append(q)
         return real(q)
 
-    for mod in (gf, liea):
+    for mod in (gf, liea, rho):
         monkeypatch.setattr(mod, "field_spec", spy)
-    code, out, _ = run_cli(capsys, "sylow", "2", "4096", "3", "--json")
-    assert code == 1
-    assert json.loads(out) == {"error": "domain",
-                               "message": "enumeration supports q <= 256, got q=4096"}
+    for q, args in ((4096, ("sylow", "2", "4096", "3")),
+                    (4093, ("classify", "2", "4093", "3", "--z", "2")),
+                    (263, ("classify", "2", "263", "131", "--z", "2")),
+                    (257, ("classify", "3", "257", "3", "--det", "256", "--z", "2",
+                           "--cap", "100000000"))):
+        code, out, _ = run_cli(capsys, *args, "--json")
+        assert code == 1
+        assert json.loads(out) == {"error": "domain",
+                                   "message": f"enumeration supports q <= 256, got q={q}"}
+        assert q not in seen
     with pytest.raises(DomainError, match="q <= 256"):
         liea.enumerate_group(1, 4096)
-    assert 4096 not in seen
+    code, out, _ = run_cli(capsys, "certify", "rp-case", "3", "2017", "3", "--json")
+    assert code == 0
+    [entry] = json.loads(out)["verdicts"]
+    assert entry["verdict"] == "SKIPPED"
+    assert entry["reason"] == "closure of monomial(3,2017):1 exceeds cap 2000000"
+    assert not {4096, 2017} & set(seen)
 
 
 def test_exit_code_cap(capsys):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from endotriv import backend, liea, rho
+from endotriv import backend, gf, liea, rho
 from endotriv import matgrp as mg
+from endotriv.classify import classify
 from endotriv.errors import CapExceeded, DomainError, GroupSpecError
 from endotriv.gf import field_spec, p_part
 
@@ -104,6 +105,45 @@ def test_monomial_cap_refused_before_closure(monkeypatch):
     [entry] = rho.replay_proof_certificates("rp-case", cap=1000)
     assert entry["verdict"] == "SKIPPED"
     assert entry["reason"] == "closure of monomial(3,19):1 exceeds cap 1000"
+
+
+ADMISSIONS = {
+    "enumerate_group": (lambda cap: liea.enumerate_group(2, 263, cap=cap),
+                        f"group of order {liea.order_sl(2, 263)} exceeds cap 10"),
+    "build_sylow": (lambda cap: liea.build_sylow(liea.compute_params(2, 263, 131), cap=cap),
+                    "Sylow of order 17161 exceeds cap 10"),
+    "levi": (lambda cap: liea.levi([1, 1], 263, cap=cap),
+             "block group of order 262 exceeds cap 10"),
+    "levi_normalizer_equal_blocks": (
+        lambda cap: liea.levi_normalizer_equal_blocks(1, 2, 263, cap=cap),
+        "block normalizer of order 524 exceeds cap"),
+    "monomial_group": (lambda cap: liea.monomial_group(2, 263, cap=cap),
+                       "closure of monomial(2,263):1 exceeds cap 10"),
+    "classify": (lambda cap: classify(2, 263, 131, 1, 2, cap=cap),
+                 "Sylow normalizer too large to enumerate"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADMISSIONS))
+def test_cap_then_field_size_before_any_field(name, monkeypatch):
+    """Over the cap is refused first, then q > 256, and both before GF(q)."""
+    build, cap_message = ADMISSIONS[name]
+    seen = []
+    real = gf.field_spec
+
+    def spy(q):
+        seen.append(q)
+        return real(q)
+
+    for mod in (gf, liea, rho):
+        monkeypatch.setattr(mod, "field_spec", spy)
+    with pytest.raises(DomainError, match=r"^enumeration supports q <= 256, got q=263$"):
+        build(10 ** 9)
+    assert 263 not in seen
+    with pytest.raises(CapExceeded) as exc:
+        build(10)
+    assert str(exc.value) == cap_message and exc.value.cap == 10
+    assert 263 not in seen
 
 
 def test_levi_normalizer_matches_ambient_scan():
