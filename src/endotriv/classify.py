@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import abst, liea
+from . import abst, backend, liea
 from . import matgrp as mg
 from .abst import AbelianStructure, ExtensionDescriptor, cyclic, direct_sum, free
 from .errors import AmbiguousCase, DomainError
@@ -150,40 +150,73 @@ def _classify_cyclic_trivial_z(params: LieParams, notes: list[str]) -> TClassifi
 # cyclic-Sylow quotients of central quotients: extension data only
 
 def cyclic_quotient_normalizer(params: LieParams, cap: int | None = None) -> mg.MatrixGroup:
-    """N(S)/Z for the cyclic-Sylow quotient, as an enumerated group.
+    """N(S)/Z for the cyclic-Sylow quotient, as an enumerated group, closed
+    once in the quotient by Z from generators of N(S).
 
-    For r = 1 this is the block normalizer C_{q^e-1} : C_e times GL(f,q),
-    cut to the determinant condition; for e = 1 (so n = 2, p odd, Z
-    absorbing the central p-part) it is the monomial subgroup.
+    For e = 1 (so n = 2, p odd, Z absorbing the central p-part) N(S) is the
+    monomial subgroup.  For r = 1, N_GL(S) is the block normalizer
+    C_{q^e-1} : C_e times GL(f,q), generated by the Singer block t = w, the
+    Frobenius block and GL(f,q), and N(S) = N_G(S) is the preimage of D_d
+    under det: N_GL(S) -> F_q^x.  det t is primitive, so the powers t^i,
+    i < k = (q-1)/d, are a transversal of that preimage, and Schreier's
+    lemma (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
+    Section 4.1) generates it by t^k and t^i s t^-((i + c_s) mod k) for every
+    other generator s and every i < k, where c_s = log det s / log det t
+    mod k.  Before any work the cap must admit both |N_G(S)| and |N_GL(S)|.
     """
     n, q, e, f, d, z = (params.n, params.q, params.e, params.f,
                         params.det_order, params.z_order)
     too_large = "Sylow normalizer too large to enumerate"
     if e == 1:
-        mg.admit(q, cap, (liea.monomial_order(n, q, d), too_large))
-        N = liea.monomial_group(n, q, d, cap=cap)
+        expected = liea.monomial_order(n, q, d)
+        mg.admit(q, cap, (expected, too_large))
+        gens = liea.monomial_generators(n, q, d)
     else:
         ngl_order = e * (q ** e - 1) * liea.order_gl(f, q)
         expected = ngl_order * d // (q - 1)
-        # the second message is the one `generate` would raise, before the work
+        # N_GL(S) is not built; its limit keeps the set of refused tuples
         mg.admit(q, cap, (expected, too_large),
                  (ngl_order, "closure of N_GL(S) exceeds cap {cap}"))
-        F = params.field
-        w, g = liea.singer_block(q, e)
-        gens = [mg.block_embed(n, [(0, w)]), mg.block_embed(n, [(0, g)])]
-        for gmat in liea.group_generators(f, q, q - 1) if f else []:
-            gens.append(mg.block_embed(n, [(e, gmat)]))
-        Ngl = mg.MatrixGroup.generate(F, gens, cap=cap, name="N_GL(S)")
-        keep = np.flatnonzero(np.isin(Ngl.dets(), list(F.subgroup_values(d))))
-        gen_idx = mg.find_generators(Ngl, keep)
-        N = mg.MatrixGroup.generate(
-            F, [Ngl.elements[i] for i in gen_idx] or [mg.identity_matrix(n)],
-            cap=cap, name="N_G(S)")
-        if N.order != expected:
-            raise DomainError("normalizer order mismatch")  # pragma: no cover
-    if z > 1:
-        N = N.central_quotient(sorted(params.field.subgroup_values(z)))
+        gens = _det_preimage_generators(params)
+    F = params.field
+    N = mg.MatrixGroup.generate(F, gens, cap=cap, name=f"N_G(S)/Z{z}",
+                                scalars=sorted(F.subgroup_values(z)) if z > 1 else None)
+    if N.order * z != expected:
+        raise DomainError(  # pragma: no cover
+            f"normalizer order {N.order * z} != expected {expected}")
     return N
+
+
+def _det_preimage_generators(params: LieParams) -> list[np.ndarray]:
+    """Schreier generators of N_G(S) = det^-1(D_d) in N_GL(S), r = 1, e > 1:
+    see `cyclic_quotient_normalizer`.  Duplicates and the identity dropped."""
+    n, q, e, f, d = params.n, params.q, params.e, params.f, params.det_order
+    F = params.field
+    w, g = liea.singer_block(q, e)
+    t = mg.block_embed(n, [(0, w)])
+    others = [mg.block_embed(n, [(0, g)])] + [
+        mg.block_embed(n, [(e, m)]) for m in (liea.group_generators(f, q, q - 1) if f else [])]
+    k = (q - 1) // d
+    logs = [int(F.log[x]) for x in backend.det_many(np.stack([t] + others), F)]
+    ratio = pow(logs[0], -1, k)  # log det t is a unit mod q - 1 (0 when k = 1)
+
+    def mul(a, b):
+        return backend.mm_one(a[None], b, F)[0]
+
+    powers, inv_powers = [mg.identity_matrix(n)], [mg.identity_matrix(n)]
+    t_inv = liea._matrix_power(F, t, q ** e - 2)  # t has order q^e - 1
+    for _ in range(k):
+        powers.append(mul(powers[-1], t))
+    for _ in range(k - 1):
+        inv_powers.append(mul(inv_powers[-1], t_inv))
+    gens = {powers[k].tobytes(): powers[k]}
+    for s, log_s in zip(others, logs[1:]):
+        c = log_s * ratio % k
+        for i in range(k):
+            x = mul(mul(powers[i], s), inv_powers[(i + c) % k])
+            gens.setdefault(x.tobytes(), x)
+    gens.pop(mg.identity_matrix(n).tobytes(), None)
+    return list(gens.values())
 
 
 @lru_cache(maxsize=4096)

@@ -86,7 +86,7 @@ def p_val(n: int, p: int) -> int:
 
 # ---------------------------------------------------------------------------
 # polynomial arithmetic over a field F, little-endian coefficient lists of
-# element encodings; every coefficient operation goes through F's element ops
+# element encodings; every coefficient operation indexes F's table lists
 
 def _poly_trim(a):
     while a and a[-1] == 0:
@@ -95,23 +95,26 @@ def _poly_trim(a):
 
 
 def _poly_mul(F: FieldSpec, a, b):
+    add, mul = F.add_list, F.mul_list
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, ai in enumerate(a):
         if ai:
+            row = mul[ai]
             for j, bj in enumerate(b):
-                out[i + j] = F.add_el(out[i + j], F.mul_el(ai, bj))
+                out[i + j] = add[out[i + j]][row[bj]]
     return _poly_trim(out)
 
 
 def _poly_rem(F: FieldSpec, a, b):
     """Remainder of a by a nonzero trimmed b."""
+    add, mul, neg = F.add_list, F.mul_list, F.neg_list
     a = _poly_trim(list(a))
     lead_inv = F.inv_el(b[-1])
     while len(a) >= len(b):
-        c = F.mul_el(a[-1], lead_inv)
+        row = mul[neg[mul[a[-1]][lead_inv]]]  # times -(lead of a / lead of b)
         shift = len(a) - len(b)
         for i, bi in enumerate(b):
-            a[shift + i] = F.add_el(a[shift + i], F.neg_el(F.mul_el(c, bi)))
+            a[shift + i] = add[a[shift + i]][row[bi]]
         _poly_trim(a)
     return a
 
@@ -128,9 +131,10 @@ def _poly_powmod(F: FieldSpec, a, e, mod):
 
 
 def _poly_sub(F: FieldSpec, a, b):
+    add, neg = F.add_list, F.neg_list
     n = max(len(a), len(b))
-    return _poly_trim([F.add_el(a[i] if i < len(a) else 0,
-                                F.neg_el(b[i] if i < len(b) else 0)) for i in range(n)])
+    return _poly_trim([add[a[i] if i < len(a) else 0][neg[b[i] if i < len(b) else 0]]
+                       for i in range(n)])
 
 
 def _poly_gcd(F: FieldSpec, a, b):
@@ -268,6 +272,10 @@ class FieldSpec:
         inv = np.zeros(q, dtype=np.uint8)
         inv[exp] = exp[(-(np.arange(q - 1))) % (q - 1)]
         self.inv_table = inv
+        # the same tables as Python int lists, for the polynomial routines'
+        # coefficient loops (a numpy scalar lookup costs several list indexings)
+        self.add_list, self.mul_list = self.add.tolist(), mul.tolist()
+        self.neg_list = self.neg.tolist()
 
     # -- public element ops (prime fields: plain integer arithmetic) ---------
 

@@ -559,12 +559,9 @@ def monomial_order(n: int, q: int, det_order: int) -> int:
     return (q - 1) ** (n - 1) * det_order * math.factorial(n)
 
 
-def monomial_group(n: int, q: int, det_order: int = 1, cap: int | None = None) -> mg.MatrixGroup:
-    """Monomial matrices with determinant in the chosen subgroup."""
-    name = f"monomial({n},{q}):{det_order}"
-    order = monomial_order(n, q, det_order)
-    # the refusal `generate` would reach, before the work
-    mg.admit(q, cap, (order, f"closure of {name} exceeds cap {{cap}}"))
+def monomial_generators(n: int, q: int, det_order: int = 1) -> list[np.ndarray]:
+    """Generators of the monomial matrices with determinant in the chosen
+    subgroup: the diagonal ones of `levi_generators` and the adjacent swaps."""
     F = field_spec(q)
     gens = levi_generators([1] * n, q, det_order)
     for i in range(n - 1):
@@ -574,7 +571,17 @@ def monomial_group(n: int, q: int, det_order: int = 1, cap: int | None = None) -
         swap[i, i + 1] = 1
         swap[i + 1, i] = F.neg_el(1)  # determinant 1
         gens.append(swap)
-    M = mg.MatrixGroup.generate(F, gens, cap=cap, name=name)
+    return gens
+
+
+def monomial_group(n: int, q: int, det_order: int = 1, cap: int | None = None) -> mg.MatrixGroup:
+    """Monomial matrices with determinant in the chosen subgroup."""
+    name = f"monomial({n},{q}):{det_order}"
+    order = monomial_order(n, q, det_order)
+    # the refusal `generate` would reach, before the work
+    mg.admit(q, cap, (order, f"closure of {name} exceeds cap {{cap}}"))
+    M = mg.MatrixGroup.generate(field_spec(q), monomial_generators(n, q, det_order),
+                                cap=cap, name=name)
     if M.order != order:
         raise DomainError("monomial group order mismatch")  # pragma: no cover
     return M

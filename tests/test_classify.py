@@ -1,8 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
-from endotriv import abst, liea
+from endotriv import abst, backend, liea
+from endotriv import classify as classify_mod
 from endotriv import matgrp as mg
 from endotriv.abst import ExtensionDescriptor, cyclic, from_cyclic_orders
 from endotriv.classify import classify, tf_rank_oracle, x_group
@@ -219,3 +221,57 @@ def test_normalizer_cap_refused_before_closure(monkeypatch):
         classify(6, 4, 13, 1, 3, cap=20000)
     assert exc.value.needed == 24570
     assert "N_GL(S)" not in names
+
+
+# (n, q, p, z): e = 2, f = 0; e = 2, f = 1; e = 3, f = 0; e = 1 (PGL(2,7)-like)
+CYCLIC_EXT_ORACLE = [(2, 5, 3, 2), (2, 9, 5, 2), (2, 11, 3, 2), (2, 13, 7, 2),
+                     (3, 4, 5, 3), (3, 4, 7, 3), (2, 7, 3, 6)]
+CYCLIC_EXT_CASES = [(n, q, p, d, z) for n, q, p, z in CYCLIC_EXT_ORACLE
+                    for d in range(1, q) if (q - 1) % d == 0
+                    and liea.scalar_center_order(n, q, d) % z == 0]
+
+
+def _ext_ab(n, q, p, d, z, cap=None):
+    par = liea.compute_params(n, q, p, d, z)
+    return classify_mod._cyclic_ext_ab(n, q, par.e, par.f, d, z, cap)
+
+
+@pytest.mark.parametrize("n,q,p,d,z", CYCLIC_EXT_CASES,
+                         ids=["-".join(map(str, c)) for c in CYCLIC_EXT_CASES])
+def test_cyclic_ext_ab_matches_ambient_normalizer(n, q, p, d, z):
+    # independent route: enumerate G/Z, take a Sylow p-subgroup and its
+    # normalizer by a full scan; the whole abelianization must agree
+    assert classify(n, q, p, d, z).case_tag == "cyclic.ext"
+    G = liea.enumerate_quotient(n, q, d, z)
+    S = mg.sylow_subgroup_of(G, p)
+    N = mg.normalizer(G, S)
+    assert _ext_ab(n, q, p, d, z) == mg.quotient_structure(N, mg.commutator_subgroup(N))
+
+
+def test_cyclic_ext_ab_is_one_closure(monkeypatch):
+    calls = {"generate": [], "central_quotient": 0, "find_generators": 0}
+    generate = mg.MatrixGroup.generate.__func__
+
+    def spy_generate(cls, field, gens, cap=None, scalars=None, name="G"):
+        calls["generate"].append((field, [mg.matrix(g) for g in gens]))
+        return generate(cls, field, gens, cap=cap, scalars=scalars, name=name)
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(mg.MatrixGroup, "generate", classmethod(spy_generate))
+    monkeypatch.setattr(mg.MatrixGroup, "central_quotient",
+                        counting("central_quotient", mg.MatrixGroup.central_quotient))
+    monkeypatch.setattr(mg, "find_generators", counting("find_generators", mg.find_generators))
+    for n, q, p, d, z in CYCLIC_EXT_CASES + [(5, 3, 13, 2, 2)]:  # the last: f = 2
+        calls["generate"].clear()
+        classify_mod._cyclic_ext_ab.cache_clear()
+        _ext_ab(n, q, p, d, z)
+        assert len(calls["generate"]) == 1, (n, q, p, d, z)
+        assert calls["central_quotient"] == calls["find_generators"] == 0
+        F, gens = calls["generate"][0]
+        dets = backend.det_many(np.stack(gens), F)
+        assert np.isin(dets, list(F.subgroup_values(d))).all(), (n, q, p, d, z)
