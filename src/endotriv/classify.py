@@ -423,10 +423,7 @@ def tf_rank_oracle(n: int, q: int, p: int, det_order: int = 1, z_order: int = 1,
             if e.rank != 2:
                 continue
             C = mg.centralizer(G, e.subgroup)
-            extendable = any(
-                pmask[i] and int(i) != G.identity_idx and int(i) not in e.subgroup.members
-                for i in C.idx)
-            if not extendable:
+            if np.isin(C.idx[pmask[C.idx]], e.subgroup.idx).all():  # not extendable
                 maximal2.append(e.subgroup)
     classes = mg.subgroup_conjugacy_classes(G, maximal2) if maximal2 else []
     n_g = len(classes)

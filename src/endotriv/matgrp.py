@@ -746,7 +746,25 @@ def subgroup_conjugacy_classes(G: MatrixGroup, subs: list[Subgroup]) -> list[lis
 
 
 # ---------------------------------------------------------------------------
-# elementary abelian subgroups
+# cyclic extension: elementary abelian subgroups and the p-group lattice
+
+def _cyclic_extensions(M: np.ndarray, cands, p: int, right, covered: np.ndarray):
+    """(sorted key of U, x) for U = M u Mx u ... u Mx^(p-1) and each candidate
+    x, in order, outside the U found so far: the step of cyclic extension.
+    A candidate normalizes M and has x^p in M, so U is a subgroup with M
+    of index p, and any x' in U \\ M gives it too.
+    `right(a, x)` gives the indices a * x; `covered`, a mask over the same
+    indices set on M, marks each U."""
+    for x in cands:
+        if covered[x]:
+            continue
+        cosets = [M]
+        for _ in range(p - 1):
+            cosets.append(right(cosets[-1], x))
+        U = np.concatenate(cosets)
+        covered[U] = True
+        yield tuple(np.sort(U).tolist()), int(x)
+
 
 @dataclass
 class ElementaryAbelian:
@@ -755,54 +773,45 @@ class ElementaryAbelian:
     maximal: bool
 
 
-def order_p_elements(T: Subgroup, p: int) -> list[int]:
-    """Elements of order exactly p in T (p prime)."""
-    G = T.parent
-    mask = G.elements_satisfying_power(p)
-    return [int(i) for i in T.idx if mask[i] and int(i) != G.identity_idx]
+EA_ELEMENT_CAP = 30_000  # order-p elements elementary_abelian_subgroups takes on
+LATTICE_CAP = 200_000  # subgroups all_subgroups lists
 
 
-def elementary_abelian_subgroups(T: Subgroup | MatrixGroup, p: int,
-                                 element_cap: int = 30000) -> list[ElementaryAbelian]:
-    """All elementary abelian p-subgroups of T, flagged maximal-in-T.
+def elementary_abelian_subgroups(T: Subgroup | MatrixGroup, p: int) -> list[ElementaryAbelian]:
+    """All elementary abelian p-subgroups of T, flagged maximal-in-T, rank
+    by rank from the trivial subgroup by cyclic extension (Neubüser, Numer.
+    Math. 2, 1960; see Holt, Eick and O'Brien).
 
-    Exhaustive join construction from the order-p elements; intended for
-    groups where those number at most a few thousand.
-    """
+    An order-p element x of T outside E that commutes with E's generators
+    is central in <E, x> and x^p = 1, so <E, x> = E u Ex u ... u Ex^(p-1),
+    gathers in G's indices; E is maximal when there is no such x.  Each
+    subgroup is generated by E.gen_idx + (x,) for the first E and x that
+    reach it."""
     if isinstance(T, MatrixGroup):
         T = T.as_subgroup()
     G = T.parent
-    pts = order_p_elements(T, p)
-    if len(pts) > element_cap:
+    pts = T.idx[G.elements_satisfying_power(p)[T.idx] & (T.idx != G.identity_idx)]
+    if len(pts) > EA_ELEMENT_CAP:
         raise CapExceeded(
             f"{len(pts)} order-{p} elements exceed the enumeration budget",
-            needed=len(pts), cap=element_cap)
+            needed=len(pts), cap=EA_ELEMENT_CAP)
     out: list[ElementaryAbelian] = []
-    if not pts:
-        out.append(ElementaryAbelian(trivial_subgroup(G), 0, True))
-        return out
-    out.append(ElementaryAbelian(trivial_subgroup(G), 0, False))
-    # rank 1
-    level: dict[frozenset, tuple[int, ...]] = {}
-    for x in pts:
-        level.setdefault(_closure_indices(G, [x]), (x,))
-    rank = 1
-    while level:
-        nxt: dict[frozenset, tuple[int, ...]] = {}
-        for members, gens in level.items():
-            extended = False
-            for x in pts:
-                if x in members:
-                    continue
-                if all(G.mul_idx(x, g) == G.mul_idx(g, x) for g in gens):
-                    new_members = _closure_indices(G, gens + (x,), members)
-                    extended = True
-                    if new_members not in nxt:
-                        nxt[new_members] = gens + (x,)
-            sub = Subgroup(G, np.array(sorted(members), dtype=np.int64), gen_idx=gens)
-            out.append(ElementaryAbelian(sub, rank, not extended))
-        level = nxt
-        rank += 1
+    layer: dict[tuple[int, ...], tuple[int, ...]] = {(G.identity_idx,): ()}  # key -> gens
+    while layer:
+        nxt: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for key, gens in layer.items():
+            M = np.array(key)
+            commuting = np.ones(len(pts), dtype=bool)
+            for g in gens:  # x g == g x, with g x = (x^-1 g^-1)^-1
+                commuting &= (G.right_mul_batch(pts, g)
+                              == G.inv[G.right_mul_batch(G.inv[pts], G.inv_idx(g))])
+            covered = np.zeros(G.order, dtype=bool)
+            covered[M] = True
+            found = list(_cyclic_extensions(M, pts[commuting], p, G.right_mul_batch, covered))
+            for ukey, x in found:
+                nxt.setdefault(ukey, gens + (x,))
+            out.append(ElementaryAbelian(Subgroup(G, M, gen_idx=gens), len(gens), not found))
+        layer = nxt
     return out
 
 
@@ -811,10 +820,7 @@ def p_rank(T: Subgroup | MatrixGroup, p: int) -> int:
     return max(e.rank for e in eas)
 
 
-# ---------------------------------------------------------------------------
-# full subgroup lattice of a small group (used by the chain engine)
-
-def all_subgroups(S: Subgroup, count_cap: int = 200_000) -> list[Subgroup]:
+def all_subgroups(S: Subgroup) -> list[Subgroup]:
     """Every subgroup of the p-group S, sorted by (order, key), by cyclic
     extension (Neubüser, Numer. Math. 2, 1960; see Holt, Eick and O'Brien).
 
@@ -822,8 +828,8 @@ def all_subgroups(S: Subgroup, count_cap: int = 200_000) -> list[Subgroup]:
     U = M u Mx u ... u Mx^(p-1) for any x in U \\ M, which lies in N_S(M)
     with x^p in M.  So the subgroups of order p^(k+1) are these coset
     unions over the subgroups M of order p^k, integer gathers in a
-    multiplication table on S's own elements; every x in U \\ M gives the
-    same U and is skipped.  U is generated by M.gen_idx + (x,)."""
+    multiplication table on S's own elements.  U is generated by
+    M.gen_idx + (x,)."""
     G = S.parent
     p = min(factorize(S.order), default=1)
     if p > 1 and not _is_p_group(S, p):
@@ -846,20 +852,13 @@ def all_subgroups(S: Subgroup, count_cap: int = 200_000) -> list[Subgroup]:
             cands = seen[power] & ~seen
             for h in gens:  # x h x^-1 in M
                 cands &= seen[table[table[:, pos(h)], inv]]
-            for x in np.flatnonzero(cands):
-                if seen[x]:
-                    continue
-                cosets = [M]
-                for _ in range(p - 1):
-                    cosets.append(table[cosets[-1], x])
-                U = np.concatenate(cosets)
-                seen[U] = True
-                ukey = tuple(np.sort(U).tolist())
+            for ukey, x in _cyclic_extensions(M, np.flatnonzero(cands), p,
+                                              lambda a, j: table[a, j], seen):
                 if ukey not in nxt:
                     nxt[ukey] = gens + (int(S.idx[x]),)
-                    if len(subs) + len(nxt) > count_cap:
+                    if len(subs) + len(nxt) > LATTICE_CAP:
                         raise CapExceeded("subgroup lattice too large",
-                                          needed=len(subs) + len(nxt), cap=count_cap)
+                                          needed=len(subs) + len(nxt), cap=LATTICE_CAP)
         layer = nxt
         subs.extend(sorted(nxt.items()))
     return [Subgroup(G, S.idx[list(key)], gen_idx=gens) for key, gens in subs]

@@ -184,31 +184,76 @@ def test_naive_twin_refuses_groups_without_a_table(monkeypatch):
         assert exc.value.cap == mg.MatrixGroup.CAYLEY_LIMIT < G.order
 
 
+# criterion 3's nonabelian Sylow subgroups of p-rank 3, each enumerated on its own
+CRITERION_3_SYLOWS = {"Syl3-GL(3,4)": (3, 4, 3, 3), "Syl3-GL(3,7)": (3, 7, 3, 6)}
+
+
 def _lattice_case(case):
+    """(G, S, p) for a lattice test case."""
     if case == "Q8":
         G = quaternion_group()
-        return G, G.as_subgroup()
+        return G, G.as_subgroup(), 2
     if case == "rp-case":  # the Sylow subgroup of the rp-case certificate, order 243
         _, Sg = liea.build_sylow(liea.compute_params(3, 19, 3, 1, 3))
-        return Sg, Sg.as_subgroup()
+        return Sg, Sg.as_subgroup(), 3
+    if case in CRITERION_3_SYLOWS:
+        _, Sg = liea.build_sylow(liea.compute_params(*CRITERION_3_SYLOWS[case]))
+        return Sg, Sg.as_subgroup(), 3
+    if case == "SL(2,4)":  # the whole group, not a p-group
+        G = liea.enumerate_group(2, 4)
+        return G, G.as_subgroup(), 2
     n, q, det, p = case
     G = liea.enumerate_group(n, q, det)
-    return G, mg.sylow_subgroup_of(G, p)
+    return G, mg.sylow_subgroup_of(G, p), p
 
 
-@pytest.mark.parametrize("case", ["Q8", "rp-case", *DUAL_CASES],
+def _elementary_abelian_in_table(G, subs, p):
+    """The subgroups in `subs` that are abelian of exponent p, read off G's
+    multiplication table."""
+    tab, keep = G.cayley(), []
+    for T in subs:
+        block = tab[np.ix_(T.idx, T.idx)]
+        powers = np.full(T.order, G.identity_idx)
+        for _ in range(p):
+            powers = tab[powers, T.idx]
+        if (block == block.T).all() and (powers == G.identity_idx).all():
+            keep.append(T)
+    return keep
+
+
+@pytest.mark.parametrize("case", ["Q8", "rp-case", *DUAL_CASES, *CRITERION_3_SYLOWS, "SL(2,4)"],
                          ids=lambda c: c if isinstance(c, str) else "-".join(map(str, c)))
 def test_lattice_matches_naive_twin(case):
     # cyclic extension against the twin's joins of cyclic subgroups
-    G, S = _lattice_case(case)
-    fast = mg.all_subgroups(S)
+    G, S, p = _lattice_case(case)
     slow = rho._naive_subgroups(G, S)
-    assert [T.members for T in fast] == [T.members for T in slow]
-    assert [(T.order, T.key()) for T in fast] == sorted((T.order, T.key()) for T in fast)
-    for T in fast:
-        assert rho._naive_closure(G, T.gen_idx) == T.members, T.key()
-    if case == "rp-case":
-        assert len(fast) == 144
+    if case == "SL(2,4)":
+        with pytest.raises(DomainError, match="p-group"):
+            mg.all_subgroups(S)
+    else:
+        fast = mg.all_subgroups(S)
+        assert [T.members for T in fast] == [T.members for T in slow]
+        assert [(T.order, T.key()) for T in fast] == sorted((T.order, T.key()) for T in fast)
+        for T in fast:
+            assert rho._naive_closure(G, T.gen_idx) == T.members, T.key()
+        if case == "rp-case":
+            assert len(fast) == 144
+    # the elementary abelian subgroups, ranks and maximal flags, from the twin's lattice
+    eas = _elementary_abelian_in_table(G, slow, p)
+    found = mg.elementary_abelian_subgroups(S, p)
+    assert len(found) == len(eas)
+    assert {e.subgroup.members: (p ** e.rank, e.maximal) for e in found} == {
+        T.members: (T.order, not any(T.members < U.members for U in eas)) for T in eas}
+
+
+def test_cyclic_extension_runs_without_closures(monkeypatch):
+    # both enumerations build each subgroup as a union of cosets
+    G = liea.enumerate_group(2, 3, 2)  # GL(2,3), a certify chain group
+    S = mg.sylow_subgroup_of(G, 2)  # semidihedral of order 16
+    monkeypatch.setattr(mg, "_closure_indices", None)
+    eas = mg.elementary_abelian_subgroups(S, 2)
+    assert [(e.rank, e.maximal) for e in eas] == [(0, False)] + [(1, False)] * 5 + [(2, True)] * 2
+    assert [T.order for T in mg.all_subgroups(S)] == [1] + [2] * 5 + [4] * 5 + [8] * 3 + [16]
 
 
 def test_first_level_equals_normalizer_commutator():
