@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -169,6 +169,7 @@ class MatrixGroup:
         self.name = name
         self._conj_maps: dict[int, np.ndarray] = {}
         self._power_masks: dict[int, np.ndarray] = {}
+        self._power_maps: dict[int, np.ndarray] = {}  # prime r -> x^r
         self._gen_conj: np.ndarray | None = None
         self._dets = None
         self._cayley: np.ndarray | None = None
@@ -371,6 +372,10 @@ class MatrixGroup:
             self._conj_maps[g] = self._right(self.inv[self._right(self.inv, gi)], gi)
         return self._conj_maps[g]
 
+    @cached_property
+    def _ainv(self) -> np.ndarray:
+        return _inverse_acts(self.acts)
+
     def order_of(self, i: int) -> int:
         k, j = 1, i
         while j != self.identity_idx:
@@ -379,18 +384,23 @@ class MatrixGroup:
         return k
 
     def elements_satisfying_power(self, e: int) -> np.ndarray:
-        """Boolean mask of x with x^e == identity (e >= 1), kept per e: repeated
-        squaring in index space, each product a * b walked as a * (b^-1)^-1."""
+        """Boolean mask of x with x^e == identity (e >= 1), kept per e: gathers through
+        the kept map x -> x^r of each prime r | e, built by binary powering of walks."""
+        if e < 1:
+            raise DomainError(f"power masks need an exponent e >= 1, got {e}")
         if e not in self._power_masks:
-            up = partial(_walk_up, _inverse_acts(self.acts), self.parent, self.via)
-            acc, base, k = None, np.arange(self.order), e
-            while k:
-                if k & 1:
-                    acc = base if acc is None else up(acc, self.inv[base])
-                k >>= 1
-                if k:
-                    base = up(base, self.inv[base])
-            self._power_masks[e] = acc == self.identity_idx
+            up, x = partial(_walk_up, self._ainv, self.parent, self.via), np.arange(self.order)
+            for r, a in factorize(e).items():
+                if r not in self._power_maps:
+                    acc = np.arange(self.order)
+                    for bit in bin(r)[3:]:  # most significant first
+                        acc = up(acc, self.inv[acc])
+                        if bit == "1":
+                            acc = up(acc, self.inv)
+                    self._power_maps[r] = acc
+                for _ in range(a):
+                    x = self._power_maps[r][x]
+            self._power_masks[e] = x == self.identity_idx
         return self._power_masks[e]
 
     def dets(self) -> np.ndarray:
@@ -711,20 +721,25 @@ def quotient_structure(H: Subgroup, K: Subgroup) -> AbelianStructure:
 def conjugate_orbit(G: MatrixGroup, key: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """The conjugates of the subgroup with sorted index tuple `key`, in BFS
     order under conjugation by G's generators, each mapped to the first
-    witness g found with g H g^-1 equal to it (the identity for H itself)."""
+    witness g found with g H g^-1 equal to it (the identity for H itself).
+    One sweep per BFS level (Holt, Eick and O'Brien, 4.1): images frontier-major,
+    new ones kept by first occurrence, gens[k] w = (w^-1 gens[k]^-1)^-1."""
+    if not key or np.any(np.diff(key) <= 0):
+        raise DomainError("a subgroup key must be a strictly increasing index tuple")
+    maps = [G.conj_map(g) for g in G.gen_idx]
+    ng, void = len(maps), np.dtype((np.void, 8 * len(key)))
+    front, wits = np.array([key], dtype=np.int64), np.array([G.identity_idx])
+    seen = front.view(void).ravel()  # the orbit's rows so far, sorted
     orbit = {key: G.identity_idx}
-    maps = [(int(g), G.conj_map(g)) for g in G.gen_idx]
-    frontier = [(np.array(key, dtype=np.int64), G.identity_idx)]
-    while frontier:
-        nxt = []
-        for arr, wit in frontier:
-            for g, cmap in maps:
-                img = np.sort(cmap[arr])
-                ik = tuple(int(i) for i in img)
-                if ik not in orbit:
-                    orbit[ik] = G.mul_idx(g, wit)
-                    nxt.append((img, orbit[ik]))
-        frontier = nxt
+    while len(front):
+        imgs = np.stack([m[front] for m in maps], axis=1, dtype=np.int64).reshape(-1, len(key))
+        imgs.sort(axis=1)
+        uniq, first = np.unique(imgs.view(void).ravel(), return_index=True)
+        new = seen[np.minimum(np.searchsorted(seen, uniq), len(seen) - 1)] != uniq
+        seen = np.insert(seen, np.searchsorted(seen, uniq[new]), uniq[new])
+        src = np.sort(first[new])
+        front, wits = imgs[src], G.inv[G._ainv[src % ng, G.inv[wits[src // ng]]]]
+        orbit.update(zip(map(tuple, front.tolist()), wits.tolist()))
     return orbit
 
 

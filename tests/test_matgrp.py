@@ -327,6 +327,91 @@ def test_power_masks_match_element_orders(n, q, det, z):
         assert np.array_equal(cached, e % orders == 0), e
 
 
+def test_power_masks_refuse_exponents_below_one():
+    G = _index_group(2, 5, 1, 1)
+    for e in (0, -2):
+        with pytest.raises(DomainError, match="e >= 1"):
+            G.elements_satisfying_power(e)
+    assert not G._power_masks and not G._power_maps
+
+
+def test_power_masks_on_a_deep_tree_match_matrix_powers():
+    # GL(2,13): 26 208 elements, 17 BFS levels below the identity.  The
+    # reference moves the basis rows e_r by x, e times over: every row
+    # vector times every element is one backend.mm_one call, and x^e is
+    # the identity when each e_r x^e == e_r.
+    G = liea.enumerate_group(2, 13, 12)
+    assert (G.order, len(G.levels) - 2) == (26208, 17)
+    F, n, q = G.field, G.n, G.field.q
+    digits = np.array(list(np.ndindex(*(q,) * n)), dtype=np.uint8)  # vector v, digits of v
+    wide = G.elements.transpose(1, 0, 2).reshape(n, -1)  # every element side by side
+    imgs = backend.mm_one(digits[:, None], wide, F).reshape(len(digits), G.order, n)
+    basis = q ** np.arange(n - 1, -1, -1)  # place values of the digits, and e_r as vectors
+    act = imgs.astype(np.int64) @ basis  # act[v, x]: v x
+    cols = np.arange(G.order)[:, None]
+    for e in (2, 3, 8, 9, 27, 60):
+        rows = np.broadcast_to(basis, (G.order, n))
+        for _ in range(e):
+            rows = act[rows, cols]
+        expect = (rows == basis).all(axis=1)
+        assert 0 < expect.sum() < G.order
+        assert np.array_equal(G.elements_satisfying_power(e), expect), e
+
+
+def test_power_masks_reuse_the_prime_maps(monkeypatch):
+    G = _index_group(2, 7, 6, 1)
+    orders = np.array([G.order_of(i) for i in range(G.order)])
+    walks = []
+    walk = mg._walk_up
+    monkeypatch.setattr(mg, "_walk_up", lambda *a: walks.append(1) or walk(*a))
+    for p in (2, 3):
+        assert np.array_equal(G.elements_satisfying_power(p), p % orders == 0)
+        walks.clear()
+        assert np.array_equal(G.elements_satisfying_power(p ** 3), p ** 3 % orders == 0)
+        assert not walks, p
+
+
+def _orbit_reference(G, H):
+    """Keys of the conjugates of H from sandwich_all: column g of the
+    stacked g h g^-1 (h in H), sorted, is the key of g H g^-1."""
+    cols = np.sort(np.stack([G.sandwich_all(int(h)) for h in H.idx]), axis=0)
+    return {tuple(c) for c in cols.T.tolist()}
+
+
+def _orbit_cases():
+    psl34 = liea.enumerate_quotient(3, 4, 1, 3)  # PSL(3,4), above CAYLEY_LIMIT
+    S3 = mg.sylow_subgroup_of(psl34, 3)
+    yield psl34, [e.subgroup for e in mg.elementary_abelian_subgroups(S3, 3) if e.rank == 2]
+    sl27 = liea.enumerate_group(2, 7)  # below CAYLEY_LIMIT
+    yield sl27, mg.all_subgroups(mg.sylow_subgroup_of(sl27, 2))
+    G = sl23()
+    yield G, [mg.commutator_subgroup(G.as_subgroup())]  # Q8
+
+
+def test_conjugate_orbit_matches_sandwich_reference():
+    sizes = []
+    for G, subs in _orbit_cases():
+        for H in subs:
+            key = H.key()
+            orbit = mg.conjugate_orbit(G, key)
+            assert next(iter(orbit.items())) == (key, G.identity_idx)
+            assert set(orbit) == _orbit_reference(G, H), (G.name, key)
+            for k, g in orbit.items():
+                assert tuple(sorted(G.conj_map(g)[H.idx].tolist())) == k
+            assert len(orbit) == G.order // mg.normalizer(G, H).order
+            sizes.append(len(orbit))
+    assert sizes[0] == 280 and sizes[-1] == 1  # PSL(3,4) at p = 3; Q8 is normal
+
+
+def test_conjugate_orbit_refuses_unsorted_keys():
+    G = sl23()
+    key = mg.sylow_subgroup_of(G, 3).key()
+    assert len(mg.conjugate_orbit(G, key)) == 4
+    for bad in (key[::-1], (key[0], key[1], key[1]), ()):
+        with pytest.raises(DomainError, match="strictly increasing"):
+            mg.conjugate_orbit(G, bad)
+
+
 @pytest.mark.parametrize("n, q, det, z", INDEX_GROUPS)
 def test_dets_follow_the_tree(n, q, det, z):
     G = _index_group(n, q, det, z)
