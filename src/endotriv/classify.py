@@ -178,13 +178,7 @@ def cyclic_quotient_normalizer(params: LieParams, cap: int | None = None) -> mg.
         mg.admit(q, cap, (expected, too_large),
                  (ngl_order, "closure of N_GL(S) exceeds cap {cap}"))
         gens = _det_preimage_generators(params)
-    F = params.field
-    N = mg.MatrixGroup.generate(F, gens, cap=cap, name=f"N_G(S)/Z{z}",
-                                scalars=sorted(F.subgroup_values(z)) if z > 1 else None)
-    if N.order * z != expected:
-        raise DomainError(  # pragma: no cover
-            f"normalizer order {N.order * z} != expected {expected}")
-    return N
+    return liea.quotient_closure(params.field, gens, z, expected, cap, f"N_G(S)/Z{z}")
 
 
 def _det_preimage_generators(params: LieParams) -> list[np.ndarray]:

@@ -181,8 +181,10 @@ def _least_irreducible(F: FieldSpec, k: int) -> tuple[int, ...]:
 class FieldSpec:
     """GF(q), q = char**degree, with deterministic modulus and lookup tables.
 
-    Immutable after construction; all element operations are pure functions
-    of integer encodings, so instances are safe to share across workers.
+    The tables are immutable after construction; all element operations are
+    pure functions of integer encodings, so instances are safe to share
+    across workers.  `singer_blocks` keeps `liea.singer_block(q, e)` by e, so
+    it is dropped with the field by `field_spec.cache_clear()`.
     """
 
     def __init__(self, q: int):
@@ -194,6 +196,7 @@ class FieldSpec:
         self.modulus = (0, 1) if self.degree == 1 else \
             _least_irreducible(field_spec(self.char), self.degree)
         self._build_tables()
+        self.singer_blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- raw polynomial-level ops (used to bootstrap the tables) -----------
 

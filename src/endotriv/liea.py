@@ -201,28 +201,34 @@ def group_generators(n: int, q: int, det_order: int = 1) -> list[np.ndarray]:
 
 def enumerate_group(n: int, q: int, det_order: int = 1, cap: int | None = None,
                     name: str | None = None) -> mg.MatrixGroup:
-    expected = group_order(n, q, det_order)
-    mg.admit(q, cap, (expected, "group of order {needed} exceeds cap {cap}"))
-    F = field_spec(q)
-    G = mg.MatrixGroup.generate(F, group_generators(n, q, det_order), cap=cap,
-                                name=name or _default_name(n, q, det_order))
-    if G.order != expected:
-        raise DomainError(
-            f"closure order {G.order} != expected {expected}")  # pragma: no cover
-    return G
+    return enumerate_quotient(n, q, det_order, 1, cap=cap, name=name)
 
 
 def enumerate_quotient(n: int, q: int, det_order: int = 1, z_order: int = 1,
                        cap: int | None = None, name: str | None = None) -> mg.MatrixGroup:
+    """G/Z for SL(n,q) <= G <= GL(n,q) with |Det(G)| = det_order and Z the
+    scalars of order z_order, closed over cosets; the cap admits |G|."""
     zc = scalar_center_order(n, q, det_order)
     if zc % z_order != 0:
         raise DomainError(f"|Z|={z_order} invalid for this group")
-    G = enumerate_group(n, q, det_order, cap=cap, name=name)
-    if z_order == 1:
-        return G
-    F = field_spec(q)
-    return G.central_quotient(sorted(F.subgroup_values(z_order)),
-                              name=name or f"{_default_name(n, q, det_order)}/Z{z_order}")
+    expected = group_order(n, q, det_order)
+    mg.admit(q, cap, (expected, "group of order {needed} exceeds cap {cap}"))
+    base = _default_name(n, q, det_order)
+    return quotient_closure(field_spec(q), group_generators(n, q, det_order), z_order,
+                            expected, cap, name or (f"{base}/Z{z_order}" if z_order > 1 else base))
+
+
+def quotient_closure(F: FieldSpec, gens, z_order: int, expected: int, cap: int | None,
+                     name: str) -> mg.MatrixGroup:
+    """<gens>/Z for Z the scalars of order z_order, in one closure over the
+    cosets of Z; DomainError unless |<gens>/Z| * |Z| is the expected |<gens>|,
+    which also fails when Z is not inside <gens>."""
+    G = mg.MatrixGroup.generate(F, gens, cap=cap, name=name,
+                                scalars=F.subgroup_values(z_order) if z_order > 1 else None)
+    if G.order * z_order != expected:
+        raise DomainError(f"closure of {name}: order {G.order} * |Z| = {z_order} "
+                          f"!= expected {expected}")
+    return G
 
 
 def _default_name(n, q, det_order):
@@ -239,8 +245,19 @@ def _default_name(n, q, det_order):
 
 def singer_block(q: int, e: int) -> tuple[np.ndarray, np.ndarray]:
     """(w, g): the regular-embedding image of a generator of GF(q^e)^x and
-    the Frobenius element with g w g^-1 = w^q, both as e x e matrices."""
+    the Frobenius element with g w g^-1 = w^q, both as read-only e x e
+    matrices, kept on GF(q)'s FieldSpec."""
     F = field_spec(q)
+    if e not in F.singer_blocks:
+        blocks = _singer_block(F, e)
+        for m in blocks:
+            m.flags.writeable = False
+        F.singer_blocks[e] = blocks
+    return F.singer_blocks[e]
+
+
+def _singer_block(F: FieldSpec, e: int) -> tuple[np.ndarray, np.ndarray]:
+    q = F.q
     if e == 1:
         w = np.array([[F.primitive]], dtype=np.uint8)
         return w, mg.identity_matrix(1)
@@ -460,20 +477,16 @@ def levi_generators(blocks, q: int, det_order: int = 1) -> list[np.ndarray]:
 
 
 def levi(blocks, q: int, det_order: int = 1, cap: int | None = None,
-         name: str | None = None) -> mg.MatrixGroup:
-    """Block-diagonal subgroup of GL(n,q) with the given determinant image."""
+         name: str | None = None, z_order: int = 1) -> mg.MatrixGroup:
+    """Block-diagonal subgroup of GL(n,q) with the given determinant image,
+    modulo its scalars of order z_order; the cap admits the whole group."""
     blocks = list(blocks)
     if any(b < 1 for b in blocks):
         raise DomainError("block sizes must be positive")
     expected = levi_order(blocks, q, det_order)
     mg.admit(q, cap, (expected, "block group of order {needed} exceeds cap {cap}"))
-    L = mg.MatrixGroup.generate(
-        field_spec(q), levi_generators(blocks, q, det_order), cap=cap,
-        name=name or f"L{tuple(blocks)}:{det_order} over GF({q})")
-    if L.order != expected:
-        raise DomainError(
-            f"block group order {L.order} != expected {expected}")  # pragma: no cover
-    return L
+    return quotient_closure(field_spec(q), levi_generators(blocks, q, det_order), z_order,
+                            expected, cap, name or f"L{tuple(blocks)}:{det_order} over GF({q})")
 
 
 @dataclass
@@ -574,17 +587,16 @@ def monomial_generators(n: int, q: int, det_order: int = 1) -> list[np.ndarray]:
     return gens
 
 
-def monomial_group(n: int, q: int, det_order: int = 1, cap: int | None = None) -> mg.MatrixGroup:
-    """Monomial matrices with determinant in the chosen subgroup."""
-    name = f"monomial({n},{q}):{det_order}"
+def monomial_group(n: int, q: int, det_order: int = 1, cap: int | None = None,
+                   z_order: int = 1, name: str | None = None) -> mg.MatrixGroup:
+    """Monomial matrices with determinant in the chosen subgroup, modulo
+    their scalars of order z_order; the cap admits the whole group."""
+    full = f"monomial({n},{q}):{det_order}"
     order = monomial_order(n, q, det_order)
-    # the refusal `generate` would reach, before the work
-    mg.admit(q, cap, (order, f"closure of {name} exceeds cap {{cap}}"))
-    M = mg.MatrixGroup.generate(field_spec(q), monomial_generators(n, q, det_order),
-                                cap=cap, name=name)
-    if M.order != order:
-        raise DomainError("monomial group order mismatch")  # pragma: no cover
-    return M
+    # the refusal the whole group's closure would reach, before the work
+    mg.admit(q, cap, (order, f"closure of {full} exceeds cap {{cap}}"))
+    return quotient_closure(field_spec(q), monomial_generators(n, q, det_order), z_order,
+                            order, cap, name or full)
 
 
 def is_monomial_matrix(m: np.ndarray) -> bool:

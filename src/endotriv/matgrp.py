@@ -4,6 +4,8 @@ A MatrixGroup holds the full element table of a finite group of invertible
 n x n matrices over GF(q) (q <= 256), found by binary search in its sorted
 element keys.  Central quotients (PGL, PSL, G/Z) are stored the same way:
 every element is the scalar multiple of least key over the quotient kernel.
+A quotient is closed over the cosets of its kernel, each product taken to
+its least multiple as it is found, so G itself is never enumerated.
 The closure acts on rows (R. A. Parker's row vectors from the Meat-axe):
 each row is a vector index in [0, q^n), a key reads the rows in base q^n,
 and x * g is the rows of x each multiplied by g.
@@ -240,31 +242,6 @@ class MatrixGroup:
         return cls(field, n, np.concatenate(blocks), keys, key_idx, inv, acts,
                    parent, via, np.array(levels), scalars=scal, name=name)
 
-    def central_quotient(self, scalar_values, name: str | None = None) -> "MatrixGroup":
-        """Quotient by the central subgroup of scalar matrices with the given values.
-
-        Each coset is its element of least key, numbered by its first element
-        in this group's order; this group's tables are relabelled to match."""
-        if self.scalars is not None:
-            raise DomainError("group is already a central quotient")
-        scal = _kernel(scalar_values)
-        found = self.locate(self.field.mul[scal[:, None, None], identity_matrix(self.n)])[1]
-        if not found.all():
-            raise DomainError(f"scalar {int(scal[~found][0])} I is not an element of {self.name}")
-        multiples = self.field.mul[scal[:, None, None, None], self.elements]
-        keys = _keys(multiples, self.field.q)
-        least = keys.argmin(axis=0)
-        ukeys, first, coset = _unique_first(keys[least, np.arange(self.order)])
-        rank = np.argsort(np.argsort(first)).astype(np.int32)
-        keep, coset = np.sort(first), rank[coset]
-        # a coset lies in the BFS level of its first element, and that
-        # element's parent lies in the level before
-        return MatrixGroup(self.field, self.n, multiples[least[keep], keep], ukeys, rank,
-                           coset[self.inv[keep]], coset[self.acts[:, keep]],
-                           coset[self.parent[keep]], self.via[keep],
-                           np.unique(np.searchsorted(keep, self.levels)),
-                           scalars=scal, name=name or f"{self.name}/Z{len(scal)}")
-
     # -- lookup ----------------------------------------------------------------
 
     @property
@@ -432,7 +409,7 @@ class Subgroup:
                  gen_idx: tuple[int, ...] | None = None):
         self.parent = parent
         self.idx = np.sort(np.asarray(idx, dtype=np.int64))
-        self.members = frozenset(int(i) for i in self.idx)
+        self.members = frozenset(self.idx.tolist())
         if parent.identity_idx not in self.members:
             raise DomainError("subgroup must contain the identity")
         if parent.order % len(self.members) != 0:
@@ -465,7 +442,7 @@ class Subgroup:
 
     def key(self) -> tuple[int, ...]:
         """Deterministic identity: the sorted element indices."""
-        return tuple(int(i) for i in self.idx)
+        return tuple(self.idx.tolist())
 
     def is_abelian(self) -> bool:
         gens = self.gen_idx

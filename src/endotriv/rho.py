@@ -759,9 +759,8 @@ def build_torus_quotient_certificate(n: int, q: int, p: int,
         raise DomainError("Z must be a nontrivial central p-subgroup")
     params = liea.compute_params(n, q, p, 1, z_order)
 
-    Hg = liea.monomial_group(n, q, 1, cap=cap)
+    Hbar = liea.monomial_group(n, q, 1, cap=cap, z_order=z_order, name=f"N(Q)/Z{z_order}")
     F = field_spec(q)
-    zvals = sorted(F.subgroup_values(z_order))
     _, Sg = liea.build_sylow(params, cap=cap)
     zeta = F.element_of_order(p ** t)
     qgens = []
@@ -772,15 +771,13 @@ def build_torus_quotient_certificate(n: int, q: int, p: int,
         qgens.append(m)
     Qg = mg.MatrixGroup.generate(F, qgens, cap=cap, name="torus p-part")
 
-    Hbar = Hg.central_quotient(zvals, name=f"N(Q)/Z{z_order}")
     Sbar = mg.Subgroup(Hbar, np.unique(Hbar.lookup_batch(Sg.elements)))
 
     nm = liea.named_matrices("torus-corner", n, q, p=p)
     X = nm["X-corner"]
     Y = nm["Y-scaled-torus"]
     blocks = [2, 1] if n == 3 else [2, 1, n - 3]
-    L = liea.levi(blocks, q, 1, cap=cap, name="corner block group")
-    Lbar = L.central_quotient(zvals, name="corner block group /Z")
+    Lbar = liea.levi(blocks, q, 1, cap=cap, name="corner block group /Z", z_order=z_order)
 
     comm = mg.commutator_subgroup(Hbar.as_subgroup())
     witnesses = [GeneratorWitness(f"c{i}", Hbar.elements[g], "B1")

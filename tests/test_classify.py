@@ -170,6 +170,21 @@ def test_oracle_examples():
     assert (r3.p_rank, r3.n_g, r3.tf_rank) == (2, 1, 1)
 
 
+def test_oracle_closes_only_the_quotient(monkeypatch):
+    # PGL(3,4) = GL(3,4)/Z3 in one closure over cosets, without GL(3,4)
+    orders = []
+    generate = mg.MatrixGroup.generate.__func__
+
+    def spy(cls, field, gens, cap=None, scalars=None, name="G"):
+        G = generate(cls, field, gens, cap=cap, scalars=scalars, name=name)
+        orders.append(G.order)
+        return G
+
+    monkeypatch.setattr(mg.MatrixGroup, "generate", classmethod(spy))
+    tf_rank_oracle(3, 4, 3, 3, 3)
+    assert orders == [60480]
+
+
 def test_classify_oracle_consistency_spot():
     for args in [(2, 5, 2, 1, 1), (2, 9, 2, 1, 2), (2, 3, 2, 2, 2),
                  (3, 4, 3, 1, 3)]:
@@ -249,7 +264,7 @@ def test_cyclic_ext_ab_matches_ambient_normalizer(n, q, p, d, z):
 
 
 def test_cyclic_ext_ab_is_one_closure(monkeypatch):
-    calls = {"generate": [], "central_quotient": 0, "find_generators": 0}
+    calls = {"generate": [], "find_generators": 0}
     generate = mg.MatrixGroup.generate.__func__
 
     def spy_generate(cls, field, gens, cap=None, scalars=None, name="G"):
@@ -263,15 +278,13 @@ def test_cyclic_ext_ab_is_one_closure(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(mg.MatrixGroup, "generate", classmethod(spy_generate))
-    monkeypatch.setattr(mg.MatrixGroup, "central_quotient",
-                        counting("central_quotient", mg.MatrixGroup.central_quotient))
     monkeypatch.setattr(mg, "find_generators", counting("find_generators", mg.find_generators))
     for n, q, p, d, z in CYCLIC_EXT_CASES + [(5, 3, 13, 2, 2)]:  # the last: f = 2
         calls["generate"].clear()
         classify_mod._cyclic_ext_ab.cache_clear()
         _ext_ab(n, q, p, d, z)
         assert len(calls["generate"]) == 1, (n, q, p, d, z)
-        assert calls["central_quotient"] == calls["find_generators"] == 0
+        assert calls["find_generators"] == 0
         F, gens = calls["generate"][0]
         dets = backend.det_many(np.stack(gens), F)
         assert np.isin(dets, list(F.subgroup_values(d))).all(), (n, q, p, d, z)

@@ -75,6 +75,15 @@ def test_singer_relation():
         assert np.array_equal(lhs, wq)
 
 
+def test_singer_blocks_kept_per_field():
+    w, g = liea.singer_block(4, 3)
+    assert liea.singer_block(4, 3)[0] is w
+    assert not (w.flags.writeable or g.flags.writeable)
+    field_spec.cache_clear()  # drops the blocks with the field
+    w2, g2 = liea.singer_block(4, 3)
+    assert w2 is not w and np.array_equal(w2, w) and np.array_equal(g2, g)
+
+
 def test_levi_examples():
     full = liea.levi([3], 4, det_order=1)
     assert full.order == liea.order_sl(3, 4)  # single block: the whole group
@@ -105,6 +114,25 @@ def test_monomial_cap_refused_before_closure(monkeypatch):
     [entry] = rho.replay_proof_certificates("rp-case", cap=1000)
     assert entry["verdict"] == "SKIPPED"
     assert entry["reason"] == "closure of monomial(3,19):1 exceeds cap 1000"
+
+
+def test_quotient_cap_refused_before_closure(monkeypatch):
+    # PGL(3,4) has 60480 elements; the cap admits |GL(3,4)| = 181440, as before
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("closure started")
+
+    monkeypatch.setattr(mg.MatrixGroup, "generate", classmethod(refuse))
+    with pytest.raises(CapExceeded, match=r"^group of order 181440 exceeds cap 100000$") as exc:
+        liea.enumerate_quotient(3, 4, 3, 3, cap=100_000)
+    assert exc.value.needed == 181440
+
+
+def test_quotient_closure_checks_its_order():
+    """|G/Z| * |Z| = |G|, which fails when Z is not inside G: -I has
+    determinant -1, so the block group of SL(3,7) meets Z2 trivially."""
+    assert liea.levi([2, 1], 7, 1, z_order=3).order * 3 == liea.levi_order([2, 1], 7, 1)
+    with pytest.raises(DomainError, match=r"order 2016 \* \|Z\| = 2 != expected 2016$"):
+        liea.levi([2, 1], 7, 1, z_order=2)
 
 
 ADMISSIONS = {

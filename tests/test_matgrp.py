@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -158,12 +160,10 @@ def test_generic_sylow_finder():
 
 
 def test_central_quotient_groups():
-    G = sl23()
-    psl = G.central_quotient([1, 2])
+    psl = liea.enumerate_quotient(2, 3, 1, 2)
     assert psl.order == 12
     assert mg.commutator_subgroup(psl.as_subgroup()).order == 4  # A4' = V4
-    gl = liea.enumerate_group(2, 3, 2)
-    pgl = gl.central_quotient([1, 2], name="PGL(2,3)")
+    pgl = liea.enumerate_quotient(2, 3, 2, 2, name="PGL(2,3)")
     assert pgl.order == 24
     # S4: two conjugacy classes of maximal Kleins
     eas = mg.elementary_abelian_subgroups(pgl, 2)
@@ -429,10 +429,9 @@ def test_inverse_roundtrip():
     F = field_spec(5)
     gens = liea.group_generators(2, 5, 4)
     rng = np.random.default_rng(3)
-    # int64 from the closure, int32 when relabelled by central_quotient
     for G, dtype in [(mg.MatrixGroup.generate(F, gens), np.int64),
                      (mg.MatrixGroup.generate(F, gens, scalars=[1, 4]), np.int64),
-                     (_index_group(2, 13, 1, 2), np.int32)]:
+                     (_index_group(2, 13, 1, 2), np.int64)]:
         assert G.inv.dtype == dtype
         for x in [0, *G.gen_idx, *rng.integers(0, G.order, size=16)]:
             x = int(x)
@@ -540,16 +539,26 @@ def test_closure_matches_reference_bfs(name):
 
 # PGL(2,5) and SL(2,13)/Z2: (n, q, det order, scalar subgroup order)
 QUOTIENTS = [(2, 5, 4, 4), (2, 13, 1, 2)]
+# (q, |Z|, generators of G, builder of G/Z): the groups above, and SL(3,7)'s
+# block group L(2,1) (672 elements) and monomial group (72) modulo Z3
+QUOTIENT_BUILDERS = {
+    **{"-".join(map(str, c)): (c[1], c[3], partial(liea.group_generators, *c[:3]),
+                               partial(liea.enumerate_quotient, *c)) for c in QUOTIENTS},
+    "L(2,1)-7-1-3": (7, 3, partial(liea.levi_generators, [2, 1], 7, 1),
+                     partial(liea.levi, [2, 1], 7, 1, z_order=3)),
+    "monomial-3-7-1-3": (7, 3, partial(liea.monomial_generators, 3, 7, 1),
+                         partial(liea.monomial_group, 3, 7, 1, z_order=3)),
+}
 
 
-@pytest.mark.parametrize("n, q, det, z", QUOTIENTS)
-def test_quotients_match_reference_bfs(n, q, det, z):
+@pytest.mark.parametrize("name", list(QUOTIENT_BUILDERS))
+def test_quotients_match_reference_bfs(name):
+    q, z, gens, build = QUOTIENT_BUILDERS[name]
     F = field_spec(q)
-    gens = liea.group_generators(n, q, det)
     zvals = sorted(F.subgroup_values(z))
-    ref = _ref_closure(F, gens, zvals)
-    _assert_matches_reference(mg.MatrixGroup.generate(F, gens, scalars=zvals), ref)
-    _assert_matches_reference(mg.MatrixGroup.generate(F, gens).central_quotient(zvals), ref)
+    ref = _ref_closure(F, gens(), zvals)
+    _assert_matches_reference(mg.MatrixGroup.generate(F, gens(), scalars=zvals), ref)
+    _assert_matches_reference(build(), ref)
 
 
 @pytest.mark.parametrize("n, q, det, z", [(2, 7, 1, 1), *QUOTIENTS])
@@ -605,7 +614,7 @@ def test_int_key_limit_both_sides(monkeypatch):
     for limit in (mg.INT_KEY_LIMIT, 1):
         monkeypatch.setattr(mg, "INT_KEY_LIMIT", limit)
         G = liea.enumerate_group(2, 5, 4)
-        Q = G.central_quotient([1, 4])
+        Q = liea.enumerate_quotient(2, 5, 4, 4)
         assert (G._keys.dtype == object) == (limit == 1)
         built[limit] = [(H.elements, H.acts, H.parent, H.via, H.levels, H.inv, H._keys)
                         for H in (G, Q)]

@@ -316,3 +316,20 @@ def test_torus_quotient_rejects_degenerate_scaled_torus():
         rho.build_torus_quotient_certificate(3, 7, 3)
     with pytest.raises(DomainError):
         rho.build_torus_quotient_certificate(3, 4, 3)
+
+
+def test_torus_quotient_builds_no_whole_group(monkeypatch):
+    # at (3,19,3) the corner block group has 123120 elements and the
+    # monomial group 1944; only their quotients by Z3 are closed
+    orders = []
+    generate = mg.MatrixGroup.generate.__func__
+
+    def spy(cls, field, gens, cap=None, scalars=None, name="G"):
+        G = generate(cls, field, gens, cap=cap, scalars=scalars, name=name)
+        orders.append(G.order)
+        return G
+
+    monkeypatch.setattr(mg.MatrixGroup, "generate", classmethod(spy))
+    cert = rho.build_torus_quotient_certificate(3, 19, 3)
+    assert (cert.H.order, cert.witnesses[-1].aux_group.order) == (648, 41040)
+    assert not {123120, 1944} & set(orders)
