@@ -32,7 +32,7 @@ import numpy as np
 from . import backend
 from .abst import AbelianStructure, from_cyclic_orders
 from .errors import CapExceeded, DomainError
-from .gf import Q_ENUM_LIMIT, FieldSpec, factorize
+from .gf import Q_ENUM_LIMIT, FieldSpec, factorize, p_part, p_val
 
 DEFAULT_CAP = 2_000_000
 
@@ -276,9 +276,6 @@ class MatrixGroup:
     def index_of(self, mat: np.ndarray) -> int:
         return int(self.lookup_batch(np.asarray(mat)[None])[0])
 
-    def contains_matrix(self, mat) -> bool:
-        return bool(self.locate(np.asarray(mat)[None])[1][0])
-
     # -- index-level arithmetic ------------------------------------------------
 
     # Up to this order products come from a full multiplication table;
@@ -360,23 +357,27 @@ class MatrixGroup:
             k += 1
         return k
 
+    def _power_map(self, r: int) -> np.ndarray:
+        """The kept map x -> x^r (r prime in practice), built by binary powering of walks."""
+        if r not in self._power_maps:
+            up, acc = partial(_walk_up, self._ainv, self.parent, self.via), np.arange(self.order)
+            for bit in bin(r)[3:]:  # most significant first
+                acc = up(acc, self.inv[acc])
+                if bit == "1":
+                    acc = up(acc, self.inv)
+            self._power_maps[r] = acc
+        return self._power_maps[r]
+
     def elements_satisfying_power(self, e: int) -> np.ndarray:
-        """Boolean mask of x with x^e == identity (e >= 1), kept per e: gathers through
-        the kept map x -> x^r of each prime r | e, built by binary powering of walks."""
+        """Boolean mask of x with x^e == identity (e >= 1), kept per e: gathers
+        through the kept map x -> x^r of each prime r | e."""
         if e < 1:
             raise DomainError(f"power masks need an exponent e >= 1, got {e}")
         if e not in self._power_masks:
-            up, x = partial(_walk_up, self._ainv, self.parent, self.via), np.arange(self.order)
+            x = np.arange(self.order)
             for r, a in factorize(e).items():
-                if r not in self._power_maps:
-                    acc = np.arange(self.order)
-                    for bit in bin(r)[3:]:  # most significant first
-                        acc = up(acc, self.inv[acc])
-                        if bit == "1":
-                            acc = up(acc, self.inv)
-                    self._power_maps[r] = acc
                 for _ in range(a):
-                    x = self._power_maps[r][x]
+                    x = self._power_map(r)[x]
             self._power_masks[e] = x == self.identity_idx
         return self._power_masks[e]
 
@@ -410,8 +411,12 @@ class Subgroup:
         self.parent = parent
         self.idx = np.sort(np.asarray(idx, dtype=np.int64))
         self.members = frozenset(self.idx.tolist())
+        if len(self.members) != len(self.idx):
+            raise DomainError("subgroup indices must be distinct")
         if parent.identity_idx not in self.members:
             raise DomainError("subgroup must contain the identity")
+        if self.idx[0] < 0 or self.idx[-1] >= parent.order:
+            raise DomainError(f"subgroup indices must lie in [0, {parent.order})")
         if parent.order % len(self.members) != 0:
             raise DomainError(
                 f"Lagrange violation: {len(self.members)} does not divide {parent.order}")
@@ -453,45 +458,13 @@ class Subgroup:
                     return False
         return True
 
-    def element_orders(self) -> list[int]:
-        return [self.parent.order_of(int(i)) for i in self.idx]
-
     def abelian_type(self) -> AbelianStructure:
         if not self.is_abelian():
             raise DomainError("abelian_type on a nonabelian subgroup")
-        return _abelian_type_from_orders(self.element_orders())
+        return _abelian_type(self, trivial_subgroup(self.parent))
 
     def __repr__(self):
         return f"<subgroup of {self.parent.name}: order {self.order}>"
-
-
-def _abelian_type_from_orders(orders) -> AbelianStructure:
-    """Isomorphism type of a finite abelian group from its element orders.
-
-    For each prime p, s_i = log_p #{x : x^(p^i) = 1} determines the p-part
-    partition: the number of cyclic factors of order >= p^i is s_i - s_{i-1}.
-    """
-    m = len(orders)
-    typ: list[int] = []
-    for p in factorize(m):
-        s = [0]
-        i = 1
-        while True:
-            c = sum(1 for o in orders if (p ** i) % o == 0)
-            e = 0
-            while c % p == 0:
-                c //= p
-                e += 1
-            s.append(e)
-            if s[-1] == s[-2]:
-                s.pop()
-                break
-            i += 1
-        n_ge = [s[j] - s[j - 1] for j in range(1, len(s))]
-        for j in range(1, len(n_ge) + 1):
-            exact = n_ge[j - 1] - (n_ge[j] if j < len(n_ge) else 0)
-            typ.extend([p ** j] * exact)
-    return from_cyclic_orders(typ)
 
 
 # ---------------------------------------------------------------------------
@@ -540,10 +513,6 @@ def _closure_indices(G: MatrixGroup, gen_idx, base=None) -> frozenset[int]:
                     frontier.append(v)
         round_gens = gens
     return frozenset(seen)
-
-
-def subgroup_closure(G: MatrixGroup, gen_idx) -> Subgroup:
-    return _extend(trivial_subgroup(G), gen_idx)
 
 
 def _extend(H: Subgroup, extra) -> Subgroup:
@@ -631,17 +600,16 @@ def normal_closure(H: Subgroup, seed_idx) -> Subgroup:
         gens.extend(fresh)
 
 
+def _generator_commutators(H: Subgroup) -> set[int]:
+    """a b a^-1 b^-1 for every ordered pair of H's generators."""
+    G = H.parent
+    return {G.mul_idx(G.mul_idx(a, b), G.mul_idx(G.inv_idx(a), G.inv_idx(b)))
+            for a in map(int, H.gen_idx) for b in map(int, H.gen_idx)}
+
+
 def commutator_subgroup(H: Subgroup) -> Subgroup:
     """[H, H]: normal closure in H of the generator commutators."""
-    G = H.parent
-    gens = H.gen_idx
-    seeds = set()
-    for a in gens:
-        for b in gens:
-            ia, ib = G.inv_idx(int(a)), G.inv_idx(int(b))
-            c = G.mul_idx(G.mul_idx(int(a), int(b)), G.mul_idx(ia, ib))
-            seeds.add(c)
-    return normal_closure(H, seeds)
+    return normal_closure(H, _generator_commutators(H))
 
 
 def is_normal(H: Subgroup, K: Subgroup) -> bool:
@@ -655,44 +623,34 @@ def is_normal(H: Subgroup, K: Subgroup) -> bool:
 
 def quotient_structure(H: Subgroup, K: Subgroup) -> AbelianStructure:
     """Invariant-factor type of the abelian quotient H/K."""
-    G = H.parent
     if not K.members <= H.members:
         raise DomainError("K is not contained in H")
     if not is_normal(H, K):
         raise DomainError("K is not normal in H")
-    for a in H.gen_idx:
-        for b in H.gen_idx:
-            ia, ib = G.inv_idx(int(a)), G.inv_idx(int(b))
-            c = G.mul_idx(G.mul_idx(int(a), int(b)), G.mul_idx(ia, ib))
-            if c not in K.members:
-                raise DomainError("H/K is not abelian")
-    # enumerate cosets by BFS over generator translates; K is normal, so
-    # the coset of x is K x, labelled by its least index
-    reps = [G.identity_idx]
-    labels = {G.identity_idx}
-    frontier = [G.identity_idx]
-    while frontier:
-        nxt = []
-        for r in frontier:
-            for h in H.gen_idx:
-                c = G.mul_idx(r, int(h))
-                label = int(G.right_mul_batch(K.idx, c).min())
-                if label not in labels:
-                    labels.add(label)
-                    reps.append(c)
-                    nxt.append(c)
-        frontier = nxt
-    m = H.order // K.order
-    if len(reps) != m:
-        raise DomainError("coset enumeration mismatch")  # pragma: no cover
-    orders = []
-    for r in reps:
-        k, x = 1, r
-        while x not in K.members:
-            x = G.mul_idx(x, r)
-            k += 1
-        orders.append(k)
-    return _abelian_type_from_orders(orders)
+    if not _generator_commutators(H) <= K.members:
+        raise DomainError("H/K is not abelian")
+    return _abelian_type(H, K)
+
+
+def _abelian_type(H: Subgroup, K: Subgroup) -> AbelianStructure:
+    """Type of the abelian quotient H/K (K normal in H) from power-map counts.
+
+    For each prime p, #{x in H : x^(p^i) in K} = |K| p^(s_i), read by i
+    gathers through the kept map x -> x^p, and H/K has s_i - s_(i-1) cyclic
+    factors of order >= p^i; s_i grows until it reaches log_p of the p-part."""
+    G = H.parent
+    in_k = np.zeros(G.order, dtype=bool)
+    in_k[K.idx] = True
+    orders: list[int] = []
+    for p, a in factorize(H.order // K.order).items():
+        s, x = [0], H.idx
+        while s[-1] < a:
+            x = G._power_map(p)[x]
+            s.append(p_val(int(in_k[x].sum()) // K.order, p))
+        at_least = np.diff(s).tolist() + [0]  # cyclic factors of order >= p^i
+        for i in range(1, len(s)):
+            orders += [p ** i] * (at_least[i - 1] - at_least[i])
+    return from_cyclic_orders(orders)
 
 
 def conjugate_orbit(G: MatrixGroup, key: tuple[int, ...]) -> dict[tuple[int, ...], int]:
@@ -862,7 +820,6 @@ def sylow_subgroup_of(G: MatrixGroup, p: int) -> Subgroup:
     Any p-subgroup P below full order has a p-element in N_G(P) \\ P whose
     join with P is again a p-group, so each step grows the order by at
     least p; at most log_p |G| normalizer scans."""
-    from .gf import p_part
     target = p_part(G.order, p)
     pmask = G.elements_satisfying_power(target)
     P = trivial_subgroup(G)
@@ -884,7 +841,6 @@ def sylow_subgroup_of(G: MatrixGroup, p: int) -> Subgroup:
 
 def sylow_check(G: MatrixGroup, S: Subgroup, p: int) -> bool:
     """S is a Sylow p-subgroup of G."""
-    from .gf import p_part
     return p_part(G.order, p) == S.order and _is_p_group(S, p)
 
 

@@ -81,31 +81,26 @@ def rho_chain(G: mg.MatrixGroup, S: mg.Subgroup, Q: mg.Subgroup,
     if not Q.members <= S.members:
         raise DomainError("Q must be contained in S")
     subs = subgroups if subgroups is not None else nontrivial_subgroups(G, S)
-    keys = [T.key() for T in subs]
-    if Q.key() not in keys:
-        subs = subs + [Q]
-        keys.append(Q.key())
+    by_key: dict[tuple, mg.Subgroup] = {}  # key -> its first subgroup, Q's added if new
+    for T in [*subs, Q]:
+        by_key.setdefault(T.key(), T)
 
     # conjugacy classes with transport witnesses
     assigned: dict[tuple, tuple[tuple, int]] = {}  # key -> (rep key, witness g)
-    key_set = set(keys)
-    for T in subs:
-        tk = T.key()
+    for tk in by_key:
         if tk not in assigned:
             for ik, wit in mg.conjugate_orbit(G, tk).items():
-                if ik in key_set and ik not in assigned:
+                if ik in by_key and ik not in assigned:
                     assigned[ik] = (tk, wit)
 
     norm_members: dict[tuple, frozenset] = {}
     level: dict[tuple, frozenset] = {}
     rep_norm: dict[tuple, mg.Subgroup] = {}
     rep_rho1: dict[tuple, mg.Subgroup] = {}
-    for T in subs:
-        tk = T.key()
+    for tk in by_key:
         rk, wit = assigned[tk]
         if rk not in rep_norm:
-            R = next(s for s in subs if s.key() == rk)
-            N = mg.normalizer(G, R)
+            N = mg.normalizer(G, by_key[rk])
             rep_norm[rk] = N
             rep_rho1[rk] = mg.commutator_subgroup(N)
         if wit == G.identity_idx:
@@ -113,8 +108,8 @@ def rho_chain(G: mg.MatrixGroup, S: mg.Subgroup, Q: mg.Subgroup,
             level[tk] = rep_rho1[rk].members
         else:
             cmap = G.conj_map(wit)
-            norm_members[tk] = frozenset(int(i) for i in cmap[rep_norm[rk].idx])
-            level[tk] = frozenset(int(i) for i in cmap[rep_rho1[rk].idx])
+            norm_members[tk] = frozenset(cmap[rep_norm[rk].idx].tolist())
+            level[tk] = frozenset(cmap[rep_rho1[rk].idx].tolist())
 
     qk = Q.key()
     NQ = mg.Subgroup(G, np.array(sorted(norm_members[qk]), dtype=np.int64))
@@ -123,8 +118,7 @@ def rho_chain(G: mg.MatrixGroup, S: mg.Subgroup, Q: mg.Subgroup,
     for i in range(2, max_i + 1):
         pool = frozenset().union(*level.values())
         nxt: dict[tuple, frozenset] = {}
-        for T in subs:
-            tk = T.key()
+        for tk in by_key:
             seed = norm_members[tk] & pool
             if seed == level[tk]:
                 nxt[tk] = level[tk]  # already a subgroup: no growth
@@ -347,7 +341,7 @@ def _check_triviality(K: mg.MatrixGroup, p: int, ev: TrivialityEvidence,
         except KeyError:
             clauses.append(ClauseResult(tag, False, "witness not inside the group"))
             return False
-        W = mg.subgroup_closure(K, idxs)
+        W = mg.generated_subgroup(K, idxs)
         ok = W.order > 1 and p_part(W.order, p) == W.order
         if ok:
             full = K.as_subgroup()
@@ -362,7 +356,7 @@ def _check_triviality(K: mg.MatrixGroup, p: int, ev: TrivialityEvidence,
         except KeyError:
             clauses.append(ClauseResult(tag, False, "Sylow witness not inside the group"))
             return False
-        S = mg.subgroup_closure(K, idxs)
+        S = mg.generated_subgroup(K, idxs)
         ok = mg.sylow_check(K, S, p) and mg.normalizer(K, S).order == S.order
         clauses.append(ClauseResult(
             tag, ok, "self-normalizing Sylow subgroup" if ok
@@ -645,7 +639,7 @@ def check_certificate(cert: MethodCertificate) -> CertificateReport:
             break
     if ok:
         gen_idx.extend(int(i) for i in cert.sylow_in_H.gen_idx)
-        generated = mg.subgroup_closure(H, sorted(set(gen_idx)))
+        generated = mg.generated_subgroup(H, sorted(set(gen_idx)))
         ok = generated.order == H.order
         clauses.append(ClauseResult(
             "(gen)", ok,

@@ -203,8 +203,7 @@ def test_criterion_6_certificate_replay():
     mask = Lbar.elements_satisfying_power(3)
     bad = next(i for i in range(Lbar.order)
                if mask[i] and i != Lbar.identity_idx
-               and not Hbar.contains_matrix(Lbar.elements[i])
-               and not Hbar.contains_matrix(Lbar.elements[Lbar.mul_idx(i, i)]))
+               and not Hbar.locate(Lbar.elements[[i, Lbar.mul_idx(i, i)]])[1].any())
     K = mg.MatrixGroup.generate(Lbar.field, [Lbar.elements[bad]],
                                 scalars=[int(s) for s in Lbar.scalars],
                                 name="corrupt")

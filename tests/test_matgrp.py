@@ -1,3 +1,4 @@
+import math
 from functools import partial
 
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 from endotriv import backend, liea, rho
 from endotriv import matgrp as mg
 from endotriv.abst import cyclic, from_cyclic_orders
+from endotriv.classify import cyclic_quotient_normalizer
 from endotriv.errors import CapExceeded, DomainError
-from endotriv.gf import field_spec
+from endotriv.gf import factorize, field_spec
+from test_classify import CYCLIC_EXT_CASES
 
 
 def sl23():
@@ -68,8 +71,8 @@ def test_normalizer_iterated_fixpoint():
 
 def test_commutator_examples():
     G = sl23()
-    torus = mg.subgroup_closure(G, [G.index_of(np.array([[2, 0], [0, 2]],
-                                                        dtype=np.uint8))])
+    torus = mg.generated_subgroup(G, [G.index_of(np.array([[2, 0], [0, 2]],
+                                                          dtype=np.uint8))])
     assert mg.commutator_subgroup(torus).order == 1  # abelian
     G5 = liea.enumerate_group(2, 5)
     assert mg.commutator_subgroup(G5.as_subgroup()).order == G5.order  # perfect
@@ -108,7 +111,7 @@ def test_dihedral_kleins_fuse_in_wrapper():
     r2 = D16.index_of(np.array(
         mg.permutation_matrix([(i + 2) % 8 for i in range(8)]), dtype=np.uint8))
     si = D16.index_of(s)
-    D8 = mg.subgroup_closure(D16, [r2, si])
+    D8 = mg.generated_subgroup(D16, [r2, si])
     assert D8.order == 8
     eas = mg.elementary_abelian_subgroups(D8, 2)
     kleins = [e.subgroup for e in eas if e.rank == 2]
@@ -180,6 +183,78 @@ def test_abelian_type():
     assert S.as_subgroup().abelian_type() == from_cyclic_orders([3, 3])
 
 
+def _coset_orders(G, H, K):
+    """The order of each coset xK of H/K (K normal), by brute force: the
+    least k with x^k in K, the powers taken by repeated mul_idx."""
+    covered, orders = np.zeros(G.order, dtype=bool), []
+    for x in H.idx.tolist():
+        if not covered[x]:
+            covered[G.right_mul_batch(K.idx, x)] = True
+            k, y = 1, x
+            while y not in K:
+                k, y = k + 1, G.mul_idx(y, x)
+            orders.append(k)
+    return orders
+
+
+def _type_from_orders(orders):
+    """The abelian group with these element orders: its p-part has
+    log_p(n_i / n_(i-1)) cyclic factors of order >= p^i, where n_i counts
+    the orders dividing p^i."""
+    factors = []
+    for p in factorize(len(orders)):
+        n = [sum(p ** i % o == 0 for o in orders) for i in range(len(orders).bit_length())]
+        ge = [round(math.log(b / a, p)) for a, b in zip(n, n[1:])] + [0]
+        factors += [p ** i for i in range(1, len(ge)) for _ in range(ge[i - 1] - ge[i])]
+    return from_cyclic_orders(factors)
+
+
+# the Sylow subgroups of the certify benchmark's chain groups, (n, q, det, p)
+CHAIN_SYLOWS = [(2, 3, 1, 2), (2, 3, 1, 3), (2, 3, 2, 2), (2, 4, 1, 3), (2, 4, 1, 5),
+                (2, 5, 1, 2), (2, 5, 1, 3), (3, 2, 1, 3), (3, 2, 1, 7), (2, 7, 1, 2),
+                (2, 7, 1, 3), (2, 9, 1, 2), (2, 9, 1, 5)]
+
+
+def test_abelian_type_matches_coset_orders():
+    q8 = mg.MatrixGroup.generate(field_spec(3), [[[0, 2], [1, 0]], [[1, 1], [1, 2]]])
+    _, rp_sylow = liea.build_sylow(liea.compute_params(3, 19, 3, 1, 3))  # rp-case's Sg
+    groups = [(q8, q8.as_subgroup()), (rp_sylow, rp_sylow.as_subgroup())]
+    for n, q, det, p in CHAIN_SYLOWS:
+        G = liea.enumerate_group(n, q, det)
+        groups.append((G, mg.sylow_subgroup_of(G, p)))
+    types = set()
+    for G, S in groups:
+        triv = mg.trivial_subgroup(G)
+        for T in mg.all_subgroups(S):
+            if T.is_abelian():
+                ab = T.abelian_type()
+                assert ab == _type_from_orders(_coset_orders(G, T, triv)), (G.name, T.key())
+                types.add(ab)
+            else:
+                with pytest.raises(DomainError, match="nonabelian"):
+                    T.abelian_type()
+    assert {(2, 2), (3, 9), (9, 9)} <= {t.invariant_factors for t in types}
+
+
+def test_quotient_structure_matches_coset_orders():
+    # the abelianizations N(S)/Z -> N/N' behind the cyclic-Sylow branch
+    types = set()
+    for n, q, p, d, z in CYCLIC_EXT_CASES:
+        N = cyclic_quotient_normalizer(liea.compute_params(n, q, p, d, z)).as_subgroup()
+        comm = mg.commutator_subgroup(N)
+        ab = mg.quotient_structure(N, comm)
+        assert ab == _type_from_orders(_coset_orders(N.parent, N, comm)), (n, q, p, d, z)
+        types.add(ab)
+    assert any(len(ab.invariant_factors) > 1 for ab in types)
+
+
+@pytest.mark.parametrize("idx", [[0, 0], [0, -1], [0, 49], [0, 5, 5, 7]])
+def test_subgroup_refuses_bad_index_arrays(idx):
+    G = liea.enumerate_group(2, 3, 2)  # GL(2,3), 48 elements
+    with pytest.raises(DomainError, match="distinct|lie in"):
+        mg.Subgroup(G, np.array(idx))
+
+
 def test_all_subgroups_of_quaternion():
     G = sl23()
     q8m = mg.commutator_subgroup(G.as_subgroup())
@@ -232,7 +307,7 @@ def test_find_generators_rejects_unclosed_set():
     H = mg.generated_subgroup(G, [x, G.inv_idx(x)])
     assert H.gen_idx == (min(x, G.inv_idx(x)),)
     assert H.members == rho._naive_closure(G, [x])
-    assert mg.subgroup_closure(G, mg.find_generators(G, H.idx)) == H
+    assert mg.generated_subgroup(G, mg.find_generators(G, H.idx)) == H
 
 
 # index arithmetic against matrix products, on both sides of CAYLEY_LIMIT:
@@ -300,7 +375,7 @@ def test_index_layer_needs_no_kernel_or_key_after_construction(monkeypatch, n, q
 
     for name in ("mm_one", "det_many"):
         monkeypatch.setattr(backend, name, refuse)
-    for name in ("locate", "lookup_batch", "index_of", "contains_matrix"):
+    for name in ("locate", "lookup_batch", "index_of"):
         monkeypatch.setattr(mg.MatrixGroup, name, refuse)
     monkeypatch.setattr(G, "_keys", None)
     S = mg.sylow_subgroup_of(G, 2)
@@ -583,7 +658,7 @@ def test_lookup_refuses_non_members(n, q, det, z):
     for mat in outside:
         with pytest.raises(KeyError):
             G.index_of(mat)
-        assert not G.contains_matrix(mat)
+        assert not G.locate(mat[None])[1][0]
     with pytest.raises(KeyError):
         G.lookup_batch(np.stack([x, singular]))
     for zs in zvals:
