@@ -34,6 +34,11 @@ from .liea import LieParams, compute_params
 
 @dataclass
 class TClassification:
+    """T(G/Z) for one input.  `x_factor` is x_group's determinant formula,
+    reported as such even outside its domain (the non-perfect bases
+    SL(2,2), SL(2,3)), where it can differ from X(G/Z) while `result`
+    stays right."""
+
     result: AbelianStructure | ExtensionDescriptor
     x_factor: AbelianStructure
     tf_rank: int
@@ -68,6 +73,8 @@ def x_group(params: LieParams, strict: bool = True) -> AbelianStructure:
 
     Valid whenever the derived subgroup of G is all of SL(n,q); the
     non-perfect bases SL(2,2) and SL(2,3) are rejected under strict=True.
+    With strict=False it returns the formula there too, and the
+    `x_factor` of every TClassification is this formula.
     """
     if strict and params.n == 2 and params.q <= 3 and params.det_order % 2 != 0:
         raise DomainError(

@@ -174,7 +174,6 @@ class MatrixGroup:
         self._power_maps: dict[int, np.ndarray] = {}  # prime r -> x^r
         self._gen_conj: np.ndarray | None = None
         self._dets = None
-        self._cayley: np.ndarray | None = None
 
     # -- construction --------------------------------------------------------
 
@@ -283,23 +282,26 @@ class MatrixGroup:
     CAYLEY_LIMIT = 1024
 
     def cayley(self) -> np.ndarray | None:
-        """Full multiplication table table[i, j] = i * j, for small groups.
-
-        Column j is column parent[j] moved by gens[via[j]], filled one BFS
-        level at a time."""
-        if self._cayley is None and self.order <= self.CAYLEY_LIMIT:
-            cols = np.empty((self.order, self.order), dtype=np.int32)
-            cols[0] = np.arange(self.order)
-            for lo, hi in zip(self.levels[1:-1], self.levels[2:]):
-                cols[lo:hi] = self.acts[self.via[lo:hi, None], cols[self.parent[lo:hi]]]
-            self._cayley = cols.T
+        """Full multiplication table table[i, j] = i * j, for groups of at
+        most CAYLEY_LIMIT elements; None above."""
         return self._cayley
 
+    @cached_property
+    def _cayley(self) -> np.ndarray | None:
+        """The table of cayley(), built on first use: column j is column
+        parent[j] moved by gens[via[j]], filled one BFS level at a time."""
+        if self.order > self.CAYLEY_LIMIT:
+            return None
+        cols = np.empty((self.order, self.order), dtype=np.int32)
+        cols[0] = np.arange(self.order)
+        for lo, hi in zip(self.levels[1:-1], self.levels[2:]):
+            cols[lo:hi] = self.acts[self.via[lo:hi, None], cols[self.parent[lo:hi]]]
+        return cols.T
+
     def _right(self, idxs, j: int):
-        """Indices of x * j for the index or index array x = idxs."""
-        table = self._cayley if self._cayley is not None else self.cayley()
-        if table is not None:
-            return table[idxs, j]
+        """Indices of x * j for every index x in the array idxs."""
+        if self._cayley is not None:
+            return self._cayley[idxs, j]
         word = []  # j = gens[word[-1]] ... gens[word[0]], up the BFS tree
         while j:
             word.append(self.via[j])
@@ -308,21 +310,11 @@ class MatrixGroup:
             idxs = self.acts[k][idxs]
         return idxs
 
-    def mul_idx(self, i: int, j: int) -> int:
+    def _mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Indices of x[i] * y[i] for two index arrays of one shape."""
         if self._cayley is not None:
-            return int(self._cayley[i, j])
-        return int(self._right(i, j))
-
-    def inv_idx(self, i: int) -> int:
-        return int(self.inv[i])
-
-    def conj_idx(self, g: int, x: int) -> int:
-        """Index of g x g^-1."""
-        return self.mul_idx(self.mul_idx(g, x), self.inv_idx(g))
-
-    def right_mul_batch(self, idxs: np.ndarray, j: int) -> np.ndarray:
-        """Indices of x * j for every index x in idxs."""
-        return self._right(np.asarray(idxs), j)
+            return self._cayley[x, y]
+        return _walk_up(self._ainv, self.parent, self.via, x, self.inv[y])
 
     def sandwich_all(self, h: int) -> np.ndarray:
         """Indices of g h g^-1 for every g in enumeration order.
@@ -342,20 +334,13 @@ class MatrixGroup:
         """Permutation array x -> g x g^-1 over all element indices, as
         x -> x^-1 g^-1 -> g x -> g x g^-1."""
         if g not in self._conj_maps:
-            gi = self.inv_idx(g)
+            gi = self.inv[g]
             self._conj_maps[g] = self._right(self.inv[self._right(self.inv, gi)], gi)
         return self._conj_maps[g]
 
     @cached_property
     def _ainv(self) -> np.ndarray:
         return _inverse_acts(self.acts)
-
-    def order_of(self, i: int) -> int:
-        k, j = 1, i
-        while j != self.identity_idx:
-            j = self.mul_idx(j, i)
-            k += 1
-        return k
 
     def _power_map(self, r: int) -> np.ndarray:
         """The kept map x -> x^r (r prime in practice), built by binary powering of walks."""
@@ -450,13 +435,8 @@ class Subgroup:
         return tuple(self.idx.tolist())
 
     def is_abelian(self) -> bool:
-        gens = self.gen_idx
-        G = self.parent
-        for a in gens:
-            for b in gens:
-                if G.mul_idx(a, b) != G.mul_idx(b, a):
-                    return False
-        return True
+        a, b = _pairs(self.gen_idx, self.gen_idx)
+        return bool(np.array_equal(self.parent._mul(a, b), self.parent._mul(b, a)))
 
     def abelian_type(self) -> AbelianStructure:
         if not self.is_abelian():
@@ -469,6 +449,19 @@ class Subgroup:
 
 # ---------------------------------------------------------------------------
 # subgroup algebra
+
+def _pairs(xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair (x, y) with x in xs and y in ys, as two flat index arrays."""
+    x, y = np.meshgrid(np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64),
+                       indexing="ij")
+    return x.ravel(), y.ravel()
+
+
+def _conjugates(G: MatrixGroup, hs, xs) -> np.ndarray:
+    """h x h^-1 = (h x) h^-1 for every h in hs and x in xs."""
+    h, x = _pairs(hs, xs)
+    return G._mul(G._mul(h, x), G.inv[h])
+
 
 def generated_subgroup(G: MatrixGroup, seeds) -> Subgroup:
     """<seeds>, generated greedily: each seed, in increasing order, that the
@@ -506,7 +499,7 @@ def _closure_indices(G: MatrixGroup, gen_idx, base=None) -> frozenset[int]:
         arr = np.array(frontier, dtype=np.int64)
         frontier = []
         for g in round_gens:
-            for v in G.right_mul_batch(arr, g):
+            for v in G._right(arr, g):
                 v = int(v)
                 if v not in seen:
                     seen.add(v)
@@ -556,10 +549,6 @@ def centralizer(G: MatrixGroup, H: Subgroup) -> Subgroup:
     return Subgroup(G, np.nonzero(mask)[0])
 
 
-def center(G: MatrixGroup) -> Subgroup:
-    return centralizer(G, G.as_subgroup())
-
-
 def intersection(H1: Subgroup, H2: Subgroup) -> Subgroup:
     if H1.parent is not H2.parent:
         raise DomainError("intersection across different parents")
@@ -592,7 +581,7 @@ def normal_closure(H: Subgroup, seed_idx) -> Subgroup:
     while True:
         members = _closure_indices(G, gens, members)
         # conjugates of older generators lie in the older closure already
-        new = {G.conj_idx(int(h), x) for h in H.gen_idx for x in fresh} - members
+        new = set(_conjugates(G, H.gen_idx, fresh).tolist()) - members
         if not new:
             return Subgroup(G, np.array(sorted(members), dtype=np.int64),
                             gen_idx=tuple(gens))
@@ -600,11 +589,11 @@ def normal_closure(H: Subgroup, seed_idx) -> Subgroup:
         gens.extend(fresh)
 
 
-def _generator_commutators(H: Subgroup) -> set[int]:
-    """a b a^-1 b^-1 for every ordered pair of H's generators."""
+def _generator_commutators(H: Subgroup) -> np.ndarray:
+    """[a, b] = (ab)(ba)^-1 for every ordered pair of H's generators."""
     G = H.parent
-    return {G.mul_idx(G.mul_idx(a, b), G.mul_idx(G.inv_idx(a), G.inv_idx(b)))
-            for a in map(int, H.gen_idx) for b in map(int, H.gen_idx)}
+    a, b = _pairs(H.gen_idx, H.gen_idx)
+    return G._mul(G._mul(a, b), G.inv[G._mul(b, a)])
 
 
 def commutator_subgroup(H: Subgroup) -> Subgroup:
@@ -616,9 +605,7 @@ def is_normal(H: Subgroup, K: Subgroup) -> bool:
     """K normal in H (both subgroups of the same parent, K <= H)."""
     if not K.members <= H.members:
         return False
-    G = H.parent
-    return all(G.conj_idx(int(h), int(k)) in K.members
-               for h in (H.gen_idx or ()) for k in (K.gen_idx or ()))
+    return bool(np.isin(_conjugates(H.parent, H.gen_idx, K.gen_idx), K.idx).all())
 
 
 def quotient_structure(H: Subgroup, K: Subgroup) -> AbelianStructure:
@@ -627,7 +614,7 @@ def quotient_structure(H: Subgroup, K: Subgroup) -> AbelianStructure:
         raise DomainError("K is not contained in H")
     if not is_normal(H, K):
         raise DomainError("K is not normal in H")
-    if not _generator_commutators(H) <= K.members:
+    if not np.isin(_generator_commutators(H), K.idx).all():
         raise DomainError("H/K is not abelian")
     return _abelian_type(H, K)
 
@@ -753,21 +740,15 @@ def elementary_abelian_subgroups(T: Subgroup | MatrixGroup, p: int) -> list[Elem
             M = np.array(key)
             commuting = np.ones(len(pts), dtype=bool)
             for g in gens:  # x g == g x, with g x = (x^-1 g^-1)^-1
-                commuting &= (G.right_mul_batch(pts, g)
-                              == G.inv[G.right_mul_batch(G.inv[pts], G.inv_idx(g))])
+                commuting &= G._right(pts, g) == G.inv[G._right(G.inv[pts], G.inv[g])]
             covered = np.zeros(G.order, dtype=bool)
             covered[M] = True
-            found = list(_cyclic_extensions(M, pts[commuting], p, G.right_mul_batch, covered))
+            found = list(_cyclic_extensions(M, pts[commuting], p, G._right, covered))
             for ukey, x in found:
                 nxt.setdefault(ukey, gens + (x,))
             out.append(ElementaryAbelian(Subgroup(G, M, gen_idx=gens), len(gens), not found))
         layer = nxt
     return out
-
-
-def p_rank(T: Subgroup | MatrixGroup, p: int) -> int:
-    eas = elementary_abelian_subgroups(T, p)
-    return max(e.rank for e in eas)
 
 
 def all_subgroups(S: Subgroup) -> list[Subgroup]:
@@ -785,7 +766,7 @@ def all_subgroups(S: Subgroup) -> list[Subgroup]:
     if p > 1 and not _is_p_group(S, p):
         raise DomainError(f"subgroup lattice needs a p-group, got order {S.order}")
     pos = partial(np.searchsorted, S.idx)  # G index -> position in S.idx
-    table = pos(np.stack([G.right_mul_batch(S.idx, int(j)) for j in S.idx], axis=1))
+    table = pos(np.stack([G._right(S.idx, int(j)) for j in S.idx], axis=1))
     inv = pos(G.inv[S.idx])
     power = np.zeros(S.order, dtype=np.int64)  # power[a]: a^p
     for _ in range(p):

@@ -5,9 +5,10 @@ import itertools
 import random
 import time
 
+import numpy as np
 import pytest
 
-from endotriv import liea, rho
+from endotriv import backend, liea, rho
 from endotriv import matgrp as mg
 from endotriv.abst import AbelianStructure, from_cyclic_orders
 from endotriv.classify import classify, tf_rank_oracle
@@ -201,9 +202,13 @@ def test_criterion_6_certificate_replay():
     Lbar = cert.witnesses[-1].aux_group
     Hbar = cert.H
     mask = Lbar.elements_satisfying_power(3)
+
+    def with_square(x):  # the matrices x and x^2
+        return backend.mm_one(np.stack([mg.identity_matrix(Lbar.n), x]), x, Lbar.field)
+
     bad = next(i for i in range(Lbar.order)
                if mask[i] and i != Lbar.identity_idx
-               and not Hbar.locate(Lbar.elements[[i, Lbar.mul_idx(i, i)]])[1].any())
+               and not Hbar.locate(with_square(Lbar.elements[i]))[1].any())
     K = mg.MatrixGroup.generate(Lbar.field, [Lbar.elements[bad]],
                                 scalars=[int(s) for s in Lbar.scalars],
                                 name="corrupt")

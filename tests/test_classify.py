@@ -201,6 +201,25 @@ def test_json_shape():
     assert ext["kind"] == "extension" and ext["resolved"] is None
 
 
+# non-perfect bases where x_factor (the determinant formula) is not X(G/Z):
+# (n, q, p, det, z) -> (X(G/Z), the answer)
+X_FACTOR_OUT_OF_DOMAIN = {(2, 2, 3, 1, 1): ([2], "Z/4"),  # SL(2,2) = S3
+                          (2, 3, 2, 1, 2): ([3], "Z + Z/3")}  # PSL(2,3) = A4
+
+
+@pytest.mark.parametrize("case", list(X_FACTOR_OUT_OF_DOMAIN))
+def test_x_factor_is_the_determinant_formula_out_of_domain(case):
+    n, q, p, det, z = case
+    x_orders, answer = X_FACTOR_OUT_OF_DOMAIN[case]
+    G = liea.enumerate_quotient(n, q, det, z).as_subgroup()
+    ab = mg.quotient_structure(G, mg.commutator_subgroup(G))
+    assert abst.prime_to_p_part(ab, p) == from_cyclic_orders(x_orders)
+    tc = classify(*case)
+    assert tc.x_factor == x_group(tc.params, strict=False)
+    assert tc.x_factor.is_trivial
+    assert str(tc.result) == answer
+
+
 CYCLIC_AMBIENT_CASES = [(2, 5, 3, 1), (2, 7, 3, 1), (2, 4, 3, 1), (3, 2, 3, 1),
                         (3, 2, 7, 1), (2, 9, 5, 1), (1, 7, 3, 6), (2, 13, 3, 4),
                         (2, 4, 5, 3)]

@@ -17,6 +17,33 @@ def sl23():
     return liea.enumerate_group(2, 3)
 
 
+def _p_rank(T, p):
+    return max(e.rank for e in mg.elementary_abelian_subgroups(T, p))
+
+
+def _matmul_pairs(F, a, b):
+    """a[i] @ b[i] over GF(q) for two (m, n, n) matrix batches, by the field tables."""
+    terms = F.mul[a[:, :, :, None], b[:, None, :, :]]  # [i, row, k, col]
+    acc = terms[:, :, 0]
+    for k in range(1, a.shape[2]):
+        acc = F.add[acc, terms[:, :, k]]
+    return acc
+
+
+def element_orders(G, xs=None, K=None):
+    """For each index x in xs (default: all of G), the least k with x^k in
+    the index set K (default: the identity), the powers x^k taken as matrix
+    products and looked up by key."""
+    xs = np.arange(G.order) if xs is None else np.asarray(xs)
+    K = [G.identity_idx] if K is None else K
+    base = G.elements[xs]
+    orders, power, k = np.zeros(len(xs), dtype=np.int64), base, 1
+    while not orders.all():
+        orders[(orders == 0) & np.isin(G.lookup_batch(power), K)] = k
+        power, k = _matmul_pairs(G.field, power, base), k + 1
+    return orders
+
+
 def test_closure_orders():
     F2 = field_spec(2)
     triv = mg.MatrixGroup.generate(F2, [mg.identity_matrix(2)])
@@ -95,6 +122,19 @@ def test_quotient_structure_examples():
         mg.quotient_structure(full, mg.trivial_subgroup(G))
 
 
+@pytest.mark.parametrize("n, q, det", [(2, 3, 1), (2, 7, 6)])  # SL(2,3); GL(2,7) above CAYLEY_LIMIT
+def test_checks_refuse_non_normal_and_nonabelian(n, q, det):
+    G = liea.enumerate_group(n, q, det)
+    assert (G.order > G.CAYLEY_LIMIT) == (q == 7)
+    full, syl3 = G.as_subgroup(), mg.sylow_subgroup_of(G, 3)
+    assert not mg.is_normal(full, syl3)
+    with pytest.raises(DomainError, match="K is not normal in H"):
+        mg.quotient_structure(full, syl3)
+    with pytest.raises(DomainError, match="H/K is not abelian"):
+        mg.quotient_structure(full, mg.trivial_subgroup(G))
+    assert not full.is_abelian()
+
+
 def test_subgroup_conjugacy_singleton():
     G = sl23()
     q8 = mg.commutator_subgroup(G.as_subgroup())
@@ -138,7 +178,7 @@ def test_elementary_abelian_examples():
     eas4 = mg.elementary_abelian_subgroups(a5, 2)
     v4 = [e for e in eas4 if e.rank == 2]
     assert len(v4) == 5 and all(e.maximal for e in v4)
-    assert mg.p_rank(a5, 2) == 2
+    assert _p_rank(a5, 2) == 2
     assert len(mg.subgroup_conjugacy_classes(a5, [e.subgroup for e in v4])) == 1
 
 
@@ -151,7 +191,7 @@ def test_p_rank_matches_parameter_formula():
     for (n, q, p, det) in cases:
         params = liea.compute_params(n, q, p, det)
         _, S = liea.build_sylow(params)
-        assert mg.p_rank(S, p) == params.p_rank, (n, q, p, det)
+        assert _p_rank(S, p) == params.p_rank, (n, q, p, det)
 
 
 def test_generic_sylow_finder():
@@ -176,7 +216,7 @@ def test_central_quotient_groups():
 
 def test_abelian_type():
     G = liea.enumerate_group(2, 5, 4)
-    z = mg.center(G)
+    z = mg.centralizer(G, G.as_subgroup())
     assert z.abelian_type() == cyclic(4)
     params = liea.compute_params(2, 7, 3, 6)
     _, S = liea.build_sylow(params)
@@ -185,16 +225,10 @@ def test_abelian_type():
 
 def _coset_orders(G, H, K):
     """The order of each coset xK of H/K (K normal), by brute force: the
-    least k with x^k in K, the powers taken by repeated mul_idx."""
-    covered, orders = np.zeros(G.order, dtype=bool), []
-    for x in H.idx.tolist():
-        if not covered[x]:
-            covered[G.right_mul_batch(K.idx, x)] = True
-            k, y = 1, x
-            while y not in K:
-                k, y = k + 1, G.mul_idx(y, x)
-            orders.append(k)
-    return orders
+    least k with x^k in K for every x in H, from matrix products.  The |K|
+    elements of a coset share its order, so every |K|-th of the sorted
+    orders lists each coset once."""
+    return sorted(element_orders(G, H.idx, K.idx).tolist())[::K.order]
 
 
 def _type_from_orders(orders):
@@ -266,13 +300,14 @@ def test_all_subgroups_of_quaternion():
 def test_all_subgroups_refuses_non_p_group(monkeypatch):
     G = sl23()  # order 24
     assert [s.order for s in mg.all_subgroups(mg.trivial_subgroup(G))] == [1]
-    monkeypatch.setattr(G, "right_mul_batch", None)  # refused before any product
+    for name in ("_right", "_mul", "cayley"):  # refused before any product
+        monkeypatch.setattr(G, name, None)
     with pytest.raises(DomainError, match="p-group"):
         mg.all_subgroups(G.as_subgroup())
 
 
 def test_commutator_is_normal_with_abelian_quotient():
-    for (n, q, det) in [(2, 3, 2), (2, 4, 3), (2, 5, 4)]:
+    for (n, q, det) in [(2, 3, 2), (2, 4, 3), (2, 5, 4), (2, 7, 6)]:  # GL(2,7) above CAYLEY_LIMIT
         G = liea.enumerate_group(n, q, det)
         full = G.as_subgroup()
         comm = mg.commutator_subgroup(full)
@@ -286,7 +321,7 @@ def test_global_elementary_abelian_rank_matches_formula():
                            (3, 2, 3, 1), (2, 9, 2, 1)]:
         G = liea.enumerate_group(n, q, det)
         params = liea.compute_params(n, q, p, det)
-        assert mg.p_rank(G, p) == params.p_rank, (n, q, p, det)
+        assert _p_rank(G, p) == params.p_rank, (n, q, p, det)
 
 
 @pytest.mark.parametrize("n, q, det", [(2, 5, 1), (2, 3, 2)])  # SL(2,5), GL(2,3)
@@ -301,11 +336,12 @@ def test_closure_extends_closed_subgroups(n, q, det):
 
 def test_find_generators_rejects_unclosed_set():
     G = sl23()
-    x = next(i for i in range(G.order) if G.order_of(i) > 2)
+    x = int(np.flatnonzero(element_orders(G) > 2)[0])
     with pytest.raises(DomainError, match="not closed"):
         mg.find_generators(G, np.array([G.identity_idx, x]))
-    H = mg.generated_subgroup(G, [x, G.inv_idx(x)])
-    assert H.gen_idx == (min(x, G.inv_idx(x)),)
+    xinv = G.index_of(_inverse_matrix(G, x))
+    H = mg.generated_subgroup(G, [x, xinv])
+    assert H.gen_idx == (min(x, xinv),)
     assert H.members == rho._naive_closure(G, [x])
     assert mg.generated_subgroup(G, mg.find_generators(G, H.idx)) == H
 
@@ -340,12 +376,14 @@ def test_index_arithmetic_matches_matrix_products(n, q, det, z):
     xs = rng.integers(0, G.order, size=48)
     for j in [0, *G.gen_idx, *rng.integers(0, G.order, size=4)]:
         ref = _products(G, xs, int(j))
-        assert list(G.right_mul_batch(xs, int(j))) == ref
-        assert [G.mul_idx(int(x), int(j)) for x in xs] == ref
+        assert list(G._right(xs, int(j))) == ref
+    ys = rng.integers(0, G.order, size=len(xs))
+    prods = _matmul_pairs(F, G.elements[xs], G.elements[ys])
+    assert G._mul(xs, ys).tolist() == G.lookup_batch(prods).tolist()
     for g in rng.integers(0, G.order, size=3):
         g = int(g)
         ginv = _inverse_matrix(G, g)
-        assert G.inv_idx(g) == G.index_of(ginv)
+        assert G.inv[g] == G.index_of(ginv)
         cmap = G.conj_map(g)
         for x in xs:
             gxg = backend.mm_one(backend.mm_one(G.elements[g][None], G.elements[int(x)], F),
@@ -391,7 +429,7 @@ def test_index_layer_needs_no_kernel_or_key_after_construction(monkeypatch, n, q
 @pytest.mark.parametrize("n, q, det, z", INDEX_GROUPS)
 def test_power_masks_match_element_orders(n, q, det, z):
     G = _index_group(n, q, det, z)
-    orders = np.array([G.order_of(i) for i in range(G.order)])
+    orders = element_orders(G)
     for e in (1, 2, 3, 4, 6, 8, 9, 12):
         mask = G.elements_satisfying_power(e)
         assert mask.dtype == np.bool_
@@ -435,7 +473,7 @@ def test_power_masks_on_a_deep_tree_match_matrix_powers():
 
 def test_power_masks_reuse_the_prime_maps(monkeypatch):
     G = _index_group(2, 7, 6, 1)
-    orders = np.array([G.order_of(i) for i in range(G.order)])
+    orders = element_orders(G)
     walks = []
     walk = mg._walk_up
     monkeypatch.setattr(mg, "_walk_up", lambda *a: walks.append(1) or walk(*a))

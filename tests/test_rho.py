@@ -175,7 +175,7 @@ def test_naive_primitives_match_matrix_arithmetic(group):
 def test_naive_twin_refuses_groups_without_a_table(monkeypatch):
     G = liea.enumerate_quotient(2, 7, 6, 1)  # GL(2,7), 2016 elements
     S = mg.sylow_subgroup_of(G, 3)
-    for name in ("right_mul_batch", "cayley", "mul_idx"):  # refused before any product
+    for name in ("_right", "_mul", "cayley"):  # refused before any product
         monkeypatch.setattr(G, name, None)
     for run in (lambda: rho._naive_closure(G, G.gen_idx),
                 lambda: rho.rho_chain_naive(G, S, S)):
