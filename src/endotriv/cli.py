@@ -7,13 +7,14 @@ Exit codes: 0 success, 1 domain error, 2 enumeration cap exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from . import liea, rho
 from . import matgrp as mg
 from .classify import classify, tf_rank_oracle
-from .corpus import run_corpus
+from .corpus import FILTER_KEYS, matching_entries, run_corpus
 from .errors import (AmbiguousCase, CapExceeded, DomainError, EndotrivError,
                      GroupSpecError)
 
@@ -37,7 +38,9 @@ def _emit(payload: dict, as_json: bool, text_lines=None):
             print(line)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """Built once per process; `main` shares it across calls."""
     ap = _Parser(prog="endotriv",
                  description="Endotrivial-module group classification for "
                              "SL(n,q) <= G <= GL(n,q) in coprime characteristic")
@@ -94,7 +97,7 @@ def _build_parser() -> _Parser:
     sp = add("corpus", help="regression corpus runner")
     sp.add_argument("action", choices=["run", "list"])
     sp.add_argument("--filter", action="append", default=[],
-                    help="key=value (name, clause, section, provenance, cap_class)")
+                    help=f"key=value ({', '.join(FILTER_KEYS)})")
     sp.add_argument("--oracle", action="store_true",
                     help="also run rank oracles on enumerable entries")
     return ap
@@ -193,15 +196,14 @@ def _cmd_certify(args) -> int:
 def _cmd_corpus(args) -> int:
     filters = {}
     for f in args.filter:
-        if "=" not in f:
-            raise _UsageExit(f"bad filter {f!r}; expected key=value")
-        k, v = f.split("=", 1)
+        k, eq, v = f.partition("=")
+        if not eq or k.strip() not in FILTER_KEYS:
+            raise _UsageExit(f"bad filter {f!r}; expected key=value, "
+                             f"key one of {', '.join(FILTER_KEYS)}")
         filters[k.strip()] = v.strip()
     if args.action == "list":
-        from .corpus import load_corpus
-        entries = [e for e in load_corpus()]
-        _emit({"entries": [e.name for e in entries]}, args.json,
-              [e.name for e in entries])
+        names = [e.name for e in matching_entries(filters)]
+        _emit({"entries": names}, args.json, names)
         return 0
     report = run_corpus(filters, oracle=args.oracle, cap=args.cap)
     lines = []

@@ -8,6 +8,8 @@ quotient group is small enough for the brute-force rank oracle.
 
 from __future__ import annotations
 
+import copy
+import functools
 import json
 import time
 from dataclasses import dataclass
@@ -34,7 +36,8 @@ class CorpusEntry:
         return self.clause.split(".")[0]
 
 
-def load_corpus() -> list[CorpusEntry]:
+@functools.cache
+def _parsed_corpus() -> tuple[CorpusEntry, ...]:
     text = resources.files("endotriv").joinpath("data/corpus.tsv").read_text()
     out = []
     for line in text.splitlines():
@@ -46,22 +49,29 @@ def load_corpus() -> list[CorpusEntry]:
         n, q, p, det, z = (int(x) for x in tup.split())
         out.append(CorpusEntry(name, n, q, p, det, z, json.loads(expected),
                                prov, clause, cap_class))
-    return out
+    return tuple(out)
 
 
-def _matches(entry: CorpusEntry, filters: dict[str, str]) -> bool:
-    for key, val in filters.items():
-        if key == "name" and val.lower() not in entry.name.lower():
-            return False
-        if key == "clause" and entry.clause != val:
-            return False
-        if key == "section" and not entry.clause.startswith(val):
-            return False
-        if key == "provenance" and entry.provenance != val:
-            return False
-        if key == "cap_class" and entry.cap_class != val:
-            return False
-    return True
+def load_corpus() -> list[CorpusEntry]:
+    """The pinned entries in a fresh list; `corpus.tsv` is parsed once per
+    process, so the entries (and their `expected` dicts) are shared."""
+    return list(_parsed_corpus())
+
+
+_FILTERS = {
+    "name": lambda e, v: v.lower() in e.name.lower(),
+    "clause": lambda e, v: e.clause == v,
+    "section": lambda e, v: e.clause.startswith(v),
+    "provenance": lambda e, v: e.provenance == v,
+    "cap_class": lambda e, v: e.cap_class == v,
+}
+FILTER_KEYS = tuple(_FILTERS)
+
+
+def matching_entries(filters: dict[str, str]) -> list[CorpusEntry]:
+    """The entries that pass every filter; each key is one of FILTER_KEYS."""
+    return [e for e in load_corpus()
+            if all(_FILTERS[k](e, v) for k, v in filters.items())]
 
 
 def _same_structure(expected: dict, got: dict) -> bool:
@@ -82,8 +92,7 @@ def run_corpus(filters: dict[str, str] | None = None, oracle: bool = False,
                cap: int | None = None) -> dict:
     """Execute every matching entry; with oracle=True also diff the
     brute-force rank count on enumerable entries."""
-    filters = filters or {}
-    entries = [e for e in load_corpus() if _matches(e, filters)]
+    entries = matching_entries(filters or {})
     results = []
     counts = {"PASS": 0, "FAIL": 0, "SKIP": 0}
     t0 = time.perf_counter()
@@ -95,7 +104,7 @@ def run_corpus(filters: dict[str, str] | None = None, oracle: bool = False,
             ok = _expected_matches(e.expected, got)
             row["status"] = "PASS" if ok else "FAIL"
             if not ok:
-                row["expected"] = e.expected
+                row["expected"] = copy.deepcopy(e.expected)
                 row["got"] = {k: got.get(k) for k in
                               ("kind", "rank", "torsion", "sub", "quot")}
         except EndotrivError as exc:

@@ -8,6 +8,7 @@ from endotriv import classify as classify_mod
 from endotriv import matgrp as mg
 from endotriv.abst import ExtensionDescriptor, cyclic, from_cyclic_orders
 from endotriv.classify import classify, tf_rank_oracle, x_group
+from endotriv.corpus import load_corpus
 from endotriv.errors import AmbiguousCase, CapExceeded, DomainError, EndotrivError
 
 CASES = [
@@ -218,6 +219,25 @@ def test_x_factor_is_the_determinant_formula_out_of_domain(case):
     assert tc.x_factor == x_group(tc.params, strict=False)
     assert tc.x_factor.is_trivial
     assert str(tc.result) == answer
+
+
+def test_x_factor_matches_brute_force_on_enumerable_corpus():
+    """x_factor is the p'-part of the enumerated G/Z's abelianization on every
+    enumerable corpus entry but the out-of-domain ones, which are named."""
+    out_of_domain = []
+    for e in load_corpus():
+        if e.cap_class != "enumerable":
+            continue
+        case = (e.n, e.q, e.p, e.det, e.z)
+        G = liea.enumerate_quotient(e.n, e.q, e.det, e.z).as_subgroup()
+        x = abst.prime_to_p_part(mg.quotient_structure(G, mg.commutator_subgroup(G)), e.p)
+        if case in X_FACTOR_OUT_OF_DOMAIN:
+            out_of_domain.append(e.name)
+            assert x == from_cyclic_orders(X_FACTOR_OUT_OF_DOMAIN[case][0])
+            assert classify(*case).x_factor.is_trivial
+        else:
+            assert x == classify(*case).x_factor, e.name
+    assert out_of_domain == ["PSL(2,3) p=2"]
 
 
 CYCLIC_AMBIENT_CASES = [(2, 5, 3, 1), (2, 7, 3, 1), (2, 4, 3, 1), (3, 2, 3, 1),

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from endotriv import corpus as corpus_mod
-from endotriv import gf, liea, rho
+from endotriv import cli, gf, liea, rho
 from endotriv.cli import main
 from endotriv.corpus import CorpusEntry, load_corpus, run_corpus
 from endotriv.errors import DomainError
@@ -106,6 +106,33 @@ def test_exit_code_usage(capsys):
     assert code2 == 64
     code3, _, _ = run_cli(capsys, "classify", "2")
     assert code3 == 64
+    code4, out4, err4 = run_cli(capsys, "corpus", "run", "--filter", "bogus=1")
+    assert code4 == 64 and "bogus" in err4 and out4 == ""
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    """One parser serves every `main` call of a process; `--filter`'s
+    append default must not carry values from one call into the next."""
+    assert cli._build_parser() is cli._build_parser()
+
+    def listed(*filters):
+        code, out, _ = run_cli(capsys, "corpus", "list", *filters, "--json")
+        assert code == 0
+        return json.loads(out)["entries"]
+
+    assert listed("--filter", "name=PGL") == [
+        "PGL(3,7) p=3", "PGL(3,4) p=3", "PGL(2,5) p=2", "PGL(2,3) p=2",
+        "PGL(2,7) p=3"]
+    assert listed("--filter", "name=GL(2") == [
+        "PGL(2,5) p=2", "GL(2,3) p=2", "PGL(2,3) p=2", "GL(2,5) p=2",
+        "GL(2,7) p=3", "PGL(2,7) p=3", "GL(2,4) p=3"]
+    everything = listed()
+    assert len(everything) == 34 and everything == [e.name for e in load_corpus()]
+    assert run_cli(capsys, "corpus", "list", "--filter", "nonsense")[0] == 64
+    assert listed("--filter", "provenance=DERIVED", "--filter", "section=cyclic") == [
+        "GL(4,3) p=5", "SL(2,9) p=5", "SL(3,2) p=3", "SL(3,2) p=7",
+        "SL(4,3) p=13", "GL(1,5) p=2", "PGL(2,7) p=3"]
+    assert run_cli(capsys, "params", "2", "5", "3", "--json")[0] == 0
 
 
 def test_rho_subcommand(capsys):
@@ -162,6 +189,14 @@ def test_corpus_corrupted_entry_fails(monkeypatch):
     assert row["status"] == "FAIL"
     assert row["expected"]["torsion"] == [2, 2]
     assert row["got"]["torsion"] == [2, 4]
+    row["expected"]["torsion"].append(8)
+    assert bad.expected["torsion"] == [2, 2]
+
+
+def test_load_corpus_returns_a_fresh_list():
+    first = load_corpus()
+    first.pop()
+    assert len(load_corpus()) == 34 and load_corpus() is not load_corpus()
 
 
 def test_corpus_has_paper_citations():
