@@ -31,10 +31,6 @@ class CorpusEntry:
     clause: str
     cap_class: str
 
-    @property
-    def section(self) -> str:
-        return self.clause.split(".")[0]
-
 
 @functools.cache
 def _parsed_corpus() -> tuple[CorpusEntry, ...]:

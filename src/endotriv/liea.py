@@ -316,68 +316,36 @@ def _chunk_cycle_perm(n: int, off: int, chunk: int, count: int) -> np.ndarray:
 
 
 def _gl_sylow_generators(n: int, q: int, p: int, e: int, t: int) -> tuple[list[np.ndarray], str]:
+    """Generators of a Sylow p-subgroup of GL(n,q) and its shape: for each
+    base-p digit a_i of the block count, a_i wreath towers C wr C_p^(wr i)
+    over `width`-wide base blocks, laid out in increasing width."""
     F = field_spec(q)
+    semidihedral = p == 2 and q % 4 == 3
+    if semidihedral:
+        # semidihedral blocks over coordinate pairs, sized by the 2-part of
+        # q+1 (the 2-part of q^2-1 is 2^(t2+1)); an odd n leaves a -1 corner
+        t2 = p_val(q + 1, 2)
+        w2, g2 = singer_block(q, 2)
+        base = [_matrix_power(F, w2, (q * q - 1) // 2 ** (t2 + 1)), g2]
+        width, label = 2, f"SD_{2 ** (t2 + 2)}"
+    else:
+        # the p-part of a Singer cycle of GF(q^e)
+        w, _ = singer_block(q, e)
+        base, width, label = [_matrix_power(F, w, (q ** e - 1) // p ** t)], e, f"C_{p ** t}"
     gens: list[np.ndarray] = []
     shape_terms: list[str] = []
-
-    if p > 2:
-        r = n // e
-        w, _ = singer_block(q, e)
-        wp = _matrix_power(F, w, (q ** e - 1) // p ** t)
-        digits = _base_digits(r, p)
-        off = 0
-        for i, a_i in enumerate(digits):
-            width = e * p ** i
-            for _ in range(a_i):
-                gens.append(mg.block_embed(n, [(off, wp)]))
-                for level in range(1, i + 1):
-                    gens.append(_chunk_cycle_perm(n, off, e * p ** (level - 1), p))
-                off += width
-            if a_i:
-                tower = f"C_{p ** t}" if i == 0 else f"C_{p ** t} wr C_{p}^(wr {i})"
-                shape_terms.append(f"({tower})^{a_i}" if a_i > 1 else tower)
-        return gens, " x ".join(shape_terms) if shape_terms else "1"
-
-    # p == 2, q odd
-    if q % 4 == 1:
-        zeta = F.element_of_order(2 ** t)
-        digits = _base_digits(n, 2)
-        off = 0
-        for i, a_i in enumerate(digits):
-            width = 2 ** i
-            for _ in range(a_i):
-                base = np.array([[zeta]], dtype=np.uint8)
-                gens.append(mg.block_embed(n, [(off, base)]))
-                for level in range(1, i + 1):
-                    gens.append(_chunk_cycle_perm(n, off, 2 ** (level - 1), 2))
-                off += width
-            if a_i:
-                tower = f"C_{2 ** t}" if i == 0 else f"C_{2 ** t} wr C_2^(wr {i})"
-                shape_terms.append(tower)
-        return gens, " x ".join(shape_terms) if shape_terms else "1"
-
-    # q = 3 mod 4: semidihedral blocks over coordinate pairs, sized by the
-    # 2-part of q+1 (the 2-part of q^2-1 is 2^(t2+1))
-    t2 = p_val(q + 1, 2)
-    u, leftover = divmod(n, 2)
-    w2, g2 = singer_block(q, 2)
-    w2p = _matrix_power(F, w2, (q * q - 1) // 2 ** (t2 + 1))
-    digits = _base_digits(u, 2)
     off = 0
-    for i, a_i in enumerate(digits):
-        width = 2 * 2 ** i
+    for i, a_i in enumerate(_base_digits(n // width, p)):
         for _ in range(a_i):
-            gens.append(mg.block_embed(n, [(off, w2p)]))
-            gens.append(mg.block_embed(n, [(off, g2)]))
-            for level in range(1, i + 1):
-                gens.append(_chunk_cycle_perm(n, off, 2 * 2 ** (level - 1), 2))
-            off += width
+            gens += [mg.block_embed(n, [(off, b)]) for b in base]
+            gens += [_chunk_cycle_perm(n, off, width * p ** (level - 1), p)
+                     for level in range(1, i + 1)]
+            off += width * p ** i
         if a_i:
-            tower = f"SD_{2 ** (t2 + 2)}" if i == 0 else f"SD_{2 ** (t2 + 2)} wr C_2^(wr {i})"
-            shape_terms.append(tower)
-    if leftover:
-        minus1 = np.array([[F.neg_el(1)]], dtype=np.uint8)
-        gens.append(mg.block_embed(n, [(n - 1, minus1)]))
+            tower = label if i == 0 else f"{label} wr C_{p}^(wr {i})"
+            shape_terms.append(f"({tower})^{a_i}" if a_i > 1 else tower)
+    if semidihedral and n % 2:
+        gens.append(mg.block_embed(n, [(n - 1, np.array([[F.neg_el(1)]], dtype=np.uint8))]))
         shape_terms.append("C_2")
     return gens, " x ".join(shape_terms) if shape_terms else "1"
 
@@ -605,64 +573,21 @@ def is_monomial_matrix(m: np.ndarray) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# named generator matrices from the explicit constructions
+# the torus-corner witness of the torus-quotient certificate
 
-def named_matrices(case: str, n: int, q: int, p: int | None = None,
-                   m: int | None = None) -> dict[str, np.ndarray]:
-    """The exact matrices used by the explicit arguments, keyed by tag."""
+def _torus_corner(n: int, q: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(X, Y) for n >= 3: X the corner rotation [[0, 1], [-1, 0]] on the
+    first two coordinates, Y = diag(zeta, zeta, zeta^-2, 1, ...) the scaled
+    torus, with zeta of order the p-part of q-1."""
+    if (q - 1) % p != 0:
+        raise DomainError("torus-corner requires p | q-1")
     F = field_spec(q)
-    neg1 = F.neg_el(1)
-    out: dict[str, np.ndarray] = {}
-    if case == "block-swap":
-        if m is None or 2 * m > n:
-            raise DomainError("block-swap requires m with 2m <= n")
-        mat = np.zeros((n, n), dtype=np.uint8)
-        for i in range(m):
-            mat[i, m + i] = 1
-            mat[m + i, i] = neg1
-        for i in range(2 * m, n):
-            mat[i, i] = 1
-        out["sigma-swap"] = mat
-        c = F.element_of_order(p_part(q - 1, 2)) if q % 2 else 1
-        tau = mg.identity_matrix(n)
-        tau[0, 0] = c
-        tau[m, m] = F.inv_el(c) if c else 1
-        out["tau-torus"] = tau
-    elif case == "torus-corner":
-        if p is None or (q - 1) % p != 0:
-            raise DomainError("torus-corner requires p | q-1")
-        u = np.array([[0, 1], [neg1, 0]], dtype=np.uint8)
-        out["X-corner"] = mg.block_embed(n, [(0, u)])
-        zeta = F.element_of_order(p_part(q - 1, p))
-        y = mg.identity_matrix(n)
-        y[0, 0] = zeta
-        y[1, 1] = zeta
-        y[2, 2] = F.pow_el(zeta, -2)
-        out["Y-scaled-torus"] = y
-    elif case == "char3-sylow":
-        if n != 3 or (q - 1) % 3 != 0:
-            raise DomainError("char3-sylow needs n=3 and 3 | q-1")
-        zeta = F.element_of_order(p_part(q - 1, 3))
-        for i in range(3):
-            x = mg.identity_matrix(3)
-            x[i, i] = zeta
-            out[f"X{i + 1}-zeta"] = x
-        out["Y-cycle"] = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=np.uint8)
-    elif case == "char2-n3":
-        u = F.element_of_order(3) if (q - 1) % 3 == 0 else None
-        if u is not None:
-            out["X-cube"] = np.diag(np.array([u, F.mul_el(u, u), 1], dtype=np.uint8))
-            out["Y-cube"] = np.diag(np.array([1, F.mul_el(u, u), u], dtype=np.uint8))
-        out["A-invol"] = np.diag(np.array([neg1, neg1, 1], dtype=np.uint8))
-        out["B-invol"] = np.diag(np.array([1, neg1, neg1], dtype=np.uint8))
-    elif case == "char2-n2":
-        zeta = F.element_of_order(p_part(q - 1, 2))
-        out["swap2"] = np.array([[0, 1], [1, 0]], dtype=np.uint8)
-        out["zeta1"] = np.diag(np.array([zeta, 1], dtype=np.uint8))
-        out["zeta2"] = np.diag(np.array([1, zeta], dtype=np.uint8))
-    else:
-        raise DomainError(f"unknown named-matrix case {case!r}")
-    return out
+    X = mg.block_embed(n, [(0, np.array([[0, 1], [F.neg_el(1), 0]], dtype=np.uint8))])
+    zeta = F.element_of_order(p_part(q - 1, p))
+    Y = mg.identity_matrix(n)
+    Y[0, 0] = Y[1, 1] = zeta
+    Y[2, 2] = F.pow_el(zeta, -2)
+    return X, Y
 
 
 # ---------------------------------------------------------------------------

@@ -520,22 +520,14 @@ def trivial_subgroup(G: MatrixGroup) -> Subgroup:
     return Subgroup(G, np.array([G.identity_idx], dtype=np.int64), gen_idx=())
 
 
-def normalizer(G: MatrixGroup, H: Subgroup, within: Subgroup | None = None) -> Subgroup:
-    """Full-scan normalizer {g : g H g^-1 = H}; exact, O(|G| * #gens(H)).
-
-    With `within`, the scan is restricted to that subgroup's elements
-    (the normalizer of H inside `within`).
-    """
+def normalizer(G: MatrixGroup, H: Subgroup) -> Subgroup:
+    """Full-scan normalizer {g : g H g^-1 = H}; exact, O(|G| * #gens(H))."""
     if H.parent is not G:
         raise DomainError("subgroup does not live in the given group")
     mask = np.ones(G.order, dtype=bool)
     for h in (H.gen_idx or (G.identity_idx,)):
         conj = G.sandwich_all(int(h))
         mask &= np.isin(conj, H.idx)
-    if within is not None:
-        keep = np.zeros(G.order, dtype=bool)
-        keep[within.idx] = True
-        mask &= keep
     return Subgroup(G, np.nonzero(mask)[0])
 
 
@@ -818,11 +810,6 @@ def sylow_subgroup_of(G: MatrixGroup, p: int) -> Subgroup:
         if not grown:
             raise DomainError("Sylow ascent stalled")  # pragma: no cover
     return P
-
-
-def sylow_check(G: MatrixGroup, S: Subgroup, p: int) -> bool:
-    """S is a Sylow p-subgroup of G."""
-    return p_part(G.order, p) == S.order and _is_p_group(S, p)
 
 
 def _is_p_group(S: Subgroup, p: int) -> bool:

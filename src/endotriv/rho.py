@@ -265,12 +265,10 @@ class TrivialityEvidence:
     restriction has dimension one; only the checkable sufficient
     conditions are accepted."""
 
-    kind: str  # normal-p-subgroup | self-normalizing-sylow | block-split | unproved
+    kind: str  # normal-p-subgroup | block-split | unproved
     witness_gens: list[np.ndarray] | None = None   # for normal-p-subgroup
-    sylow_gens: list[np.ndarray] | None = None     # for self-normalizing-sylow
     split: liea.BlockSplit | None = None           # for block-split
-    blocks: tuple[int, ...] | None = None
-    det_order: int | None = None
+    det_order: int | None = None                   # for block-split
 
 
 @dataclass
@@ -286,13 +284,11 @@ class GeneratorWitness:
 class SylowContainment:
     """Why H contains the normalizer of the Sylow subgroup."""
 
-    kind: str  # whole-group | ambient-scan | diagonal-characters | isotypic-blocks
-    ambient: mg.MatrixGroup | None = None           # for ambient-scan
+    kind: str  # whole-group | diagonal-characters | isotypic-blocks
     q_subgroup: mg.MatrixGroup | None = None        # for diagonal-characters (pre-quotient)
     sylow: mg.MatrixGroup | None = None             # pre-quotient Sylow as its own group
-    monomial_det_order: int | None = None
+    det_order: int | None = None                    # |Det| of the ambient group
     blocks: tuple[int, ...] | None = None           # for isotypic-blocks
-    levi_det_order: int | None = None
 
 
 @dataclass
@@ -350,18 +346,6 @@ def _check_triviality(K: mg.MatrixGroup, p: int, ev: TrivialityEvidence,
             tag, ok, f"normal p-subgroup of order {W.order}" if ok
             else "witness subgroup not a nontrivial normal p-subgroup"))
         return ok
-    if ev.kind == "self-normalizing-sylow":
-        try:
-            idxs = sorted({K.index_of(m) for m in ev.sylow_gens})
-        except KeyError:
-            clauses.append(ClauseResult(tag, False, "Sylow witness not inside the group"))
-            return False
-        S = mg.generated_subgroup(K, idxs)
-        ok = mg.sylow_check(K, S, p) and mg.normalizer(K, S).order == S.order
-        clauses.append(ClauseResult(
-            tag, ok, "self-normalizing Sylow subgroup" if ok
-            else "witness is not a self-normalizing Sylow subgroup"))
-        return ok
     if ev.kind == "block-split":
         sp = ev.split
         if sp is None or K.scalars is not None:
@@ -405,19 +389,6 @@ def _check_containment(cert: MethodCertificate,
         clauses.append(ClauseResult("(S)", ok, "H is the whole group" if ok
                                     else "H claimed to be the whole group but is not"))
         return ok
-    if c.kind == "ambient-scan":
-        G = c.ambient
-        try:
-            sidx = np.unique(G.lookup_batch(cert.H.elements[cert.sylow_in_H.idx]))
-        except KeyError:
-            clauses.append(ClauseResult("(S)", False, "Sylow not inside ambient"))
-            return False
-        N = mg.normalizer(G, mg.Subgroup(G, sidx))
-        ok = bool(H.locate(G.elements[N.idx])[1].all())
-        clauses.append(ClauseResult("(S)", ok,
-                                    f"N(S) of order {N.order} scanned in ambient" if ok
-                                    else "ambient N(S) escapes H"))
-        return ok
     if c.kind == "diagonal-characters":
         return _check_diagonal_characters(cert, clauses)
     if c.kind == "isotypic-blocks":
@@ -426,77 +397,75 @@ def _check_containment(cert: MethodCertificate,
     return None
 
 
+def _fail(clauses: list[ClauseResult], detail: str) -> bool:
+    """Record a failed (S) clause; False, for the check to return."""
+    clauses.append(ClauseResult("(S)", False, detail))
+    return False
+
+
+def _check_sylow_image(cert, clauses) -> bool:
+    """S is a p-group of the ambient Sylow order (by the order formula) with
+    determinants in the subgroup of order det_order, and sylow_in_H is
+    exactly its image in H."""
+    c = cert.containment
+    Sg = c.sylow
+    if Sg.order != p_part(liea.group_order(cert.n, cert.q, c.det_order), cert.p):
+        return _fail(clauses, "S has wrong order")
+    if not np.isin(Sg.dets(), list(Sg.field.subgroup_values(c.det_order))).all():
+        return _fail(clauses, "S violates the determinant condition")
+    try:
+        image = set(cert.H.lookup_batch(Sg.elements).tolist())
+    except KeyError:
+        return _fail(clauses, "S is not contained in H")
+    if image != cert.sylow_in_H.members:
+        return _fail(clauses, "declared Sylow image mismatches S")
+    return True
+
+
 def _check_diagonal_characters(cert, clauses) -> bool:
     """N(S) <= H because Q is characteristic in S, Q is diagonal with
     pairwise distinct coordinate characters (so N(Q) is monomial), and H
     is the full monomial subgroup with the right determinant image."""
-    c = cert.containment
+    c, H = cert.containment, cert.H
     Qg, Sg = c.q_subgroup, c.sylow
-    F = Qg.field
-    n, q, p = cert.n, cert.q, cert.p
-    # S is a p-group of full Sylow order in the ambient (by order formula)
-    amb_sylow = p_part(liea.group_order(n, q, c.monomial_det_order), p)
-    if not (Sg.order == amb_sylow and p_part(Sg.order, p) == Sg.order):
-        clauses.append(ClauseResult("(S)", False, "S has wrong order"))
-        return False
-    dvals = list(F.subgroup_values(c.monomial_det_order))
-    if not np.isin(Sg.dets(), dvals).all():
-        clauses.append(ClauseResult("(S)", False, "S violates the determinant condition"))
+    n = cert.n
+    if not _check_sylow_image(cert, clauses):
         return False
     # the kernel scalars must sit inside Q (so quotient normalizers correspond)
-    zs = cert.H.scalars
-    if zs is not None and not Qg.locate(F.mul[zs[:, None, None], mg.identity_matrix(n)])[1].all():
-        clauses.append(ClauseResult("(S)", False, "quotient kernel not inside Q"))
-        return False
-    # sylow_in_H must be exactly the image of S in H
-    image = set(cert.H.lookup_batch(Sg.elements).tolist())
-    if image != cert.sylow_in_H.members:
-        clauses.append(ClauseResult("(S)", False,
-                                    "declared Sylow image mismatches S"))
-        return False
-    # Q <= S
+    zs = H.scalars
+    if zs is not None and \
+            not Qg.locate(Qg.field.mul[zs[:, None, None], mg.identity_matrix(n)])[1].all():
+        return _fail(clauses, "quotient kernel not inside Q")
+    # Q diagonal (hence abelian) with pairwise distinct coordinate characters
+    qmats = [Qg.elements[i] for i in Qg.gen_idx]
+    if any(np.any(m[~np.eye(n, dtype=bool)]) for m in qmats):
+        return _fail(clauses, "Q is not diagonal")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if all(m[i, i] == m[j, j] for m in qmats):
+                return _fail(clauses, f"coordinate characters {i},{j} of Q coincide")
     try:
-        q_in_s = np.unique(Sg.lookup_batch(Qg.elements))
+        Qs = mg.Subgroup(Sg, np.unique(Sg.lookup_batch(Qg.elements)))
     except KeyError:
-        clauses.append(ClauseResult("(S)", False, "Q is not contained in S"))
-        return False
-    Qs = mg.Subgroup(Sg, q_in_s)
+        return _fail(clauses, "Q is not contained in S")
     # Q characteristic in S: unique abelian subgroup of its type and order
     qtype = Qs.abelian_type()
     same = [T for T in mg.all_subgroups(Sg.as_subgroup())
             if T.order == Qs.order and T.is_abelian() and T.abelian_type() == qtype]
     if len(same) != 1 or same[0].members != Qs.members:
-        clauses.append(ClauseResult(
-            "(S)", False,
-            f"Q is not the unique abelian subgroup of type {qtype} in S "
-            f"({len(same)} found)"))
-        return False
-    # Q diagonal with pairwise distinct coordinate characters
-    qmats = [Qg.elements[i] for i in Qg.gen_idx]
-    if any(np.any(m[~np.eye(n, dtype=bool)]) for m in qmats):
-        clauses.append(ClauseResult("(S)", False, "Q is not diagonal"))
-        return False
-    for i in range(n):
-        for j in range(i + 1, n):
-            if all(m[i, i] == m[j, j] for m in qmats):
-                clauses.append(ClauseResult(
-                    "(S)", False, f"coordinate characters {i},{j} of Q coincide"))
-                return False
+        return _fail(clauses, f"Q is not the unique abelian subgroup of type {qtype} in S "
+                              f"({len(same)} found)")
     # H is the monomial group with determinants in the given subgroup
-    H = cert.H
-    expect = liea.monomial_order(n, q, c.monomial_det_order)
+    expect = liea.monomial_order(n, cert.q, c.det_order)
     if H.scalars is not None:
         expect //= len(H.scalars)
     if H.order != expect:
-        clauses.append(ClauseResult("(S)", False, "H is not the full monomial subgroup"))
-        return False
+        return _fail(clauses, "H is not the full monomial subgroup")
     if not all(liea.is_monomial_matrix(H.elements[g]) for g in H.gen_idx):
-        clauses.append(ClauseResult("(S)", False, "H has a non-monomial generator"))
-        return False
+        return _fail(clauses, "H has a non-monomial generator")
     # S must be monomial too (it lands in H)
     if not all(liea.is_monomial_matrix(Sg.elements[i]) for i in range(Sg.order)):
-        clauses.append(ClauseResult("(S)", False, "S is not monomial"))
-        return False
+        return _fail(clauses, "S is not monomial")
     clauses.append(ClauseResult(
         "(S)", True,
         "Q characteristic in S; N(Q) is monomial by the distinct-character "
@@ -569,52 +538,26 @@ def _check_isotypic_blocks(cert, clauses) -> bool:
     """N(S) <= H because S preserves the coordinate blocks, acts irreducibly
     on each, the blocks have pairwise distinct dimensions (hence are
     pairwise non-isomorphic S-modules), and H is the full block group."""
-    c = cert.containment
+    c, H = cert.containment, cert.H
     Sg = c.sylow
-    F = Sg.field
-    n, q, p = cert.n, cert.q, cert.p
     blocks = list(c.blocks)
-    if sum(blocks) != n or len(set(blocks)) != len(blocks):
-        clauses.append(ClauseResult("(S)", False,
-                                    "blocks must partition n with distinct sizes"))
+    if sum(blocks) != cert.n or len(set(blocks)) != len(blocks):
+        return _fail(clauses, "blocks must partition n with distinct sizes")
+    if not _check_sylow_image(cert, clauses):
         return False
-    amb_sylow = p_part(liea.group_order(n, q, c.levi_det_order), p)
-    if not (Sg.order == amb_sylow and p_part(Sg.order, p) == Sg.order):
-        clauses.append(ClauseResult("(S)", False, "S has wrong order"))
-        return False
-    dvals = list(F.subgroup_values(c.levi_det_order))
-    if not np.isin(Sg.dets(), dvals).all():
-        clauses.append(ClauseResult("(S)", False, "S violates the determinant condition"))
-        return False
-    smats = [Sg.elements[i] for i in Sg.gen_idx]
     if not _blocks_respected(Sg, blocks):
-        clauses.append(ClauseResult("(S)", False, "S does not preserve the blocks"))
-        return False
+        return _fail(clauses, "S does not preserve the blocks")
+    smats = [Sg.elements[i] for i in Sg.gen_idx]
     off = 0
     for b in blocks:
-        if not _spin_irreducible(F, smats, off, b):
-            clauses.append(ClauseResult(
-                "(S)", False, f"block at {off} of size {b} is reducible under S"))
-            return False
+        if not _spin_irreducible(Sg.field, smats, off, b):
+            return _fail(clauses, f"block at {off} of size {b} is reducible under S")
         off += b
-    H = cert.H
     if H.scalars is not None:
-        clauses.append(ClauseResult("(S)", False,
-                                    "isotypic-blocks applies to plain groups"))
-        return False
-    if H.order != liea.levi_order(blocks, q, c.levi_det_order) or \
+        return _fail(clauses, "isotypic-blocks applies to plain groups")
+    if H.order != liea.levi_order(blocks, cert.q, c.det_order) or \
             not _blocks_respected(H, blocks):
-        clauses.append(ClauseResult("(S)", False, "H is not the full block group"))
-        return False
-    try:
-        image = set(H.lookup_batch(Sg.elements).tolist())
-    except KeyError:
-        clauses.append(ClauseResult("(S)", False, "S is not contained in H"))
-        return False
-    if image != cert.sylow_in_H.members:
-        clauses.append(ClauseResult("(S)", False,
-                                    "declared Sylow image mismatches S"))
-        return False
+        return _fail(clauses, "H is not the full block group")
     clauses.append(ClauseResult(
         "(S)", True,
         "S acts irreducibly on blocks of pairwise distinct dimension; any "
@@ -767,9 +710,7 @@ def build_torus_quotient_certificate(n: int, q: int, p: int,
 
     Sbar = mg.Subgroup(Hbar, np.unique(Hbar.lookup_batch(Sg.elements)))
 
-    nm = liea.named_matrices("torus-corner", n, q, p=p)
-    X = nm["X-corner"]
-    Y = nm["Y-scaled-torus"]
+    X, Y = liea._torus_corner(n, q, p)
     blocks = [2, 1] if n == 3 else [2, 1, n - 3]
     Lbar = liea.levi(blocks, q, 1, cap=cap, name="corner block group /Z", z_order=z_order)
 
@@ -785,9 +726,8 @@ def build_torus_quotient_certificate(n: int, q: int, p: int,
         p=p, n=n, q=q,
         ambient_order=liea.order_sl(n, q) // z_order,
         H=Hbar, sylow_in_H=Sbar,
-        containment=SylowContainment(
-            kind="diagonal-characters", q_subgroup=Qg, sylow=Sg,
-            monomial_det_order=1),
+        containment=SylowContainment(kind="diagonal-characters", q_subgroup=Qg,
+                                     sylow=Sg, det_order=1),
         H_evidence=TrivialityEvidence(kind="normal-p-subgroup",
                                       witness_gens=[Qg.elements[g] for g in Qg.gen_idx]),
         witnesses=witnesses)
@@ -836,39 +776,22 @@ def build_block_count_certificate(q: int, p: int, a: int = 1, s: int = 1,
         p=p, n=n, q=q, ambient_order=liea.order_sl(n, q),
         H=N, sylow_in_H=Sn,
         containment=SylowContainment(kind="isotypic-blocks", sylow=Sg,
-                                     blocks=tuple(blocks), levi_det_order=1),
+                                     blocks=tuple(blocks), det_order=1),
         H_evidence=TrivialityEvidence(
             kind="normal-p-subgroup",
-            witness_gens=[_big_block_scalar(F, n, small, big, p)]),
+            witness_gens=[_big_block_scalar(F, small, big, p)]),
         witnesses=witnesses)
 
 
-def _big_block_scalar(F, n, small, big, p):
+def _big_block_scalar(F, small, big, p):
     """Central element of the two-block group: an order-p scalar on the big
-    block, compensated on the small block to keep determinant one."""
+    block, compensated by a scalar on the small block to keep determinant one."""
     zeta = F.element_of_order(p)
-    m = mg.identity_matrix(n)
-    det_big = F.pow_el(zeta, big)
-    comp = F.pow_el(F.inv_el(det_big), 1)
-    # distribute the compensation as a scalar on the small block if possible
-    root = _scalar_root(F, comp, small)
+    comp = F.inv_el(F.pow_el(zeta, big))
+    root = next((c for c in range(1, F.q) if F.pow_el(c, small) == comp), None)
     if root is None:
         raise DomainError("no determinant-one central witness")  # pragma: no cover
-    for i in range(small):
-        m[i, i] = root
-    for i in range(small, small + big):
-        m[i, i] = zeta
-    return m
-
-
-def _scalar_root(F, value, k):
-    """Some c with c^k == value, or None."""
-    if k == 0:
-        return 1 if value == 1 else None
-    for c in range(1, F.q):
-        if F.pow_el(c, k) == value:
-            return c
-    return None
+    return np.diag(np.array([root] * small + [zeta] * big, dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------

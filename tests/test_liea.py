@@ -187,32 +187,14 @@ def test_levi_normalizer_matches_ambient_scan():
     assert built_keys == true_keys
 
 
-def test_named_matrices():
-    nm = liea.named_matrices("block-swap", 4, 3, p=3, m=2)
-    sigma = nm["sigma-swap"]
-    neg1 = field_spec(3).neg_el(1)
-    expect = np.zeros((4, 4), dtype=np.uint8)
-    expect[0, 2] = expect[1, 3] = 1
-    expect[2, 0] = expect[3, 1] = neg1
-    assert np.array_equal(sigma, expect)
-    nm2 = liea.named_matrices("char3-sylow", 3, 4, p=3)
-    assert np.array_equal(nm2["Y-cycle"],
-                          np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=np.uint8))
-    nm3 = liea.named_matrices("char2-n3", 3, 7, p=2)
-    F7 = field_spec(7)
-    assert list(np.diag(nm3["A-invol"])) == [F7.neg_el(1), F7.neg_el(1), 1]
-    with pytest.raises(DomainError):
-        liea.named_matrices("no-such-case", 3, 7)
-
-
 def test_corner_matrices_land_in_the_right_groups():
-    nm = liea.named_matrices("torus-corner", 3, 19, p=3)
+    x, y = liea._torus_corner(3, 19, 3)
     F = field_spec(19)
-    x = nm["X-corner"]
-    y = nm["Y-scaled-torus"]
     assert int(backend.det_many(x[None], F)[0]) == 1
     assert int(backend.det_many(y[None], F)[0]) == 1
     assert y[0, 0] == y[1, 1] != y[2, 2]  # not scalar when 9 | q-1
+    with pytest.raises(DomainError, match="p | q-1"):
+        liea._torus_corner(3, 19, 5)
 
 
 def test_group_spec_parsing():

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import random
 
 import numpy as np
@@ -333,3 +335,62 @@ def test_torus_quotient_builds_no_whole_group(monkeypatch):
     cert = rho.build_torus_quotient_certificate(3, 19, 3)
     assert (cert.H.order, cert.witnesses[-1].aux_group.order) == (648, 41040)
     assert not {123120, 1944} & set(orders)
+
+
+@functools.cache
+def _real_certificate(kind):
+    if kind == "torus":
+        return rho.build_torus_quotient_certificate(3, 19, 3)
+    return rho.build_block_count_certificate(4, 3)
+
+
+def _transvection_conjugate(S):
+    """The closure of t g t^-1 over S's generators g, for t = I + E_01."""
+    F, n = S.field, S.n
+    t, t_inv = mg.identity_matrix(n), mg.identity_matrix(n)
+    t[0, 1], t_inv[0, 1] = 1, F.neg_el(1)
+    gens = [_matrix_mul(F, _matrix_mul(F, t, S.elements[g]), t_inv) for g in S.gen_idx]
+    return mg.MatrixGroup.generate(F, gens, name="S^t")
+
+
+def _tamper_containment(cert, **fields):
+    return dataclasses.replace(cert, containment=dataclasses.replace(cert.containment, **fields))
+
+
+SYLOW_IMAGE_TAMPERS = {
+    "torus-S-wrong-order": ("torus", lambda c: _tamper_containment(
+        c, sylow=c.containment.q_subgroup), "S has wrong order"),
+    "torus-S-outside-H": ("torus", lambda c: _tamper_containment(
+        c, sylow=_transvection_conjugate(c.containment.sylow)), "S is not contained in H"),
+    "blocks-S-outside-H": ("blocks", lambda c: _tamper_containment(
+        c, sylow=_transvection_conjugate(c.containment.sylow)), "S is not contained in H"),
+    "torus-image-mismatch": ("torus", lambda c: dataclasses.replace(
+        c, sylow_in_H=c.H.as_subgroup()), "declared Sylow image mismatches S"),
+    "torus-Q-not-diagonal": ("torus", lambda c: _tamper_containment(
+        c, q_subgroup=c.containment.sylow), "Q is not diagonal"),
+    # |Det| of order 2 leaves the Sylow 3-subgroup alone but doubles the monomial group
+    "torus-H-not-full": ("torus", lambda c: _tamper_containment(c, det_order=2),
+                         "H is not the full monomial subgroup"),
+    "blocks-repeated-size": ("blocks", lambda c: _tamper_containment(c, blocks=(2, 2)),
+                             "blocks must partition n with distinct sizes"),
+}
+
+
+@pytest.mark.parametrize("case", SYLOW_IMAGE_TAMPERS)
+def test_tampered_containment_fails_the_sylow_clause(case):
+    kind, tamper, detail = SYLOW_IMAGE_TAMPERS[case]
+    report = rho.check_certificate(tamper(_real_certificate(kind)))
+    assert (report.verdict, report.failed_clause) == ("FAIL", "(S)")
+    assert report.clauses[-1] == rho.ClauseResult("(S)", False, detail)
+
+
+def test_unemitted_certificate_kinds_are_not_checked():
+    cert = _real_certificate("torus")
+    report = rho.check_certificate(dataclasses.replace(
+        cert, containment=rho.SylowContainment(kind="ambient-scan")))
+    assert (report.verdict, report.failed_clause) == ("INCOMPLETE", None)
+    assert report.clauses[-1].detail == "unknown containment kind 'ambient-scan'"
+    report = rho.check_certificate(dataclasses.replace(
+        cert, H_evidence=rho.TrivialityEvidence(kind="self-normalizing-sylow")))
+    assert (report.verdict, report.failed_clause) == ("FAIL", "(A)")
+    assert report.clauses[-1].detail == "evidence kind 'self-normalizing-sylow' is not checkable"
