@@ -52,10 +52,6 @@ class AbelianStructure:
         return {"rank": self.free_rank, "torsion": list(self.invariant_factors),
                 "primary": list(self.primary_decomposition())}
 
-    @staticmethod
-    def from_json(obj) -> "AbelianStructure":
-        return AbelianStructure(int(obj["rank"]), tuple(int(d) for d in obj["torsion"]))
-
     def __str__(self):
         terms = []
         if self.free_rank == 1:

@@ -5,7 +5,11 @@ Matrices are (n, n) uint8 arrays of field-element encodings; batches are
 (m, n, n).  Field arithmetic goes through the q x q uint8 `mul`/`add`
 tables that every FieldSpec has (q <= 256).  Each kernel works on the
 whole batch at once: its Python loops run over matrix columns and rows,
-never over the batch.  Inverses, determinants and powers of group
+never over the batch.  `mm_one` multiplies as R. A. Parker's Meat-axe
+does ("The computer calculation of modular characters", 1984): it builds
+the table of field multiples of b's rows once, takes each row's terms
+from it, and adds them with flat takes from `add`, looping in Python only
+over the n inner columns.  Inverses, determinants and powers of group
 elements come from the closure's index tables, in matgrp.
 tests/test_backend.py checks every kernel against scalar references built
 from the field's element operations.
@@ -23,11 +27,10 @@ def backend_name() -> str:
 def mm_one(batch, b, field):
     """Right-multiply every (r, n) matrix in the (m, r, n) `batch` by the
     (n, k) matrix `b`."""
-    mul, add = field.mul, field.add
-    terms = mul[batch[:, :, :, None], b[None, None, :, :]]
-    acc = terms[:, :, 0, :]
-    for k in range(1, batch.shape[2]):
-        acc = add[acc, terms[:, :, k, :]]
+    cols = field.mul[:, b]
+    acc = cols[batch[..., 0], 0]
+    for i in range(1, batch.shape[2]):
+        acc = field.add.ravel()[acc.astype(np.intp) * field.q + cols[batch[..., i], i]]
     return acc
 
 

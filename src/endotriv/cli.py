@@ -14,7 +14,7 @@ import sys
 from . import liea, rho
 from . import matgrp as mg
 from .classify import classify, tf_rank_oracle
-from .corpus import FILTER_KEYS, matching_entries, run_corpus
+from .corpus import FILTER_KEYS, load_corpus, run_corpus
 from .errors import (AmbiguousCase, CapExceeded, DomainError, EndotrivError,
                      GroupSpecError)
 
@@ -202,7 +202,7 @@ def _cmd_corpus(args) -> int:
                              f"key one of {', '.join(FILTER_KEYS)}")
         filters[k.strip()] = v.strip()
     if args.action == "list":
-        names = [e.name for e in matching_entries(filters)]
+        names = [e.name for e in load_corpus(filters)]
         _emit({"entries": names}, args.json, names)
         return 0
     report = run_corpus(filters, oracle=args.oracle, cap=args.cap)

@@ -12,7 +12,7 @@ import copy
 import functools
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 from .classify import classify, tf_rank_oracle
@@ -48,12 +48,6 @@ def _parsed_corpus() -> tuple[CorpusEntry, ...]:
     return tuple(out)
 
 
-def load_corpus() -> list[CorpusEntry]:
-    """The pinned entries in a fresh list; `corpus.tsv` is parsed once per
-    process, so the entries (and their `expected` dicts) are shared."""
-    return list(_parsed_corpus())
-
-
 _FILTERS = {
     "name": lambda e, v: v.lower() in e.name.lower(),
     "clause": lambda e, v: e.clause == v,
@@ -64,10 +58,13 @@ _FILTERS = {
 FILTER_KEYS = tuple(_FILTERS)
 
 
-def matching_entries(filters: dict[str, str]) -> list[CorpusEntry]:
-    """The entries that pass every filter; each key is one of FILTER_KEYS."""
-    return [e for e in load_corpus()
-            if all(_FILTERS[k](e, v) for k, v in filters.items())]
+def load_corpus(filters: dict[str, str] | None = None) -> list[CorpusEntry]:
+    """The pinned entries that pass every filter (each key one of
+    FILTER_KEYS), in a fresh list.  `corpus.tsv` is parsed once per process;
+    each entry returned is a copy with its own `expected`."""
+    return [replace(e, expected=copy.deepcopy(e.expected))
+            for e in _parsed_corpus()
+            if all(_FILTERS[k](e, v) for k, v in (filters or {}).items())]
 
 
 def _same_structure(expected: dict, got: dict) -> bool:
@@ -88,7 +85,7 @@ def run_corpus(filters: dict[str, str] | None = None, oracle: bool = False,
                cap: int | None = None) -> dict:
     """Execute every matching entry; with oracle=True also diff the
     brute-force rank count on enumerable entries."""
-    entries = matching_entries(filters or {})
+    entries = load_corpus(filters)
     results = []
     counts = {"PASS": 0, "FAIL": 0, "SKIP": 0}
     t0 = time.perf_counter()
@@ -100,7 +97,7 @@ def run_corpus(filters: dict[str, str] | None = None, oracle: bool = False,
             ok = _expected_matches(e.expected, got)
             row["status"] = "PASS" if ok else "FAIL"
             if not ok:
-                row["expected"] = copy.deepcopy(e.expected)
+                row["expected"] = e.expected
                 row["got"] = {k: got.get(k) for k in
                               ("kind", "rank", "torsion", "sub", "quot")}
         except EndotrivError as exc:

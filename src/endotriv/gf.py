@@ -14,7 +14,6 @@ The modulus is the lexicographically least monic irreducible of degree k,
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -311,12 +310,6 @@ class FieldSpec:
             return 0
         e %= (self.q - 1)
         return int(self.exp[(int(self.log[a]) * e) % (self.q - 1)])
-
-    def mult_order(self, a: int) -> int:
-        if a == 0:
-            raise DomainError("multiplicative order of zero is undefined")
-        m = self.q - 1
-        return m // math.gcd(m, int(self.log[a]))
 
     def element_of_order(self, m: int) -> int:
         """Element of F_q^x of multiplicative order m (m must divide q-1)."""

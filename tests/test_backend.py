@@ -8,14 +8,15 @@ RNG = np.random.default_rng(42)
 
 
 def ref_product(F, a, b):
-    """a @ b by the scalar triple loop over the field's element ops."""
-    n = a.shape[0]
-    out = np.zeros_like(a)
-    for i in range(n):
-        for j in range(n):
+    """a @ b, (r, n) times (n, k), by the scalar triple loop over the
+    field's element ops."""
+    (r, n), k = a.shape, b.shape[1]
+    out = np.zeros((r, k), dtype=np.uint8)
+    for i in range(r):
+        for j in range(k):
             acc = 0
-            for k in range(n):
-                acc = F.add_el(acc, F.mul_el(int(a[i, k]), int(b[k, j])))
+            for t in range(n):
+                acc = F.add_el(acc, F.mul_el(int(a[i, t]), int(b[t, j])))
             out[i, j] = acc
     return out
 
@@ -43,12 +44,15 @@ def random_invertible(F, n, m=64):
     return np.stack(mats), np.array(dets)
 
 
-@pytest.mark.parametrize("q,n", [(2, 3), (3, 2), (4, 3), (5, 4), (9, 2)])
+@pytest.mark.parametrize("q,n", [(2, 3), (3, 2), (4, 3), (5, 4), (9, 2),
+                                 (7, 3), (8, 4), (13, 6), (256, 3)])
 def test_kernels_match_scalar_references(q, n):
     F = field_spec(q)
 
-    # products: the scalar triple loop
+    # products: the scalar triple loop; row 0 of A[0] times column 0 of B[0]
+    # adds q - 1 to q - 1, the largest index into the flattened add table
     A, B = random_matrices(q, n), random_matrices(q, n)
+    A[0, 0], B[0, :, 0] = 1, q - 1
     got = backend.mm_one(A, B[0], F)
     assert all(np.array_equal(got[t], ref_product(F, A[t], B[0])) for t in range(len(A)))
     # one tall matrix times a wide one: every row of A times B[0] and B[1]
@@ -114,6 +118,10 @@ def test_empty_batch(n):
     F = field_spec(4)
     det = backend.det_many(np.zeros((0, n, n), dtype=np.uint8), F)
     assert det.shape == (0,) and det.dtype == np.int64
+    b = random_matrices(4, n, m=1)[0]
+    for shape in ((0, n, n), (2, 0, n)):  # no matrices; matrices of no rows
+        prod = backend.mm_one(np.zeros(shape, dtype=np.uint8), b, F)
+        assert prod.shape == shape and prod.dtype == np.uint8
 
 
 def test_backend_name():

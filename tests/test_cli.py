@@ -182,7 +182,7 @@ def test_corpus_corrupted_entry_fails(monkeypatch):
     bad = CorpusEntry("corrupted", 2, 5, 2, 1, 1,
                       {"rank": 0, "torsion": [2, 2]}, "DERIVED",
                       "n2-char2.B.1.a", "enumerable")
-    monkeypatch.setattr(corpus_mod, "load_corpus", lambda: entries[:2] + [bad])
+    monkeypatch.setattr(corpus_mod, "_parsed_corpus", lambda: (*entries[:2], bad))
     report = corpus_mod.run_corpus()
     assert report["counts"]["FAIL"] == 1
     row = next(r for r in report["entries"] if r["name"] == "corrupted")
@@ -197,6 +197,20 @@ def test_load_corpus_returns_a_fresh_list():
     first = load_corpus()
     first.pop()
     assert len(load_corpus()) == 34 and load_corpus() is not load_corpus()
+
+
+def test_corpus_entries_do_not_share_expected():
+    # a caller that edits an entry it was given changes no later load or run
+    first = load_corpus()[0]
+    rank = first.expected["rank"]
+    first.expected["rank"] = rank + 9
+    first.expected["torsion"].append(8)
+    again = load_corpus()[0]
+    assert again.expected["rank"] == rank and 8 not in again.expected["torsion"]
+    only = {"name": first.name, "clause": first.clause}
+    assert [e.expected for e in load_corpus(only)] == [again.expected]
+    report = run_corpus(only)
+    assert report["total"] == 1 and report["counts"]["FAIL"] == 0
 
 
 def test_corpus_has_paper_citations():

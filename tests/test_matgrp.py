@@ -650,8 +650,9 @@ def test_closure_matches_reference_bfs(name):
     assert name in ("C3 wr C3 in GL(6,4)", "D510 in GL(3,256)") or not wide
 
 
-# PGL(2,5) and SL(2,13)/Z2: (n, q, det order, scalar subgroup order)
-QUOTIENTS = [(2, 5, 4, 4), (2, 13, 1, 2)]
+# PGL(2,5), SL(2,13)/Z2 and PGL(2,8), whose kernel is GF(8)'s 7 nonzero
+# scalars: (n, q, det order, scalar subgroup order)
+QUOTIENTS = [(2, 5, 4, 4), (2, 13, 1, 2), (2, 8, 7, 7)]
 # (q, |Z|, generators of G, builder of G/Z): the groups above, and SL(3,7)'s
 # block group L(2,1) (672 elements) and monomial group (72) modulo Z3
 QUOTIENT_BUILDERS = {

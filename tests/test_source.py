@@ -19,8 +19,6 @@ REACHED_FROM_OUTSIDE = {
     "rho.rho_chain_naive": "the naive twin that the tests diff the chain engine against",
     "liea.levi_normalizer_equal_blocks": "criterion 4's block normalizer",
     "backend.backend_name": "read by the benchmark's environment record",
-    "gf.FieldSpec.mult_order": "exported FieldSpec API, the field tests' order reference",
-    "abst.AbelianStructure.from_json": "exported AbelianStructure API, inverse of to_json",
 }
 
 
