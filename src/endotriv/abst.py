@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .errors import DomainError
-from .gf import factorize
+from .gf import factorize, p_part, p_val
 
 
 @dataclass(frozen=True)
@@ -106,13 +106,7 @@ def prime_to_p_part(a: AbelianStructure, p: int) -> AbelianStructure:
     """Largest subgroup of coprime-to-p order; requires free rank zero."""
     if a.free_rank != 0:
         raise DomainError("prime-to-p part requires a finite group")
-    stripped = []
-    for d in a.invariant_factors:
-        while d % p == 0:
-            d //= p
-        if d > 1:
-            stripped.append(d)
-    return from_cyclic_orders(stripped)
+    return from_cyclic_orders([d // p_part(d, p) for d in a.invariant_factors])
 
 
 @dataclass(frozen=True)
@@ -166,17 +160,8 @@ def _index_two_overgroups(x: AbelianStructure) -> list[AbelianStructure]:
     At odd primes M and x agree; at 2, the partition of M is the partition
     of x with one part raised by 1 (possibly a new part 2).
     """
-    two_exps = []
-    rest = []
-    for d in x.invariant_factors:
-        v = 0
-        while d % 2 == 0:
-            v += 1
-            d //= 2
-        if v:
-            two_exps.append(v)
-        if d > 1:
-            rest.append(d)
+    two_exps = [p_val(d, 2) for d in x.invariant_factors if d % 2 == 0]
+    rest = [d // p_part(d, 2) for d in x.invariant_factors]  # odd parts; 1s add nothing
     seen = set()
     out = []
     bumps = [sorted(two_exps + [1], reverse=True)]

@@ -28,7 +28,7 @@ from . import abst, backend, liea
 from . import matgrp as mg
 from .abst import AbelianStructure, ExtensionDescriptor, cyclic, direct_sum, free
 from .errors import AmbiguousCase, DomainError
-from .gf import p_val
+from .gf import p_part, p_val
 from .liea import LieParams, compute_params
 
 
@@ -98,12 +98,8 @@ def _classify_cyclic_trivial_z(params: LieParams, notes: list[str]) -> TClassifi
                         params.det_order)
     if p == 2:
         # only n = 1 gives a cyclic Sylow 2-subgroup here
-        a = d
-        two = 1
-        while a % 2 == 0:
-            a //= 2
-            two *= 2
-        torsion = [a]
+        two = p_part(d, 2)
+        torsion = [d // two]
         if two >= 4:
             # a cyclic 2-group of order >= 4 contributes an order-2 syzygy
             # class; recorded separately because the bare quotient formula
@@ -116,10 +112,7 @@ def _classify_cyclic_trivial_z(params: LieParams, notes: list[str]) -> TClassifi
     if e == 1 and d % p == 0:
         if n != 1:
             raise DomainError("cyclic Sylow with p | q-1 and p | det forces n = 1")
-        a = d
-        while a % p == 0:
-            a //= p
-        res = abst.from_cyclic_orders([x for x in (a, 2) if x > 1])
+        res = abst.from_cyclic_orders([x for x in (d // p_part(d, p), 2) if x > 1])
         return TClassification(res, abst.prime_to_p_part(cyclic(d), p), 0,
                                "cyclic.b", notes, params)
     if e == 1:

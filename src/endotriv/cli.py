@@ -89,7 +89,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--max-i", type=int, default=4)
 
     sp = add("certify", help="replay a stored proof-witness family")
-    sp.add_argument("family", help="|".join(sorted(rho._FAMILY_DEFAULTS)))
+    sp.add_argument("family", help="|".join(sorted(rho._FAMILIES)))
     sp.add_argument("n", type=int, nargs="?")
     sp.add_argument("q", type=int, nargs="?")
     sp.add_argument("p", type=int, nargs="?")
@@ -183,6 +183,8 @@ def _cmd_rho(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    if (args.n, args.q, args.p).count(None) not in (0, 3):
+        raise _UsageExit("certify takes n, q and p together, or none of them")
     out = rho.replay_proof_certificates(args.family, args.n, args.q, args.p,
                                         cap=args.cap)
     _emit({"verdicts": out}, args.json,

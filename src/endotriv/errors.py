@@ -12,13 +12,9 @@ class EndotrivError(Exception):
 class DomainError(EndotrivError):
     """Input outside the declared domain (bad prime, invalid orders, ...)."""
 
-    exit_code = 1
-
 
 class CapExceeded(EndotrivError):
     """An enumeration would exceed the configured element cap."""
-
-    exit_code = 2
 
     def __init__(self, message, needed=None, cap=None):
         super().__init__(message)
@@ -32,8 +28,6 @@ class AmbiguousCase(EndotrivError):
     Raised instead of guessing; carries the offending tuple for reporting.
     """
 
-    exit_code = 3
-
     def __init__(self, message, detail=None):
         super().__init__(message)
         self.detail = detail or {}
@@ -42,4 +36,3 @@ class AmbiguousCase(EndotrivError):
 class GroupSpecError(EndotrivError):
     """Malformed group specification string (maps to usage exit code)."""
 
-    exit_code = 64

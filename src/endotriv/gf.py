@@ -274,27 +274,22 @@ class FieldSpec:
         inv = np.zeros(q, dtype=np.uint8)
         inv[exp] = exp[(-(np.arange(q - 1))) % (q - 1)]
         self.inv_table = inv
-        # the same tables as Python int lists, for the polynomial routines'
-        # coefficient loops (a numpy scalar lookup costs several list indexings)
+        # the same tables as Python int lists, for the element ops and the
+        # polynomial routines' coefficient loops (a numpy scalar lookup costs
+        # several list indexings)
         self.add_list, self.mul_list = self.add.tolist(), mul.tolist()
         self.neg_list = self.neg.tolist()
 
-    # -- public element ops (prime fields: plain integer arithmetic) ---------
+    # -- public element ops --------------------------------------------------
 
     def add_el(self, a: int, b: int) -> int:
-        if self.degree == 1:
-            return (int(a) + int(b)) % self.q
-        return int(self.add[a, b])
+        return self.add_list[a][b]
 
     def mul_el(self, a: int, b: int) -> int:
-        if self.degree == 1:
-            return int(a) * int(b) % self.q
-        return int(self.mul[a, b])
+        return self.mul_list[a][b]
 
     def neg_el(self, a: int) -> int:
-        if self.degree == 1:
-            return -int(a) % self.q
-        return int(self.neg[a])
+        return self.neg_list[a]
 
     def inv_el(self, a: int) -> int:
         if a == 0:

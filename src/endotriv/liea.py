@@ -199,9 +199,9 @@ def group_generators(n: int, q: int, det_order: int = 1) -> list[np.ndarray]:
     return gens
 
 
-def enumerate_group(n: int, q: int, det_order: int = 1, cap: int | None = None,
-                    name: str | None = None) -> mg.MatrixGroup:
-    return enumerate_quotient(n, q, det_order, 1, cap=cap, name=name)
+def enumerate_group(n: int, q: int, det_order: int = 1,
+                    cap: int | None = None) -> mg.MatrixGroup:
+    return enumerate_quotient(n, q, det_order, 1, cap=cap)
 
 
 def enumerate_quotient(n: int, q: int, det_order: int = 1, z_order: int = 1,
@@ -487,13 +487,9 @@ def levi_split(blocks, q: int, det_order: int, p: int) -> BlockSplit | None:
         return None
     a = (hits[0],)
     b = tuple(i for i in range(len(blocks)) if i != hits[0])
-    d = det_order
 
     def factor_order(part):
-        o = 1
-        for i in part:
-            o *= order_gl(blocks[i], q)
-        return o * d // (q - 1)
+        return levi_order([blocks[i] for i in part], q, det_order)
 
     return BlockSplit(tuple(blocks), a, b, factor_order(a), factor_order(b), p)
 

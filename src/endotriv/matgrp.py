@@ -411,18 +411,9 @@ class Subgroup:
     def order(self) -> int:
         return len(self.members)
 
-    def __contains__(self, i: int) -> bool:
-        return int(i) in self.members
-
     def __eq__(self, other):
         return (isinstance(other, Subgroup) and other.parent is self.parent
                 and other.members == self.members)
-
-    def __hash__(self):
-        return hash((id(self.parent), self.members))
-
-    def __le__(self, other: "Subgroup") -> bool:
-        return self.members <= other.members
 
     @property
     def gen_idx(self) -> tuple[int, ...]:
@@ -706,7 +697,7 @@ EA_ELEMENT_CAP = 30_000  # order-p elements elementary_abelian_subgroups takes o
 LATTICE_CAP = 200_000  # subgroups all_subgroups lists
 
 
-def elementary_abelian_subgroups(T: Subgroup | MatrixGroup, p: int) -> list[ElementaryAbelian]:
+def elementary_abelian_subgroups(T: Subgroup, p: int) -> list[ElementaryAbelian]:
     """All elementary abelian p-subgroups of T, flagged maximal-in-T, rank
     by rank from the trivial subgroup by cyclic extension (Neubüser, Numer.
     Math. 2, 1960; see Holt, Eick and O'Brien).
@@ -716,8 +707,6 @@ def elementary_abelian_subgroups(T: Subgroup | MatrixGroup, p: int) -> list[Elem
     gathers in G's indices; E is maximal when there is no such x.  Each
     subgroup is generated by E.gen_idx + (x,) for the first E and x that
     reach it."""
-    if isinstance(T, MatrixGroup):
-        T = T.as_subgroup()
     G = T.parent
     pts = T.idx[G.elements_satisfying_power(p)[T.idx] & (T.idx != G.identity_idx)]
     if len(pts) > EA_ELEMENT_CAP:
@@ -755,7 +744,7 @@ def all_subgroups(S: Subgroup) -> list[Subgroup]:
     M.gen_idx + (x,)."""
     G = S.parent
     p = min(factorize(S.order), default=1)
-    if p > 1 and not _is_p_group(S, p):
+    if p > 1 and p_part(S.order, p) != S.order:
         raise DomainError(f"subgroup lattice needs a p-group, got order {S.order}")
     pos = partial(np.searchsorted, S.idx)  # G index -> position in S.idx
     table = pos(np.stack([G._right(S.idx, int(j)) for j in S.idx], axis=1))
@@ -790,30 +779,16 @@ def all_subgroups(S: Subgroup) -> list[Subgroup]:
 def sylow_subgroup_of(G: MatrixGroup, p: int) -> Subgroup:
     """A Sylow p-subgroup found by normalizer ascent.
 
-    Any p-subgroup P below full order has a p-element in N_G(P) \\ P whose
-    join with P is again a p-group, so each step grows the order by at
-    least p; at most log_p |G| normalizer scans."""
+    Any p-subgroup P below full order has a p-element x in N_G(P) \\ P,
+    and <P, x> is again a p-group because x normalizes P, so each step
+    grows the order by at least p; at most log_p |G| normalizer scans."""
     target = p_part(G.order, p)
     pmask = G.elements_satisfying_power(target)
     P = trivial_subgroup(G)
     while P.order < target:
         N = normalizer(G, P) if P.order > 1 else G.as_subgroup()
-        grown = False
-        for i in N.idx:
-            i = int(i)
-            if pmask[i] and i not in P.members:
-                cand = _extend(P, (i,))
-                if p_part(cand.order, p) == cand.order:
-                    P = cand
-                    grown = True
-                    break
-        if not grown:
+        x = next((int(i) for i in N.idx if pmask[i] and int(i) not in P.members), None)
+        if x is None:
             raise DomainError("Sylow ascent stalled")  # pragma: no cover
+        P = _extend(P, (x,))
     return P
-
-
-def _is_p_group(S: Subgroup, p: int) -> bool:
-    o = S.order
-    while o % p == 0:
-        o //= p
-    return o == 1

@@ -74,15 +74,14 @@ def nontrivial_subgroups(G: mg.MatrixGroup, S: mg.Subgroup) -> list[mg.Subgroup]
 
 
 def rho_chain(G: mg.MatrixGroup, S: mg.Subgroup, Q: mg.Subgroup,
-              max_i: int = 4, subgroups: list[mg.Subgroup] | None = None) -> RhoChain:
+              max_i: int = 4) -> RhoChain:
     """Exact chain for Q up to level max_i (fast engine)."""
     if Q.order <= 1:
         raise DomainError("Q must be a nontrivial subgroup of S")
     if not Q.members <= S.members:
         raise DomainError("Q must be contained in S")
-    subs = subgroups if subgroups is not None else nontrivial_subgroups(G, S)
     by_key: dict[tuple, mg.Subgroup] = {}  # key -> its first subgroup, Q's added if new
-    for T in [*subs, Q]:
+    for T in [*nontrivial_subgroups(G, S), Q]:
         by_key.setdefault(T.key(), T)
 
     # conjugacy classes with transport witnesses
@@ -676,10 +675,9 @@ def build_central_scalar_certificate(n: int, q: int, p: int,
 
 
 def build_torus_quotient_certificate(n: int, q: int, p: int,
-                                     z_order: int | None = None,
                                      cap: int | None = None) -> MethodCertificate:
-    """Certificate for SL(n,q)/Z with p | q-1, p | n and Z a central
-    p-subgroup: H is the image of the monomial subgroup (the torus-Sylow
+    """Certificate for SL(n,q)/Z with p | q-1, p | n and Z the p-part of
+    the scalar centre: H is the image of the monomial subgroup (the torus-Sylow
     normalizer), generated by its commutator subgroup together with the
     corner rotation, whose witness subgroup is the scaled-torus block group."""
     if n % p or (q - 1) % p:
@@ -690,10 +688,7 @@ def build_torus_quotient_certificate(n: int, q: int, p: int,
         raise DomainError(
             "for n = p = 3 the scaled-torus witness is scalar unless 9 | q-1")
     t = p_val(q - 1, p)
-    zc = liea.scalar_center_order(n, q, 1)
-    z_order = z_order if z_order is not None else p_part(zc, p)
-    if z_order <= 1 or p_part(z_order, p) != z_order or zc % z_order != 0:
-        raise DomainError("Z must be a nontrivial central p-subgroup")
+    z_order = p_part(liea.scalar_center_order(n, q, 1), p)  # > 1, as p | gcd(n, q-1)
     params = liea.compute_params(n, q, p, 1, z_order)
 
     Hbar = liea.monomial_group(n, q, 1, cap=cap, z_order=z_order, name=f"N(Q)/Z{z_order}")
@@ -733,19 +728,24 @@ def build_torus_quotient_certificate(n: int, q: int, p: int,
         witnesses=witnesses)
 
 
-def build_block_count_certificate(q: int, p: int, a: int = 1, s: int = 1,
-                                  b: int = 1, cap: int | None = None) -> MethodCertificate:
+def build_block_count_certificate(n: int, q: int, p: int,
+                                  cap: int | None = None) -> MethodCertificate:
     """Certificate for SL(n,q) with n = (a p^s + b) e, 1 <= a < p,
-    1 <= b < p^s: H is the two-block group holding the Sylow subgroup,
-    generated by its commutator subgroup and one connecting torus element
-    whose witness subgroup is a balanced two-block group."""
-    e = liea.multiplicative_order_mod(q, p)
-    if not (1 <= a < p and 1 <= b < p ** s):
-        raise DomainError("needs 1 <= a < p and 1 <= b < p^s")
-    r = a * p ** s + b
-    n = r * e
+    1 <= b < p^s, where e is the order of q mod p: H is the two-block group
+    holding the Sylow subgroup, generated by its commutator subgroup and one
+    connecting torus element whose witness subgroup is a balanced two-block
+    group.  The split of n/e is unique (p^s <= n/e < p^(s+1))."""
     params = liea.compute_params(n, q, p, 1, 1)
-    big, small = a * p ** s * e, b * e
+    e, r = params.e, params.r
+    if params.f:
+        raise DomainError(f"needs e = {e} to divide n = {n}")
+    ps = 1  # p^s
+    while ps * p <= r:
+        ps *= p
+    a, b = divmod(r, ps)
+    if b == 0:
+        raise DomainError(f"needs n/e = a p^s + b with 1 <= b < p^s, got n/e = {r} = {a}*{ps}")
+    big, small = a * ps * e, b * e
     # the Sylow builder lays blocks out in increasing width
     blocks = [small, big]
     N = liea.levi(blocks, q, 1, cap=cap, name="two-block group")
@@ -797,52 +797,65 @@ def _big_block_scalar(F, small, big, p):
 # ---------------------------------------------------------------------------
 # replay of the proof families
 
-_FAMILY_DEFAULTS = {
-    "rp-case": [(3, 19, 3)],
-    "sleps": [(3, 4, 3), (6, 2, 3)],
-    "sl62": [(6, 2, 3)],
-    "composite-i": [(6, 4, 3)],
-    "composite-ii": [(15, 11, 5)],
-    "composite-iii": [(4, 4, 3)],
+def _refuse_sl(n: int, q: int, p: int, cap: int | None = None):
+    """The sl62 family, SL(6,2) at p = 3, is beyond desk scale: no
+    certificate is built."""
+    order = liea.order_sl(n, q)
+    capv = mg.enumeration_cap(cap)
+    raise CapExceeded(f"SL({n},{q}) has order {order}, beyond the desk-scale cap {capv}",
+                      needed=order, cap=capv)
+
+
+def _build_sleps(n: int, q: int, p: int, cap: int | None = None) -> MethodCertificate:
+    """The central-scalar certificate; SL(6,2) at p = 3 is refused as in
+    the sl62 family."""
+    if (n, q, p) in _FAMILIES["sl62"][1]:
+        _refuse_sl(n, q, p, cap)
+    return build_central_scalar_certificate(n, q, p, cap)
+
+
+def _refuse_block_groups(n: int, q: int, p: int, cap: int | None = None):
+    """composite-i / composite-ii have no desk-scale instances: the smallest
+    required block groups already exceed the cap."""
+    needed = liea.levi_order([n // 2, n - n // 2], q, 1)
+    raise CapExceeded(f"smallest required block group has order {needed}",
+                      needed=needed, cap=mg.enumeration_cap(cap))
+
+
+# family -> (builder(n, q, p, cap), default instances (n, q, p))
+_FAMILIES = {
+    "rp-case": (build_torus_quotient_certificate, [(3, 19, 3)]),
+    "sleps": (_build_sleps, [(3, 4, 3), (6, 2, 3)]),
+    "sl62": (_refuse_sl, [(6, 2, 3)]),
+    "composite-i": (_refuse_block_groups, [(6, 4, 3)]),
+    "composite-ii": (_refuse_block_groups, [(15, 11, 5)]),
+    "composite-iii": (build_block_count_certificate, [(4, 4, 3)]),
 }
 
 
 def replay_proof_certificates(family: str, n: int | None = None,
                               q: int | None = None, p: int | None = None,
                               cap: int | None = None) -> list[dict]:
-    """Reconstruct and check the stored proof-witness families.
+    """Reconstruct and check the stored proof-witness families, on the
+    given instance (n, q, p) or, when none is given, on the family's
+    default instances.
 
     Out-of-cap instances are reported SKIPPED (never silently passed);
     invalid parameter combinations are reported INVALID with the reason.
     """
-    if family not in _FAMILY_DEFAULTS:
+    if family not in _FAMILIES:
         raise DomainError(f"unknown certificate family {family!r}; "
-                          f"choose from {sorted(_FAMILY_DEFAULTS)}")
-    instances = [(n, q, p)] if n and q and p else _FAMILY_DEFAULTS[family]
+                          f"choose from {sorted(_FAMILIES)}")
+    given = (n, q, p)
+    if given.count(None) not in (0, 3):
+        raise DomainError("give n, q and p together, or none of them")
+    build, defaults = _FAMILIES[family]
     out = []
-    for (ni, qi, pi) in instances:
+    for (ni, qi, pi) in defaults if n is None else [given]:
         entry = {"family": family, "n": ni, "q": qi, "p": pi}
         try:
-            if family == "sl62" or (family == "sleps" and (ni, qi, pi) == (6, 2, 3)):
-                order = liea.order_sl(ni, qi)
-                capv = mg.enumeration_cap(cap)
-                raise CapExceeded(
-                    f"SL({ni},{qi}) has order {order}, beyond the desk-scale cap {capv}",
-                    needed=order, cap=capv)
-            if family == "sleps":
-                cert = build_central_scalar_certificate(ni, qi, pi, cap=cap)
-            elif family == "rp-case":
-                cert = build_torus_quotient_certificate(ni, qi, pi, cap=cap)
-            elif family == "composite-iii":
-                cert = build_block_count_certificate(qi, pi, cap=cap)
-            else:
-                # composite-i / composite-ii have no desk-scale instances:
-                # the smallest required block groups already exceed the cap
-                needed = liea.levi_order([ni // 2, ni - ni // 2], qi, 1)
-                raise CapExceeded(
-                    f"smallest required block group has order {needed}",
-                    needed=needed, cap=mg.enumeration_cap(cap))
-            report = check_certificate(cert)
+            # through the module attribute, where a wrapper (a tracer) sees the call
+            report = check_certificate(globals()[build.__name__](ni, qi, pi, cap=cap))
             entry["verdict"] = report.verdict
             entry["description"] = report.description
             entry["failed_clause"] = report.failed_clause

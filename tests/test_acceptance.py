@@ -109,7 +109,7 @@ def test_criterion_3_sylow_construction_suite():
                     if omega != p ** params.p_rank:
                         failures.append((n, q, p, det, f"torsion {omega}"))
                 else:
-                    eas = mg.elementary_abelian_subgroups(S, p)
+                    eas = mg.elementary_abelian_subgroups(S.as_subgroup(), p)
                     top = max(e.rank for e in eas)
                     tops = [e for e in eas if e.rank == top]
                     if len(tops) != 1:

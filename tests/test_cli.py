@@ -8,6 +8,7 @@ import pytest
 
 from endotriv import corpus as corpus_mod
 from endotriv import cli, gf, liea, rho
+from endotriv import matgrp as mg
 from endotriv.cli import main
 from endotriv.corpus import CorpusEntry, load_corpus, run_corpus
 from endotriv.errors import DomainError
@@ -156,6 +157,37 @@ def test_certify_subcommand(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["verdicts"][0]["verdict"] == "SKIPPED"
+
+
+README_CLASSIFY = """\
+[n3-char3.c] T = Z + Z/2 + Z/2
+  note: 3 | (q-1)/det = 3; q = 4 mod 9
+  oracle: PASS {'p_rank': 2, 'n_G': 1, 'tf_rank': 1}
+"""
+
+
+def test_text_output(capsys):
+    # the README's example, printed without --json
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert README_CLASSIFY in readme
+    assert run_cli(capsys, "classify", "3", "4", "3", "--det", "1", "--z", "3",
+                   "--verify") == (0, README_CLASSIFY, "")
+
+
+def test_certify_replays_the_given_instance(monkeypatch, capsys):
+    # composite-iii splits n/e = a p^s + b: 9 = 1*3^2 has b = 0, so SL(9,4) has no
+    # certificate, and 5 = 1*3 + 2 needs blocks (2, 3), a group beyond the cap
+    assert run_cli(capsys, "certify", "composite-iii", "4", "4", "3") == (
+        0, "composite-iii (4,4,3): PASS\n", "")
+    assert run_cli(capsys, "certify", "composite-iii", "9", "4", "3") == (
+        1, "composite-iii (9,4,3): INVALID [needs n/e = a p^s + b with 1 <= b < p^s, "
+           "got n/e = 9 = 1*9]\n", "")
+    code, out, err = run_cli(capsys, "certify", "composite-iii", "4", "4", "--json")
+    assert (code, out) == (64, "") and "n, q and p together" in err
+    monkeypatch.setattr(mg.MatrixGroup, "generate", None)  # refused before any closure
+    assert run_cli(capsys, "certify", "composite-iii", "5", "4", "3") == (
+        0, "composite-iii (5,4,3): SKIPPED [block group of order 10886400 exceeds "
+           "cap 2000000]\n", "")
 
 
 def test_sylow_subcommand(capsys):

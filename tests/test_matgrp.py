@@ -18,7 +18,7 @@ def sl23():
 
 
 def _p_rank(T, p):
-    return max(e.rank for e in mg.elementary_abelian_subgroups(T, p))
+    return max(e.rank for e in mg.elementary_abelian_subgroups(T.as_subgroup(), p))
 
 
 def _matmul_pairs(F, a, b):
@@ -164,18 +164,18 @@ def test_elementary_abelian_examples():
     # order coprime to p: only the trivial subgroup
     F7 = field_spec(7)
     c3 = mg.MatrixGroup.generate(F7, [np.array([[2]], dtype=np.uint8)])
-    eas = mg.elementary_abelian_subgroups(c3, 5)
+    eas = mg.elementary_abelian_subgroups(c3.as_subgroup(), 5)
     assert [(e.rank, e.maximal) for e in eas] == [(0, True)]
     # quaternion group: one C2, maximal
     G = sl23()
     q8m = mg.commutator_subgroup(G.as_subgroup())
     q8 = mg.MatrixGroup.generate(G.field, [G.elements[i] for i in q8m.gen_idx])
-    eas8 = mg.elementary_abelian_subgroups(q8, 2)
+    eas8 = mg.elementary_abelian_subgroups(q8.as_subgroup(), 2)
     nontriv = [(e.rank, e.maximal) for e in eas8 if e.rank > 0]
     assert nontriv == [(1, True)]
     # SL(2,4): five maximal Klein subgroups, rank 2
     a5 = liea.enumerate_group(2, 4)
-    eas4 = mg.elementary_abelian_subgroups(a5, 2)
+    eas4 = mg.elementary_abelian_subgroups(a5.as_subgroup(), 2)
     v4 = [e for e in eas4 if e.rank == 2]
     assert len(v4) == 5 and all(e.maximal for e in v4)
     assert _p_rank(a5, 2) == 2
@@ -209,7 +209,7 @@ def test_central_quotient_groups():
     pgl = liea.enumerate_quotient(2, 3, 2, 2, name="PGL(2,3)")
     assert pgl.order == 24
     # S4: two conjugacy classes of maximal Kleins
-    eas = mg.elementary_abelian_subgroups(pgl, 2)
+    eas = mg.elementary_abelian_subgroups(pgl.as_subgroup(), 2)
     v4 = [e.subgroup for e in eas if e.rank == 2 and e.maximal]
     assert len(mg.subgroup_conjugacy_classes(pgl, v4)) == 2
 

@@ -41,16 +41,21 @@ def test_trivial_base_rejected():
         rho.rho_chain(G, G.as_subgroup(), mg.trivial_subgroup(G))
 
 
-def test_chain_independent_of_subgroup_order():
+def test_chain_independent_of_subgroup_order(monkeypatch):
     G = liea.enumerate_group(2, 5)
     S = liea.sylow_in(G, liea.compute_params(2, 5, 2))
-    subs = rho.nontrivial_subgroups(G, S)
-    base = rho.rho_chain(G, S, S, max_i=3, subgroups=subs)
+    base = rho.rho_chain(G, S, S, max_i=3)
+    lattice = rho.nontrivial_subgroups
     rng = random.Random(5)
+
+    def shuffled(G, S):
+        subs = lattice(G, S)
+        rng.shuffle(subs)
+        return subs
+
+    monkeypatch.setattr(rho, "nontrivial_subgroups", shuffled)
     for _ in range(3):
-        shuffled = subs[:]
-        rng.shuffle(shuffled)
-        again = rho.rho_chain(G, S, S, max_i=3, subgroups=shuffled)
+        again = rho.rho_chain(G, S, S, max_i=3)
         assert [c.members for c in again.chain] == [c.members for c in base.chain]
 
 
@@ -291,7 +296,7 @@ def test_unproved_evidence_is_incomplete():
 
 
 def test_block_count_certificate_passes():
-    cert = rho.build_block_count_certificate(4, 3)
+    cert = _real_certificate("blocks")
     report = rho.check_certificate(cert)
     assert report.verdict == "PASS"
     kinds = {w.aux_evidence.kind for w in cert.witnesses if w.aux_evidence}
@@ -309,6 +314,22 @@ def test_replay_families():
         assert rho.replay_proof_certificates(fam)[0]["verdict"] == "SKIPPED"
     with pytest.raises(DomainError):
         rho.replay_proof_certificates("nonsense")
+    with pytest.raises(DomainError, match="n, q and p together"):
+        rho.replay_proof_certificates("composite-iii", 4, 4)
+
+
+def test_block_count_builder_splits_n(monkeypatch):
+    # n = (a p^s + b) e with p^s <= n/e < p^(s+1); the blocks are (b e, a p^s e)
+    for (n, q, p), detail in {(9, 4, 3): "n/e = 9 = 1\\*9", (6, 2, 3): "n/e = 3 = 1\\*3",
+                              (5, 2, 3): "e = 2 to divide n = 5"}.items():
+        with pytest.raises(DomainError, match=detail):
+            rho.build_block_count_certificate(n, q, p)
+    monkeypatch.setattr(mg.MatrixGroup, "generate", None)  # refused before any closure
+    for (n, q, p), blocks in {(5, 4, 3): [2, 3], (7, 4, 3): [1, 6], (8, 2, 3): [2, 6],
+                              (11, 3, 2): [3, 8]}.items():
+        with pytest.raises(CapExceeded) as exc:
+            rho.build_block_count_certificate(n, q, p)
+        assert exc.value.needed == liea.levi_order(blocks, q, 1)
 
 
 def test_torus_quotient_rejects_degenerate_scaled_torus():
@@ -341,7 +362,7 @@ def test_torus_quotient_builds_no_whole_group(monkeypatch):
 def _real_certificate(kind):
     if kind == "torus":
         return rho.build_torus_quotient_certificate(3, 19, 3)
-    return rho.build_block_count_certificate(4, 3)
+    return rho.build_block_count_certificate(4, 4, 3)
 
 
 def _transvection_conjugate(S):

@@ -55,3 +55,59 @@ def test_public_names_are_reached_from_the_package():
                 unreached += [f"{mod}.{cls.name}.{m}" for m in _public_defs(cls.body)
                               if m not in attrs]
     assert sorted(unreached) == sorted(REACHED_FROM_OUTSIDE)
+
+
+# optional parameters of public functions that no call in src/ or perfbench/ sets
+SET_FROM_OUTSIDE = {
+    "liea.levi_normalizer_equal_blocks(cap=)": "criterion 4's block normalizer takes no caller's cap",
+}
+
+
+def _optional_params(fn, method):
+    pos = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+    skip = 1 if method and not static else 0  # self or cls
+    out = {a: pos.index(a) - skip for a in pos[len(pos) - len(fn.args.defaults):]}
+    out.update({a.arg: None for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                if d is not None})
+    return out
+
+
+def test_optional_parameters_are_set_by_some_caller():
+    # an option that no caller sets is a configuration nothing runs: each is
+    # passed by keyword or by position in some call of that name (a call with
+    # *args or **kwargs sets them all; `cls(...)` calls every class); a
+    # function stored or passed as a value is called through another name,
+    # so its options count as set
+    files = sorted(SRC.glob("*.py")) + sorted((SRC.parents[1] / "perfbench").glob("*.py"))
+    calls, called, named = {}, set(), set()
+    for f in files:
+        for node in ast.walk(ast.parse(f.read_text(), str(f))):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = getattr(fn, "attr", None) or getattr(fn, "id", None)
+                calls.setdefault(name, []).append(node)
+                called.add(fn)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                named.add(node)
+    as_value = {node.id for node in named - called}
+    unset = []
+    for f in sorted(SRC.glob("*.py")):
+        tree = ast.parse(f.read_text(), str(f))
+        defs = [(None, d) for d in tree.body if isinstance(d, ast.FunctionDef)]
+        defs += [(c.name, d) for c in tree.body if isinstance(c, ast.ClassDef)
+                 and not c.name.startswith("_")
+                 for d in c.body if isinstance(d, ast.FunctionDef)]
+        for cls, fn in defs:
+            if fn.name.startswith("_") and fn.name != "__init__":
+                continue
+            if cls is None and fn.name in as_value:
+                continue
+            names = [cls, "cls"] if fn.name == "__init__" else [fn.name]
+            sites = [c for n in names for c in calls.get(n, [])]
+            for param, index in _optional_params(fn, cls is not None).items():
+                if not any(any(k.arg in (param, None) for k in c.keywords)
+                           or any(isinstance(a, ast.Starred) for a in c.args)
+                           or (index is not None and len(c.args) > index) for c in sites):
+                    unset.append(f"{f.stem}.{(cls + '.') if cls else ''}{fn.name}({param}=)")
+    assert sorted(unset) == sorted(SET_FROM_OUTSIDE)
