@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import abst, backend, liea
+from . import abst, liea
 from . import matgrp as mg
 from .abst import AbelianStructure, ExtensionDescriptor, cyclic, direct_sum, free
 from .errors import AmbiguousCase, DomainError
@@ -157,12 +157,8 @@ def cyclic_quotient_normalizer(params: LieParams, cap: int | None = None) -> mg.
     monomial subgroup.  For r = 1, N_GL(S) is the block normalizer
     C_{q^e-1} : C_e times GL(f,q), generated by the Singer block t = w, the
     Frobenius block and GL(f,q), and N(S) = N_G(S) is the preimage of D_d
-    under det: N_GL(S) -> F_q^x.  det t is primitive, so the powers t^i,
-    i < k = (q-1)/d, are a transversal of that preimage, and Schreier's
-    lemma (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
-    Section 4.1) generates it by t^k and t^i s t^-((i + c_s) mod k) for every
-    other generator s and every i < k, where c_s = log det s / log det t
-    mod k.  Before any work the cap must admit both |N_G(S)| and |N_GL(S)|.
+    under det, generated by `liea.det_preimage_generators`.  Before any work
+    the cap must admit both |N_G(S)| and |N_GL(S)|.
     """
     n, q, e, f, d, z = (params.n, params.q, params.e, params.f,
                         params.det_order, params.z_order)
@@ -177,40 +173,12 @@ def cyclic_quotient_normalizer(params: LieParams, cap: int | None = None) -> mg.
         # N_GL(S) is not built; its limit keeps the set of refused tuples
         mg.admit(q, cap, (expected, too_large),
                  (ngl_order, "closure of N_GL(S) exceeds cap {cap}"))
-        gens = _det_preimage_generators(params)
+        w, g = liea.singer_block(q, e)
+        others = [mg.block_embed(n, [(0, g)])] + [
+            mg.block_embed(n, [(e, m)]) for m in (liea.group_generators(f, q, q - 1) if f else [])]
+        gens = liea.det_preimage_generators(params.field, mg.block_embed(n, [(0, w)]),
+                                            q ** e - 1, others, d)
     return liea.quotient_closure(params.field, gens, z, expected, cap, f"N_G(S)/Z{z}")
-
-
-def _det_preimage_generators(params: LieParams) -> list[np.ndarray]:
-    """Schreier generators of N_G(S) = det^-1(D_d) in N_GL(S), r = 1, e > 1:
-    see `cyclic_quotient_normalizer`.  Duplicates and the identity dropped."""
-    n, q, e, f, d = params.n, params.q, params.e, params.f, params.det_order
-    F = params.field
-    w, g = liea.singer_block(q, e)
-    t = mg.block_embed(n, [(0, w)])
-    others = [mg.block_embed(n, [(0, g)])] + [
-        mg.block_embed(n, [(e, m)]) for m in (liea.group_generators(f, q, q - 1) if f else [])]
-    k = (q - 1) // d
-    logs = [int(F.log[x]) for x in backend.det_many(np.stack([t] + others), F)]
-    ratio = pow(logs[0], -1, k)  # log det t is a unit mod q - 1 (0 when k = 1)
-
-    def mul(a, b):
-        return backend.mm_one(a[None], b, F)[0]
-
-    powers, inv_powers = [mg.identity_matrix(n)], [mg.identity_matrix(n)]
-    t_inv = liea._matrix_power(F, t, q ** e - 2)  # t has order q^e - 1
-    for _ in range(k):
-        powers.append(mul(powers[-1], t))
-    for _ in range(k - 1):
-        inv_powers.append(mul(inv_powers[-1], t_inv))
-    gens = {powers[k].tobytes(): powers[k]}
-    for s, log_s in zip(others, logs[1:]):
-        c = log_s * ratio % k
-        for i in range(k):
-            x = mul(mul(powers[i], s), inv_powers[(i + c) % k])
-            gens.setdefault(x.tobytes(), x)
-    gens.pop(mg.identity_matrix(n).tobytes(), None)
-    return list(gens.values())
 
 
 @lru_cache(maxsize=4096)

@@ -8,8 +8,9 @@ dividing d, and n = r*e + f with 0 <= f < e.
 The constructions (Sylow p-subgroups as products of wreath towers over
 Singer blocks, block-diagonal subgroups, torus normalizers) return
 generator matrices at the GL level; determinant conditions are imposed by
-filtering the closed group, which is exact because a Sylow subgroup of a
-normal subgroup is the intersection with a Sylow subgroup of the parent.
+Schreier generators of the preimage, which is exact for a Sylow subgroup
+because a Sylow subgroup of a normal subgroup is the intersection with a
+Sylow subgroup of the parent.
 """
 
 from __future__ import annotations
@@ -369,37 +370,61 @@ def _base_digits(r: int, p: int) -> list[int]:
     return out
 
 
+def det_preimage_generators(F: FieldSpec, t: np.ndarray, t_order: int,
+                            others: list[np.ndarray], d: int) -> list[np.ndarray]:
+    """Generators of {x in <t, others> : det x in D_d}, D_d of order d in
+    GF(q)^x, by Schreier's lemma (Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, Section 4.1) over the transversal t^i, i < k,
+    k the order of det t modulo D_d: t^k and t^i s t^-((i + c_s) mod k) for
+    each s in `others` and i < k, c_s the c < k with det s det t^-c in D_d.
+    t_order is a multiple of the order of t.  Duplicates and the identity
+    are dropped; a det s outside <det t> D_d raises DomainError."""
+    n, m = t.shape[0], (F.q - 1) // d  # D_d: the elements whose log m divides
+    log_t, *logs = (int(F.log[x]) for x in backend.det_many(np.stack([t, *others]), F))
+    k = m // math.gcd(log_t, m)
+
+    def mul(a, b):
+        return backend.mm_one(a[None], b, F)[0]
+
+    powers, inv_powers = [mg.identity_matrix(n)], [mg.identity_matrix(n)]
+    t_inv = _matrix_power(F, t, t_order - 1)
+    for _ in range(k):
+        powers.append(mul(powers[-1], t))
+    for _ in range(k - 1):
+        inv_powers.append(mul(inv_powers[-1], t_inv))
+    gens = {powers[k].tobytes(): powers[k]}
+    for s, log_s in zip(others, logs):
+        c = next((c for c in range(k) if (log_s - c * log_t) % m == 0), None)
+        if c is None:
+            raise DomainError(f"a generator's determinant lies outside <det t> D_{d}")
+        for i in range(k):
+            x = mul(mul(powers[i], s), inv_powers[(i + c) % k])
+            gens.setdefault(x.tobytes(), x)
+    gens.pop(mg.identity_matrix(n).tobytes(), None)
+    return list(gens.values())
+
+
 def build_sylow(params: LieParams, cap: int | None = None) -> tuple[SylowPresentation, mg.MatrixGroup]:
     """A Sylow p-subgroup of G, as (presentation, enumerated group).
 
-    Built at the GL level from Singer-block generators and chunk-cycling
-    permutation matrices, then intersected with the determinant condition.
+    S = {x in S_GL : det x in Det(G)}, generated from the Singer-block and
+    chunk-cycling generators of S_GL, the first of which generates det(S_GL)
+    (the p-part of GF(q)^x for e = 1, -1 if semidihedral, 1 for e > 1), and
+    closed once; the cap admits |S|.
     """
-    n, q, p = params.n, params.q, params.p
+    n, q, p, d = params.n, params.q, params.p, params.det_order
     if params.sylow_trivial:
         raise DomainError(f"p={p} does not divide the group order (n < e)")
-    gl_order = p_part(order_gl(n, q), p)
-    mg.admit(q, cap, (gl_order, "Sylow of order {needed} exceeds cap {cap}"))
+    claimed = params.sylow_order()
+    mg.admit(q, cap, (claimed, "Sylow of order {needed} exceeds cap {cap}"))
     F = params.field
     gl_gens, shape = _gl_sylow_generators(n, q, p, params.e, params.t)
-    S_gl = mg.MatrixGroup.generate(F, gl_gens, cap=cap, name=f"Syl_{p}(GL({n},{q}))")
-    if S_gl.order != gl_order:
-        raise DomainError(
-            f"Sylow construction: closed order {S_gl.order} != {gl_order}")
-    claimed = params.sylow_order()
-    if params.det_order == q - 1:
-        return SylowPresentation(gl_gens, claimed, shape), S_gl
-    dvals = list(F.subgroup_values(params.det_order))
-    keep = np.flatnonzero(np.isin(S_gl.dets(), dvals))
-    sub = mg.Subgroup(S_gl, keep)
-    gen_idx = mg.find_generators(S_gl, sub.idx)
-    gens = [S_gl.elements[i] for i in gen_idx] or [mg.identity_matrix(n)]
-    S = mg.MatrixGroup.generate(F, gens, cap=cap,
-                                name=f"Syl_{p}({_default_name(n, q, params.det_order)})")
+    gens = det_preimage_generators(F, gl_gens[0], p_part(order_gl(n, q), p), gl_gens[1:], d) \
+        or [mg.identity_matrix(n)]
+    S = mg.MatrixGroup.generate(F, gens, cap=cap, name=f"Syl_{p}({_default_name(n, q, d)})")
     if S.order != claimed:
-        raise DomainError(
-            f"det-filtered Sylow order {S.order} != claimed {claimed}")
-    return SylowPresentation(gens, claimed, shape + " ^ det"), S
+        raise DomainError(f"Sylow construction: closed order {S.order} != claimed {claimed}")
+    return SylowPresentation(gens, claimed, shape if d == q - 1 else shape + " ^ det"), S
 
 
 def sylow_in(G: mg.MatrixGroup, params: LieParams, cap: int | None = None) -> mg.Subgroup:

@@ -797,13 +797,18 @@ def _big_block_scalar(F, small, big, p):
 # ---------------------------------------------------------------------------
 # replay of the proof families
 
+def _refuse(q: int, cap: int | None, order: int, message: str):
+    """A family without a builder, given the order of the group its certificate
+    would need: SKIPPED (CapExceeded) when the cap refuses it, else INVALID."""
+    mg.admit(q, cap, (order, message))
+    raise DomainError(f"the cap admits order {order}, but no builder covers this instance")
+
+
 def _refuse_sl(n: int, q: int, p: int, cap: int | None = None):
-    """The sl62 family, SL(6,2) at p = 3, is beyond desk scale: no
-    certificate is built."""
-    order = liea.order_sl(n, q)
-    capv = mg.enumeration_cap(cap)
-    raise CapExceeded(f"SL({n},{q}) has order {order}, beyond the desk-scale cap {capv}",
-                      needed=order, cap=capv)
+    """The sl62 family, SL(6,2) at p = 3, has no builder; it names the
+    order of SL(n,q)."""
+    _refuse(q, cap, liea.order_sl(n, q),
+            f"SL({n},{q}) has order {{needed}}, beyond the desk-scale cap {{cap}}")
 
 
 def _build_sleps(n: int, q: int, p: int, cap: int | None = None) -> MethodCertificate:
@@ -815,11 +820,10 @@ def _build_sleps(n: int, q: int, p: int, cap: int | None = None) -> MethodCertif
 
 
 def _refuse_block_groups(n: int, q: int, p: int, cap: int | None = None):
-    """composite-i / composite-ii have no desk-scale instances: the smallest
-    required block groups already exceed the cap."""
-    needed = liea.levi_order([n // 2, n - n // 2], q, 1)
-    raise CapExceeded(f"smallest required block group has order {needed}",
-                      needed=needed, cap=mg.enumeration_cap(cap))
+    """composite-i / composite-ii have no builder; they name the order of
+    the smallest required block group."""
+    _refuse(q, cap, liea.levi_order([n // 2, n - n // 2], q, 1),
+            "smallest required block group has order {needed}")
 
 
 # family -> (builder(n, q, p, cap), default instances (n, q, p))

@@ -191,7 +191,7 @@ def test_criterion_5_chain_engine_against_naive_twin():
           f"{time.perf_counter() - t0:.1f}s; quaternion chain stalls below N(Q)")
 
 
-def test_criterion_6_certificate_replay():
+def test_criterion_6_certificate_replay(composite_iii_replay):
     out = rho.replay_proof_certificates("rp-case")
     assert out[0]["verdict"] == "PASS", out
     assert (out[0]["n"], out[0]["q"], out[0]["p"]) == (3, 19, 3)

@@ -174,7 +174,7 @@ def test_text_output(capsys):
                    "--verify") == (0, README_CLASSIFY, "")
 
 
-def test_certify_replays_the_given_instance(monkeypatch, capsys):
+def test_certify_replays_the_given_instance(monkeypatch, capsys, composite_iii_replay):
     # composite-iii splits n/e = a p^s + b: 9 = 1*3^2 has b = 0, so SL(9,4) has no
     # certificate, and 5 = 1*3 + 2 needs blocks (2, 3), a group beyond the cap
     assert run_cli(capsys, "certify", "composite-iii", "4", "4", "3") == (
@@ -188,6 +188,16 @@ def test_certify_replays_the_given_instance(monkeypatch, capsys):
     assert run_cli(capsys, "certify", "composite-iii", "5", "4", "3") == (
         0, "composite-iii (5,4,3): SKIPPED [block group of order 10886400 exceeds "
            "cap 2000000]\n", "")
+
+
+def test_certify_refusal_families_within_the_cap_are_invalid(capsys):
+    # SKIPPED means only that the cap refused the group a family would need
+    for args, group_order in [(("sl62", "2", "3", "2"), 24), (("composite-i", "2", "3", "2"), 2),
+                              (("sl62", "6", "2", "3", "--cap", "30000000000"), 20158709760)]:
+        n, q, p = args[1:4]
+        assert run_cli(capsys, "certify", *args) == (
+            1, f"{args[0]} ({n},{q},{p}): INVALID [the cap admits order {group_order}, "
+               "but no builder covers this instance]\n", "")
 
 
 def test_sylow_subcommand(capsys):

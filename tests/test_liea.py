@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,73 @@ def test_build_sylow_det_filter():
     assert S.order == 8
     orders = sorted(element_orders(S).tolist())
     assert orders == [1, 2, 4, 4, 4, 4, 4, 4]  # generalized quaternion
+
+
+def _criterion_3_grid():
+    for n, q, p in itertools.product(range(1, 5), [2, 3, 4, 5, 7, 8, 9], [2, 3, 5, 7]):
+        if q % p and liea.order_gl(n, q) % p == 0 and p_part(liea.order_gl(n, q), p) <= 2 ** 12:
+            yield n, q, p
+
+
+def test_build_sylow_is_the_det_filtered_gl_sylow():
+    """Reference: close the GL-level tower, keep the elements whose
+    determinant lies in D_d, and compare with the Schreier-built S."""
+    checked = 0
+    for n, q, p in _criterion_3_grid():
+        params = liea.compute_params(n, q, p)
+        F = params.field
+        S_gl = mg.MatrixGroup.generate(F, liea._gl_sylow_generators(n, q, p, params.e, params.t)[0])
+        for d in [d for d in range(1, q) if (q - 1) % d == 0]:
+            _, S = liea.build_sylow(liea.compute_params(n, q, p, d))
+            keep = np.flatnonzero(np.isin(S_gl.dets(), list(F.subgroup_values(d))))
+            assert np.array_equal(np.sort(S_gl.lookup_batch(S.elements)), keep), (n, q, p, d)
+            checked += 1
+    assert checked == 139
+
+
+def test_build_sylow_is_one_closure(monkeypatch):
+    calls = {"generate": 0, "find_generators": 0}
+    generate = mg.MatrixGroup.generate.__func__
+
+    def spy_generate(cls, *args, **kwargs):
+        calls["generate"] += 1
+        return generate(cls, *args, **kwargs)
+
+    def spy_find_generators(*args):
+        calls["find_generators"] += 1
+
+    monkeypatch.setattr(mg.MatrixGroup, "generate", classmethod(spy_generate))
+    monkeypatch.setattr(mg, "find_generators", spy_find_generators)
+    # e = 1 with d < q-1 and d = q-1, semidihedral, e > 1, trivial S
+    for n, q, p, d in [(3, 7, 3, 2), (3, 7, 3, 6), (3, 7, 2, 1), (3, 3, 2, 2), (4, 2, 3, 1),
+                       (1, 7, 3, 2)]:
+        calls["generate"] = 0
+        _, S = liea.build_sylow(liea.compute_params(n, q, p, d))
+        assert calls == {"generate": 1, "find_generators": 0}, (n, q, p, d)
+        assert S.order == liea.compute_params(n, q, p, d).sylow_order()
+
+
+def test_build_sylow_cap_admits_the_sylow_of_g():
+    # |Syl_3(SL(2,7))| = 3 fits a cap of 5; |Syl_3(GL(2,7))| = 9 would not
+    pres, S = liea.build_sylow(liea.compute_params(2, 7, 3, 1), cap=5)
+    assert S.order == pres.claimed_order == 3
+    with pytest.raises(CapExceeded, match=r"^Sylow of order 9 exceeds cap 5$"):
+        liea.build_sylow(liea.compute_params(2, 7, 3, 6), cap=5)
+
+
+def test_det_preimage_generators():
+    F = field_spec(7)
+    t = np.array([[3, 0], [0, 1]], dtype=np.uint8)  # det 3, primitive mod 7
+    s = np.array([[0, 1], [1, 0]], dtype=np.uint8)  # det -1 = 3^3
+    for d in (1, 2, 3, 6):
+        gens = liea.det_preimage_generators(F, t, 6, [s], d)
+        H = mg.MatrixGroup.generate(F, gens)
+        assert H.order == 12 * d  # the index-6/d subgroup of <t, s> = C_6 wr C_2
+        assert np.isin(H.dets(), list(F.subgroup_values(d))).all()
+    # det t = 2 has order 3 mod D_1: det s = -1 is not in <2>
+    t2 = np.array([[2, 0], [0, 1]], dtype=np.uint8)
+    with pytest.raises(DomainError, match=r"outside <det t> D_1$"):
+        liea.det_preimage_generators(F, t2, 3, [s], 1)
 
 
 def test_sylow_rejected_when_p_does_not_divide():
@@ -140,7 +209,7 @@ ADMISSIONS = {
     "enumerate_group": (lambda cap: liea.enumerate_group(2, 263, cap=cap),
                         f"group of order {liea.order_sl(2, 263)} exceeds cap 10"),
     "build_sylow": (lambda cap: liea.build_sylow(liea.compute_params(2, 263, 131), cap=cap),
-                    "Sylow of order 17161 exceeds cap 10"),
+                    "Sylow of order 131 exceeds cap 10"),
     "levi": (lambda cap: liea.levi([1, 1], 263, cap=cap),
              "block group of order 262 exceeds cap 10"),
     "levi_normalizer_equal_blocks": (

@@ -295,8 +295,8 @@ def test_unproved_evidence_is_incomplete():
     assert report.verdict == "INCOMPLETE"
 
 
-def test_block_count_certificate_passes():
-    cert = _real_certificate("blocks")
+def test_block_count_certificate_passes(composite_iii_certificate):
+    cert = composite_iii_certificate
     report = rho.check_certificate(cert)
     assert report.verdict == "PASS"
     kinds = {w.aux_evidence.kind for w in cert.witnesses if w.aux_evidence}
@@ -359,10 +359,19 @@ def test_torus_quotient_builds_no_whole_group(monkeypatch):
 
 
 @functools.cache
-def _real_certificate(kind):
-    if kind == "torus":
-        return rho.build_torus_quotient_certificate(3, 19, 3)
-    return rho.build_block_count_certificate(4, 4, 3)
+def _torus_certificate():
+    return rho.build_torus_quotient_certificate(3, 19, 3)
+
+
+@pytest.fixture
+def real_certificate(request):
+    """A builder's certificate by kind: the torus one at (3, 19, 3), or the
+    session's composite-iii one at (4, 4, 3)."""
+    def get(kind):
+        if kind == "torus":
+            return _torus_certificate()
+        return request.getfixturevalue("composite_iii_certificate")
+    return get
 
 
 def _transvection_conjugate(S):
@@ -398,15 +407,48 @@ SYLOW_IMAGE_TAMPERS = {
 
 
 @pytest.mark.parametrize("case", SYLOW_IMAGE_TAMPERS)
-def test_tampered_containment_fails_the_sylow_clause(case):
+def test_tampered_containment_fails_the_sylow_clause(case, real_certificate):
     kind, tamper, detail = SYLOW_IMAGE_TAMPERS[case]
-    report = rho.check_certificate(tamper(_real_certificate(kind)))
+    report = rho.check_certificate(tamper(real_certificate(kind)))
+    assert (report.verdict, report.failed_clause) == ("FAIL", "(S)")
+    assert report.clauses[-1] == rho.ClauseResult("(S)", False, detail)
+
+
+# (n, q, p, det), witnesses, containment of S, the (S) detail.  No builder's
+# H can reach these two checks: (gen) holds only for the H its witnesses make.
+HAND_BUILT = {
+    # x is not monomial, and <S, x> has the monomial group's order 72
+    "non-monomial-H": ((2, 7, 3, 6), lambda: [mg.matrix([[1, 4], [1, 5]])],
+                       lambda S: rho.SylowContainment(kind="diagonal-characters", q_subgroup=S,
+                                                      sylow=S, det_order=6),
+                       "H has a non-monomial generator"),
+    # <S, SL(3,2)> = SL(3,2), not the block group of blocks (2, 1)
+    "non-block-H": ((3, 2, 3, 1), lambda: liea.sl_generators(3, 2),
+                    lambda S: rho.SylowContainment(kind="isotypic-blocks", sylow=S,
+                                                   blocks=(2, 1), det_order=1),
+                    "H is not the full block group"),
+}
+
+
+@pytest.mark.parametrize("case", HAND_BUILT)
+def test_hand_built_h_fails_the_sylow_clause(case):
+    (n, q, p, det), witnesses, containment, detail = HAND_BUILT[case]
+    xs = witnesses()
+    _, S = liea.build_sylow(liea.compute_params(n, q, p, det))
+    H = mg.MatrixGroup.generate(S.field, [S.elements[g] for g in S.gen_idx] + xs)
+    cert = rho.MethodCertificate(
+        "hand-built", p, n, q, liea.group_order(n, q, det), H,
+        mg.Subgroup(H, np.unique(H.lookup_batch(S.elements))), containment(S),
+        rho.TrivialityEvidence(kind="unproved"),
+        [rho.GeneratorWitness(f"x{i}", x, "B1") for i, x in enumerate(xs)])
+    report = rho.check_certificate(cert)
+    assert report.clauses[0] == rho.ClauseResult("(gen)", True, "witnesses and S generate H")
     assert (report.verdict, report.failed_clause) == ("FAIL", "(S)")
     assert report.clauses[-1] == rho.ClauseResult("(S)", False, detail)
 
 
 def test_unemitted_certificate_kinds_are_not_checked():
-    cert = _real_certificate("torus")
+    cert = _torus_certificate()
     report = rho.check_certificate(dataclasses.replace(
         cert, containment=rho.SylowContainment(kind="ambient-scan")))
     assert (report.verdict, report.failed_clause) == ("INCOMPLETE", None)
