@@ -28,7 +28,7 @@ from . import abst, liea
 from . import matgrp as mg
 from .abst import AbelianStructure, ExtensionDescriptor, cyclic, direct_sum, free
 from .errors import AmbiguousCase, DomainError
-from .gf import p_part, p_val
+from .gf import is_prime, p_part, p_val
 from .liea import LieParams, compute_params
 
 
@@ -153,32 +153,30 @@ def cyclic_quotient_normalizer(params: LieParams, cap: int | None = None) -> mg.
     """N(S)/Z for the cyclic-Sylow quotient, as an enumerated group, closed
     once in the quotient by Z from generators of N(S).
 
-    For e = 1 (so n = 2, p odd, Z absorbing the central p-part) N(S) is the
-    monomial subgroup.  For r = 1, N_GL(S) is the block normalizer
-    C_{q^e-1} : C_e times GL(f,q), generated by the Singer block t = w, the
-    Frobenius block and GL(f,q), and N(S) = N_G(S) is the preimage of D_d
-    under det, generated by `liea.det_preimage_generators`.  Before any work
-    the cap must admit both |N_G(S)| and |N_GL(S)|.
+    For e = 1 (n = 1, or n = 2 with Z absorbing the central p-part) N(S)
+    is the monomial subgroup, `liea.block_normalizer` of 1 x 1 blocks.  For
+    r = 1, N_GL(S) is the block normalizer C_{q^e-1} : C_e times GL(f,q),
+    generated by the Singer block t = w, the Frobenius block and GL(f,q),
+    and N(S) = N_G(S) is the preimage of D_d under det, generated by
+    `liea.det_preimage_generators`.  Before any work the cap must admit
+    both |N_G(S)| and |N_GL(S)|.
     """
     n, q, e, f, d, z = (params.n, params.q, params.e, params.f,
                         params.det_order, params.z_order)
-    too_large = "Sylow normalizer too large to enumerate"
+    name = f"N_G(S)/Z{z}"
     if e == 1:
-        expected = liea.monomial_order(n, q, d)
-        mg.admit(q, cap, (expected, too_large))
-        gens = liea.monomial_generators(n, q, d)
-    else:
-        ngl_order = e * (q ** e - 1) * liea.order_gl(f, q)
-        expected = ngl_order * d // (q - 1)
-        # N_GL(S) is not built; its limit keeps the set of refused tuples
-        mg.admit(q, cap, (expected, too_large),
-                 (ngl_order, "closure of N_GL(S) exceeds cap {cap}"))
-        w, g = liea.singer_block(q, e)
-        others = [mg.block_embed(n, [(0, g)])] + [
-            mg.block_embed(n, [(e, m)]) for m in (liea.group_generators(f, q, q - 1) if f else [])]
-        gens = liea.det_preimage_generators(params.field, mg.block_embed(n, [(0, w)]),
-                                            q ** e - 1, others, d)
-    return liea.quotient_closure(params.field, gens, z, expected, cap, f"N_G(S)/Z{z}")
+        return liea.block_normalizer(1, n, q, d, z, cap=cap, name=name)
+    ngl_order = e * (q ** e - 1) * liea.order_gl(f, q)
+    expected = ngl_order * d // (q - 1)
+    # N_GL(S) is not built; its limit keeps the set of refused tuples
+    mg.admit(q, cap, (expected, f"closure of {name} exceeds cap {{cap}}"),
+             (ngl_order, "closure of N_GL(S) exceeds cap {cap}"))
+    w, g = liea.singer_block(q, e)
+    others = [mg.block_embed(n, [(0, g)])] + [
+        mg.block_embed(n, [(e, m)]) for m in (liea.levi_generators([f], q, q - 1) if f else [])]
+    gens = liea.det_preimage_generators(params.field, mg.block_embed(n, [(0, w)]),
+                                        q ** e - 1, others, d)
+    return liea.quotient_closure(params.field, gens, z, expected, cap, name)
 
 
 @lru_cache(maxsize=4096)
@@ -369,7 +367,6 @@ def tf_rank_oracle(n: int, q: int, p: int, det_order: int = 1, z_order: int = 1,
     Pure group theory: works for any prime dividing the quotient order,
     including the defining characteristic.
     """
-    from .gf import is_prime
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     G = liea.enumerate_quotient(n, q, det_order, z_order, cap=cap)

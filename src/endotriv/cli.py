@@ -17,6 +17,7 @@ from .classify import classify, tf_rank_oracle
 from .corpus import FILTER_KEYS, load_corpus, run_corpus
 from .errors import (AmbiguousCase, CapExceeded, DomainError, EndotrivError,
                      GroupSpecError)
+from .gf import is_prime
 
 
 class _UsageExit(Exception):
@@ -167,6 +168,8 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_rho(args) -> int:
     spec = liea.parse_group_spec(args.group)
+    if not is_prime(args.p):
+        raise DomainError(f"{args.p} is not prime")
     G = liea.enumerate_spec(spec, cap=args.cap)
     if G.order % args.p != 0:
         raise DomainError(f"p = {args.p} does not divide |{spec.name}| = {G.order}")

@@ -168,9 +168,8 @@ def compute_params(n: int, q: int, p: int, det_order: int = 1,
 # generators of the standard groups
 
 def sl_generators(n: int, q: int) -> list[np.ndarray]:
+    """Generators of SL(n,q) for n >= 2."""
     F = field_spec(q)
-    if n == 1:
-        return [mg.identity_matrix(1)]
     w = F.primitive
     gens = []
     for i in range(n - 1):
@@ -189,17 +188,6 @@ def sl_generators(n: int, q: int) -> list[np.ndarray]:
     return gens
 
 
-def group_generators(n: int, q: int, det_order: int = 1) -> list[np.ndarray]:
-    """Generators of the group with determinant image of the given order."""
-    F = field_spec(q)
-    gens = sl_generators(n, q)
-    if det_order > 1:
-        dgen = mg.identity_matrix(n)
-        dgen[0, 0] = F.pow_el(F.primitive, (q - 1) // det_order)
-        gens.append(dgen)
-    return gens
-
-
 def enumerate_group(n: int, q: int, det_order: int = 1,
                     cap: int | None = None) -> mg.MatrixGroup:
     return enumerate_quotient(n, q, det_order, 1, cap=cap)
@@ -208,15 +196,13 @@ def enumerate_group(n: int, q: int, det_order: int = 1,
 def enumerate_quotient(n: int, q: int, det_order: int = 1, z_order: int = 1,
                        cap: int | None = None, name: str | None = None) -> mg.MatrixGroup:
     """G/Z for SL(n,q) <= G <= GL(n,q) with |Det(G)| = det_order and Z the
-    scalars of order z_order, closed over cosets; the cap admits |G|."""
+    scalars of order z_order: the one-block group, closed over cosets."""
     zc = scalar_center_order(n, q, det_order)
     if zc % z_order != 0:
         raise DomainError(f"|Z|={z_order} invalid for this group")
-    expected = group_order(n, q, det_order)
-    mg.admit(q, cap, (expected, "group of order {needed} exceeds cap {cap}"))
     base = _default_name(n, q, det_order)
-    return quotient_closure(field_spec(q), group_generators(n, q, det_order), z_order,
-                            expected, cap, name or (f"{base}/Z{z_order}" if z_order > 1 else base))
+    return levi([n], q, det_order, cap=cap, z_order=z_order,
+                name=name or (f"{base}/Z{z_order}" if z_order > 1 else base))
 
 
 def quotient_closure(F: FieldSpec, gens, z_order: int, expected: int, cap: int | None,
@@ -410,20 +396,18 @@ def build_sylow(params: LieParams, cap: int | None = None) -> tuple[SylowPresent
     S = {x in S_GL : det x in Det(G)}, generated from the Singer-block and
     chunk-cycling generators of S_GL, the first of which generates det(S_GL)
     (the p-part of GF(q)^x for e = 1, -1 if semidihedral, 1 for e > 1), and
-    closed once; the cap admits |S|.
+    closed once, its order checked against |S|; the cap admits |S|.
     """
     n, q, p, d = params.n, params.q, params.p, params.det_order
     if params.sylow_trivial:
         raise DomainError(f"p={p} does not divide the group order (n < e)")
-    claimed = params.sylow_order()
-    mg.admit(q, cap, (claimed, "Sylow of order {needed} exceeds cap {cap}"))
+    claimed, name = params.sylow_order(), f"Syl_{p}({_default_name(n, q, d)})"
+    mg.admit(q, cap, (claimed, f"closure of {name} exceeds cap {{cap}}"))
     F = params.field
     gl_gens, shape = _gl_sylow_generators(n, q, p, params.e, params.t)
     gens = det_preimage_generators(F, gl_gens[0], p_part(order_gl(n, q), p), gl_gens[1:], d) \
         or [mg.identity_matrix(n)]
-    S = mg.MatrixGroup.generate(F, gens, cap=cap, name=f"Syl_{p}({_default_name(n, q, d)})")
-    if S.order != claimed:
-        raise DomainError(f"Sylow construction: closed order {S.order} != claimed {claimed}")
+    S = quotient_closure(F, gens, 1, claimed, cap, name)
     return SylowPresentation(gens, claimed, shape if d == q - 1 else shape + " ^ det"), S
 
 
@@ -476,10 +460,11 @@ def levi(blocks, q: int, det_order: int = 1, cap: int | None = None,
     blocks = list(blocks)
     if any(b < 1 for b in blocks):
         raise DomainError("block sizes must be positive")
+    name = name or f"L{tuple(blocks)}:{det_order} over GF({q})"
     expected = levi_order(blocks, q, det_order)
-    mg.admit(q, cap, (expected, "block group of order {needed} exceeds cap {cap}"))
+    mg.admit(q, cap, (expected, f"closure of {name} exceeds cap {{cap}}"))
     return quotient_closure(field_spec(q), levi_generators(blocks, q, det_order), z_order,
-                            expected, cap, name or f"L{tuple(blocks)}:{det_order} over GF({q})")
+                            expected, cap, name)
 
 
 @dataclass
@@ -519,22 +504,27 @@ def levi_split(blocks, q: int, det_order: int, p: int) -> BlockSplit | None:
     return BlockSplit(tuple(blocks), a, b, factor_order(a), factor_order(b), p)
 
 
-def levi_normalizer_equal_blocks(s: int, r: int, q: int,
-                                 cap: int | None = None) -> mg.MatrixGroup:
-    """N(L) for L the determinant-one subgroup of r equal s x s blocks:
-    the block group extended by block permutations, inside SL(sr, q).
+def block_normalizer(s: int, r: int, q: int, det_order: int = 1, z_order: int = 1,
+                     cap: int | None = None, name: str | None = None) -> mg.MatrixGroup:
+    """N(L) for L the block-diagonal group of r equal s x s blocks with the
+    given determinant image, modulo its scalars of order z_order: L extended
+    by the adjacent block swaps, so the ambient group is never enumerated.
+    For s = 1 it is the monomial group (the torus normalizer).  Order
+    |L| * r!; the cap admits the whole group."""
+    if s < 1 or r < 1:
+        raise DomainError("block size and block count must be positive")
+    name = name or f"N(L({s}^{r})):{det_order} over GF({q})"
+    expected = levi_order([s] * r, q, det_order) * math.factorial(r)
+    mg.admit(q, cap, (expected, f"closure of {name} exceeds cap {{cap}}"))
+    return quotient_closure(field_spec(q), levi_generators([s] * r, q, det_order)
+                            + _block_swaps(s, r, q), z_order, expected, cap, name)
 
-    Built directly from generators (block-group generators plus adjacent
-    block swaps with a sign fix when s is odd), so the ambient SL is never
-    enumerated.  Order |GL(s,q)|^r * r! / (q-1).
-    """
-    if r < 2 or s < 1:
-        raise DomainError("need r >= 2 equal blocks")
-    n = s * r
-    expected = levi_order([s] * r, q, 1) * math.factorial(r)
-    mg.admit(q, cap, (expected, "block normalizer of order {needed} exceeds cap"))
-    F = field_spec(q)
-    gens = levi_generators([s] * r, q, det_order=1)
+
+def _block_swaps(s: int, r: int, q: int) -> list[np.ndarray]:
+    """The swaps of adjacent s x s blocks, each with the first column of the
+    pair negated when s is odd, so that its determinant is 1."""
+    F, n = field_spec(q), s * r
+    swaps = []
     for i in range(r - 1):
         perm = list(range(n))
         for j in range(s):
@@ -542,50 +532,9 @@ def levi_normalizer_equal_blocks(s: int, r: int, q: int,
             perm[(i + 1) * s + j] = i * s + j
         mat = mg.permutation_matrix(perm, n)
         if s % 2 == 1:
-            # block swap has determinant (-1)^s; flip one column's sign
-            col = i * s
-            for row in range(n):
-                mat[row, col] = F.mul_el(F.neg_el(1), mat[row, col])
-        gens.append(mat)
-    N = mg.MatrixGroup.generate(F, gens, cap=cap,
-                                name=f"N(L({s}^{r})) in SL({n},{q})")
-    if N.order != expected:
-        raise DomainError("block normalizer order mismatch")  # pragma: no cover
-    return N
-
-
-# ---------------------------------------------------------------------------
-# torus-normalizer (monomial) groups
-
-def monomial_order(n: int, q: int, det_order: int) -> int:
-    return (q - 1) ** (n - 1) * det_order * math.factorial(n)
-
-
-def monomial_generators(n: int, q: int, det_order: int = 1) -> list[np.ndarray]:
-    """Generators of the monomial matrices with determinant in the chosen
-    subgroup: the diagonal ones of `levi_generators` and the adjacent swaps."""
-    F = field_spec(q)
-    gens = levi_generators([1] * n, q, det_order)
-    for i in range(n - 1):
-        swap = mg.identity_matrix(n)
-        swap[i, i] = 0
-        swap[i + 1, i + 1] = 0
-        swap[i, i + 1] = 1
-        swap[i + 1, i] = F.neg_el(1)  # determinant 1
-        gens.append(swap)
-    return gens
-
-
-def monomial_group(n: int, q: int, det_order: int = 1, cap: int | None = None,
-                   z_order: int = 1, name: str | None = None) -> mg.MatrixGroup:
-    """Monomial matrices with determinant in the chosen subgroup, modulo
-    their scalars of order z_order; the cap admits the whole group."""
-    full = f"monomial({n},{q}):{det_order}"
-    order = monomial_order(n, q, det_order)
-    # the refusal the whole group's closure would reach, before the work
-    mg.admit(q, cap, (order, f"closure of {full} exceeds cap {{cap}}"))
-    return quotient_closure(field_spec(q), monomial_generators(n, q, det_order), z_order,
-                            order, cap, name or full)
+            mat[:, i * s] = F.mul[F.neg_el(1), mat[:, i * s]]
+        swaps.append(mat)
+    return swaps
 
 
 def is_monomial_matrix(m: np.ndarray) -> bool:

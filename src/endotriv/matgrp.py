@@ -55,7 +55,11 @@ def enumeration_cap(override: int | None = None) -> int:
     if override is not None:
         return int(override)
     env = os.environ.get("ENDOTRIV_CAP")
-    return int(env) if env else DEFAULT_CAP
+    if not env:
+        return DEFAULT_CAP
+    if not (env.isascii() and env.isdigit()):
+        raise DomainError(f"ENDOTRIV_CAP must be a non-negative integer, got {env!r}")
+    return int(env)
 
 
 def identity_matrix(n: int) -> np.ndarray:

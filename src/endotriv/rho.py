@@ -25,6 +25,7 @@ evidence) so a verdict of PASS means every clause was machine-checked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -455,7 +456,7 @@ def _check_diagonal_characters(cert, clauses) -> bool:
         return _fail(clauses, f"Q is not the unique abelian subgroup of type {qtype} in S "
                               f"({len(same)} found)")
     # H is the monomial group with determinants in the given subgroup
-    expect = liea.monomial_order(n, cert.q, c.det_order)
+    expect = liea.levi_order([1] * n, cert.q, c.det_order) * math.factorial(n)
     if H.scalars is not None:
         expect //= len(H.scalars)
     if H.order != expect:
@@ -691,7 +692,7 @@ def build_torus_quotient_certificate(n: int, q: int, p: int,
     z_order = p_part(liea.scalar_center_order(n, q, 1), p)  # > 1, as p | gcd(n, q-1)
     params = liea.compute_params(n, q, p, 1, z_order)
 
-    Hbar = liea.monomial_group(n, q, 1, cap=cap, z_order=z_order, name=f"N(Q)/Z{z_order}")
+    Hbar = liea.block_normalizer(1, n, q, z_order=z_order, cap=cap, name=f"N(Q)/Z{z_order}")
     F = field_spec(q)
     _, Sg = liea.build_sylow(params, cap=cap)
     zeta = F.element_of_order(p ** t)

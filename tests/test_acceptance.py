@@ -130,14 +130,14 @@ def test_criterion_4_block_normalizer_abelianizations():
     klein = from_cyclic_orders([2, 2])
     c2 = from_cyclic_orders([2])
     # two equal blocks, odd q: Klein four group
-    assert abelianization(liea.levi_normalizer_equal_blocks(2, 2, 3)) == klein
-    assert abelianization(liea.levi_normalizer_equal_blocks(2, 2, 5)) == klein
+    assert abelianization(liea.block_normalizer(2, 2, 3)) == klein
+    assert abelianization(liea.block_normalizer(2, 2, 5)) == klein
     # even q (blocks large enough for a perfect block factor): order two
-    assert abelianization(liea.levi_normalizer_equal_blocks(3, 2, 2)) == c2
-    assert abelianization(liea.levi_normalizer_equal_blocks(2, 2, 4)) == c2
+    assert abelianization(liea.block_normalizer(3, 2, 2)) == c2
+    assert abelianization(liea.block_normalizer(2, 2, 4)) == c2
     # three blocks, q = 3: order two
-    assert abelianization(liea.levi_normalizer_equal_blocks(1, 3, 3)) == c2
-    assert abelianization(liea.levi_normalizer_equal_blocks(2, 3, 3)) == c2
+    assert abelianization(liea.block_normalizer(1, 3, 3)) == c2
+    assert abelianization(liea.block_normalizer(2, 3, 3)) == c2
     print("\nACCEPTANCE 4: PASS - block-normalizer abelianizations exact")
 
 

@@ -80,7 +80,7 @@ def test_large_field_refused_before_tables(monkeypatch, capsys):
     assert code == 0
     [entry] = json.loads(out)["verdicts"]
     assert entry["verdict"] == "SKIPPED"
-    assert entry["reason"] == "closure of monomial(3,2017):1 exceeds cap 2000000"
+    assert entry["reason"] == "closure of N(Q)/Z3 exceeds cap 2000000"
     assert not {4096, 2017} & set(seen)
 
 
@@ -144,6 +144,14 @@ def test_rho_subcommand(capsys):
     assert payload["reached_normalizer"] is True
 
 
+@pytest.mark.parametrize("p", ["4", "1", "0"])
+def test_rho_refuses_a_non_prime_p(p, capsys, monkeypatch):
+    monkeypatch.setattr(liea, "enumerate_spec", None)  # refused before enumerating
+    code, out, _ = run_cli(capsys, "rho", "SL(2,5)", p, "--json")
+    assert code == 1
+    assert json.loads(out) == {"error": "domain", "message": f"{p} is not prime"}
+
+
 def test_rho_center_subcommand(capsys):
     code, out, _ = run_cli(capsys, "rho", "SL(2,3)", "2", "--Q", "center", "--json")
     assert code == 0
@@ -186,7 +194,7 @@ def test_certify_replays_the_given_instance(monkeypatch, capsys, composite_iii_r
     assert (code, out) == (64, "") and "n, q and p together" in err
     monkeypatch.setattr(mg.MatrixGroup, "generate", None)  # refused before any closure
     assert run_cli(capsys, "certify", "composite-iii", "5", "4", "3") == (
-        0, "composite-iii (5,4,3): SKIPPED [block group of order 10886400 exceeds "
+        0, "composite-iii (5,4,3): SKIPPED [closure of two-block group exceeds "
            "cap 2000000]\n", "")
 
 

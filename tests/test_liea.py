@@ -111,8 +111,10 @@ def test_build_sylow_cap_admits_the_sylow_of_g():
     # |Syl_3(SL(2,7))| = 3 fits a cap of 5; |Syl_3(GL(2,7))| = 9 would not
     pres, S = liea.build_sylow(liea.compute_params(2, 7, 3, 1), cap=5)
     assert S.order == pres.claimed_order == 3
-    with pytest.raises(CapExceeded, match=r"^Sylow of order 9 exceeds cap 5$"):
+    with pytest.raises(CapExceeded,
+                       match=r"^closure of Syl_3\(GL\(2,7\)\) exceeds cap 5$") as exc:
         liea.build_sylow(liea.compute_params(2, 7, 3, 6), cap=5)
+    assert exc.value.needed == 9
 
 
 def test_det_preimage_generators():
@@ -172,18 +174,18 @@ def test_levi_split():
 
 
 def test_monomial_cap_refused_before_closure(monkeypatch):
-    # monomial(3,19):1 has order 18^2 * 3! = 1944 > 1000
+    # the monomial group of SL(3,19) has order 18^2 * 3! = 1944 > 1000
     def refuse(cls, *args, **kwargs):
         raise AssertionError("closure started")
 
     monkeypatch.setattr(mg.MatrixGroup, "generate", classmethod(refuse))
     with pytest.raises(CapExceeded,
-                       match=r"^closure of monomial\(3,19\):1 exceeds cap 1000$") as exc:
-        liea.monomial_group(3, 19, 1, cap=1000)
-    assert exc.value.needed == liea.monomial_order(3, 19, 1) == 1944
+                       match=r"^closure of N\(L\(1\^3\)\):1 over GF\(19\) exceeds cap 1000$") as exc:
+        liea.block_normalizer(1, 3, 19, cap=1000)
+    assert exc.value.needed == 1944
     [entry] = rho.replay_proof_certificates("rp-case", cap=1000)
     assert entry["verdict"] == "SKIPPED"
-    assert entry["reason"] == "closure of monomial(3,19):1 exceeds cap 1000"
+    assert entry["reason"] == "closure of N(Q)/Z3 exceeds cap 1000"
 
 
 def test_quotient_cap_refused_before_closure(monkeypatch):
@@ -192,7 +194,7 @@ def test_quotient_cap_refused_before_closure(monkeypatch):
         raise AssertionError("closure started")
 
     monkeypatch.setattr(mg.MatrixGroup, "generate", classmethod(refuse))
-    with pytest.raises(CapExceeded, match=r"^group of order 181440 exceeds cap 100000$") as exc:
+    with pytest.raises(CapExceeded, match=r"^closure of GL\(3,4\)/Z3 exceeds cap 100000$") as exc:
         liea.enumerate_quotient(3, 4, 3, 3, cap=100_000)
     assert exc.value.needed == 181440
 
@@ -205,27 +207,30 @@ def test_quotient_closure_checks_its_order():
         liea.levi([2, 1], 7, 1, z_order=2)
 
 
+# (build(cap), cap, the order the cap refuses, its message): e = 2 for p = 11
+# over GF(263), where N_G(S) of order 528 fits a cap that N_GL(S) exceeds
 ADMISSIONS = {
-    "enumerate_group": (lambda cap: liea.enumerate_group(2, 263, cap=cap),
-                        f"group of order {liea.order_sl(2, 263)} exceeds cap 10"),
+    "enumerate_group": (lambda cap: liea.enumerate_group(2, 263, cap=cap), 10,
+                        liea.order_sl(2, 263), "closure of SL(2,263) exceeds cap 10"),
     "build_sylow": (lambda cap: liea.build_sylow(liea.compute_params(2, 263, 131), cap=cap),
-                    "Sylow of order 131 exceeds cap 10"),
-    "levi": (lambda cap: liea.levi([1, 1], 263, cap=cap),
-             "block group of order 262 exceeds cap 10"),
-    "levi_normalizer_equal_blocks": (
-        lambda cap: liea.levi_normalizer_equal_blocks(1, 2, 263, cap=cap),
-        "block normalizer of order 524 exceeds cap"),
-    "monomial_group": (lambda cap: liea.monomial_group(2, 263, cap=cap),
-                       "closure of monomial(2,263):1 exceeds cap 10"),
-    "classify": (lambda cap: classify(2, 263, 131, 1, 2, cap=cap),
-                 "Sylow normalizer too large to enumerate"),
+                    10, 131, "closure of Syl_131(SL(2,263)) exceeds cap 10"),
+    "levi": (lambda cap: liea.levi([1, 1], 263, cap=cap), 10, 262,
+             "closure of L(1, 1):1 over GF(263) exceeds cap 10"),
+    "block_normalizer": (lambda cap: liea.block_normalizer(1, 2, 263, cap=cap), 10, 524,
+                         "closure of N(L(1^2)):1 over GF(263) exceeds cap 10"),
+    "classify": (lambda cap: classify(2, 263, 131, 1, 2, cap=cap), 10, 524,
+                 "closure of N_G(S)/Z2 exceeds cap 10"),
+    "classify-e2": (lambda cap: classify(2, 263, 11, 1, 2, cap=cap), 10, 528,
+                    "closure of N_G(S)/Z2 exceeds cap 10"),
+    "classify-e2-N_GL(S)": (lambda cap: classify(2, 263, 11, 1, 2, cap=cap), 1000,
+                            2 * (263 ** 2 - 1), "closure of N_GL(S) exceeds cap 1000"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(ADMISSIONS))
 def test_cap_then_field_size_before_any_field(name, monkeypatch):
     """Over the cap is refused first, then q > 256, and both before GF(q)."""
-    build, cap_message = ADMISSIONS[name]
+    build, cap, needed, cap_message = ADMISSIONS[name]
     seen = []
     real = gf.field_spec
 
@@ -239,21 +244,92 @@ def test_cap_then_field_size_before_any_field(name, monkeypatch):
         build(10 ** 9)
     assert 263 not in seen
     with pytest.raises(CapExceeded) as exc:
-        build(10)
-    assert str(exc.value) == cap_message and exc.value.cap == 10
+        build(cap)
+    assert str(exc.value) == cap_message
+    assert (exc.value.needed, exc.value.cap) == (needed, cap)
     assert 263 not in seen
 
 
-def test_levi_normalizer_matches_ambient_scan():
-    # verified against the full normalizer scan where the ambient fits
-    G = liea.enumerate_group(4, 2)
-    L = mg.generated_subgroup(G, [G.index_of(m)
-                                  for m in liea.levi_generators([2, 2], 2, 1)])
+@pytest.mark.parametrize("s, r, q", [(2, 2, 2), (1, 3, 4), (1, 2, 5)])
+def test_levi_normalizer_matches_ambient_scan(s, r, q):
+    # the built normalizer of r equal s x s blocks against the full scan of SL(sr, q)
+    G = liea.enumerate_group(s * r, q)
+    L = mg.generated_subgroup(G, [G.index_of(m) for m in liea.levi_generators([s] * r, q, 1)])
     N_true = mg.normalizer(G, L)
-    N_built = liea.levi_normalizer_equal_blocks(2, 2, 2)
+    N_built = liea.block_normalizer(s, r, q)
     built_keys = {N_built.elements[i].tobytes() for i in range(N_built.order)}
     true_keys = {G.elements[int(i)].tobytes() for i in N_true.idx}
     assert built_keys == true_keys
+
+
+# the generator lists that the block-group family was closed from before
+# `block_normalizer` and `levi` built it, written out as a reference
+
+def _reference_group_generators(n, q, det_order):
+    """SL(n,q)'s elementary, transvection and torus generators (the identity
+    for n = 1), then diag(w^((q-1)/det_order), 1, ...) when det_order > 1."""
+    F = field_spec(q)
+    w, gens = F.primitive, []
+    if n == 1:
+        gens.append(mg.identity_matrix(1))
+    else:
+        for i in range(n - 1):
+            for a, b in ((i, i + 1), (i + 1, i)):
+                m = mg.identity_matrix(n)
+                m[a, b] = 1
+                gens.append(m)
+        tv, tor = mg.identity_matrix(n), mg.identity_matrix(n)
+        tv[0, 1] = w
+        tor[0, 0], tor[1, 1] = w, F.inv_el(w)
+        gens += [tv, tor]
+    if det_order > 1:
+        dg = mg.identity_matrix(n)
+        dg[0, 0] = F.pow_el(w, (q - 1) // det_order)
+        gens.append(dg)
+    return gens
+
+
+def _reference_swaps(s, r, q):
+    """Adjacent block swaps; for odd s the lower-left block is negated."""
+    F, n = field_spec(q), s * r
+    swaps = []
+    for i in range(r - 1):
+        m = np.zeros((n, n), dtype=np.uint8)
+        for j in range(n):
+            if i * s <= j < (i + 2) * s:
+                m[(j + s) if j < (i + 1) * s else (j - s), j] = 1
+            else:
+                m[j, j] = 1
+        if s % 2:
+            for j in range(i * s, (i + 1) * s):
+                m[j + s, j] = F.neg_el(1)
+        swaps.append(m)
+    return swaps
+
+
+# (n, q, det order, |Z|) of G/Z; (s, r, q, det order, |Z|) of a block normalizer,
+# with s = 1 the monomial group
+REFERENCE_CASES = [("quotient", (1, 7, 6, 1)), ("quotient", (2, 5, 4, 4)),
+                   ("quotient", (3, 3, 2, 1)), ("quotient", (2, 9, 8, 2)),
+                   ("normalizer", (1, 1, 5, 4, 2)), ("normalizer", (1, 3, 7, 1, 3)),
+                   ("normalizer", (1, 4, 3, 2, 2)), ("normalizer", (2, 2, 3, 1, 1)),
+                   ("normalizer", (1, 3, 4, 1, 1)), ("normalizer", (3, 2, 2, 1, 1))]
+
+
+@pytest.mark.parametrize("kind, args", REFERENCE_CASES,
+                         ids=[f"{k}-{'-'.join(map(str, a))}" for k, a in REFERENCE_CASES])
+def test_block_family_matches_the_reference_generator_lists(kind, args):
+    if kind == "quotient":
+        n, q, d, z = args
+        gens, G = _reference_group_generators(n, q, d), liea.enumerate_quotient(*args)
+    else:
+        s, r, q, d, z = args
+        gens = liea.levi_generators([s] * r, q, d) + _reference_swaps(s, r, q)
+        G = liea.block_normalizer(s, r, q, d, z)
+    F = field_spec(q)
+    ref = mg.MatrixGroup.generate(F, gens, scalars=F.subgroup_values(z) if z > 1 else None)
+    assert G.elements.tobytes() == ref.elements.tobytes()
+    assert np.array_equal(G.inv, ref.inv)
 
 
 def test_corner_matrices_land_in_the_right_groups():

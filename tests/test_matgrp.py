@@ -69,6 +69,16 @@ def test_closure_cap():
         liea.enumerate_group(2, 5, cap=50)
 
 
+def test_cap_from_the_environment(monkeypatch):
+    monkeypatch.setenv("ENDOTRIV_CAP", "50")
+    with pytest.raises(CapExceeded):
+        liea.enumerate_group(2, 5)
+    for bad in ["abc", "-5", "1.5", " ", "\u00b2"]:  # the last is a superscript two
+        monkeypatch.setenv("ENDOTRIV_CAP", bad)
+        with pytest.raises(DomainError, match="^ENDOTRIV_CAP must be a non-negative integer"):
+            mg.enumeration_cap()
+
+
 def test_lagrange_checked_on_construction():
     G = sl23()
     with pytest.raises(DomainError):
@@ -540,7 +550,7 @@ def test_dets_follow_the_tree(n, q, det, z):
 def test_inverse_roundtrip():
     """x * x^-1 is the identity, by matrix products, in groups and quotients."""
     F = field_spec(5)
-    gens = liea.group_generators(2, 5, 4)
+    gens = liea.levi_generators([2], 5, 4)
     rng = np.random.default_rng(3)
     for G, dtype in [(mg.MatrixGroup.generate(F, gens), np.int64),
                      (mg.MatrixGroup.generate(F, gens, scalars=[1, 4]), np.int64),
@@ -633,7 +643,7 @@ def _wreath_6_4():
 
 
 REFERENCE_GROUPS = {
-    "GL(2,5)": lambda: (field_spec(5), liea.group_generators(2, 5, 4)),
+    "GL(2,5)": lambda: (field_spec(5), liea.levi_generators([2], 5, 4)),
     "C3 wr C3 in GL(6,4)": _wreath_6_4,
     "D254 in GL(3,128)": lambda: _dihedral(128),
     "D510 in GL(3,256)": lambda: _dihedral(256),
@@ -656,12 +666,13 @@ QUOTIENTS = [(2, 5, 4, 4), (2, 13, 1, 2), (2, 8, 7, 7)]
 # (q, |Z|, generators of G, builder of G/Z): the groups above, and SL(3,7)'s
 # block group L(2,1) (672 elements) and monomial group (72) modulo Z3
 QUOTIENT_BUILDERS = {
-    **{"-".join(map(str, c)): (c[1], c[3], partial(liea.group_generators, *c[:3]),
+    **{"-".join(map(str, c)): (c[1], c[3], partial(liea.levi_generators, [c[0]], *c[1:3]),
                                partial(liea.enumerate_quotient, *c)) for c in QUOTIENTS},
     "L(2,1)-7-1-3": (7, 3, partial(liea.levi_generators, [2, 1], 7, 1),
                      partial(liea.levi, [2, 1], 7, 1, z_order=3)),
-    "monomial-3-7-1-3": (7, 3, partial(liea.monomial_generators, 3, 7, 1),
-                         partial(liea.monomial_group, 3, 7, 1, z_order=3)),
+    "monomial-3-7-1-3": (7, 3, lambda: liea.levi_generators([1] * 3, 7, 1)
+                         + liea._block_swaps(1, 3, 7),
+                         partial(liea.block_normalizer, 1, 3, 7, z_order=3)),
 }
 
 

@@ -17,7 +17,6 @@ def test_package_has_no_assert_statements():
 # public names that nothing in the package reaches, each with its reason
 REACHED_FROM_OUTSIDE = {
     "rho.rho_chain_naive": "the naive twin that the tests diff the chain engine against",
-    "liea.levi_normalizer_equal_blocks": "criterion 4's block normalizer",
     "backend.backend_name": "read by the benchmark's environment record",
 }
 
@@ -58,9 +57,7 @@ def test_public_names_are_reached_from_the_package():
 
 
 # optional parameters of public functions that no call in src/ or perfbench/ sets
-SET_FROM_OUTSIDE = {
-    "liea.levi_normalizer_equal_blocks(cap=)": "criterion 4's block normalizer takes no caller's cap",
-}
+SET_FROM_OUTSIDE: dict[str, str] = {}
 
 
 def _optional_params(fn, method):
