@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import numpy as np
-
 from . import abst, liea
 from . import matgrp as mg
 from .abst import AbelianStructure, ExtensionDescriptor, cyclic, direct_sum, free
@@ -382,7 +380,7 @@ def tf_rank_oracle(n: int, q: int, p: int, det_order: int = 1, z_order: int = 1,
             if e.rank != 2:
                 continue
             C = mg.centralizer(G, e.subgroup)
-            if np.isin(C.idx[pmask[C.idx]], e.subgroup.idx).all():  # not extendable
+            if mg._mask(G, e.subgroup.idx)[C.idx[pmask[C.idx]]].all():  # not extendable
                 maximal2.append(e.subgroup)
     classes = mg.subgroup_conjugacy_classes(G, maximal2) if maximal2 else []
     n_g = len(classes)

@@ -30,6 +30,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageExit(message)
 
 
+def _cap(text: str) -> int:
+    """--cap: a non-negative integer, else a usage error."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _emit(payload: dict, as_json: bool, text_lines=None):
     if as_json:
         print(json.dumps(payload, sort_keys=True))
@@ -48,7 +55,7 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="machine-readable output")
-    common.add_argument("--cap", type=int, default=None,
+    common.add_argument("--cap", type=_cap, default=None,
                         help="enumeration cap (overrides ENDOTRIV_CAP)")
     sub = ap.add_subparsers(dest="command", required=True,
                             parser_class=_Parser)

@@ -53,6 +53,8 @@ def admit(q: int, cap: int | None, *limits: tuple[int, str]) -> None:
 
 def enumeration_cap(override: int | None = None) -> int:
     if override is not None:
+        if override < 0:
+            raise DomainError(f"the enumeration cap must be a non-negative integer, got {override}")
         return int(override)
     env = os.environ.get("ENDOTRIV_CAP")
     if not env:
@@ -119,6 +121,23 @@ def _unique_first(vals: np.ndarray):
     return uniq, first, at
 
 
+def _merge_sorted(old: tuple[np.ndarray, ...], new: tuple[np.ndarray, ...]) -> list[np.ndarray]:
+    """Each new[i] written into old[i] at the places that keep old[0] sorted,
+    as np.insert(old[i], np.searchsorted(old[0], new[0]), new[i]) does:
+    old[0] and new[0] are sorted and share no value.  One mask marks where
+    the new values land and every array is written through it."""
+    at = np.searchsorted(old[0], new[0]) + np.arange(len(new[0]))
+    fresh = np.zeros(len(old[0]) + len(new[0]), dtype=bool)
+    fresh[at] = True
+    out = []
+    for a, b in zip(old, new):
+        merged = np.empty(len(fresh), dtype=a.dtype)
+        merged[at] = b
+        merged[~fresh] = a
+        out.append(merged)
+    return out
+
+
 def _kernel(scalars) -> np.ndarray:
     scal = np.array(sorted(int(s) for s in scalars), dtype=np.uint8)
     if scal[0] != 1:
@@ -137,7 +156,7 @@ def _walk_up(ainv, parent, via, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x[i] * y[i]^-1: for y = gens[k1] ... gens[kd] along the BFS tree, x moved
     by gens[kd]^-1, ..., gens[k1]^-1, read from y up to the identity."""
     x, y = x.astype(np.int64), y.astype(np.int64)
-    live = np.flatnonzero(y)
+    live = y.nonzero()[0]
     while len(live):
         yl = y[live]
         x[live] = ainv[via[yl], x[live]]
@@ -224,7 +243,7 @@ class MatrixGroup:
             ckeys = ckeys.reshape(nz, ng * m)[least, pick]
             ukeys, first, at = _unique_first(ckeys)
             pos = np.minimum(np.searchsorted(keys, ukeys), count - 1)
-            ids, new = key_idx[pos], np.flatnonzero(keys[pos] != ukeys)
+            ids, new = key_idx[pos], (keys[pos] != ukeys).nonzero()[0]
             src = np.sort(first[new])  # the new elements' first products, in order
             ids[new[np.argsort(first[new])]] = np.arange(count, count + len(new))
             acts.append(ids[at].reshape(ng, m))
@@ -236,8 +255,7 @@ class MatrixGroup:
             parent.append((levels[-2] + src % m).astype(np.int32))
             via.append((src // m).astype(np.int32))
             frontier = imgs[(least[src] * ng + src // m)[:, None], rix[src % m]]
-            at = np.searchsorted(keys, ukeys[new])
-            keys, key_idx = np.insert(keys, at, ukeys[new]), np.insert(key_idx, at, ids[new])
+            keys, key_idx = _merge_sorted((keys, key_idx), (ukeys[new], ids[new]))
             levels.append(count + len(new))
         acts, parent, via = map(np.hstack, (acts, parent, via))
         ids = np.arange(len(parent))
@@ -393,31 +411,38 @@ class MatrixGroup:
 # ---------------------------------------------------------------------------
 
 class Subgroup:
-    """A subgroup of an enumerated group, held as a sorted index set."""
+    """A subgroup of an enumerated group, held as its sorted index array
+    `idx`; the frozenset `members` is built from it on first use.  The
+    checks run in this order: distinct, identity, range, Lagrange."""
 
     def __init__(self, parent: MatrixGroup, idx: np.ndarray,
                  gen_idx: tuple[int, ...] | None = None):
         self.parent = parent
-        self.idx = np.sort(np.asarray(idx, dtype=np.int64))
-        self.members = frozenset(self.idx.tolist())
-        if len(self.members) != len(self.idx):
+        self.idx = idx = np.array(idx, dtype=np.int64)
+        idx.sort()
+        if np.count_nonzero(idx[1:] <= idx[:-1]):
             raise DomainError("subgroup indices must be distinct")
-        if parent.identity_idx not in self.members:
+        one = parent.identity_idx  # idx[0] unless idx is empty or holds negatives
+        if not len(idx) or (idx[0] != one and one not in idx):
             raise DomainError("subgroup must contain the identity")
-        if self.idx[0] < 0 or self.idx[-1] >= parent.order:
+        if idx[0] < 0 or idx[-1] >= parent.order:
             raise DomainError(f"subgroup indices must lie in [0, {parent.order})")
-        if parent.order % len(self.members) != 0:
+        if parent.order % len(idx) != 0:
             raise DomainError(
-                f"Lagrange violation: {len(self.members)} does not divide {parent.order}")
+                f"Lagrange violation: {len(idx)} does not divide {parent.order}")
         self._gen_idx = tuple(gen_idx) if gen_idx is not None else None
+
+    @cached_property
+    def members(self) -> frozenset[int]:
+        return frozenset(self.idx.tolist())
 
     @property
     def order(self) -> int:
-        return len(self.members)
+        return len(self.idx)
 
     def __eq__(self, other):
         return (isinstance(other, Subgroup) and other.parent is self.parent
-                and other.members == self.members)
+                and np.array_equal(other.idx, self.idx))
 
     @property
     def gen_idx(self) -> tuple[int, ...]:
@@ -445,11 +470,17 @@ class Subgroup:
 # ---------------------------------------------------------------------------
 # subgroup algebra
 
+def _mask(G: MatrixGroup, idx) -> np.ndarray:
+    """Boolean mask over G's indices [0, |G|), set on idx."""
+    inside = np.zeros(G.order, dtype=bool)
+    inside[idx] = True
+    return inside
+
+
 def _pairs(xs, ys) -> tuple[np.ndarray, np.ndarray]:
-    """Every pair (x, y) with x in xs and y in ys, as two flat index arrays."""
-    x, y = np.meshgrid(np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64),
-                       indexing="ij")
-    return x.ravel(), y.ravel()
+    """Every pair (x, y) with x in xs and y in ys, x-major, as two flat index arrays."""
+    xs, ys = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
+    return np.repeat(xs, len(ys)), np.tile(ys, len(xs))
 
 
 def _conjugates(G: MatrixGroup, hs, xs) -> np.ndarray:
@@ -472,8 +503,8 @@ def generated_subgroup(G: MatrixGroup, seeds) -> Subgroup:
 
 def find_generators(G: MatrixGroup, idx: np.ndarray) -> tuple[int, ...]:
     """Greedy small generating set for the subgroup with the given indices."""
-    H = generated_subgroup(G, idx)
-    if H.members != frozenset(int(i) for i in idx):
+    H = generated_subgroup(G, idx)  # contains idx: equal when no larger
+    if H.order != np.count_nonzero(_mask(G, idx)):
         raise DomainError("index set is not closed (not a subgroup)")
     return H.gen_idx
 
@@ -481,33 +512,38 @@ def find_generators(G: MatrixGroup, idx: np.ndarray) -> tuple[int, ...]:
 def _closure_indices(G: MatrixGroup, gen_idx, base=None) -> frozenset[int]:
     """<base, gen_idx> as an index set, grown from `base` (default {1}).
 
-    `base` must be a subgroup contained in <gen_idx> (in practice: generated
-    by some of gen_idx).  It is closed already, so the first round multiplies
-    it by the generators outside it only; later rounds multiply only the new
-    elements, by every generator (Dimino's idea of extending a closed
-    subgroup instead of closing it again)."""
+    Precondition: `base` is a subgroup generated by the generators of
+    gen_idx that lie in it.  The generators are taken one at a time, in
+    order, and one already inside the closure so far is skipped (Dimino's
+    algorithm; G. Butler, Fundamental Algorithms for Permutation Groups,
+    LNCS 559, 1991).  A generator g outside the closure H so far extends
+    it: H is multiplied by g, then each round multiplies only the new
+    elements by every generator taken so far, until none is new."""
     gens = [int(g) for g in gen_idx]
     seen = {G.identity_idx} if base is None else set(base)
-    frontier = list(seen)
-    round_gens = [g for g in gens if g not in seen]
-    while frontier and round_gens:
-        arr = np.array(frontier, dtype=np.int64)
-        frontier = []
-        for g in round_gens:
-            for v in G._right(arr, g):
-                v = int(v)
-                if v not in seen:
-                    seen.add(v)
-                    frontier.append(v)
-        round_gens = gens
+    taken = [g for g in gens if g in seen]  # the generators of base
+    for g in gens:
+        if g in seen:
+            continue
+        taken.append(g)
+        frontier, round_gens = list(seen), [g]
+        while frontier:
+            arr = np.array(frontier, dtype=np.int64)
+            frontier = []
+            for h in round_gens:
+                for v in G._right(arr, h).tolist():
+                    if v not in seen:
+                        seen.add(v)
+                        frontier.append(v)
+            round_gens = taken
     return frozenset(seen)
 
 
 def _extend(H: Subgroup, extra) -> Subgroup:
-    """<H, extra>, grown from H's members and generated by H.gen_idx + extra."""
+    """<H, extra>, grown from H and generated by H.gen_idx + extra."""
     G = H.parent
     gens = tuple(int(g) for g in tuple(H.gen_idx) + tuple(extra) if g != G.identity_idx)
-    idxs = _closure_indices(G, gens, H.members)
+    idxs = _closure_indices(G, gens, H.idx.tolist())
     return Subgroup(G, np.array(sorted(idxs), dtype=np.int64), gen_idx=gens)
 
 
@@ -519,11 +555,10 @@ def normalizer(G: MatrixGroup, H: Subgroup) -> Subgroup:
     """Full-scan normalizer {g : g H g^-1 = H}; exact, O(|G| * #gens(H))."""
     if H.parent is not G:
         raise DomainError("subgroup does not live in the given group")
-    mask = np.ones(G.order, dtype=bool)
+    inside, mask = _mask(G, H.idx), np.ones(G.order, dtype=bool)
     for h in (H.gen_idx or (G.identity_idx,)):
-        conj = G.sandwich_all(int(h))
-        mask &= np.isin(conj, H.idx)
-    return Subgroup(G, np.nonzero(mask)[0])
+        mask &= inside[G.sandwich_all(int(h))]
+    return Subgroup(G, mask.nonzero()[0])
 
 
 def centralizer(G: MatrixGroup, H: Subgroup) -> Subgroup:
@@ -590,18 +625,19 @@ def commutator_subgroup(H: Subgroup) -> Subgroup:
 
 def is_normal(H: Subgroup, K: Subgroup) -> bool:
     """K normal in H (both subgroups of the same parent, K <= H)."""
-    if not K.members <= H.members:
+    G = H.parent
+    if not _mask(G, H.idx)[K.idx].all():
         return False
-    return bool(np.isin(_conjugates(H.parent, H.gen_idx, K.gen_idx), K.idx).all())
+    return bool(_mask(G, K.idx)[_conjugates(G, H.gen_idx, K.gen_idx)].all())
 
 
 def quotient_structure(H: Subgroup, K: Subgroup) -> AbelianStructure:
     """Invariant-factor type of the abelian quotient H/K."""
-    if not K.members <= H.members:
+    if not _mask(H.parent, H.idx)[K.idx].all():
         raise DomainError("K is not contained in H")
     if not is_normal(H, K):
         raise DomainError("K is not normal in H")
-    if not np.isin(_generator_commutators(H), K.idx).all():
+    if not _mask(H.parent, K.idx)[_generator_commutators(H)].all():
         raise DomainError("H/K is not abelian")
     return _abelian_type(H, K)
 
@@ -613,8 +649,7 @@ def _abelian_type(H: Subgroup, K: Subgroup) -> AbelianStructure:
     gathers through the kept map x -> x^p, and H/K has s_i - s_(i-1) cyclic
     factors of order >= p^i; s_i grows until it reaches log_p of the p-part."""
     G = H.parent
-    in_k = np.zeros(G.order, dtype=bool)
-    in_k[K.idx] = True
+    in_k = _mask(G, K.idx)
     orders: list[int] = []
     for p, a in factorize(H.order // K.order).items():
         s, x = [0], H.idx
@@ -645,7 +680,7 @@ def conjugate_orbit(G: MatrixGroup, key: tuple[int, ...]) -> dict[tuple[int, ...
         imgs.sort(axis=1)
         uniq, first = np.unique(imgs.view(void).ravel(), return_index=True)
         new = seen[np.minimum(np.searchsorted(seen, uniq), len(seen) - 1)] != uniq
-        seen = np.insert(seen, np.searchsorted(seen, uniq[new]), uniq[new])
+        seen, = _merge_sorted((seen,), (uniq[new],))
         src = np.sort(first[new])
         front, wits = imgs[src], G.inv[G._ainv[src % ng, G.inv[wits[src // ng]]]]
         orbit.update(zip(map(tuple, front.tolist()), wits.tolist()))
@@ -726,8 +761,7 @@ def elementary_abelian_subgroups(T: Subgroup, p: int) -> list[ElementaryAbelian]
             commuting = np.ones(len(pts), dtype=bool)
             for g in gens:  # x g == g x, with g x = (x^-1 g^-1)^-1
                 commuting &= G._right(pts, g) == G.inv[G._right(G.inv[pts], G.inv[g])]
-            covered = np.zeros(G.order, dtype=bool)
-            covered[M] = True
+            covered = _mask(G, M)
             found = list(_cyclic_extensions(M, pts[commuting], p, G._right, covered))
             for ukey, x in found:
                 nxt.setdefault(ukey, gens + (x,))
@@ -768,7 +802,7 @@ def all_subgroups(S: Subgroup) -> list[Subgroup]:
             cands = seen[power] & ~seen
             for h in gens:  # x h x^-1 in M
                 cands &= seen[table[table[:, pos(h)], inv]]
-            for ukey, x in _cyclic_extensions(M, np.flatnonzero(cands), p,
+            for ukey, x in _cyclic_extensions(M, cands.nonzero()[0], p,
                                               lambda a, j: table[a, j], seen):
                 if ukey not in nxt:
                     nxt[ukey] = gens + (int(S.idx[x]),)

@@ -157,19 +157,22 @@ def _naive_table(G: mg.MatrixGroup) -> np.ndarray:
 
 
 def _naive_closure(G, seed):
-    """Every product of the seed elements: a BFS on a mask over G, each
-    round multiplying the new elements by every seed element."""
+    """Every product of the seed elements (an index array, or any iterable
+    of indices): a BFS on a mask over G, each round multiplying the new
+    elements by every seed element and keeping the products not yet inside
+    through a fresh mask."""
     tab = _naive_table(G)
-    gens = np.unique(np.fromiter(seed, dtype=np.int64))
     inside = np.zeros(G.order, dtype=bool)
     inside[G.identity_idx] = True
-    inside[gens] = True
-    frontier = np.flatnonzero(inside)
+    inside[seed if isinstance(seed, np.ndarray) else np.fromiter(seed, dtype=np.int64)] = True
+    gens = frontier = inside.nonzero()[0]
     while frontier.size:
-        prods = tab[frontier[:, None], gens]
-        frontier = np.unique(prods[~inside[prods]])
-        inside[frontier] = True
-    return frozenset(np.flatnonzero(inside).tolist())
+        fresh = np.zeros(G.order, dtype=bool)
+        fresh[tab[frontier[:, None], gens]] = True
+        fresh &= ~inside
+        inside |= fresh
+        frontier = fresh.nonzero()[0]
+    return frozenset(inside.nonzero()[0].tolist())
 
 
 def _naive_normalizer(G, members):
@@ -179,7 +182,7 @@ def _naive_normalizer(G, members):
     inside = np.zeros(G.order, dtype=bool)
     inside[xs] = True
     conj = tab[tab[:, xs], G.inv[:, None]]
-    return frozenset(np.flatnonzero(inside[conj].all(axis=1)).tolist())
+    return frozenset(inside[conj].all(axis=1).nonzero()[0].tolist())
 
 
 def _naive_commutator(G, members):
@@ -187,7 +190,7 @@ def _naive_commutator(G, members):
     tab = _naive_table(G)
     xs = np.fromiter(members, dtype=np.int64)
     ys = G.inv[xs]
-    return _naive_closure(G, np.unique(tab[tab[xs[:, None], xs], tab[ys[:, None], ys]]))
+    return _naive_closure(G, tab[tab[xs[:, None], xs], tab[ys[:, None], ys]].ravel())
 
 
 def _naive_subgroups(G: mg.MatrixGroup, S: mg.Subgroup) -> list[mg.Subgroup]:
@@ -411,7 +414,9 @@ def _check_sylow_image(cert, clauses) -> bool:
     Sg = c.sylow
     if Sg.order != p_part(liea.group_order(cert.n, cert.q, c.det_order), cert.p):
         return _fail(clauses, "S has wrong order")
-    if not np.isin(Sg.dets(), list(Sg.field.subgroup_values(c.det_order))).all():
+    allowed = np.zeros(Sg.field.q, dtype=bool)  # a mask over GF(q)
+    allowed[list(Sg.field.subgroup_values(c.det_order))] = True
+    if not allowed[Sg.dets()].all():
         return _fail(clauses, "S violates the determinant condition")
     try:
         image = set(cert.H.lookup_batch(Sg.elements).tolist())

@@ -91,6 +91,14 @@ def test_exit_code_cap(capsys):
     assert json.loads(out)["error"] == "cap-exceeded"
 
 
+@pytest.mark.parametrize("cap", ["-5", "--cap=-5", "abc", "1.5", ""])
+def test_cap_must_be_a_non_negative_integer(capsys, cap):
+    args = [cap] if cap.startswith("--") else ["--cap", cap]
+    code, out, err = run_cli(capsys, "classify", "2", "7", "3", "--det", "6", "--z", "6", *args)
+    assert code == 64 and out == ""
+    assert "--cap: must be a non-negative integer" in err
+
+
 def test_exit_code_ambiguous(capsys):
     code, out, _ = run_cli(capsys, "classify", "2", "5", "2",
                            "--det", "4", "--z", "2")

@@ -79,6 +79,14 @@ def test_cap_from_the_environment(monkeypatch):
             mg.enumeration_cap()
 
 
+def test_negative_cap_override_is_refused():
+    assert mg.enumeration_cap(0) == 0
+    with pytest.raises(DomainError, match="non-negative integer, got -5"):
+        mg.enumeration_cap(-5)
+    with pytest.raises(DomainError, match="non-negative"):
+        liea.enumerate_group(2, 3, cap=-1)
+
+
 def test_lagrange_checked_on_construction():
     G = sl23()
     with pytest.raises(DomainError):
@@ -354,6 +362,130 @@ def test_find_generators_rejects_unclosed_set():
     assert H.gen_idx == (min(x, xinv),)
     assert H.members == rho._naive_closure(G, [x])
     assert mg.generated_subgroup(G, mg.find_generators(G, H.idx)) == H
+
+
+def _python_closure(tab, seeds):
+    """<seeds> by breadth-first search on a Python copy of the table."""
+    seeds, seen = list(seeds), {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in seeds:
+                y = tab[x][g]
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return frozenset(seen)
+
+
+@pytest.mark.parametrize("n, q, det", [(2, 5, 1), (2, 3, 2)])  # SL(2,5), GL(2,3)
+def test_closure_skips_redundant_generators(n, q, det):
+    # every element of a subgroup as a generator, the identity among them,
+    # against a Python-set BFS on the multiplication table
+    G = liea.enumerate_group(n, q, det)
+    tab = G.cayley().tolist()
+    xs = range(0, G.order, 7)
+    for H in mg.all_subgroups(mg.sylow_subgroup_of(G, 2)):
+        everything = H.idx.tolist()
+        assert mg._closure_indices(G, everything) == H.members == _python_closure(tab, everything)
+        for x in xs:
+            ref = _python_closure(tab, everything + [x])
+            assert mg._closure_indices(G, everything + [x]) == ref, (H.key(), x)
+            assert mg._closure_indices(G, everything + [x], H.members) == ref, (H.key(), x)
+
+
+def _merge_reference(old, new):
+    """np.insert of new[i] into old[i] at the places that keep old[0] sorted."""
+    at = np.searchsorted(old[0], new[0])
+    return [np.insert(a, at, b) for a, b in zip(old, new)]
+
+
+def test_merge_sorted_matches_np_insert():
+    rng = np.random.default_rng(23)
+    for size, share in [(1, 0), (1, 1), (40, 0), (40, 7), (40, 40), (500, 123), (3, 200)]:
+        keys = np.unique(rng.integers(-10 ** 12, 10 ** 12, size=size + share))
+        picked = np.zeros(len(keys), dtype=bool)
+        picked[rng.choice(len(keys), size=share, replace=False)] = True
+        old = (keys[~picked], rng.integers(0, 2 ** 31, size=int((~picked).sum())).astype(np.int32))
+        new = (keys[picked], rng.integers(0, 2 ** 31, size=share).astype(np.int32))
+        got, ref = mg._merge_sorted(old, new), _merge_reference(old, new)
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    # rows of subgroup keys as void scalars, as conjugate_orbit keeps them
+    for width, rows, share in [(4, 30, 0), (4, 30, 9), (16, 200, 50), (16, 1, 1)]:
+        void = np.dtype((np.void, 8 * width))
+        data = np.unique(rng.integers(0, 9, size=(rows + share, width)), axis=0)
+        keys = np.sort(np.ascontiguousarray(data).view(void).ravel())
+        picked = np.zeros(len(keys), dtype=bool)
+        picked[rng.choice(len(keys), size=min(share, len(keys)), replace=False)] = True
+        got, = mg._merge_sorted((keys[~picked],), (keys[picked],))
+        ref, = _merge_reference((keys[~picked],), (keys[picked],))
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        assert got.tobytes() == keys.tobytes()
+
+
+def _subgroup_sample(G):
+    """The subgroups of G's Sylow 2- and 3-subgroups, G, [G, G] and the centre."""
+    full = G.as_subgroup()
+    subs = {}
+    for p in (2, 3):
+        for T in mg.all_subgroups(mg.sylow_subgroup_of(G, p)):
+            subs.setdefault(T.key(), T)
+    for T in (full, mg.commutator_subgroup(full), mg.centralizer(G, full)):
+        subs.setdefault(T.key(), T)
+    return list(subs.values())
+
+
+@pytest.mark.parametrize("n, q, det", [(2, 3, 1), (2, 3, 2), (2, 7, 1)])  # SL(2,3), GL(2,3), SL(2,7)
+def test_membership_routines_match_set_definitions(n, q, det):
+    G = liea.enumerate_group(n, q, det)
+    tab, inv = G.cayley().tolist(), G.inv.tolist()
+    sets = {T.key(): set(T.idx.tolist()) for T in _subgroup_sample(G)}
+    conj = lambda g, x: tab[tab[g][x]][inv[g]]
+    for T in _subgroup_sample(G):
+        ref = {g for g in range(G.order) if {conj(g, x) for x in sets[T.key()]} == sets[T.key()]}
+        assert mg.normalizer(G, T).members == ref, T.key()
+    for H in _subgroup_sample(G):
+        hs = sets[H.key()]
+        for K in _subgroup_sample(G):
+            ks = sets[K.key()]
+            normal = ks <= hs and all(conj(h, k) in ks for h in hs for k in ks)
+            assert mg.is_normal(H, K) == normal, (H.key(), K.key())
+            abelian = normal and all(tab[tab[a][b]][inv[tab[b][a]]] in ks for a in hs for b in hs)
+            if not ks <= hs:
+                with pytest.raises(DomainError, match="K is not contained in H"):
+                    mg.quotient_structure(H, K)
+            elif not normal:
+                with pytest.raises(DomainError, match="K is not normal in H"):
+                    mg.quotient_structure(H, K)
+            elif not abelian:
+                with pytest.raises(DomainError, match="H/K is not abelian"):
+                    mg.quotient_structure(H, K)
+            else:  # Z/n_1 + ... + Z/n_r has prod gcd(d, n_i) elements of order dividing d
+                ab, m = mg.quotient_structure(H, K), len(hs) // len(ks)
+                for d in (d for d in range(1, m + 1) if m % d == 0):
+                    power = {h: 0 for h in hs}  # h -> h^d, by repeated products
+                    for h in hs:
+                        for _ in range(d):
+                            power[h] = tab[power[h]][h]
+                    cosets = sum(power[h] in ks for h in hs) // len(ks)
+                    assert cosets == math.prod(math.gcd(d, f) for f in ab.invariant_factors)
+
+
+@pytest.mark.parametrize("idx, message", [
+    ([0, 0], "distinct"), ([5, 5, 7], "distinct"), ([0, 0, 49], "distinct"),
+    ([], "identity"), ([-1, 3], "identity"), ([1, 2, 3], "identity"),
+    ([-1, 0, 3], "lie in"), ([0, 49], "lie in"), ([0, 49, 50, 51, 52], "lie in"),
+    ([0, 1, 2, 3, 4], "Lagrange")])
+def test_subgroup_checks_run_in_order(idx, message):
+    # distinct, then identity, then range, then Lagrange: each case breaks
+    # its own check and every later one, and passes every earlier one
+    G = liea.enumerate_group(2, 3, 2)  # GL(2,3), 48 elements
+    with pytest.raises(DomainError) as exc:
+        mg.Subgroup(G, np.array(idx, dtype=np.int64))
+    assert message in str(exc.value)
 
 
 # index arithmetic against matrix products, on both sides of CAYLEY_LIMIT:

@@ -9,6 +9,7 @@ from endotriv import liea, rho
 from endotriv import matgrp as mg
 from endotriv.errors import CapExceeded, DomainError
 from endotriv.gf import field_spec
+from test_matgrp import _python_closure
 
 
 def quaternion_group():
@@ -179,6 +180,21 @@ def test_naive_primitives_match_matrix_arithmetic(group):
             assert rho._naive_commutator(G, N) == commutator(N)
 
 
+@pytest.mark.parametrize("group", ["Q8", "SL(2,3)", "GL(2,3)"])
+def test_naive_closure_matches_python_bfs(group):
+    # duplicate seeds and the identity among them, as a list and as an array
+    G = quaternion_group() if group == "Q8" else liea.enumerate_group(2, 3, 2 if group == "GL(2,3)" else 1)
+    tab = G.cayley().tolist()
+    rng = np.random.default_rng(7)
+    for size in (0, 1, 2, 3, 5):
+        for _ in range(6):
+            seeds = rng.integers(0, G.order, size=size).tolist()
+            seeds += seeds[:2] + [G.identity_idx]
+            ref = _python_closure(tab, seeds)
+            assert rho._naive_closure(G, seeds) == ref, seeds
+            assert rho._naive_closure(G, np.array(seeds, dtype=np.int64)) == ref, seeds
+
+
 def test_naive_twin_refuses_groups_without_a_table(monkeypatch):
     G = liea.enumerate_quotient(2, 7, 6, 1)  # GL(2,7), 2016 elements
     S = mg.sylow_subgroup_of(G, 3)
@@ -192,7 +208,8 @@ def test_naive_twin_refuses_groups_without_a_table(monkeypatch):
 
 
 # criterion 3's nonabelian Sylow subgroups of p-rank 3, each enumerated on its own
-CRITERION_3_SYLOWS = {"Syl3-GL(3,4)": (3, 4, 3, 3), "Syl3-GL(3,7)": (3, 7, 3, 6)}
+CRITERION_3_SYLOWS = {"Syl3-GL(3,4)": (3, 4, 3, 3), "Syl3-GL(3,7)": (3, 7, 3, 6),
+                      "Syl3-GL(4,4)": (4, 4, 3, 3)}
 
 
 def _lattice_case(case):

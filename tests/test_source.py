@@ -14,6 +14,25 @@ def test_package_has_no_assert_statements():
     assert not found, found
 
 
+# numpy's sort-based set routines carry tens of microseconds of wrapper per
+# call; on index sets over a group a mask over [0, |G|) or one merge pass does
+# the same work (matgrp._mask, matgrp._merge_sorted)
+SET_ROUTINES = {"isin", "in1d", "insert", "meshgrid", "setdiff1d", "union1d", "intersect1d"}
+
+
+def test_package_calls_no_numpy_set_routines():
+    found = []
+    for f in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(f.read_text(), str(f))):
+            if (isinstance(node, ast.Attribute) and node.attr in SET_ROUTINES
+                    and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+                found.append(f"{f.name}:{node.lineno}: np.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+                found += [f"{f.name}:{node.lineno}: {a.name}" for a in node.names
+                          if a.name in SET_ROUTINES]
+    assert not found, found
+
+
 # public names that nothing in the package reaches, each with its reason
 REACHED_FROM_OUTSIDE = {
     "rho.rho_chain_naive": "the naive twin that the tests diff the chain engine against",
