@@ -37,6 +37,13 @@ def _cap(text: str) -> int:
     return int(text)
 
 
+def _max_i(text: str) -> int:
+    """--max-i: a positive integer, else a usage error."""
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _emit(payload: dict, as_json: bool, text_lines=None):
     if as_json:
         print(json.dumps(payload, sort_keys=True))
@@ -94,7 +101,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("p", type=int)
     sp.add_argument("--Q", choices=["S", "center"], default="S",
                     help="base subgroup: the Sylow subgroup or its center")
-    sp.add_argument("--max-i", type=int, default=4)
+    sp.add_argument("--max-i", type=_max_i, default=4)
 
     sp = add("certify", help="replay a stored proof-witness family")
     sp.add_argument("family", help="|".join(sorted(rho._FAMILIES)))

@@ -14,8 +14,8 @@ Alongside the elements a group keeps the Schreier data of its closure as
 int32 index tables (Holt, Eick and O'Brien, Handbook of Computational Group
 Theory, ch. 4): the product of every element with every generator, and the
 breadth-first tree through which each element was first reached.  Every
-index-level operation (products, inverses, powers, conjugation maps,
-normalizer scans) is an integer gather over these tables, and determinants
+index-level operation (products, inverses, powers, conjugates, normalizer
+scans) is an integer gather over these tables, and determinants
 are multiplied down the tree from the generators'.  The matrix kernels in
 `backend` are used only to build a group, and the element keys only to
 look up a given matrix.  Everything here is read-only after construction.
@@ -192,10 +192,8 @@ class MatrixGroup:
         self.gen_idx = [int(g) for g in acts[:, 0]]
         self.scalars = scalars  # quotient kernel as sorted field values, or None
         self.name = name
-        self._conj_maps: dict[int, np.ndarray] = {}
         self._power_masks: dict[int, np.ndarray] = {}
         self._power_maps: dict[int, np.ndarray] = {}  # prime r -> x^r
-        self._gen_conj: np.ndarray | None = None
         self._dets = None
 
     # -- construction --------------------------------------------------------
@@ -343,22 +341,18 @@ class MatrixGroup:
 
         d[y] = y^-1 h y is filled down the BFS tree, d[p * s] = s^-1 d[p] s
         for each generator s, and g h g^-1 = d[g^-1]."""
-        if self._gen_conj is None:  # row k: x -> gens[k]^-1 x gens[k]
-            a = self.acts
-            self._gen_conj = np.take_along_axis(a, self.inv[a[:, self.inv]], axis=1)
         d = np.empty(self.order, dtype=np.int32)
         d[0] = h
         for lo, hi in zip(self.levels[1:-1], self.levels[2:]):
             d[lo:hi] = self._gen_conj[self.via[lo:hi], d[self.parent[lo:hi]]]
         return d[self.inv]
 
-    def conj_map(self, g: int) -> np.ndarray:
-        """Permutation array x -> g x g^-1 over all element indices, as
-        x -> x^-1 g^-1 -> g x -> g x g^-1."""
-        if g not in self._conj_maps:
-            gi = self.inv[g]
-            self._conj_maps[g] = self._right(self.inv[self._right(self.inv, gi)], gi)
-        return self._conj_maps[g]
+    @cached_property
+    def _gen_conj(self) -> np.ndarray:
+        """Row k: x -> gens[k]^-1 x gens[k], read by sandwich_all and
+        conjugate_orbit."""
+        a = self.acts
+        return np.take_along_axis(a, self.inv[a[:, self.inv]], axis=1)
 
     @cached_property
     def _ainv(self) -> np.ndarray:
@@ -558,6 +552,8 @@ def normalizer(G: MatrixGroup, H: Subgroup) -> Subgroup:
     inside, mask = _mask(G, H.idx), np.ones(G.order, dtype=bool)
     for h in (H.gen_idx or (G.identity_idx,)):
         mask &= inside[G.sandwich_all(int(h))]
+    if mask.all():
+        return G.as_subgroup()  # with G's generators, not a greedy set found anew
     return Subgroup(G, mask.nonzero()[0])
 
 
@@ -662,29 +658,24 @@ def _abelian_type(H: Subgroup, K: Subgroup) -> AbelianStructure:
     return from_cyclic_orders(orders)
 
 
-def conjugate_orbit(G: MatrixGroup, key: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """The conjugates of the subgroup with sorted index tuple `key`, in BFS
-    order under conjugation by G's generators, each mapped to the first
-    witness g found with g H g^-1 equal to it (the identity for H itself).
-    One sweep per BFS level (Holt, Eick and O'Brien, 4.1): images frontier-major,
-    new ones kept by first occurrence, gens[k] w = (w^-1 gens[k]^-1)^-1."""
+def conjugate_orbit(G: MatrixGroup, key: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """The keys of the conjugates of the subgroup with sorted index tuple
+    `key`: a BFS under x -> s^-1 x s for each generator s, one sweep per
+    level through the rows of the table `_gen_conj` (Holt, Eick and
+    O'Brien, 4.1)."""
     if not key or np.any(np.diff(key) <= 0):
         raise DomainError("a subgroup key must be a strictly increasing index tuple")
-    maps = [G.conj_map(g) for g in G.gen_idx]
-    ng, void = len(maps), np.dtype((np.void, 8 * len(key)))
-    front, wits = np.array([key], dtype=np.int64), np.array([G.identity_idx])
+    void = np.dtype((np.void, 8 * len(key)))
+    front = np.array([key], dtype=np.int64)
     seen = front.view(void).ravel()  # the orbit's rows so far, sorted
-    orbit = {key: G.identity_idx}
     while len(front):
-        imgs = np.stack([m[front] for m in maps], axis=1, dtype=np.int64).reshape(-1, len(key))
+        imgs = np.ascontiguousarray(G._gen_conj[:, front], dtype=np.int64).reshape(-1, len(key))
         imgs.sort(axis=1)
-        uniq, first = np.unique(imgs.view(void).ravel(), return_index=True)
-        new = seen[np.minimum(np.searchsorted(seen, uniq), len(seen) - 1)] != uniq
-        seen, = _merge_sorted((seen,), (uniq[new],))
-        src = np.sort(first[new])
-        front, wits = imgs[src], G.inv[G._ainv[src % ng, G.inv[wits[src // ng]]]]
-        orbit.update(zip(map(tuple, front.tolist()), wits.tolist()))
-    return orbit
+        uniq = np.unique(imgs.view(void).ravel())
+        new = uniq[seen[np.minimum(np.searchsorted(seen, uniq), len(seen) - 1)] != uniq]
+        seen, = _merge_sorted((seen,), (new,))
+        front = new.view(np.int64).reshape(-1, len(key))
+    return set(map(tuple, seen.view(np.int64).reshape(-1, len(key)).tolist()))
 
 
 def subgroup_conjugacy_classes(G: MatrixGroup, subs: list[Subgroup]) -> list[list[Subgroup]]:

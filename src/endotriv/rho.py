@@ -9,14 +9,13 @@ computed simultaneously for every nontrivial R <= S.  Reaching N_G(Q)
 certifies that the trivial module is the only indecomposable with trivial
 Sylow restriction; the chain engine only reports the group theory.
 
-Two implementations are kept deliberately separate: the fast engine caches
-normalizers by conjugacy class (N(gRg^-1) = g N(R) g^-1) and uses the
-identity < U_R (N /\\ A_R) > = < N /\\ U_R A_R >; the naive engine enumerates
-its own subgroup lattice and rescans every subgroup from definitions, as
-whole-array scans of all of G on its multiplication table: a normalizer
-checks every member, a commutator subgroup closes the commutators of every
-pair, and a group above MatrixGroup.CAYLEY_LIMIT is refused.  The test
-suite diffs them.
+Two implementations are kept deliberately separate: the fast engine uses
+the identity < U_R (N /\\ A_R) > = < N /\\ U_R A_R >, one mask over G for
+the union of the levels; the naive engine enumerates its own subgroup
+lattice and rescans every subgroup from definitions, as whole-array scans
+of all of G on its multiplication table: a normalizer checks every member,
+a commutator subgroup closes the commutators of every pair, and a group
+above MatrixGroup.CAYLEY_LIMIT is refused.  The test suite diffs them.
 
 Certificates package the hypotheses of the one-dimensionality criterion
 (a subgroup H containing N_G(S), generator witnesses, and per-condition
@@ -69,79 +68,62 @@ def _require_lattice_size(S: mg.Subgroup) -> None:
             needed=S.order, cap=S_ORDER_CAP)
 
 
-def nontrivial_subgroups(G: mg.MatrixGroup, S: mg.Subgroup) -> list[mg.Subgroup]:
+def _require_levels(max_i: int) -> None:
+    if max_i < 1:
+        raise DomainError(f"max_i must be a positive integer, got {max_i}")
+
+
+def nontrivial_subgroups(S: mg.Subgroup) -> list[mg.Subgroup]:
     _require_lattice_size(S)
     return [T for T in mg.all_subgroups(S) if T.order > 1]
 
 
 def rho_chain(G: mg.MatrixGroup, S: mg.Subgroup, Q: mg.Subgroup,
               max_i: int = 4) -> RhoChain:
-    """Exact chain for Q up to level max_i (fast engine)."""
+    """Exact chain for Q up to level max_i (fast engine).  Every level of R
+    depends on R only through N_G(R), so the levels are kept once for each
+    distinct normalizer, keyed by N.key(); many subgroups share one."""
+    _require_levels(max_i)
     if Q.order <= 1:
         raise DomainError("Q must be a nontrivial subgroup of S")
-    if not Q.members <= S.members:
+    if not mg._mask(G, S.idx)[Q.idx].all():
         raise DomainError("Q must be contained in S")
-    by_key: dict[tuple, mg.Subgroup] = {}  # key -> its first subgroup, Q's added if new
-    for T in [*nontrivial_subgroups(G, S), Q]:
-        by_key.setdefault(T.key(), T)
+    NQ = mg.normalizer(G, Q)
+    nq = NQ.key()
+    norms = {nq: NQ}
+    for T in nontrivial_subgroups(S):
+        if T != Q:
+            N = mg.normalizer(G, T)
+            norms.setdefault(N.key(), N)
+    level = {k: mg.commutator_subgroup(N) for k, N in norms.items()}
 
-    # conjugacy classes with transport witnesses
-    assigned: dict[tuple, tuple[tuple, int]] = {}  # key -> (rep key, witness g)
-    for tk in by_key:
-        if tk not in assigned:
-            for ik, wit in mg.conjugate_orbit(G, tk).items():
-                if ik in by_key and ik not in assigned:
-                    assigned[ik] = (tk, wit)
-
-    norm_members: dict[tuple, frozenset] = {}
-    level: dict[tuple, frozenset] = {}
-    rep_norm: dict[tuple, mg.Subgroup] = {}
-    rep_rho1: dict[tuple, mg.Subgroup] = {}
-    for tk in by_key:
-        rk, wit = assigned[tk]
-        if rk not in rep_norm:
-            N = mg.normalizer(G, by_key[rk])
-            rep_norm[rk] = N
-            rep_rho1[rk] = mg.commutator_subgroup(N)
-        if wit == G.identity_idx:
-            norm_members[tk] = rep_norm[rk].members
-            level[tk] = rep_rho1[rk].members
-        else:
-            cmap = G.conj_map(wit)
-            norm_members[tk] = frozenset(cmap[rep_norm[rk].idx].tolist())
-            level[tk] = frozenset(cmap[rep_rho1[rk].idx].tolist())
-
-    qk = Q.key()
-    NQ = mg.Subgroup(G, np.array(sorted(norm_members[qk]), dtype=np.int64))
-    chain_sets = [level[qk]]
+    chain = [level[nq]]
     stabilized = None
     for i in range(2, max_i + 1):
-        pool = frozenset().union(*level.values())
-        nxt: dict[tuple, frozenset] = {}
-        for tk in by_key:
-            seed = norm_members[tk] & pool
-            if seed == level[tk]:
-                nxt[tk] = level[tk]  # already a subgroup: no growth
-            else:
-                nxt[tk] = mg.generated_subgroup(G, seed).members
-        fixpoint = all(nxt[k] == level[k] for k in nxt)
+        pool = np.zeros(G.order, dtype=bool)
+        for L in level.values():
+            pool[L.idx] = True
+        nxt = {}
+        for k, N in norms.items():
+            seed = N.idx[pool[N.idx]]
+            same = np.array_equal(seed, level[k].idx)  # already a subgroup: no growth
+            nxt[k] = level[k] if same else mg.generated_subgroup(G, seed)
+        fixpoint = all(nxt[k] == level[k] for k in norms)
         level = nxt
-        chain_sets.append(level[qk])
-        if stabilized is None and chain_sets[-1] == chain_sets[-2]:
+        chain.append(level[nq])
+        if stabilized is None and chain[-1] == chain[-2]:
             stabilized = i - 1
         if fixpoint:
             break
 
-    chain = []
-    prev: frozenset = frozenset([G.identity_idx])
-    for cs in chain_sets:
-        if not prev <= cs:
+    in_nq, prev = mg._mask(G, NQ.idx), mg.trivial_subgroup(G)
+    for L in chain:
+        if not mg._mask(G, L.idx)[prev.idx].all():
             raise DomainError("chain monotonicity violated")
-        if not cs <= NQ.members:
+        if not in_nq[L.idx].all():
             raise DomainError("chain escaped the normalizer")
-        prev = cs
-        chain.append(mg.Subgroup(G, np.array(sorted(cs), dtype=np.int64)))
-    return RhoChain(Q, NQ, chain, stabilized, chain_sets[-1] == NQ.members)
+        prev = L
+    return RhoChain(Q, NQ, chain, stabilized, chain[-1] == NQ)
 
 
 # -- the deliberately naive twin ---------------------------------------------
@@ -223,6 +205,7 @@ def rho_chain_naive(G: mg.MatrixGroup, S: mg.Subgroup, Q: mg.Subgroup,
                     max_i: int = 4) -> RhoChain:
     """Definition-chasing reimplementation used as the agreement oracle,
     on its own subgroup lattice."""
+    _require_levels(max_i)
     if Q.order <= 1:
         raise DomainError("Q must be a nontrivial subgroup of S")
     if not Q.members <= S.members:

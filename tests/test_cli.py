@@ -152,6 +152,14 @@ def test_rho_subcommand(capsys):
     assert payload["reached_normalizer"] is True
 
 
+@pytest.mark.parametrize("max_i", ["0", "-3"])
+def test_rho_max_i_must_be_a_positive_integer(max_i, capsys, monkeypatch):
+    monkeypatch.setattr(liea, "enumerate_spec", None)  # refused before enumerating
+    code, out, err = run_cli(capsys, "rho", "SL(2,5)", "2", "--max-i", max_i, "--json")
+    assert code == 64 and out == ""
+    assert f"--max-i: must be a positive integer, got '{max_i}'" in err
+
+
 @pytest.mark.parametrize("p", ["4", "1", "0"])
 def test_rho_refuses_a_non_prime_p(p, capsys, monkeypatch):
     monkeypatch.setattr(liea, "enumerate_spec", None)  # refused before enumerating

@@ -9,7 +9,7 @@ from endotriv import liea, rho
 from endotriv import matgrp as mg
 from endotriv.errors import CapExceeded, DomainError
 from endotriv.gf import field_spec
-from test_matgrp import _python_closure
+from test_matgrp import _matmul_pairs, _python_closure
 
 
 def quaternion_group():
@@ -49,8 +49,8 @@ def test_chain_independent_of_subgroup_order(monkeypatch):
     lattice = rho.nontrivial_subgroups
     rng = random.Random(5)
 
-    def shuffled(G, S):
-        subs = lattice(G, S)
+    def shuffled(S):
+        subs = lattice(S)
         rng.shuffle(subs)
         return subs
 
@@ -66,7 +66,7 @@ def test_lattice_cap(monkeypatch):
     monkeypatch.setattr(mg, "all_subgroups", None)  # refused before any enumeration
     monkeypatch.setattr(rho, "_naive_closure", None)
     with pytest.raises(CapExceeded):
-        rho.nontrivial_subgroups(G, S)
+        rho.nontrivial_subgroups(S)
     with pytest.raises(CapExceeded):
         rho.rho_chain_naive(G, S, S)
 
@@ -97,6 +97,69 @@ def test_both_engines_refuse_q_outside_s():
             engine(G, S, Q)
 
 
+@pytest.mark.parametrize("max_i", [0, -3])
+def test_both_engines_refuse_fewer_than_one_level(monkeypatch, max_i):
+    G = quaternion_group()
+    S = G.as_subgroup()
+    monkeypatch.setattr(mg, "all_subgroups", None)  # refused before any lattice
+    monkeypatch.setattr(rho, "_naive_closure", None)
+    for engine in (rho.rho_chain, rho.rho_chain_naive):
+        with pytest.raises(DomainError, match=f"max_i must be a positive integer, got {max_i}"):
+            engine(G, S, S, max_i=max_i)
+
+
+def _conjugates_by_matrices(G, gs, idx):
+    """Row i: the sorted indices of g x g^-1 for g = gs[i] and every x in
+    idx, each a product of matrices by the field tables."""
+    g, x = np.repeat(gs, len(idx)), np.tile(idx, len(gs))
+    gx = _matmul_pairs(G.field, G.elements[g], G.elements[x])
+    conj = _matmul_pairs(G.field, gx, G.elements[G.inv[g]])
+    return np.sort(G.lookup_batch(conj).reshape(len(gs), len(idx)), axis=1)
+
+
+def test_chain_commutes_with_conjugation_above_the_table_limit():
+    # For Q' = g Q g^-1 in the lattice of S = Syl_2(SL(3,3)): N(Q') and
+    # [N(Q'), N(Q')] are g N(Q) g^-1 and g [N(Q), N(Q)] g^-1 for any such g,
+    # and when g also normalizes S it permutes the lattice, so every level
+    # of the chain of Q' is the conjugate of Q's.  The reference conjugates
+    # with matrix products; the naive twin refuses this G.
+    G = liea.enumerate_group(3, 3)
+    S = mg.sylow_subgroup_of(G, 2)
+    assert G.order == 5616 > G.CAYLEY_LIMIT
+    with pytest.raises(CapExceeded):
+        rho.rho_chain_naive(G, S, S)
+    every = np.arange(G.order)
+    one = np.broadcast_to(mg.identity_matrix(G.n), G.elements.shape)
+    assert np.array_equal(_matmul_pairs(G.field, G.elements, G.elements[G.inv]), one)
+    lattice = {T.key(): T for T in rho.nontrivial_subgroups(S)}
+    assert len(lattice) == 14
+    chains = {k: rho.rho_chain(G, S, T, max_i=4) for k, T in lattice.items()}
+    fixes_s = (_conjugates_by_matrices(G, every, S.idx) == S.idx).all(axis=1)
+    rng = np.random.default_rng(3)
+    moved = 0
+    for k, T in lattice.items():
+        witnesses: dict[tuple, list[int]] = {}
+        for g, row in enumerate(map(tuple, _conjugates_by_matrices(G, every, T.idx).tolist())):
+            if row in lattice:
+                witnesses.setdefault(row, []).append(g)
+        for k2, gs in witnesses.items():
+            ch, ch2 = chains[k], chains[k2]
+            g = int(rng.choice(gs))
+            for H, H2 in [(ch.normalizer, ch2.normalizer), (ch.chain[0], ch2.chain[0])]:
+                assert _conjugates_by_matrices(G, [g], H.idx)[0].tolist() == H2.idx.tolist()
+            in_ns = [g for g in gs if fixes_s[g]]
+            if not in_ns:
+                continue
+            g = int(rng.choice(in_ns))
+            assert ch2.orders() == ch.orders()
+            for L, L2 in zip(ch.chain, ch2.chain):
+                assert _conjugates_by_matrices(G, [g], L.idx)[0].tolist() == L2.idx.tolist()
+            assert (ch2.stabilized_at, ch2.reached_normalizer) == (
+                ch.stabilized_at, ch.reached_normalizer)
+            moved += k2 != k
+    assert moved  # some subgroup has a conjugate under N(S) besides itself
+
+
 @pytest.mark.parametrize("n,q,det,p", [(2, 3, 2, 2), (2, 7, 1, 3)])
 def test_naive_twin_runs_without_the_subgroup_algebra(monkeypatch, n, q, det, p):
     # the twin is evidence only while it shares no subgroup routine with the engine
@@ -104,9 +167,10 @@ def test_naive_twin_runs_without_the_subgroup_algebra(monkeypatch, n, q, det, p)
     S = mg.sylow_subgroup_of(G, p)
     fast = rho.rho_chain(G, S, S, max_i=3)
     for name in ("_closure_indices", "generated_subgroup", "find_generators",
-                 "normalizer", "commutator_subgroup", "all_subgroups"):
+                 "normalizer", "commutator_subgroup", "all_subgroups",
+                 "conjugate_orbit", "subgroup_conjugacy_classes"):
         monkeypatch.setattr(mg, name, None)
-    for name in ("sandwich_all", "conj_map"):
+    for name in ("sandwich_all", "_gen_conj"):
         monkeypatch.setattr(G, name, None)
     slow = rho.rho_chain_naive(G, S, S, max_i=3)
     assert [c.members for c in slow.chain] == [c.members for c in fast.chain]
