@@ -8,15 +8,19 @@ A quotient is closed over the cosets of its kernel, each product taken to
 its least multiple as it is found, so G itself is never enumerated.
 The closure acts on rows (R. A. Parker's row vectors from the Meat-axe):
 each row is a vector index in [0, q^n), a key reads the rows in base q^n,
-and x * g is the rows of x each multiplied by g.
+and x * g is the rows of x each multiplied by g.  So the closure takes the
+orbit of the basis rows under the generators and the kernel once, and reads
+every product from its action by gathers (the base-image view, Holt, Eick
+and O'Brien, 4.4); the least multiple is read off row 0's first nonzero entry.
 
 Alongside the elements a group keeps the Schreier data of its closure as
 int32 index tables (Holt, Eick and O'Brien, Handbook of Computational Group
 Theory, ch. 4): the product of every element with every generator, and the
 breadth-first tree through which each element was first reached.  Every
 index-level operation (products, inverses, powers, conjugates, normalizer
-scans) is an integer gather over these tables, and determinants
-are multiplied down the tree from the generators'.  The matrix kernels in
+scans) is an integer gather over these tables: a walk up the tree moves
+whole arrays one level a step.  Determinants are multiplied down the tree
+from the generators'.  The matrix kernels in
 `backend` are used only to build a group, and the element keys only to
 look up a given matrix.  Everything here is read-only after construction.
 """
@@ -145,24 +149,40 @@ def _kernel(scalars) -> np.ndarray:
     return scal
 
 
-def _inverse_acts(acts: np.ndarray) -> np.ndarray:
-    """Row k: x -> x * gens[k]^-1, the inverse permutation of acts[k]."""
-    ainv = np.empty_like(acts)
-    ainv[np.arange(len(acts))[:, None], acts] = np.arange(acts.shape[1], dtype=acts.dtype)
-    return ainv
+def _row_orbit(field: FieldSpec, gens: list[np.ndarray], zs: np.ndarray, wq: np.ndarray,
+               bound: int, refusal: CapExceeded):
+    """The orbit of the identity's rows wq (the place values of a row's
+    digits) under the generators and the kernel scalars, as (vec, act, zpos):
+    vec its sorted row indices, act[k, v] the position of vec[v] gens[k] and
+    zpos[s, v] that of zs[s] vec[v].  Each new row is multiplied once, in one
+    kernel call per level; `refusal` is raised past `bound` rows."""
+    n, ng, wide = len(wq), len(gens), np.hstack(gens)  # every generator side by side
+    new = seen = wq[::-1]  # the identity's rows e_i, sorted
+    found, imgs = [], []
+    while len(new):
+        dig = (new[:, None] // wq % field.q).astype(np.uint8)
+        gimg = backend.mm_one(dig[None], wide, field)[0].reshape(len(new), ng, n) @ wq
+        found.append(new)
+        imgs.append(np.vstack([gimg.T, field.mul[zs[:, None, None], dig] @ wq]))
+        cand = np.unique(imgs[-1])
+        new = cand[seen[np.minimum(np.searchsorted(seen, cand), len(seen) - 1)] != cand]
+        seen, = _merge_sorted((seen,), (new,))
+        if len(seen) > bound:
+            raise refusal
+    at = np.searchsorted(seen, np.hstack(imgs)[:, np.argsort(np.hstack(found))])
+    return seen, at[:ng], at[ng:]
 
 
-def _walk_up(ainv, parent, via, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x[i] * y[i]^-1: for y = gens[k1] ... gens[kd] along the BFS tree, x moved
-    by gens[kd]^-1, ..., gens[k1]^-1, read from y up to the identity."""
-    x, y = x.astype(np.int64), y.astype(np.int64)
-    live = y.nonzero()[0]
-    while len(live):
-        yl = y[live]
-        x[live] = ainv[via[yl], x[live]]
-        y[live] = yl = parent[yl]
-        live = live[yl != 0]
-    return x
+def _walk_up(G: "MatrixGroup", x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x[i] * y[i]^-1 (int64): for y = gens[k1] ... gens[kd] along the BFS
+    tree, x moved by gens[kd]^-1, ..., gens[k1]^-1, read from y up to the
+    identity.  One whole-array gather per tree level: G._table holds the int32
+    rows x -> x * gens[k]^-1 side by side, then the identity row, at which
+    the int64 offset G._step[0] points, and G._step[y] = via[y] |G| for y > 0."""
+    for _ in range(len(G.levels) - 2):
+        x = G._table.take(G._step.take(y) + x)
+        y = G.parent.take(y)
+    return np.array(x, dtype=np.int64)
 
 
 class MatrixGroup:
@@ -176,15 +196,14 @@ class MatrixGroup:
     """
 
     def __init__(self, field: FieldSpec, n: int, elements: np.ndarray,
-                 keys: np.ndarray, key_idx: np.ndarray, inv: np.ndarray,
-                 acts: np.ndarray, parent: np.ndarray, via: np.ndarray,
-                 levels: np.ndarray, scalars: np.ndarray | None = None, name: str = "G"):
+                 keys: np.ndarray, key_idx: np.ndarray, acts: np.ndarray,
+                 parent: np.ndarray, via: np.ndarray, levels: np.ndarray,
+                 scalars: np.ndarray | None = None, name: str = "G"):
         self.field = field
         self.n = n
         self.elements = elements
         self._keys = keys
         self._key_idx = key_idx
-        self.inv = inv
         self.acts = acts
         self.parent = parent
         self.via = via
@@ -192,6 +211,11 @@ class MatrixGroup:
         self.gen_idx = [int(g) for g in acts[:, 0]]
         self.scalars = scalars  # quotient kernel as sorted field values, or None
         self.name = name
+        ng, order = acts.shape  # _walk_up's tables; _step also reads acts and _gen_conj
+        self._table = np.tile(np.arange(order, dtype=np.int32), ng + 1)
+        self._table[acts + np.arange(0, ng * order, order)[:, None]] = np.arange(order)
+        self._step = np.where(np.arange(order) > 0, via.astype(np.int64) * order, ng * order)
+        self.inv = _walk_up(self, np.zeros(order, dtype=np.int64), np.arange(order))
         self._power_masks: dict[int, np.ndarray] = {}
         self._power_maps: dict[int, np.ndarray] = {}  # prime r -> x^r
         self._dets = None
@@ -202,8 +226,13 @@ class MatrixGroup:
     def generate(cls, field: FieldSpec, gens, cap: int | None = None,
                  scalars=None, name: str = "G") -> "MatrixGroup":
         """Breadth-first closure of the generators (deterministic order): each
-        level multiplies its distinct rows by every generator (and kernel scalar,
-        keeping the least key) and numbers new products by first occurrence."""
+        level multiplies its elements by every generator, takes each product
+        to its least multiple over the kernel scalars, and numbers new
+        products by first occurrence.  An element is held as the positions
+        of its rows in the row orbit (`_row_orbit`), so a product is n
+        gathers.  Keys read row 0 first, and every z x has the zero pattern
+        of x, so the least multiple is the z with the least z a, for a the
+        first nonzero entry of row 0."""
         cap = enumeration_cap(cap)
         gens = [matrix(g) for g in gens]
         if not gens:
@@ -216,50 +245,48 @@ class MatrixGroup:
 
         scal = None if scalars is None else _kernel(scalars)
         zs = np.ones(1, dtype=np.uint8) if scal is None else scal
-        q, ng, nz = field.q, len(gens), len(zs)
+        q, ng = field.q, len(gens)
+        refusal = CapExceeded(f"closure of {name} exceeds cap {cap}", needed=cap + 1, cap=cap)
+        # the orbit has at most n |G/Z| |Z| rows, so more refuse the closure
         wq = np.array([q ** j for j in range(n - 1, -1, -1)], dtype=_int_dtype(q ** n))
-        # every product matrix side by side, zs[s] gens[k] in column block s * ng + k
-        wide = field.mul[zs[:, None, None, None], np.stack(gens)[None]]
-        wide = wide.transpose(2, 0, 1, 3).reshape(n, -1)
+        vec, act, zpos = _row_orbit(field, gens, zs, wq, n * cap * len(zs), refusal)
+        vdig = (vec[:, None] // wq % q).astype(np.uint8)  # the orbit's rows as digits
+        lead = vdig[np.arange(len(vec)), (vdig != 0).argmax(axis=1)]
+        best = field.mul[zs[:, None], lead].argmin(axis=0)  # s of the least zs[s] vec[v]
+        # zact[(s ng + k) |vec| + v]: the position of zs[s] vec[v] gens[k]; the least
+        # multiple of x * gens[k], row 0 of x at v, has its rows at off[k, v] + x's
+        zact, off = zpos[:, act].ravel(), (best[act] * ng + np.arange(ng)[:, None]) * len(vec)
+        zrow = vec[zact]
 
-        frontier = (identity_matrix(n) @ wq)[None]  # the rows of this level's elements
-        blocks, keys, key_idx = [], _keys(identity_matrix(n)[None], q), np.zeros(1, dtype=np.int32)
+        front = np.searchsorted(vec, wq)[:, None]  # [row, element] positions
+        blocks, keys, key_idx = [front], _keys(identity_matrix(n)[None], q), np.zeros(1, np.int32)
         acts, parent, via, levels = [], [key_idx], [key_idx], [0, 1]
         while True:  # keys (sorted) and key_idx hold the levels[-1] elements so far
-            m, count = len(frontier), levels[-1]
-            rows, rix = np.unique(frontier, return_inverse=True)
-            rix = rix.reshape(frontier.shape)  # numpy < 2 returns it flat
-            digits = ((rows[:, None] // wq) % q).astype(np.uint8)
-            blocks.append(digits[rix])  # this level's elements
-            imgs = backend.mm_one(digits[None], wide, field)
-            imgs = (imgs.reshape(len(rows), nz * ng, n) @ wq).T  # [s * ng + k, row]
-            ckeys = np.zeros((nz * ng, m), dtype=keys.dtype)
-            for i in range(n):  # the products' keys, without their rows
+            m, count = front.shape[1], levels[-1]
+            at0 = off.take(front[0], axis=1)
+            ckeys = np.zeros((ng, m), dtype=keys.dtype)
+            for i in range(n):  # the least multiples' keys, row 0 first
                 ckeys *= q ** n
-                ckeys += imgs[:, rix[:, i]]
-            least, pick = ckeys.reshape(nz, ng * m).argmin(axis=0), np.arange(ng * m)
-            ckeys = ckeys.reshape(nz, ng * m)[least, pick]
-            ukeys, first, at = _unique_first(ckeys)
+                ckeys += zrow.take(at0 + front[i])
+            ukeys, first, at = _unique_first(ckeys.ravel())
             pos = np.minimum(np.searchsorted(keys, ukeys), count - 1)
             ids, new = key_idx[pos], (keys[pos] != ukeys).nonzero()[0]
             src = np.sort(first[new])  # the new elements' first products, in order
             ids[new[np.argsort(first[new])]] = np.arange(count, count + len(new))
-            acts.append(ids[at].reshape(ng, m))
+            acts.append(ids.take(at).reshape(ng, m))
             if not len(new):
                 break
             if count + len(new) > cap:
-                raise CapExceeded(f"closure of {name} exceeds cap {cap}",
-                                  needed=cap + 1, cap=cap)
-            parent.append((levels[-2] + src % m).astype(np.int32))
-            via.append((src // m).astype(np.int32))
-            frontier = imgs[(least[src] * ng + src // m)[:, None], rix[src % m]]
+                raise refusal
+            k, x = src // m, src % m
+            parent.append((levels[-2] + x).astype(np.int32))
+            via.append(k.astype(np.int32))
+            front = zact[at0[k, x] + front[:, x]]
+            blocks.append(front)
             keys, key_idx = _merge_sorted((keys, key_idx), (ukeys[new], ids[new]))
             levels.append(count + len(new))
-        acts, parent, via = map(np.hstack, (acts, parent, via))
-        ids = np.arange(len(parent))
-        inv = _walk_up(_inverse_acts(acts), parent, via, np.zeros_like(ids), ids)
-        return cls(field, n, np.concatenate(blocks), keys, key_idx, inv, acts,
-                   parent, via, np.array(levels), scalars=scal, name=name)
+        return cls(field, n, vdig[np.hstack(blocks).T], keys, key_idx, *map(np.hstack, (
+            acts, parent, via)), np.array(levels), scalars=scal, name=name)
 
     # -- lookup ----------------------------------------------------------------
 
@@ -312,10 +339,11 @@ class MatrixGroup:
         parent[j] moved by gens[via[j]], filled one BFS level at a time."""
         if self.order > self.CAYLEY_LIMIT:
             return None
+        acts, step = self.acts.ravel(), self._step
         cols = np.empty((self.order, self.order), dtype=np.int32)
         cols[0] = np.arange(self.order)
         for lo, hi in zip(self.levels[1:-1], self.levels[2:]):
-            cols[lo:hi] = self.acts[self.via[lo:hi, None], cols[self.parent[lo:hi]]]
+            cols[lo:hi] = acts.take(step[lo:hi, None] + cols[self.parent[lo:hi]])
         return cols.T
 
     def _right(self, idxs, j: int):
@@ -334,34 +362,31 @@ class MatrixGroup:
         """Indices of x[i] * y[i] for two index arrays of one shape."""
         if self._cayley is not None:
             return self._cayley[x, y]
-        return _walk_up(self._ainv, self.parent, self.via, x, self.inv[y])
+        return _walk_up(self, x, self.inv[y])
 
     def sandwich_all(self, h: int) -> np.ndarray:
         """Indices of g h g^-1 for every g in enumeration order.
 
         d[y] = y^-1 h y is filled down the BFS tree, d[p * s] = s^-1 d[p] s
         for each generator s, and g h g^-1 = d[g^-1]."""
+        conj, step = self._gen_conj.ravel(), self._step
         d = np.empty(self.order, dtype=np.int32)
         d[0] = h
         for lo, hi in zip(self.levels[1:-1], self.levels[2:]):
-            d[lo:hi] = self._gen_conj[self.via[lo:hi], d[self.parent[lo:hi]]]
-        return d[self.inv]
+            d[lo:hi] = conj.take(step[lo:hi] + d.take(self.parent[lo:hi]))
+        return d.take(self.inv)
 
     @cached_property
     def _gen_conj(self) -> np.ndarray:
-        """Row k: x -> gens[k]^-1 x gens[k], read by sandwich_all and
-        conjugate_orbit."""
-        a = self.acts
-        return np.take_along_axis(a, self.inv[a[:, self.inv]], axis=1)
-
-    @cached_property
-    def _ainv(self) -> np.ndarray:
-        return _inverse_acts(self.acts)
+        """Row k: x -> gens[k]^-1 x gens[k], read by sandwich_all (flat, at
+        the offsets _step) and conjugate_orbit."""
+        a, order = self.acts, len(self.inv)
+        return a.ravel().take(self.inv[a[:, self.inv]] + np.arange(0, a.size, order)[:, None])
 
     def _power_map(self, r: int) -> np.ndarray:
         """The kept map x -> x^r (r prime in practice), built by binary powering of walks."""
         if r not in self._power_maps:
-            up, acc = partial(_walk_up, self._ainv, self.parent, self.via), np.arange(self.order)
+            up, acc = partial(_walk_up, self), np.arange(self.order)
             for bit in bin(r)[3:]:  # most significant first
                 acc = up(acc, self.inv[acc])
                 if bit == "1":

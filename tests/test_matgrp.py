@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -814,6 +815,36 @@ def test_quotients_match_reference_bfs(name):
     ref = _ref_closure(F, gens(), zvals)
     _assert_matches_reference(mg.MatrixGroup.generate(F, gens(), scalars=zvals), ref)
     _assert_matches_reference(build(), ref)
+
+
+# (q, |Z|): dihedral groups diag(w, w^-1, 1), a transposition, whose only
+# scalar is 1, modulo scalars they do not contain
+OUTSIDE_KERNELS = [(7, 3), (13, 4)]
+
+
+@pytest.mark.parametrize("q, z", OUTSIDE_KERNELS)
+def test_quotient_by_a_kernel_outside_the_generated_group(q, z):
+    """<gens> Z / Z with Z not inside <gens>: every coset keeps one element,
+    and the least multiple of a product can have a row (z e_3) that no word
+    in the generators reaches, so the row orbit must be closed under Z."""
+    F, gens = _dihedral(q)
+    zvals = sorted(F.subgroup_values(z))
+    G = mg.MatrixGroup.generate(F, gens, scalars=zvals)
+    assert G.order == mg.MatrixGroup.generate(F, gens).order == 2 * (q - 1)
+    _assert_matches_reference(G, _ref_closure(F, gens, zvals))
+
+
+def test_closure_tabulates_nothing_over_the_row_space():
+    """D510 in GL(3,256) has 510 elements over 256^3 = 16.7M row indices:
+    its closure must stay far below one byte per row index."""
+    F, gens = _dihedral(256)
+    tracemalloc.start()
+    try:
+        G = mg.MatrixGroup.generate(F, gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.order == 510 and peak < 16 * 2 ** 20
 
 
 @pytest.mark.parametrize("n, q, det, z", [(2, 7, 1, 1), *QUOTIENTS])
