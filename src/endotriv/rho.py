@@ -14,8 +14,9 @@ the identity < U_R (N /\\ A_R) > = < N /\\ U_R A_R >, one mask over G for
 the union of the levels; the naive engine enumerates its own subgroup
 lattice and rescans every subgroup from definitions, as whole-array scans
 of all of G on its multiplication table: a normalizer checks every member,
-a commutator subgroup closes the commutators of every pair, and a group
-above MatrixGroup.CAYLEY_LIMIT is refused.  The test suite diffs them.
+a commutator subgroup closes the commutators of every pair, inverses are
+read off the table, and a group above NAIVE_TABLE_CAP is refused.  The
+two share only the closure's Schreier tables.  The test suite diffs them.
 
 Certificates package the hypotheses of the one-dimensionality criterion
 (a subgroup H containing N_G(S), generator witnesses, and per-condition
@@ -25,6 +26,7 @@ evidence) so a verdict of PASS means every clause was machine-checked.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +37,8 @@ from .errors import CapExceeded, DomainError
 from .gf import field_spec, p_part, p_val
 
 S_ORDER_CAP = 256
+NAIVE_TABLE_CAP = 1024  # largest group the naive twin builds a table for
+_naive_tables: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # G -> (tab, inv)
 
 
 # ---------------------------------------------------------------------------
@@ -128,14 +132,25 @@ def rho_chain(G: mg.MatrixGroup, S: mg.Subgroup, Q: mg.Subgroup,
 
 # -- the deliberately naive twin ---------------------------------------------
 
-def _naive_table(G: mg.MatrixGroup) -> np.ndarray:
-    """G's multiplication table; a group too large for one is refused
-    before any product."""
-    if G.order > G.CAYLEY_LIMIT:
+def _naive_table(G: mg.MatrixGroup) -> tuple[np.ndarray, np.ndarray]:
+    """G's multiplication table tab[i, j] = i * j and its inverses, built
+    once per group from the closure's Schreier tables alone: column j is
+    column parent[j] moved by gens[via[j]], filled one BFS level at a time,
+    and the inverse of i is where row i holds the identity, index 0.  A
+    group above NAIVE_TABLE_CAP elements is refused before any product."""
+    if G.order > NAIVE_TABLE_CAP:
         raise CapExceeded(
-            f"|G| = {G.order} exceeds the multiplication-table cap {G.CAYLEY_LIMIT}",
-            needed=G.order, cap=G.CAYLEY_LIMIT)
-    return G.cayley()
+            f"|G| = {G.order} exceeds the multiplication-table cap {NAIVE_TABLE_CAP}",
+            needed=G.order, cap=NAIVE_TABLE_CAP)
+    tables = _naive_tables.get(G)
+    if tables is None:
+        acts, step = G.acts.ravel(), G.via.astype(np.int64) * G.order
+        cols = np.empty((G.order, G.order), dtype=np.int32)
+        cols[0] = np.arange(G.order)
+        for lo, hi in zip(G.levels[1:-1], G.levels[2:]):
+            cols[lo:hi] = acts.take(step[lo:hi, None] + cols[G.parent[lo:hi]])
+        tables = _naive_tables[G] = cols.T, cols.argmin(axis=0)
+    return tables
 
 
 def _naive_closure(G, seed):
@@ -143,7 +158,7 @@ def _naive_closure(G, seed):
     of indices): a BFS on a mask over G, each round multiplying the new
     elements by every seed element and keeping the products not yet inside
     through a fresh mask."""
-    tab = _naive_table(G)
+    tab, _ = _naive_table(G)
     inside = np.zeros(G.order, dtype=bool)
     inside[G.identity_idx] = True
     inside[seed if isinstance(seed, np.ndarray) else np.fromiter(seed, dtype=np.int64)] = True
@@ -159,19 +174,19 @@ def _naive_closure(G, seed):
 
 def _naive_normalizer(G, members):
     """Every g with g x g^-1 in the set for every member x."""
-    tab = _naive_table(G)
+    tab, inv = _naive_table(G)
     xs = np.fromiter(members, dtype=np.int64)
     inside = np.zeros(G.order, dtype=bool)
     inside[xs] = True
-    conj = tab[tab[:, xs], G.inv[:, None]]
+    conj = tab[tab[:, xs], inv[:, None]]
     return frozenset(inside[conj].all(axis=1).nonzero()[0].tolist())
 
 
 def _naive_commutator(G, members):
     """The closure of a b a^-1 b^-1 over every pair of members."""
-    tab = _naive_table(G)
+    tab, inv = _naive_table(G)
     xs = np.fromiter(members, dtype=np.int64)
-    ys = G.inv[xs]
+    ys = inv[xs]
     return _naive_closure(G, tab[tab[xs[:, None], xs], tab[ys[:, None], ys]].ravel())
 
 

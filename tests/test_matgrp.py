@@ -141,10 +141,9 @@ def test_quotient_structure_examples():
         mg.quotient_structure(full, mg.trivial_subgroup(G))
 
 
-@pytest.mark.parametrize("n, q, det", [(2, 3, 1), (2, 7, 6)])  # SL(2,3); GL(2,7) above CAYLEY_LIMIT
+@pytest.mark.parametrize("n, q, det", [(2, 3, 1), (2, 7, 6)])  # SL(2,3); GL(2,7)
 def test_checks_refuse_non_normal_and_nonabelian(n, q, det):
     G = liea.enumerate_group(n, q, det)
-    assert (G.order > G.CAYLEY_LIMIT) == (q == 7)
     full, syl3 = G.as_subgroup(), mg.sylow_subgroup_of(G, 3)
     assert not mg.is_normal(full, syl3)
     with pytest.raises(DomainError, match="K is not normal in H"):
@@ -319,14 +318,14 @@ def test_all_subgroups_of_quaternion():
 def test_all_subgroups_refuses_non_p_group(monkeypatch):
     G = sl23()  # order 24
     assert [s.order for s in mg.all_subgroups(mg.trivial_subgroup(G))] == [1]
-    for name in ("_right", "_mul", "cayley"):  # refused before any product
+    for name in ("_right", "_mul"):  # refused before any product
         monkeypatch.setattr(G, name, None)
     with pytest.raises(DomainError, match="p-group"):
         mg.all_subgroups(G.as_subgroup())
 
 
 def test_commutator_is_normal_with_abelian_quotient():
-    for (n, q, det) in [(2, 3, 2), (2, 4, 3), (2, 5, 4), (2, 7, 6)]:  # GL(2,7) above CAYLEY_LIMIT
+    for (n, q, det) in [(2, 3, 2), (2, 4, 3), (2, 5, 4), (2, 7, 6)]:
         G = liea.enumerate_group(n, q, det)
         full = G.as_subgroup()
         comm = mg.commutator_subgroup(full)
@@ -386,7 +385,7 @@ def test_closure_skips_redundant_generators(n, q, det):
     # every element of a subgroup as a generator, the identity among them,
     # against a Python-set BFS on the multiplication table
     G = liea.enumerate_group(n, q, det)
-    tab = G.cayley().tolist()
+    tab = rho._naive_table(G)[0].tolist()
     xs = range(0, G.order, 7)
     for H in mg.all_subgroups(mg.sylow_subgroup_of(G, 2)):
         everything = H.idx.tolist()
@@ -442,7 +441,7 @@ def _subgroup_sample(G):
 @pytest.mark.parametrize("n, q, det", [(2, 3, 1), (2, 3, 2), (2, 7, 1)])  # SL(2,3), GL(2,3), SL(2,7)
 def test_membership_routines_match_set_definitions(n, q, det):
     G = liea.enumerate_group(n, q, det)
-    tab, inv = G.cayley().tolist(), G.inv.tolist()
+    tab, inv = (a.tolist() for a in rho._naive_table(G))
     sets = {T.key(): set(T.idx.tolist()) for T in _subgroup_sample(G)}
     conj = lambda g, x: tab[tab[g][x]][inv[g]]
     for T in _subgroup_sample(G):
@@ -489,8 +488,8 @@ def test_subgroup_checks_run_in_order(idx, message):
     assert message in str(exc.value)
 
 
-# index arithmetic against matrix products, on both sides of CAYLEY_LIMIT:
-# GL(2,7) (2016) and SL(2,13)/Z2 (1092) above it, SL(2,5) and PGL(2,5) below
+# index arithmetic against matrix products: GL(2,7) (2016) and SL(2,13)/Z2
+# (1092) above the naive twin's table cap, SL(2,5) and PGL(2,5) below it
 INDEX_GROUPS = [(2, 7, 6, 1), (2, 13, 1, 2), (2, 5, 1, 1), (2, 5, 4, 4)]
 
 
@@ -514,7 +513,6 @@ def _inverse_matrix(G, x):
 def test_index_arithmetic_matches_matrix_products(n, q, det, z):
     G = _index_group(n, q, det, z)
     F = G.field
-    assert (G.order > G.CAYLEY_LIMIT) == (q > 5)
     rng = np.random.default_rng(5)
     xs = rng.integers(0, G.order, size=48)
     for j in [0, *G.gen_idx, *rng.integers(0, G.order, size=4)]:
@@ -540,12 +538,14 @@ def test_index_arithmetic_matches_matrix_products(n, q, det, z):
             ygy = backend.mm_one(backend.mm_one(G.elements[y][None], G.elements[g], F),
                                  yinv, F)[0]
             assert sandwich[y] == G.index_of(ygy)
-    table = G.cayley()
-    if G.order > G.CAYLEY_LIMIT:
-        assert table is None
+    if q > 5:
+        with pytest.raises(CapExceeded):
+            rho._naive_table(G)
     else:
+        table, inv = rho._naive_table(G)
         for j in range(G.order):
             assert list(table[:, j]) == _products(G, range(G.order), j)
+        assert (table[np.arange(G.order), inv] == G.identity_idx).all()
 
 
 @pytest.mark.parametrize("n, q, det, z", INDEX_GROUPS[:2])
@@ -636,10 +636,10 @@ def _orbit_reference(G, H):
 
 
 def _orbit_cases():
-    psl34 = liea.enumerate_quotient(3, 4, 1, 3)  # PSL(3,4), above CAYLEY_LIMIT
+    psl34 = liea.enumerate_quotient(3, 4, 1, 3)  # PSL(3,4)
     S3 = mg.sylow_subgroup_of(psl34, 3)
     yield psl34, [e.subgroup for e in mg.elementary_abelian_subgroups(S3, 3) if e.rank == 2]
-    sl27 = liea.enumerate_group(2, 7)  # below CAYLEY_LIMIT
+    sl27 = liea.enumerate_group(2, 7)
     yield sl27, mg.all_subgroups(mg.sylow_subgroup_of(sl27, 2))
     G = sl23()
     yield G, [mg.commutator_subgroup(G.as_subgroup())]  # Q8

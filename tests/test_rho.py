@@ -125,7 +125,7 @@ def test_chain_commutes_with_conjugation_above_the_table_limit():
     # with matrix products; the naive twin refuses this G.
     G = liea.enumerate_group(3, 3)
     S = mg.sylow_subgroup_of(G, 2)
-    assert G.order == 5616 > G.CAYLEY_LIMIT
+    assert G.order == 5616
     with pytest.raises(CapExceeded):
         rho.rho_chain_naive(G, S, S)
     every = np.arange(G.order)
@@ -248,7 +248,7 @@ def test_naive_primitives_match_matrix_arithmetic(group):
 def test_naive_closure_matches_python_bfs(group):
     # duplicate seeds and the identity among them, as a list and as an array
     G = quaternion_group() if group == "Q8" else liea.enumerate_group(2, 3, 2 if group == "GL(2,3)" else 1)
-    tab = G.cayley().tolist()
+    tab = rho._naive_table(G)[0].tolist()
     rng = np.random.default_rng(7)
     for size in (0, 1, 2, 3, 5):
         for _ in range(6):
@@ -262,13 +262,13 @@ def test_naive_closure_matches_python_bfs(group):
 def test_naive_twin_refuses_groups_without_a_table(monkeypatch):
     G = liea.enumerate_quotient(2, 7, 6, 1)  # GL(2,7), 2016 elements
     S = mg.sylow_subgroup_of(G, 3)
-    for name in ("_right", "_mul", "cayley"):  # refused before any product
+    for name in ("_right", "_mul", "acts"):  # refused before any product or table fill
         monkeypatch.setattr(G, name, None)
     for run in (lambda: rho._naive_closure(G, G.gen_idx),
                 lambda: rho.rho_chain_naive(G, S, S)):
         with pytest.raises(CapExceeded) as exc:
             run()
-        assert exc.value.cap == mg.MatrixGroup.CAYLEY_LIMIT < G.order
+        assert exc.value.cap == rho.NAIVE_TABLE_CAP < G.order
 
 
 # criterion 3's nonabelian Sylow subgroups of p-rank 3, each enumerated on its own
@@ -298,7 +298,7 @@ def _lattice_case(case):
 def _elementary_abelian_in_table(G, subs, p):
     """The subgroups in `subs` that are abelian of exponent p, read off G's
     multiplication table."""
-    tab, keep = G.cayley(), []
+    tab, keep = rho._naive_table(G)[0], []
     for T in subs:
         block = tab[np.ix_(T.idx, T.idx)]
         powers = np.full(T.order, G.identity_idx)
