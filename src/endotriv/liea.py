@@ -414,7 +414,7 @@ def build_sylow(params: LieParams, cap: int | None = None) -> tuple[SylowPresent
 def sylow_in(G: mg.MatrixGroup, params: LieParams, cap: int | None = None) -> mg.Subgroup:
     """Image of the constructed Sylow inside an enumerated G (or G/Z)."""
     _, S = build_sylow(params, cap=cap)
-    return mg.Subgroup(G, np.unique(G.lookup_batch(S.elements)))
+    return mg.Subgroup(G, mg._sorted_unique(G.lookup_batch(S.elements)))
 
 
 # ---------------------------------------------------------------------------

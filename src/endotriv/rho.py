@@ -448,7 +448,7 @@ def _check_diagonal_characters(cert, clauses) -> bool:
             if all(m[i, i] == m[j, j] for m in qmats):
                 return _fail(clauses, f"coordinate characters {i},{j} of Q coincide")
     try:
-        Qs = mg.Subgroup(Sg, np.unique(Sg.lookup_batch(Qg.elements)))
+        Qs = mg.Subgroup(Sg, mg._sorted_unique(Sg.lookup_batch(Qg.elements)))
     except KeyError:
         return _fail(clauses, "Q is not contained in S")
     # Q characteristic in S: unique abelian subgroup of its type and order
@@ -707,7 +707,7 @@ def build_torus_quotient_certificate(n: int, q: int, p: int,
         qgens.append(m)
     Qg = mg.MatrixGroup.generate(F, qgens, cap=cap, name="torus p-part")
 
-    Sbar = mg.Subgroup(Hbar, np.unique(Hbar.lookup_batch(Sg.elements)))
+    Sbar = mg.Subgroup(Hbar, mg._sorted_unique(Hbar.lookup_batch(Sg.elements)))
 
     X, Y = liea._torus_corner(n, q, p)
     blocks = [2, 1] if n == 3 else [2, 1, n - 3]
@@ -755,7 +755,7 @@ def build_block_count_certificate(n: int, q: int, p: int,
     N = liea.levi(blocks, q, 1, cap=cap, name="two-block group")
     F = field_spec(q)
     _, Sg = liea.build_sylow(params, cap=cap)
-    Sn = mg.Subgroup(N, np.unique(N.lookup_batch(Sg.elements)))
+    Sn = mg.Subgroup(N, mg._sorted_unique(N.lookup_batch(Sg.elements)))
 
     w = F.primitive
     sigma = mg.identity_matrix(n)

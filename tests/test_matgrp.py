@@ -396,6 +396,72 @@ def test_closure_skips_redundant_generators(n, q, det):
             assert mg._closure_indices(G, everything + [x], H.members) == ref, (H.key(), x)
 
 
+def test_closure_on_both_sides_of_the_coset_bound():
+    # <H, x> grown from H by element rounds (|H| < COSET_MIN) and by whole
+    # cosets of H (|H| >= COSET_MIN), against the naive twin's closure from
+    # scratch; x runs over elements that normalize H and elements that do not
+    G = liea.enumerate_group(2, 5, 4)  # GL(2,5), 480 elements
+    upper = G.elements[:, 1, 0] == 0
+    diagonal = np.flatnonzero(upper & (G.elements[:, 0, 1] == 0))  # 16 elements
+    borel = np.flatnonzero(upper)  # 80 elements
+    assert len(diagonal) < mg.COSET_MIN <= len(borel)
+    xs = range(0, G.order, 7)
+    for idx in (diagonal, borel):
+        H = mg.generated_subgroup(G, idx)
+        assert H.members == frozenset(idx.tolist())
+        normalizing = rho._naive_normalizer(G, H.members)
+        assert {x in normalizing for x in xs} == {True, False}
+        for x in xs:
+            grown = mg._closure_indices(G, H.gen_idx + (x,), H.members)
+            assert grown == rho._naive_closure(G, H.members | {x}), (len(idx), x)
+
+
+def test_large_base_grows_by_whole_cosets(monkeypatch):
+    # from COSET_MIN elements of H on, an element outside H is walked once,
+    # in its coset, and a round multiplies only the few representatives;
+    # element rounds would walk each new element once per generator
+    G = liea.enumerate_group(2, 5, 4)  # GL(2,5), 480 elements
+    H = mg.generated_subgroup(G, np.flatnonzero(G.elements[:, 1, 0] == 0))  # Borel, 80
+    assert H.order >= mg.COSET_MIN and len(H.gen_idx) >= 2
+    x = next(x for x in range(G.order) if x not in H.members)
+    walked, right = [], G._right
+    monkeypatch.setattr(G, "_right", lambda idxs, j: walked.append(len(idxs)) or right(idxs, j))
+    K = mg._closure_indices(G, H.gen_idx + (x,), H.members)
+    assert len(K) == G.order
+    assert sum(walked) <= len(K), sum(walked)
+
+
+def _singer_normalizer(key):
+    """N_G(S)/Z of a cyclic-Sylow tuple (n, q, p, det, z)."""
+    return cyclic_quotient_normalizer(liea.compute_params(*key))
+
+
+@pytest.mark.parametrize("key, order", [((4, 8, 5, 7, 7), 585), ((5, 5, 11, 2, 2), 781)])
+def test_large_cyclic_commutator_subgroups_match_matrix_closure(key, order):
+    # above the naive twin's table cap: the seed commutators' matrices are
+    # closed on their own, modulo the same scalars, and looked up in G
+    G = _singer_normalizer(key)
+    assert G.order > rho.NAIVE_TABLE_CAP
+    full = G.as_subgroup()
+    D = mg.commutator_subgroup(full)
+    R = mg.MatrixGroup.generate(G.field, G.elements[mg._generator_commutators(full)],
+                                scalars=G.scalars)
+    assert D.order == R.order == order
+    assert D.members == frozenset(G.lookup_batch(R.elements).tolist())
+
+
+def test_cyclic_closure_walks_logarithmically_often(monkeypatch):
+    # the powers of x by doubling: closing <x> takes about log2 |<x>| walks,
+    # where one power per round would take |<x>|
+    G = _singer_normalizer((5, 5, 11, 2, 2))
+    x = mg.commutator_subgroup(G.as_subgroup()).gen_idx[0]
+    walks, right = [], G._right
+    monkeypatch.setattr(G, "_right", lambda idxs, j: walks.append(j) or right(idxs, j))
+    k = len(mg._closure_indices(G, [x]))
+    assert k >= 100
+    assert len(walks) <= math.ceil(math.log2(k)) + 1, (k, len(walks))
+
+
 def _merge_reference(old, new):
     """np.insert of new[i] into old[i] at the places that keep old[0] sorted."""
     at = np.searchsorted(old[0], new[0])
