@@ -68,14 +68,13 @@ def prime_power_split(q: int) -> tuple[int, int]:
 
 def p_part(n: int, p: int) -> int:
     """Largest power of p dividing n."""
-    out = 1
-    while n % p == 0:
-        out *= p
-        n //= p
-    return out
+    return p ** p_val(n, p)
 
 
 def p_val(n: int, p: int) -> int:
+    """Exponent of the largest power of p dividing n (none for n = 0 or p < 2)."""
+    if p < 2 or n == 0:
+        raise DomainError(f"the p-adic valuation needs p >= 2 and n != 0, got p={p}, n={n}")
     v = 0
     while n % p == 0:
         v += 1

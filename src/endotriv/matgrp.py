@@ -153,6 +153,14 @@ def _merge_sorted(old: tuple[np.ndarray, ...], new: tuple[np.ndarray, ...]) -> l
     return out
 
 
+def _orbit_step(seen: np.ndarray, imgs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(seen with new merged in, new) for a sorted orbit so far `seen`: new
+    holds the distinct values of imgs outside seen, sorted."""
+    cand = _sorted_unique(imgs)
+    new = cand[seen[np.minimum(np.searchsorted(seen, cand), len(seen) - 1)] != cand]
+    return _merge_sorted((seen,), (new,))[0], new
+
+
 def _kernel(scalars) -> np.ndarray:
     scal = np.array(sorted(int(s) for s in scalars), dtype=np.uint8)
     if scal[0] != 1:
@@ -175,9 +183,7 @@ def _row_orbit(field: FieldSpec, gens: list[np.ndarray], zs: np.ndarray, wq: np.
         gimg = backend.mm_one(dig[None], wide, field)[0].reshape(len(new), ng, n) @ wq
         found.append(new)
         imgs.append(np.vstack([gimg.T, field.mul[zs[:, None, None], dig] @ wq]))
-        cand = _sorted_unique(imgs[-1])
-        new = cand[seen[np.minimum(np.searchsorted(seen, cand), len(seen) - 1)] != cand]
-        seen, = _merge_sorted((seen,), (new,))
+        seen, new = _orbit_step(seen, imgs[-1])
         if len(seen) > bound:
             raise refusal
     at = np.searchsorted(seen, np.hstack(imgs)[:, np.argsort(np.hstack(found))])
@@ -422,8 +428,10 @@ class MatrixGroup:
 # ---------------------------------------------------------------------------
 
 class Subgroup:
-    """A subgroup of an enumerated group, held as its sorted index array
-    `idx`; the frozenset `members` is built from it on first use.  The
+    """A subgroup of an enumerated group, held as its sorted int64 index
+    array `idx`, the one form in which subgroup routines pass elements;
+    membership is read from a mask over the parent (`_mask`).  The frozenset
+    `members` is built on first use for readers outside the package.  The
     checks run in this order: distinct, identity, range, Lagrange."""
 
     def __init__(self, parent: MatrixGroup, idx: np.ndarray,
@@ -501,15 +509,15 @@ def _conjugates(G: MatrixGroup, hs, xs) -> np.ndarray:
 
 
 def generated_subgroup(G: MatrixGroup, seeds) -> Subgroup:
-    """<seeds>, generated greedily: each seed, in increasing order, that the
-    closure so far misses becomes a generator and extends that closure."""
+    """<seeds>, generated greedily: the least seed outside the closure so
+    far becomes a generator and extends that closure."""
     gens: list[int] = []
-    have = frozenset([G.identity_idx])
-    for x in sorted(int(s) for s in seeds):
-        if x not in have:
-            gens.append(x)
-            have = _closure_indices(G, gens, have)
-    return Subgroup(G, np.array(sorted(have), dtype=np.int64), gen_idx=tuple(gens))
+    have = np.array([G.identity_idx], dtype=np.int64)
+    rest = _sorted_unique(np.asarray(seeds, dtype=np.int64))
+    while len(rest := rest[~_mask(G, have)[rest]]):
+        gens.append(int(rest[0]))
+        have = _closure_indices(G, gens, have)
+    return Subgroup(G, have, gen_idx=tuple(gens))
 
 
 def find_generators(G: MatrixGroup, idx: np.ndarray) -> tuple[int, ...]:
@@ -536,8 +544,9 @@ def _powers_outside(G: MatrixGroup, g: int, members: set[int]) -> list[int]:
             powers.append(x)
 
 
-def _closure_indices(G: MatrixGroup, gen_idx, base=None) -> frozenset[int]:
-    """<base, gen_idx> as an index set, grown from `base` (default {1}).
+def _closure_indices(G: MatrixGroup, gen_idx, base=None) -> np.ndarray:
+    """<base, gen_idx> as a sorted int64 index array, grown from the index
+    array `base` (default [1]); a Python set holds the closure while it grows.
 
     Precondition: `base` is a subgroup generated by the generators of
     gen_idx that lie in it.  The generators are taken one at a time, in
@@ -559,7 +568,7 @@ def _closure_indices(G: MatrixGroup, gen_idx, base=None) -> frozenset[int]:
     closure, one of 256 nearly doubles composite-iii; 32 to 128 are within
     10% of each other."""
     gens = [int(g) for g in gen_idx]
-    seen = {G.identity_idx} if base is None else set(base)
+    seen = {G.identity_idx} if base is None else set(base.tolist())
     taken = [g for g in gens if g in seen]  # the generators of base
     for g in gens:
         if g in seen:
@@ -583,15 +592,14 @@ def _closure_indices(G: MatrixGroup, gen_idx, base=None) -> frozenset[int]:
                     else:
                         seen.add(e)
             frontier, round_gens = found, taken
-    return frozenset(seen)
+    return np.sort(np.fromiter(seen, dtype=np.int64, count=len(seen)))
 
 
 def _extend(H: Subgroup, extra) -> Subgroup:
     """<H, extra>, grown from H and generated by H.gen_idx + extra."""
     G = H.parent
     gens = tuple(int(g) for g in tuple(H.gen_idx) + tuple(extra) if g != G.identity_idx)
-    idxs = _closure_indices(G, gens, H.idx.tolist())
-    return Subgroup(G, np.array(sorted(idxs), dtype=np.int64), gen_idx=gens)
+    return Subgroup(G, _closure_indices(G, gens, H.idx), gen_idx=gens)
 
 
 def trivial_subgroup(G: MatrixGroup) -> Subgroup:
@@ -623,8 +631,7 @@ def centralizer(G: MatrixGroup, H: Subgroup) -> Subgroup:
 def intersection(H1: Subgroup, H2: Subgroup) -> Subgroup:
     if H1.parent is not H2.parent:
         raise DomainError("intersection across different parents")
-    common = H1.members & H2.members
-    return Subgroup(H1.parent, np.array(sorted(common), dtype=np.int64))
+    return Subgroup(H1.parent, H1.idx[_mask(H1.parent, H2.idx)[H1.idx]])
 
 
 def common_order(A: MatrixGroup, B: MatrixGroup) -> int:
@@ -645,18 +652,18 @@ def join(H1: Subgroup, H2: Subgroup) -> Subgroup:
 def normal_closure(H: Subgroup, seed_idx) -> Subgroup:
     """Smallest subgroup of H containing the seeds and normal in H."""
     G = H.parent
-    gens = sorted({int(s) for s in seed_idx} - {G.identity_idx})
+    seeds = _sorted_unique(np.asarray(seed_idx, dtype=np.int64))
+    gens = seeds[seeds != G.identity_idx].tolist()
     if not gens:
         return trivial_subgroup(G)
-    members, fresh = None, gens
+    closed, fresh = None, gens
     while True:
-        members = _closure_indices(G, gens, members)
+        closed = _closure_indices(G, gens, closed)
         # conjugates of older generators lie in the older closure already
-        new = set(_conjugates(G, H.gen_idx, fresh).tolist()) - members
-        if not new:
-            return Subgroup(G, np.array(sorted(members), dtype=np.int64),
-                            gen_idx=tuple(gens))
-        fresh = sorted(new)
+        conj = _conjugates(G, H.gen_idx, fresh)
+        fresh = _sorted_unique(conj[~_mask(G, closed)[conj]]).tolist()
+        if not fresh:
+            return Subgroup(G, closed, gen_idx=tuple(gens))
         gens.extend(fresh)
 
 
@@ -724,9 +731,7 @@ def conjugate_orbit(G: MatrixGroup, key: tuple[int, ...]) -> set[tuple[int, ...]
     while len(front):
         imgs = np.ascontiguousarray(G._gen_conj[:, front], dtype=np.int64).reshape(-1, len(key))
         imgs.sort(axis=1)
-        uniq = _sorted_unique(imgs.view(void))
-        new = uniq[seen[np.minimum(np.searchsorted(seen, uniq), len(seen) - 1)] != uniq]
-        seen, = _merge_sorted((seen,), (new,))
+        seen, new = _orbit_step(seen, imgs.view(void))
         front = new.view(np.int64).reshape(-1, len(key))
     return set(map(tuple, seen.view(np.int64).reshape(-1, len(key)).tolist()))
 
@@ -869,8 +874,8 @@ def sylow_subgroup_of(G: MatrixGroup, p: int) -> Subgroup:
     P = trivial_subgroup(G)
     while P.order < target:
         N = normalizer(G, P) if P.order > 1 else G.as_subgroup()
-        x = next((int(i) for i in N.idx if pmask[i] and int(i) not in P.members), None)
-        if x is None:
+        xs = N.idx[pmask[N.idx] & ~_mask(G, P.idx)[N.idx]]
+        if not len(xs):
             raise DomainError("Sylow ascent stalled")  # pragma: no cover
-        P = _extend(P, (x,))
+        P = _extend(P, (int(xs[0]),))
     return P

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from endotriv.errors import DomainError
-from endotriv.gf import _is_irreducible, field_spec
+from endotriv.gf import _is_irreducible, field_spec, p_part, p_val
 
 PRIME_POWERS_64 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29,
                    31, 32, 37, 41, 43, 47, 49, 53, 59, 61, 64]
@@ -109,3 +109,13 @@ def test_element_of_order_and_subgroup_values():
         assert len(F.subgroup_values(m)) == m
     with pytest.raises(DomainError):
         F.element_of_order(5)
+
+
+def test_valuations_refuse_what_has_none():
+    # every power of p divides 0, and every power of 1 divides n: no largest one
+    assert [p_val(n, 3) for n in (1, 3, -18, 162)] == [0, 1, 2, 4]
+    assert [p_part(n, 2) for n in (1, 12, -8, 7)] == [1, 4, 8, 1]
+    for n, p in [(0, 3), (0, 2), (18, 1), (18, 0), (5, -2)]:
+        for fn in (p_val, p_part):
+            with pytest.raises(DomainError, match="valuation"):
+                fn(n, p)

@@ -348,8 +348,9 @@ def test_closure_extends_closed_subgroups(n, q, det):
     G = liea.enumerate_group(n, q, det)
     for H in mg.all_subgroups(mg.sylow_subgroup_of(G, 2)):
         for x in range(G.order):
-            grown = mg._closure_indices(G, H.gen_idx + (x,), H.members)
-            assert grown == rho._naive_closure(G, H.members | {x}), (H.key(), x)
+            grown = mg._closure_indices(G, H.gen_idx + (x,), H.idx)
+            ref = sorted(rho._naive_closure(G, np.append(H.idx, x)))
+            assert grown.dtype == np.int64 and np.array_equal(grown, ref), (H.key(), x)
 
 
 def test_find_generators_rejects_unclosed_set():
@@ -362,6 +363,21 @@ def test_find_generators_rejects_unclosed_set():
     assert H.gen_idx == (min(x, xinv),)
     assert H.members == rho._naive_closure(G, [x])
     assert mg.generated_subgroup(G, mg.find_generators(G, H.idx)) == H
+
+
+def test_generated_subgroup_ignores_seed_order_and_repeats():
+    # the least seed outside the closure so far is the next generator, so a
+    # shuffled seed list with repeats gives the sorted list's idx and gen_idx
+    G = liea.enumerate_group(2, 5, 4)  # GL(2,5)
+    rng = np.random.default_rng(11)
+    for size in (1, 2, 3, 8, 40):
+        seeds = np.sort(rng.choice(G.order, size=size, replace=False))
+        want = mg.generated_subgroup(G, seeds.tolist())
+        mixed = rng.permutation(np.concatenate([seeds, seeds[: size // 2 + 1], [G.identity_idx]]))
+        for given in (mixed, mixed.tolist(), mixed.astype(np.int32)):
+            got = mg.generated_subgroup(G, given)
+            assert np.array_equal(got.idx, want.idx) and got.gen_idx == want.gen_idx, size
+    assert mg.generated_subgroup(G, []) == mg.trivial_subgroup(G)
 
 
 def _python_closure(tab, seeds):
@@ -389,11 +405,12 @@ def test_closure_skips_redundant_generators(n, q, det):
     xs = range(0, G.order, 7)
     for H in mg.all_subgroups(mg.sylow_subgroup_of(G, 2)):
         everything = H.idx.tolist()
-        assert mg._closure_indices(G, everything) == H.members == _python_closure(tab, everything)
+        assert np.array_equal(mg._closure_indices(G, everything), H.idx)
+        assert np.array_equal(H.idx, sorted(_python_closure(tab, everything)))
         for x in xs:
-            ref = _python_closure(tab, everything + [x])
-            assert mg._closure_indices(G, everything + [x]) == ref, (H.key(), x)
-            assert mg._closure_indices(G, everything + [x], H.members) == ref, (H.key(), x)
+            ref = sorted(_python_closure(tab, everything + [x]))
+            assert np.array_equal(mg._closure_indices(G, everything + [x]), ref), (H.key(), x)
+            assert np.array_equal(mg._closure_indices(G, everything + [x], H.idx), ref), (H.key(), x)
 
 
 def test_closure_on_both_sides_of_the_coset_bound():
@@ -408,12 +425,13 @@ def test_closure_on_both_sides_of_the_coset_bound():
     xs = range(0, G.order, 7)
     for idx in (diagonal, borel):
         H = mg.generated_subgroup(G, idx)
-        assert H.members == frozenset(idx.tolist())
-        normalizing = rho._naive_normalizer(G, H.members)
+        assert np.array_equal(H.idx, idx)
+        normalizing = rho._naive_normalizer(G, H.idx)
         assert {x in normalizing for x in xs} == {True, False}
         for x in xs:
-            grown = mg._closure_indices(G, H.gen_idx + (x,), H.members)
-            assert grown == rho._naive_closure(G, H.members | {x}), (len(idx), x)
+            grown = mg._closure_indices(G, H.gen_idx + (x,), H.idx)
+            ref = sorted(rho._naive_closure(G, np.append(H.idx, x)))
+            assert np.array_equal(grown, ref), (len(idx), x)
 
 
 def test_large_base_grows_by_whole_cosets(monkeypatch):
@@ -423,11 +441,11 @@ def test_large_base_grows_by_whole_cosets(monkeypatch):
     G = liea.enumerate_group(2, 5, 4)  # GL(2,5), 480 elements
     H = mg.generated_subgroup(G, np.flatnonzero(G.elements[:, 1, 0] == 0))  # Borel, 80
     assert H.order >= mg.COSET_MIN and len(H.gen_idx) >= 2
-    x = next(x for x in range(G.order) if x not in H.members)
+    x = int(np.flatnonzero(~mg._mask(G, H.idx))[0])
     walked, right = [], G._right
     monkeypatch.setattr(G, "_right", lambda idxs, j: walked.append(len(idxs)) or right(idxs, j))
-    K = mg._closure_indices(G, H.gen_idx + (x,), H.members)
-    assert len(K) == G.order
+    K = mg._closure_indices(G, H.gen_idx + (x,), H.idx)
+    assert np.array_equal(K, np.arange(G.order))
     assert sum(walked) <= len(K), sum(walked)
 
 
