@@ -10,6 +10,11 @@ in numpy rather than O(q^2) polynomial multiplications.
 
 The modulus is the lexicographically least monic irreducible of degree k,
 "least" meaning smallest integer encoding of the non-leading coefficients.
+The primitive element is likewise the least encoding of multiplicative
+order q-1.  There is one polynomial arithmetic (`_poly_*`, over any
+FieldSpec): `_least_primitive` runs on it to bootstrap GF(p^k)'s exp table
+over GF(p), and `liea.singer_block` takes the Singer generator of GF(q^e)
+over GF(q) from the same search.  A prime field counts in integers.
 """
 
 from __future__ import annotations
@@ -160,18 +165,32 @@ def _is_irreducible(F: FieldSpec, mod) -> bool:
     return True
 
 
+def _digits(v: int, q: int, k: int) -> list[int]:
+    """The k little-endian base-q digits of v: the coefficients it encodes."""
+    return [v // q ** i % q for i in range(k)]
+
+
 def _least_irreducible(F: FieldSpec, k: int) -> tuple[int, ...]:
     """Monic degree-k irreducible over F with least non-leading encoding."""
     for low in range(F.q ** k):
-        coeffs = []
-        v = low
-        for _ in range(k):
-            coeffs.append(v % F.q)
-            v //= F.q
-        mod = coeffs + [1]
+        mod = _digits(low, F.q, k) + [1]
         if _is_irreducible(F, mod):
             return tuple(mod)
     raise DomainError(f"no irreducible of degree {k} over {F}")  # pragma: no cover
+
+
+def _least_primitive(F: FieldSpec, mod) -> list[int]:
+    """The polynomial of least encoding that generates (F[x]/(mod))^x, for
+    an irreducible `mod`: the primitive element of GF(q^k) and the Singer
+    generator over GF(q) both come from here."""
+    k = len(mod) - 1
+    order = F.q ** k - 1
+    fac = factorize(order)
+    for v in range(1, F.q ** k):
+        g = _poly_trim(_digits(v, F.q, k))
+        if all(_poly_powmod(F, g, order // r, mod) != [1] for r in fac):
+            return g
+    raise DomainError(f"no generator of (GF({F.q})[x]/{mod})^x")  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +198,11 @@ def _least_irreducible(F: FieldSpec, k: int) -> tuple[int, ...]:
 class FieldSpec:
     """GF(q), q = char**degree, with deterministic modulus and lookup tables.
 
-    The tables are immutable after construction; all element operations are
-    pure functions of integer encodings, so instances are safe to share
-    across workers.  `singer_blocks` keeps `liea.singer_block(q, e)` by e, so
+    `exp[i]` is `primitive**i` and `log` inverts it; the uint8 `mul`,
+    `add`, `neg` and `inv_table` tables follow from that pair and from the
+    base-p digits of the encodings.  The tables are immutable after
+    construction; all element operations are pure functions of integer
+    encodings, so instances are safe to share across workers.  `singer_blocks` keeps `liea.singer_block(q, e)` by e, so
     it is dropped with the field by `field_spec.cache_clear()`.
     """
 
@@ -196,55 +217,24 @@ class FieldSpec:
         self._build_tables()
         self.singer_blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    # -- raw polynomial-level ops (used to bootstrap the tables) -----------
-
-    def coeffs(self, a: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.degree):
-            out.append(a % self.char)
-            a //= self.char
-        return tuple(out)
-
-    def from_coeffs(self, coeffs) -> int:
-        v = 0
-        for c in reversed(list(coeffs)):
-            v = v * self.char + int(c) % self.char
-        return v
-
-    def _raw_mul(self, a: int, b: int) -> int:
-        if self.degree == 1:
-            return a * b % self.q
-        P = field_spec(self.char)
-        prod = _poly_mul(P, list(self.coeffs(a)), list(self.coeffs(b)))
-        return self.from_coeffs(_poly_rem(P, prod, self.modulus))
-
-    def _raw_pow(self, a: int, e: int) -> int:
-        result, base = 1, a
-        while e:
-            if e & 1:
-                result = self._raw_mul(result, base)
-            base = self._raw_mul(base, base)
-            e >>= 1
-        return result
-
     # -- table construction -------------------------------------------------
 
     def _build_tables(self):
         q, p = self.q, self.char
-        # primitive element: least encoding with multiplicative order q-1
-        fac = factorize(q - 1) if q > 2 else {}
-        prim = 1
-        for g in range(1, q):
-            if all(self._raw_pow(g, (q - 1) // r) != 1 for r in fac):
-                prim = g
-                break
-        self.primitive = prim
-
-        exp = np.empty(q - 1, dtype=np.int32)
-        acc = 1
-        for i in range(q - 1):
-            exp[i] = acc
-            acc = self._raw_mul(acc, prim)
+        # exp lists the powers of the primitive element: the least encoding
+        # of multiplicative order q-1
+        if self.degree == 1:  # a prime field counts in integers
+            fac = factorize(q - 1)
+            g = next(g for g in range(1, q) if all(pow(g, (q - 1) // r, q) != 1 for r in fac))
+            powers = [pow(g, i, q) for i in range(q - 1)]
+        else:
+            P, mod = field_spec(p), self.modulus
+            g, acc, powers = _least_primitive(P, mod), [1], []
+            for _ in range(q - 1):
+                powers.append(sum(c * p ** i for i, c in enumerate(acc)))
+                acc = _poly_rem(P, _poly_mul(P, acc, g), mod)
+        self.primitive = powers[1] if q > 2 else 1
+        exp = np.array(powers, dtype=np.int32)
         log = np.zeros(q, dtype=np.int32)
         log[exp] = np.arange(q - 1)
         self.exp, self.log = exp, log
@@ -280,9 +270,6 @@ class FieldSpec:
         self.neg_list = self.neg.tolist()
 
     # -- public element ops --------------------------------------------------
-
-    def add_el(self, a: int, b: int) -> int:
-        return self.add_list[a][b]
 
     def mul_el(self, a: int, b: int) -> int:
         return self.mul_list[a][b]

@@ -24,8 +24,8 @@ import numpy as np
 from . import backend
 from . import matgrp as mg
 from .errors import DomainError, GroupSpecError
-from .gf import (FieldSpec, _least_irreducible, _poly_mul, _poly_powmod, _poly_rem,
-                 _poly_trim, factorize, field_spec, is_prime, p_part, p_val,
+from .gf import (FieldSpec, _least_irreducible, _least_primitive, _poly_mul, _poly_powmod,
+                 _poly_rem, field_spec, is_prime, p_part, p_val,
                  prime_power_split)
 
 
@@ -244,41 +244,15 @@ def singer_block(q: int, e: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _singer_block(F: FieldSpec, e: int) -> tuple[np.ndarray, np.ndarray]:
-    q = F.q
-    if e == 1:
-        w = np.array([[F.primitive]], dtype=np.uint8)
-        return w, mg.identity_matrix(1)
+    """Columns j of w and of the Frobenius are gen * x^j and (x^j)^q in
+    GF(q)[x]/(mod), for the least irreducible mod and its least generator."""
     mod = _least_irreducible(F, e)
-    ext_order = q ** e - 1
-    fac = factorize(ext_order)
-    gen = None
-    for v in range(1, q ** e):
-        coeffs, vv = [], v
-        for _ in range(e):
-            coeffs.append(vv % q)
-            vv //= q
-        poly = _poly_trim(list(coeffs))
-        if all(_poly_powmod(F, poly, ext_order // rp, mod) != [1] for rp in fac):
-            gen = poly
-            break
-    if gen is None:
-        raise DomainError("no multiplicative generator found")  # pragma: no cover
-
-    def as_column(poly):
-        col = list(poly) + [0] * e
-        return col[:e]
-
-    w = np.zeros((e, e), dtype=np.uint8)
-    frob = np.zeros((e, e), dtype=np.uint8)
-    for j in range(e):
-        yj = [0] * j + [1]
-        col = as_column(_poly_rem(F, _poly_mul(F, gen, yj), mod))
-        for i in range(e):
-            w[i, j] = col[i]
-        colf = as_column(_poly_powmod(F, yj, q, mod))
-        for i in range(e):
-            frob[i, j] = colf[i]
-    return w, frob
+    gen = _least_primitive(F, mod)
+    powers = [[0] * j + [1] for j in range(e)]
+    w = [_poly_rem(F, _poly_mul(F, gen, xj), mod) for xj in powers]
+    frob = [_poly_powmod(F, xj, F.q, mod) for xj in powers]
+    return tuple(np.array([c + [0] * (e - len(c)) for c in cols], dtype=np.uint8).T.copy()
+                 for cols in (w, frob))
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import liea
+from . import backend, liea
 from . import matgrp as mg
 from .errors import CapExceeded, DomainError
-from .gf import field_spec, is_prime, p_part, p_val
+from .gf import field_spec, is_prime, p_part, p_val, prime_power_split
 
 S_ORDER_CAP = 256
 NAIVE_TABLE_CAP = 1024  # largest group the naive twin builds a table for
@@ -476,65 +476,27 @@ def _check_diagonal_characters(cert, clauses) -> bool:
     return True
 
 
-def _spin_irreducible(F, gens, off: int, dim: int) -> bool:
+def _block_irreducible(F, gens, off: int, dim: int) -> bool:
     """The coordinate block [off, off+dim) is an irreducible module for the
-    group generated by `gens` (which must preserve the block)."""
-    if dim == 1:
-        return True
-    q = F.q
-    # iterate one vector per projective line: first nonzero coordinate = 1
-    def lines():
-        for lead in range(dim):
-            tail = dim - lead - 1
-            for v in range(q ** tail):
-                vec = [0] * lead + [1]
-                vv = v
-                for _ in range(tail):
-                    vec.append(vv % q)
-                    vv //= q
-                yield vec
+    group generated by `gens` (which must preserve the block).
 
-    mats = [g[off:off + dim, off:off + dim] for g in gens]
-    for vec in lines():
-        basis = [list(vec)]
-        frontier = [list(vec)]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for m in mats:
-                    img = [0] * dim
-                    for i in range(dim):
-                        acc = 0
-                        for k in range(dim):
-                            acc = F.add_el(acc, F.mul_el(int(m[i, k]), w[k]))
-                        img[i] = acc
-                    red = _reduce_against(F, basis, img)
-                    if red is not None:
-                        basis.append(red)
-                        nxt.append(red)
-            frontier = nxt
-            if len(basis) == dim:
-                break
-        if len(basis) != dim:
-            return False
-    return True
-
-
-def _reduce_against(F, basis, vec):
-    """Gaussian reduction of vec against a row-reduced basis; returns the
-    normalized new row or None if dependent.  Keeps `basis` row-reduced."""
-    v = list(vec)
-    for row in basis:
-        lead = next((i for i, c in enumerate(row) if c), None)
-        if lead is not None and v[lead]:
-            f = F.mul_el(v[lead], F.inv_el(row[lead]))
-            for i in range(len(v)):
-                v[i] = F.add_el(v[i], F.neg_el(F.mul_el(f, row[i])))
-    lead = next((i for i, c in enumerate(v) if c), None)
-    if lead is None:
-        return None
-    inv = F.inv_el(v[lead])
-    return [F.mul_el(inv, c) for c in v]
+    Row vectors of the block are indexed by their base-q digits, and each
+    generator becomes an index map.  `inside[f, v]` starts as f(v) = 0, over
+    every nonzero functional f; dropping each v that some generator moves
+    out of f's row, until nothing changes, leaves the largest invariant
+    subspace inside ker f.  The block is irreducible iff that subspace is 0
+    for every f.  The table holds about q^(2 dim) booleans, at most
+    q^(dim^2) for dim >= 2, so the cap on the block group bounds it."""
+    place = F.q ** np.arange(dim)
+    vecs = (np.arange(F.q ** dim)[:, None] // place % F.q).astype(np.uint8)
+    maps = [backend.mm_one(vecs[None], g[off:off + dim, off:off + dim], F)[0] @ place
+            for g in gens]
+    inside = backend.mm_one(vecs[None, 1:], vecs.T, F)[0] == 0
+    while True:
+        kept = np.logical_and.reduce([inside] + [inside[:, m] for m in maps])
+        if np.array_equal(kept, inside):
+            return not kept[:, 1:].any()
+        inside = kept
 
 
 def _check_isotypic_blocks(cert, clauses) -> bool:
@@ -553,7 +515,7 @@ def _check_isotypic_blocks(cert, clauses) -> bool:
     smats = [Sg.elements[i] for i in Sg.gen_idx]
     off = 0
     for b in blocks:
-        if not _spin_irreducible(Sg.field, smats, off, b):
+        if not _block_irreducible(Sg.field, smats, off, b):
             return _fail(clauses, f"block at {off} of size {b} is reducible under S")
         off += b
     if H.scalars is not None:
@@ -858,6 +820,9 @@ def replay_proof_certificates(family: str, n: int | None = None,
         try:
             if not is_prime(pi):
                 raise DomainError(f"{pi} is not prime")
+            if ni < 1:
+                raise DomainError(f"dimension n={ni} must be positive")
+            prime_power_split(qi)
             # through the module attribute, where a wrapper (a tracer) sees the call
             report = check_certificate(globals()[build.__name__](ni, qi, pi, cap=cap))
             entry["verdict"] = report.verdict

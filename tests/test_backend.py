@@ -16,7 +16,7 @@ def ref_product(F, a, b):
         for j in range(k):
             acc = 0
             for t in range(n):
-                acc = F.add_el(acc, F.mul_el(int(a[i, t]), int(b[t, j])))
+                acc = int(F.add[acc, F.mul_el(int(a[i, t]), int(b[t, j]))])
             out[i, j] = acc
     return out
 

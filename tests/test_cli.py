@@ -225,13 +225,18 @@ def test_certify_refusal_families_within_the_cap_are_invalid(capsys):
 
 
 def test_certify_refuses_a_bad_p_or_q_before_building(capsys):
-    # p = 1 divides every n for ever, p = 0 divides by zero, and q = 1 asks for p_val(0, p)
+    # p = 1 divides every n for ever, p = 0 divides by zero, q = 1 asks for
+    # p_val(0, p), q = 6 has no field, and n = -2 names no matrix group
     for args, reason in [(("rp-case", "3", "19", "1"), "1 is not prime"),
                          (("rp-case", "3", "19", "0"), "0 is not prime"),
                          (("sl62", "6", "2", "1"), "1 is not prime"),
                          (("composite-i", "6", "4", "0"), "0 is not prime"),
-                         (("rp-case", "3", "1", "3"), "the p-adic valuation needs p >= 2 and "
-                                                      "n != 0, got p=3, n=0")]:
+                         (("rp-case", "3", "1", "3"), "1 is not a prime power"),
+                         (("sl62", "6", "1", "3"), "1 is not a prime power"),
+                         (("composite-i", "6", "1", "3"), "1 is not a prime power"),
+                         (("composite-i", "6", "6", "3"), "6 is not a prime power"),
+                         (("sl62", "6", "6", "3"), "6 is not a prime power"),
+                         (("composite-i", "-2", "4", "3"), "dimension n=-2 must be positive")]:
         n, q, p = args[1:]
         assert run_cli(capsys, "certify", *args) == (
             1, f"{args[0]} ({n},{q},{p}): INVALID [{reason}]\n", ""), args

@@ -1,10 +1,11 @@
+import hashlib
 import random
 
 import numpy as np
 import pytest
 
 from endotriv.errors import DomainError
-from endotriv.gf import _is_irreducible, field_spec, p_part, p_val
+from endotriv.gf import _is_irreducible, factorize, field_spec, p_part, p_val
 
 PRIME_POWERS_64 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29,
                    31, 32, 37, 41, 43, 47, 49, 53, 59, 61, 64]
@@ -60,8 +61,7 @@ def test_field_laws_random_pairs():
         a, b, c = (rng.randrange(q) for _ in range(3))
         assert F.mul_el(a, b) == F.mul_el(b, a)
         assert F.mul_el(a, F.mul_el(b, c)) == F.mul_el(F.mul_el(a, b), c)
-        assert F.mul_el(a, F.add_el(b, c)) == F.add_el(F.mul_el(a, b),
-                                                       F.mul_el(a, c))
+        assert F.mul_el(a, F.add[b, c]) == F.add[F.mul_el(a, b), F.mul_el(a, c)]
         if a:
             assert F.mul_el(a, F.inv_el(a)) == 1
         checked += 1
@@ -86,10 +86,29 @@ def test_irreducibility_matches_root_test():
                 def value(x):
                     acc = 0
                     for c in reversed(mod):
-                        acc = F.add_el(F.mul_el(acc, x), c)
+                        acc = int(F.add[F.mul_el(acc, x), c])
                     return acc
 
                 assert _is_irreducible(F, mod) == all(value(x) for x in range(q))
+
+
+# sha256 of every prime-power field's encoding: modulus, primitive and the
+# tables, q = 2 .. 256 in order; a new bootstrap must rebuild the same tables
+FIELD_TABLES_SHA256 = "feca32f423fded5b2244ae963c3c79ec2437f51aa65ec9c380b9ac785a76f468"
+
+
+def test_field_encoding_is_pinned():
+    h = hashlib.sha256()
+    for q in range(2, 257):
+        if len(factorize(q)) != 1:
+            continue
+        F = field_spec(q)
+        h.update(repr((q, F.modulus, F.primitive)).encode())
+        for name in ("exp", "log", "mul", "add", "neg", "inv_table"):
+            table = getattr(F, name)
+            h.update(f"{name} {table.dtype} {table.shape}".encode())
+            h.update(table.tobytes())
+    assert h.hexdigest() == FIELD_TABLES_SHA256
 
 
 def test_q_cap():

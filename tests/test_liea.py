@@ -147,6 +147,22 @@ def test_singer_relation():
         assert np.array_equal(lhs, wq)
 
 
+def test_singer_generator_is_the_primitive_of_the_extension_field():
+    # both come from gf._least_primitive over the same least irreducible, so
+    # for prime q column 0 of w is GF(q^e).primitive written in base q
+    pairs = [(q, e) for q in (2, 3, 5, 7, 11, 13) for e in range(2, 9) if q ** e <= 256]
+    assert len(pairs) == 16
+    for q, e in pairs:
+        F = field_spec(q)
+        w, _ = liea.singer_block(q, e)
+        prim = field_spec(q ** e).primitive
+        assert w[:, 0].tolist() == [prim // q ** i % q for i in range(e)], (q, e)
+        power, order = w, 1
+        while not np.array_equal(power, mg.identity_matrix(e)):
+            power, order = backend.mm_one(power[None], w, F)[0], order + 1
+        assert order == q ** e - 1, (q, e)
+
+
 def test_singer_blocks_kept_per_field():
     w, g = liea.singer_block(4, 3)
     assert liea.singer_block(4, 3)[0] is w

@@ -789,7 +789,7 @@ def _ref_mul(F, a, b):
         for j in range(n):
             acc = 0
             for k in range(n):
-                acc = F.add_el(acc, F.mul_el(a[i][k], b[k][j]))
+                acc = int(F.add[acc, F.mul_el(a[i][k], b[k][j])])
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)

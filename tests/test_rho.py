@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import random
 
 import numpy as np
@@ -484,6 +485,9 @@ SYLOW_IMAGE_TAMPERS = {
                          "H is not the full monomial subgroup"),
     "blocks-repeated-size": ("blocks", lambda c: _tamper_containment(c, blocks=(2, 2)),
                              "blocks must partition n with distinct sizes"),
+    # S preserves the split (1, 3) of GF(4)^4, so the one block of size 4 is reducible
+    "blocks-reducible": ("blocks", lambda c: _tamper_containment(c, blocks=(4,)),
+                         "block at 0 of size 4 is reducible under S"),
 }
 
 
@@ -526,6 +530,65 @@ def test_hand_built_h_fails_the_sylow_clause(case):
     assert report.clauses[0] == rho.ClauseResult("(gen)", True, "witnesses and S generate H")
     assert (report.verdict, report.failed_clause) == ("FAIL", "(S)")
     assert report.clauses[-1] == rho.ClauseResult("(S)", False, detail)
+
+
+def _orbit_spans_are_full(F, mats):
+    """Brute-force irreducibility: the orbit of every nonzero column vector
+    under the group <mats> spans GF(q)^d, the span built as the additive
+    closure of the orbit's GF(q)-multiples."""
+    d = mats[0].shape[0]
+
+    def act(m, v):
+        return tuple(functools.reduce(lambda acc, k: int(F.add[acc, F.mul_el(int(m[i, k]), v[k])]),
+                                      range(d), 0) for i in range(d))
+
+    for v in itertools.product(range(F.q), repeat=d):
+        if not any(v):
+            continue
+        orbit, frontier = {v}, [v]
+        while frontier:
+            frontier = list({act(m, u) for u in frontier for m in mats} - orbit)
+            orbit.update(frontier)
+        span = {(0,) * d}
+        for u in orbit:
+            if u not in span:
+                span = {tuple(int(F.add[a, F.mul_el(c, b)]) for a, b in zip(s, u))
+                        for s in span for c in range(F.q)}
+        if len(span) < F.q ** d:
+            return False
+    return True
+
+
+def _block_cases():
+    """(q, generators, off, dim): Singer, Singer-plus-Frobenius, Frobenius,
+    scalar Singer powers, diagonal tori and the blocks of Sylow subgroups."""
+    cases = []
+    for q, e in [(2, 2), (2, 3), (3, 2), (4, 2), (5, 2), (2, 4), (3, 3)]:
+        F = field_spec(q)
+        w, frob = liea.singer_block(q, e)
+        scalar = functools.reduce(lambda a, _: _matrix_mul(F, a, w),
+                                  range((q ** e - 1) // (q - 1) - 1), w)
+        cases += [(q, [w], 0, e), (q, [w, frob], 0, e), (q, [frob], 0, e), (q, [scalar], 0, e)]
+    for q, d in [(3, 2), (4, 3), (5, 2)]:
+        torus = mg.identity_matrix(d)
+        torus[0, 0] = field_spec(q).primitive
+        cases += [(q, [torus], 0, d), (q, [torus[:1, :1]], 0, 1)]
+    for (n, q, p), blocks in [((4, 4, 3), [(0, 1), (1, 3), (0, 4)]), ((2, 7, 3), [(0, 2)]),
+                              ((2, 5, 3), [(0, 2)]), ((3, 2, 3), [(0, 3), (0, 2)])]:
+        _, S = liea.build_sylow(liea.compute_params(n, q, p))
+        cases += [(q, [S.elements[g] for g in S.gen_idx], off, dim) for off, dim in blocks]
+    return cases
+
+
+def test_block_irreducibility_matches_the_span_of_every_orbit():
+    verdicts = []
+    for q, gens, off, dim in _block_cases():
+        F = field_spec(q)
+        got = rho._block_irreducible(F, gens, off, dim)
+        assert got == _orbit_spans_are_full(F, [g[off:off + dim, off:off + dim] for g in gens]), \
+            (q, off, dim, gens)
+        verdicts.append(got)
+    assert set(verdicts) == {True, False}
 
 
 def test_unemitted_certificate_kinds_are_not_checked():
