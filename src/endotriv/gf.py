@@ -64,7 +64,7 @@ def factorize(n: int) -> dict[int, int]:
 
 def prime_power_split(q: int) -> tuple[int, int]:
     """Write q = p**k for prime p, or raise DomainError."""
-    f = factorize(q)
+    f = factorize(q) if q >= 2 else {}
     if len(f) != 1:
         raise DomainError(f"{q} is not a prime power")
     (p, k), = f.items()

@@ -12,6 +12,11 @@ and x * g is the rows of x each multiplied by g.  So the closure takes the
 orbit of the basis rows under the generators and the kernel once, and reads
 every product from its action by gathers (the base-image view, Holt, Eick
 and O'Brien, 4.4); the least multiple is read off row 0's first nonzero entry.
+An element is then the positions of its rows in that orbit, and each
+breadth-first level numbers its products by a key on those positions:
+through a direct-address table over every key while there are at most
+DIRECT_LIMIT keys, by sorted keys beyond.  The sorted element keys are
+built once, when the closure is complete.
 
 Alongside the elements a group keeps the Schreier data of its closure as
 int32 index tables (Holt, Eick and O'Brien, Handbook of Computational Group
@@ -190,6 +195,85 @@ def _row_orbit(field: FieldSpec, gens: list[np.ndarray], zs: np.ndarray, wq: np.
     return seen, at[:ng], at[ng:]
 
 
+# A closure whose row orbit has R rows numbers its products through a
+# direct-address table of R^n int32 entries when R^n is at most this (1 MB),
+# and by sorted keys above it.  It takes every oracle closure of the
+# benchmark, 185 of 186 certify ones and 8 of 19 fuzz ones.  2^20 or 2^22
+# takes one fuzz closure more (78 elements, R^n = 6.2e5), which then closes
+# in 1.16 ms against 1.0 ms (best of 15), and raises fuzz's peak RSS by
+# 1.9 MB (numpy 2.4 on a 2-core host).
+DIRECT_LIMIT = 1 << 18
+
+
+class _DirectNumbering:
+    """Element indices of keys in [0, bound), read from an int32 table that
+    holds -1 at the keys of no element found so far."""
+
+    dtype = np.int64
+
+    def __init__(self, key0: int, bound: int):
+        self.table = np.full(bound, -1, dtype=np.int32)
+        self.table[key0] = 0
+
+    def number(self, keys: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """(ids, src) for one level's product keys: ids[j] the element index
+        of keys[j], the new elements numbered from count on in the order of
+        their first products, whose positions src lists.  One gather finds
+        the known products; each unseen key's slot is lowered to its first
+        product's position j, stored as j - len(keys) - 1 < -1."""
+        ids = self.table.take(keys)
+        unseen = (ids < 0).nonzero()[0]
+        fresh = keys.take(unseen)
+        mark = (unseen - (len(keys) + 1)).astype(np.int32)
+        np.minimum.at(self.table, fresh, mark)
+        src = unseen[self.table.take(fresh) == mark]
+        self.table[keys.take(src)] = np.arange(count, count + len(src), dtype=np.int32)
+        ids[unseen] = self.table.take(fresh)
+        return ids, src
+
+    def key_order(self) -> np.ndarray:
+        """The element indices in increasing key order."""
+        return self.table[self.table >= 0]
+
+
+class _SortedNumbering:
+    """The same numbering by binary search in the sorted keys found so far,
+    the new keys merged in after each level: the sort-based set step of
+    Holt, Eick and O'Brien, 4.1, for keys too wide for a table."""
+
+    def __init__(self, key0: int, bound: int):
+        self.dtype = _int_dtype(bound)
+        self.keys = np.array([key0], dtype=self.dtype)
+        self.key_idx = np.zeros(1, dtype=np.int32)
+
+    def number(self, keys: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+        ukeys, first, at = _unique_first(keys)
+        pos = np.minimum(np.searchsorted(self.keys, ukeys), count - 1)
+        ids, new = self.key_idx[pos], (self.keys[pos] != ukeys).nonzero()[0]
+        ids[new[np.argsort(first[new])]] = np.arange(count, count + len(new))
+        if len(new):
+            self.keys, self.key_idx = _merge_sorted((self.keys, self.key_idx),
+                                                    (ukeys[new], ids[new]))
+        return ids.take(at), np.sort(first[new])
+
+    def key_order(self) -> np.ndarray:
+        return self.key_idx
+
+
+def _element_table(vdig: np.ndarray, vec: np.ndarray, pos: np.ndarray, key_idx: np.ndarray,
+                   q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(elements, keys) of a closure whose element x has its rows at the
+    orbit positions pos[:, x], the orbit's rows being vdig as digits and
+    vec as indices: the matrices by index, and their keys in the order
+    key_idx."""
+    n = len(pos)
+    keys = np.zeros(len(key_idx), dtype=_int_dtype(q ** (n * n)))
+    for row in pos:  # row 0 first
+        keys *= q ** n
+        keys += vec.take(row.take(key_idx))
+    return vdig[pos.T], keys
+
+
 def _walk_up(G: "MatrixGroup", x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x[i] * y[i]^-1 (int64): for y = gens[k1] ... gens[kd] along the BFS
     tree, x moved by gens[kd]^-1, ..., gens[k1]^-1, read from y up to the
@@ -246,10 +330,20 @@ class MatrixGroup:
         level multiplies its elements by every generator, takes each product
         to its least multiple over the kernel scalars, and numbers new
         products by first occurrence.  An element is held as the positions
-        of its rows in the row orbit (`_row_orbit`), so a product is n
-        gathers.  Keys read row 0 first, and every z x has the zero pattern
-        of x, so the least multiple is the z with the least z a, for a the
-        first nonzero entry of row 0."""
+        p_0 ... p_(n-1) of its rows in the row orbit (`_row_orbit`), so a
+        product is n gathers.  Keys read row 0 first, and every z x has the
+        zero pattern of x, so the least multiple is the z with the least z a,
+        for a the first nonzero entry of row 0.
+
+        The orbit's R rows are sorted, so sum p_i R^(n-1-i) is a key with the
+        order of the matrix keys, and distinct elements have distinct ones.
+        Each level numbers its products by these keys: through a
+        direct-address int32 table (`_DirectNumbering`) when R^n is at most
+        DIRECT_LIMIT, where |G| <= R^n keeps every index exact in int32, and
+        by sorted keys (`_SortedNumbering`) above it; the bound keeps the
+        table at 1 MB, past which a larger one bought no time on the
+        benchmark's closures.  The sorted matrix keys that `locate` reads
+        are built once, at the end."""
         cap = enumeration_cap(cap)
         gens = [matrix(g) for g in gens]
         if not gens:
@@ -257,6 +351,8 @@ class MatrixGroup:
         n = gens[0].shape[0]
         if any(g.shape[0] != n for g in gens):
             raise DomainError("generators of mixed dimension")
+        if any(g.max() >= field.q for g in gens):
+            raise DomainError(f"generator entries must lie in [0, {field.q})")
         if np.any(backend.det_many(np.stack(gens), field) == 0):
             raise DomainError("singular generator")
 
@@ -273,37 +369,38 @@ class MatrixGroup:
         # zact[(s ng + k) |vec| + v]: the position of zs[s] vec[v] gens[k]; the least
         # multiple of x * gens[k], row 0 of x at v, has its rows at off[k, v] + x's
         zact, off = zpos[:, act].ravel(), (best[act] * ng + np.arange(ng)[:, None]) * len(vec)
-        zrow = vec[zact]
 
         front = np.searchsorted(vec, wq)[:, None]  # [row, element] positions
-        blocks, keys, key_idx = [front], _keys(identity_matrix(n)[None], q), np.zeros(1, np.int32)
-        acts, parent, via, levels = [], [key_idx], [key_idx], [0, 1]
-        while True:  # keys (sorted) and key_idx hold the levels[-1] elements so far
+        R = len(vec)
+        # a level's ng m < ng R^n products must have int32 positions on the table
+        direct = R ** n <= DIRECT_LIMIT and ng * R ** n < 2 ** 31
+        numbering = (_DirectNumbering if direct else _SortedNumbering)(
+            sum(int(p) * R ** (n - 1 - i) for i, p in enumerate(front[:, 0])), R ** n)
+        blocks, zero = [front], np.zeros(1, np.int32)
+        acts, parent, via, levels = [], [zero], [zero], [0, 1]
+        while True:
             m, count = front.shape[1], levels[-1]
             at0 = off.take(front[0], axis=1)
-            ckeys = np.zeros((ng, m), dtype=keys.dtype)
-            for i in range(n):  # the least multiples' keys, row 0 first
-                ckeys *= q ** n
-                ckeys += zrow.take(at0 + front[i])
-            ukeys, first, at = _unique_first(ckeys.ravel())
-            pos = np.minimum(np.searchsorted(keys, ukeys), count - 1)
-            ids, new = key_idx[pos], (keys[pos] != ukeys).nonzero()[0]
-            src = np.sort(first[new])  # the new elements' first products, in order
-            ids[new[np.argsort(first[new])]] = np.arange(count, count + len(new))
-            acts.append(ids.take(at).reshape(ng, m))
-            if not len(new):
+            pkeys = np.zeros((ng, m), dtype=numbering.dtype)
+            for i in range(n):  # the least multiples' position keys, row 0 first
+                pkeys *= R
+                pkeys += zact.take(at0 + front[i])
+            ids, src = numbering.number(pkeys.ravel(), count)
+            acts.append(ids.reshape(ng, m))
+            if not len(src):
                 break
-            if count + len(new) > cap:
+            if count + len(src) > cap:
                 raise refusal
             k, x = src // m, src % m
             parent.append((levels[-2] + x).astype(np.int32))
             via.append(k.astype(np.int32))
             front = zact[at0[k, x] + front[:, x]]
             blocks.append(front)
-            keys, key_idx = _merge_sorted((keys, key_idx), (ukeys[new], ids[new]))
-            levels.append(count + len(new))
-        return cls(field, n, vdig[np.hstack(blocks).T], keys, key_idx, *map(np.hstack, (
-            acts, parent, via)), np.array(levels), scalars=scal, name=name)
+            levels.append(count + len(src))
+        key_idx = numbering.key_order()
+        return cls(field, n, *_element_table(vdig, vec, np.hstack(blocks), key_idx, q),
+                   key_idx, *map(np.hstack, (acts, parent, via)), np.array(levels),
+                   scalars=scal, name=name)
 
     # -- lookup ----------------------------------------------------------------
 
@@ -317,17 +414,21 @@ class MatrixGroup:
 
     def locate(self, batch) -> tuple[np.ndarray, np.ndarray]:
         """(index, found) per matrix of `batch`, by the key of its canonical
-        form: the least key over its multiples by the quotient's scalars."""
+        form: the least key over its multiples by the quotient's scalars.
+        A matrix with an entry >= q is not found: its key could equal
+        another matrix's, the excess carried into the next digit."""
         batch = np.asarray(batch, dtype=np.uint8)
         if batch.ndim != 3:
             raise DomainError("locate takes a batch of matrices, shape (m, n, n)")
         if batch.shape[1:] != (self.n, self.n):  # a matrix of another size
             return np.zeros(len(batch), dtype=np.int64), np.zeros(len(batch), dtype=bool)
+        valid = (batch < self.field.q).all(axis=(1, 2))
+        batch = batch * valid[:, None, None]  # the zero matrix in place of an invalid one
         zs = self.scalars
         mults = batch[None] if zs is None else self.field.mul[zs[:, None, None, None], batch]
         keys = _keys(mults, self.field.q).min(axis=0)
         pos = np.minimum(np.searchsorted(self._keys, keys), self.order - 1)
-        return self._key_idx[pos].astype(np.int64), self._keys[pos] == keys
+        return self._key_idx[pos].astype(np.int64), (self._keys[pos] == keys) & valid
 
     def lookup_batch(self, batch) -> np.ndarray:
         """Indices of the matrices in `batch` (KeyError if any is missing)."""

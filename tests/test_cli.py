@@ -47,9 +47,10 @@ def test_json_round_trip_stability(capsys):
 
 
 def test_exit_code_domain_error(capsys):
-    code, out, _ = run_cli(capsys, "classify", "2", "6", "2")
-    assert code == 1
-    assert json.loads(out)["error"] == "domain"
+    for q in ("6", "0"):  # q = 0 is refused as q = 6 is, not by factorization
+        code, out, _ = run_cli(capsys, "classify", "2", q, "2")
+        assert code == 1
+        assert json.loads(out) == {"error": "domain", "message": f"{q} is not a prime power"}
 
 
 def test_large_field_refused_before_tables(monkeypatch, capsys):
@@ -226,12 +227,15 @@ def test_certify_refusal_families_within_the_cap_are_invalid(capsys):
 
 def test_certify_refuses_a_bad_p_or_q_before_building(capsys):
     # p = 1 divides every n for ever, p = 0 divides by zero, q = 1 asks for
-    # p_val(0, p), q = 6 has no field, and n = -2 names no matrix group
+    # p_val(0, p), q = 6 has no field, q <= 0 has no prime factors, and
+    # n = -2 names no matrix group
     for args, reason in [(("rp-case", "3", "19", "1"), "1 is not prime"),
                          (("rp-case", "3", "19", "0"), "0 is not prime"),
                          (("sl62", "6", "2", "1"), "1 is not prime"),
                          (("composite-i", "6", "4", "0"), "0 is not prime"),
                          (("rp-case", "3", "1", "3"), "1 is not a prime power"),
+                         (("composite-iii", "4", "0", "3"), "0 is not a prime power"),
+                         (("rp-case", "3", "-4", "3"), "-4 is not a prime power"),
                          (("sl62", "6", "1", "3"), "1 is not a prime power"),
                          (("composite-i", "6", "1", "3"), "1 is not a prime power"),
                          (("composite-i", "6", "6", "3"), "6 is not a prime power"),

@@ -65,6 +65,19 @@ def test_closure_rejects_singular_generator():
         mg.MatrixGroup.generate(F3, [[[1, 0], [0, 0]]])
 
 
+def test_closure_rejects_entries_outside_the_field():
+    """An entry >= q names no element of GF(q): [[1, 3], [0, 1]] read in
+    base 3 is diag(2, 1), so it is refused before any work, and a lookup
+    does not find it as diag(2, 1)."""
+    F3 = field_spec(3)
+    with pytest.raises(DomainError, match=r"^generator entries must lie in \[0, 3\)$"):
+        mg.MatrixGroup.generate(F3, [[[1, 3], [0, 1]]])
+    G = liea.enumerate_group(2, 3, 2)
+    assert not G.locate(np.array([[[1, 3], [0, 1]]]))[1][0]
+    with pytest.raises(KeyError):
+        G.index_of([[1, 3], [0, 1]])
+
+
 def test_closure_cap():
     with pytest.raises(CapExceeded):
         liea.enumerate_group(2, 5, cap=50)
@@ -857,22 +870,79 @@ def _wreath_6_4():
     return F, [d, mg.permutation_matrix([1, 2, 0, 3, 4, 5])]
 
 
+def _s4_16():
+    """S4 as permutation matrices over GF(16): keys of 16^16 = 2^64 values
+    pass int64, while the row orbit has 4 rows and the table 4^4 entries."""
+    return field_spec(16), [mg.permutation_matrix([1, 0, 2, 3]),
+                            mg.permutation_matrix([1, 2, 3, 0])]
+
+
 REFERENCE_GROUPS = {
     "GL(2,5)": lambda: (field_spec(5), liea.levi_generators([2], 5, 4)),
     "C3 wr C3 in GL(6,4)": _wreath_6_4,
     "D254 in GL(3,128)": lambda: _dihedral(128),
     "D510 in GL(3,256)": lambda: _dihedral(256),
+    "S4 in GL(4,16)": _s4_16,
 }
+
+# DIRECT_LIMIT values that force each numbering of a closure's products:
+# sorted keys everywhere, or the direct-address table wherever R^n <= 2^22
+# (12 MB for C3 wr C3 in GL(6,4); D510 in GL(3,256) would need 1.3e8
+# entries, so D254 and D510 stay on sorted keys)
+FORCED_LIMITS = {"sorted": 0, "direct": 1 << 22}
+
+
+def _both_numberings(monkeypatch):
+    """Force each numbering in turn, yielding its name, and check after
+    each that the closures built took the table exactly where R^n was at
+    most the forced limit."""
+    taken = []  # (numbering class, R^n) of every closure
+    for cls in (mg._DirectNumbering, mg._SortedNumbering):
+        monkeypatch.setattr(cls, "__init__", lambda self, key0, bound, init=cls.__init__: (
+            taken.append((type(self), bound)), init(self, key0, bound))[1])
+    for name, limit in FORCED_LIMITS.items():
+        monkeypatch.setattr(mg, "DIRECT_LIMIT", limit)
+        taken.clear()
+        yield name
+        assert taken and all((kind is mg._DirectNumbering) == (bound <= limit)
+                             for kind, bound in taken), (name, taken)
 
 
 @pytest.mark.parametrize("name", list(REFERENCE_GROUPS))
-def test_closure_matches_reference_bfs(name):
+def test_closure_matches_reference_bfs(name, monkeypatch):
     F, gens = REFERENCE_GROUPS[name]()
+    ref = _ref_closure(F, gens)
+    for _ in _both_numberings(monkeypatch):
+        G = mg.MatrixGroup.generate(F, gens)
+        _assert_matches_reference(G, ref)
+        wide = F.q ** (G.n * G.n) > mg.INT_KEY_LIMIT
+        assert (G._keys.dtype == object) == wide
+        assert name in ("C3 wr C3 in GL(6,4)", "D510 in GL(3,256)", "S4 in GL(4,16)") or not wide
+
+
+def test_object_keys_through_the_direct_table(monkeypatch):
+    """S4 over GF(16) takes the table at the module's own bound, with
+    Python-int keys that find every element."""
+    F, gens = _s4_16()
+    taken = []
+    init = mg._DirectNumbering.__init__
+    monkeypatch.setattr(mg._DirectNumbering, "__init__",
+                        lambda self, key0, bound: (taken.append(bound), init(self, key0, bound))[1])
     G = mg.MatrixGroup.generate(F, gens)
-    _assert_matches_reference(G, _ref_closure(F, gens))
-    wide = F.q ** (G.n * G.n) > mg.INT_KEY_LIMIT
-    assert (G._keys.dtype == object) == wide
-    assert name in ("C3 wr C3 in GL(6,4)", "D510 in GL(3,256)") or not wide
+    assert taken == [4 ** 4] and G.order == 24 and G._keys.dtype == object
+    assert G.lookup_batch(G.elements).tolist() == list(range(24))
+
+
+@pytest.mark.parametrize("cap", [50, 1000])
+def test_cap_refusal_on_both_numberings(cap, monkeypatch):
+    """The closure of GL(3,4) (R^n = 63^3 <= DIRECT_LIMIT) refuses alike on
+    either numbering, past the row orbit."""
+    F, gens, refusals = field_spec(4), liea.levi_generators([3], 4, 3), []
+    for _ in _both_numberings(monkeypatch):
+        with pytest.raises(CapExceeded) as err:
+            mg.MatrixGroup.generate(F, gens, cap=cap, name="GL(3,4)")
+        refusals.append((str(err.value), err.value.needed, err.value.cap))
+    assert refusals[0] == refusals[1] and refusals[0][1:] == (cap + 1, cap)
 
 
 # PGL(2,5), SL(2,13)/Z2 and PGL(2,8), whose kernel is GF(8)'s 7 nonzero
@@ -892,13 +962,14 @@ QUOTIENT_BUILDERS = {
 
 
 @pytest.mark.parametrize("name", list(QUOTIENT_BUILDERS))
-def test_quotients_match_reference_bfs(name):
+def test_quotients_match_reference_bfs(name, monkeypatch):
     q, z, gens, build = QUOTIENT_BUILDERS[name]
     F = field_spec(q)
     zvals = sorted(F.subgroup_values(z))
     ref = _ref_closure(F, gens(), zvals)
-    _assert_matches_reference(mg.MatrixGroup.generate(F, gens(), scalars=zvals), ref)
-    _assert_matches_reference(build(), ref)
+    for _ in _both_numberings(monkeypatch):
+        _assert_matches_reference(mg.MatrixGroup.generate(F, gens(), scalars=zvals), ref)
+        _assert_matches_reference(build(), ref)
 
 
 # (q, |Z|): dihedral groups diag(w, w^-1, 1), a transposition, whose only
@@ -907,15 +978,17 @@ OUTSIDE_KERNELS = [(7, 3), (13, 4)]
 
 
 @pytest.mark.parametrize("q, z", OUTSIDE_KERNELS)
-def test_quotient_by_a_kernel_outside_the_generated_group(q, z):
+def test_quotient_by_a_kernel_outside_the_generated_group(q, z, monkeypatch):
     """<gens> Z / Z with Z not inside <gens>: every coset keeps one element,
     and the least multiple of a product can have a row (z e_3) that no word
     in the generators reaches, so the row orbit must be closed under Z."""
     F, gens = _dihedral(q)
     zvals = sorted(F.subgroup_values(z))
-    G = mg.MatrixGroup.generate(F, gens, scalars=zvals)
-    assert G.order == mg.MatrixGroup.generate(F, gens).order == 2 * (q - 1)
-    _assert_matches_reference(G, _ref_closure(F, gens, zvals))
+    ref = _ref_closure(F, gens, zvals)
+    for _ in _both_numberings(monkeypatch):
+        G = mg.MatrixGroup.generate(F, gens, scalars=zvals)
+        assert G.order == mg.MatrixGroup.generate(F, gens).order == 2 * (q - 1)
+        _assert_matches_reference(G, ref)
 
 
 def test_closure_tabulates_nothing_over_the_row_space():
@@ -934,9 +1007,9 @@ def test_closure_tabulates_nothing_over_the_row_space():
 @pytest.mark.parametrize("n, q, det, z", [(2, 7, 1, 1), *QUOTIENTS])
 def test_lookup_refuses_non_members(n, q, det, z):
     """KeyError and False on matrices outside G (singular, of another size,
-    and for SL(2,q)/Z of a determinant other than 1, among them a multiple
-    of an element by a scalar outside the quotient kernel); a multiple by a
-    kernel scalar is the same element."""
+    with an entry >= q, and for SL(2,q)/Z of a determinant other than 1,
+    among them a multiple of an element by a scalar outside the quotient
+    kernel); a multiple by a kernel scalar is the same element."""
     G = liea.enumerate_quotient(n, q, det, z)
     F = G.field
     x = G.elements[G.gen_idx[0]]
@@ -945,7 +1018,12 @@ def test_lookup_refuses_non_members(n, q, det, z):
     singular[0, 0] = 1
     wider = np.zeros((n + 1) ** 2, dtype=np.uint8)
     wider[-n * n:] = x.ravel()  # read in base q, the same number as x's entries
-    outside = [singular, wider.reshape(n + 1, n + 1)]
+    carried = x.ravel().copy()  # one less in a digit, q more in the next one:
+    a = np.flatnonzero(carried[:-1])[0]  # in base q, the same number as x
+    carried[a] -= 1
+    carried[a + 1] += q
+    outside = [singular, wider.reshape(n + 1, n + 1), carried.reshape(n, n),
+               np.full((n, n), q, dtype=np.uint8)]
     if det == 1:
         s = next(s for s in range(2, q) if F.mul_el(s, s) != 1)  # det(s x) = s^2
         assert s not in zvals
