@@ -21,8 +21,7 @@ from .gf import is_prime
 
 
 class _UsageExit(Exception):
-    def __init__(self, message):
-        super().__init__(message)
+    """A usage error: its message is printed, and the exit code is 64."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -253,10 +252,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _DISPATCH[args.command](args)
-    except _UsageExit as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 64
-    except GroupSpecError as exc:
+    except (_UsageExit, GroupSpecError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64
     except AmbiguousCase as exc:

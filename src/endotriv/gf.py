@@ -202,8 +202,8 @@ class FieldSpec:
     `add`, `neg` and `inv_table` tables follow from that pair and from the
     base-p digits of the encodings.  The tables are immutable after
     construction; all element operations are pure functions of integer
-    encodings, so instances are safe to share across workers.  `singer_blocks` keeps `liea.singer_block(q, e)` by e, so
-    it is dropped with the field by `field_spec.cache_clear()`.
+    encodings.  `singer_blocks` keeps `liea.singer_block(q, e)` by e, so it
+    is dropped with the field by `field_spec.cache_clear()`.
     """
 
     def __init__(self, q: int):

@@ -1,22 +1,21 @@
 """Enumerated matrix groups over GF(q) and the classical subgroup toolbox.
 
 A MatrixGroup holds the full element table of a finite group of invertible
-n x n matrices over GF(q) (q <= 256), found by binary search in its sorted
-element keys.  Central quotients (PGL, PSL, G/Z) are stored the same way:
-every element is the scalar multiple of least key over the quotient kernel.
-A quotient is closed over the cosets of its kernel, each product taken to
-its least multiple as it is found, so G itself is never enumerated.
-The closure acts on rows (R. A. Parker's row vectors from the Meat-axe):
-each row is a vector index in [0, q^n), a key reads the rows in base q^n,
-and x * g is the rows of x each multiplied by g.  So the closure takes the
-orbit of the basis rows under the generators and the kernel once, and reads
-every product from its action by gathers (the base-image view, Holt, Eick
-and O'Brien, 4.4); the least multiple is read off row 0's first nonzero entry.
-An element is then the positions of its rows in that orbit, and each
-breadth-first level numbers its products by a key on those positions:
-through a direct-address table over every key while there are at most
-DIRECT_LIMIT keys, by sorted keys beyond.  The sorted element keys are
-built once, when the closure is complete.
+n x n matrices over GF(q) (q <= 256).  Central quotients (PGL, PSL, G/Z)
+are stored the same way: every element is its lexicographically least
+multiple over the quotient kernel.  A quotient is closed over the cosets
+of its kernel, each product taken to its least multiple as it is found,
+so G itself is never enumerated.  The closure acts on rows (R. A.
+Parker's row vectors from the Meat-axe): each row is a vector index in
+[0, q^n), and x * g is the rows of x each multiplied by g.  So the closure
+takes the orbit of the basis rows under the generators and the kernel
+once, and reads every product from its action by gathers (the base-image
+view, Holt, Eick and O'Brien, 4.4); the least multiple is read off row
+0's first nonzero entry.  An element's one key reads the orbit positions
+of its rows in base R, for R orbit rows.  Each breadth-first level numbers
+its products by it, through a direct-address table while there are at
+most DIRECT_LIMIT keys, by sorted keys beyond; a given matrix is found by
+its rows' positions and binary search in the kept sorted keys.
 
 Alongside the elements a group keeps the Schreier data of its closure as
 int32 index tables (Holt, Eick and O'Brien, Handbook of Computational Group
@@ -33,6 +32,7 @@ look up a given matrix.  Everything here is read-only after construction.
 from __future__ import annotations
 
 import os
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -77,10 +77,23 @@ def identity_matrix(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.uint8)
 
 
-def matrix(entries) -> np.ndarray:
-    m = np.asarray(entries, dtype=np.uint8)
+def _field_entries(entries, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(entries as uint8, mask of those that are integers in [0, q)), the
+    others read as 0, where a bare uint8 cast reads 258 as 2 and 1.9 as 1."""
+    a = np.asarray(entries)
+    ok = a < q if a.dtype == np.uint8 else (a >= 0) & (a < q)
+    if a.dtype.kind not in "biu":  # a float or object entry must be whole
+        ok &= a % 1 == 0
+    return np.where(ok, a, 0).astype(np.uint8, copy=False), ok
+
+
+def matrix(entries, q: int = Q_ENUM_LIMIT) -> np.ndarray:
+    """A square uint8 matrix over GF(q): DomainError unless each entry is an integer in [0, q)."""
+    m, ok = _field_entries(entries, q)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError("matrix entries must form a square array")
+    if not ok.all():
+        raise DomainError(f"matrix entries must be integers in [0, {q})")
     return m
 
 
@@ -102,24 +115,13 @@ def block_embed(n: int, blocks: list[tuple[int, np.ndarray]]) -> np.ndarray:
     return m
 
 
-# Row indices and keys below this bound are int64; wider ones (every key of a
-# 6 x 6 matrix over GF(4), say) are Python ints, which numpy handles alike.
+# Row indices and element keys below this bound are int64; wider ones are
+# Python ints, which numpy handles alike.
 INT_KEY_LIMIT = 1 << 63
 
 
 def _int_dtype(bound: int):
     return np.int64 if bound <= INT_KEY_LIMIT else object
-
-
-def _keys(mats: np.ndarray, q: int) -> np.ndarray:
-    """Keys of (..., n, n) matrices: the entries (equally, the rows as vector
-    indices in [0, q^n)) read most significant first; summed in place."""
-    n = mats.shape[-1]
-    keys = np.zeros(mats.shape[:-2], dtype=_int_dtype(q ** (n * n)))
-    for i, j in np.ndindex(n, n):
-        keys *= q
-        keys += mats[..., i, j]
-    return keys
 
 
 def _sorted_unique(vals: np.ndarray) -> np.ndarray:
@@ -171,6 +173,12 @@ def _kernel(scalars) -> np.ndarray:
     if scal[0] != 1:
         raise DomainError("quotient kernel must contain 1")
     return scal
+
+
+def _least_scalar(field: FieldSpec, zs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """s per row of digits for which zs[s] row is least: the least zs[s] a, a its first nonzero."""
+    lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+    return field.mul[zs[:, None], lead].argmin(axis=0)
 
 
 def _row_orbit(field: FieldSpec, gens: list[np.ndarray], zs: np.ndarray, wq: np.ndarray,
@@ -231,9 +239,10 @@ class _DirectNumbering:
         ids[unseen] = self.table.take(fresh)
         return ids, src
 
-    def key_order(self) -> np.ndarray:
-        """The element indices in increasing key order."""
-        return self.table[self.table >= 0]
+    def sorted_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """(keys, element indices) in key order: the table's filled slots."""
+        keys = (self.table >= 0).nonzero()[0]
+        return keys, self.table[keys]
 
 
 class _SortedNumbering:
@@ -256,22 +265,13 @@ class _SortedNumbering:
                                                     (ukeys[new], ids[new]))
         return ids.take(at), np.sort(first[new])
 
-    def key_order(self) -> np.ndarray:
-        return self.key_idx
+    def sorted_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.keys, self.key_idx
 
 
-def _element_table(vdig: np.ndarray, vec: np.ndarray, pos: np.ndarray, key_idx: np.ndarray,
-                   q: int) -> tuple[np.ndarray, np.ndarray]:
-    """(elements, keys) of a closure whose element x has its rows at the
-    orbit positions pos[:, x], the orbit's rows being vdig as digits and
-    vec as indices: the matrices by index, and their keys in the order
-    key_idx."""
-    n = len(pos)
-    keys = np.zeros(len(key_idx), dtype=_int_dtype(q ** (n * n)))
-    for row in pos:  # row 0 first
-        keys *= q ** n
-        keys += vec.take(row.take(key_idx))
-    return vdig[pos.T], keys
+# What `locate` reads of a closure: the sorted row indices vec of its row
+# orbit, its elements' sorted keys and their indices key_idx.
+_Lookup = namedtuple("_Lookup", "vec keys key_idx")
 
 
 def _walk_up(G: "MatrixGroup", x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -293,18 +293,15 @@ class MatrixGroup:
     `acts[k, x]` is the index of x * gens[k]; element x > 0 was first
     reached as parent[x] * gens[via[x]]; BFS level i holds the indices
     levels[i] <= x < levels[i + 1], and level 0 is the identity alone.
-    `keys` are the element keys in increasing order, `key_idx` their elements.
     """
 
-    def __init__(self, field: FieldSpec, n: int, elements: np.ndarray,
-                 keys: np.ndarray, key_idx: np.ndarray, acts: np.ndarray,
-                 parent: np.ndarray, via: np.ndarray, levels: np.ndarray,
+    def __init__(self, field: FieldSpec, n: int, elements: np.ndarray, lookup: _Lookup,
+                 acts: np.ndarray, parent: np.ndarray, via: np.ndarray, levels: np.ndarray,
                  scalars: np.ndarray | None = None, name: str = "G"):
         self.field = field
         self.n = n
         self.elements = elements
-        self._keys = keys
-        self._key_idx = key_idx
+        self._lookup = lookup
         self.acts = acts
         self.parent = parent
         self.via = via
@@ -336,23 +333,21 @@ class MatrixGroup:
         for a the first nonzero entry of row 0.
 
         The orbit's R rows are sorted, so sum p_i R^(n-1-i) is a key with the
-        order of the matrix keys, and distinct elements have distinct ones.
-        Each level numbers its products by these keys: through a
-        direct-address int32 table (`_DirectNumbering`) when R^n is at most
-        DIRECT_LIMIT, where |G| <= R^n keeps every index exact in int32, and
-        by sorted keys (`_SortedNumbering`) above it; the bound keeps the
-        table at 1 MB, past which a larger one bought no time on the
-        benchmark's closures.  The sorted matrix keys that `locate` reads
-        are built once, at the end."""
+        lexicographic order of the matrices, and distinct elements have
+        distinct ones.  Each level numbers its products by these keys:
+        through a direct-address int32 table (`_DirectNumbering`) when R^n
+        is at most DIRECT_LIMIT, where |G| <= R^n keeps every index exact in
+        int32, and by sorted keys (`_SortedNumbering`) above it; the bound
+        keeps the table at 1 MB, past which a larger one bought no time on
+        the benchmark's closures.  The group keeps the sorted keys that the
+        numbering holds at the end, for `locate`."""
         cap = enumeration_cap(cap)
-        gens = [matrix(g) for g in gens]
+        gens = [matrix(g, field.q) for g in gens]
         if not gens:
             raise DomainError("need at least one generator")
         n = gens[0].shape[0]
         if any(g.shape[0] != n for g in gens):
             raise DomainError("generators of mixed dimension")
-        if any(g.max() >= field.q for g in gens):
-            raise DomainError(f"generator entries must lie in [0, {field.q})")
         if np.any(backend.det_many(np.stack(gens), field) == 0):
             raise DomainError("singular generator")
 
@@ -364,8 +359,7 @@ class MatrixGroup:
         wq = np.array([q ** j for j in range(n - 1, -1, -1)], dtype=_int_dtype(q ** n))
         vec, act, zpos = _row_orbit(field, gens, zs, wq, n * cap * len(zs), refusal)
         vdig = (vec[:, None] // wq % q).astype(np.uint8)  # the orbit's rows as digits
-        lead = vdig[np.arange(len(vec)), (vdig != 0).argmax(axis=1)]
-        best = field.mul[zs[:, None], lead].argmin(axis=0)  # s of the least zs[s] vec[v]
+        best = _least_scalar(field, zs, vdig)  # s of the least zs[s] vec[v]
         # zact[(s ng + k) |vec| + v]: the position of zs[s] vec[v] gens[k]; the least
         # multiple of x * gens[k], row 0 of x at v, has its rows at off[k, v] + x's
         zact, off = zpos[:, act].ravel(), (best[act] * ng + np.arange(ng)[:, None]) * len(vec)
@@ -397,9 +391,9 @@ class MatrixGroup:
             front = zact[at0[k, x] + front[:, x]]
             blocks.append(front)
             levels.append(count + len(src))
-        key_idx = numbering.key_order()
-        return cls(field, n, *_element_table(vdig, vec, np.hstack(blocks), key_idx, q),
-                   key_idx, *map(np.hstack, (acts, parent, via)), np.array(levels),
+        lookup = _Lookup(vec, *numbering.sorted_keys())
+        return cls(field, n, vdig[np.hstack(blocks).T], lookup,
+                   *map(np.hstack, (acts, parent, via)), np.array(levels),
                    scalars=scal, name=name)
 
     # -- lookup ----------------------------------------------------------------
@@ -413,22 +407,31 @@ class MatrixGroup:
         return 0
 
     def locate(self, batch) -> tuple[np.ndarray, np.ndarray]:
-        """(index, found) per matrix of `batch`, by the key of its canonical
-        form: the least key over its multiples by the quotient's scalars.
-        A matrix with an entry >= q is not found: its key could equal
-        another matrix's, the excess carried into the next digit."""
-        batch = np.asarray(batch, dtype=np.uint8)
+        """(index, found) per matrix of `batch`, by the key of its least
+        multiple over the quotient's scalars, taken as `generate` takes a
+        product's, from its rows' positions in the row orbit.  A matrix with
+        an entry that is not an integer in [0, q), or with a row outside the
+        orbit, is not found."""
+        batch, found = _field_entries(batch, self.field.q)
         if batch.ndim != 3:
             raise DomainError("locate takes a batch of matrices, shape (m, n, n)")
         if batch.shape[1:] != (self.n, self.n):  # a matrix of another size
             return np.zeros(len(batch), dtype=np.int64), np.zeros(len(batch), dtype=bool)
-        valid = (batch < self.field.q).all(axis=(1, 2))
-        batch = batch * valid[:, None, None]  # the zero matrix in place of an invalid one
-        zs = self.scalars
-        mults = batch[None] if zs is None else self.field.mul[zs[:, None, None, None], batch]
-        keys = _keys(mults, self.field.q).min(axis=0)
-        pos = np.minimum(np.searchsorted(self._keys, keys), self.order - 1)
-        return self._key_idx[pos].astype(np.int64), (self._keys[pos] == keys) & valid
+        found = found.all(axis=(1, 2))
+        zs, (vec, keys, key_idx) = self.scalars, self._lookup
+        if zs is not None:
+            z = zs[_least_scalar(self.field, zs, batch[:, 0])]
+            batch = self.field.mul[z[:, None, None], batch]
+        key = np.zeros(len(batch), dtype=keys.dtype)
+        for row in batch.transpose(1, 2, 0):  # one row at a time, row 0 first: O(m) temporaries
+            rows = row[0].astype(vec.dtype)  # the rows' indices, read in base q
+            for digit in row[1:]:
+                rows = rows * self.field.q + digit
+            at = np.minimum(np.searchsorted(vec, rows), len(vec) - 1)
+            found &= vec[at] == rows
+            key = key * len(vec) + at
+        at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        return key_idx[at].astype(np.int64), found & (keys[at] == key)
 
     def lookup_batch(self, batch) -> np.ndarray:
         """Indices of the matrices in `batch` (KeyError if any is missing)."""
@@ -737,13 +740,18 @@ def intersection(H1: Subgroup, H2: Subgroup) -> Subgroup:
 
 def common_order(A: MatrixGroup, B: MatrixGroup) -> int:
     """Order of the intersection of two groups over one field, via element keys."""
-    if A.field is not B.field and A.field != B.field:
+    if A.field != B.field:
         raise DomainError("intersection across different fields")
     za = None if A.scalars is None else tuple(int(s) for s in A.scalars)
     zb = None if B.scalars is None else tuple(int(s) for s in B.scalars)
     if za != zb:
         raise DomainError("intersection across different central quotients")
     return int(B.locate(A.elements)[1].sum())
+
+
+def image(G: MatrixGroup, K: MatrixGroup) -> Subgroup:
+    """The subgroup of G that K's elements locate to (KeyError if G lacks one of them)."""
+    return Subgroup(G, _sorted_unique(G.lookup_batch(K.elements)))
 
 
 def join(H1: Subgroup, H2: Subgroup) -> Subgroup:

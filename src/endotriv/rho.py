@@ -417,10 +417,10 @@ def _check_sylow_image(cert, clauses) -> bool:
     if not allowed[Sg.dets()].all():
         return _fail(clauses, "S violates the determinant condition")
     try:
-        image = mg._sorted_unique(cert.H.lookup_batch(Sg.elements))
+        image = mg.image(cert.H, Sg)
     except KeyError:
         return _fail(clauses, "S is not contained in H")
-    if not np.array_equal(image, cert.sylow_in_H.idx):
+    if image != cert.sylow_in_H:
         return _fail(clauses, "declared Sylow image mismatches S")
     return True
 
@@ -448,7 +448,7 @@ def _check_diagonal_characters(cert, clauses) -> bool:
             if all(m[i, i] == m[j, j] for m in qmats):
                 return _fail(clauses, f"coordinate characters {i},{j} of Q coincide")
     try:
-        Qs = mg.Subgroup(Sg, mg._sorted_unique(Sg.lookup_batch(Qg.elements)))
+        Qs = mg.image(Sg, Qg)
     except KeyError:
         return _fail(clauses, "Q is not contained in S")
     # Q characteristic in S: unique abelian subgroup of its type and order
@@ -621,7 +621,7 @@ def build_central_scalar_certificate(n: int, q: int, p: int,
     F = field_spec(q)
     zeta = F.element_of_order(p)
     zmat = F.mul[zeta, mg.identity_matrix(n)]
-    S = liea.sylow_in(G, params, cap=cap)
+    S = mg.image(G, liea.build_sylow(params, cap=cap)[1])
     witnesses = [GeneratorWitness(f"g{i}", G.elements[g], "B1")
                  for i, g in enumerate(G.gen_idx)]
     return MethodCertificate(
@@ -663,7 +663,7 @@ def build_torus_quotient_certificate(n: int, q: int, p: int,
         qgens.append(m)
     Qg = mg.MatrixGroup.generate(F, qgens, cap=cap, name="torus p-part")
 
-    Sbar = mg.Subgroup(Hbar, mg._sorted_unique(Hbar.lookup_batch(Sg.elements)))
+    Sbar = mg.image(Hbar, Sg)
 
     X, Y = liea._torus_corner(n, q, p)
     blocks = [2, 1] if n == 3 else [2, 1, n - 3]
@@ -711,7 +711,7 @@ def build_block_count_certificate(n: int, q: int, p: int,
     N = liea.levi(blocks, q, 1, cap=cap, name="two-block group")
     F = field_spec(q)
     _, Sg = liea.build_sylow(params, cap=cap)
-    Sn = mg.Subgroup(N, mg._sorted_unique(N.lookup_batch(Sg.elements)))
+    Sn = mg.image(N, Sg)
 
     w = F.primitive
     sigma = mg.identity_matrix(n)

@@ -66,16 +66,20 @@ def test_closure_rejects_singular_generator():
 
 
 def test_closure_rejects_entries_outside_the_field():
-    """An entry >= q names no element of GF(q): [[1, 3], [0, 1]] read in
-    base 3 is diag(2, 1), so it is refused before any work, and a lookup
-    does not find it as diag(2, 1)."""
+    """An entry that is not an integer in [0, q) names no element of GF(q):
+    [[1, 3], [0, 1]] read in base 3 is diag(2, 1), and a uint8 cast reads
+    258 as 2 and 1.9 as 1, so each is refused before any work, and a lookup
+    does not find it as another element."""
     F3 = field_spec(3)
-    with pytest.raises(DomainError, match=r"^generator entries must lie in \[0, 3\)$"):
-        mg.MatrixGroup.generate(F3, [[[1, 3], [0, 1]]])
     G = liea.enumerate_group(2, 3, 2)
-    assert not G.locate(np.array([[[1, 3], [0, 1]]]))[1][0]
-    with pytest.raises(KeyError):
-        G.index_of([[1, 3], [0, 1]])
+    for bad in ([[1, 3], [0, 1]], np.array([[1, 258], [0, 1]]), [[1, 256], [0, 1]],
+                [[1.9, 2.2], [0, 1]], [[1, -1], [0, 1]], [[1, 2 ** 70], [0, 1]]):
+        with pytest.raises(DomainError, match=r"^matrix entries must be integers in \[0, 3\)$"):
+            mg.MatrixGroup.generate(F3, [bad])
+        assert not G.locate([bad])[1][0]
+        with pytest.raises(KeyError):
+            G.index_of(bad)
+    assert G.locate([[[1, 2.0], [0, 1]]])[1][0]  # a whole float names its integer
 
 
 def test_closure_cap():
@@ -115,13 +119,13 @@ def test_normalizer_examples():
     assert q8.order == 8
     assert mg.normalizer(G, q8).order == 24  # normal
     G5 = liea.enumerate_group(2, 5)
-    S = liea.sylow_in(G5, liea.compute_params(2, 5, 2))
+    S = mg.image(G5, liea.build_sylow(liea.compute_params(2, 5, 2))[1])
     assert mg.normalizer(G5, S).order == 24  # index 5
 
 
 def test_normalizer_iterated_fixpoint():
     G5 = liea.enumerate_group(2, 5)
-    S = liea.sylow_in(G5, liea.compute_params(2, 5, 2))
+    S = mg.image(G5, liea.build_sylow(liea.compute_params(2, 5, 2))[1])
     N = mg.normalizer(G5, S)
     assert N.members >= S.members
     N2 = mg.intersection(mg.normalizer(G5, S), N)
@@ -146,7 +150,7 @@ def test_quotient_structure_examples():
     assert mg.quotient_structure(full, q8) == cyclic(3)
     # non-normal K rejected
     G5 = liea.enumerate_group(2, 5)
-    S = liea.sylow_in(G5, liea.compute_params(2, 5, 2))
+    S = mg.image(G5, liea.build_sylow(liea.compute_params(2, 5, 2))[1])
     with pytest.raises(DomainError):
         mg.quotient_structure(G5.as_subgroup(), S)
     with pytest.raises(DomainError):
@@ -656,7 +660,7 @@ def test_index_layer_needs_no_kernel_or_key_after_construction(monkeypatch, n, q
         monkeypatch.setattr(backend, name, refuse)
     for name in ("locate", "lookup_batch", "index_of"):
         monkeypatch.setattr(mg.MatrixGroup, name, refuse)
-    monkeypatch.setattr(G, "_keys", None)
+    monkeypatch.setattr(G, "_lookup", None)
     S = mg.sylow_subgroup_of(G, 2)
     N = mg.normalizer(G, S)
     assert mg.centralizer(G, S).members <= N.members
@@ -863,7 +867,8 @@ def _dihedral(q):
 
 
 def _wreath_6_4():
-    """C3 wr C3 inside GL(6,4): keys of 6 x 6 matrices over GF(4) pass int64."""
+    """C3 wr C3 inside GL(6,4): 6 x 6 entries over GF(4) read as one base-4
+    number pass int64."""
     F = field_spec(4)
     d = mg.identity_matrix(6)
     d[0, 0] = F.primitive
@@ -871,8 +876,9 @@ def _wreath_6_4():
 
 
 def _s4_16():
-    """S4 as permutation matrices over GF(16): keys of 16^16 = 2^64 values
-    pass int64, while the row orbit has 4 rows and the table 4^4 entries."""
+    """S4 as permutation matrices over GF(16): 16 entries read as one
+    base-16 number (2^64 values) pass int64, while the row orbit has 4 rows
+    and the table 4^4 entries."""
     return field_spec(16), [mg.permutation_matrix([1, 0, 2, 3]),
                             mg.permutation_matrix([1, 2, 3, 0])]
 
@@ -915,21 +921,23 @@ def test_closure_matches_reference_bfs(name, monkeypatch):
     for _ in _both_numberings(monkeypatch):
         G = mg.MatrixGroup.generate(F, gens)
         _assert_matches_reference(G, ref)
+        # entries read in base q would pass int64; the position keys do not
         wide = F.q ** (G.n * G.n) > mg.INT_KEY_LIMIT
-        assert (G._keys.dtype == object) == wide
+        assert G._lookup.keys.dtype == np.int64
         assert name in ("C3 wr C3 in GL(6,4)", "D510 in GL(3,256)", "S4 in GL(4,16)") or not wide
 
 
 def test_object_keys_through_the_direct_table(monkeypatch):
-    """S4 over GF(16) takes the table at the module's own bound, with
-    Python-int keys that find every element."""
+    """S4 over GF(16) takes the table at the module's own bound: its entries
+    read in base 16 would need Python ints, its position keys are int64,
+    and they find every element."""
     F, gens = _s4_16()
     taken = []
     init = mg._DirectNumbering.__init__
     monkeypatch.setattr(mg._DirectNumbering, "__init__",
                         lambda self, key0, bound: (taken.append(bound), init(self, key0, bound))[1])
     G = mg.MatrixGroup.generate(F, gens)
-    assert taken == [4 ** 4] and G.order == 24 and G._keys.dtype == object
+    assert taken == [4 ** 4] and G.order == 24 and G._lookup.keys.dtype == np.int64
     assert G.lookup_batch(G.elements).tolist() == list(range(24))
 
 
@@ -1007,7 +1015,8 @@ def test_closure_tabulates_nothing_over_the_row_space():
 @pytest.mark.parametrize("n, q, det, z", [(2, 7, 1, 1), *QUOTIENTS])
 def test_lookup_refuses_non_members(n, q, det, z):
     """KeyError and False on matrices outside G (singular, of another size,
-    with an entry >= q, and for SL(2,q)/Z of a determinant other than 1,
+    with an entry that is not an integer in [0, q), given as an array or as
+    nested lists, and for SL(2,q)/Z of a determinant other than 1,
     among them a multiple of an element by a scalar outside the quotient
     kernel); a multiple by a kernel scalar is the same element."""
     G = liea.enumerate_quotient(n, q, det, z)
@@ -1022,16 +1031,18 @@ def test_lookup_refuses_non_members(n, q, det, z):
     a = np.flatnonzero(carried[:-1])[0]  # in base q, the same number as x
     carried[a] -= 1
     carried[a + 1] += q
+    aliased = x.astype(np.int64)
+    aliased[0, 0] += 256  # read as x by a uint8 cast, as is x + 0.5
     outside = [singular, wider.reshape(n + 1, n + 1), carried.reshape(n, n),
-               np.full((n, n), q, dtype=np.uint8)]
+               np.full((n, n), q, dtype=np.uint8), aliased, x + 0.5]
     if det == 1:
         s = next(s for s in range(2, q) if F.mul_el(s, s) != 1)  # det(s x) = s^2
         assert s not in zvals
         outside += [F.mul[s, x], mg.block_embed(n, [(0, np.array([[s]], dtype=np.uint8))])]
-    for mat in outside:
+    for mat in outside + [m.tolist() for m in outside]:
         with pytest.raises(KeyError):
             G.index_of(mat)
-        assert not G.locate(mat[None])[1][0]
+        assert not G.locate([mat])[1][0]
     with pytest.raises(KeyError):
         G.lookup_batch(np.stack([x, singular]))
     for zs in zvals:
@@ -1041,19 +1052,25 @@ def test_lookup_refuses_non_members(n, q, det, z):
         G.locate(x)
 
 
-@pytest.mark.parametrize("q, n", [(2, 8), (4, 6), (7, 3), (256, 3)])
-def test_keys_order_matrices_lexicographically(q, n):
-    """A key is the flattened entries read in base q, most significant
-    first (so key order is their lexicographic order), on both sides of
-    INT_KEY_LIMIT; the keys of 8 x 8 over GF(2) need 64 bits."""
-    rng = np.random.default_rng(q + n)
-    mats = rng.integers(0, q, size=(200, n, n), dtype=np.uint8)
-    mats[:3] = [np.full((n, n), q - 1), np.zeros((n, n)), mats[5]]
-    keys = mg._keys(mats, q)
-    assert (keys.dtype == object) == (q ** (n * n) > mg.INT_KEY_LIMIT)
-    flat = [m.ravel().tolist() for m in mats]
-    assert [int(k) for k in keys] == [sum(d * q ** (n * n - 1 - i) for i, d in enumerate(f))
-                                      for f in flat]
+@pytest.mark.parametrize("name", list(REFERENCE_GROUPS))
+def test_position_keys_order_matrices_lexicographically(name, monkeypatch):
+    """locate binary-searches the position keys of a matrix's rows: sorted
+    by key, the elements are their matrices in lexicographic order, on
+    either numbering and on both sides of INT_KEY_LIMIT (a limit of 1 makes
+    every row index, and every key on the sorted path, a Python int)."""
+    F, gens = REFERENCE_GROUPS[name]()
+    for limit in (mg.INT_KEY_LIMIT, 1):
+        monkeypatch.setattr(mg, "INT_KEY_LIMIT", limit)
+        for numbering in _both_numberings(monkeypatch):
+            G = mg.MatrixGroup.generate(F, gens)
+            keys, key_idx = G._lookup.keys, G._lookup.key_idx
+            rows = G.elements.reshape(G.order, -1)
+            assert key_idx.tolist() == np.lexsort(rows.T[::-1]).tolist()
+            assert all(a < b for a, b in zip(keys.tolist(), keys.tolist()[1:]))
+            sorted_path = len(G._lookup.vec) ** G.n > FORCED_LIMITS[numbering]
+            assert (keys.dtype == object) == (limit == 1 and sorted_path)
+            assert (G._lookup.vec.dtype == object) == (limit == 1)
+            assert G.lookup_batch(G.elements).tolist() == list(range(G.order))
 
 
 def test_int_key_limit_both_sides(monkeypatch):
@@ -1063,10 +1080,38 @@ def test_int_key_limit_both_sides(monkeypatch):
         monkeypatch.setattr(mg, "INT_KEY_LIMIT", limit)
         G = liea.enumerate_group(2, 5, 4)
         Q = liea.enumerate_quotient(2, 5, 4, 4)
-        assert (G._keys.dtype == object) == (limit == 1)
-        built[limit] = [(H.elements, H.acts, H.parent, H.via, H.levels, H.inv, H._keys)
+        assert (G._lookup.vec.dtype == object) == (limit == 1)
+        built[limit] = [(H.elements, H.acts, H.parent, H.via, H.levels, H.inv, H._lookup.keys)
                         for H in (G, Q)]
         assert Q.index_of(Q.elements[7]) == 7
     for a, b in zip(*built.values()):
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("name", ["2-13-1-2", "L(2,1)-7-1-3", "monomial-3-7-1-3"])
+def test_quotient_lookup_takes_the_least_multiple(name, monkeypatch):
+    """On either numbering, every multiple of an element by a kernel scalar
+    is found at that element; its multiple by a scalar s outside the kernel
+    (det s^n != 1 in these groups of determinant one), a matrix of orbit
+    rows that is not a member (two rows of an element swapped, determinant
+    -1) and a matrix with a row outside the orbit are not found."""
+    q, z, gens, _ = QUOTIENT_BUILDERS[name]
+    F = field_spec(q)
+    zvals = sorted(F.subgroup_values(z))
+    for _ in _both_numberings(monkeypatch):
+        G = mg.MatrixGroup.generate(F, gens(), scalars=zvals)
+        n, everything = G.n, np.arange(G.order)
+        for zs in zvals:
+            assert np.array_equal(G.lookup_batch(F.mul[zs, G.elements]), everything)
+        s = next(s for s in range(2, q) if F.pow_el(s, n) != 1)
+        assert not G.locate(F.mul[s, G.elements])[1].any()
+        swapped = G.elements[:, [1, 0, *range(2, n)]]
+        wq, vec = q ** np.arange(n - 1, -1, -1), G._lookup.vec
+        assert np.isin(swapped @ wq, vec).all()
+        assert not G.locate(swapped)[1].any()
+        missing = np.setdiff1d(np.arange(q ** n), vec)[-1]  # the least is the zero row
+        for i in (0, n - 1):
+            stray = G.elements.copy()
+            stray[:, i] = missing // wq % q
+            assert not G.locate(stray)[1].any()

@@ -45,7 +45,7 @@ def test_trivial_base_rejected():
 
 def test_chain_independent_of_subgroup_order(monkeypatch):
     G = liea.enumerate_group(2, 5)
-    S = liea.sylow_in(G, liea.compute_params(2, 5, 2))
+    S = mg.image(G, liea.build_sylow(liea.compute_params(2, 5, 2))[1])
     base = rho.rho_chain(G, S, S, max_i=3)
     lattice = rho.nontrivial_subgroups
     rng = random.Random(5)
@@ -63,7 +63,7 @@ def test_chain_independent_of_subgroup_order(monkeypatch):
 
 def test_lattice_cap(monkeypatch):
     G = liea.enumerate_group(2, 17, 16)  # Sylow 2-subgroup of order 512
-    S = liea.sylow_in(G, liea.compute_params(2, 17, 2, 16))
+    S = mg.image(G, liea.build_sylow(liea.compute_params(2, 17, 2, 16))[1])
     monkeypatch.setattr(mg, "all_subgroups", None)  # refused before any enumeration
     monkeypatch.setattr(rho, "_naive_closure", None)
     with pytest.raises(CapExceeded):
@@ -347,7 +347,7 @@ def test_cyclic_extension_runs_without_closures(monkeypatch):
 
 def test_first_level_equals_normalizer_commutator():
     G = liea.enumerate_group(2, 5)
-    S = liea.sylow_in(G, liea.compute_params(2, 5, 2))
+    S = mg.image(G, liea.build_sylow(liea.compute_params(2, 5, 2))[1])
     ch = rho.rho_chain(G, S, S, max_i=1)
     N = mg.normalizer(G, S)
     assert ch.chain[0].members == mg.commutator_subgroup(N).members

@@ -156,3 +156,19 @@ def test_optional_parameters_are_set_by_some_caller():
                            or (index is not None and len(c.args) > index) for c in sites):
                     unset.append(f"{f.stem}.{(cls + '.') if cls else ''}{fn.name}({param}=)")
     assert sorted(unset) == sorted(SET_FROM_OUTSIDE)
+
+
+# the element key's format (its integer width, the numberings, the state that
+# `locate` reads) is known to matgrp alone; other modules look matrices up
+# through locate, lookup_batch, index_of and image
+KEY_FORMAT_NAMES = {"INT_KEY_LIMIT", "DIRECT_LIMIT", "_DirectNumbering", "_SortedNumbering",
+                    "_Lookup", "_lookup"}
+
+
+def test_only_matgrp_names_the_key_format():
+    files = sorted(SRC.glob("*.py")) + sorted((SRC.parents[1] / "perfbench").glob("*.py"))
+    found = [f"{f.name}:{node.lineno}: {name}" for f in files if f != SRC / "matgrp.py"
+             for node in ast.walk(ast.parse(f.read_text(), str(f)))
+             for name in [getattr(node, "attr", None) or getattr(node, "id", None)]
+             if name in KEY_FORMAT_NAMES]
+    assert not found, found
