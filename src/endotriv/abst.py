@@ -72,10 +72,6 @@ def cyclic(n: int) -> AbelianStructure:
     return AbelianStructure(0, (n,)) if n > 1 else TRIVIAL
 
 
-def free(rank: int) -> AbelianStructure:
-    return AbelianStructure(free_rank=rank)
-
-
 def from_cyclic_orders(orders, free_rank: int = 0) -> AbelianStructure:
     """Canonicalize a direct sum of cyclic groups of the given orders."""
     primary: dict[int, list[int]] = {}

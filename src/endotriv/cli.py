@@ -13,6 +13,7 @@ import sys
 
 from . import liea, rho
 from . import matgrp as mg
+from .abst import ExtensionDescriptor
 from .classify import classify, tf_rank_oracle
 from .corpus import FILTER_KEYS, load_corpus, run_corpus
 from .errors import (AmbiguousCase, CapExceeded, DomainError, EndotrivError,
@@ -153,11 +154,8 @@ def _cmd_classify(args) -> int:
             payload["oracle"] = None
             payload["oracle_status"] = f"SKIP ({exc})"
     lines = [str(tc)] + [f"  note: {n}" for n in tc.notes]
-    if payload.get("kind") == "extension" and payload.get("resolved") is None:
-        cands = " or ".join(
-            "Z^%d + %s" % (c["rank"], "+".join(f"Z/{d}" for d in c["torsion"]))
-            if c["rank"] else " + ".join(f"Z/{d}" for d in c["torsion"]) or "0"
-            for c in payload.get("candidates", []))
+    if isinstance(tc.result, ExtensionDescriptor) and tc.result.resolved is None:
+        cands = " or ".join(str(c) for c in tc.result.candidates())
         if cands:
             lines.append(f"  candidate middle terms: {cands}")
     if "oracle_status" in payload:

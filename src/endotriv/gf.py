@@ -12,9 +12,10 @@ The modulus is the lexicographically least monic irreducible of degree k,
 "least" meaning smallest integer encoding of the non-leading coefficients.
 The primitive element is likewise the least encoding of multiplicative
 order q-1.  There is one polynomial arithmetic (`_poly_*`, over any
-FieldSpec): `_least_primitive` runs on it to bootstrap GF(p^k)'s exp table
-over GF(p), and `liea.singer_block` takes the Singer generator of GF(q^e)
-over GF(q) from the same search.  A prime field counts in integers.
+FieldSpec), and no other module calls it: `_least_primitive` runs on it to
+bootstrap GF(p^k)'s exp table over GF(p), and `FieldSpec.singer_block`
+takes the Singer generator of GF(q^e) over GF(q) from the same search.  A
+prime field counts in integers.
 """
 
 from __future__ import annotations
@@ -202,8 +203,8 @@ class FieldSpec:
     `add`, `neg` and `inv_table` tables follow from that pair and from the
     base-p digits of the encodings.  The tables are immutable after
     construction; all element operations are pure functions of integer
-    encodings.  `singer_blocks` keeps `liea.singer_block(q, e)` by e, so it
-    is dropped with the field by `field_spec.cache_clear()`.
+    encodings.  `singer_block(e)` is kept on the field by e, so it is
+    dropped with the field by `field_spec.cache_clear()`.
     """
 
     def __init__(self, q: int):
@@ -215,7 +216,7 @@ class FieldSpec:
         self.modulus = (0, 1) if self.degree == 1 else \
             _least_irreducible(field_spec(self.char), self.degree)
         self._build_tables()
-        self.singer_blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._singer_blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- table construction -------------------------------------------------
 
@@ -306,6 +307,25 @@ class FieldSpec:
             vals.add(acc)
             acc = self.mul_el(acc, g)
         return frozenset(vals)
+
+    def singer_block(self, e: int) -> tuple[np.ndarray, np.ndarray]:
+        """(w, g): the regular-embedding image of a generator of GF(q^e)^x
+        and the Frobenius element with g w g^-1 = w^q, both as read-only
+        e x e matrices over this field.  Columns j of w and g are gen * x^j
+        and (x^j)^q in GF(q)[x]/(mod), for the least irreducible mod of
+        degree e and its least generator."""
+        if e not in self._singer_blocks:
+            mod = _least_irreducible(self, e)
+            gen = _least_primitive(self, mod)
+            powers = [[0] * j + [1] for j in range(e)]
+            w = [_poly_rem(self, _poly_mul(self, gen, xj), mod) for xj in powers]
+            frob = [_poly_powmod(self, xj, self.q, mod) for xj in powers]
+            blocks = tuple(np.array([c + [0] * (e - len(c)) for c in cols],
+                                    dtype=np.uint8).T.copy() for cols in (w, frob))
+            for m in blocks:
+                m.flags.writeable = False
+            self._singer_blocks[e] = blocks
+        return self._singer_blocks[e]
 
     def __repr__(self):
         return f"GF({self.q})"

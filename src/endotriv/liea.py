@@ -24,9 +24,7 @@ import numpy as np
 from . import backend
 from . import matgrp as mg
 from .errors import DomainError, GroupSpecError
-from .gf import (FieldSpec, _least_irreducible, _least_primitive, _poly_mul, _poly_powmod,
-                 _poly_rem, field_spec, is_prime, p_part, p_val,
-                 prime_power_split)
+from .gf import FieldSpec, field_spec, is_prime, p_part, p_val, prime_power_split
 
 
 # ---------------------------------------------------------------------------
@@ -231,28 +229,9 @@ def _default_name(n, q, det_order):
 # matrices over GF(q), its Singer generator, and the Frobenius element
 
 def singer_block(q: int, e: int) -> tuple[np.ndarray, np.ndarray]:
-    """(w, g): the regular-embedding image of a generator of GF(q^e)^x and
-    the Frobenius element with g w g^-1 = w^q, both as read-only e x e
-    matrices, kept on GF(q)'s FieldSpec."""
-    F = field_spec(q)
-    if e not in F.singer_blocks:
-        blocks = _singer_block(F, e)
-        for m in blocks:
-            m.flags.writeable = False
-        F.singer_blocks[e] = blocks
-    return F.singer_blocks[e]
-
-
-def _singer_block(F: FieldSpec, e: int) -> tuple[np.ndarray, np.ndarray]:
-    """Columns j of w and of the Frobenius are gen * x^j and (x^j)^q in
-    GF(q)[x]/(mod), for the least irreducible mod and its least generator."""
-    mod = _least_irreducible(F, e)
-    gen = _least_primitive(F, mod)
-    powers = [[0] * j + [1] for j in range(e)]
-    w = [_poly_rem(F, _poly_mul(F, gen, xj), mod) for xj in powers]
-    frob = [_poly_powmod(F, xj, F.q, mod) for xj in powers]
-    return tuple(np.array([c + [0] * (e - len(c)) for c in cols], dtype=np.uint8).T.copy()
-                 for cols in (w, frob))
+    """(w, g): the Singer block of GF(q^e) over GF(q) and its Frobenius,
+    kept on GF(q)'s FieldSpec (`FieldSpec.singer_block`)."""
+    return field_spec(q).singer_block(e)
 
 
 # ---------------------------------------------------------------------------

@@ -320,15 +320,6 @@ class CertificateReport:
     failed_clause: str | None = None
     description: str = ""
 
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "description": self.description,
-            "failed_clause": self.failed_clause,
-            "clauses": [{"clause": c.clause, "ok": c.ok, "detail": c.detail}
-                        for c in self.clauses],
-        }
-
 
 def _check_triviality(K: mg.MatrixGroup, p: int, ev: TrivialityEvidence,
                       clauses: list[ClauseResult], tag: str) -> bool:

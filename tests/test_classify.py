@@ -54,6 +54,7 @@ def test_nonperfect_base_corrected_x():
     tc = classify(2, 3, 2, 1, 1)
     assert tc.case_tag == "n2-char2.A.1.a"
     assert tc.result == from_cyclic_orders([4, 2, 3])
+    assert tc.x_factor == cyclic(3)  # the X the clause used, not the formula
     assert any("non-perfect" in n for n in tc.notes)
 
 
@@ -100,9 +101,9 @@ def test_x_group():
     assert x_group(liea.compute_params(4, 5, 2, 4, 1)).is_trivial
     assert x_group(liea.compute_params(2, 7, 2, 6, 1)) == cyclic(3)
     # Det(G) = Det(Z): trivial
-    assert x_group(liea.compute_params(3, 4, 3, 1, 3), strict=False).is_trivial
-    with pytest.raises(DomainError):
-        x_group(liea.compute_params(2, 3, 2, 1, 1))  # non-perfect base
+    assert x_group(liea.compute_params(3, 4, 3, 1, 3)).is_trivial
+    # the non-perfect base SL(2,3): the formula (trivial), not X(G/Z) = Z/3
+    assert x_group(liea.compute_params(2, 3, 2, 1, 1)).is_trivial
 
 
 def test_char3_split_arithmetic():
@@ -216,7 +217,7 @@ def test_x_factor_is_the_determinant_formula_out_of_domain(case):
     ab = mg.quotient_structure(G, mg.commutator_subgroup(G))
     assert abst.prime_to_p_part(ab, p) == from_cyclic_orders(x_orders)
     tc = classify(*case)
-    assert tc.x_factor == x_group(tc.params, strict=False)
+    assert tc.x_factor == x_group(tc.params)
     assert tc.x_factor.is_trivial
     assert str(tc.result) == answer
 

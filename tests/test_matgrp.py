@@ -309,7 +309,7 @@ def test_quotient_structure_matches_coset_orders():
     # the abelianizations N(S)/Z -> N/N' behind the cyclic-Sylow branch
     types = set()
     for n, q, p, d, z in CYCLIC_EXT_CASES:
-        N = cyclic_quotient_normalizer(liea.compute_params(n, q, p, d, z)).as_subgroup()
+        N = _singer_normalizer((n, q, p, d, z)).as_subgroup()
         comm = mg.commutator_subgroup(N)
         ab = mg.quotient_structure(N, comm)
         assert ab == _type_from_orders(_coset_orders(N.parent, N, comm)), (n, q, p, d, z)
@@ -468,7 +468,9 @@ def test_large_base_grows_by_whole_cosets(monkeypatch):
 
 def _singer_normalizer(key):
     """N_G(S)/Z of a cyclic-Sylow tuple (n, q, p, det, z)."""
-    return cyclic_quotient_normalizer(liea.compute_params(*key))
+    par = liea.compute_params(*key)
+    return cyclic_quotient_normalizer(par.n, par.q, par.e, par.f, par.det_order,
+                                      par.z_order, None)
 
 
 @pytest.mark.parametrize("key, order", [((4, 8, 5, 7, 7), 585), ((5, 5, 11, 2, 2), 781)])

@@ -172,3 +172,38 @@ def test_only_matgrp_names_the_key_format():
              for name in [getattr(node, "attr", None) or getattr(node, "id", None)]
              if name in KEY_FORMAT_NAMES]
     assert not found, found
+
+
+def test_from_imports_are_read_in_their_module():
+    # a leftover import would count its function as reached in
+    # test_public_names_are_reached_from_the_package; the package's
+    # __init__ re-exports names and reads none of them
+    found = []
+    for f in sorted(SRC.glob("*.py")):
+        if f.name == "__init__.py":
+            continue
+        tree = ast.parse(f.read_text(), str(f))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        found += [f"{f.name}:{node.lineno}: {a.asname or a.name}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                  for a in node.names if (a.asname or a.name) not in read]
+    assert not found, found
+
+
+# polynomial arithmetic over GF(q) has one implementation, gf's: the field
+# bootstrap and FieldSpec.singer_block run on it, and no other module calls
+# its routines or keeps a copy under their names
+def test_only_gf_names_the_polynomial_routines():
+    gf_tree = ast.parse((SRC / "gf.py").read_text())
+    routines = {d.name for d in gf_tree.body if isinstance(d, ast.FunctionDef)
+                and d.name.startswith(("_poly_", "_least_", "_is_irreducible"))}
+    assert {"_poly_mul", "_poly_rem", "_least_irreducible", "_least_primitive"} <= routines
+    files = sorted(SRC.glob("*.py")) + sorted((SRC.parents[1] / "perfbench").glob("*.py"))
+    found = [f"{f.name}:{node.lineno}: {name}" for f in files if f != SRC / "gf.py"
+             for node in ast.walk(ast.parse(f.read_text(), str(f)))
+             for name in [getattr(node, "attr", None) or getattr(node, "id", None)
+                          or getattr(node, "name", None)]
+             if name in routines]
+    assert not found, found
