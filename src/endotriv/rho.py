@@ -20,7 +20,9 @@ two share only the closure's Schreier tables.  The test suite diffs them.
 
 Certificates package the hypotheses of the one-dimensionality criterion
 (a subgroup H containing N_G(S), generator witnesses, and per-condition
-evidence) so a verdict of PASS means every clause was machine-checked.
+evidence).  The checker runs the clauses in order and reads the verdict off
+the first clause that does not hold: INCOMPLETE when it cannot be checked,
+FAIL naming it when it is violated, PASS when every clause holds.
 """
 
 from __future__ import annotations
@@ -308,57 +310,60 @@ class MethodCertificate:
 
 @dataclass
 class ClauseResult:
+    """One checked clause: `ok` is True when it holds, False when it is
+    violated and None when it cannot be checked (an unknown containment
+    kind, evidence missing or left unproved)."""
+
     clause: str
-    ok: bool
+    ok: bool | None
     detail: str
 
 
 @dataclass
 class CertificateReport:
+    """The clauses checked, in order, up to the first that does not hold;
+    the verdict is read off that clause alone: INCOMPLETE when it cannot be
+    checked, FAIL naming it (without its witness label) when it is
+    violated, PASS when there is none."""
+
     verdict: str  # PASS | FAIL | INCOMPLETE | SKIPPED
     clauses: list[ClauseResult]
     failed_clause: str | None = None
     description: str = ""
 
 
-def _check_triviality(K: mg.MatrixGroup, p: int, ev: TrivialityEvidence,
-                      clauses: list[ClauseResult], tag: str) -> bool:
+def _check_triviality(K: mg.MatrixGroup | None, p: int, ev: TrivialityEvidence | None,
+                      tag: str) -> ClauseResult:
+    """Condition (A) for K, or (2)(a) for an auxiliary group: not checkable
+    when the evidence is missing or left unproved."""
+    if ev is None or ev.kind == "unproved":
+        return ClauseResult(tag, None, ("" if tag == "(A)" else "auxiliary ")
+                            + "condition (A) left unproved")
+    if K is None:
+        return ClauseResult(tag, False, "no group to check the evidence on")
     if ev.kind == "normal-p-subgroup":
+        if ev.witness_gens is None or not len(ev.witness_gens):
+            return ClauseResult(tag, False, "normal-p-subgroup needs witness generators")
         try:
-            idxs = K.lookup_batch(ev.witness_gens)
+            W = mg.generated_subgroup(K, K.lookup_batch(ev.witness_gens))
         except KeyError:
-            clauses.append(ClauseResult(tag, False, "witness not inside the group"))
-            return False
-        W = mg.generated_subgroup(K, idxs)
-        ok = W.order > 1 and p_part(W.order, p) == W.order
-        if ok:
-            full = K.as_subgroup()
-            ok = mg.is_normal(full, W)
-        clauses.append(ClauseResult(
-            tag, ok, f"normal p-subgroup of order {W.order}" if ok
-            else "witness subgroup not a nontrivial normal p-subgroup"))
-        return ok
+            return ClauseResult(tag, False, "witness not inside the group")
+        ok = W.order > 1 and p_part(W.order, p) == W.order and mg.is_normal(K.as_subgroup(), W)
+        return ClauseResult(tag, ok, f"normal p-subgroup of order {W.order}" if ok
+                            else "witness subgroup not a nontrivial normal p-subgroup")
     if ev.kind == "block-split":
         sp = ev.split
         if sp is None or K.scalars is not None:
-            clauses.append(ClauseResult(tag, False, "block-split needs a plain block group"))
-            return False
-        n = K.n
-        ok = sum(sp.blocks) == n and liea.levi_order(list(sp.blocks), K.field.q,
-                                                     ev.det_order) == K.order
-        if ok:
-            ok = _blocks_respected(K, sp.blocks)
-        if ok:
-            ok = sp.valid() and set(sp.part_a) | set(sp.part_b) == set(range(len(sp.blocks))) \
-                and not (set(sp.part_a) & set(sp.part_b))
-        clauses.append(ClauseResult(
-            tag, ok,
-            f"block split {sp.part_a}|{sp.part_b}, factor orders "
-            f"{sp.order_a},{sp.order_b} both divisible by {sp.p}" if ok
-            else "block-split hypotheses fail"))
-        return ok
-    clauses.append(ClauseResult(tag, False, f"evidence kind {ev.kind!r} is not checkable"))
-    return False
+            return ClauseResult(tag, False, "block-split needs a plain block group")
+        ok = (sum(sp.blocks) == K.n
+              and liea.levi_order(list(sp.blocks), K.field.q, ev.det_order) == K.order
+              and _blocks_respected(K, sp.blocks) and sp.valid()
+              and set(sp.part_a) | set(sp.part_b) == set(range(len(sp.blocks)))
+              and not set(sp.part_a) & set(sp.part_b))
+        return ClauseResult(tag, ok, f"block split {sp.part_a}|{sp.part_b}, factor orders "
+                            f"{sp.order_a},{sp.order_b} both divisible by {sp.p}" if ok
+                            else "block-split hypotheses fail")
+    return ClauseResult(tag, False, f"evidence kind {ev.kind!r} is not checkable")
 
 
 def _blocks_respected(K: mg.MatrixGroup, blocks) -> bool:
@@ -371,100 +376,93 @@ def _blocks_respected(K: mg.MatrixGroup, blocks) -> bool:
     return all(not np.any(K.elements[g][~mask]) for g in K.gen_idx)
 
 
-def _check_containment(cert: MethodCertificate,
-                       clauses: list[ClauseResult]) -> bool | None:
-    """True/False result, or None for not-checkable (INCOMPLETE)."""
+def _check_containment(cert: MethodCertificate) -> ClauseResult:
+    """(S): H contains N(S), by the containment's kind; not checkable for
+    an unknown kind."""
     c = cert.containment
-    H = cert.H
     if c.kind == "whole-group":
-        ok = H.order == cert.ambient_order
-        clauses.append(ClauseResult("(S)", ok, "H is the whole group" if ok
-                                    else "H claimed to be the whole group but is not"))
-        return ok
-    if c.kind == "diagonal-characters":
-        return _check_diagonal_characters(cert, clauses)
-    if c.kind == "isotypic-blocks":
-        return _check_isotypic_blocks(cert, clauses)
-    clauses.append(ClauseResult("(S)", False, f"unknown containment kind {c.kind!r}"))
-    return None
+        failed = None if cert.H.order == cert.ambient_order \
+            else "H claimed to be the whole group but is not"
+        held = "H is the whole group"
+    elif c.kind == "diagonal-characters":
+        failed = _check_diagonal_characters(cert)
+        held = ("Q characteristic in S; N(Q) is monomial by the distinct-character "
+                "eigenline argument; H is the full monomial subgroup")
+    elif c.kind == "isotypic-blocks":
+        failed = _check_isotypic_blocks(cert)
+        held = ("S acts irreducibly on blocks of pairwise distinct dimension; any "
+                "normalizing element preserves each block, so N(S) <= H")
+    else:
+        return ClauseResult("(S)", None, f"unknown containment kind {c.kind!r}")
+    return ClauseResult("(S)", failed is None, failed or held)
 
 
-def _fail(clauses: list[ClauseResult], detail: str) -> bool:
-    """Record a failed (S) clause; False, for the check to return."""
-    clauses.append(ClauseResult("(S)", False, detail))
-    return False
-
-
-def _check_sylow_image(cert, clauses) -> bool:
+def _check_sylow_image(cert) -> str | None:
     """S is a p-group of the ambient Sylow order (by the order formula) with
     determinants in the subgroup of order det_order, and sylow_in_H is
-    exactly its image in H."""
+    exactly its image in H.  The first hypothesis that fails, or None."""
     c = cert.containment
     Sg = c.sylow
     if Sg.order != p_part(liea.group_order(cert.n, cert.q, c.det_order), cert.p):
-        return _fail(clauses, "S has wrong order")
+        return "S has wrong order"
     allowed = np.zeros(Sg.field.q, dtype=bool)  # a mask over GF(q)
     allowed[list(Sg.field.subgroup_values(c.det_order))] = True
     if not allowed[Sg.dets()].all():
-        return _fail(clauses, "S violates the determinant condition")
+        return "S violates the determinant condition"
     try:
         image = mg.image(cert.H, Sg)
     except KeyError:
-        return _fail(clauses, "S is not contained in H")
+        return "S is not contained in H"
     if image != cert.sylow_in_H:
-        return _fail(clauses, "declared Sylow image mismatches S")
-    return True
+        return "declared Sylow image mismatches S"
+    return None
 
 
-def _check_diagonal_characters(cert, clauses) -> bool:
+def _check_diagonal_characters(cert) -> str | None:
     """N(S) <= H because Q is characteristic in S, Q is diagonal with
     pairwise distinct coordinate characters (so N(Q) is monomial), and H
-    is the full monomial subgroup with the right determinant image."""
+    is the full monomial subgroup with the right determinant image.  The
+    first hypothesis that fails, or None."""
     c, H = cert.containment, cert.H
     Qg, Sg = c.q_subgroup, c.sylow
     n = cert.n
-    if not _check_sylow_image(cert, clauses):
-        return False
+    if failed := _check_sylow_image(cert):
+        return failed
     # the kernel scalars must sit inside Q (so quotient normalizers correspond)
     zs = H.scalars
     if zs is not None and \
             not Qg.locate(Qg.field.mul[zs[:, None, None], mg.identity_matrix(n)])[1].all():
-        return _fail(clauses, "quotient kernel not inside Q")
+        return "quotient kernel not inside Q"
     # Q diagonal (hence abelian) with pairwise distinct coordinate characters
     qmats = [Qg.elements[i] for i in Qg.gen_idx]
     if any(np.any(m[~np.eye(n, dtype=bool)]) for m in qmats):
-        return _fail(clauses, "Q is not diagonal")
+        return "Q is not diagonal"
     for i in range(n):
         for j in range(i + 1, n):
             if all(m[i, i] == m[j, j] for m in qmats):
-                return _fail(clauses, f"coordinate characters {i},{j} of Q coincide")
+                return f"coordinate characters {i},{j} of Q coincide"
     try:
         Qs = mg.image(Sg, Qg)
     except KeyError:
-        return _fail(clauses, "Q is not contained in S")
+        return "Q is not contained in S"
     # Q characteristic in S: unique abelian subgroup of its type and order
     qtype = Qs.abelian_type()
     same = [T for T in mg.all_subgroups(Sg.as_subgroup())
             if T.order == Qs.order and T.is_abelian() and T.abelian_type() == qtype]
     if len(same) != 1 or same[0] != Qs:
-        return _fail(clauses, f"Q is not the unique abelian subgroup of type {qtype} in S "
-                              f"({len(same)} found)")
+        return f"Q is not the unique abelian subgroup of type {qtype} in S ({len(same)} found)"
     # H is the monomial group with determinants in the given subgroup
     expect = liea.levi_order([1] * n, cert.q, c.det_order) * math.factorial(n)
     if H.scalars is not None:
         expect //= len(H.scalars)
     if H.order != expect:
-        return _fail(clauses, "H is not the full monomial subgroup")
+        return "H is not the full monomial subgroup"
     if not all(liea.is_monomial_matrix(H.elements[g]) for g in H.gen_idx):
-        return _fail(clauses, "H has a non-monomial generator")
+        return "H has a non-monomial generator"
     # S must be monomial too (it lands in H)
     if not all(liea.is_monomial_matrix(Sg.elements[i]) for i in range(Sg.order)):
-        return _fail(clauses, "S is not monomial")
-    clauses.append(ClauseResult(
-        "(S)", True,
-        "Q characteristic in S; N(Q) is monomial by the distinct-character "
-        "eigenline argument; H is the full monomial subgroup"))
-    return True
+        return "S is not monomial"
+    return None
 
 
 def _block_irreducible(F, gens, off: int, dim: int) -> bool:
@@ -490,110 +488,87 @@ def _block_irreducible(F, gens, off: int, dim: int) -> bool:
         inside = kept
 
 
-def _check_isotypic_blocks(cert, clauses) -> bool:
+def _check_isotypic_blocks(cert) -> str | None:
     """N(S) <= H because S preserves the coordinate blocks, acts irreducibly
     on each, the blocks have pairwise distinct dimensions (hence are
-    pairwise non-isomorphic S-modules), and H is the full block group."""
+    pairwise non-isomorphic S-modules), and H is the full block group.  The
+    first hypothesis that fails, or None."""
     c, H = cert.containment, cert.H
     Sg = c.sylow
     blocks = list(c.blocks)
     if sum(blocks) != cert.n or len(set(blocks)) != len(blocks):
-        return _fail(clauses, "blocks must partition n with distinct sizes")
-    if not _check_sylow_image(cert, clauses):
-        return False
+        return "blocks must partition n with distinct sizes"
+    if failed := _check_sylow_image(cert):
+        return failed
     if not _blocks_respected(Sg, blocks):
-        return _fail(clauses, "S does not preserve the blocks")
+        return "S does not preserve the blocks"
     smats = [Sg.elements[i] for i in Sg.gen_idx]
     off = 0
     for b in blocks:
         if not _block_irreducible(Sg.field, smats, off, b):
-            return _fail(clauses, f"block at {off} of size {b} is reducible under S")
+            return f"block at {off} of size {b} is reducible under S"
         off += b
     if H.scalars is not None:
-        return _fail(clauses, "isotypic-blocks applies to plain groups")
+        return "isotypic-blocks applies to plain groups"
     if H.order != liea.levi_order(blocks, cert.q, c.det_order) or \
             not _blocks_respected(H, blocks):
-        return _fail(clauses, "H is not the full block group")
-    clauses.append(ClauseResult(
-        "(S)", True,
-        "S acts irreducibly on blocks of pairwise distinct dimension; any "
-        "normalizing element preserves each block, so N(S) <= H"))
-    return True
+        return "H is not the full block group"
+    return None
 
 
-def check_certificate(cert: MethodCertificate) -> CertificateReport:
-    """Verify every clause; FAIL carries the first violated clause name."""
-    clauses: list[ClauseResult] = []
+def _clauses(cert: MethodCertificate):
+    """The certificate's clauses in order: (gen), (S), (A), then for each
+    witness (B1), or (B?) for an unknown mode, or (2)(a), (2)(b) and (2)(c).
+    Each is checked only when the reader asks for it, so nothing past the
+    first clause that does not hold is computed."""
     H = cert.H
-
     widx = []  # each witness looked up once
     for w in cert.witnesses:
         try:
             widx.append(H.index_of(w.element))
         except KeyError:
-            clauses.append(ClauseResult("(gen)", False, f"witness {w.label} is not in H"))
-            return CertificateReport("FAIL", clauses, "(gen)", cert.description)
+            yield ClauseResult("(gen)", False, f"witness {w.label} is not in H")
+            return
     generated = mg.generated_subgroup(H, widx + list(cert.sylow_in_H.gen_idx))
     ok = generated.order == H.order
-    clauses.append(ClauseResult(
-        "(gen)", ok,
-        "witnesses and S generate H" if ok else
-        f"witnesses generate order {generated.order} != |H| = {H.order}"))
-    if not ok:
-        return CertificateReport("FAIL", clauses, "(gen)", cert.description)
-
-    contain_ok = _check_containment(cert, clauses)
-    if contain_ok is None:
-        return CertificateReport("INCOMPLETE", clauses, None, cert.description)
-    if not contain_ok:
-        return CertificateReport("FAIL", clauses, "(S)", cert.description)
-
-    if cert.H_evidence.kind == "unproved":
-        clauses.append(ClauseResult("(A)", False, "condition (A) left unproved"))
-        return CertificateReport("INCOMPLETE", clauses, None, cert.description)
-    if not _check_triviality(H, cert.p, cert.H_evidence, clauses, "(A)"):
-        return CertificateReport("FAIL", clauses, "(A)", cert.description)
+    yield ClauseResult("(gen)", ok, "witnesses and S generate H" if ok else
+                       f"witnesses generate order {generated.order} != |H| = {H.order}")
+    yield _check_containment(cert)
+    yield _check_triviality(H, cert.p, cert.H_evidence, "(A)")
 
     comm = mg.commutator_subgroup(H.as_subgroup())
     in_b1 = mg._mask(H, mg.join(comm, cert.sylow_in_H).idx)
     for w, wi in zip(cert.witnesses, widx):
         if w.mode == "B1":
             ok = bool(in_b1[wi])
-            clauses.append(ClauseResult(
-                f"(B1)[{w.label}]", ok,
-                "in [H,H]S" if ok else "not in [H,H]S"))
-            if not ok:
-                return CertificateReport("FAIL", clauses, "(B1)", cert.description)
-            continue
-        if w.mode != "B2":
-            clauses.append(ClauseResult(f"(B?)[{w.label}]", False,
-                                        f"unknown witness mode {w.mode!r}"))
-            return CertificateReport("FAIL", clauses, "(B?)", cert.description)
-        K = w.aux_group
-        if w.aux_evidence is None or w.aux_evidence.kind == "unproved":
-            clauses.append(ClauseResult(f"(2)(a)[{w.label}]", False,
-                                        "auxiliary condition (A) left unproved"))
-            return CertificateReport("INCOMPLETE", clauses, None, cert.description)
-        if not _check_triviality(K, cert.p, w.aux_evidence, clauses,
-                                 f"(2)(a)[{w.label}]"):
-            return CertificateReport("FAIL", clauses, "(2)(a)", cert.description)
-        inter = mg.common_order(K, H)
-        ok = inter % cert.p == 0
-        clauses.append(ClauseResult(
-            f"(2)(b)[{w.label}]", ok,
-            f"|H_i /\\ H| = {inter}" + ("" if ok else f" not divisible by {cert.p}")))
-        if not ok:
-            return CertificateReport("FAIL", clauses, "(2)(b)", cert.description)
-        kcomm = mg.commutator_subgroup(K.as_subgroup())
-        try:
-            ok = bool(mg._mask(K, kcomm.idx)[K.index_of(w.element)])
-        except KeyError:
-            ok = False
-        clauses.append(ClauseResult(
-            f"(2)(c)[{w.label}]", ok,
-            "witness lies in [H_i,H_i]" if ok else "witness not in [H_i,H_i]"))
-        if not ok:
-            return CertificateReport("FAIL", clauses, "(2)(c)", cert.description)
+            yield ClauseResult(f"(B1)[{w.label}]", ok, "in [H,H]S" if ok else "not in [H,H]S")
+        elif w.mode != "B2":
+            yield ClauseResult(f"(B?)[{w.label}]", False, f"unknown witness mode {w.mode!r}")
+        else:
+            K = w.aux_group
+            yield _check_triviality(K, cert.p, w.aux_evidence, f"(2)(a)[{w.label}]")
+            inter = mg.common_order(K, H)
+            ok = inter % cert.p == 0
+            yield ClauseResult(f"(2)(b)[{w.label}]", ok, f"|H_i /\\ H| = {inter}"
+                               + ("" if ok else f" not divisible by {cert.p}"))
+            kcomm = mg.commutator_subgroup(K.as_subgroup())
+            (ki,), (found,) = K.locate(np.asarray(w.element)[None])
+            ok = bool(found and mg._mask(K, kcomm.idx)[ki])
+            yield ClauseResult(f"(2)(c)[{w.label}]", ok, "witness lies in [H_i,H_i]" if ok
+                               else "witness not in [H_i,H_i]")
+
+
+def check_certificate(cert: MethodCertificate) -> CertificateReport:
+    """Check the clauses in order and read the verdict off the first that
+    does not hold: INCOMPLETE when it cannot be checked, FAIL naming it
+    when it is violated, PASS when every clause holds."""
+    clauses: list[ClauseResult] = []
+    for c in _clauses(cert):
+        clauses.append(c)
+        if not c.ok:
+            failed = None if c.ok is None else c.clause.split("[")[0]
+            return CertificateReport("INCOMPLETE" if failed is None else "FAIL", clauses,
+                                     failed, cert.description)
     return CertificateReport("PASS", clauses, None, cert.description)
 
 

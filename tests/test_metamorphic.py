@@ -5,17 +5,21 @@ moved by a map that sends G onto itself: conjugation by a seeded random M in
 GL(n,q), and the inverse-transpose g -> (g^-1)^T (det only inverts inside the
 same image).  The new closures number their elements in another order, so a
 wrong key, index or walk table that keeps a group closed would show as a
-difference in some brute-force answer.
+difference in some brute-force answer.  Proof certificates are moved the
+same way, by a diagonal M, and must keep their verdicts.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from endotriv import backend, liea
+from endotriv import backend, liea, rho
 from endotriv import matgrp as mg
 from endotriv.classify import tf_rank_oracle
 from endotriv.corpus import load_corpus
 from endotriv.gf import field_spec
+from test_rho import _torus_certificate, _with_corner
 
 # enumerable corpus quotients of at most 60 480 elements; together about 1 s
 NAMES = ["PGL(3,4) p=3", "PSL(3,4) p=3", "SL(2,13):2/Z2 p=2", "GL(2,5) p=2"]
@@ -72,3 +76,62 @@ def test_answers_survive_a_change_of_basis(name, monkeypatch):
         assert not np.array_equal(H.elements, G.elements), label
         assert np.array_equal(np.sort(H.lookup_batch(G.elements)), np.arange(G.order)), label
         assert _answers(H, p, case, monkeypatch) == want, label
+
+
+def _diagonal_conjugation(F, n):
+    """g -> M g M^-1 for a seeded diagonal, non-scalar M, on one matrix or a
+    batch.  A diagonal M keeps Q diagonal, H monomial and every block shape,
+    so each group of a certificate closes again to the same set of cosets."""
+    rng = np.random.default_rng(SEED)
+    d = np.ones(n, dtype=np.int64)
+    while len(set(d.tolist())) == 1:
+        d = rng.integers(1, F.q, n)
+    d_inv = np.array([F.inv_el(int(a)) for a in d])
+    return lambda g: F.mul[F.mul[d[:, None], g], d_inv]
+
+
+def _conjugate_certificate(cert, conj):
+    """Every group of the certificate closed again from its conjugated
+    generators, with the same scalars; the Sylow image is the conjugated one."""
+    def close(G):
+        return None if G is None else mg.MatrixGroup.generate(
+            G.field, [conj(G.elements[g]) for g in G.gen_idx],
+            scalars=None if G.scalars is None else [int(s) for s in G.scalars],
+            name=f"{G.name}^M")
+
+    def evidence(ev):
+        return ev if ev is None or ev.witness_gens is None else dataclasses.replace(
+            ev, witness_gens=[conj(x) for x in ev.witness_gens])
+
+    H, c = close(cert.H), cert.containment
+    assert not np.array_equal(H.elements, cert.H.elements)
+    return dataclasses.replace(
+        cert, H=H,
+        sylow_in_H=mg.Subgroup(H, np.unique(H.lookup_batch(
+            conj(cert.H.elements[cert.sylow_in_H.idx])))),
+        containment=dataclasses.replace(c, q_subgroup=close(c.q_subgroup), sylow=close(c.sylow)),
+        H_evidence=evidence(cert.H_evidence),
+        witnesses=[dataclasses.replace(w, element=conj(w.element), aux_group=close(w.aux_group),
+                                       aux_evidence=evidence(w.aux_evidence))
+                   for w in cert.witnesses])
+
+
+# family -> (its default certificate, a tamper, the clause the tamper fails)
+CERTIFICATES = {
+    "rp-case": (_torus_certificate, lambda c: _with_corner(c, mode="B1"), "(B1)"),
+    "sleps": (lambda: rho.build_central_scalar_certificate(3, 4, 3),
+              lambda c: dataclasses.replace(c, witnesses=c.witnesses[:1],
+                                            sylow_in_H=mg.trivial_subgroup(c.H)), "(gen)"),
+}
+
+
+@pytest.mark.parametrize("family", CERTIFICATES)
+def test_certificate_verdicts_survive_a_change_of_basis(family):
+    # about 1 s for both families
+    build, tamper, clause = CERTIFICATES[family]
+    cert = build()
+    moved = _conjugate_certificate(cert, _diagonal_conjugation(cert.H.field, cert.n))
+    assert rho.check_certificate(moved).verdict == "PASS"
+    for c in (cert, moved):
+        report = rho.check_certificate(tamper(c))
+        assert (report.verdict, report.failed_clause) == ("FAIL", clause)

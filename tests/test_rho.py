@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from endotriv import liea, rho
+from endotriv import backend, liea, rho
 from endotriv import matgrp as mg
 from endotriv.errors import CapExceeded, DomainError
 from endotriv.gf import field_spec
@@ -601,3 +601,104 @@ def test_unemitted_certificate_kinds_are_not_checked():
         cert, H_evidence=rho.TrivialityEvidence(kind="self-normalizing-sylow")))
     assert (report.verdict, report.failed_clause) == ("FAIL", "(A)")
     assert report.clauses[-1].detail == "evidence kind 'self-normalizing-sylow' is not checkable"
+
+
+def _with_corner(cert, **fields):
+    """The certificate with its last witness, the corner rotation, changed."""
+    corner = dataclasses.replace(cert.witnesses[-1], **fields)
+    return dataclasses.replace(cert, witnesses=cert.witnesses[:-1] + [corner])
+
+
+def _transvection(n, i, j):
+    """I + E_ij, outside every monomial and every block group that splits i from j."""
+    t = mg.identity_matrix(n)
+    t[i, j] = 1
+    return t
+
+
+def _aux_meeting_h_trivially(cert):
+    """The corner rotation's fields for an auxiliary group of order 3 inside
+    the corner block group that meets H trivially, with its own evidence."""
+    L, H = cert.witnesses[-1].aux_group, cert.H
+    cubes_one = L.elements_satisfying_power(3)
+    bad = next(i for i in range(L.order) if cubes_one[i] and i != L.identity_idx
+               and not H.locate(backend.mm_one(np.stack([mg.identity_matrix(L.n), L.elements[i]]),
+                                               L.elements[i], L.field))[1].any())
+    K = mg.MatrixGroup.generate(L.field, [L.elements[bad]],
+                                scalars=[int(s) for s in L.scalars], name="corrupt")
+    return {"aux_group": K, "aux_evidence": rho.TrivialityEvidence(
+        kind="normal-p-subgroup", witness_gens=[L.elements[bad]])}
+
+
+# one tamper of the rp-case certificate per exit of the checker, with the
+# expected (verdict, failed_clause, last clause checked)
+VERDICT_EXITS = {
+    "witness-outside-H": (lambda c: _with_corner(c, element=_transvection(3, 0, 2)),
+                          ("FAIL", "(gen)", "(gen)")),
+    "no-witnesses": (lambda c: dataclasses.replace(c, witnesses=[]), ("FAIL", "(gen)", "(gen)")),
+    "unknown-containment": (lambda c: dataclasses.replace(
+        c, containment=rho.SylowContainment(kind="ambient-scan")), ("INCOMPLETE", None, "(S)")),
+    "containment-fails": (lambda c: _tamper_containment(c, q_subgroup=c.containment.sylow),
+                          ("FAIL", "(S)", "(S)")),
+    "A-unproved": (lambda c: dataclasses.replace(c, H_evidence=rho.TrivialityEvidence("unproved")),
+                   ("INCOMPLETE", None, "(A)")),
+    "A-unknown-kind": (lambda c: dataclasses.replace(
+        c, H_evidence=rho.TrivialityEvidence("self-normalizing-sylow")), ("FAIL", "(A)", "(A)")),
+    # [H,H]S has 324 of the 648 elements of H, and not the corner rotation
+    "corner-as-B1": (lambda c: _with_corner(c, mode="B1"),
+                     ("FAIL", "(B1)", "(B1)[corner-rotation]")),
+    "corner-as-B3": (lambda c: _with_corner(c, mode="B3"),
+                     ("FAIL", "(B?)", "(B?)[corner-rotation]")),
+    "aux-evidence-missing": (lambda c: _with_corner(c, aux_evidence=None),
+                             ("INCOMPLETE", None, "(2)(a)[corner-rotation]")),
+    "aux-witness-outside-K": (lambda c: _with_corner(c, aux_evidence=rho.TrivialityEvidence(
+        "normal-p-subgroup", witness_gens=[_transvection(3, 0, 2)])),
+        ("FAIL", "(2)(a)", "(2)(a)[corner-rotation]")),
+    "aux-meets-H-trivially": (lambda c: _with_corner(c, **_aux_meeting_h_trivially(c)),
+                              ("FAIL", "(2)(b)", "(2)(b)[corner-rotation]")),
+    # with H as its auxiliary group the corner rotation would have to lie in [H,H]
+    "corner-outside-aux-commutator": (lambda c: _with_corner(
+        c, aux_group=c.H, aux_evidence=c.H_evidence),
+        ("FAIL", "(2)(c)", "(2)(c)[corner-rotation]")),
+    "untampered": (lambda c: c, ("PASS", None, "(2)(c)[corner-rotation]")),
+}
+
+
+@pytest.mark.parametrize("case", VERDICT_EXITS)
+def test_every_verdict_exit_is_reached(case):
+    tamper, want = VERDICT_EXITS[case]
+    report = rho.check_certificate(tamper(_torus_certificate()))
+    assert (report.verdict, report.failed_clause, report.clauses[-1].clause) == want
+
+
+# evidence that names no group or no witness is a violated clause, not an error
+MALFORMED_EVIDENCE = {
+    "A-witness-gens-missing": (lambda c: dataclasses.replace(
+        c, H_evidence=rho.TrivialityEvidence("normal-p-subgroup")), "(A)"),
+    "A-witness-gens-empty": (lambda c: dataclasses.replace(
+        c, H_evidence=rho.TrivialityEvidence("normal-p-subgroup", witness_gens=[])), "(A)"),
+    "aux-group-missing": (lambda c: _with_corner(c, aux_group=None), "(2)(a)"),
+    "aux-witness-gens-missing": (lambda c: _with_corner(
+        c, aux_evidence=rho.TrivialityEvidence("normal-p-subgroup")), "(2)(a)"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_EVIDENCE)
+def test_malformed_evidence_fails_its_clause(case):
+    tamper, clause = MALFORMED_EVIDENCE[case]
+    report = rho.check_certificate(tamper(_torus_certificate()))
+    assert (report.verdict, report.failed_clause) == ("FAIL", clause)
+
+
+def test_verdict_is_read_off_the_first_clause_that_does_not_hold(composite_iii_certificate):
+    # the last clause checked is the first that does not hold, if any: None
+    # when it cannot be checked, False when it is violated
+    tampers = [tamper for tamper, _ in [*VERDICT_EXITS.values(), *MALFORMED_EVIDENCE.values()]]
+    certs = [rho.build_central_scalar_certificate(3, 4, 3), composite_iii_certificate]
+    for cert in certs + [tamper(_torus_certificate()) for tamper in tampers]:
+        report = rho.check_certificate(cert)
+        last = report.clauses[-1]
+        assert (report.verdict == "INCOMPLETE") == (last.ok is None)
+        assert (report.verdict == "FAIL") == (
+            last.ok is False and report.failed_clause == last.clause.split("[")[0])
+        assert (report.verdict == "PASS") == all(c.ok is True for c in report.clauses)

@@ -207,3 +207,25 @@ def test_only_gf_names_the_polynomial_routines():
                           or getattr(node, "name", None)]
              if name in routines]
     assert not found, found
+
+
+# a certificate's verdict is read off its clauses in one place: only
+# rho.check_certificate builds a report with a verdict other than SKIPPED
+def test_only_check_certificate_gives_a_verdict():
+    files = sorted(SRC.glob("*.py")) + sorted((SRC.parents[1] / "perfbench").glob("*.py"))
+    inside, found = [], []
+    for f in files:
+        tree = ast.parse(f.read_text(), str(f))
+        checker = [(d.lineno, d.end_lineno) for d in tree.body if f == SRC / "rho.py"
+                   and isinstance(d, ast.FunctionDef) and d.name == "check_certificate"]
+        for node in ast.walk(tree):
+            fn = node.func if isinstance(node, ast.Call) else None
+            if (getattr(fn, "attr", None) or getattr(fn, "id", None)) != "CertificateReport":
+                continue
+            verdict = next((k.value for k in node.keywords if k.arg == "verdict"),
+                           node.args[0] if node.args else None)
+            if any(lo <= node.lineno <= hi for lo, hi in checker):
+                inside.append(node.lineno)
+            elif not (isinstance(verdict, ast.Constant) and verdict.value == "SKIPPED"):
+                found.append(f"{f.name}:{node.lineno}")
+    assert inside and not found, found
