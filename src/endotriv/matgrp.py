@@ -23,10 +23,9 @@ Theory, ch. 4): the product of every element with every generator, and the
 breadth-first tree through which each element was first reached.  Every
 index-level operation (products, inverses, powers, conjugates, normalizer
 scans) is an integer gather over these tables: a walk up the tree moves
-whole arrays one level a step.  Determinants are multiplied down the tree
-from the generators'.  The matrix kernels in
-`backend` are used only to build a group, and the element keys only to
-look up a given matrix.  Everything here is read-only after construction.
+whole arrays one level a step.  The matrix kernels in `backend` are used
+only to build a group, and the element keys only to look up a given
+matrix.  Everything here is read-only after construction.
 """
 
 from __future__ import annotations
@@ -316,7 +315,6 @@ class MatrixGroup:
         self.inv = _walk_up(self, np.zeros(order, dtype=np.int64), np.arange(order))
         self._power_masks: dict[int, np.ndarray] = {}
         self._power_maps: dict[int, np.ndarray] = {}  # prime r -> x^r
-        self._dets = None
 
     # -- construction --------------------------------------------------------
 
@@ -509,18 +507,6 @@ class MatrixGroup:
             self._power_masks[e] = x == self.identity_idx
         return self._power_masks[e]
 
-    def dets(self) -> np.ndarray:
-        """int64 determinants, d[x] = d[parent[x]] det(gens[via[x]]) by BFS level."""
-        if self._dets is None:
-            if self.scalars is not None:
-                raise DomainError("determinants are not defined on a central quotient")
-            gen_dets = backend.det_many(self.elements[self.gen_idx], self.field)
-            d = np.ones(self.order, dtype=np.int64)
-            for lo, hi in zip(self.levels[1:-1], self.levels[2:]):
-                d[lo:hi] = self.field.mul[d[self.parent[lo:hi]], gen_dets[self.via[lo:hi]]]
-            self._dets = d
-        return self._dets
-
     def as_subgroup(self) -> "Subgroup":
         return Subgroup(self, np.arange(self.order, dtype=np.int64),
                         gen_idx=tuple(self.gen_idx))
@@ -561,6 +547,9 @@ class Subgroup:
 
     @property
     def order(self) -> int:
+        return len(self.idx)
+
+    def __len__(self) -> int:
         return len(self.idx)
 
     def __eq__(self, other):
@@ -615,13 +604,7 @@ def _conjugates(G: MatrixGroup, hs, xs) -> np.ndarray:
 def generated_subgroup(G: MatrixGroup, seeds) -> Subgroup:
     """<seeds>, generated greedily: the least seed outside the closure so
     far becomes a generator and extends that closure."""
-    gens: list[int] = []
-    have = np.array([G.identity_idx], dtype=np.int64)
-    rest = _sorted_unique(np.asarray(seeds, dtype=np.int64))
-    while len(rest := rest[~_mask(G, have)[rest]]):
-        gens.append(int(rest[0]))
-        have = _closure_indices(G, gens, have)
-    return Subgroup(G, have, gen_idx=tuple(gens))
+    return _closure_indices(G, _sorted_unique(np.asarray(seeds, dtype=np.int64)))
 
 
 def find_generators(G: MatrixGroup, idx: np.ndarray) -> tuple[int, ...]:
@@ -648,33 +631,33 @@ def _powers_outside(G: MatrixGroup, g: int, members: set[int]) -> list[int]:
             powers.append(x)
 
 
-def _closure_indices(G: MatrixGroup, gen_idx, base=None) -> np.ndarray:
-    """<base, gen_idx> as a sorted int64 index array, grown from the index
-    array `base` (default [1]); a Python set holds the closure while it grows.
+def _closure_indices(G: MatrixGroup, seeds, base: Subgroup | None = None) -> Subgroup:
+    """<base, seeds>, grown from the subgroup `base` (default trivial) and
+    generated by base.gen_idx followed by the seeds it took: the one place
+    where a subgroup's generators are chosen.  A Python set holds the
+    closure while it grows.
 
-    Precondition: `base` is a subgroup generated by the generators of
-    gen_idx that lie in it.  The generators are taken one at a time, in
-    order, and one already inside the closure so far is skipped (Dimino's
-    algorithm; G. Butler, Fundamental Algorithms for Permutation Groups,
-    LNCS 559, 1991).  A generator g outside the closure H so far extends
-    it by the cosets H g^i of its powers up to the first g^d in H, the
-    powers taken by doubling (`_powers_outside`), and each coset is closed
-    under g.  Rounds then multiply what is new by the generators (the older
-    ones alone in the first round) until nothing is new.  From COSET_MIN
-    elements of H on, Dimino's cosets: since (H r) s = H (r s), a round
-    multiplies only coset representatives, starting from the powers, and
-    a product outside adds its whole coset, one walk of H.  Below the bound
-    a round multiplies every new element: a coset's walk costs about as
-    much as one walk of a whole round, so cosets of a few elements lose.
+    The seeds are taken one at a time, in order, and one already inside the
+    closure so far is skipped, so no generator lies in the closure of those
+    before it (Dimino's algorithm; G. Butler, Fundamental Algorithms for
+    Permutation Groups, LNCS 559, 1991).  A seed g outside the closure H so
+    far extends it by the cosets H g^i of its powers up to the first g^d in
+    H, the powers taken by doubling (`_powers_outside`), and each coset is
+    closed under g.  Rounds then multiply what is new by the generators (the
+    older ones alone in the first round) until nothing is new.  From
+    COSET_MIN elements of H on, Dimino's cosets: since (H r) s = H (r s), a
+    round multiplies only coset representatives, starting from the powers,
+    and a product outside adds its whole coset, one walk of H.  Below the
+    bound a round multiplies every new element: a coset's walk costs about
+    as much as one walk of a whole round, so cosets of a few elements lose.
     Measured by replaying the closures of a certify pass, criterion 4's
     commutator subgroups and the composite-iii replay: without cosets the
     last two take 5x and 4x as long; a bound of 16 doubles one certify
     closure, one of 256 nearly doubles composite-iii; 32 to 128 are within
     10% of each other."""
-    gens = [int(g) for g in gen_idx]
-    seen = {G.identity_idx} if base is None else set(base.tolist())
-    taken = [g for g in gens if g in seen]  # the generators of base
-    for g in gens:
+    base = trivial_subgroup(G) if base is None else base
+    seen, taken = set(base.idx.tolist()), list(base.gen_idx)
+    for g in map(int, seeds):
         if g in seen:
             continue
         powers = _powers_outside(G, g, seen)
@@ -696,14 +679,7 @@ def _closure_indices(G: MatrixGroup, gen_idx, base=None) -> np.ndarray:
                     else:
                         seen.add(e)
             frontier, round_gens = found, taken
-    return np.sort(np.fromiter(seen, dtype=np.int64, count=len(seen)))
-
-
-def _extend(H: Subgroup, extra) -> Subgroup:
-    """<H, extra>, grown from H and generated by H.gen_idx + extra."""
-    G = H.parent
-    gens = tuple(int(g) for g in tuple(H.gen_idx) + tuple(extra) if g != G.identity_idx)
-    return Subgroup(G, _closure_indices(G, gens, H.idx), gen_idx=gens)
+    return Subgroup(G, np.fromiter(seen, dtype=np.int64, count=len(seen)), gen_idx=taken)
 
 
 def trivial_subgroup(G: MatrixGroup) -> Subgroup:
@@ -755,25 +731,19 @@ def image(G: MatrixGroup, K: MatrixGroup) -> Subgroup:
 
 
 def join(H1: Subgroup, H2: Subgroup) -> Subgroup:
-    return _extend(H1, H2.gen_idx)
+    return _closure_indices(H1.parent, H2.gen_idx, H1)
 
 
 def normal_closure(H: Subgroup, seed_idx) -> Subgroup:
     """Smallest subgroup of H containing the seeds and normal in H."""
     G = H.parent
-    seeds = _sorted_unique(np.asarray(seed_idx, dtype=np.int64))
-    gens = seeds[seeds != G.identity_idx].tolist()
-    if not gens:
-        return trivial_subgroup(G)
-    closed, fresh = None, gens
-    while True:
-        closed = _closure_indices(G, gens, closed)
-        # conjugates of older generators lie in the older closure already
+    K, fresh = trivial_subgroup(G), _sorted_unique(np.asarray(seed_idx, dtype=np.int64))
+    while len(fresh):
+        K = _closure_indices(G, fresh, K)
+        # conjugates of older seeds lie in the older closure already
         conj = _conjugates(G, H.gen_idx, fresh)
-        fresh = _sorted_unique(conj[~_mask(G, closed)[conj]]).tolist()
-        if not fresh:
-            return Subgroup(G, closed, gen_idx=tuple(gens))
-        gens.extend(fresh)
+        fresh = _sorted_unique(conj[~_mask(G, K.idx)[conj]])
+    return K
 
 
 def _generator_commutators(H: Subgroup) -> np.ndarray:
@@ -986,5 +956,5 @@ def sylow_subgroup_of(G: MatrixGroup, p: int) -> Subgroup:
         xs = N.idx[pmask[N.idx] & ~_mask(G, P.idx)[N.idx]]
         if not len(xs):
             raise DomainError("Sylow ascent stalled")  # pragma: no cover
-        P = _extend(P, (int(xs[0]),))
+        P = _closure_indices(G, [xs[0]], P)
     return P

@@ -353,8 +353,9 @@ def _check_triviality(K: mg.MatrixGroup | None, p: int, ev: TrivialityEvidence |
                             else "witness subgroup not a nontrivial normal p-subgroup")
     if ev.kind == "block-split":
         sp = ev.split
-        if sp is None or K.scalars is not None:
-            return ClauseResult(tag, False, "block-split needs a plain block group")
+        if sp is None or ev.det_order is None or K.scalars is not None:
+            return ClauseResult(tag, False, "block-split needs a split, a determinant "
+                                "order and a plain block group")
         ok = (sum(sp.blocks) == K.n
               and liea.levi_order(list(sp.blocks), K.field.q, ev.det_order) == K.order
               and _blocks_respected(K, sp.blocks) and sp.valid()
@@ -403,11 +404,13 @@ def _check_sylow_image(cert) -> str | None:
     exactly its image in H.  The first hypothesis that fails, or None."""
     c = cert.containment
     Sg = c.sylow
+    if Sg is None or c.det_order is None:
+        return f"{c.kind} needs the Sylow group and det_order"
     if Sg.order != p_part(liea.group_order(cert.n, cert.q, c.det_order), cert.p):
         return "S has wrong order"
     allowed = np.zeros(Sg.field.q, dtype=bool)  # a mask over GF(q)
     allowed[list(Sg.field.subgroup_values(c.det_order))] = True
-    if not allowed[Sg.dets()].all():
+    if not allowed[backend.det_many(Sg.elements, Sg.field)].all():
         return "S violates the determinant condition"
     try:
         image = mg.image(cert.H, Sg)
@@ -428,6 +431,8 @@ def _check_diagonal_characters(cert) -> str | None:
     n = cert.n
     if failed := _check_sylow_image(cert):
         return failed
+    if Qg is None:
+        return "diagonal-characters needs the group Q"
     # the kernel scalars must sit inside Q (so quotient normalizers correspond)
     zs = H.scalars
     if zs is not None and \
@@ -495,6 +500,8 @@ def _check_isotypic_blocks(cert) -> str | None:
     first hypothesis that fails, or None."""
     c, H = cert.containment, cert.H
     Sg = c.sylow
+    if c.blocks is None:
+        return "isotypic-blocks needs the blocks"
     blocks = list(c.blocks)
     if sum(blocks) != cert.n or len(set(blocks)) != len(blocks):
         return "blocks must partition n with distinct sizes"

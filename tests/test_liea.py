@@ -77,9 +77,10 @@ def test_build_sylow_is_the_det_filtered_gl_sylow():
         params = liea.compute_params(n, q, p)
         F = params.field
         S_gl = mg.MatrixGroup.generate(F, liea._gl_sylow_generators(n, q, p, params.e, params.t)[0])
+        dets = backend.det_many(S_gl.elements, F)
         for d in [d for d in range(1, q) if (q - 1) % d == 0]:
             _, S = liea.build_sylow(liea.compute_params(n, q, p, d))
-            keep = np.flatnonzero(np.isin(S_gl.dets(), list(F.subgroup_values(d))))
+            keep = np.flatnonzero(np.isin(dets, list(F.subgroup_values(d))))
             assert np.array_equal(np.sort(S_gl.lookup_batch(S.elements)), keep), (n, q, p, d)
             checked += 1
     assert checked == 139
@@ -125,7 +126,7 @@ def test_det_preimage_generators():
         gens = liea.det_preimage_generators(F, t, 6, [s], d)
         H = mg.MatrixGroup.generate(F, gens)
         assert H.order == 12 * d  # the index-6/d subgroup of <t, s> = C_6 wr C_2
-        assert np.isin(H.dets(), list(F.subgroup_values(d))).all()
+        assert np.isin(backend.det_many(H.elements, F), list(F.subgroup_values(d))).all()
     # det t = 2 has order 3 mod D_1: det s = -1 is not in <2>
     t2 = np.array([[2, 0], [0, 1]], dtype=np.uint8)
     with pytest.raises(DomainError, match=r"outside <det t> D_1$"):

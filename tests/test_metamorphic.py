@@ -1,12 +1,15 @@
 """Answers that cannot depend on the basis.
 
-Each quotient G/Z is closed a second and a third time, from its generators
-moved by a map that sends G onto itself: conjugation by a seeded random M in
-GL(n,q), and the inverse-transpose g -> (g^-1)^T (det only inverts inside the
-same image).  The new closures number their elements in another order, so a
-wrong key, index or walk table that keeps a group closed would show as a
-difference in some brute-force answer.  Proof certificates are moved the
-same way, by a diagonal M, and must keep their verdicts.
+Each quotient G/Z is closed again from its generator list moved by a map
+that sends G onto itself: conjugation by a seeded random M in GL(n,q), the
+inverse-transpose g -> (g^-1)^T (det only inverts inside the same image),
+for q = p^k with k > 1 the Frobenius x -> x^p on every entry (det goes to
+det^p, inside the same image), and the list reversed.  The new closures
+number their elements in another order, so a wrong key, index or walk table
+that keeps a group closed would show as a difference in some brute-force
+answer.  Reversal also changes which generators Dimino's closure takes for
+each subgroup, so no answer may depend on that choice.  Proof certificates
+are moved the same way, by a diagonal M, and must keep their verdicts.
 """
 
 import dataclasses
@@ -40,10 +43,17 @@ def _random_gl(F, n, rng):
 
 
 def _maps(F, n):
+    """label -> a map from a generator list of G to another one."""
     m = _random_gl(F, n, np.random.default_rng(SEED))
     m_inv = _inverse(F, m)
-    return {"conjugation": lambda g: backend.mm_one(backend.mm_one(m[None], g, F), m_inv, F)[0],
+    each = {"conjugation": lambda g: backend.mm_one(backend.mm_one(m[None], g, F), m_inv, F)[0],
             "inverse-transpose": lambda g: _inverse(F, g).T.copy()}
+    if F.degree > 1:
+        frobenius = np.array([F.pow_el(x, F.char) for x in range(F.q)], dtype=np.uint8)
+        each["frobenius"] = lambda g: frobenius[g]
+    maps = {label: lambda gens, f=f: [f(g) for g in gens] for label, f in each.items()}
+    maps["reversal"] = lambda gens: gens[::-1]
+    return maps
 
 
 def _answers(G, p, case, monkeypatch):
@@ -69,7 +79,7 @@ def test_answers_survive_a_change_of_basis(name, monkeypatch):
     want = _answers(G, p, case, monkeypatch)
     gens = liea.levi_generators([n], q, det)
     for label, f in _maps(F, n).items():
-        moved = [f(g) for g in gens]
+        moved = f(gens)
         H = liea.quotient_closure(F, moved, z, liea.levi_order([n], q, det), None,
                                   f"{name} by {label}")
         # a second numbering of the same set of cosets

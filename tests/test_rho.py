@@ -604,7 +604,8 @@ def test_unemitted_certificate_kinds_are_not_checked():
 
 
 def _with_corner(cert, **fields):
-    """The certificate with its last witness, the corner rotation, changed."""
+    """The certificate with its last witness changed: the torus one's corner
+    rotation, composite-iii's connector torus."""
     corner = dataclasses.replace(cert.witnesses[-1], **fields)
     return dataclasses.replace(cert, witnesses=cert.witnesses[:-1] + [corner])
 
@@ -671,31 +672,60 @@ def test_every_verdict_exit_is_reached(case):
     assert (report.verdict, report.failed_clause, report.clauses[-1].clause) == want
 
 
-# evidence that names no group or no witness is a violated clause, not an error
+def _with_containment(cert, **fields):
+    return dataclasses.replace(cert, containment=dataclasses.replace(cert.containment, **fields))
+
+
+def _central_quotient(S, z):
+    """S closed again modulo the scalars of order z."""
+    return mg.MatrixGroup.generate(S.field, S.elements[S.gen_idx],
+                                   scalars=S.field.subgroup_values(z))
+
+
+# evidence that names no group, witness, blocks or order, or a Sylow group
+# taken after the quotient, is a violated clause, not an error:
+# (kind of certificate, tamper, the clause it fails)
 MALFORMED_EVIDENCE = {
-    "A-witness-gens-missing": (lambda c: dataclasses.replace(
+    "A-witness-gens-missing": ("torus", lambda c: dataclasses.replace(
         c, H_evidence=rho.TrivialityEvidence("normal-p-subgroup")), "(A)"),
-    "A-witness-gens-empty": (lambda c: dataclasses.replace(
+    "A-witness-gens-empty": ("torus", lambda c: dataclasses.replace(
         c, H_evidence=rho.TrivialityEvidence("normal-p-subgroup", witness_gens=[])), "(A)"),
-    "aux-group-missing": (lambda c: _with_corner(c, aux_group=None), "(2)(a)"),
-    "aux-witness-gens-missing": (lambda c: _with_corner(
+    "aux-group-missing": ("torus", lambda c: _with_corner(c, aux_group=None), "(2)(a)"),
+    "aux-witness-gens-missing": ("torus", lambda c: _with_corner(
         c, aux_evidence=rho.TrivialityEvidence("normal-p-subgroup")), "(2)(a)"),
+    "block-split-det-order-missing": ("composite-iii", lambda c: _with_corner(
+        c, aux_evidence=dataclasses.replace(c.witnesses[-1].aux_evidence, det_order=None)),
+        "(2)(a)"),
+    "isotypic-blocks-missing": ("composite-iii", lambda c: _with_containment(c, blocks=None),
+                                "(S)"),
+    "isotypic-sylow-missing": ("composite-iii", lambda c: _with_containment(c, sylow=None),
+                               "(S)"),
+    "diagonal-sylow-missing": ("torus", lambda c: _with_containment(c, sylow=None), "(S)"),
+    "diagonal-q-subgroup-missing": ("torus", lambda c: _with_containment(c, q_subgroup=None),
+                                    "(S)"),
+    "diagonal-det-order-missing": ("torus", lambda c: _with_containment(c, det_order=None),
+                                   "(S)"),
+    # the order-3 scalars of GL(4,4) meet S trivially: the order holds, and
+    # the determinants of the quotient's representatives are read
+    "isotypic-sylow-central-quotient": ("composite-iii", lambda c: _with_containment(
+        c, sylow=_central_quotient(c.containment.sylow, 3)), "(S)"),
 }
 
 
 @pytest.mark.parametrize("case", MALFORMED_EVIDENCE)
-def test_malformed_evidence_fails_its_clause(case):
-    tamper, clause = MALFORMED_EVIDENCE[case]
-    report = rho.check_certificate(tamper(_torus_certificate()))
+def test_malformed_evidence_fails_its_clause(case, real_certificate):
+    kind, tamper, clause = MALFORMED_EVIDENCE[case]
+    report = rho.check_certificate(tamper(real_certificate(kind)))
     assert (report.verdict, report.failed_clause) == ("FAIL", clause)
 
 
-def test_verdict_is_read_off_the_first_clause_that_does_not_hold(composite_iii_certificate):
+def test_verdict_is_read_off_the_first_clause_that_does_not_hold(real_certificate):
     # the last clause checked is the first that does not hold, if any: None
     # when it cannot be checked, False when it is violated
-    tampers = [tamper for tamper, _ in [*VERDICT_EXITS.values(), *MALFORMED_EVIDENCE.values()]]
-    certs = [rho.build_central_scalar_certificate(3, 4, 3), composite_iii_certificate]
-    for cert in certs + [tamper(_torus_certificate()) for tamper in tampers]:
+    tampered = [tamper(_torus_certificate()) for tamper, _ in VERDICT_EXITS.values()]
+    tampered += [tamper(real_certificate(kind)) for kind, tamper, _ in MALFORMED_EVIDENCE.values()]
+    certs = [rho.build_central_scalar_certificate(3, 4, 3), real_certificate("composite-iii")]
+    for cert in certs + tampered:
         report = rho.check_certificate(cert)
         last = report.clauses[-1]
         assert (report.verdict == "INCOMPLETE") == (last.ok is None)
