@@ -10,13 +10,7 @@ from endotriv import backend, liea, rho
 from endotriv import matgrp as mg
 from endotriv.errors import CapExceeded, DomainError
 from endotriv.gf import field_spec
-from test_matgrp import _matmul_pairs, _python_closure
-
-
-def quaternion_group():
-    F3 = field_spec(3)
-    return mg.MatrixGroup.generate(F3, [[[0, 2], [1, 0]], [[1, 1], [1, 2]]],
-                                   name="Q8")
+from test_matgrp import _matmul_pairs, _python_closure, quaternion_group
 
 
 def test_quaternion_chain_stalls_below_normalizer():
