@@ -63,7 +63,6 @@ class AbelianStructure:
 
 
 TRIVIAL = AbelianStructure()
-Z = AbelianStructure(free_rank=1)
 
 
 def cyclic(n: int) -> AbelianStructure:
@@ -90,12 +89,6 @@ def from_cyclic_orders(orders, free_rank: int = 0) -> AbelianStructure:
                 d *= p ** exps_sorted[i]
         factors.append(d)
     return AbelianStructure(free_rank, tuple(sorted(factors)))
-
-
-def direct_sum(a: AbelianStructure, b: AbelianStructure) -> AbelianStructure:
-    return from_cyclic_orders(
-        list(a.invariant_factors) + list(b.invariant_factors),
-        a.free_rank + b.free_rank)
 
 
 def prime_to_p_part(a: AbelianStructure, p: int) -> AbelianStructure:

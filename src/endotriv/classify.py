@@ -28,7 +28,7 @@ from typing import NamedTuple
 from . import abst, liea
 from . import matgrp as mg
 from .abst import AbelianStructure, ExtensionDescriptor, cyclic
-from .errors import AmbiguousCase, DomainError
+from .errors import AmbiguousCase, CapExceeded, DomainError
 from .gf import field_spec, is_prime, p_part, p_val
 from .liea import LieParams, compute_params
 
@@ -356,3 +356,15 @@ def tf_rank_oracle(n: int, q: int, p: int, det_order: int = 1, z_order: int = 1,
     tf = n_g if p_rank <= 2 else n_g + 1
     return RankOracle(p_rank, n_g, tf)
 
+
+def oracle_check(tc: TClassification, cap: int | None) -> dict:
+    """The `oracle` and `oracle_status` fields for classification tc: the
+    oracle's answer and PASS or FAIL as its rank agrees with tc's, or
+    `"oracle": None` and `SKIP (<refusal>)` when the cap refuses it."""
+    pr = tc.params
+    try:
+        orc = tf_rank_oracle(pr.n, pr.q, pr.p, pr.det_order, pr.z_order, cap=cap)
+    except CapExceeded as exc:
+        return {"oracle": None, "oracle_status": f"SKIP ({exc})"}
+    return {"oracle": orc.to_json(),
+            "oracle_status": "PASS" if orc.tf_rank == tc.tf_rank else "FAIL"}

@@ -14,7 +14,7 @@ import sys
 from . import liea, rho
 from . import matgrp as mg
 from .abst import ExtensionDescriptor
-from .classify import classify, tf_rank_oracle
+from .classify import classify, oracle_check, tf_rank_oracle
 from .corpus import FILTER_KEYS, load_corpus, run_corpus
 from .errors import (AmbiguousCase, CapExceeded, DomainError, EndotrivError,
                      GroupSpecError)
@@ -144,15 +144,7 @@ def _cmd_classify(args) -> int:
     tc = classify(args.n, args.q, args.p, args.det, args.z, cap=args.cap)
     payload = tc.to_json()
     if args.verify:
-        try:
-            orc = tf_rank_oracle(args.n, args.q, args.p, args.det, args.z,
-                                 cap=args.cap)
-            payload["oracle"] = orc.to_json()
-            payload["oracle_status"] = ("PASS" if orc.tf_rank == tc.tf_rank
-                                        else "FAIL")
-        except CapExceeded as exc:
-            payload["oracle"] = None
-            payload["oracle_status"] = f"SKIP ({exc})"
+        payload.update(oracle_check(tc, args.cap))
     lines = [str(tc)] + [f"  note: {n}" for n in tc.notes]
     if isinstance(tc.result, ExtensionDescriptor) and tc.result.resolved is None:
         cands = " or ".join(str(c) for c in tc.result.candidates())

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, replace
 from importlib import resources
 
-from .classify import classify, tf_rank_oracle
+from .classify import classify, oracle_check
 from .errors import EndotrivError
 
 @dataclass(frozen=True)
@@ -105,11 +105,8 @@ def run_corpus(filters: dict[str, str] | None = None, oracle: bool = False,
             row["error"] = f"{type(exc).__name__}: {exc}"
         if oracle and row["status"] == "PASS":
             if e.cap_class == "enumerable":
-                orc = tf_rank_oracle(e.n, e.q, e.p, e.det, e.z, cap=cap)
-                agree = orc.tf_rank == tc.tf_rank
-                row["oracle"] = orc.to_json()
-                row["oracle_status"] = "PASS" if agree else "FAIL"
-                if not agree:
+                row.update(oracle_check(tc, cap))
+                if row["oracle_status"] == "FAIL":
                     row["status"] = "FAIL"
             else:
                 row["oracle_status"] = "SKIP"

@@ -20,9 +20,13 @@ two share only the closure's Schreier tables.  The test suite diffs them.
 
 Certificates package the hypotheses of the one-dimensionality criterion
 (a subgroup H containing N_G(S), generator witnesses, and per-condition
-evidence).  The checker runs the clauses in order and reads the verdict off
-the first clause that does not hold: INCOMPLETE when it cannot be checked,
-FAIL naming it when it is violated, PASS when every clause holds.
+evidence) for an instance (n, q, p), and carry nothing the checker can
+derive: it works out every order, a block split's included.  (S) checks
+the Sylow image first for every containment kind; a witness naming an
+auxiliary group is judged by (2)(a)-(c), any other by (B1).  The checker
+runs the clauses in order and reads the verdict off the first clause that
+does not hold: INCOMPLETE when it cannot be checked, FAIL naming it when
+it is violated, PASS when every clause holds.
 """
 
 from __future__ import annotations
@@ -278,8 +282,7 @@ class TrivialityEvidence:
 class GeneratorWitness:
     label: str
     element: np.ndarray
-    mode: str  # "B1" (in [H,H]S) or "B2" (via auxiliary subgroup)
-    aux_group: mg.MatrixGroup | None = None
+    aux_group: mg.MatrixGroup | None = None         # none: the witness lies in [H,H]S
     aux_evidence: TrivialityEvidence | None = None
 
 
@@ -300,7 +303,6 @@ class MethodCertificate:
     p: int
     n: int
     q: int
-    ambient_order: int                      # order of the (possibly virtual) ambient G or G/Z
     H: mg.MatrixGroup                       # subgroup containing N(S), possibly a central quotient
     sylow_in_H: mg.Subgroup                 # image of the Sylow subgroup inside H
     containment: SylowContainment
@@ -332,15 +334,13 @@ class CertificateReport:
     description: str = ""
 
 
-def _check_triviality(K: mg.MatrixGroup | None, p: int, ev: TrivialityEvidence | None,
+def _check_triviality(K: mg.MatrixGroup, p: int, ev: TrivialityEvidence | None,
                       tag: str) -> ClauseResult:
     """Condition (A) for K, or (2)(a) for an auxiliary group: not checkable
     when the evidence is missing or left unproved."""
     if ev is None or ev.kind == "unproved":
         return ClauseResult(tag, None, ("" if tag == "(A)" else "auxiliary ")
                             + "condition (A) left unproved")
-    if K is None:
-        return ClauseResult(tag, False, "no group to check the evidence on")
     if ev.kind == "normal-p-subgroup":
         if ev.witness_gens is None or not len(ev.witness_gens):
             return ClauseResult(tag, False, "normal-p-subgroup needs witness generators")
@@ -356,14 +356,19 @@ def _check_triviality(K: mg.MatrixGroup | None, p: int, ev: TrivialityEvidence |
         if sp is None or ev.det_order is None or K.scalars is not None:
             return ClauseResult(tag, False, "block-split needs a split, a determinant "
                                 "order and a plain block group")
-        ok = (sum(sp.blocks) == K.n
-              and liea.levi_order(list(sp.blocks), K.field.q, ev.det_order) == K.order
-              and _blocks_respected(K, sp.blocks) and sp.valid()
-              and set(sp.part_a) | set(sp.part_b) == set(range(len(sp.blocks)))
-              and not set(sp.part_a) & set(sp.part_b))
+        parts = (sp.part_a, sp.part_b)
+        if not (sum(sp.blocks) == K.n and all(parts)
+                and sorted(sp.part_a + sp.part_b) == list(range(len(sp.blocks)))
+                and liea.levi_order(sp.blocks, K.field.q, ev.det_order) == K.order
+                and _blocks_respected(K, sp.blocks)):
+            return ClauseResult(tag, False, "block-split hypotheses fail")
+        # each factor meets the determinant-constrained group in a block group
+        orders = [liea.levi_order([sp.blocks[i] for i in part], K.field.q, ev.det_order)
+                  for part in parts]
+        ok = all(o % p == 0 for o in orders)
         return ClauseResult(tag, ok, f"block split {sp.part_a}|{sp.part_b}, factor orders "
-                            f"{sp.order_a},{sp.order_b} both divisible by {sp.p}" if ok
-                            else "block-split hypotheses fail")
+                            f"{orders[0]},{orders[1]} " + ("both" if ok else "not both")
+                            + f" divisible by {p}")
     return ClauseResult(tag, False, f"evidence kind {ev.kind!r} is not checkable")
 
 
@@ -378,24 +383,31 @@ def _blocks_respected(K: mg.MatrixGroup, blocks) -> bool:
 
 
 def _check_containment(cert: MethodCertificate) -> ClauseResult:
-    """(S): H contains N(S), by the containment's kind; not checkable for
-    an unknown kind."""
+    """(S): H contains N(S).  For every known kind the Sylow image is
+    checked first, then H by the kind's own rule; not checkable for an
+    unknown kind."""
     c = cert.containment
     if c.kind == "whole-group":
-        failed = None if cert.H.order == cert.ambient_order \
-            else "H claimed to be the whole group but is not"
-        held = "H is the whole group"
+        check, held = _check_whole_group, "H is the whole group"
     elif c.kind == "diagonal-characters":
-        failed = _check_diagonal_characters(cert)
-        held = ("Q characteristic in S; N(Q) is monomial by the distinct-character "
-                "eigenline argument; H is the full monomial subgroup")
+        check, held = _check_diagonal_characters, (
+            "Q characteristic in S; N(Q) is monomial by the distinct-character "
+            "eigenline argument; H is the full monomial subgroup")
     elif c.kind == "isotypic-blocks":
-        failed = _check_isotypic_blocks(cert)
-        held = ("S acts irreducibly on blocks of pairwise distinct dimension; any "
-                "normalizing element preserves each block, so N(S) <= H")
+        check, held = _check_isotypic_blocks, (
+            "S acts irreducibly on blocks of pairwise distinct dimension; any "
+            "normalizing element preserves each block, so N(S) <= H")
     else:
         return ClauseResult("(S)", None, f"unknown containment kind {c.kind!r}")
+    failed = _check_sylow_image(cert) or check(cert)
     return ClauseResult("(S)", failed is None, failed or held)
+
+
+def _dets_in(F, mats, det_order: int) -> bool:
+    """Every matrix has its determinant in the subgroup of order det_order."""
+    allowed = np.zeros(F.q, dtype=bool)  # a mask over GF(q)
+    allowed[list(F.subgroup_values(det_order))] = True
+    return bool(allowed[backend.det_many(mats, F)].all())
 
 
 def _check_sylow_image(cert) -> str | None:
@@ -408,9 +420,7 @@ def _check_sylow_image(cert) -> str | None:
         return f"{c.kind} needs the Sylow group and det_order"
     if Sg.order != p_part(liea.group_order(cert.n, cert.q, c.det_order), cert.p):
         return "S has wrong order"
-    allowed = np.zeros(Sg.field.q, dtype=bool)  # a mask over GF(q)
-    allowed[list(Sg.field.subgroup_values(c.det_order))] = True
-    if not allowed[backend.det_many(Sg.elements, Sg.field)].all():
+    if not _dets_in(Sg.field, Sg.elements, c.det_order):
         return "S violates the determinant condition"
     try:
         image = mg.image(cert.H, Sg)
@@ -418,6 +428,19 @@ def _check_sylow_image(cert) -> str | None:
         return "S is not contained in H"
     if image != cert.sylow_in_H:
         return "declared Sylow image mismatches S"
+    return None
+
+
+def _check_whole_group(cert) -> str | None:
+    """N(S) <= H because H is the whole group {x : det x in Det}: a plain
+    group of that group's order whose generators have their determinants
+    in Det.  The first hypothesis that fails, or None."""
+    H, det_order = cert.H, cert.containment.det_order
+    if H.scalars is not None:
+        return "whole-group applies to plain groups"
+    if not _dets_in(H.field, H.elements[list(H.gen_idx)], det_order) or \
+            H.order != liea.group_order(cert.n, cert.q, det_order):
+        return "H is not the whole group"
     return None
 
 
@@ -429,8 +452,6 @@ def _check_diagonal_characters(cert) -> str | None:
     c, H = cert.containment, cert.H
     Qg, Sg = c.q_subgroup, c.sylow
     n = cert.n
-    if failed := _check_sylow_image(cert):
-        return failed
     if Qg is None:
         return "diagonal-characters needs the group Q"
     # the kernel scalars must sit inside Q (so quotient normalizers correspond)
@@ -505,8 +526,6 @@ def _check_isotypic_blocks(cert) -> str | None:
     blocks = list(c.blocks)
     if sum(blocks) != cert.n or len(set(blocks)) != len(blocks):
         return "blocks must partition n with distinct sizes"
-    if failed := _check_sylow_image(cert):
-        return failed
     if not _blocks_respected(Sg, blocks):
         return "S does not preserve the blocks"
     smats = [Sg.elements[i] for i in Sg.gen_idx]
@@ -525,9 +544,9 @@ def _check_isotypic_blocks(cert) -> str | None:
 
 def _clauses(cert: MethodCertificate):
     """The certificate's clauses in order: (gen), (S), (A), then for each
-    witness (B1), or (B?) for an unknown mode, or (2)(a), (2)(b) and (2)(c).
-    Each is checked only when the reader asks for it, so nothing past the
-    first clause that does not hold is computed."""
+    witness (B1) when it names no auxiliary group, else (2)(a), (2)(b) and
+    (2)(c).  Each is checked only when the reader asks for it, so nothing
+    past the first clause that does not hold is computed."""
     H = cert.H
     widx = []  # each witness looked up once
     for w in cert.witnesses:
@@ -546,11 +565,9 @@ def _clauses(cert: MethodCertificate):
     comm = mg.commutator_subgroup(H.as_subgroup())
     in_b1 = mg._mask(H, mg.join(comm, cert.sylow_in_H).idx)
     for w, wi in zip(cert.witnesses, widx):
-        if w.mode == "B1":
+        if w.aux_group is None:
             ok = bool(in_b1[wi])
             yield ClauseResult(f"(B1)[{w.label}]", ok, "in [H,H]S" if ok else "not in [H,H]S")
-        elif w.mode != "B2":
-            yield ClauseResult(f"(B?)[{w.label}]", False, f"unknown witness mode {w.mode!r}")
         else:
             K = w.aux_group
             yield _check_triviality(K, cert.p, w.aux_evidence, f"(2)(a)[{w.label}]")
@@ -594,14 +611,13 @@ def build_central_scalar_certificate(n: int, q: int, p: int,
     F = field_spec(q)
     zeta = F.element_of_order(p)
     zmat = F.mul[zeta, mg.identity_matrix(n)]
-    S = mg.image(G, liea.build_sylow(params, cap=cap)[1])
-    witnesses = [GeneratorWitness(f"g{i}", G.elements[g], "B1")
-                 for i, g in enumerate(G.gen_idx)]
+    _, Sg = liea.build_sylow(params, cap=cap)
+    witnesses = [GeneratorWitness(f"g{i}", G.elements[g]) for i, g in enumerate(G.gen_idx)]
     return MethodCertificate(
         description=f"block-count p^s, e=1 instance: SL({n},{q}) at p={p}",
-        p=p, n=n, q=q, ambient_order=G.order,
-        H=G, sylow_in_H=S,
-        containment=SylowContainment(kind="whole-group"),
+        p=p, n=n, q=q,
+        H=G, sylow_in_H=mg.image(G, Sg),
+        containment=SylowContainment(kind="whole-group", sylow=Sg, det_order=1),
         H_evidence=TrivialityEvidence(kind="normal-p-subgroup",
                                       witness_gens=[zmat]),
         witnesses=witnesses)
@@ -643,16 +659,14 @@ def build_torus_quotient_certificate(n: int, q: int, p: int,
     Lbar = liea.levi(blocks, q, 1, cap=cap, name="corner block group /Z", z_order=z_order)
 
     comm = mg.commutator_subgroup(Hbar.as_subgroup())
-    witnesses = [GeneratorWitness(f"c{i}", Hbar.elements[g], "B1")
-                 for i, g in enumerate(comm.gen_idx)]
+    witnesses = [GeneratorWitness(f"c{i}", Hbar.elements[g]) for i, g in enumerate(comm.gen_idx)]
     witnesses.append(GeneratorWitness(
-        "corner-rotation", X, "B2", aux_group=Lbar,
+        "corner-rotation", X, aux_group=Lbar,
         aux_evidence=TrivialityEvidence(kind="normal-p-subgroup",
                                         witness_gens=[Y])))
     return MethodCertificate(
         description=f"torus-quotient instance: SL({n},{q})/Z{z_order} at p={p}",
         p=p, n=n, q=q,
-        ambient_order=liea.order_sl(n, q) // z_order,
         H=Hbar, sylow_in_H=Sbar,
         containment=SylowContainment(kind="diagonal-characters", q_subgroup=Qg,
                                      sylow=Sg, det_order=1),
@@ -693,20 +707,19 @@ def build_block_count_certificate(n: int, q: int, p: int,
 
     half = n // 2
     H1 = liea.levi([half, n - half], q, 1, cap=cap, name="balanced block group")
-    split = liea.levi_split([half, n - half], q, 1, p)
+    split = liea.levi_split([half, n - half], q, p)
     if split is None:
         raise DomainError("balanced block split unavailable")
 
     comm = mg.commutator_subgroup(N.as_subgroup())
-    witnesses = [GeneratorWitness(f"c{i}", N.elements[g], "B1")
-                 for i, g in enumerate(comm.gen_idx)]
+    witnesses = [GeneratorWitness(f"c{i}", N.elements[g]) for i, g in enumerate(comm.gen_idx)]
     witnesses.append(GeneratorWitness(
-        "connector-torus", sigma, "B2", aux_group=H1,
+        "connector-torus", sigma, aux_group=H1,
         aux_evidence=TrivialityEvidence(kind="block-split", split=split,
                                         det_order=1)))
     return MethodCertificate(
         description=f"block-count a*p^s+b instance: SL({n},{q}) at p={p}",
-        p=p, n=n, q=q, ambient_order=liea.order_sl(n, q),
+        p=p, n=n, q=q,
         H=N, sylow_in_H=Sn,
         containment=SylowContainment(kind="isotypic-blocks", sylow=Sg,
                                      blocks=tuple(blocks), det_order=1),

@@ -6,15 +6,16 @@ from hypothesis import strategies as st
 
 from endotriv import abst
 from endotriv.abst import (AbelianStructure, ExtensionDescriptor, cyclic,
-                           direct_sum, from_cyclic_orders, prime_to_p_part)
+                           from_cyclic_orders, prime_to_p_part)
 from endotriv.errors import DomainError
 
 
 def test_direct_sum_examples():
-    assert direct_sum(abst.Z, abst.TRIVIAL) == abst.Z
-    assert direct_sum(cyclic(2), cyclic(3)) == cyclic(6)
-    got = direct_sum(AbelianStructure(1, (2,)), cyclic(2))
-    assert got == AbelianStructure(1, (2, 2))
+    # from_cyclic_orders canonicalizes a direct sum of cyclic groups
+    assert from_cyclic_orders([], 1) == AbelianStructure(1)
+    assert from_cyclic_orders([1], 1) == AbelianStructure(1)
+    assert from_cyclic_orders([2, 3]) == cyclic(6)
+    assert from_cyclic_orders([2, 2], 1) == AbelianStructure(1, (2, 2))
 
 
 @given(st.lists(st.integers(min_value=1, max_value=60), max_size=6),
@@ -22,7 +23,8 @@ def test_direct_sum_examples():
 @settings(max_examples=200, deadline=None)
 def test_direct_sum_preserves_order(xs, ys):
     a, b = from_cyclic_orders(xs), from_cyclic_orders(ys)
-    assert direct_sum(a, b).torsion_order == a.torsion_order * b.torsion_order
+    got = from_cyclic_orders(list(a.invariant_factors) + list(b.invariant_factors))
+    assert got.torsion_order == a.torsion_order * b.torsion_order
 
 
 def test_prime_to_p_part_examples():
@@ -31,7 +33,7 @@ def test_prime_to_p_part_examples():
     assert prime_to_p_part(from_cyclic_orders([12, 2]), 3) == \
         from_cyclic_orders([4, 2])
     with pytest.raises(DomainError):
-        prime_to_p_part(abst.Z, 2)
+        prime_to_p_part(AbelianStructure(1), 2)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=90), max_size=6),

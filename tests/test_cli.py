@@ -265,6 +265,26 @@ def test_corpus_run_and_filters(capsys):
     assert all("n3-char3" in r["clause"] for r in report2["entries"])
 
 
+def test_corpus_oracle_under_a_small_cap_skips_what_the_cap_refuses(capsys):
+    # the whole report comes back: the oracle refused on an entry is a SKIP
+    # naming the refusal, as in classify --verify, and the entry still PASSes
+    code, out, _ = run_cli(capsys, "corpus", "run", "--oracle", "--cap", "1000", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["counts"] == {"PASS": 34, "FAIL": 0, "SKIP": 0}
+    oracle = {r["name"]: (r["oracle_status"], r["oracle"]) for r in report["entries"]
+              if r.get("oracle_status", "SKIP") != "SKIP"}
+    assert oracle["PSL(3,4) p=3"] == ("SKIP (closure of SL(3,4)/Z3 exceeds cap 1000)", None)
+    assert oracle["SL(2,5) p=2"][0] == "PASS"
+    statuses = {s.split(" ")[0] for s, _ in oracle.values()}
+    assert statuses == {"PASS", "SKIP"}
+    code, out, _ = run_cli(capsys, "classify", "3", "4", "3", "--z", "3", "--verify",
+                           "--cap", "1000", "--json")
+    payload = json.loads(out)
+    assert code == 0
+    assert (payload["oracle_status"], payload["oracle"]) == oracle["PSL(3,4) p=3"]
+
+
 def test_corpus_corrupted_entry_fails(monkeypatch):
     entries = load_corpus()
     bad = CorpusEntry("corrupted", 2, 5, 2, 1, 1,

@@ -141,7 +141,7 @@ def test_sylow_rejected_when_p_does_not_divide():
 def test_singer_relation():
     for q, e in [(3, 2), (5, 2), (4, 3), (2, 3)]:
         F = field_spec(q)
-        w, g = liea.singer_block(q, e)
+        w, g = F.singer_block(e)
         wq = liea._matrix_power(F, w, q)
         gi = liea._matrix_power(F, g, liea.order_gl(e, q) - 1)  # g^-1
         lhs = backend.mm_one(backend.mm_one(g[None], w, F), gi, F)[0]
@@ -155,7 +155,7 @@ def test_singer_generator_is_the_primitive_of_the_extension_field():
     assert len(pairs) == 16
     for q, e in pairs:
         F = field_spec(q)
-        w, _ = liea.singer_block(q, e)
+        w, _ = F.singer_block(e)
         prim = field_spec(q ** e).primitive
         assert w[:, 0].tolist() == [prim // q ** i % q for i in range(e)], (q, e)
         power, order = w, 1
@@ -165,11 +165,11 @@ def test_singer_generator_is_the_primitive_of_the_extension_field():
 
 
 def test_singer_blocks_kept_per_field():
-    w, g = liea.singer_block(4, 3)
-    assert liea.singer_block(4, 3)[0] is w
+    w, g = field_spec(4).singer_block(3)
+    assert field_spec(4).singer_block(3)[0] is w
     assert not (w.flags.writeable or g.flags.writeable)
     field_spec.cache_clear()  # drops the blocks with the field
-    w2, g2 = liea.singer_block(4, 3)
+    w2, g2 = field_spec(4).singer_block(3)
     assert w2 is not w and np.array_equal(w2, w) and np.array_equal(g2, g)
 
 
@@ -183,11 +183,11 @@ def test_levi_examples():
 
 
 def test_levi_split():
-    sp = liea.levi_split([2, 2], 4, 1, 3)
-    assert sp is not None and sp.valid()
-    assert liea.levi_split([2, 1], 4, 1, 3) is None  # only one block > 1
-    sp2 = liea.levi_split([2, 2, 1], 5, 1, 3)  # e = 2: two blocks >= e
-    assert sp2 is not None and sp2.valid()
+    assert liea.levi_split([2, 2], 4, 3) == liea.BlockSplit((2, 2), (0,), (1,))
+    assert liea.levi_split([2, 1], 4, 3) is None  # only one block > 1
+    # e = 2: the first block >= e is split off from the rest
+    assert liea.levi_split([1, 2, 2], 5, 3) == liea.BlockSplit((1, 2, 2), (1,), (0, 2))
+    assert liea.levi_split([1, 2], 5, 3) is None
 
 
 def test_monomial_cap_refused_before_closure(monkeypatch):

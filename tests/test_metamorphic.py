@@ -128,7 +128,7 @@ def _conjugate_certificate(cert, conj):
 
 # family -> (its default certificate, a tamper, the clause the tamper fails)
 CERTIFICATES = {
-    "rp-case": (_torus_certificate, lambda c: _with_corner(c, mode="B1"), "(B1)"),
+    "rp-case": (_torus_certificate, lambda c: _with_corner(c, aux_group=None), "(B1)"),
     "sleps": (lambda: rho.build_central_scalar_certificate(3, 4, 3),
               lambda c: dataclasses.replace(c, witnesses=c.witnesses[:1],
                                             sylow_in_H=mg.trivial_subgroup(c.H)), "(gen)"),

@@ -439,13 +439,21 @@ def _torus_certificate():
     return rho.build_torus_quotient_certificate(3, 19, 3)
 
 
+@functools.cache
+def _central_scalar_certificate():
+    return rho.build_central_scalar_certificate(3, 4, 3)
+
+
 @pytest.fixture
 def real_certificate(request):
-    """A builder's certificate by kind: the torus one at (3, 19, 3), or the
-    session's composite-iii one at (4, 4, 3)."""
+    """A builder's certificate by kind: the torus one at (3, 19, 3), the
+    central-scalar one at (3, 4, 3), or the session's composite-iii one at
+    (4, 4, 3)."""
     def get(kind):
         if kind == "torus":
             return _torus_certificate()
+        if kind == "scalar":
+            return _central_scalar_certificate()
         return request.getfixturevalue("composite_iii_certificate")
     return get
 
@@ -482,6 +490,15 @@ SYLOW_IMAGE_TAMPERS = {
     # S preserves the split (1, 3) of GF(4)^4, so the one block of size 4 is reducible
     "blocks-reducible": ("blocks", lambda c: _tamper_containment(c, blocks=(4,)),
                          "block at 0 of size 4 is reducible under S"),
+    # all of H declared as the Sylow image generates H with no witnesses
+    "scalar-image-is-H": ("scalar", lambda c: dataclasses.replace(
+        c, sylow_in_H=c.H.as_subgroup(), witnesses=[]), "declared Sylow image mismatches S"),
+    # the monomial group modulo Z3 relabelled as the whole group
+    "torus-as-whole-group": ("torus", lambda c: _tamper_containment(c, kind="whole-group"),
+                             "whole-group applies to plain groups"),
+    # the two-block group holds S but is a proper subgroup of SL(4,4)
+    "blocks-as-whole-group": ("blocks", lambda c: _tamper_containment(c, kind="whole-group"),
+                              "H is not the whole group"),
 }
 
 
@@ -516,10 +533,10 @@ def test_hand_built_h_fails_the_sylow_clause(case):
     _, S = liea.build_sylow(liea.compute_params(n, q, p, det))
     H = mg.MatrixGroup.generate(S.field, [S.elements[g] for g in S.gen_idx] + xs)
     cert = rho.MethodCertificate(
-        "hand-built", p, n, q, liea.group_order(n, q, det), H,
+        "hand-built", p, n, q, H,
         mg.Subgroup(H, np.unique(H.lookup_batch(S.elements))), containment(S),
         rho.TrivialityEvidence(kind="unproved"),
-        [rho.GeneratorWitness(f"x{i}", x, "B1") for i, x in enumerate(xs)])
+        [rho.GeneratorWitness(f"x{i}", x) for i, x in enumerate(xs)])
     report = rho.check_certificate(cert)
     assert report.clauses[0] == rho.ClauseResult("(gen)", True, "witnesses and S generate H")
     assert (report.verdict, report.failed_clause) == ("FAIL", "(S)")
@@ -559,7 +576,7 @@ def _block_cases():
     cases = []
     for q, e in [(2, 2), (2, 3), (3, 2), (4, 2), (5, 2), (2, 4), (3, 3)]:
         F = field_spec(q)
-        w, frob = liea.singer_block(q, e)
+        w, frob = F.singer_block(e)
         scalar = functools.reduce(lambda a, _: _matrix_mul(F, a, w),
                                   range((q ** e - 1) // (q - 1) - 1), w)
         cases += [(q, [w], 0, e), (q, [w, frob], 0, e), (q, [frob], 0, e), (q, [scalar], 0, e)]
@@ -640,10 +657,8 @@ VERDICT_EXITS = {
     "A-unknown-kind": (lambda c: dataclasses.replace(
         c, H_evidence=rho.TrivialityEvidence("self-normalizing-sylow")), ("FAIL", "(A)", "(A)")),
     # [H,H]S has 324 of the 648 elements of H, and not the corner rotation
-    "corner-as-B1": (lambda c: _with_corner(c, mode="B1"),
+    "corner-as-B1": (lambda c: _with_corner(c, aux_group=None),
                      ("FAIL", "(B1)", "(B1)[corner-rotation]")),
-    "corner-as-B3": (lambda c: _with_corner(c, mode="B3"),
-                     ("FAIL", "(B?)", "(B?)[corner-rotation]")),
     "aux-evidence-missing": (lambda c: _with_corner(c, aux_evidence=None),
                              ("INCOMPLETE", None, "(2)(a)[corner-rotation]")),
     "aux-witness-outside-K": (lambda c: _with_corner(c, aux_evidence=rho.TrivialityEvidence(
@@ -684,11 +699,18 @@ MALFORMED_EVIDENCE = {
         c, H_evidence=rho.TrivialityEvidence("normal-p-subgroup")), "(A)"),
     "A-witness-gens-empty": ("torus", lambda c: dataclasses.replace(
         c, H_evidence=rho.TrivialityEvidence("normal-p-subgroup", witness_gens=[])), "(A)"),
-    "aux-group-missing": ("torus", lambda c: _with_corner(c, aux_group=None), "(2)(a)"),
+    # a witness naming no auxiliary group is judged by (B1)
+    "aux-group-missing": ("torus", lambda c: _with_corner(c, aux_group=None), "(B1)"),
     "aux-witness-gens-missing": ("torus", lambda c: _with_corner(
         c, aux_evidence=rho.TrivialityEvidence("normal-p-subgroup")), "(2)(a)"),
     "block-split-det-order-missing": ("composite-iii", lambda c: _with_corner(
         c, aux_evidence=dataclasses.replace(c.witnesses[-1].aux_evidence, det_order=None)),
+        "(2)(a)"),
+    # H itself is the block group of (1, 3) over GF(4), whose GL(1,4) factor
+    # meets SL(4,4) in the trivial group, of order prime to 3
+    "block-split-factor-prime-to-p": ("composite-iii", lambda c: _with_corner(
+        c, aux_group=c.H, aux_evidence=rho.TrivialityEvidence(
+            "block-split", split=liea.BlockSplit((1, 3), (0,), (1,)), det_order=1)),
         "(2)(a)"),
     "isotypic-blocks-missing": ("composite-iii", lambda c: _with_containment(c, blocks=None),
                                 "(S)"),
