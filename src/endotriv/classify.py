@@ -346,7 +346,7 @@ def tf_rank_oracle(n: int, q: int, p: int, det_order: int = 1, z_order: int = 1,
     if p_rank >= 2:
         pmask = G.elements_satisfying_power(p)
         for e in eas:
-            if e.rank != 2:
+            if e.rank != 2 or not e.maximal:  # extendable inside S already
                 continue
             C = mg.centralizer(G, e.subgroup)
             if mg._mask(G, e.subgroup.idx)[C.idx[pmask[C.idx]]].all():  # not extendable

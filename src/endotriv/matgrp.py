@@ -748,10 +748,6 @@ def image(G: MatrixGroup, K: MatrixGroup) -> Subgroup:
     return Subgroup(G, _sorted_unique(G.lookup_batch(K.elements)))
 
 
-def join(H1: Subgroup, H2: Subgroup) -> Subgroup:
-    return _closure_indices(H1.parent, H2.gen_idx, H1)
-
-
 def normal_closure(H: Subgroup, seed_idx) -> Subgroup:
     """Smallest subgroup of H containing the seeds and normal in H."""
     G = H.parent

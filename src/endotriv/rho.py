@@ -19,14 +19,16 @@ read off the table, and a group above NAIVE_TABLE_CAP is refused.  The
 two share only the closure's Schreier tables.  The test suite diffs them.
 
 Certificates package the hypotheses of the one-dimensionality criterion
-(a subgroup H containing N_G(S), generator witnesses, and per-condition
-evidence) for an instance (n, q, p), and carry nothing the checker can
-derive: it works out every order, a block split's included.  (S) checks
-the Sylow image first for every containment kind; a witness naming an
-auxiliary group is judged by (2)(a)-(c), any other by (B1).  The checker
-runs the clauses in order and reads the verdict off the first clause that
-does not hold: INCOMPLETE when it cannot be checked, FAIL naming it when
-it is violated, PASS when every clause holds.
+for an instance (n, q, p): a subgroup H containing N_G(S), the Sylow group
+S and why H contains its normalizer, evidence for (A), and the auxiliary
+witnesses, each lying in [H_i, H_i] for its own group H_i.  They carry
+only what the checker cannot compute: it works out every order, a block
+split's included, S's image in H and [H,H].  (S) runs first and checks
+the Sylow image for every containment kind; (gen) asks that [H,H], S and
+the witnesses generate H; each witness is judged by (2)(a)-(c).  The
+checker runs the clauses in order and reads the verdict off the first
+clause that does not hold: INCOMPLETE when it cannot be checked, FAIL
+naming it when it is violated, PASS when every clause holds.
 """
 
 from __future__ import annotations
@@ -282,7 +284,7 @@ class TrivialityEvidence:
 class GeneratorWitness:
     label: str
     element: np.ndarray
-    aux_group: mg.MatrixGroup | None = None         # none: the witness lies in [H,H]S
+    aux_group: mg.MatrixGroup  # H_i, whose [H_i, H_i] holds the witness
     aux_evidence: TrivialityEvidence | None = None
 
 
@@ -304,7 +306,6 @@ class MethodCertificate:
     n: int
     q: int
     H: mg.MatrixGroup                       # subgroup containing N(S), possibly a central quotient
-    sylow_in_H: mg.Subgroup                 # image of the Sylow subgroup inside H
     containment: SylowContainment
     H_evidence: TrivialityEvidence
     witnesses: list[GeneratorWitness] = field(default_factory=list)
@@ -338,6 +339,8 @@ def _check_triviality(K: mg.MatrixGroup, p: int, ev: TrivialityEvidence | None,
                       tag: str) -> ClauseResult:
     """Condition (A) for K, or (2)(a) for an auxiliary group: not checkable
     when the evidence is missing or left unproved."""
+    if K is None:
+        return ClauseResult(tag, False, "no auxiliary group")
     if ev is None or ev.kind == "unproved":
         return ClauseResult(tag, None, ("" if tag == "(A)" else "auxiliary ")
                             + "condition (A) left unproved")
@@ -411,23 +414,21 @@ def _dets_in(F, mats, det_order: int) -> bool:
 
 
 def _check_sylow_image(cert) -> str | None:
-    """S is a p-group of the ambient Sylow order (by the order formula) with
-    determinants in the subgroup of order det_order, and sylow_in_H is
-    exactly its image in H.  The first hypothesis that fails, or None."""
+    """det_order divides q-1, and S is a p-group of the ambient Sylow order
+    (by the order formula) with determinants in the subgroup of order
+    det_order, contained in H.  The first hypothesis that fails, or None."""
     c = cert.containment
     Sg = c.sylow
     if Sg is None or c.det_order is None:
         return f"{c.kind} needs the Sylow group and det_order"
+    if c.det_order < 1 or (cert.q - 1) % c.det_order:
+        return f"det_order {c.det_order} does not divide q-1 = {cert.q - 1}"
     if Sg.order != p_part(liea.group_order(cert.n, cert.q, c.det_order), cert.p):
         return "S has wrong order"
     if not _dets_in(Sg.field, Sg.elements, c.det_order):
         return "S violates the determinant condition"
-    try:
-        image = mg.image(cert.H, Sg)
-    except KeyError:
+    if not cert.H.locate(Sg.elements)[1].all():
         return "S is not contained in H"
-    if image != cert.sylow_in_H:
-        return "declared Sylow image mismatches S"
     return None
 
 
@@ -543,11 +544,13 @@ def _check_isotypic_blocks(cert) -> str | None:
 
 
 def _clauses(cert: MethodCertificate):
-    """The certificate's clauses in order: (gen), (S), (A), then for each
-    witness (B1) when it names no auxiliary group, else (2)(a), (2)(b) and
-    (2)(c).  Each is checked only when the reader asks for it, so nothing
-    past the first clause that does not hold is computed."""
+    """The certificate's clauses in order: (S), (gen), (A), then (2)(a),
+    (2)(b) and (2)(c) for each witness.  Each is checked only when the
+    reader asks for it, so nothing past the first clause that does not
+    hold is computed; S's image in H is taken once (S) holds."""
     H = cert.H
+    yield _check_containment(cert)
+    S = mg.image(H, cert.containment.sylow)
     widx = []  # each witness looked up once
     for w in cert.witnesses:
         try:
@@ -555,31 +558,26 @@ def _clauses(cert: MethodCertificate):
         except KeyError:
             yield ClauseResult("(gen)", False, f"witness {w.label} is not in H")
             return
-    generated = mg.generated_subgroup(H, widx + list(cert.sylow_in_H.gen_idx))
+    comm = mg.commutator_subgroup(H.as_subgroup())
+    generated = mg.generated_subgroup(H, widx + list(comm.gen_idx) + list(S.gen_idx))
     ok = generated.order == H.order
-    yield ClauseResult("(gen)", ok, "witnesses and S generate H" if ok else
-                       f"witnesses generate order {generated.order} != |H| = {H.order}")
-    yield _check_containment(cert)
+    yield ClauseResult("(gen)", ok, "[H,H], S and the witnesses generate H" if ok else
+                       f"[H,H], S and the witnesses generate order {generated.order} "
+                       f"!= |H| = {H.order}")
     yield _check_triviality(H, cert.p, cert.H_evidence, "(A)")
 
-    comm = mg.commutator_subgroup(H.as_subgroup())
-    in_b1 = mg._mask(H, mg.join(comm, cert.sylow_in_H).idx)
-    for w, wi in zip(cert.witnesses, widx):
-        if w.aux_group is None:
-            ok = bool(in_b1[wi])
-            yield ClauseResult(f"(B1)[{w.label}]", ok, "in [H,H]S" if ok else "not in [H,H]S")
-        else:
-            K = w.aux_group
-            yield _check_triviality(K, cert.p, w.aux_evidence, f"(2)(a)[{w.label}]")
-            inter = mg.common_order(K, H)
-            ok = inter % cert.p == 0
-            yield ClauseResult(f"(2)(b)[{w.label}]", ok, f"|H_i /\\ H| = {inter}"
-                               + ("" if ok else f" not divisible by {cert.p}"))
-            kcomm = mg.commutator_subgroup(K.as_subgroup())
-            (ki,), (found,) = K.locate(np.asarray(w.element)[None])
-            ok = bool(found and mg._mask(K, kcomm.idx)[ki])
-            yield ClauseResult(f"(2)(c)[{w.label}]", ok, "witness lies in [H_i,H_i]" if ok
-                               else "witness not in [H_i,H_i]")
+    for w in cert.witnesses:
+        K = w.aux_group
+        yield _check_triviality(K, cert.p, w.aux_evidence, f"(2)(a)[{w.label}]")
+        inter = mg.common_order(K, H)
+        ok = inter % cert.p == 0
+        yield ClauseResult(f"(2)(b)[{w.label}]", ok, f"|H_i /\\ H| = {inter}"
+                           + ("" if ok else f" not divisible by {cert.p}"))
+        kcomm = mg.commutator_subgroup(K.as_subgroup())
+        (ki,), (found,) = K.locate(np.asarray(w.element)[None])
+        ok = bool(found and mg._mask(K, kcomm.idx)[ki])
+        yield ClauseResult(f"(2)(c)[{w.label}]", ok, "witness lies in [H_i,H_i]" if ok
+                           else "witness not in [H_i,H_i]")
 
 
 def check_certificate(cert: MethodCertificate) -> CertificateReport:
@@ -603,7 +601,7 @@ def build_central_scalar_certificate(n: int, q: int, p: int,
                                      cap: int | None = None) -> MethodCertificate:
     """Whole-group certificate for SL(n,q) when p divides gcd(n, q-1):
     the scalar of order p is a central normal p-subgroup and the group is
-    perfect, so every generator is a commutator-subgroup element."""
+    perfect, so [H,H] = H and no witness is needed."""
     if (q - 1) % p or n % p:
         raise DomainError("needs p | q-1 and p | n (central scalar of order p)")
     params = liea.compute_params(n, q, p)
@@ -612,15 +610,13 @@ def build_central_scalar_certificate(n: int, q: int, p: int,
     zeta = F.element_of_order(p)
     zmat = F.mul[zeta, mg.identity_matrix(n)]
     _, Sg = liea.build_sylow(params, cap=cap)
-    witnesses = [GeneratorWitness(f"g{i}", G.elements[g]) for i, g in enumerate(G.gen_idx)]
     return MethodCertificate(
         description=f"block-count p^s, e=1 instance: SL({n},{q}) at p={p}",
         p=p, n=n, q=q,
-        H=G, sylow_in_H=mg.image(G, Sg),
+        H=G,
         containment=SylowContainment(kind="whole-group", sylow=Sg, det_order=1),
         H_evidence=TrivialityEvidence(kind="normal-p-subgroup",
-                                      witness_gens=[zmat]),
-        witnesses=witnesses)
+                                      witness_gens=[zmat]))
 
 
 def build_torus_quotient_certificate(n: int, q: int, p: int,
@@ -628,11 +624,16 @@ def build_torus_quotient_certificate(n: int, q: int, p: int,
     """Certificate for SL(n,q)/Z with p | q-1, p | n and Z the p-part of
     the scalar centre: H is the image of the monomial subgroup (the torus-Sylow
     normalizer), generated by its commutator subgroup together with the
-    corner rotation, whose witness subgroup is the scaled-torus block group."""
+    corner rotation, whose witness subgroup is the scaled-torus block group.
+    The argument needs a monomial Sylow subgroup, which for p = 2 and
+    q = 3 mod 4 is built from semidihedral 2 x 2 blocks instead."""
     if n % p or (q - 1) % p:
         raise DomainError("needs p | n and p | q-1")
     if n < 3:
         raise DomainError("needs n >= 3")
+    if p == 2 and q % 4 == 3:
+        raise DomainError("needs a monomial Sylow 2-subgroup, but for q = 3 mod 4 "
+                          "it has semidihedral blocks")
     if n == p == 3 and (q - 1) % 9:
         raise DomainError(
             "for n = p = 3 the scaled-torus witness is scalar unless 9 | q-1")
@@ -652,27 +653,21 @@ def build_torus_quotient_certificate(n: int, q: int, p: int,
         qgens.append(m)
     Qg = mg.MatrixGroup.generate(F, qgens, cap=cap, name="torus p-part")
 
-    Sbar = mg.image(Hbar, Sg)
-
     X, Y = liea._torus_corner(n, q, p)
     blocks = [2, 1] if n == 3 else [2, 1, n - 3]
     Lbar = liea.levi(blocks, q, 1, cap=cap, name="corner block group /Z", z_order=z_order)
 
-    comm = mg.commutator_subgroup(Hbar.as_subgroup())
-    witnesses = [GeneratorWitness(f"c{i}", Hbar.elements[g]) for i, g in enumerate(comm.gen_idx)]
-    witnesses.append(GeneratorWitness(
-        "corner-rotation", X, aux_group=Lbar,
-        aux_evidence=TrivialityEvidence(kind="normal-p-subgroup",
-                                        witness_gens=[Y])))
     return MethodCertificate(
         description=f"torus-quotient instance: SL({n},{q})/Z{z_order} at p={p}",
         p=p, n=n, q=q,
-        H=Hbar, sylow_in_H=Sbar,
+        H=Hbar,
         containment=SylowContainment(kind="diagonal-characters", q_subgroup=Qg,
                                      sylow=Sg, det_order=1),
         H_evidence=TrivialityEvidence(kind="normal-p-subgroup",
                                       witness_gens=[Qg.elements[g] for g in Qg.gen_idx]),
-        witnesses=witnesses)
+        witnesses=[GeneratorWitness(
+            "corner-rotation", X, aux_group=Lbar,
+            aux_evidence=TrivialityEvidence(kind="normal-p-subgroup", witness_gens=[Y]))])
 
 
 def build_block_count_certificate(n: int, q: int, p: int,
@@ -698,7 +693,6 @@ def build_block_count_certificate(n: int, q: int, p: int,
     N = liea.levi(blocks, q, 1, cap=cap, name="two-block group")
     F = field_spec(q)
     _, Sg = liea.build_sylow(params, cap=cap)
-    Sn = mg.image(N, Sg)
 
     w = F.primitive
     sigma = mg.identity_matrix(n)
@@ -711,22 +705,18 @@ def build_block_count_certificate(n: int, q: int, p: int,
     if split is None:
         raise DomainError("balanced block split unavailable")
 
-    comm = mg.commutator_subgroup(N.as_subgroup())
-    witnesses = [GeneratorWitness(f"c{i}", N.elements[g]) for i, g in enumerate(comm.gen_idx)]
-    witnesses.append(GeneratorWitness(
-        "connector-torus", sigma, aux_group=H1,
-        aux_evidence=TrivialityEvidence(kind="block-split", split=split,
-                                        det_order=1)))
     return MethodCertificate(
         description=f"block-count a*p^s+b instance: SL({n},{q}) at p={p}",
         p=p, n=n, q=q,
-        H=N, sylow_in_H=Sn,
+        H=N,
         containment=SylowContainment(kind="isotypic-blocks", sylow=Sg,
                                      blocks=tuple(blocks), det_order=1),
         H_evidence=TrivialityEvidence(
             kind="normal-p-subgroup",
             witness_gens=[_big_block_scalar(F, small, big, p)]),
-        witnesses=witnesses)
+        witnesses=[GeneratorWitness(
+            "connector-torus", sigma, aux_group=H1,
+            aux_evidence=TrivialityEvidence(kind="block-split", split=split, det_order=1))])
 
 
 def _big_block_scalar(F, small, big, p):

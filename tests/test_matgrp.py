@@ -702,7 +702,7 @@ def test_generators_are_irredundant(n, q, det, z):
         "generated": mg.generated_subgroup(G, seeds),
         "generated-from-S": mg.generated_subgroup(G, S.idx),
         "sylow": S,
-        "join": mg.join(S, T),
+        "join": mg._closure_indices(G, T.gen_idx, S),
         "normal-closure": mg.normal_closure(full, S.gen_idx),
         "commutator": mg.commutator_subgroup(full),
         "commutator-of-N(S)": mg.commutator_subgroup(mg.normalizer(G, S)),

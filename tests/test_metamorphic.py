@@ -13,6 +13,7 @@ are moved the same way, by a diagonal M, and must keep their verdicts.
 """
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,9 +23,10 @@ from endotriv import matgrp as mg
 from endotriv.classify import tf_rank_oracle
 from endotriv.corpus import load_corpus
 from endotriv.gf import field_spec
-from test_rho import _torus_certificate, _with_corner
+from test_rho import _torus_certificate
 
-# enumerable corpus quotients of at most 60 480 elements; together about 1 s
+# enumerable corpus quotients of at most 60 480 elements; together about 1 s,
+# and about 0.5 s more for the elementary abelian counts and the chains
 NAMES = ["PGL(3,4) p=3", "PSL(3,4) p=3", "SL(2,13):2/Z2 p=2", "GL(2,5) p=2"]
 SEED = 20261019
 
@@ -57,7 +59,9 @@ def _maps(F, n):
 
 
 def _answers(G, p, case, monkeypatch):
-    """|G/Z|, |S|, |N_G(S)|, the p-rank, n_G and both abelianizations."""
+    """|G/Z|, |S|, |N_G(S)|, the p-rank, n_G, both abelianizations, the
+    number of elementary abelian subgroups of S of each rank and the chain
+    of S up to level 3."""
     S = mg.sylow_subgroup_of(G, p)
     N = mg.normalizer(G, S)
     full = G.as_subgroup()
@@ -65,7 +69,9 @@ def _answers(G, p, case, monkeypatch):
     oracle = tf_rank_oracle(*case)
     return (G.order, S.order, N.order, oracle.p_rank, oracle.n_g,
             mg.quotient_structure(full, mg.commutator_subgroup(full)),
-            mg.quotient_structure(N, mg.commutator_subgroup(N)))
+            mg.quotient_structure(N, mg.commutator_subgroup(N)),
+            Counter(e.rank for e in mg.elementary_abelian_subgroups(S, p)),
+            rho.rho_chain(G, S, S, max_i=3).to_json())
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -102,7 +108,7 @@ def _diagonal_conjugation(F, n):
 
 def _conjugate_certificate(cert, conj):
     """Every group of the certificate closed again from its conjugated
-    generators, with the same scalars; the Sylow image is the conjugated one."""
+    generators, with the same scalars."""
     def close(G):
         return None if G is None else mg.MatrixGroup.generate(
             G.field, [conj(G.elements[g]) for g in G.gen_idx],
@@ -117,8 +123,6 @@ def _conjugate_certificate(cert, conj):
     assert not np.array_equal(H.elements, cert.H.elements)
     return dataclasses.replace(
         cert, H=H,
-        sylow_in_H=mg.Subgroup(H, np.unique(H.lookup_batch(
-            conj(cert.H.elements[cert.sylow_in_H.idx])))),
         containment=dataclasses.replace(c, q_subgroup=close(c.q_subgroup), sylow=close(c.sylow)),
         H_evidence=evidence(cert.H_evidence),
         witnesses=[dataclasses.replace(w, element=conj(w.element), aux_group=close(w.aux_group),
@@ -126,12 +130,13 @@ def _conjugate_certificate(cert, conj):
                    for w in cert.witnesses])
 
 
-# family -> (its default certificate, a tamper, the clause the tamper fails)
+# family -> (its default certificate, a tamper, the clause the tamper fails);
+# SL(3,4) is perfect, so the sleps certificate cannot fail (gen)
 CERTIFICATES = {
-    "rp-case": (_torus_certificate, lambda c: _with_corner(c, aux_group=None), "(B1)"),
+    "rp-case": (_torus_certificate, lambda c: dataclasses.replace(c, witnesses=[]), "(gen)"),
     "sleps": (lambda: rho.build_central_scalar_certificate(3, 4, 3),
-              lambda c: dataclasses.replace(c, witnesses=c.witnesses[:1],
-                                            sylow_in_H=mg.trivial_subgroup(c.H)), "(gen)"),
+              lambda c: dataclasses.replace(c, H_evidence=rho.TrivialityEvidence(
+                  "normal-p-subgroup", witness_gens=[c.H.elements[c.H.gen_idx[0]]])), "(A)"),
 }
 
 

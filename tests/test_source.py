@@ -106,6 +106,25 @@ def test_public_names_are_reached_from_the_package():
     assert sorted(unreached) == sorted(REACHED_FROM_OUTSIDE)
 
 
+def _is_dataclass(cls):
+    return any((getattr(d, "id", None) or getattr(getattr(d, "func", None), "id", None))
+               == "dataclass" for d in cls.decorator_list)
+
+
+def test_dataclass_fields_are_read_in_the_package():
+    # a field that nothing in src/ reads is state carried for the tests
+    # alone: each field of a public dataclass is an attribute read somewhere
+    trees = [ast.parse(f.read_text(), str(f)) for f in sorted(SRC.glob("*.py"))]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{cls.name}.{a.target.id}" for tree in trees for cls in tree.body
+              if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+              and _is_dataclass(cls)
+              for a in cls.body if isinstance(a, ast.AnnAssign)
+              and isinstance(a.target, ast.Name) and a.target.id not in read]
+    assert not unread, unread
+
+
 # optional parameters of public functions that no call in src/ or perfbench/ sets
 SET_FROM_OUTSIDE: dict[str, str] = {}
 
