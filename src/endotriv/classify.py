@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
+import numpy as np
+
 from . import abst, liea
 from . import matgrp as mg
 from .abst import AbelianStructure, ExtensionDescriptor, cyclic
@@ -331,6 +333,13 @@ def tf_rank_oracle(n: int, q: int, p: int, det_order: int = 1, z_order: int = 1,
     """Count conjugacy classes of maximal order-p^2 elementary abelian
     subgroups by enumeration, then apply the rank dichotomy.
 
+    Each rank-2 E maximal in S gets one scan, the rows g h g^-1 over every g
+    for E's generators h.  Where every row is fixed, g centralizes E, and E
+    is maximal in G when no order-p such g lies outside it.  E joins the
+    class of a representative R when some g sends every generator into R:
+    then g E g^-1 <= R, and both have order p^2, so they are equal.  n_G is
+    the number of representatives.
+
     Pure group theory: works for any prime dividing the quotient order,
     including the defining characteristic.
     """
@@ -342,17 +351,20 @@ def tf_rank_oracle(n: int, q: int, p: int, det_order: int = 1, z_order: int = 1,
     S = mg.sylow_subgroup_of(G, p)
     eas = mg.elementary_abelian_subgroups(S, p)
     p_rank = max(e.rank for e in eas)
-    maximal2 = []
+    reps = []  # a mask over G of one representative per class
     if p_rank >= 2:
         pmask = G.elements_satisfying_power(p)
         for e in eas:
             if e.rank != 2 or not e.maximal:  # extendable inside S already
                 continue
-            C = mg.centralizer(G, e.subgroup)
-            if mg._mask(G, e.subgroup.idx)[C.idx[pmask[C.idx]]].all():  # not extendable
-                maximal2.append(e.subgroup)
-    classes = mg.subgroup_conjugacy_classes(G, maximal2) if maximal2 else []
-    n_g = len(classes)
+            inside, hs = mg._mask(G, e.subgroup.idx), e.subgroup.gen_idx
+            conj = [G.sandwich_all(h) for h in hs]
+            central = np.logical_and.reduce([c == h for c, h in zip(conj, hs)])
+            if (central & pmask & ~inside).any():  # extendable in G
+                continue
+            if not any(np.logical_and.reduce([R[c] for c in conj]).any() for R in reps):
+                reps.append(inside)
+    n_g = len(reps)
     tf = n_g if p_rank <= 2 else n_g + 1
     return RankOracle(p_rank, n_g, tf)
 

@@ -495,7 +495,7 @@ class MatrixGroup:
     @cached_property
     def _gen_conj(self) -> np.ndarray:
         """Row k: x -> gens[k]^-1 x gens[k], read by sandwich_all (flat, at
-        the offsets _step) and conjugate_orbit."""
+        the offsets _step)."""
         conj, inv = np.empty_like(self.acts), self.inv
         for k, a in enumerate(self.acts):  # one row at a time: O(|G|) temporaries
             conj[k] = a.take(inv.take(a.take(inv)))
@@ -809,41 +809,6 @@ def _abelian_type(H: Subgroup, K: Subgroup) -> AbelianStructure:
         for i in range(1, len(s)):
             orders += [p ** i] * (at_least[i - 1] - at_least[i])
     return from_cyclic_orders(orders)
-
-
-def conjugate_orbit(G: MatrixGroup, key: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """The keys of the conjugates of the subgroup with sorted index tuple
-    `key`: a BFS under x -> s^-1 x s for each generator s, one sweep per
-    level through the rows of the table `_gen_conj` (Holt, Eick and
-    O'Brien, 4.1)."""
-    if not key or np.any(np.diff(key) <= 0):
-        raise DomainError("a subgroup key must be a strictly increasing index tuple")
-    void = np.dtype((np.void, 8 * len(key)))
-    front = np.array([key], dtype=np.int64)
-    seen = front.view(void).ravel()  # the orbit's rows so far, sorted
-    while len(front):
-        imgs = np.ascontiguousarray(G._gen_conj[:, front], dtype=np.int64).reshape(-1, len(key))
-        imgs.sort(axis=1)
-        seen, new = _orbit_step(seen, imgs.view(void))
-        front = new.view(np.int64).reshape(-1, len(key))
-    return set(map(tuple, seen.view(np.int64).reshape(-1, len(key)).tolist()))
-
-
-def subgroup_conjugacy_classes(G: MatrixGroup, subs: list[Subgroup]) -> list[list[Subgroup]]:
-    """Partition subgroups under conjugation; deterministic representatives.
-
-    Classes are returned sorted by their representative (the least element
-    index set in enumeration order), each class listing the input subgroups
-    it contains, representative first.
-    """
-    pending = {s.key(): s for s in subs}
-    classes = []
-    while pending:
-        orbit = conjugate_orbit(G, min(pending))
-        in_class = [pending.pop(k) for k in orbit if k in pending]
-        classes.append(sorted(in_class, key=lambda s: s.key()))
-    classes.sort(key=lambda c: c[0].key())
-    return classes
 
 
 # ---------------------------------------------------------------------------

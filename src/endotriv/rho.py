@@ -688,6 +688,10 @@ def build_block_count_certificate(n: int, q: int, p: int,
     if b == 0:
         raise DomainError(f"needs n/e = a p^s + b with 1 <= b < p^s, got n/e = {r} = {a}*{ps}")
     big, small = a * ps * e, b * e
+    half = n // 2
+    split = liea.levi_split([half, n - half], q, p)  # before any closure
+    if split is None:
+        raise DomainError("balanced block split unavailable")
     # the Sylow builder lays blocks out in increasing width
     blocks = [small, big]
     N = liea.levi(blocks, q, 1, cap=cap, name="two-block group")
@@ -699,11 +703,7 @@ def build_block_count_certificate(n: int, q: int, p: int,
     sigma[0, 0] = w
     sigma[small, small] = F.inv_el(w)
 
-    half = n // 2
     H1 = liea.levi([half, n - half], q, 1, cap=cap, name="balanced block group")
-    split = liea.levi_split([half, n - half], q, p)
-    if split is None:
-        raise DomainError("balanced block split unavailable")
 
     return MethodCertificate(
         description=f"block-count a*p^s+b instance: SL({n},{q}) at p={p}",

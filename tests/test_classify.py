@@ -170,6 +170,8 @@ def test_oracle_examples():
     assert (r2.p_rank, r2.n_g, r2.tf_rank) == (2, 3, 3)
     r3 = tf_rank_oracle(3, 4, 3, 1, 3)  # PSL(3,4)
     assert (r3.p_rank, r3.n_g, r3.tf_rank) == (2, 1, 1)
+    r4 = tf_rank_oracle(3, 4, 3, 3)  # GL(3,4): the rank-2 maximal in S all extend in G
+    assert (r4.p_rank, r4.n_g, r4.tf_rank) == (3, 0, 1)
 
 
 def test_oracle_closes_only_the_quotient(monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 
 from endotriv import backend, liea, rho
 from endotriv import matgrp as mg
+from endotriv.classify import tf_rank_oracle
 from endotriv.errors import CapExceeded, DomainError
 from endotriv.gf import field_spec
 from test_matgrp import _matmul_pairs, _python_closure, quaternion_group
@@ -162,8 +163,7 @@ def test_naive_twin_runs_without_the_subgroup_algebra(monkeypatch, n, q, det, p)
     S = mg.sylow_subgroup_of(G, p)
     fast = rho.rho_chain(G, S, S, max_i=3)
     for name in ("_closure_indices", "generated_subgroup", "find_generators",
-                 "normalizer", "commutator_subgroup", "all_subgroups",
-                 "conjugate_orbit", "subgroup_conjugacy_classes"):
+                 "normalizer", "commutator_subgroup", "all_subgroups"):
         monkeypatch.setattr(mg, name, None)
     for name in ("sandwich_all", "_gen_conj"):
         monkeypatch.setattr(G, name, None)
@@ -220,6 +220,13 @@ def _matrix_twin(G):
     return closure, normalizer, commutator
 
 
+def _orbit_reference(G, H):
+    """Keys of the conjugates of H from sandwich_all: column g of the
+    stacked g h g^-1 (h in H), sorted, is the key of g H g^-1."""
+    cols = np.sort(np.stack([G.sandwich_all(int(h)) for h in H.idx]), axis=0)
+    return {tuple(c) for c in cols.T.tolist()}
+
+
 @pytest.mark.parametrize("group", ["Q8", "SL(2,3)"])
 def test_naive_primitives_match_matrix_arithmetic(group):
     # the twin reads G's multiplication table; this checks it against matrices
@@ -228,7 +235,7 @@ def test_naive_primitives_match_matrix_arithmetic(group):
     for p in (2, 3):
         if G.order % p:
             continue
-        for key in mg.conjugate_orbit(G, mg.sylow_subgroup_of(G, p).key()):
+        for key in _orbit_reference(G, mg.sylow_subgroup_of(G, p)):
             members = frozenset(key)
             for x in key:
                 for y in key:
@@ -237,6 +244,30 @@ def test_naive_primitives_match_matrix_arithmetic(group):
             assert N == normalizer(members)
             assert rho._naive_commutator(G, members) == commutator(members)
             assert rho._naive_commutator(G, N) == commutator(N)
+
+
+# (n, q, p, det, z) -> (rank-2 elementary abelian subgroups of S maximal in G/Z, G-classes)
+FUSION = {(2, 7, 2, 2, 2): (4, 2), (2, 3, 2, 2, 1): (2, 1), (2, 3, 2, 2, 2): (2, 2)}
+
+
+@pytest.mark.parametrize("n, q, p, det, z", FUSION)
+def test_oracle_classes_match_the_naive_table(n, q, p, det, z):
+    # fusion read off the twin's multiplication table: g x g^-1 = tab[tab[g, x], inv[g]]
+    G = liea.enumerate_quotient(n, q, det, z)
+    tab, inv = rho._naive_table(G)
+    xs, one = np.arange(G.order), G.identity_idx
+    power = xs
+    for _ in range(p - 1):
+        power = tab[power, xs]
+    pts, commute = xs[(power == one) & (xs != one)], tab == tab.T
+    in_s = pts[mg._mask(G, mg.sylow_subgroup_of(G, p).idx)[pts]]
+    subs = {rho._naive_closure(G, [a, b]) for a in in_s for b in in_s if commute[a, b]}
+    subs = [E for E in subs if len(E) == p * p
+            and not any(commute[x, list(E)].all() for x in pts if x not in E)]
+    classes = {frozenset(map(frozenset, tab[tab[:, list(E)], inv[:, None]].tolist()))
+               for E in subs}
+    assert (len(subs), len(classes)) == FUSION[n, q, p, det, z]
+    assert tf_rank_oracle(n, q, p, det, z).n_g == len(classes)
 
 
 @pytest.mark.parametrize("group", ["Q8", "SL(2,3)", "GL(2,3)"])
@@ -410,6 +441,14 @@ def test_block_count_builder_splits_n(monkeypatch):
         with pytest.raises(CapExceeded) as exc:
             rho.build_block_count_certificate(n, q, p)
         assert exc.value.needed == liea.levi_order(blocks, q, 1)
+
+
+def test_block_count_split_is_checked_before_any_closure(monkeypatch):
+    # n = 3 halves into blocks (1, 2) and e = 1 for p = 2: no balanced split,
+    # so the answer is INVALID before any group is closed, whatever the cap
+    monkeypatch.setattr(mg.MatrixGroup, "generate", None)
+    [entry] = rho.replay_proof_certificates("composite-iii", 3, 9, 2, cap=100)
+    assert (entry["verdict"], entry["reason"]) == ("INVALID", "balanced block split unavailable")
 
 
 def test_torus_quotient_rejects_degenerate_scaled_torus():
