@@ -149,8 +149,8 @@ def cyclic_quotient_normalizer(n: int, q: int, e: int, f: int, det_order: int,
     r = 1, N_GL(S) is the block normalizer C_{q^e-1} : C_e times GL(f,q),
     generated by the Singer block t = w, the Frobenius block and GL(f,q),
     and N(S) = N_G(S) is the preimage of D_d under det, generated by
-    `liea.det_preimage_generators`.  Before any work the cap must admit
-    both |N_G(S)| and |N_GL(S)|.
+    `liea.det_preimage_generators` with t^-1 the embedded Singer block
+    w^-1.  Before any work the cap must admit both |N_G(S)| and |N_GL(S)|.
     """
     name = f"N_G(S)/Z{z_order}"
     if e == 1:
@@ -161,11 +161,11 @@ def cyclic_quotient_normalizer(n: int, q: int, e: int, f: int, det_order: int,
     mg.admit(q, cap, (expected, f"closure of {name} exceeds cap {{cap}}"),
              (ngl_order, "closure of N_GL(S) exceeds cap {cap}"))
     F = field_spec(q)
-    w, g = F.singer_block(e)
+    w, w_inv, g = F.singer_block(e)
     others = [mg.block_embed(n, [(0, g)])] + [
         mg.block_embed(n, [(e, m)]) for m in (liea.levi_generators([f], q, q - 1) if f else [])]
     gens = liea.det_preimage_generators(F, mg.block_embed(n, [(0, w)]),
-                                        q ** e - 1, others, det_order)
+                                        mg.block_embed(n, [(0, w_inv)]), others, det_order)
     return liea.quotient_closure(F, gens, z_order, expected, cap, name)
 
 

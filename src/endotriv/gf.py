@@ -9,7 +9,8 @@ produced from a discrete-log pair (exp/log) so construction is O(q^2)
 in numpy rather than O(q^2) polynomial multiplications.
 
 The modulus is the lexicographically least monic irreducible of degree k,
-"least" meaning smallest integer encoding of the non-leading coefficients.
+"least" meaning smallest integer encoding of the non-leading coefficients;
+a candidate with a root in the field is rejected before Rabin's test.
 The primitive element is likewise the least encoding of multiplicative
 order q-1.  There is one polynomial arithmetic (`_poly_*`, over any
 FieldSpec), and no other module calls it: `_least_primitive` runs on it to
@@ -149,12 +150,20 @@ def _poly_gcd(F: FieldSpec, a, b):
 
 
 def _is_irreducible(F: FieldSpec, mod) -> bool:
-    """mod monic of degree k >= 1 over F."""
+    """mod monic of degree k >= 1 over F: no root in F, by Horner's rule at
+    each element, and for k > 3 Rabin's test."""
     k = len(mod) - 1
     if k == 1:
         return True
-    if mod[0] == 0:
-        return False
+    add = F.add_list
+    for times_x in F.mul_list:  # a root x: mod(x) = 0
+        val = 0
+        for c in reversed(mod):
+            val = add[times_x[val]][c]
+        if not val:
+            return False
+    if k <= 3:  # a factor would have degree 1, a root
+        return True
     x = [0, 1]
     # x^(q^k) == x mod f, and gcd(x^(q^(k/r)) - x, f) == 1 for prime r | k
     if _poly_sub(F, _poly_powmod(F, x, F.q ** k, mod), x):
@@ -216,7 +225,7 @@ class FieldSpec:
         self.modulus = (0, 1) if self.degree == 1 else \
             _least_irreducible(field_spec(self.char), self.degree)
         self._build_tables()
-        self._singer_blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._singer_blocks: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     # -- table construction -------------------------------------------------
 
@@ -308,20 +317,22 @@ class FieldSpec:
             acc = self.mul_el(acc, g)
         return frozenset(vals)
 
-    def singer_block(self, e: int) -> tuple[np.ndarray, np.ndarray]:
-        """(w, g): the regular-embedding image of a generator of GF(q^e)^x
-        and the Frobenius element with g w g^-1 = w^q, both as read-only
-        e x e matrices over this field.  Columns j of w and g are gen * x^j
-        and (x^j)^q in GF(q)[x]/(mod), for the least irreducible mod of
-        degree e and its least generator."""
+    def singer_block(self, e: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(w, w^-1, g): the regular-embedding images of a generator of
+        GF(q^e)^x and of its inverse, and the Frobenius element with
+        g w g^-1 = w^q, all as read-only e x e matrices over this field.
+        Columns j of w, w^-1 and g are gen * x^j, gen^(q^e - 2) * x^j and
+        (x^j)^q in GF(q)[x]/(mod), for the least irreducible mod of degree
+        e and its least generator."""
         if e not in self._singer_blocks:
             mod = _least_irreducible(self, e)
             gen = _least_primitive(self, mod)
             powers = [[0] * j + [1] for j in range(e)]
-            w = [_poly_rem(self, _poly_mul(self, gen, xj), mod) for xj in powers]
-            frob = [_poly_powmod(self, xj, self.q, mod) for xj in powers]
-            blocks = tuple(np.array([c + [0] * (e - len(c)) for c in cols],
-                                    dtype=np.uint8).T.copy() for cols in (w, frob))
+            cols = [[_poly_rem(self, _poly_mul(self, a, xj), mod) for xj in powers]
+                    for a in (gen, _poly_powmod(self, gen, self.q ** e - 2, mod))]
+            cols.append([_poly_powmod(self, xj, self.q, mod) for xj in powers])
+            blocks = tuple(np.array([c + [0] * (e - len(c)) for c in col],
+                                    dtype=np.uint8).T.copy() for col in cols)
             for m in blocks:
                 m.flags.writeable = False
             self._singer_blocks[e] = blocks

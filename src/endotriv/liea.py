@@ -255,12 +255,12 @@ def _gl_sylow_generators(n: int, q: int, p: int, e: int, t: int) -> tuple[list[n
         # semidihedral blocks over coordinate pairs, sized by the 2-part of
         # q+1 (the 2-part of q^2-1 is 2^(t2+1)); an odd n leaves a -1 corner
         t2 = p_val(q + 1, 2)
-        w2, g2 = F.singer_block(2)
+        w2, _, g2 = F.singer_block(2)
         base = [_matrix_power(F, w2, (q * q - 1) // 2 ** (t2 + 1)), g2]
         width, label = 2, f"SD_{2 ** (t2 + 2)}"
     else:
         # the p-part of a Singer cycle of GF(q^e)
-        w, _ = F.singer_block(e)
+        w = F.singer_block(e)[0]
         base, width, label = [_matrix_power(F, w, (q ** e - 1) // p ** t)], e, f"C_{p ** t}"
     gens: list[np.ndarray] = []
     shape_terms: list[str] = []
@@ -299,15 +299,16 @@ def _base_digits(r: int, p: int) -> list[int]:
     return out
 
 
-def det_preimage_generators(F: FieldSpec, t: np.ndarray, t_order: int,
+def det_preimage_generators(F: FieldSpec, t: np.ndarray, t_inv: np.ndarray,
                             others: list[np.ndarray], d: int) -> list[np.ndarray]:
     """Generators of {x in <t, others> : det x in D_d}, D_d of order d in
     GF(q)^x, by Schreier's lemma (Holt, Eick and O'Brien, Handbook of
     Computational Group Theory, Section 4.1) over the transversal t^i, i < k,
     k the order of det t modulo D_d: t^k and t^i s t^-((i + c_s) mod k) for
     each s in `others` and i < k, c_s the c < k with det s det t^-c in D_d.
-    t_order is a multiple of the order of t.  Duplicates and the identity
-    are dropped; a det s outside <det t> D_d raises DomainError."""
+    The caller supplies t_inv = t^-1 (the Singer block's w^-1, or a power
+    of t), so no power of t is taken here.  Duplicates and the identity are
+    dropped; a det s outside <det t> D_d raises DomainError."""
     n, m = t.shape[0], (F.q - 1) // d  # D_d: the elements whose log m divides
     log_t, *logs = (int(F.log[x]) for x in backend.det_many(np.stack([t, *others]), F))
     k = m // math.gcd(log_t, m)
@@ -316,7 +317,6 @@ def det_preimage_generators(F: FieldSpec, t: np.ndarray, t_order: int,
         return backend.mm_one(a[None], b, F)[0]
 
     powers, inv_powers = [mg.identity_matrix(n)], [mg.identity_matrix(n)]
-    t_inv = _matrix_power(F, t, t_order - 1)
     for _ in range(k):
         powers.append(mul(powers[-1], t))
     for _ in range(k - 1):
@@ -348,8 +348,9 @@ def build_sylow(params: LieParams, cap: int | None = None) -> tuple[SylowPresent
     mg.admit(q, cap, (claimed, f"closure of {name} exceeds cap {{cap}}"))
     F = params.field
     gl_gens, shape = _gl_sylow_generators(n, q, p, params.e, params.t)
-    gens = det_preimage_generators(F, gl_gens[0], p_part(order_gl(n, q), p), gl_gens[1:], d) \
-        or [mg.identity_matrix(n)]
+    t = gl_gens[0]
+    gens = det_preimage_generators(F, t, _matrix_power(F, t, p_part(order_gl(n, q), p) - 1),
+                                   gl_gens[1:], d) or [mg.identity_matrix(n)]
     S = quotient_closure(F, gens, 1, claimed, cap, name)
     return SylowPresentation(gens, claimed, shape if d == q - 1 else shape + " ^ det"), S
 

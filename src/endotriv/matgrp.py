@@ -9,13 +9,14 @@ so G itself is never enumerated.  The closure acts on rows (R. A.
 Parker's row vectors from the Meat-axe): each row is a vector index in
 [0, q^n), and x * g is the rows of x each multiplied by g.  So the closure
 takes the orbit of the basis rows under the generators and the kernel
-once, and reads every product from its action by gathers (the base-image
-view, Holt, Eick and O'Brien, 4.4); the least multiple is read off row
-0's first nonzero entry.  An element's one key reads the orbit positions
-of its rows in base R, for R orbit rows.  Each breadth-first level numbers
-its products by it, through a direct-address table while there are at
-most DIRECT_LIMIT keys, by sorted keys beyond; a given matrix is found by
-its rows' positions and binary search in the kept sorted keys.
+once, searched over the kernel's classes of rows, and reads every product
+from its action by gathers (the base-image view, Holt, Eick and O'Brien,
+4.4); the least multiple is read off row 0's first nonzero entry.  An
+element's one key reads the orbit positions of its rows in base R, for R
+orbit rows.  Each breadth-first level numbers its products by it, through
+a direct-address table while there are at most DIRECT_LIMIT keys, by
+sorted keys beyond; a given matrix is found by its rows' positions and
+binary search in the kept sorted keys.
 
 Alongside the elements a group keeps the Schreier data of its closure as
 int32 index tables (Holt, Eick and O'Brien, Handbook of Computational Group
@@ -159,19 +160,17 @@ def _merge_sorted(old: tuple[np.ndarray, ...], new: tuple[np.ndarray, ...]) -> l
     return out
 
 
-def _orbit_step(seen: np.ndarray, imgs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(seen with new merged in, new) for a sorted orbit so far `seen`: new
-    holds the distinct values of imgs outside seen, sorted."""
-    cand = _sorted_unique(imgs)
-    new = cand[seen[np.minimum(np.searchsorted(seen, cand), len(seen) - 1)] != cand]
-    return _merge_sorted((seen,), (new,))[0], new
-
-
-def _kernel(scalars) -> np.ndarray:
-    scal = np.array(sorted(int(s) for s in scalars), dtype=np.uint8)
-    if scal[0] != 1:
-        raise DomainError("quotient kernel must contain 1")
-    return scal
+def _kernel(field: FieldSpec, scalars) -> np.ndarray:
+    """The quotient kernel as sorted field values: DomainError unless they
+    are values of GF(q)^x closed under products, that is a subgroup."""
+    scal = np.array(sorted({int(s) for s in scalars}), dtype=np.int64)
+    if not len(scal) or scal[0] < 1 or scal[-1] >= field.q:
+        raise DomainError(f"quotient kernel must hold nonzero values of GF({field.q})")
+    member = np.zeros(field.q, dtype=bool)
+    member[scal] = True
+    if not member[field.mul[scal[:, None], scal]].all():
+        raise DomainError(f"quotient kernel must be a subgroup of GF({field.q})^x")
+    return scal.astype(np.uint8)
 
 
 def _least_scalar(field: FieldSpec, zs: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -185,21 +184,53 @@ def _row_orbit(field: FieldSpec, gens: list[np.ndarray], zs: np.ndarray, wq: np.
     """The orbit of the identity's rows wq (the place values of a row's
     digits) under the generators and the kernel scalars, as (vec, act, zpos):
     vec its sorted row indices, act[k, v] the position of vec[v] gens[k] and
-    zpos[s, v] that of zs[s] vec[v].  Each new row is multiplied once, in one
-    kernel call per level; `refusal` is raised past `bound` rows."""
-    n, ng, wide = len(wq), len(gens), np.hstack(gens)  # every generator side by side
-    new = seen = wq[::-1]  # the identity's rows e_i, sorted
-    found, imgs = [], []
+    zpos[s, v] that of zs[s] vec[v].  The kernel Z is central and z u has the
+    zero pattern of u, so the search runs over Z's classes of rows, each
+    held by its least multiple: a level is one kernel call giving ng images
+    a class, each taken to its least multiple as `generate` takes a product
+    (a trivial kernel skips that step), and numbered like the closure's
+    products, through a table over [0, q^n) while q^n <= DIRECT_LIMIT.  Z is
+    cyclic, so with z^j r (r least) indexed by (j, r), (z^j r) g = z^(j+i) r'
+    for r g = z^i r', and z^i z^j r = z^(i+j) r: vec, act and zpos are read
+    off the classes once.  `refusal` is raised past `bound` rows."""
+    q, n, ng, nz = field.q, len(wq), len(gens), len(zs)
+    wide = np.hstack(gens)  # every generator side by side
+    new = wq[::-1]  # the identity's rows e_i, sorted, each its class's least
+    numbering = (_DirectNumbering if q ** n <= DIRECT_LIMIT else _SortedNumbering)(
+        int(new[0]), q ** n)
+    numbering.number(new.astype(numbering.dtype), 1)  # the other e_i numbered 1 ... n-1
+    count = n
+    cyc = field.log[zs] // ((q - 1) // nz)  # zs[s] = z^cyc[s] for z = exp[(q-1)/|Z|]
+    reps, cls, lift = [new], [], []
     while len(new):
-        dig = (new[:, None] // wq % field.q).astype(np.uint8)
-        gimg = backend.mm_one(dig[None], wide, field)[0].reshape(len(new), ng, n) @ wq
-        found.append(new)
-        imgs.append(np.vstack([gimg.T, field.mul[zs[:, None, None], dig] @ wq]))
-        seen, new = _orbit_step(seen, imgs[-1])
-        if len(seen) > bound:
+        dig = (new[:, None] // wq % q).astype(np.uint8)
+        img = backend.mm_one(dig[None], wide, field)[0].reshape(len(new), ng, n)
+        img = img.transpose(1, 0, 2).reshape(-1, n)  # generator-major
+        if nz > 1:
+            s = _least_scalar(field, zs, img)
+            img = field.mul[zs[s][:, None], img]
+            lift.append((-cyc[s]).reshape(ng, -1))  # r g = z^-cyc[s] (its least)
+        keys = img @ wq
+        ids, src = numbering.number(keys.astype(numbering.dtype, copy=False), count)
+        cls.append(ids.reshape(ng, -1))
+        new = keys.take(src)
+        reps.append(new)
+        count += len(src)
+        if count * nz > bound:
             raise refusal
-    at = np.searchsorted(seen, np.hstack(imgs)[:, np.argsort(np.hstack(found))])
-    return seen, at[:ng], at[ng:]
+    reps, cls = np.hstack(reps), np.hstack(cls)  # class c's least row, and c gens[k]'s class
+    rows = reps  # z^j reps[c] at j |C| + c
+    if nz > 1:
+        zj = field.exp[np.arange(nz) * ((q - 1) // nz)]
+        rows = (field.mul[zj[:, None, None], (reps[:, None] // wq % q).astype(np.uint8)]
+                @ wq).ravel()
+    order = np.argsort(rows)
+    pos = np.empty(len(rows), dtype=np.intp)
+    pos[order] = np.arange(len(rows))
+    j, c = np.divmod(order, count)  # vec[v] = z^j[v] reps[c[v]]
+    act = pos[(j + (np.hstack(lift)[:, c] if lift else 0)) % nz * count + cls[:, c]]
+    zpos = pos[(cyc[:, None] + j) % nz * count + c]
+    return rows[order], act, zpos
 
 
 # A closure whose row orbit has R rows numbers its products through a
@@ -362,10 +393,13 @@ class MatrixGroup:
         level multiplies its elements by every generator, takes each product
         to its least multiple over the kernel scalars, and numbers new
         products by first occurrence.  An element is held as the positions
-        p_0 ... p_(n-1) of its rows in the row orbit (`_row_orbit`), so a
-        product is n gathers.  Keys read row 0 first, and every z x has the
-        zero pattern of x, so the least multiple is the z with the least z a,
-        for a the first nonzero entry of row 0.
+        p_0 ... p_(n-1) of its rows in the row orbit (`_row_orbit`, searched
+        over the kernel's classes of rows), so a product is n gathers.  Keys
+        read row 0 first, and every z x has the zero pattern of x, so the
+        least multiple is the z with the least z a, for a the first nonzero
+        entry of row 0; each orbit row's is read off its multiples' positions.
+        The kernel must be a subgroup of GF(q)^x (DomainError before any
+        work otherwise).
 
         The orbit's R rows are sorted, so sum p_i R^(n-1-i) is a key with the
         lexicographic order of the matrices, and distinct elements have
@@ -377,6 +411,7 @@ class MatrixGroup:
         the benchmark's closures.  The group keeps the sorted keys that the
         numbering holds at the end, for `locate`."""
         cap = enumeration_cap(cap)
+        scal = None if scalars is None else _kernel(field, scalars)
         gens = [matrix(g, field.q) for g in gens]
         if not gens:
             raise DomainError("need at least one generator")
@@ -386,7 +421,6 @@ class MatrixGroup:
         if np.any(backend.det_many(np.stack(gens), field) == 0):
             raise DomainError("singular generator")
 
-        scal = None if scalars is None else _kernel(scalars)
         zs = np.ones(1, dtype=np.uint8) if scal is None else scal
         q, ng = field.q, len(gens)
         refusal = CapExceeded(f"closure of {name} exceeds cap {cap}", needed=cap + 1, cap=cap)
@@ -394,7 +428,7 @@ class MatrixGroup:
         wq = np.array([q ** j for j in range(n - 1, -1, -1)], dtype=_int_dtype(q ** n))
         vec, act, zpos = _row_orbit(field, gens, zs, wq, n * cap * len(zs), refusal)
         vdig = (vec[:, None] // wq % q).astype(np.uint8)  # the orbit's rows as digits
-        best = _least_scalar(field, zs, vdig)  # s of the least zs[s] vec[v]
+        best = vec.take(zpos).argmin(axis=0)  # s of the least zs[s] vec[v]
         # zact[(s ng + k) |vec| + v]: the position of zs[s] vec[v] gens[k]; the least
         # multiple of x * gens[k], row 0 of x at v, has its rows at off[k, v] + x's
         zact, off = zpos[:, act].ravel(), (best[act] * ng + np.arange(ng)[:, None]) * len(vec)

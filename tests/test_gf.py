@@ -92,6 +92,33 @@ def test_irreducibility_matches_root_test():
                 assert _is_irreducible(F, mod) == all(value(x) for x in range(q))
 
 
+def _monic(F, k):
+    """Every monic polynomial of degree k over F, little-endian, as tuples."""
+    return [tuple((low // F.q ** i) % F.q for i in range(k)) + (1,) for low in range(F.q ** k)]
+
+
+def _times(F, a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = F.add_list[out[i + j]][F.mul_list[x][y]]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("q, k", [(2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (3, 6),
+                                  (4, 4), (5, 4), (7, 4), (8, 4), (9, 4)])
+def test_irreducibility_matches_trial_division(q, k):
+    """Past degree 3 a polynomial without a root can still factor, so the
+    root filter must hand it to Rabin's test: the reducible monic ones are
+    exactly the products of a monic divisor of degree 1 ... k/2 with its
+    cofactor (trial division run as multiplication).  About 1 s in all."""
+    F = field_spec(q)
+    reducible = {_times(F, a, b) for d in range(1, k // 2 + 1)
+                 for a in _monic(F, d) for b in _monic(F, k - d)}
+    for mod in _monic(F, k):
+        assert _is_irreducible(F, list(mod)) == (mod not in reducible), mod
+
+
 # sha256 of every prime-power field's encoding: modulus, primitive and the
 # tables, q = 2 .. 256 in order; a new bootstrap must rebuild the same tables
 FIELD_TABLES_SHA256 = "feca32f423fded5b2244ae963c3c79ec2437f51aa65ec9c380b9ac785a76f468"

@@ -1,12 +1,14 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
 
 from endotriv import backend, gf, liea, rho
+from endotriv import classify as classify_mod
 from endotriv import matgrp as mg
 from endotriv.classify import classify
-from endotriv.errors import CapExceeded, DomainError, GroupSpecError
+from endotriv.errors import CapExceeded, DomainError, EndotrivError, GroupSpecError
 from endotriv.gf import field_spec, p_part
 from test_matgrp import element_orders
 
@@ -121,16 +123,18 @@ def test_build_sylow_cap_admits_the_sylow_of_g():
 def test_det_preimage_generators():
     F = field_spec(7)
     t = np.array([[3, 0], [0, 1]], dtype=np.uint8)  # det 3, primitive mod 7
+    t_inv = np.array([[5, 0], [0, 1]], dtype=np.uint8)
     s = np.array([[0, 1], [1, 0]], dtype=np.uint8)  # det -1 = 3^3
     for d in (1, 2, 3, 6):
-        gens = liea.det_preimage_generators(F, t, 6, [s], d)
+        gens = liea.det_preimage_generators(F, t, t_inv, [s], d)
         H = mg.MatrixGroup.generate(F, gens)
         assert H.order == 12 * d  # the index-6/d subgroup of <t, s> = C_6 wr C_2
         assert np.isin(backend.det_many(H.elements, F), list(F.subgroup_values(d))).all()
     # det t = 2 has order 3 mod D_1: det s = -1 is not in <2>
     t2 = np.array([[2, 0], [0, 1]], dtype=np.uint8)
+    t2_inv = np.array([[4, 0], [0, 1]], dtype=np.uint8)
     with pytest.raises(DomainError, match=r"outside <det t> D_1$"):
-        liea.det_preimage_generators(F, t2, 3, [s], 1)
+        liea.det_preimage_generators(F, t2, t2_inv, [s], 1)
 
 
 def test_sylow_rejected_when_p_does_not_divide():
@@ -138,10 +142,13 @@ def test_sylow_rejected_when_p_does_not_divide():
         liea.build_sylow(liea.compute_params(2, 4, 7))  # n < e
 
 
+SINGER_RELATION_PAIRS = [(3, 2), (5, 2), (4, 3), (2, 3)]
+
+
 def test_singer_relation():
-    for q, e in [(3, 2), (5, 2), (4, 3), (2, 3)]:
+    for q, e in SINGER_RELATION_PAIRS:
         F = field_spec(q)
-        w, g = F.singer_block(e)
+        w, _, g = F.singer_block(e)
         wq = liea._matrix_power(F, w, q)
         gi = liea._matrix_power(F, g, liea.order_gl(e, q) - 1)  # g^-1
         lhs = backend.mm_one(backend.mm_one(g[None], w, F), gi, F)[0]
@@ -155,7 +162,7 @@ def test_singer_generator_is_the_primitive_of_the_extension_field():
     assert len(pairs) == 16
     for q, e in pairs:
         F = field_spec(q)
-        w, _ = F.singer_block(e)
+        w = F.singer_block(e)[0]
         prim = field_spec(q ** e).primitive
         assert w[:, 0].tolist() == [prim // q ** i % q for i in range(e)], (q, e)
         power, order = w, 1
@@ -165,12 +172,95 @@ def test_singer_generator_is_the_primitive_of_the_extension_field():
 
 
 def test_singer_blocks_kept_per_field():
-    w, g = field_spec(4).singer_block(3)
-    assert field_spec(4).singer_block(3)[0] is w
-    assert not (w.flags.writeable or g.flags.writeable)
+    blocks = field_spec(4).singer_block(3)
+    assert field_spec(4).singer_block(3)[0] is blocks[0]
+    assert not any(m.flags.writeable for m in blocks)
     field_spec.cache_clear()  # drops the blocks with the field
-    w2, g2 = field_spec(4).singer_block(3)
-    assert w2 is not w and np.array_equal(w2, w) and np.array_equal(g2, g)
+    again = field_spec(4).singer_block(3)
+    assert again[0] is not blocks[0]
+    assert all(np.array_equal(a, b) for a, b in zip(again, blocks))
+
+
+def _fuzz_stream(count):
+    """The first `count` tuples of the totality-fuzz stream (seed 20260810),
+    the tuples of one benchmark fuzz pass for count = 350."""
+    rng, out = random.Random(20260810), []
+    while len(out) < count:
+        n, q, p = rng.randint(1, 6), rng.choice([2, 3, 4, 5, 7, 8, 9, 11, 13]), \
+            rng.choice([2, 3, 5, 7, 11, 13])
+        if q % p == 0:
+            continue
+        det = rng.choice([d for d in range(1, q) if (q - 1) % d == 0] or [1])
+        zc = liea.scalar_center_order(n, q, det)
+        out.append((n, q, p, det, rng.choice([x for x in range(1, zc + 1) if zc % x == 0])))
+    return out
+
+
+@pytest.fixture(scope="module")
+def fuzz_pass_calls():
+    """Every FieldSpec.singer_block and det_preimage_generators call of one
+    fuzz pass (350 tuples at cap 20 000, the abelianization cache emptied
+    first): the (q, e) pairs asked for, and per Schreier call its arguments
+    with the e of the Singer block it was given.  About 0.2 s."""
+    singer, schreier, last_e = set(), [], []
+    block, preimage = gf.FieldSpec.singer_block, liea.det_preimage_generators
+
+    def singer_block(F, e):
+        singer.add((F.q, e))
+        last_e.append(e)
+        return block(F, e)
+
+    def det_preimage_generators(F, t, t_inv, others, d):
+        schreier.append((last_e[-1], F, t, t_inv, others, d))
+        return preimage(F, t, t_inv, others, d)
+
+    mp = pytest.MonkeyPatch()
+    mp.setattr(gf.FieldSpec, "singer_block", singer_block)
+    mp.setattr(liea, "det_preimage_generators", det_preimage_generators)
+    classify_mod._cyclic_ext_ab.cache_clear()
+    try:
+        for case in _fuzz_stream(350):
+            try:
+                classify(*case, cap=20_000)
+            except EndotrivError:
+                pass
+    finally:
+        mp.undo()
+        classify_mod._cyclic_ext_ab.cache_clear()
+    return singer, schreier
+
+
+def test_singer_inverse_block(fuzz_pass_calls):
+    """w w^-1 = I for every (q, e) of the fuzz pass and of the relation test."""
+    pairs = fuzz_pass_calls[0] | set(SINGER_RELATION_PAIRS)
+    assert {(13, 2), (8, 4), (3, 6)} <= pairs
+    for q, e in sorted(pairs):
+        F = field_spec(q)
+        w, w_inv, _ = F.singer_block(e)
+        assert np.array_equal(backend.mm_one(w[None], w_inv, F)[0], mg.identity_matrix(e)), (q, e)
+
+
+def test_supplied_inverse_gives_the_same_generators(fuzz_pass_calls, monkeypatch):
+    """On every Schreier call of the fuzz pass, the embedded w^-1 gives the
+    generator list, byte for byte, that t^(q^e - 2) gives; build_sylow
+    passes t^(|GL(n,q)|_p - 1), which must be t^-1."""
+    calls = fuzz_pass_calls[1]
+    assert len(calls) >= 10
+    for e, F, t, t_inv, others, d in calls:
+        power = liea._matrix_power(F, t, F.q ** e - 2)
+        assert np.array_equal(t_inv, power)
+        got = liea.det_preimage_generators(F, t, t_inv, others, d)
+        ref = liea.det_preimage_generators(F, t, power, others, d)
+        assert [g.tobytes() for g in got] == [g.tobytes() for g in ref]
+    inverses, preimage = [], liea.det_preimage_generators
+    monkeypatch.setattr(liea, "det_preimage_generators", lambda F, t, t_inv, *rest: (
+        inverses.append((F, t, t_inv)), preimage(F, t, t_inv, *rest))[1])
+    for n, q, p, d in [(2, 7, 3, 1), (4, 4, 3, 3), (3, 2, 3, 1), (2, 5, 2, 2), (3, 7, 2, 6)]:
+        params = liea.compute_params(n, q, p, det_order=d)
+        assert liea.build_sylow(params)[1].order == params.sylow_order()
+    assert len(inverses) == 5
+    for F, t, t_inv in inverses:
+        assert np.array_equal(backend.mm_one(t[None], t_inv, F)[0], mg.identity_matrix(len(t)))
 
 
 def test_levi_examples():

@@ -913,14 +913,16 @@ def test_closure_matches_reference_bfs(name, monkeypatch):
 def test_object_keys_through_the_direct_table(monkeypatch):
     """S4 over GF(16) takes the table at the module's own bound: its entries
     read in base 16 would need Python ints, its position keys are int64,
-    and they find every element."""
+    and they find every element.  The row orbit numbers its classes on a
+    table over the 16^4 row indices first, then the elements take theirs
+    over the 4^4 position keys."""
     F, gens = _s4_16()
     taken = []
     init = mg._DirectNumbering.__init__
     monkeypatch.setattr(mg._DirectNumbering, "__init__",
                         lambda self, key0, bound: (taken.append(bound), init(self, key0, bound))[1])
     G = mg.MatrixGroup.generate(F, gens)
-    assert taken == [4 ** 4] and G.order == 24 and G._lookup.keys.dtype == np.int64
+    assert taken == [16 ** 4, 4 ** 4] and G.order == 24 and G._lookup.keys.dtype == np.int64
     assert G.lookup_batch(G.elements).tolist() == list(range(24))
 
 
@@ -980,6 +982,100 @@ def test_quotient_by_a_kernel_outside_the_generated_group(q, z, monkeypatch):
         G = mg.MatrixGroup.generate(F, gens, scalars=zvals)
         assert G.order == mg.MatrixGroup.generate(F, gens).order == 2 * (q - 1)
         _assert_matches_reference(G, ref)
+
+
+def _ref_row_orbit(F, gens, zs, wq):
+    """(vec, act, zpos) by the breadth-first search over every orbit row,
+    with the kernel's scalar matrices z I as extra generators: each new row
+    multiplied by every generator and every scalar, row products read from
+    the field's tables."""
+    n, q = len(wq), F.q
+    mats = list(gens) + [F.mul[int(z), mg.identity_matrix(n)] for z in zs]
+
+    def images(rows, g):  # the rows' indices times g, as indices
+        dig = (rows[:, None] // wq % q).astype(np.uint8)
+        out = np.zeros_like(dig)
+        for i in range(n):
+            out = F.add[out, F.mul[dig[:, i:i + 1], g[i][None, :]]]
+        return out @ wq
+
+    seen, front = set(wq.tolist()), wq
+    while len(front):
+        new = {int(x) for g in mats for x in images(front, g)} - seen
+        seen |= new
+        front = np.array(sorted(new), dtype=wq.dtype)
+    vec = np.array(sorted(seen), dtype=wq.dtype)
+    at = np.array([np.searchsorted(vec, images(vec, g)) for g in mats])
+    return vec, at[:len(gens)], at[len(gens):]
+
+
+# closures whose row orbits are checked against every-row reference: the
+# quotients above, the kernels outside <gens>, the reference groups (a
+# trivial kernel) and N_G(S)/Z5 in GL(3,11) of the fuzz stream (399
+# elements), whose 1330 rows fall in 266 classes of 5
+ROW_ORBIT_CASES = {
+    **{f"quotient {name}": build for name, (*_, build) in QUOTIENT_BUILDERS.items()},
+    **{f"outside {q}-{z}": partial(lambda q, z: mg.MatrixGroup.generate(
+        field_spec(q), _dihedral(q)[1], scalars=field_spec(q).subgroup_values(z)), q, z)
+       for q, z in OUTSIDE_KERNELS},
+    **{f"reference {name}": partial(lambda b: mg.MatrixGroup.generate(*b()), b)
+       for name, b in REFERENCE_GROUPS.items()},
+    "N_G(S)/Z5 in GL(3,11)": partial(cyclic_quotient_normalizer, 3, 11, 3, 0, 5, 5, None),
+}
+
+
+@pytest.mark.parametrize("name", list(ROW_ORBIT_CASES))
+def test_class_orbit_matches_every_row_reference(name, monkeypatch):
+    """The orbit searched over the kernel's classes gives the (vec, act,
+    zpos) of the search over every row, on either numbering."""
+    calls, orbit = [], mg._row_orbit
+    monkeypatch.setattr(mg, "_row_orbit", lambda F, gens, zs, wq, *rest: (
+        calls.append((F, gens, zs, wq, orbit(F, gens, zs, wq, *rest))), calls[-1][-1])[1])
+    for _ in _both_numberings(monkeypatch):
+        calls.clear()
+        ROW_ORBIT_CASES[name]()
+        assert len(calls) == 1
+        F, gens, zs, wq, got = calls[0]
+        for a, b in zip(got, _ref_row_orbit(F, gens, zs, wq)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    if name == "N_G(S)/Z5 in GL(3,11)":
+        assert (len(got[0]), len(zs)) == (1330, 5)
+
+
+def test_class_orbit_refuses_past_its_bound(monkeypatch):
+    """N_G(S)/Z5 in GL(3,11) (399 elements) has 1330 orbit rows and
+    n |Z| = 15: at cap 88
+    (bound 1320) the row orbit refuses the closure with the closure's own
+    message, before any element is enumerated; at cap 89 the elements do."""
+    G = cyclic_quotient_normalizer(3, 11, 3, 0, 5, 5, None)
+    gens, zvals = [G.elements[g] for g in G.gen_idx], [int(z) for z in G.scalars]
+    bfs, started = mg._breadth_first, []
+    monkeypatch.setattr(mg, "_breadth_first", lambda *args: (started.append(1), bfs(*args))[1])
+    for _ in _both_numberings(monkeypatch):
+        for cap, from_orbit in ((88, True), (89, False)):
+            started.clear()
+            with pytest.raises(CapExceeded) as err:
+                mg.MatrixGroup.generate(G.field, gens, cap=cap, scalars=zvals, name="N")
+            assert (str(err.value), err.value.needed, err.value.cap) == (
+                f"closure of N exceeds cap {cap}", cap + 1, cap)
+            assert not started if from_orbit else started
+
+
+@pytest.mark.parametrize("scalars", [[1, 3], [1, 2], [0, 1], [1, 7], [1, 6, 9], []])
+def test_kernel_that_is_not_a_subgroup_is_refused(scalars, monkeypatch):
+    """SL(2,7) (336 elements) modulo {1, 3} read 504 elements and modulo
+    {1, 2} 672, neither set being closed under products; a value 0 or at
+    least q is no scalar.  Each is refused before any kernel call."""
+    F, gens = field_spec(7), liea.levi_generators([2], 7, 1)
+    monkeypatch.setattr(backend, "det_many", lambda *args: pytest.fail("work started"))
+    with pytest.raises(DomainError, match=r"^quotient kernel must"):
+        mg.MatrixGroup.generate(F, gens, scalars=scalars)
+
+
+def test_kernel_is_read_as_a_set():
+    F, gens = field_spec(7), liea.levi_generators([2], 7, 1)
+    G = mg.MatrixGroup.generate(F, gens, scalars=[6, 1, 6])
+    assert G.scalars.tolist() == [1, 6] and G.order == 168
 
 
 def test_closure_tabulates_nothing_over_the_row_space():

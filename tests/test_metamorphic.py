@@ -10,7 +10,8 @@ that keeps a group closed would show as a difference in some brute-force
 answer.  Reversal also changes which generators Dimino's closure takes for
 each subgroup, so no answer may depend on that choice.  Proof certificates
 are moved by a diagonal M, by the reversal and, for k > 1, by the
-Frobenius map, and must keep their verdicts.
+Frobenius map, and must keep their verdicts; the composite-iii one, whose
+groups have two block shapes, by an M block-diagonal on both.
 """
 
 import dataclasses
@@ -112,6 +113,21 @@ def _diagonal_conjugation(F, n):
     return lambda g: F.mul[F.mul[d[:, None], g], d_inv]
 
 
+def _block_conjugation(F, n, shapes):
+    """g -> M g M^-1 for a seeded M that is block-diagonal on the common
+    refinement of the given block shapes, with a random invertible block on
+    each part (a random nonzero scalar on a part of size 1): M lies in
+    every block group of those shapes, so each closes again to the same
+    set of cosets."""
+    rng = np.random.default_rng(SEED)
+    cuts = sorted({0, n} | {sum(shape[:i]) for shape in shapes for i in range(len(shape))})
+    m = mg.block_embed(n, [(a, _random_gl(F, b - a, rng) if b - a > 1 else
+                            np.array([[rng.integers(1, F.q)]], dtype=np.uint8))
+                           for a, b in zip(cuts, cuts[1:])])
+    m_inv = _inverse(F, m)
+    return lambda g: backend.mm_one(backend.mm_one(m[None], g, F), m_inv, F)[0]
+
+
 def _certificate_maps(F, n):
     """label -> a map from a generator list of a certificate's group to
     another one that closes to the same set of cosets."""
@@ -171,3 +187,21 @@ def test_certificate_verdicts_survive_a_change_of_basis(family):
     for label, c in {"unmoved": cert, **moved}.items():
         report = rho.check_certificate(tamper(c))
         assert (report.verdict, report.failed_clause) == ("FAIL", clause), label
+
+
+def test_composite_iii_verdicts_survive_a_block_conjugation(composite_iii_certificate):
+    """SL(4,4) at p = 3: H has blocks (1, 3) and the witness's group (2, 2),
+    so the conjugator is block-diagonal on (1, 1, 2), with a non-diagonal
+    2 x 2 part.  The moved certificate PASSes and a forged (A) evidence
+    FAILs on both.  Budget 2 s; about 0.9 s on a 2-core host."""
+    cert = composite_iii_certificate
+    shapes = [cert.containment.blocks] + [w.aux_evidence.split.blocks for w in cert.witnesses]
+    assert shapes == [(1, 3), (2, 2)]
+    conj = _block_conjugation(cert.H.field, cert.n, shapes)
+    moved = _move_certificate(cert, lambda gens: [conj(g) for g in gens])
+    assert rho.check_certificate(moved).verdict == "PASS"
+    for c in (cert, moved):
+        forged = dataclasses.replace(c, H_evidence=rho.TrivialityEvidence(
+            "normal-p-subgroup", witness_gens=[c.H.elements[c.H.gen_idx[0]]]))
+        report = rho.check_certificate(forged)
+        assert (report.verdict, report.failed_clause) == ("FAIL", "(A)")

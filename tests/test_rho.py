@@ -614,7 +614,7 @@ def _block_cases():
     cases = []
     for q, e in [(2, 2), (2, 3), (3, 2), (4, 2), (5, 2), (2, 4), (3, 3)]:
         F = field_spec(q)
-        w, frob = F.singer_block(e)
+        w, _, frob = F.singer_block(e)
         scalar = functools.reduce(lambda a, _: _matrix_mul(F, a, w),
                                   range((q ** e - 1) // (q - 1) - 1), w)
         cases += [(q, [w], 0, e), (q, [w, frob], 0, e), (q, [frob], 0, e), (q, [scalar], 0, e)]
