@@ -21,7 +21,7 @@ rather than guessing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -49,8 +49,8 @@ class TClassification:
     x_factor: AbelianStructure
     tf_rank: int
     case_tag: str
-    notes: list[str] = field(default_factory=list)
-    params: LieParams | None = None
+    notes: list[str]
+    params: LieParams
 
     def to_json(self) -> dict:
         out: dict = {
@@ -58,11 +58,9 @@ class TClassification:
             "tf_rank": self.tf_rank,
             "x_factor": self.x_factor.to_json(),
             "notes": list(self.notes),
+            "input": {"n": self.params.n, "q": self.params.q, "p": self.params.p,
+                      "det": self.params.det_order, "z": self.params.z_order},
         }
-        if self.params is not None:
-            out["input"] = {"n": self.params.n, "q": self.params.q,
-                            "p": self.params.p, "det": self.params.det_order,
-                            "z": self.params.z_order}
         out.update(self.result.to_json())
         if isinstance(self.result, AbelianStructure):
             out["kind"] = "abelian"

@@ -177,7 +177,7 @@ def _cmd_rho(args) -> int:
     if G.order % args.p != 0:
         raise DomainError(f"p = {args.p} does not divide |{spec.name}| = {G.order}")
     S = mg.sylow_subgroup_of(G, args.p)
-    Q = S if args.Q == "S" else mg.intersection(mg.centralizer(G, S), S)
+    Q = S if args.Q == "S" else mg.center(S)
     chain = rho.rho_chain(G, S, Q, max_i=args.max_i)
     payload = {"group": spec.name, "p": args.p, "sylow_order": S.order,
                **chain.to_json()}

@@ -179,6 +179,14 @@ def _least_scalar(field: FieldSpec, zs: np.ndarray, rows: np.ndarray) -> np.ndar
     return field.mul[zs[:, None], lead].argmin(axis=0)
 
 
+def _numbering(key0: int, bound: int, ng: int):
+    """The numbering of keys in [0, bound) whose levels take ng images a
+    key: a direct-address table while bound <= DIRECT_LIMIT and a level's
+    ng bound positions fit in int32, sorted keys otherwise."""
+    direct = bound <= DIRECT_LIMIT and ng * bound < 2 ** 31
+    return (_DirectNumbering if direct else _SortedNumbering)(key0, bound)
+
+
 def _row_orbit(field: FieldSpec, gens: list[np.ndarray], zs: np.ndarray, wq: np.ndarray,
                bound: int, refusal: CapExceeded):
     """The orbit of the identity's rows wq (the place values of a row's
@@ -189,15 +197,14 @@ def _row_orbit(field: FieldSpec, gens: list[np.ndarray], zs: np.ndarray, wq: np.
     held by its least multiple: a level is one kernel call giving ng images
     a class, each taken to its least multiple as `generate` takes a product
     (a trivial kernel skips that step), and numbered like the closure's
-    products, through a table over [0, q^n) while q^n <= DIRECT_LIMIT.  Z is
+    products, by `_numbering` over [0, q^n).  Z is
     cyclic, so with z^j r (r least) indexed by (j, r), (z^j r) g = z^(j+i) r'
     for r g = z^i r', and z^i z^j r = z^(i+j) r: vec, act and zpos are read
     off the classes once.  `refusal` is raised past `bound` rows."""
     q, n, ng, nz = field.q, len(wq), len(gens), len(zs)
     wide = np.hstack(gens)  # every generator side by side
     new = wq[::-1]  # the identity's rows e_i, sorted, each its class's least
-    numbering = (_DirectNumbering if q ** n <= DIRECT_LIMIT else _SortedNumbering)(
-        int(new[0]), q ** n)
+    numbering = _numbering(int(new[0]), q ** n, ng)
     numbering.number(new.astype(numbering.dtype), 1)  # the other e_i numbered 1 ... n-1
     count = n
     cyc = field.log[zs] // ((q - 1) // nz)  # zs[s] = z^cyc[s] for z = exp[(q-1)/|Z|]
@@ -353,7 +360,8 @@ class MatrixGroup:
     The closure's Schreier data, as int32 tables over element indices:
     `acts[k, x]` is the index of x * gens[k]; element x > 0 was first
     reached as parent[x] * gens[via[x]]; BFS level i holds the indices
-    levels[i] <= x < levels[i + 1], and level 0 is the identity alone.
+    levels[i] <= x < levels[i + 1], and level 0 is the identity alone: every
+    closure numbers the identity 0, and the index layer relies on it.
 
     A group of n x n matrices on ng generators keeps n^2 + 8 ng + 40 bytes
     an element (4 ng more once `_gen_conj` is built).  Its construction
@@ -381,7 +389,6 @@ class MatrixGroup:
             row[a] = self._table[-order:]  # row k inverts acts[k]; the last is the identity
         self._step = np.where(np.arange(order) > 0, via.astype(np.int64) * order, ng * order)
         self.inv = _walk_up(self, np.zeros(order, dtype=np.int64), np.arange(order))
-        self._power_masks: dict[int, np.ndarray] = {}
         self._power_maps: dict[int, np.ndarray] = {}  # prime r -> x^r
 
     # -- construction --------------------------------------------------------
@@ -403,10 +410,10 @@ class MatrixGroup:
 
         The orbit's R rows are sorted, so sum p_i R^(n-1-i) is a key with the
         lexicographic order of the matrices, and distinct elements have
-        distinct ones.  Each level numbers its products by these keys:
-        through a direct-address int32 table (`_DirectNumbering`) when R^n
-        is at most DIRECT_LIMIT, where |G| <= R^n keeps every index exact in
-        int32, and by sorted keys (`_SortedNumbering`) above it; the bound
+        distinct ones.  Each level numbers its products by these keys, by
+        `_numbering`: through a direct-address int32 table when R^n is at
+        most DIRECT_LIMIT, where |G| <= R^n keeps every index exact in
+        int32, and by sorted keys above it; the bound
         keeps the table at 1 MB, past which a larger one bought no time on
         the benchmark's closures.  The group keeps the sorted keys that the
         numbering holds at the end, for `locate`."""
@@ -435,12 +442,9 @@ class MatrixGroup:
 
         front = np.searchsorted(vec, wq)[:, None]  # [row, element] positions
         R = len(vec)
-        # a level's ng m < ng R^n products must have int32 positions on the table
-        direct = R ** n <= DIRECT_LIMIT and ng * R ** n < 2 ** 31
         key0 = sum(int(p) * R ** (n - 1 - i) for i, p in enumerate(front[:, 0]))
         elements, acts, parent, via, levels, *keys = _breadth_first(
-            (_DirectNumbering if direct else _SortedNumbering)(key0, R ** n),
-            front, zact, off, vdig, cap, refusal)
+            _numbering(key0, R ** n, ng), front, zact, off, vdig, cap, refusal)
         return cls(field, n, elements, _Lookup(vec, *keys), acts, parent, via, levels,
                    scalars=scal, name=name)
 
@@ -449,10 +453,6 @@ class MatrixGroup:
     @property
     def order(self) -> int:
         return self.elements.shape[0]
-
-    @property
-    def identity_idx(self) -> int:
-        return 0
 
     def locate(self, batch) -> tuple[np.ndarray, np.ndarray]:
         """(index, found) per matrix of `batch`, by the key of its least
@@ -547,17 +547,15 @@ class MatrixGroup:
         return self._power_maps[r]
 
     def elements_satisfying_power(self, e: int) -> np.ndarray:
-        """Boolean mask of x with x^e == identity (e >= 1), kept per e: gathers
-        through the kept map x -> x^r of each prime r | e."""
+        """Boolean mask of x with x^e == identity (e >= 1): gathers through
+        the kept map x -> x^r of each prime r | e."""
         if e < 1:
             raise DomainError(f"power masks need an exponent e >= 1, got {e}")
-        if e not in self._power_masks:
-            x = np.arange(self.order)
-            for r, a in factorize(e).items():
-                for _ in range(a):
-                    x = self._power_map(r)[x]
-            self._power_masks[e] = x == self.identity_idx
-        return self._power_masks[e]
+        x = np.arange(self.order)
+        for r, a in factorize(e).items():
+            for _ in range(a):
+                x = self._power_map(r)[x]
+        return x == 0
 
     def as_subgroup(self) -> "Subgroup":
         return Subgroup(self, np.arange(self.order, dtype=np.int64),
@@ -583,8 +581,7 @@ class Subgroup:
         idx.sort()
         if np.count_nonzero(idx[1:] <= idx[:-1]):
             raise DomainError("subgroup indices must be distinct")
-        one = parent.identity_idx  # idx[0] unless idx is empty or holds negatives
-        if not len(idx) or (idx[0] != one and one not in idx):
+        if not len(idx) or (idx[0] != 0 and 0 not in idx):  # 0 is idx[0] unless negatives lead
             raise DomainError("subgroup must contain the identity")
         if idx[0] < 0 or idx[-1] >= parent.order:
             raise DomainError(f"subgroup indices must lie in [0, {parent.order})")
@@ -619,13 +616,11 @@ class Subgroup:
         return tuple(self.idx.tolist())
 
     def is_abelian(self) -> bool:
-        a, b = _pairs(self.gen_idx, self.gen_idx)
-        return bool(np.array_equal(self.parent._mul(a, b), self.parent._mul(b, a)))
+        gens = np.array(self.gen_idx, dtype=np.int64)
+        return all(_commutes(self.parent, gens, g).all() for g in gens)
 
     def abelian_type(self) -> AbelianStructure:
-        if not self.is_abelian():
-            raise DomainError("abelian_type on a nonabelian subgroup")
-        return _abelian_type(self, trivial_subgroup(self.parent))
+        return quotient_structure(self, trivial_subgroup(self.parent))
 
     def __repr__(self):
         return f"<subgroup of {self.parent.name}: order {self.order}>"
@@ -645,6 +640,11 @@ def _pairs(xs, ys) -> tuple[np.ndarray, np.ndarray]:
     """Every pair (x, y) with x in xs and y in ys, x-major, as two flat index arrays."""
     xs, ys = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
     return np.repeat(xs, len(ys)), np.tile(ys, len(xs))
+
+
+def _commutes(G: MatrixGroup, xs: np.ndarray, g: int) -> np.ndarray:
+    """Mask of the x in the index array xs with x g == g x, where g x = (x^-1 g^-1)^-1."""
+    return G._right(xs, g) == G.inv[G._right(G.inv[xs], G.inv[g])]
 
 
 def _conjugates(G: MatrixGroup, hs, xs) -> np.ndarray:
@@ -735,7 +735,7 @@ def _closure_indices(G: MatrixGroup, seeds, base: Subgroup | None = None) -> Sub
 
 
 def trivial_subgroup(G: MatrixGroup) -> Subgroup:
-    return Subgroup(G, np.array([G.identity_idx], dtype=np.int64), gen_idx=())
+    return Subgroup(G, np.zeros(1, dtype=np.int64), gen_idx=())
 
 
 def normalizer(G: MatrixGroup, H: Subgroup) -> Subgroup:
@@ -743,27 +743,19 @@ def normalizer(G: MatrixGroup, H: Subgroup) -> Subgroup:
     if H.parent is not G:
         raise DomainError("subgroup does not live in the given group")
     inside, mask = _mask(G, H.idx), np.ones(G.order, dtype=bool)
-    for h in (H.gen_idx or (G.identity_idx,)):
+    for h in (H.gen_idx or (0,)):
         mask &= inside[G.sandwich_all(int(h))]
     if mask.all():
         return G.as_subgroup()  # with G's generators, not a greedy set found anew
     return Subgroup(G, mask.nonzero()[0])
 
 
-def centralizer(G: MatrixGroup, H: Subgroup) -> Subgroup:
-    if H.parent is not G:
-        raise DomainError("subgroup does not live in the given group")
-    mask = np.ones(G.order, dtype=bool)
-    for h in (H.gen_idx or (G.identity_idx,)):
-        conj = G.sandwich_all(int(h))
-        mask &= conj == int(h)
-    return Subgroup(G, np.nonzero(mask)[0])
-
-
-def intersection(H1: Subgroup, H2: Subgroup) -> Subgroup:
-    if H1.parent is not H2.parent:
-        raise DomainError("intersection across different parents")
-    return Subgroup(H1.parent, H1.idx[_mask(H1.parent, H2.idx)[H1.idx]])
+def center(H: Subgroup) -> Subgroup:
+    """Z(H): the elements of H that commute with each generator of H."""
+    keep = np.ones(H.order, dtype=bool)
+    for g in H.gen_idx:
+        keep &= _commutes(H.parent, H.idx, g)
+    return Subgroup(H.parent, H.idx[keep])
 
 
 def common_order(A: MatrixGroup, B: MatrixGroup) -> int:
@@ -815,24 +807,20 @@ def is_normal(H: Subgroup, K: Subgroup) -> bool:
 
 
 def quotient_structure(H: Subgroup, K: Subgroup) -> AbelianStructure:
-    """Invariant-factor type of the abelian quotient H/K."""
-    if not _mask(H.parent, H.idx)[K.idx].all():
-        raise DomainError("K is not contained in H")
-    if not is_normal(H, K):
-        raise DomainError("K is not normal in H")
-    if not _mask(H.parent, K.idx)[_generator_commutators(H)].all():
-        raise DomainError("H/K is not abelian")
-    return _abelian_type(H, K)
-
-
-def _abelian_type(H: Subgroup, K: Subgroup) -> AbelianStructure:
-    """Type of the abelian quotient H/K (K normal in H) from power-map counts.
+    """Invariant-factor type of the abelian quotient H/K, from power-map
+    counts (DomainError unless K is normal in H and H/K abelian).
 
     For each prime p, #{x in H : x^(p^i) in K} = |K| p^(s_i), read by i
     gathers through the kept map x -> x^p, and H/K has s_i - s_(i-1) cyclic
     factors of order >= p^i; s_i grows until it reaches log_p of the p-part."""
     G = H.parent
     in_k = _mask(G, K.idx)
+    if not _mask(G, H.idx)[K.idx].all():
+        raise DomainError("K is not contained in H")
+    if not is_normal(H, K):
+        raise DomainError("K is not normal in H")
+    if not in_k[_generator_commutators(H)].all():
+        raise DomainError("H/K is not abelian")
     orders: list[int] = []
     for p, a in factorize(H.order // K.order).items():
         s, x = [0], H.idx
@@ -888,20 +876,20 @@ def elementary_abelian_subgroups(T: Subgroup, p: int) -> list[ElementaryAbelian]
     subgroup is generated by E.gen_idx + (x,) for the first E and x that
     reach it."""
     G = T.parent
-    pts = T.idx[G.elements_satisfying_power(p)[T.idx] & (T.idx != G.identity_idx)]
+    pts = T.idx[G.elements_satisfying_power(p)[T.idx] & (T.idx != 0)]
     if len(pts) > EA_ELEMENT_CAP:
         raise CapExceeded(
             f"{len(pts)} order-{p} elements exceed the enumeration budget",
             needed=len(pts), cap=EA_ELEMENT_CAP)
     out: list[ElementaryAbelian] = []
-    layer: dict[tuple[int, ...], tuple[int, ...]] = {(G.identity_idx,): ()}  # key -> gens
+    layer: dict[tuple[int, ...], tuple[int, ...]] = {(0,): ()}  # key -> gens
     while layer:
         nxt: dict[tuple[int, ...], tuple[int, ...]] = {}
         for key, gens in layer.items():
             M = np.array(key)
             commuting = np.ones(len(pts), dtype=bool)
-            for g in gens:  # x g == g x, with g x = (x^-1 g^-1)^-1
-                commuting &= G._right(pts, g) == G.inv[G._right(G.inv[pts], G.inv[g])]
+            for g in gens:
+                commuting &= _commutes(G, pts, g)
             covered = _mask(G, M)
             found = list(_cyclic_extensions(M, pts[commuting], p, G._right, covered))
             for ukey, x in found:

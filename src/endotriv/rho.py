@@ -168,7 +168,7 @@ def _naive_closure(G, seed):
     through a fresh mask."""
     tab, _ = _naive_table(G)
     inside = np.zeros(G.order, dtype=bool)
-    inside[G.identity_idx] = True
+    inside[0] = True
     inside[seed if isinstance(seed, np.ndarray) else np.fromiter(seed, dtype=np.int64)] = True
     gens = frontier = inside.nonzero()[0]
     while frontier.size:
@@ -202,9 +202,9 @@ def _naive_subgroups(G: mg.MatrixGroup, S: mg.Subgroup) -> list[mg.Subgroup]:
     """Every subgroup of S, sorted by (order, key): joins of cyclic
     subgroups, each join closed from its generators."""
     _require_lattice_size(S)
-    cyclics: dict[frozenset, tuple[int, ...]] = {frozenset([G.identity_idx]): ()}
+    cyclics: dict[frozenset, tuple[int, ...]] = {frozenset([0]): ()}
     for x in S.idx:
-        if x != G.identity_idx:
+        if x != 0:
             cyclics.setdefault(_naive_closure(G, [int(x)]), (int(x),))
     subs = dict(cyclics)
     frontier = list(cyclics.items())

@@ -207,7 +207,7 @@ def test_criterion_6_certificate_replay(composite_iii_replay):
         return backend.mm_one(np.stack([mg.identity_matrix(Lbar.n), x]), x, Lbar.field)
 
     bad = next(i for i in range(Lbar.order)
-               if mask[i] and i != Lbar.identity_idx
+               if mask[i] and i != 0
                and not Hbar.locate(with_square(Lbar.elements[i]))[1].any())
     K = mg.MatrixGroup.generate(Lbar.field, [Lbar.elements[bad]],
                                 scalars=[int(s) for s in Lbar.scalars],

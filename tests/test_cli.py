@@ -177,6 +177,33 @@ def test_rho_center_subcommand(capsys):
     assert payload["chain_orders"]
 
 
+# `rho GROUP p --Q center --json` as printed when Q was the intersection of S
+# with its full-scan centralizer in G, before matgrp.center replaced both
+RHO_CENTER_PINNED = [
+    ("SL(2,5)", "5", '{"base_order": 5, "chain_orders": [5, 5], "group": "SL(2,5)", '
+     '"normalizer_order": 20, "p": 5, "reached_normalizer": false, "stabilized_at": 1, '
+     '"sylow_order": 5}'),
+    ("SL(2,7)", "2", '{"base_order": 2, "chain_orders": [336, 336, 336], "group": "SL(2,7)", '
+     '"normalizer_order": 336, "p": 2, "reached_normalizer": true, "stabilized_at": 1, '
+     '"sylow_order": 16}'),
+    ("SL(3,3)", "3", '{"base_order": 3, "chain_orders": [27, 108, 108, 108], '
+     '"group": "SL(3,3)", "normalizer_order": 108, "p": 3, "reached_normalizer": true, '
+     '"stabilized_at": 2, "sylow_order": 27}'),
+    ("PSL(3,4)", "3", '{"base_order": 9, "chain_orders": [18, 18, 18], "group": "PSL(3,4)", '
+     '"normalizer_order": 72, "p": 3, "reached_normalizer": false, "stabilized_at": 1, '
+     '"sylow_order": 9}'),
+    ("GL(2,3)", "2", '{"base_order": 2, "chain_orders": [24, 24, 24], "group": "GL(2,3)", '
+     '"normalizer_order": 48, "p": 2, "reached_normalizer": false, "stabilized_at": 1, '
+     '"sylow_order": 16}'),
+]
+
+
+@pytest.mark.parametrize("group, p, expected", RHO_CENTER_PINNED)
+def test_rho_center_output_is_pinned(group, p, expected, capsys):
+    code, out, _ = run_cli(capsys, "rho", group, p, "--Q", "center", "--json")
+    assert code == 0 and out == expected + "\n"
+
+
 def test_certify_subcommand(capsys):
     code, out, _ = run_cli(capsys, "certify", "sl62", "--json")
     assert code == 0

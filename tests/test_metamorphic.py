@@ -11,7 +11,8 @@ answer.  Reversal also changes which generators Dimino's closure takes for
 each subgroup, so no answer may depend on that choice.  Proof certificates
 are moved by a diagonal M, by the reversal and, for k > 1, by the
 Frobenius map, and must keep their verdicts; the composite-iii one, whose
-groups have two block shapes, by an M block-diagonal on both.
+groups have two block shapes, by an M block-diagonal on both instead of a
+diagonal one.
 """
 
 import dataclasses
@@ -192,16 +193,23 @@ def test_certificate_verdicts_survive_a_change_of_basis(family):
 def test_composite_iii_verdicts_survive_a_block_conjugation(composite_iii_certificate):
     """SL(4,4) at p = 3: H has blocks (1, 3) and the witness's group (2, 2),
     so the conjugator is block-diagonal on (1, 1, 2), with a non-diagonal
-    2 x 2 part.  The moved certificate PASSes and a forged (A) evidence
-    FAILs on both.  Budget 2 s; about 0.9 s on a 2-core host."""
+    2 x 2 part.  The certificate is also moved by the reversal and, as
+    q = 4, the Frobenius map of the other certificates.  Each moved
+    certificate PASSes and a forged (A) evidence FAILs on each and on the
+    original.  Budget 3 s; about 1.3 s on a 2-core host."""
     cert = composite_iii_certificate
     shapes = [cert.containment.blocks] + [w.aux_evidence.split.blocks for w in cert.witnesses]
     assert shapes == [(1, 3), (2, 2)]
     conj = _block_conjugation(cert.H.field, cert.n, shapes)
-    moved = _move_certificate(cert, lambda gens: [conj(g) for g in gens])
-    assert rho.check_certificate(moved).verdict == "PASS"
-    for c in (cert, moved):
+    maps = _certificate_maps(cert.H.field, cert.n)
+    maps["block conjugation"] = lambda gens: [conj(g) for g in gens]
+    del maps["diagonal conjugation"]  # a special case of the block conjugation
+    assert maps.keys() == {"reversal", "frobenius", "block conjugation"}
+    moved = {label: _move_certificate(cert, move) for label, move in maps.items()}
+    for label, c in moved.items():
+        assert rho.check_certificate(c).verdict == "PASS", label
+    for label, c in {"unmoved": cert, **moved}.items():
         forged = dataclasses.replace(c, H_evidence=rho.TrivialityEvidence(
             "normal-p-subgroup", witness_gens=[c.H.elements[c.H.gen_idx[0]]]))
         report = rho.check_certificate(forged)
-        assert (report.verdict, report.failed_clause) == ("FAIL", "(A)")
+        assert (report.verdict, report.failed_clause) == ("FAIL", "(A)"), label

@@ -195,6 +195,20 @@ def test_only_matgrp_names_the_key_format():
     assert not found, found
 
 
+def test_one_rule_chooses_the_numbering():
+    # the row orbit and the element closure take their numbering from
+    # matgrp._numbering alone, so one rule decides between table and sorted keys
+    tree = ast.parse((SRC / "matgrp.py").read_text())
+    own = {d.name: (d.lineno, d.end_lineno) for d in tree.body
+           if isinstance(d, (ast.ClassDef, ast.FunctionDef))}
+    assert {"_DirectNumbering", "_SortedNumbering", "_numbering"} <= own.keys()
+    found = [f"matgrp.py:{node.lineno}: {node.id}" for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id in ("_DirectNumbering", "_SortedNumbering")
+             and not any(lo <= node.lineno <= hi for name, (lo, hi) in own.items()
+                         if name in ("_numbering", node.id))]
+    assert not found, found
+
+
 def test_from_imports_are_read_in_their_module():
     # a leftover import would count its function as reached in
     # test_public_names_are_reached_from_the_package; the package's
