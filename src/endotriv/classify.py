@@ -31,7 +31,7 @@ from . import abst, liea
 from . import matgrp as mg
 from .abst import AbelianStructure, ExtensionDescriptor, cyclic
 from .errors import AmbiguousCase, CapExceeded, DomainError
-from .gf import field_spec, is_prime, p_part, p_val
+from .gf import field_spec, p_part, p_val
 from .liea import LieParams, compute_params
 
 
@@ -341,12 +341,7 @@ def tf_rank_oracle(n: int, q: int, p: int, det_order: int = 1, z_order: int = 1,
     Pure group theory: works for any prime dividing the quotient order,
     including the defining characteristic.
     """
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    G = liea.enumerate_quotient(n, q, det_order, z_order, cap=cap)
-    if G.order % p != 0:
-        raise DomainError(f"p = {p} does not divide |G/Z| = {G.order}")
-    S = mg.sylow_subgroup_of(G, p)
+    G, S = liea.quotient_sylow(n, q, p, det_order, z_order, cap=cap)
     eas = mg.elementary_abelian_subgroups(S, p)
     p_rank = max(e.rank for e in eas)
     reps = []  # a mask over G of one representative per class

@@ -18,7 +18,6 @@ from .classify import classify, oracle_check, tf_rank_oracle
 from .corpus import FILTER_KEYS, load_corpus, run_corpus
 from .errors import (AmbiguousCase, CapExceeded, DomainError, EndotrivError,
                      GroupSpecError)
-from .gf import is_prime
 
 
 class _UsageExit(Exception):
@@ -159,30 +158,25 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    spec = liea.parse_group_spec(args.group)
-    orc = tf_rank_oracle(spec.n, spec.q, args.p, spec.det_order, spec.z_order,
-                         cap=args.cap)
-    payload = {"group": spec.name, "p": args.p, **orc.to_json()}
+    n, q, det, z = liea.parse_group_spec(args.group)
+    name = liea.group_name(n, q, det, z)
+    orc = tf_rank_oracle(n, q, args.p, det, z, cap=args.cap)
+    payload = {"group": name, "p": args.p, **orc.to_json()}
     _emit(payload, args.json,
-          [f"{spec.name} at p={args.p}: p-rank {orc.p_rank}, "
+          [f"{name} at p={args.p}: p-rank {orc.p_rank}, "
            f"n_G {orc.n_g}, torsion-free rank {orc.tf_rank}"])
     return 0
 
 
 def _cmd_rho(args) -> int:
-    spec = liea.parse_group_spec(args.group)
-    if not is_prime(args.p):
-        raise DomainError(f"{args.p} is not prime")
-    G = liea.enumerate_spec(spec, cap=args.cap)
-    if G.order % args.p != 0:
-        raise DomainError(f"p = {args.p} does not divide |{spec.name}| = {G.order}")
-    S = mg.sylow_subgroup_of(G, args.p)
+    n, q, det, z = liea.parse_group_spec(args.group)
+    G, S = liea.quotient_sylow(n, q, args.p, det, z, cap=args.cap)
     Q = S if args.Q == "S" else mg.center(S)
     chain = rho.rho_chain(G, S, Q, max_i=args.max_i)
-    payload = {"group": spec.name, "p": args.p, "sylow_order": S.order,
+    payload = {"group": G.name, "p": args.p, "sylow_order": S.order,
                **chain.to_json()}
     _emit(payload, args.json,
-          [f"{spec.name}, p={args.p}: |S| = {S.order}, chain orders "
+          [f"{G.name}, p={args.p}: |S| = {S.order}, chain orders "
            f"{chain.orders()}, N(Q) order {chain.normalizer.order}, "
            f"reached={chain.reached_normalizer}"])
     return 0

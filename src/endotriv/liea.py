@@ -192,15 +192,26 @@ def enumerate_group(n: int, q: int, det_order: int = 1,
 
 
 def enumerate_quotient(n: int, q: int, det_order: int = 1, z_order: int = 1,
-                       cap: int | None = None, name: str | None = None) -> mg.MatrixGroup:
+                       cap: int | None = None) -> mg.MatrixGroup:
     """G/Z for SL(n,q) <= G <= GL(n,q) with |Det(G)| = det_order and Z the
     scalars of order z_order: the one-block group, closed over cosets."""
     zc = scalar_center_order(n, q, det_order)
     if zc % z_order != 0:
         raise DomainError(f"|Z|={z_order} invalid for this group")
-    base = _default_name(n, q, det_order)
     return levi([n], q, det_order, cap=cap, z_order=z_order,
-                name=name or (f"{base}/Z{z_order}" if z_order > 1 else base))
+                name=group_name(n, q, det_order, z_order))
+
+
+def quotient_sylow(n: int, q: int, p: int, det_order: int = 1, z_order: int = 1,
+                   cap: int | None = None) -> tuple[mg.MatrixGroup, mg.Subgroup]:
+    """(G/Z, a Sylow p-subgroup of it): p is checked to be prime before G/Z
+    is enumerated, and to divide |G/Z| after."""
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
+    G = enumerate_quotient(n, q, det_order, z_order, cap=cap)
+    if G.order % p != 0:
+        raise DomainError(f"p = {p} does not divide |{G.name}| = {G.order}")
+    return G, mg.sylow_subgroup_of(G, p)
 
 
 def quotient_closure(F: FieldSpec, gens, z_order: int, expected: int, cap: int | None,
@@ -216,12 +227,17 @@ def quotient_closure(F: FieldSpec, gens, z_order: int, expected: int, cap: int |
     return G
 
 
-def _default_name(n, q, det_order):
-    if det_order == q - 1:
-        return f"GL({n},{q})"
-    if det_order == 1:
-        return f"SL({n},{q})"
-    return f"SL({n},{q}):{det_order}"
+def group_name(n: int, q: int, det_order: int = 1, z_order: int = 1) -> str:
+    """The name of G/Z: PGL(n,q) or PSL(n,q) when Z is the whole center of
+    GL(n,q) or SL(n,q), else GL, SL or SL(n,q):d by |Det(G)|, with /Zz
+    appended when Z is not trivial."""
+    if det_order == z_order == q - 1 > 1:
+        return f"PGL({n},{q})"
+    if det_order == 1 and z_order == math.gcd(n, q - 1) > 1:
+        return f"PSL({n},{q})"
+    base = (f"GL({n},{q})" if det_order == q - 1 else f"SL({n},{q})" if det_order == 1
+            else f"SL({n},{q}):{det_order}")
+    return f"{base}/Z{z_order}" if z_order > 1 else base
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +360,7 @@ def build_sylow(params: LieParams, cap: int | None = None) -> tuple[SylowPresent
     n, q, p, d = params.n, params.q, params.p, params.det_order
     if params.sylow_trivial:
         raise DomainError(f"p={p} does not divide the group order (n < e)")
-    claimed, name = params.sylow_order(), f"Syl_{p}({_default_name(n, q, d)})"
+    claimed, name = params.sylow_order(), f"Syl_{p}({group_name(n, q, d)})"
     mg.admit(q, cap, (claimed, f"closure of {name} exceeds cap {{cap}}"))
     F = params.field
     gl_gens, shape = _gl_sylow_generators(n, q, p, params.e, params.t)
@@ -453,11 +469,7 @@ def _block_swaps(s: int, r: int, q: int) -> list[np.ndarray]:
     F, n = field_spec(q), s * r
     swaps = []
     for i in range(r - 1):
-        perm = list(range(n))
-        for j in range(s):
-            perm[i * s + j] = (i + 1) * s + j
-            perm[(i + 1) * s + j] = i * s + j
-        mat = mg.permutation_matrix(perm, n)
+        mat = _chunk_cycle_perm(n, i * s, s, 2)  # two cycled chunks are a swap
         if s % 2 == 1:
             mat[:, i * s] = F.mul[F.neg_el(1), mat[:, i * s]]
         swaps.append(mat)
@@ -494,25 +506,9 @@ _GROUP_RE = re.compile(
     r"^(GL|SL|PGL|PSL)\(\s*(\d+)\s*,\s*(\d+)\s*\)(?::(\d+))?$")
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    family: str
-    n: int
-    q: int
-    det_order: int
-    z_order: int
-
-    @property
-    def name(self) -> str:
-        base = _default_name(self.n, self.q, self.det_order)
-        if self.z_order > 1:
-            return {"PGL": f"PGL({self.n},{self.q})",
-                    "PSL": f"PSL({self.n},{self.q})"}.get(self.family,
-                                                          f"{base}/Z{self.z_order}")
-        return base
-
-
-def parse_group_spec(text: str) -> GroupSpec:
+def parse_group_spec(text: str) -> tuple[int, int, int, int]:
+    """(n, q, |Det(G)|, |Z|) for GL(n,q), SL(n,q), SL(n,q):d, PGL(n,q) or
+    PSL(n,q)."""
     m = _GROUP_RE.match(text.strip())
     if not m:
         raise GroupSpecError(f"malformed group spec: {text!r}")
@@ -529,16 +525,6 @@ def parse_group_spec(text: str) -> GroupSpec:
         d = int(d)
         if d < 1 or (q - 1) % d != 0:
             raise GroupSpecError(f"det order {d} must divide q-1={q - 1}")
-        return GroupSpec("SLd", n, q, d, 1)
-    if fam == "GL":
-        return GroupSpec(fam, n, q, q - 1, 1)
-    if fam == "SL":
-        return GroupSpec(fam, n, q, 1, 1)
-    if fam == "PGL":
-        return GroupSpec(fam, n, q, q - 1, q - 1)
-    return GroupSpec("PSL", n, q, 1, math.gcd(n, q - 1))
-
-
-def enumerate_spec(spec: GroupSpec, cap: int | None = None) -> mg.MatrixGroup:
-    return enumerate_quotient(spec.n, spec.q, spec.det_order, spec.z_order,
-                              cap=cap, name=spec.name)
+        return n, q, d, 1
+    return {"GL": (n, q, q - 1, 1), "SL": (n, q, 1, 1), "PGL": (n, q, q - 1, q - 1),
+            "PSL": (n, q, 1, math.gcd(n, q - 1))}[fam]

@@ -53,11 +53,16 @@ def admit(q: int, cap: int | None, *limits: tuple[int, str]) -> None:
     Every constructor calls this before it asks for the field."""
     cap_val = enumeration_cap(cap)
     for order, message in limits:
-        if order > cap_val:
-            raise CapExceeded(message.format(needed=order, cap=cap_val),
-                              needed=order, cap=cap_val)
+        refuse_over(order, cap_val, message)
     if q > Q_ENUM_LIMIT:
         raise DomainError(f"enumeration supports q <= {Q_ENUM_LIMIT}, got q={q}")
+
+
+def refuse_over(needed: int, cap: int, message: str) -> None:
+    """CapExceeded when needed > cap, its message formatted with `needed`
+    and `cap`."""
+    if needed > cap:
+        raise CapExceeded(message.format(needed=needed, cap=cap), needed=needed, cap=cap)
 
 
 def enumeration_cap(override: int | None = None) -> int:
@@ -877,10 +882,8 @@ def elementary_abelian_subgroups(T: Subgroup, p: int) -> list[ElementaryAbelian]
     reach it."""
     G = T.parent
     pts = T.idx[G.elements_satisfying_power(p)[T.idx] & (T.idx != 0)]
-    if len(pts) > EA_ELEMENT_CAP:
-        raise CapExceeded(
-            f"{len(pts)} order-{p} elements exceed the enumeration budget",
-            needed=len(pts), cap=EA_ELEMENT_CAP)
+    refuse_over(len(pts), EA_ELEMENT_CAP,
+                f"{{needed}} order-{p} elements exceed the enumeration budget")
     out: list[ElementaryAbelian] = []
     layer: dict[tuple[int, ...], tuple[int, ...]] = {(0,): ()}  # key -> gens
     while layer:
@@ -935,9 +938,7 @@ def all_subgroups(S: Subgroup) -> list[Subgroup]:
                                               lambda a, j: table[a, j], seen):
                 if ukey not in nxt:
                     nxt[ukey] = gens + (int(S.idx[x]),)
-                    if len(subs) + len(nxt) > LATTICE_CAP:
-                        raise CapExceeded("subgroup lattice too large",
-                                          needed=len(subs) + len(nxt), cap=LATTICE_CAP)
+                    refuse_over(len(subs) + len(nxt), LATTICE_CAP, "subgroup lattice too large")
         layer = nxt
         subs.extend(sorted(nxt.items()))
     return [Subgroup(G, S.idx[list(key)], gen_idx=gens) for key, gens in subs]

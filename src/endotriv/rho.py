@@ -74,10 +74,7 @@ class RhoChain:
 
 
 def _require_lattice_size(S: mg.Subgroup) -> None:
-    if S.order > S_ORDER_CAP:
-        raise CapExceeded(
-            f"|S| = {S.order} exceeds the subgroup-lattice cap {S_ORDER_CAP}",
-            needed=S.order, cap=S_ORDER_CAP)
+    mg.refuse_over(S.order, S_ORDER_CAP, "|S| = {needed} exceeds the subgroup-lattice cap {cap}")
 
 
 def _require_levels(max_i: int) -> None:
@@ -146,10 +143,8 @@ def _naive_table(G: mg.MatrixGroup) -> tuple[np.ndarray, np.ndarray]:
     column parent[j] moved by gens[via[j]], filled one BFS level at a time,
     and the inverse of i is where row i holds the identity, index 0.  A
     group above NAIVE_TABLE_CAP elements is refused before any product."""
-    if G.order > NAIVE_TABLE_CAP:
-        raise CapExceeded(
-            f"|G| = {G.order} exceeds the multiplication-table cap {NAIVE_TABLE_CAP}",
-            needed=G.order, cap=NAIVE_TABLE_CAP)
+    mg.refuse_over(G.order, NAIVE_TABLE_CAP,
+                   "|G| = {needed} exceeds the multiplication-table cap {cap}")
     tables = _naive_tables.get(G)
     if tables is None:
         acts, step = G.acts.ravel(), G.via.astype(np.int64) * G.order

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from endotriv import abst, backend, liea
+from endotriv import abst, backend, liea, rho
 from endotriv import classify as classify_mod
 from endotriv import matgrp as mg
 from endotriv.abst import ExtensionDescriptor, cyclic, from_cyclic_orders
@@ -330,3 +330,19 @@ def test_cyclic_ext_ab_is_one_closure(monkeypatch):
         F, gens = calls["generate"][0]
         dets = backend.det_many(np.stack(gens), F)
         assert np.isin(dets, list(F.subgroup_values(d))).all(), (n, q, p, d, z)
+
+
+def test_sl42_at_p3_classify_and_route_b_disagree():
+    # A known disagreement, kept visible until the paper's text or a proof
+    # settles it.  classify answers T(SL(4,2)) = Z at p = 3 by the generic
+    # clause.  Route B reads K(G) as the p'-part of N_G(S) / rho^inf(S), and
+    # here it is Z/2.  S = C3 x C3 is not cyclic, quaternion or
+    # semidihedral, so T(S) is torsion-free and, were both theorems to apply,
+    # the torsion of T would be K = Z/2.
+    tc = classify(4, 2, 3)
+    assert (tc.case_tag, tc.result) == ("generic", abst.AbelianStructure(1, ()))
+    G = liea.enumerate_group(4, 2)
+    S = mg.sylow_subgroup_of(G, 3)
+    chain = rho.rho_chain(G, S, S, max_i=10)
+    assert (chain.normalizer.order, chain.orders()) == (72, [18, 36, 36])
+    assert mg.quotient_structure(chain.normalizer, chain.chain[-1]) == cyclic(2)

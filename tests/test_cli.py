@@ -155,7 +155,7 @@ def test_rho_subcommand(capsys):
 
 @pytest.mark.parametrize("max_i", ["0", "-3"])
 def test_rho_max_i_must_be_a_positive_integer(max_i, capsys, monkeypatch):
-    monkeypatch.setattr(liea, "enumerate_spec", None)  # refused before enumerating
+    monkeypatch.setattr(liea, "enumerate_quotient", None)  # refused before enumerating
     code, out, err = run_cli(capsys, "rho", "SL(2,5)", "2", "--max-i", max_i, "--json")
     assert code == 64 and out == ""
     assert f"--max-i: must be a positive integer, got '{max_i}'" in err
@@ -163,10 +163,36 @@ def test_rho_max_i_must_be_a_positive_integer(max_i, capsys, monkeypatch):
 
 @pytest.mark.parametrize("p", ["4", "1", "0"])
 def test_rho_refuses_a_non_prime_p(p, capsys, monkeypatch):
-    monkeypatch.setattr(liea, "enumerate_spec", None)  # refused before enumerating
+    monkeypatch.setattr(liea, "enumerate_quotient", None)  # refused before enumerating
     code, out, _ = run_cli(capsys, "rho", "SL(2,5)", p, "--json")
     assert code == 1
     assert json.loads(out) == {"error": "domain", "message": f"{p} is not prime"}
+
+
+@pytest.mark.parametrize("args,code,message", [
+    (("PGL(2,5)", "2", "--cap", "10"), 2, "closure of PGL(2,5) exceeds cap 10"),
+    (("PSL(3,4)", "3", "--cap", "10"), 2, "closure of PSL(3,4) exceeds cap 10"),
+    (("PGL(2,5)", "7"), 1, "p = 7 does not divide |PGL(2,5)| = 120")])
+def test_oracle_and_rho_name_the_quotient_alike(args, code, message, capsys):
+    # one rule names G/Z, so a refusal reads the same from both commands
+    for command in ("oracle", "rho"):
+        got, out, _ = run_cli(capsys, command, *args, "--json")
+        assert (got, json.loads(out)["message"]) == (code, message)
+
+
+# the `group` field of rho --json and oracle --json: SL(3,2) = GL(3,2), and
+# PSL(3,2) has a trivial center, so both are named GL(3,2)
+GROUP_FIELDS = [("GL(2,3)", "2", "GL(2,3)"), ("SL(3,2)", "7", "GL(3,2)"),
+                ("PGL(2,5)", "3", "PGL(2,5)"), ("PSL(2,9)", "3", "PSL(2,9)"),
+                ("PSL(3,2)", "3", "GL(3,2)"), ("SL(2,7):2", "2", "SL(2,7):2")]
+
+
+@pytest.mark.parametrize("group,p,name", GROUP_FIELDS)
+def test_group_field_names_the_quotient(group, p, name, capsys):
+    for argv in (["oracle"], ["rho"], ["rho", "--Q", "center"]):
+        code, out, _ = run_cli(capsys, *argv, group, p, "--json")
+        assert code == 0
+        assert json.loads(out)["group"] == name
 
 
 def test_rho_center_subcommand(capsys):
@@ -301,7 +327,7 @@ def test_corpus_oracle_under_a_small_cap_skips_what_the_cap_refuses(capsys):
     assert report["counts"] == {"PASS": 34, "FAIL": 0, "SKIP": 0}
     oracle = {r["name"]: (r["oracle_status"], r["oracle"]) for r in report["entries"]
               if r.get("oracle_status", "SKIP") != "SKIP"}
-    assert oracle["PSL(3,4) p=3"] == ("SKIP (closure of SL(3,4)/Z3 exceeds cap 1000)", None)
+    assert oracle["PSL(3,4) p=3"] == ("SKIP (closure of PSL(3,4) exceeds cap 1000)", None)
     assert oracle["SL(2,5) p=2"][0] == "PASS"
     statuses = {s.split(" ")[0] for s, _ in oracle.values()}
     assert statuses == {"PASS", "SKIP"}

@@ -301,7 +301,7 @@ def test_quotient_cap_refused_before_closure(monkeypatch):
         raise AssertionError("closure started")
 
     monkeypatch.setattr(mg.MatrixGroup, "generate", classmethod(refuse))
-    with pytest.raises(CapExceeded, match=r"^closure of GL\(3,4\)/Z3 exceeds cap 100000$") as exc:
+    with pytest.raises(CapExceeded, match=r"^closure of PGL\(3,4\) exceeds cap 100000$") as exc:
         liea.enumerate_quotient(3, 4, 3, 3, cap=100_000)
     assert exc.value.needed == 181440
 
@@ -450,22 +450,19 @@ def test_corner_matrices_land_in_the_right_groups():
 
 
 def test_group_spec_parsing():
-    gs = liea.parse_group_spec("PGL(3,4)")
-    assert (gs.n, gs.q, gs.det_order, gs.z_order) == (3, 4, 3, 3)
-    gs2 = liea.parse_group_spec("PSL(2,9)")
-    assert (gs2.det_order, gs2.z_order) == (1, 2)
-    gs3 = liea.parse_group_spec("SL(2,7):2")
-    assert gs3.det_order == 2
+    assert liea.parse_group_spec("PGL(3,4)") == (3, 4, 3, 3)
+    assert liea.parse_group_spec("PSL(2,9)") == (2, 9, 1, 2)
+    assert liea.parse_group_spec("SL(2,7):2") == (2, 7, 2, 1)
     for bad in ["SL(2,6)", "SP(4,3)", "SL(2,7):4", "PGL(2,7):2", "SL(x,y)"]:
         with pytest.raises(GroupSpecError):
             liea.parse_group_spec(bad)
 
 
 def test_enumerate_spec_orders():
-    assert liea.enumerate_spec(liea.parse_group_spec("PSL(2,5)")).order == 60
-    assert liea.enumerate_spec(liea.parse_group_spec("PGL(2,3)")).order == 24
+    assert liea.enumerate_quotient(*liea.parse_group_spec("PSL(2,5)")).order == 60
+    assert liea.enumerate_quotient(*liea.parse_group_spec("PGL(2,3)")).order == 24
     with pytest.raises(CapExceeded):
-        liea.enumerate_spec(liea.parse_group_spec("GL(4,5)"))
+        liea.enumerate_quotient(*liea.parse_group_spec("GL(4,5)"))
 
 
 def test_sylow_order_matches_p_part_for_specs():

@@ -242,7 +242,8 @@ def test_central_quotient_groups():
     psl = liea.enumerate_quotient(2, 3, 1, 2)
     assert psl.order == 12
     assert mg.commutator_subgroup(psl.as_subgroup()).order == 4  # A4' = V4
-    pgl = liea.enumerate_quotient(2, 3, 2, 2, name="PGL(2,3)")
+    pgl = liea.enumerate_quotient(2, 3, 2, 2)
+    assert pgl.name == "PGL(2,3)"
     assert pgl.order == 24
     assert tf_rank_oracle(2, 3, 2, 2, 2).n_g == 2  # S4: two classes of Klein four-groups
 

@@ -264,3 +264,27 @@ def test_only_check_certificate_gives_a_verdict():
             elif not (isinstance(verdict, ast.Constant) and verdict.value == "SKIPPED"):
                 found.append(f"{f.name}:{node.lineno}")
     assert inside and not found, found
+
+
+# a count is refused in one place: matgrp.refuse_over raises CapExceeded when
+# the count exceeds its cap; the closure alone builds its refusal itself,
+# before it knows how far the closure will run
+def test_only_refuse_over_builds_a_count_refusal():
+    tree = ast.parse((SRC / "matgrp.py").read_text())
+    allowed = [(d.lineno, d.end_lineno) for d in tree.body
+               if isinstance(d, ast.FunctionDef) and d.name == "refuse_over"]
+    allowed += [(d.lineno, d.end_lineno) for c in tree.body
+                if isinstance(c, ast.ClassDef) and c.name == "MatrixGroup"
+                for d in c.body if isinstance(d, ast.FunctionDef) and d.name == "generate"]
+    assert len(allowed) == 2
+    inside, found = [], []
+    for f in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(f.read_text(), str(f))):
+            fn = node.func if isinstance(node, ast.Call) else None
+            if (getattr(fn, "attr", None) or getattr(fn, "id", None)) != "CapExceeded":
+                continue
+            if f == SRC / "matgrp.py" and any(lo <= node.lineno <= hi for lo, hi in allowed):
+                inside.append(node.lineno)
+            else:
+                found.append(f"{f.name}:{node.lineno}")
+    assert len(inside) == 2 and not found, found
