@@ -63,31 +63,21 @@ def _build_parser() -> _Parser:
                         help="machine-readable output")
     common.add_argument("--cap", type=_cap, default=None,
                         help="enumeration cap (overrides ENDOTRIV_CAP)")
+    instance = argparse.ArgumentParser(add_help=False)  # the tuple (n, q, p, --det)
+    for name in ("n", "q", "p"):
+        instance.add_argument(name, type=int)
+    instance.add_argument("--det", type=int, default=1)
+    quotient = argparse.ArgumentParser(add_help=False, parents=[instance])  # and --z
+    quotient.add_argument("--z", type=int, default=1)
     sub = ap.add_subparsers(dest="command", required=True,
                             parser_class=_Parser)
 
-    def add(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add(name, *parents, **kw):
+        return sub.add_parser(name, parents=[common, *parents], **kw)
 
-    sp = add("params", help="derived parameter record")
-    sp.add_argument("n", type=int)
-    sp.add_argument("q", type=int)
-    sp.add_argument("p", type=int)
-    sp.add_argument("--det", type=int, default=1)
-    sp.add_argument("--z", type=int, default=1)
-
-    sp = add("sylow", help="construct a Sylow p-subgroup")
-    sp.add_argument("n", type=int)
-    sp.add_argument("q", type=int)
-    sp.add_argument("p", type=int)
-    sp.add_argument("--det", type=int, default=1)
-
-    sp = add("classify", help="compute T(G/Z)")
-    sp.add_argument("n", type=int)
-    sp.add_argument("q", type=int)
-    sp.add_argument("p", type=int)
-    sp.add_argument("--det", type=int, default=1)
-    sp.add_argument("--z", type=int, default=1)
+    add("params", quotient, help="derived parameter record")
+    add("sylow", instance, help="construct a Sylow p-subgroup")
+    sp = add("classify", quotient, help="compute T(G/Z)")
     sp.add_argument("--verify", action="store_true",
                     help="also run the brute-force rank oracle when feasible")
 
@@ -125,17 +115,17 @@ def _cmd_params(args) -> int:
 
 def _cmd_sylow(args) -> int:
     params = liea.compute_params(args.n, args.q, args.p, args.det)
-    pres, S = liea.build_sylow(params, cap=args.cap)
+    shape, S = liea.build_sylow(params, cap=args.cap)
     payload = {
         "order": S.order,
-        "claimed_order": pres.claimed_order,
-        "shape": pres.shape,
+        "claimed_order": params.sylow_order(),
+        "shape": shape,
         "abelian": S.as_subgroup().is_abelian(),
-        "generators": [g.tolist() for g in pres.generators],
+        "generators": [S.elements[g].tolist() for g in S.gen_idx],
     }
     _emit(payload, args.json,
-          [f"Sylow {args.p}-subgroup: order {S.order}, shape {pres.shape}",
-           f"generators: {len(pres.generators)}"])
+          [f"Sylow {args.p}-subgroup: order {S.order}, shape {shape}",
+           f"generators: {len(S.gen_idx)}"])
     return 0
 
 

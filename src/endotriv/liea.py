@@ -195,23 +195,31 @@ def enumerate_quotient(n: int, q: int, det_order: int = 1, z_order: int = 1,
                        cap: int | None = None) -> mg.MatrixGroup:
     """G/Z for SL(n,q) <= G <= GL(n,q) with |Det(G)| = det_order and Z the
     scalars of order z_order: the one-block group, closed over cosets."""
-    zc = scalar_center_order(n, q, det_order)
-    if zc % z_order != 0:
-        raise DomainError(f"|Z|={z_order} invalid for this group")
+    _quotient_order(n, q, det_order, z_order)
     return levi([n], q, det_order, cap=cap, z_order=z_order,
                 name=group_name(n, q, det_order, z_order))
 
 
 def quotient_sylow(n: int, q: int, p: int, det_order: int = 1, z_order: int = 1,
                    cap: int | None = None) -> tuple[mg.MatrixGroup, mg.Subgroup]:
-    """(G/Z, a Sylow p-subgroup of it): p is checked to be prime before G/Z
-    is enumerated, and to divide |G/Z| after."""
+    """(G/Z, a Sylow p-subgroup of it): p is checked to be prime, and to
+    divide |G/Z| by the order formula, before G/Z is enumerated."""
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
+    order = _quotient_order(n, q, det_order, z_order)
+    if order % p:
+        raise DomainError(f"p = {p} does not divide |{group_name(n, q, det_order, z_order)}| = {order}")
     G = enumerate_quotient(n, q, det_order, z_order, cap=cap)
-    if G.order % p != 0:
-        raise DomainError(f"p = {p} does not divide |{G.name}| = {G.order}")
     return G, mg.sylow_subgroup_of(G, p)
+
+
+def _quotient_order(n: int, q: int, det_order: int, z_order: int) -> int:
+    """|G/Z| by formula; DomainError first when q is not a prime power or Z
+    is not a group of G's scalars."""
+    prime_power_split(q)
+    if scalar_center_order(n, q, det_order) % z_order != 0:
+        raise DomainError(f"|Z|={z_order} invalid for this group")
+    return group_order(n, q, det_order) // z_order
 
 
 def quotient_closure(F: FieldSpec, gens, z_order: int, expected: int, cap: int | None,
@@ -242,13 +250,6 @@ def group_name(n: int, q: int, det_order: int = 1, z_order: int = 1) -> str:
 
 # ---------------------------------------------------------------------------
 # Sylow p-subgroup construction
-
-@dataclass
-class SylowPresentation:
-    generators: list[np.ndarray]
-    claimed_order: int
-    shape: str
-
 
 def _chunk_cycle_perm(n: int, off: int, chunk: int, count: int) -> np.ndarray:
     """Permutation matrix cycling `count` consecutive chunks of width `chunk`."""
@@ -349,8 +350,9 @@ def det_preimage_generators(F: FieldSpec, t: np.ndarray, t_inv: np.ndarray,
     return list(gens.values())
 
 
-def build_sylow(params: LieParams, cap: int | None = None) -> tuple[SylowPresentation, mg.MatrixGroup]:
-    """A Sylow p-subgroup of G, as (presentation, enumerated group).
+def build_sylow(params: LieParams, cap: int | None = None) -> tuple[str, mg.MatrixGroup]:
+    """A Sylow p-subgroup S of G, as (its shape, S enumerated on its
+    generators in the order given).
 
     S = {x in S_GL : det x in Det(G)}, generated from the Singer-block and
     chunk-cycling generators of S_GL, the first of which generates det(S_GL)
@@ -368,7 +370,7 @@ def build_sylow(params: LieParams, cap: int | None = None) -> tuple[SylowPresent
     gens = det_preimage_generators(F, t, _matrix_power(F, t, p_part(order_gl(n, q), p) - 1),
                                    gl_gens[1:], d) or [mg.identity_matrix(n)]
     S = quotient_closure(F, gens, 1, claimed, cap, name)
-    return SylowPresentation(gens, claimed, shape if d == q - 1 else shape + " ^ det"), S
+    return shape if d == q - 1 else shape + " ^ det", S
 
 
 # ---------------------------------------------------------------------------

@@ -15,18 +15,19 @@ the union of the levels; the naive engine enumerates its own subgroup
 lattice and rescans every subgroup from definitions, as whole-array scans
 of all of G on its multiplication table: a normalizer checks every member,
 a commutator subgroup closes the commutators of every pair, inverses are
-read off the table, and a group above NAIVE_TABLE_CAP is refused.  The
-two share only the closure's Schreier tables.  The test suite diffs them.
+read off the table, and a group above NAIVE_TABLE_CAP is refused.  They
+share only the request check and the closure's Schreier tables, and the
+test suite diffs them.  A chain derives where it stabilized from its levels.
 
 Certificates package the hypotheses of the one-dimensionality criterion
-for an instance (n, q, p): a subgroup H containing N_G(S), the Sylow group
-S and why H contains its normalizer, evidence for (A), and the auxiliary
-witnesses, each lying in [H_i, H_i] for its own group H_i.  They carry
-only what the checker cannot compute: it works out every order, a block
-split's included, S's image in H and [H,H].  (S) runs first and checks
-the Sylow image for every containment kind; (gen) asks that [H,H], S and
-the witnesses generate H; each witness is judged by (2)(a)-(c).  The
-checker runs the clauses in order and reads the verdict off the first
+at a prime p: a subgroup H containing N_G(S), the Sylow group S and why H
+contains its normalizer, evidence for (A), and the auxiliary witnesses,
+each lying in [H_i, H_i] for its own group H_i.  They carry only what the
+checker cannot compute: it reads n and q off H and works out every order,
+a block split's included, S's image in H and [H,H].  (S) runs first and
+checks the Sylow image for every containment kind; (gen) asks that [H,H],
+S and the witnesses generate H; each witness is judged by (2)(a)-(c).
+The checker runs the clauses in order and reads the verdict off the first
 clause that does not hold: INCOMPLETE when it cannot be checked, FAIL
 naming it when it is violated, PASS when every clause holds.
 """
@@ -57,8 +58,16 @@ class RhoChain:
     base: mg.Subgroup
     normalizer: mg.Subgroup
     chain: list[mg.Subgroup]
-    stabilized_at: int | None
-    reached_normalizer: bool
+
+    @property
+    def stabilized_at(self) -> int | None:
+        """The first level index i >= 1 that repeats level i-1, else None."""
+        return next((i for i in range(1, len(self.chain))
+                     if self.chain[i] == self.chain[i - 1]), None)
+
+    @property
+    def reached_normalizer(self) -> bool:
+        return self.chain[-1] == self.normalizer
 
     def orders(self) -> list[int]:
         return [c.order for c in self.chain]
@@ -77,9 +86,16 @@ def _require_lattice_size(S: mg.Subgroup) -> None:
     mg.refuse_over(S.order, S_ORDER_CAP, "|S| = {needed} exceeds the subgroup-lattice cap {cap}")
 
 
-def _require_levels(max_i: int) -> None:
+def _require_chain(S: mg.Subgroup, Q: mg.Subgroup, max_i: int) -> None:
+    """The request both engines take: at least one level, Q a nontrivial
+    subgroup of S, and S within the subgroup-lattice cap."""
     if max_i < 1:
         raise DomainError(f"max_i must be a positive integer, got {max_i}")
+    if Q.order <= 1:
+        raise DomainError("Q must be a nontrivial subgroup of S")
+    if not mg._mask(S.parent, S.idx)[Q.idx].all():
+        raise DomainError("Q must be contained in S")
+    _require_lattice_size(S)
 
 
 def nontrivial_subgroups(S: mg.Subgroup) -> list[mg.Subgroup]:
@@ -92,11 +108,7 @@ def rho_chain(G: mg.MatrixGroup, S: mg.Subgroup, Q: mg.Subgroup,
     """Exact chain for Q up to level max_i (fast engine).  Every level of R
     depends on R only through N_G(R), so the levels are kept once for each
     distinct normalizer, keyed by N.key(); many subgroups share one."""
-    _require_levels(max_i)
-    if Q.order <= 1:
-        raise DomainError("Q must be a nontrivial subgroup of S")
-    if not mg._mask(G, S.idx)[Q.idx].all():
-        raise DomainError("Q must be contained in S")
+    _require_chain(S, Q, max_i)
     NQ = mg.normalizer(G, Q)
     nq = NQ.key()
     norms = {nq: NQ}
@@ -107,8 +119,7 @@ def rho_chain(G: mg.MatrixGroup, S: mg.Subgroup, Q: mg.Subgroup,
     level = {k: mg.commutator_subgroup(N) for k, N in norms.items()}
 
     chain = [level[nq]]
-    stabilized = None
-    for i in range(2, max_i + 1):
+    for _ in range(2, max_i + 1):
         pool = np.zeros(G.order, dtype=bool)
         for L in level.values():
             pool[L.idx] = True
@@ -120,8 +131,6 @@ def rho_chain(G: mg.MatrixGroup, S: mg.Subgroup, Q: mg.Subgroup,
         fixpoint = all(nxt[k] == level[k] for k in norms)
         level = nxt
         chain.append(level[nq])
-        if stabilized is None and chain[-1] == chain[-2]:
-            stabilized = i - 1
         if fixpoint:
             break
 
@@ -132,7 +141,7 @@ def rho_chain(G: mg.MatrixGroup, S: mg.Subgroup, Q: mg.Subgroup,
         if not in_nq[L.idx].all():
             raise DomainError("chain escaped the normalizer")
         prev = L
-    return RhoChain(Q, NQ, chain, stabilized, chain[-1] == NQ)
+    return RhoChain(Q, NQ, chain)
 
 
 # -- the deliberately naive twin ---------------------------------------------
@@ -196,7 +205,6 @@ def _naive_commutator(G, members):
 def _naive_subgroups(G: mg.MatrixGroup, S: mg.Subgroup) -> list[mg.Subgroup]:
     """Every subgroup of S, sorted by (order, key): joins of cyclic
     subgroups, each join closed from its generators."""
-    _require_lattice_size(S)
     cyclics: dict[frozenset, tuple[int, ...]] = {frozenset([0]): ()}
     for x in S.idx:
         if x != 0:
@@ -223,11 +231,7 @@ def rho_chain_naive(G: mg.MatrixGroup, S: mg.Subgroup, Q: mg.Subgroup,
                     max_i: int = 4) -> RhoChain:
     """Definition-chasing reimplementation used as the agreement oracle,
     on its own subgroup lattice."""
-    _require_levels(max_i)
-    if Q.order <= 1:
-        raise DomainError("Q must be a nontrivial subgroup of S")
-    if not set(Q.idx.tolist()) <= set(S.idx.tolist()):
-        raise DomainError("Q must be contained in S")
+    _require_chain(S, Q, max_i)
     subs = [T for T in _naive_subgroups(G, S) if T.order > 1]
     if Q.key() not in [T.key() for T in subs]:
         subs.append(Q)
@@ -243,21 +247,14 @@ def rho_chain_naive(G: mg.MatrixGroup, S: mg.Subgroup, Q: mg.Subgroup,
             for R in subs:
                 pieces |= (norms[tk] & level[R.key()])
             nxt[tk] = _naive_closure(G, pieces)
-        if all(nxt[T.key()] == level[T.key()] for T in subs):
-            level = nxt
-            chain_sets.append(level[qk])
-            break
+        fixpoint = all(nxt[T.key()] == level[T.key()] for T in subs)
         level = nxt
         chain_sets.append(level[qk])
-    NQ = mg.Subgroup(G, np.array(sorted(norms[qk]), dtype=np.int64))
-    stabilized = None
-    for i in range(1, len(chain_sets)):
-        if chain_sets[i] == chain_sets[i - 1]:
-            stabilized = i
+        if fixpoint:
             break
-    chain = [mg.Subgroup(G, np.array(sorted(cs), dtype=np.int64))
-             for cs in chain_sets]
-    return RhoChain(Q, NQ, chain, stabilized, chain_sets[-1] == norms[qk])
+    NQ = mg.Subgroup(G, np.array(sorted(norms[qk]), dtype=np.int64))
+    return RhoChain(Q, NQ, [mg.Subgroup(G, np.array(sorted(cs), dtype=np.int64))
+                            for cs in chain_sets])
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +295,6 @@ class SylowContainment:
 class MethodCertificate:
     description: str
     p: int
-    n: int
-    q: int
     H: mg.MatrixGroup                       # subgroup containing N(S), possibly a central quotient
     containment: SylowContainment
     H_evidence: TrivialityEvidence
@@ -326,8 +321,11 @@ class CertificateReport:
 
     verdict: str  # PASS | FAIL | INCOMPLETE | SKIPPED
     clauses: list[ClauseResult]
-    failed_clause: str | None = None
     description: str = ""
+
+    @property
+    def failed_clause(self) -> str | None:
+        return self.clauses[-1].clause.split("[")[0] if self.verdict == "FAIL" else None
 
 
 def _check_triviality(K: mg.MatrixGroup, p: int, ev: TrivialityEvidence | None,
@@ -412,13 +410,13 @@ def _check_sylow_image(cert) -> str | None:
     """det_order divides q-1, and S is a p-group of the ambient Sylow order
     (by the order formula) with determinants in the subgroup of order
     det_order, contained in H.  The first hypothesis that fails, or None."""
-    c = cert.containment
+    c, n, q = cert.containment, cert.H.n, cert.H.field.q
     Sg = c.sylow
     if Sg is None or c.det_order is None:
         return f"{c.kind} needs the Sylow group and det_order"
-    if c.det_order < 1 or (cert.q - 1) % c.det_order:
-        return f"det_order {c.det_order} does not divide q-1 = {cert.q - 1}"
-    if Sg.order != p_part(liea.group_order(cert.n, cert.q, c.det_order), cert.p):
+    if c.det_order < 1 or (q - 1) % c.det_order:
+        return f"det_order {c.det_order} does not divide q-1 = {q - 1}"
+    if Sg.order != p_part(liea.group_order(n, q, c.det_order), cert.p):
         return "S has wrong order"
     if not _dets_in(Sg.field, Sg.elements, c.det_order):
         return "S violates the determinant condition"
@@ -435,7 +433,7 @@ def _check_whole_group(cert) -> str | None:
     if H.scalars is not None:
         return "whole-group applies to plain groups"
     if not _dets_in(H.field, H.elements[list(H.gen_idx)], det_order) or \
-            H.order != liea.group_order(cert.n, cert.q, det_order):
+            H.order != liea.group_order(H.n, H.field.q, det_order):
         return "H is not the whole group"
     return None
 
@@ -446,8 +444,7 @@ def _check_diagonal_characters(cert) -> str | None:
     is the full monomial subgroup with the right determinant image.  The
     first hypothesis that fails, or None."""
     c, H = cert.containment, cert.H
-    Qg, Sg = c.q_subgroup, c.sylow
-    n = cert.n
+    Qg, Sg, n = c.q_subgroup, c.sylow, H.n
     if Qg is None:
         return "diagonal-characters needs the group Q"
     # the kernel scalars must sit inside Q (so quotient normalizers correspond)
@@ -474,7 +471,7 @@ def _check_diagonal_characters(cert) -> str | None:
     if len(same) != 1 or same[0] != Qs:
         return f"Q is not the unique abelian subgroup of type {qtype} in S ({len(same)} found)"
     # H is the monomial group with determinants in the given subgroup
-    expect = liea.levi_order([1] * n, cert.q, c.det_order) * math.factorial(n)
+    expect = liea.levi_order([1] * n, H.field.q, c.det_order) * math.factorial(n)
     if H.scalars is not None:
         expect //= len(H.scalars)
     if H.order != expect:
@@ -520,7 +517,7 @@ def _check_isotypic_blocks(cert) -> str | None:
     if c.blocks is None:
         return "isotypic-blocks needs the blocks"
     blocks = list(c.blocks)
-    if sum(blocks) != cert.n or len(set(blocks)) != len(blocks):
+    if sum(blocks) != H.n or len(set(blocks)) != len(blocks):
         return "blocks must partition n with distinct sizes"
     if not _blocks_respected(Sg, blocks):
         return "S does not preserve the blocks"
@@ -532,7 +529,7 @@ def _check_isotypic_blocks(cert) -> str | None:
         off += b
     if H.scalars is not None:
         return "isotypic-blocks applies to plain groups"
-    if H.order != liea.levi_order(blocks, cert.q, c.det_order) or \
+    if H.order != liea.levi_order(blocks, H.field.q, c.det_order) or \
             not _blocks_respected(H, blocks):
         return "H is not the full block group"
     return None
@@ -583,10 +580,9 @@ def check_certificate(cert: MethodCertificate) -> CertificateReport:
     for c in _clauses(cert):
         clauses.append(c)
         if not c.ok:
-            failed = None if c.ok is None else c.clause.split("[")[0]
-            return CertificateReport("INCOMPLETE" if failed is None else "FAIL", clauses,
-                                     failed, cert.description)
-    return CertificateReport("PASS", clauses, None, cert.description)
+            return CertificateReport("INCOMPLETE" if c.ok is None else "FAIL", clauses,
+                                     cert.description)
+    return CertificateReport("PASS", clauses, cert.description)
 
 
 # ---------------------------------------------------------------------------
@@ -607,8 +603,7 @@ def build_central_scalar_certificate(n: int, q: int, p: int,
     _, Sg = liea.build_sylow(params, cap=cap)
     return MethodCertificate(
         description=f"block-count p^s, e=1 instance: SL({n},{q}) at p={p}",
-        p=p, n=n, q=q,
-        H=G,
+        p=p, H=G,
         containment=SylowContainment(kind="whole-group", sylow=Sg, det_order=1),
         H_evidence=TrivialityEvidence(kind="normal-p-subgroup",
                                       witness_gens=[zmat]))
@@ -654,8 +649,7 @@ def build_torus_quotient_certificate(n: int, q: int, p: int,
 
     return MethodCertificate(
         description=f"torus-quotient instance: SL({n},{q})/Z{z_order} at p={p}",
-        p=p, n=n, q=q,
-        H=Hbar,
+        p=p, H=Hbar,
         containment=SylowContainment(kind="diagonal-characters", q_subgroup=Qg,
                                      sylow=Sg, det_order=1),
         H_evidence=TrivialityEvidence(kind="normal-p-subgroup",
@@ -702,8 +696,7 @@ def build_block_count_certificate(n: int, q: int, p: int,
 
     return MethodCertificate(
         description=f"block-count a*p^s+b instance: SL({n},{q}) at p={p}",
-        p=p, n=n, q=q,
-        H=N,
+        p=p, H=N,
         containment=SylowContainment(kind="isotypic-blocks", sylow=Sg,
                                      blocks=tuple(blocks), det_order=1),
         H_evidence=TrivialityEvidence(

@@ -6,12 +6,13 @@ from pathlib import Path
 
 import pytest
 
+from endotriv import classify as classify_mod
 from endotriv import corpus as corpus_mod
 from endotriv import cli, gf, liea, rho
 from endotriv import matgrp as mg
 from endotriv.cli import main
 from endotriv.corpus import CorpusEntry, load_corpus, run_corpus
-from endotriv.errors import DomainError
+from endotriv.errors import AmbiguousCase, DomainError
 
 
 def run_cli(capsys, *args):
@@ -228,6 +229,85 @@ RHO_CENTER_PINNED = [
 def test_rho_center_output_is_pinned(group, p, expected, capsys):
     code, out, _ = run_cli(capsys, "rho", group, p, "--Q", "center", "--json")
     assert code == 0 and out == expected + "\n"
+
+
+# outputs whose fields the records derive (the chain's stabilized_at and
+# reached_normalizer, the Sylow group's claimed order and generators), as
+# printed when the records stored them.  `--max-i 1` leaves one level, so
+# nothing has stabilized.
+DERIVED_PINNED = [
+    (("sylow", "2", "5", "2", "--det", "4"),
+     '{"abelian": false, "claimed_order": 32, "generators": [[[2, 0], [0, 1]], '
+     '[[0, 1], [1, 0]]], "order": 32, "shape": "C_4 wr C_2^(wr 1)"}'),
+    (("sylow", "3", "7", "2"),
+     '{"abelian": false, "claimed_order": 32, "generators": [[[2, 5, 0], [2, 2, 0], [0, 0, 1]], '
+     '[[5, 3, 0], [3, 2, 0], [0, 0, 1]], [[2, 4, 0], [4, 5, 0], [0, 0, 1]], '
+     '[[5, 3, 0], [4, 5, 0], [0, 0, 6]], [[2, 3, 0], [4, 2, 0], [0, 0, 6]]], "order": 32, '
+     '"shape": "SD_32 x C_2 ^ det"}'),
+    (("sylow", "3", "4", "3", "--det", "3"),
+     '{"abelian": false, "claimed_order": 81, "generators": [[[2, 0, 0], [0, 1, 0], '
+     '[0, 0, 1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]]], "order": 81, '
+     '"shape": "C_3 wr C_3^(wr 1)"}'),
+    (("sylow", "1", "7", "3", "--det", "2"),
+     '{"abelian": true, "claimed_order": 1, "generators": [[[1]]], "order": 1, '
+     '"shape": "C_3 ^ det"}'),
+    (("rho", "SL(2,7)", "3"),
+     '{"base_order": 3, "chain_orders": [3, 3], "group": "SL(2,7)", "normalizer_order": 12, '
+     '"p": 3, "reached_normalizer": false, "stabilized_at": 1, "sylow_order": 3}'),
+    (("rho", "SL(2,5)", "2", "--max-i", "1"),
+     '{"base_order": 8, "chain_orders": [8], "group": "SL(2,5)", "normalizer_order": 24, '
+     '"p": 2, "reached_normalizer": false, "stabilized_at": null, "sylow_order": 8}'),
+]
+
+
+@pytest.mark.parametrize("args, expected", DERIVED_PINNED)
+def test_derived_fields_are_pinned(args, expected, capsys):
+    assert run_cli(capsys, *args, "--json") == (0, expected + "\n", "")
+
+
+@pytest.mark.parametrize("cap", [(), ("--cap", "1000")])
+def test_oracle_refuses_p_not_dividing_the_order_before_enumerating(cap, capsys, monkeypatch):
+    # |PGL(3,4)| = 60480 is prime to 11: refused by the order formula, so a
+    # cap below the closure's 181440 rows is never reached
+    monkeypatch.setattr(liea, "enumerate_quotient", None)
+    code, out, _ = run_cli(capsys, "oracle", "PGL(3,4)", "11", *cap, "--json")
+    assert code == 1
+    assert json.loads(out) == {"error": "domain",
+                               "message": "p = 11 does not divide |PGL(3,4)| = 60480"}
+
+
+def _disagreeing_oracle(*args, **kw):
+    return classify_mod.RankOracle(p_rank=0, n_g=0, tf_rank=99)
+
+
+def test_classify_verify_fails_when_the_oracle_disagrees(capsys, monkeypatch):
+    monkeypatch.setattr(classify_mod, "tf_rank_oracle", _disagreeing_oracle)
+    code, out, _ = run_cli(capsys, "classify", "3", "4", "3", "--z", "3", "--verify", "--json")
+    payload = json.loads(out)
+    assert code == 1
+    assert (payload["oracle_status"], payload["oracle"]["tf_rank"], payload["tf_rank"]) == (
+        "FAIL", 99, 1)
+
+
+def test_corpus_oracle_disagreement_fails_the_row(capsys, monkeypatch):
+    monkeypatch.setattr(classify_mod, "tf_rank_oracle", _disagreeing_oracle)
+    code, out, _ = run_cli(capsys, "corpus", "run", "--oracle", "--filter", "name=SL(2,5) p=2",
+                           "--json")
+    report = json.loads(out)
+    assert code == 1 and report["counts"] == {"PASS": 0, "FAIL": 2, "SKIP": 0}
+    assert [(r["status"], r["oracle_status"]) for r in report["entries"]] == [("FAIL", "FAIL")] * 2
+
+
+def test_corpus_row_that_raises_fails_with_its_error(monkeypatch):
+    def refuse(*args, **kw):
+        raise AmbiguousCase("no clause applies", {})
+
+    monkeypatch.setattr(corpus_mod, "classify", refuse)
+    monkeypatch.setattr(corpus_mod, "oracle_check", None)  # a failed row runs no oracle
+    report = run_corpus({"name": "SL(2,5) p=2"}, oracle=True)
+    assert report["counts"] == {"PASS": 0, "FAIL": 2, "SKIP": 0}
+    assert [(r["status"], r["error"]) for r in report["entries"]] == [
+        ("FAIL", "AmbiguousCase: no clause applies")] * 2
 
 
 def test_certify_subcommand(capsys):

@@ -48,11 +48,11 @@ def test_sylow_abelian_flag():
 
 
 def test_build_sylow_examples():
-    pres, S = liea.build_sylow(liea.compute_params(2, 7, 3, 6))
+    _, S = liea.build_sylow(liea.compute_params(2, 7, 3, 6))
     assert S.order == 9 and S.as_subgroup().is_abelian()
-    pres2, S2 = liea.build_sylow(liea.compute_params(2, 5, 2, 4))
+    shape2, S2 = liea.build_sylow(liea.compute_params(2, 5, 2, 4))
     assert S2.order == 32 and not S2.as_subgroup().is_abelian()
-    assert "wr" in pres2.shape
+    assert "wr" in shape2
     _, S3 = liea.build_sylow(liea.compute_params(4, 2, 3, 1))
     assert S3.order == 9
 
@@ -112,8 +112,9 @@ def test_build_sylow_is_one_closure(monkeypatch):
 
 def test_build_sylow_cap_admits_the_sylow_of_g():
     # |Syl_3(SL(2,7))| = 3 fits a cap of 5; |Syl_3(GL(2,7))| = 9 would not
-    pres, S = liea.build_sylow(liea.compute_params(2, 7, 3, 1), cap=5)
-    assert S.order == pres.claimed_order == 3
+    params = liea.compute_params(2, 7, 3, 1)
+    _, S = liea.build_sylow(params, cap=5)
+    assert S.order == params.sylow_order() == 3
     with pytest.raises(CapExceeded,
                        match=r"^closure of Syl_3\(GL\(2,7\)\) exceeds cap 5$") as exc:
         liea.build_sylow(liea.compute_params(2, 7, 3, 6), cap=5)

@@ -182,7 +182,7 @@ def test_certificate_verdicts_survive_a_change_of_basis(family):
     build, tamper, clause = CERTIFICATES[family]
     cert = build()
     moved = {label: _move_certificate(cert, move)
-             for label, move in _certificate_maps(cert.H.field, cert.n).items()}
+             for label, move in _certificate_maps(cert.H.field, cert.H.n).items()}
     for label, c in moved.items():
         assert rho.check_certificate(c).verdict == "PASS", label
     for label, c in {"unmoved": cert, **moved}.items():
@@ -200,8 +200,8 @@ def test_composite_iii_verdicts_survive_a_block_conjugation(composite_iii_certif
     cert = composite_iii_certificate
     shapes = [cert.containment.blocks] + [w.aux_evidence.split.blocks for w in cert.witnesses]
     assert shapes == [(1, 3), (2, 2)]
-    conj = _block_conjugation(cert.H.field, cert.n, shapes)
-    maps = _certificate_maps(cert.H.field, cert.n)
+    conj = _block_conjugation(cert.H.field, cert.H.n, shapes)
+    maps = _certificate_maps(cert.H.field, cert.H.n)
     maps["block conjugation"] = lambda gens: [conj(g) for g in gens]
     del maps["diagonal conjugation"]  # a special case of the block conjugation
     assert maps.keys() == {"reversal", "frobenius", "block conjugation"}

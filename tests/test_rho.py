@@ -65,6 +65,9 @@ def test_lattice_cap(monkeypatch):
         rho.nontrivial_subgroups(S)
     with pytest.raises(CapExceeded):
         rho.rho_chain_naive(G, S, S)
+    monkeypatch.setattr(mg, "normalizer", None)  # the fast engine refuses before N(Q)
+    with pytest.raises(CapExceeded):
+        rho.rho_chain(G, S, S)
 
 
 DUAL_CASES = [(2, 3, 1, 2), (2, 3, 2, 2), (2, 4, 1, 3), (2, 5, 1, 2),
@@ -574,7 +577,7 @@ def test_hand_built_h_fails_the_sylow_clause(case):
     (n, q, p, det), extra, containment, detail = HAND_BUILT[case]
     _, S = liea.build_sylow(liea.compute_params(n, q, p, det))
     H = mg.MatrixGroup.generate(S.field, [S.elements[g] for g in S.gen_idx] + extra())
-    cert = rho.MethodCertificate("hand-built", p, n, q, H, containment(S),
+    cert = rho.MethodCertificate("hand-built", p, H, containment(S),
                                  rho.TrivialityEvidence(kind="unproved"))
     report = rho.check_certificate(cert)
     assert (report.verdict, report.failed_clause) == ("FAIL", "(S)")
@@ -715,6 +718,15 @@ def test_every_verdict_exit_is_reached(case):
     tamper, want = VERDICT_EXITS[case]
     report = rho.check_certificate(tamper(_torus_certificate()))
     assert (report.verdict, report.failed_clause, report.clauses[-1].clause) == want
+
+
+def test_witness_outside_h_fails_gen_and_checks_nothing_after(monkeypatch):
+    cert = VERDICT_EXITS["witness-outside-H"][0](_torus_certificate())
+    monkeypatch.setattr(mg, "commutator_subgroup", None)  # [H,H] is not taken
+    report = rho.check_certificate(cert)
+    assert (report.verdict, report.failed_clause) == ("FAIL", "(gen)")
+    assert [(c.clause, c.ok) for c in report.clauses] == [("(S)", True), ("(gen)", False)]
+    assert report.clauses[-1].detail == "witness corner-rotation is not in H"
 
 
 def _with_containment(cert, **fields):

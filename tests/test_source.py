@@ -288,3 +288,27 @@ def test_only_refuse_over_builds_a_count_refusal():
             else:
                 found.append(f"{f.name}:{node.lineno}")
     assert len(inside) == 2 and not found, found
+
+
+# a chain request is checked in one place: the max_i and Q refusals are
+# written only in rho._require_chain, and both chain engines call it
+CHAIN_REQUEST_MESSAGES = ("max_i must", "Q must")
+
+
+def test_one_check_refuses_a_chain_request():
+    tree = ast.parse((SRC / "rho.py").read_text())
+    defs = {d.name: d for d in tree.body if isinstance(d, ast.FunctionDef)}
+    check = defs["_require_chain"]
+    for engine in ("rho_chain", "rho_chain_naive"):
+        assert any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_require_chain"
+                   for node in ast.walk(defs[engine])), engine
+    inside, found = [], []
+    for f in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(f.read_text(), str(f))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and node.value.startswith(CHAIN_REQUEST_MESSAGES):
+                if f == SRC / "rho.py" and check.lineno <= node.lineno <= check.end_lineno:
+                    inside.append(node.value)
+                else:
+                    found.append(f"{f.name}:{node.lineno}")
+    assert len(inside) == 3 and not found, found
