@@ -192,11 +192,12 @@ def _least_irreducible(F: FieldSpec, k: int) -> tuple[int, ...]:
 def _least_primitive(F: FieldSpec, mod) -> list[int]:
     """The polynomial of least encoding that generates (F[x]/(mod))^x, for
     an irreducible `mod`: the primitive element of GF(q^k) and the Singer
-    generator over GF(q) both come from here."""
+    generator over GF(q) both come from here.  For k > 1 the scan starts at
+    x, encoding q: a constant's order divides q - 1 < q^k - 1."""
     k = len(mod) - 1
     order = F.q ** k - 1
     fac = factorize(order)
-    for v in range(1, F.q ** k):
+    for v in range(F.q if k > 1 else 1, F.q ** k):
         g = _poly_trim(_digits(v, F.q, k))
         if all(_poly_powmod(F, g, order // r, mod) != [1] for r in fac):
             return g

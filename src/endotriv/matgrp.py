@@ -672,71 +672,51 @@ def find_generators(G: MatrixGroup, idx: np.ndarray) -> tuple[int, ...]:
     return H.gen_idx
 
 
-COSET_MIN = 64  # |H| from which _closure_indices grows <H, g> by whole cosets of H
-
-
-def _powers_outside(G: MatrixGroup, g: int, members: set[int]) -> list[int]:
-    """g, g^2, ..., g^(d-1) for the least d with g^d among the members of
-    a subgroup (g not among them), by doubling: the m powers g ... g^m
-    times g^m are g^(m+1) ... g^(2m), one walk along g^m's word, so about
-    log2 d walks."""
-    powers = [g]
-    while True:
-        for x in G._right(powers, powers[-1]).tolist():
-            if x in members:
-                return powers
-            powers.append(x)
-
-
 def _closure_indices(G: MatrixGroup, seeds, base: Subgroup | None = None) -> Subgroup:
-    """<base, seeds>, grown from the subgroup `base` (default trivial) and
-    generated by base.gen_idx followed by the seeds it took: the one place
-    where a subgroup's generators are chosen.  A Python set holds the
-    closure while it grows.
+    """<base, seeds>, grown from the subgroup `base` (default trivial) on one
+    mask over G and generated by base.gen_idx followed by the seeds it took:
+    the one place where a subgroup's generators are chosen.
 
     The seeds are taken one at a time, in order, and one already inside the
     closure so far is skipped, so no generator lies in the closure of those
     before it (Dimino's algorithm; G. Butler, Fundamental Algorithms for
     Permutation Groups, LNCS 559, 1991).  A seed g outside the closure H so
-    far extends it by the cosets H g^i of its powers up to the first g^d in
-    H, the powers taken by doubling (`_powers_outside`), and each coset is
-    closed under g.  Rounds then multiply what is new by the generators (the
-    older ones alone in the first round) until nothing is new.  From
-    COSET_MIN elements of H on, Dimino's cosets: since (H r) s = H (r s), a
-    round multiplies only coset representatives, starting from the powers,
-    and a product outside adds its whole coset, one walk of H.  Below the
-    bound a round multiplies every new element: a coset's walk costs about
-    as much as one walk of a whole round, so cosets of a few elements lose.
-    Measured by replaying the closures of a certify pass, criterion 4's
-    commutator subgroups and the composite-iii replay: without cosets the
-    last two take 5x and 4x as long; a bound of 16 doubles one certify
-    closure, one of 256 nearly doubles composite-iii; 32 to 128 are within
-    10% of each other."""
-    base = trivial_subgroup(G) if base is None else base
-    seen, taken = set(base.idx.tolist()), list(base.gen_idx)
+    far adds the cosets H g^i up to the first g^d in H (the powers of g when
+    H is trivial) by doubling: the cosets H g ... H g^m times g^m are
+    H g^(m+1) ... H g^(2m), one walk, and g^m leads the m-th coset as the
+    identity, index 0, leads H.  Rounds then multiply what is new by the
+    generators (the older ones alone in the first round, as g maps the
+    cosets into themselves and H), one walk per generator, until nothing is
+    new; a product reached twice is walked twice and adds nothing.  Walked
+    indices are widened from int32 to int64 once per step, as numpy gathers
+    and scatters through int32 indices several times slower on a few
+    elements."""
+    H = np.zeros(1, dtype=np.int64) if base is None else base.idx  # the closure so far
+    inside, taken = _mask(G, H), [] if base is None else list(base.gen_idx)
     for g in map(int, seeds):
-        if g in seen:
+        if inside[g]:
             continue
-        powers = _powers_outside(G, g, seen)
-        H = np.fromiter(seen, dtype=np.int64, count=len(seen))
-        cosets = powers if len(H) == 1 else [x for p in powers for x in G._right(H, p).tolist()]
-        seen.update(cosets)
-        by_coset = len(H) >= COSET_MIN
-        frontier, round_gens = (powers if by_coset else cosets), list(taken)
+        H = inside.nonzero()[0] if H is None else H  # None once a seed extends it
+        k = len(H)
+        frontier = np.array([g]) if k == 1 else G._right(H, g)
+        while True:
+            m = len(frontier)  # m / k cosets, the last led by g^(m/k)
+            frontier = np.concatenate([frontier, G._right(frontier, int(frontier[-k]))],
+                                      dtype=np.int64)
+            hit = inside[frontier[m::k]]
+            d = hit.argmax()  # the first new coset that is H, if hit[d]
+            if hit[d]:
+                break
+        frontier = frontier[:m + d * k]
+        inside[frontier] = True
+        round_gens, H = list(taken), None
         taken.append(g)
-        while frontier and round_gens:
-            found, arr = [], np.array(frontier, dtype=np.int64)
-            for s in round_gens:
-                for e in G._right(arr, s).tolist():
-                    if e in seen:
-                        continue
-                    found.append(e)
-                    if by_coset:
-                        seen.update(G._right(H, e).tolist())
-                    else:
-                        seen.add(e)
-            frontier, round_gens = found, taken
-    return Subgroup(G, np.fromiter(seen, dtype=np.int64, count=len(seen)), gen_idx=taken)
+        while len(frontier) and round_gens:
+            e = np.concatenate([G._right(frontier, s) for s in round_gens], dtype=np.int64)
+            frontier = e[~inside[e]]
+            inside[frontier] = True
+            round_gens = taken
+    return Subgroup(G, inside.nonzero()[0], gen_idx=taken)
 
 
 def trivial_subgroup(G: MatrixGroup) -> Subgroup:

@@ -86,14 +86,16 @@ def _require_lattice_size(S: mg.Subgroup) -> None:
     mg.refuse_over(S.order, S_ORDER_CAP, "|S| = {needed} exceeds the subgroup-lattice cap {cap}")
 
 
-def _require_chain(S: mg.Subgroup, Q: mg.Subgroup, max_i: int) -> None:
-    """The request both engines take: at least one level, Q a nontrivial
-    subgroup of S, and S within the subgroup-lattice cap."""
+def _require_chain(G: mg.MatrixGroup, S: mg.Subgroup, Q: mg.Subgroup, max_i: int) -> None:
+    """The request both engines take: at least one level, S and Q subgroups
+    of G, Q a nontrivial subgroup of S, and S within the subgroup-lattice cap."""
     if max_i < 1:
         raise DomainError(f"max_i must be a positive integer, got {max_i}")
+    if S.parent is not G or Q.parent is not G:
+        raise DomainError("subgroup does not live in the given group")
     if Q.order <= 1:
         raise DomainError("Q must be a nontrivial subgroup of S")
-    if not mg._mask(S.parent, S.idx)[Q.idx].all():
+    if not mg._mask(G, S.idx)[Q.idx].all():
         raise DomainError("Q must be contained in S")
     _require_lattice_size(S)
 
@@ -108,7 +110,7 @@ def rho_chain(G: mg.MatrixGroup, S: mg.Subgroup, Q: mg.Subgroup,
     """Exact chain for Q up to level max_i (fast engine).  Every level of R
     depends on R only through N_G(R), so the levels are kept once for each
     distinct normalizer, keyed by N.key(); many subgroups share one."""
-    _require_chain(S, Q, max_i)
+    _require_chain(G, S, Q, max_i)
     NQ = mg.normalizer(G, Q)
     nq = NQ.key()
     norms = {nq: NQ}
@@ -231,7 +233,7 @@ def rho_chain_naive(G: mg.MatrixGroup, S: mg.Subgroup, Q: mg.Subgroup,
                     max_i: int = 4) -> RhoChain:
     """Definition-chasing reimplementation used as the agreement oracle,
     on its own subgroup lattice."""
-    _require_chain(S, Q, max_i)
+    _require_chain(G, S, Q, max_i)
     subs = [T for T in _naive_subgroups(G, S) if T.order > 1]
     if Q.key() not in [T.key() for T in subs]:
         subs.append(Q)

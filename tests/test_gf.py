@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from endotriv.errors import DomainError
-from endotriv.gf import _is_irreducible, factorize, field_spec, p_part, p_val
+from endotriv.gf import (_digits, _is_irreducible, _least_irreducible, _least_primitive,
+                         _poly_powmod, _poly_trim, factorize, field_spec, p_part, p_val)
 
 PRIME_POWERS_64 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29,
                    31, 32, 37, 41, 43, 47, 49, 53, 59, 61, 64]
@@ -165,3 +166,36 @@ def test_valuations_refuse_what_has_none():
         for fn in (p_val, p_part):
             with pytest.raises(DomainError, match="valuation"):
                 fn(n, p)
+
+
+def _least_primitive_by_full_scan(F, mod):
+    """The generator of least encoding of (F[x]/(mod))^x, every encoding from 1 on."""
+    k = len(mod) - 1
+    order = F.q ** k - 1
+    for v in range(1, F.q ** k):
+        g = _poly_trim(_digits(v, F.q, k))
+        if all(_poly_powmod(F, g, order // r, mod) != [1] for r in factorize(order)):
+            return g
+
+
+# the (q, e) of every Singer block that tier-1 builds
+SINGER_PAIRS = [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8), (3, 2), (3, 3), (3, 4),
+                (3, 5), (3, 6), (4, 1), (4, 2), (4, 3), (4, 5), (5, 1), (5, 2), (5, 3), (5, 4),
+                (5, 5), (7, 1), (7, 2), (7, 4), (8, 1), (8, 2), (8, 4), (9, 1), (9, 2), (9, 3),
+                (11, 2), (11, 3), (13, 1), (13, 2), (17, 1), (19, 1)]
+
+
+def test_least_primitive_skips_only_constants():
+    # no constant generates GF(q^k)^x for k > 1, so starting the scan at x
+    # keeps the full scan's answer: for every field bootstrap over its prime
+    # field up to q = 256, and for every Singer generator that the tests reach
+    bootstraps = [q for q in range(4, 257) if len(f := factorize(q)) == 1 and max(f.values()) > 1]
+    assert len(bootstraps) == 16
+    for q in bootstraps:
+        F = field_spec(q)
+        P = field_spec(F.char)
+        assert _least_primitive(P, F.modulus) == _least_primitive_by_full_scan(P, F.modulus), q
+    for q, e in SINGER_PAIRS:
+        F = field_spec(q)
+        mod = list(_least_irreducible(F, e))
+        assert _least_primitive(F, mod) == _least_primitive_by_full_scan(F, mod), (q, e)

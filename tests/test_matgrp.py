@@ -430,14 +430,14 @@ def test_closure_skips_redundant_generators(n, q, det):
 
 
 def test_closure_on_both_sides_of_the_coset_bound():
-    # <H, x> grown from H by element rounds (|H| < COSET_MIN) and by whole
-    # cosets of H (|H| >= COSET_MIN), against the naive twin's closure from
-    # scratch; x runs over elements that normalize H and elements that do not
+    # <H, x> grown from a 16- and an 80-element H, against the naive twin's
+    # closure from scratch; x runs over elements that normalize H and
+    # elements that do not
     G = liea.enumerate_group(2, 5, 4)  # GL(2,5), 480 elements
     upper = G.elements[:, 1, 0] == 0
     diagonal = np.flatnonzero(upper & (G.elements[:, 0, 1] == 0))  # 16 elements
     borel = np.flatnonzero(upper)  # 80 elements
-    assert len(diagonal) < mg.COSET_MIN <= len(borel)
+    assert (len(diagonal), len(borel)) == (16, 80)
     xs = range(0, G.order, 7)
     for idx in (diagonal, borel):
         H = mg.generated_subgroup(G, idx)
@@ -450,19 +450,35 @@ def test_closure_on_both_sides_of_the_coset_bound():
             assert np.array_equal(grown.idx, ref), (len(idx), x)
 
 
-def test_large_base_grows_by_whole_cosets(monkeypatch):
-    # from COSET_MIN elements of H on, an element outside H is walked once,
-    # in its coset, and a round multiplies only the few representatives;
-    # element rounds would walk each new element once per generator
-    G = liea.enumerate_group(2, 5, 4)  # GL(2,5), 480 elements
-    H = mg.generated_subgroup(G, np.flatnonzero(G.elements[:, 1, 0] == 0))  # Borel, 80
-    assert H.order >= mg.COSET_MIN and len(H.gen_idx) >= 2
-    x = int(np.flatnonzero(~mg._mask(G, H.idx))[0])
-    walked, right = [], G._right
-    monkeypatch.setattr(G, "_right", lambda idxs, j: walked.append(len(idxs)) or right(idxs, j))
-    K = mg._closure_indices(G, [x], H)
-    assert np.array_equal(K.idx, np.arange(G.order))
-    assert sum(walked) <= len(K), sum(walked)
+CONTRACT_GROUPS = {"Q8": quaternion_group, "SL(2,3)": sl23,
+                   "GL(2,3)": lambda: liea.enumerate_group(2, 3, 2),
+                   "SL(3,2)": lambda: liea.enumerate_group(3, 2),
+                   "GL(2,5)": lambda: liea.enumerate_group(2, 5, 4)}
+
+
+@pytest.mark.parametrize("name", CONTRACT_GROUPS)
+def test_closure_contract_matches_the_naive_twin(name):
+    # on trivial and nontrivial bases and seeded random seed lists: idx is the
+    # naive twin's closure of the base and the seeds, and gen_idx is the base's
+    # generators followed by exactly the seeds that lay outside the naive
+    # closure of those before them
+    G = CONTRACT_GROUPS[name]()
+    rng = np.random.default_rng(45)
+    bases = [None, mg.generated_subgroup(G, rng.integers(0, G.order, size=2)), G.as_subgroup()]
+    bases += [mg.sylow_subgroup_of(G, p) for p in sorted(factorize(G.order))]
+    for base in bases:
+        start = [] if base is None else list(base.gen_idx)
+        for size in (1, 2, 3, 6):
+            seeds = rng.integers(0, G.order, size=size).tolist()
+            H = mg._closure_indices(G, seeds, base)
+            want, closed = list(start), rho._naive_closure(G, start)
+            for s in seeds:
+                if s not in closed:
+                    want.append(s)
+                    closed = rho._naive_closure(G, want)
+            ref = sorted(rho._naive_closure(G, start + seeds))
+            assert np.array_equal(H.idx, ref) and H.idx.dtype == np.int64, (base, seeds)
+            assert H.gen_idx == tuple(want), (base, seeds)
 
 
 def _singer_normalizer(key):

@@ -96,6 +96,21 @@ def test_both_engines_refuse_q_outside_s():
             engine(G, S, Q)
 
 
+def test_both_engines_refuse_subgroups_of_another_group(monkeypatch):
+    # a Sylow 3-subgroup of SL(2,5) asked of GL(2,5), and GL(2,5)'s asked of
+    # SL(2,5): the naive twin returned a chain for the first and raised a raw
+    # IndexError on the second; both engines refuse before any scan
+    G, K = liea.enumerate_group(2, 5, 4), liea.enumerate_group(2, 5)
+    SG, SK = mg.sylow_subgroup_of(G, 3), mg.sylow_subgroup_of(K, 3)
+    monkeypatch.setattr(mg, "normalizer", None)
+    monkeypatch.setattr(rho, "_naive_table", None)
+    for group, own, other in ((G, SG, SK), (K, SK, SG)):
+        for S, Q in ((other, other), (own, other), (other, own)):
+            for engine in (rho.rho_chain, rho.rho_chain_naive):
+                with pytest.raises(DomainError, match="does not live in the given group"):
+                    engine(group, S, Q)
+
+
 @pytest.mark.parametrize("max_i", [0, -3])
 def test_both_engines_refuse_fewer_than_one_level(monkeypatch, max_i):
     G = quaternion_group()

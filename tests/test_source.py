@@ -61,6 +61,21 @@ def test_package_reads_no_subgroup_members():
     assert not found, found
 
 
+# a closure's membership lives in one mask over the parent (matgrp._mask):
+# matgrp._closure_indices builds no Python set to grow it in
+def test_closure_builds_no_python_set():
+    tree = ast.parse((SRC / "matgrp.py").read_text())
+    closure = next(d for d in tree.body
+                   if isinstance(d, ast.FunctionDef) and d.name == "_closure_indices")
+    found = [f"matgrp.py:{node.lineno}" for node in ast.walk(closure)
+             if isinstance(node, (ast.Set, ast.SetComp))
+             or (isinstance(node, ast.Call)
+                 and getattr(node.func, "id", None) in ("set", "frozenset"))]
+    assert not found, found
+    assert any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_mask"
+               for node in ast.walk(closure))
+
+
 # public names that nothing in the package reaches, each with its reason
 REACHED_FROM_OUTSIDE = {
     "rho.rho_chain_naive": "the naive twin that the tests diff the chain engine against",
