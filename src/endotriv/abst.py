@@ -6,11 +6,12 @@ free rank plus a divisibility chain d_1 | d_2 | ... | d_k (no factor 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import reduce
+from itertools import zip_longest
 
 from .errors import DomainError
-from .gf import factorize, p_part, p_val
+from .gf import factorize, p_part
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,7 @@ class AbelianStructure:
 
     @property
     def torsion_order(self) -> int:
-        return reduce(lambda a, b: a * b, self.invariant_factors, 1)
+        return math.prod(self.invariant_factors)
 
     @property
     def is_trivial(self) -> bool:
@@ -72,23 +73,17 @@ def cyclic(n: int) -> AbelianStructure:
 
 
 def from_cyclic_orders(orders, free_rank: int = 0) -> AbelianStructure:
-    """Canonicalize a direct sum of cyclic groups of the given orders."""
-    primary: dict[int, list[int]] = {}
+    """Canonicalize a direct sum of cyclic groups of the given orders: the
+    invariant factors are the column products of each prime's powers,
+    each prime's sorted largest first."""
+    powers: dict[int, list[int]] = {}
     for n in orders:
         if n < 1:
             raise DomainError(f"cyclic order {n}")
         for p, e in factorize(n).items():
-            primary.setdefault(p, []).append(e)
-    width = max((len(v) for v in primary.values()), default=0)
-    factors = []
-    for i in range(width):
-        d = 1
-        for p, exps in primary.items():
-            exps_sorted = sorted(exps, reverse=True)
-            if i < len(exps_sorted):
-                d *= p ** exps_sorted[i]
-        factors.append(d)
-    return AbelianStructure(free_rank, tuple(sorted(factors)))
+            powers.setdefault(p, []).append(p ** e)
+    columns = zip_longest(*(sorted(v, reverse=True) for v in powers.values()), fillvalue=1)
+    return AbelianStructure(free_rank, tuple(map(math.prod, columns))[::-1])
 
 
 def prime_to_p_part(a: AbelianStructure, p: int) -> AbelianStructure:
@@ -144,25 +139,8 @@ class ExtensionDescriptor:
 
 
 def _index_two_overgroups(x: AbelianStructure) -> list[AbelianStructure]:
-    """All abelian M of order 2|x| containing a copy of x of index 2.
-
-    At odd primes M and x agree; at 2, the partition of M is the partition
-    of x with one part raised by 1 (possibly a new part 2).
-    """
-    two_exps = [p_val(d, 2) for d in x.invariant_factors if d % 2 == 0]
-    rest = [d // p_part(d, 2) for d in x.invariant_factors]  # odd parts; 1s add nothing
-    seen = set()
-    out = []
-    bumps = [sorted(two_exps + [1], reverse=True)]
-    for i in range(len(two_exps)):
-        cand = sorted(two_exps[:i] + [two_exps[i] + 1] + two_exps[i + 1:], reverse=True)
-        bumps.append(cand)
-    for exps in bumps:
-        key = tuple(exps)
-        if key in seen:
-            continue
-        seen.add(key)
-        orders = [2 ** e for e in exps] + rest
-        out.append(from_cyclic_orders(orders))
-    out.sort(key=lambda s: (len(s.invariant_factors), s.invariant_factors))
-    return out
+    """All abelian M of order 2|x| containing a copy of x of index 2: x with
+    one invariant factor doubled, or x + Z/2 (the doubled 1 below)."""
+    ds = (1,) + x.invariant_factors
+    out = {from_cyclic_orders(ds[:i] + (2 * d,) + ds[i + 1:]) for i, d in enumerate(ds)}
+    return sorted(out, key=lambda s: (len(s.invariant_factors), s.invariant_factors))

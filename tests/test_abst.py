@@ -1,4 +1,7 @@
+import itertools
 import json
+import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +28,21 @@ def test_direct_sum_preserves_order(xs, ys):
     a, b = from_cyclic_orders(xs), from_cyclic_orders(ys)
     got = from_cyclic_orders(list(a.invariant_factors) + list(b.invariant_factors))
     assert got.torsion_order == a.torsion_order * b.torsion_order
+
+
+@given(st.lists(st.integers(min_value=1, max_value=60), max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_direct_sum_has_the_solution_counts_of_its_summands(xs):
+    # Z/n_1 + ... + Z/n_k has prod gcd(m, n_i) solutions of m y = 0, and
+    # these counts over the divisors m of the order determine the group
+    ds = from_cyclic_orders(xs).invariant_factors
+    assert math.prod(ds) == math.prod(xs)
+    divisors = {1}
+    for n in xs:
+        divisors = {d * e for d in divisors for e in range(1, n + 1) if n % e == 0}
+    for m in divisors:
+        assert math.prod(math.gcd(m, n) for n in xs) == \
+            math.prod(math.gcd(m, d) for d in ds), (xs, m)
 
 
 def test_prime_to_p_part_examples():
@@ -77,3 +95,34 @@ def test_extension_descriptor():
                              resolved=from_cyclic_orders([8]))
     assert ok.candidates() == (from_cyclic_orders([8]),)
 
+
+def _chains(order, base=1):
+    """Every chain d_1 | d_2 | ... of factors >= 2 with product `order`,
+    each factor a multiple of `base`: the abelian groups of that order."""
+    if order == 1:
+        yield ()
+    for d in range(2, order + 1):
+        if order % d == 0 and d % base == 0:
+            yield from ((d,) + rest for rest in _chains(order // d, d))
+
+
+def _element_orders(orders, keep=lambda ys: True):
+    """How many elements of Z/m_1 + ... + Z/m_k have each order, counting
+    only the elements that `keep` accepts."""
+    return Counter(math.lcm(*(m // math.gcd(y, m) for y, m in zip(ys, orders)))
+                   for ys in itertools.product(*map(range, orders)) if keep(ys))
+
+
+def test_candidates_are_the_abelian_groups_holding_sub_at_index_two():
+    # M is a candidate when one of its index-2 subgroups, the kernel of a
+    # nonzero map sum c_i y_i mod 2 to Z/2, has the element orders of sub
+    for size in range(1, 33):
+        for sub in _chains(size):
+            want = _element_orders(sub)
+            expect = [M for M in _chains(2 * size) if any(
+                _element_orders(M, lambda ys: sum(c * y for c, y in zip(cs, ys)) % 2 == 0) == want
+                for cs in itertools.product(*[(0, 1) if m % 2 == 0 else (0,) for m in M])
+                if any(cs))]
+            got = ExtensionDescriptor(sub=AbelianStructure(0, sub), quot=cyclic(2)).candidates()
+            assert [c.invariant_factors for c in got] == \
+                sorted(expect, key=lambda d: (len(d), d)), sub

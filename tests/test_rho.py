@@ -315,6 +315,16 @@ def test_naive_twin_refuses_groups_without_a_table(monkeypatch):
         assert exc.value.cap == rho.NAIVE_TABLE_CAP < G.order
 
 
+def test_naive_twin_finds_q_in_its_own_lattice(monkeypatch):
+    G = liea.enumerate_group(2, 3, 1)
+    S = mg.sylow_subgroup_of(G, 2)
+    whole = rho._naive_subgroups(G, S)
+    # a lattice that misses Q is an error, not a list to patch
+    monkeypatch.setattr(rho, "_naive_subgroups", lambda G, S: whole[:-1])
+    with pytest.raises(ValueError):
+        rho.rho_chain_naive(G, S, S)
+
+
 # criterion 3's nonabelian Sylow subgroups of p-rank 3, each enumerated on its own
 CRITERION_3_SYLOWS = {"Syl3-GL(3,4)": (3, 4, 3, 3), "Syl3-GL(3,7)": (3, 7, 3, 6),
                       "Syl3-GL(4,4)": (4, 4, 3, 3)}
@@ -532,6 +542,21 @@ def _tamper_containment(cert, **fields):
     return dataclasses.replace(cert, containment=dataclasses.replace(cert.containment, **fields))
 
 
+def _central_quotient(S, z):
+    """S closed again modulo the scalars of order z."""
+    return mg.MatrixGroup.generate(S.field, S.elements[S.gen_idx],
+                                   scalars=S.field.subgroup_values(z))
+
+
+def _diagonal_q(cert, order, *exponents):
+    """A torus q_subgroup: the group generated by diag(z^e_0, ..., z^e_(n-1))
+    for each row of exponents, z the field's element of the given order."""
+    F = cert.containment.sylow.field
+    z = F.element_of_order(order)
+    return mg.MatrixGroup.generate(F, [np.diag([F.pow_el(z, e) for e in row])
+                                       for row in exponents])
+
+
 SYLOW_IMAGE_TAMPERS = {
     "torus-S-wrong-order": ("torus", lambda c: _tamper_containment(
         c, sylow=c.containment.q_subgroup), "S has wrong order"),
@@ -560,6 +585,24 @@ SYLOW_IMAGE_TAMPERS = {
     # the two-block group holds S but is a proper subgroup of SL(4,4)
     "blocks-as-whole-group": ("blocks", lambda c: _tamper_containment(c, kind="whole-group"),
                               "H is not the whole group"),
+    # <diag(z9, z9^-1, 1)> misses the scalars of order 3 that H is taken modulo
+    "torus-kernel-outside-Q": ("torus", lambda c: _tamper_containment(
+        c, q_subgroup=_diagonal_q(c, 9, (1, 8, 0))), "quotient kernel not inside Q"),
+    "torus-Q-scalar": ("torus", lambda c: _tamper_containment(
+        c, q_subgroup=_diagonal_q(c, 3, (1, 1, 1))), "coordinate characters 0,1 of Q coincide"),
+    # the det-one diagonal torus of GL(3,19) holds the scalars and elements of order 2
+    "torus-Q-outside-S": ("torus", lambda c: _tamper_containment(
+        c, q_subgroup=_diagonal_q(c, 18, (1, 17, 0), (0, 1, 17))), "Q is not contained in S"),
+    # <diag(z9, z9^-1, 1), z3> holds the scalars, but S's coordinate rotation moves it
+    "torus-Q-not-characteristic": ("torus", lambda c: _tamper_containment(
+        c, q_subgroup=_diagonal_q(c, 9, (1, 8, 0), (3, 3, 3))),
+        "Q is not the unique abelian subgroup of type Z/3 + Z/9 in S (4 found)"),
+    # S preserves the split (1, 3) of GF(4)^4, not (3, 1)
+    "blocks-not-preserved": ("blocks", lambda c: _tamper_containment(c, blocks=(3, 1)),
+                             "S does not preserve the blocks"),
+    # S modulo the scalars of order 3 holds S up to scalars, but is a quotient
+    "blocks-H-quotient": ("blocks", lambda c: dataclasses.replace(
+        c, H=_central_quotient(c.containment.sylow, 3)), "isotypic-blocks applies to plain groups"),
 }
 
 
@@ -744,64 +787,61 @@ def test_witness_outside_h_fails_gen_and_checks_nothing_after(monkeypatch):
     assert report.clauses[-1].detail == "witness corner-rotation is not in H"
 
 
-def _with_containment(cert, **fields):
-    return dataclasses.replace(cert, containment=dataclasses.replace(cert.containment, **fields))
-
-
-def _central_quotient(S, z):
-    """S closed again modulo the scalars of order z."""
-    return mg.MatrixGroup.generate(S.field, S.elements[S.gen_idx],
-                                   scalars=S.field.subgroup_values(z))
-
-
 # evidence that names no group, witness, blocks or order, or a Sylow group
 # taken after the quotient, is a violated clause, not an error:
-# (kind of certificate, tamper, the clause it fails)
+# (kind of certificate, tamper, the clause it fails, its detail)
 MALFORMED_EVIDENCE = {
     "A-witness-gens-missing": ("torus", lambda c: dataclasses.replace(
-        c, H_evidence=rho.TrivialityEvidence("normal-p-subgroup")), "(A)"),
+        c, H_evidence=rho.TrivialityEvidence("normal-p-subgroup")),
+        "(A)", "normal-p-subgroup needs witness generators"),
     "A-witness-gens-empty": ("torus", lambda c: dataclasses.replace(
-        c, H_evidence=rho.TrivialityEvidence("normal-p-subgroup", witness_gens=[])), "(A)"),
-    "aux-group-missing": ("torus", lambda c: _with_corner(c, aux_group=None), "(2)(a)"),
+        c, H_evidence=rho.TrivialityEvidence("normal-p-subgroup", witness_gens=[])),
+        "(A)", "normal-p-subgroup needs witness generators"),
+    "aux-group-missing": ("torus", lambda c: _with_corner(c, aux_group=None),
+                          "(2)(a)", "no auxiliary group"),
     "aux-witness-gens-missing": ("torus", lambda c: _with_corner(
-        c, aux_evidence=rho.TrivialityEvidence("normal-p-subgroup")), "(2)(a)"),
+        c, aux_evidence=rho.TrivialityEvidence("normal-p-subgroup")),
+        "(2)(a)", "normal-p-subgroup needs witness generators"),
     "block-split-det-order-missing": ("composite-iii", lambda c: _with_corner(
         c, aux_evidence=dataclasses.replace(c.witnesses[-1].aux_evidence, det_order=None)),
-        "(2)(a)"),
+        "(2)(a)", "block-split needs a split, a determinant order and a plain block group"),
     # H itself is the block group of (1, 3) over GF(4), whose GL(1,4) factor
     # meets SL(4,4) in the trivial group, of order prime to 3
     "block-split-factor-prime-to-p": ("composite-iii", lambda c: _with_corner(
         c, aux_group=c.H, aux_evidence=rho.TrivialityEvidence(
             "block-split", split=liea.BlockSplit((1, 3), (0,), (1,)), det_order=1)),
-        "(2)(a)"),
-    "isotypic-blocks-missing": ("composite-iii", lambda c: _with_containment(c, blocks=None),
-                                "(S)"),
-    "isotypic-sylow-missing": ("composite-iii", lambda c: _with_containment(c, sylow=None),
-                               "(S)"),
-    "diagonal-sylow-missing": ("torus", lambda c: _with_containment(c, sylow=None), "(S)"),
-    "diagonal-q-subgroup-missing": ("torus", lambda c: _with_containment(c, q_subgroup=None),
-                                    "(S)"),
-    "diagonal-det-order-missing": ("torus", lambda c: _with_containment(c, det_order=None),
-                                   "(S)"),
+        "(2)(a)", "block split (0,)|(1,), factor orders 1,60480 not both divisible by 3"),
+    "isotypic-blocks-missing": ("composite-iii", lambda c: _tamper_containment(c, blocks=None),
+                                "(S)", "isotypic-blocks needs the blocks"),
+    "isotypic-sylow-missing": ("composite-iii", lambda c: _tamper_containment(c, sylow=None),
+                               "(S)", "isotypic-blocks needs the Sylow group and det_order"),
+    "diagonal-sylow-missing": ("torus", lambda c: _tamper_containment(c, sylow=None),
+                               "(S)", "diagonal-characters needs the Sylow group and det_order"),
+    "diagonal-q-subgroup-missing": ("torus", lambda c: _tamper_containment(c, q_subgroup=None),
+                                    "(S)", "diagonal-characters needs the group Q"),
+    "diagonal-det-order-missing": ("torus", lambda c: _tamper_containment(
+        c, det_order=None), "(S)", "diagonal-characters needs the Sylow group and det_order"),
     # the order-3 scalars of GL(4,4) meet S trivially: the order holds, and
     # the determinants of the quotient's representatives are read
-    "isotypic-sylow-central-quotient": ("composite-iii", lambda c: _with_containment(
-        c, sylow=_central_quotient(c.containment.sylow, 3)), "(S)"),
+    "isotypic-sylow-central-quotient": ("composite-iii", lambda c: _tamper_containment(
+        c, sylow=_central_quotient(c.containment.sylow, 3)),
+        "(S)", "S violates the determinant condition"),
 }
 
 
 @pytest.mark.parametrize("case", MALFORMED_EVIDENCE)
 def test_malformed_evidence_fails_its_clause(case, real_certificate):
-    kind, tamper, clause = MALFORMED_EVIDENCE[case]
+    kind, tamper, clause, detail = MALFORMED_EVIDENCE[case]
     report = rho.check_certificate(tamper(real_certificate(kind)))
     assert (report.verdict, report.failed_clause) == ("FAIL", clause)
+    assert report.clauses[-1].detail == detail
 
 
 def test_verdict_is_read_off_the_first_clause_that_does_not_hold(real_certificate):
     # the last clause checked is the first that does not hold, if any: None
     # when it cannot be checked, False when it is violated
     tampered = [tamper(_torus_certificate()) for tamper, _ in VERDICT_EXITS.values()]
-    tampered += [tamper(real_certificate(kind)) for kind, tamper, _ in MALFORMED_EVIDENCE.values()]
+    tampered += [tamper(real_certificate(kind)) for kind, tamper, *_ in MALFORMED_EVIDENCE.values()]
     certs = [rho.build_central_scalar_certificate(3, 4, 3), real_certificate("composite-iii")]
     for cert in certs + tampered:
         report = rho.check_certificate(cert)

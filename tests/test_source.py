@@ -327,3 +327,28 @@ def test_one_check_refuses_a_chain_request():
                 else:
                     found.append(f"{f.name}:{node.lineno}")
     assert len(inside) == 3 and not found, found
+
+
+# every failure the (S) clause can report is pinned by a test: each string
+# its checks return, an f-string read by its longest literal piece, is named
+# by some test file
+SYLOW_CLAUSE_CHECKS = {"_check_sylow_image", "_check_whole_group",
+                       "_check_diagonal_characters", "_check_isotypic_blocks"}
+
+
+def _literal(node):
+    if isinstance(node, ast.JoinedStr):
+        return max((v.value for v in node.values if isinstance(v, ast.Constant)), key=len)
+    return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else None
+
+
+def test_every_sylow_clause_failure_is_named_by_a_test():
+    tree = ast.parse((SRC / "rho.py").read_text())
+    checks = [d for d in tree.body
+              if isinstance(d, ast.FunctionDef) and d.name in SYLOW_CLAUSE_CHECKS]
+    assert {d.name for d in checks} == SYLOW_CLAUSE_CHECKS
+    details = [(node.lineno, _literal(node.value)) for d in checks for node in ast.walk(d)
+               if isinstance(node, ast.Return) and _literal(node.value) is not None]
+    tests = "".join(f.read_text() for f in sorted(Path(__file__).parent.rglob("*.py")))
+    missing = [f"rho.py:{line}: {text!r}" for line, text in details if text not in tests]
+    assert len(details) > len(checks) and not missing, missing
