@@ -1,5 +1,6 @@
 """Batched GF(q) matrix kernels in numpy: the row product of the closure
-and the determinants of generators.
+and determinants, which the Lie-type generators and the certificates' checks
+read (a closure reads a generator's invertibility off its row action).
 
 Matrices are (n, n) uint8 arrays of field-element encodings; batches are
 (m, n, n).  Field arithmetic goes through the q x q uint8 `mul`/`add`

@@ -19,8 +19,8 @@ sorted keys beyond; a given matrix is found by its rows' positions and
 binary search in the kept sorted keys.
 
 Alongside the elements a group keeps the Schreier data of its closure as
-int32 index tables (Holt, Eick and O'Brien, Handbook of Computational Group
-Theory, ch. 4): the product of every element with every generator, and the
+index tables, int32 but for the int64 tree links (Holt, Eick and O'Brien,
+ch. 4): the product of every element with every generator, and the
 breadth-first tree through which each element was first reached.  Every
 index-level operation (products, inverses, powers, conjugates, normalizer
 scans) is an integer gather over these tables: a walk up the tree moves
@@ -194,55 +194,53 @@ def _numbering(key0: int, bound: int, ng: int):
 
 def _row_orbit(field: FieldSpec, gens: list[np.ndarray], zs: np.ndarray, wq: np.ndarray,
                bound: int, refusal: CapExceeded):
-    """The orbit of the identity's rows wq (the place values of a row's
-    digits) under the generators and the kernel scalars, as (vec, act, zpos):
-    vec its sorted row indices, act[k, v] the position of vec[v] gens[k] and
-    zpos[s, v] that of zs[s] vec[v].  The kernel Z is central and z u has the
-    zero pattern of u, so the search runs over Z's classes of rows, each
-    held by its least multiple: a level is one kernel call giving ng images
-    a class, each taken to its least multiple as `generate` takes a product
-    (a trivial kernel skips that step), and numbered like the closure's
-    products, by `_numbering` over [0, q^n).  Z is
+    """The orbit of the identity's rows under the generators and the kernel
+    scalars, as (vec, vdig, act, zpos): vec its sorted row indices (wq the
+    place values of a row's digits), vdig their digits, act[k, v] the
+    position of vec[v] gens[k] and zpos[s, v] that of zs[s] vec[v].  The
+    kernel Z is central and z u has the zero pattern of u, so the search
+    runs over Z's classes of rows, each held by its least multiple: a level
+    is one kernel call giving ng images a class, each taken to its least
+    multiple as `generate` takes a product (a trivial kernel skips that
+    step), and numbered like the closure's products, by `_numbering` over
+    [0, q^n); each level's new classes are carried as digits.  Z is
     cyclic, so with z^j r (r least) indexed by (j, r), (z^j r) g = z^(j+i) r'
     for r g = z^i r', and z^i z^j r = z^(i+j) r: vec, act and zpos are read
     off the classes once.  `refusal` is raised past `bound` rows."""
     q, n, ng, nz = field.q, len(wq), len(gens), len(zs)
     wide = np.hstack(gens)  # every generator side by side
-    new = wq[::-1]  # the identity's rows e_i, sorted, each its class's least
-    numbering = _numbering(int(new[0]), q ** n, ng)
-    numbering.number(new.astype(numbering.dtype), 1)  # the other e_i numbered 1 ... n-1
+    new = np.eye(n, dtype=np.uint8)[::-1]  # the identity's rows e_i, sorted, each its class's least
+    numbering = _numbering(1, q ** n, ng)  # e_n, of key 1, numbered 0
+    numbering.number(wq[-2::-1].astype(numbering.dtype), 1)  # the other e_i numbered 1 ... n-1
     count = n
     cyc = field.log[zs] // ((q - 1) // nz)  # zs[s] = z^cyc[s] for z = exp[(q-1)/|Z|]
     reps, cls, lift = [new], [], []
     while len(new):
-        dig = (new[:, None] // wq % q).astype(np.uint8)
-        img = backend.mm_one(dig[None], wide, field)[0].reshape(len(new), ng, n)
+        img = backend.mm_one(new[None], wide, field)[0].reshape(len(new), ng, n)
         img = img.transpose(1, 0, 2).reshape(-1, n)  # generator-major
         if nz > 1:
             s = _least_scalar(field, zs, img)
             img = field.mul[zs[s][:, None], img]
             lift.append((-cyc[s]).reshape(ng, -1))  # r g = z^-cyc[s] (its least)
-        keys = img @ wq
-        ids, src = numbering.number(keys.astype(numbering.dtype, copy=False), count)
+        ids, src = numbering.number((img @ wq).astype(numbering.dtype, copy=False), count)
         cls.append(ids.reshape(ng, -1))
-        new = keys.take(src)
+        new = img.take(src, axis=0)
         reps.append(new)
         count += len(src)
         if count * nz > bound:
             raise refusal
-    reps, cls = np.hstack(reps), np.hstack(cls)  # class c's least row, and c gens[k]'s class
-    rows = reps  # z^j reps[c] at j |C| + c
-    if nz > 1:
+    reps, cls = np.concatenate(reps), np.concatenate(cls, 1)  # class c's least row, and c gens[k]'s class
+    if nz > 1:  # z^j reps[c] at j |C| + c
         zj = field.exp[np.arange(nz) * ((q - 1) // nz)]
-        rows = (field.mul[zj[:, None, None], (reps[:, None] // wq % q).astype(np.uint8)]
-                @ wq).ravel()
+        reps = field.mul[zj[:, None, None], reps].reshape(-1, n)
+    rows = reps @ wq
     order = np.argsort(rows)
     pos = np.empty(len(rows), dtype=np.intp)
     pos[order] = np.arange(len(rows))
     j, c = np.divmod(order, count)  # vec[v] = z^j[v] reps[c[v]]
-    act = pos[(j + (np.hstack(lift)[:, c] if lift else 0)) % nz * count + cls[:, c]]
+    act = pos[(j + (np.concatenate(lift, 1)[:, c] if lift else 0)) % nz * count + cls[:, c]]
     zpos = pos[(cyc[:, None] + j) % nz * count + c]
-    return rows[order], act, zpos
+    return rows[order], reps[order], act, zpos
 
 
 # A closure whose row orbit has R rows numbers its products through a
@@ -273,6 +271,8 @@ class _DirectNumbering:
         product's position j, stored as j - len(keys) - 1 < -1."""
         ids = self.table.take(keys)
         unseen = (ids < 0).nonzero()[0]
+        if not len(unseen):
+            return ids, unseen
         fresh = keys.take(unseen)
         mark = (unseen - (len(keys) + 1)).astype(np.int32)
         np.minimum.at(self.table, fresh, mark)
@@ -334,13 +334,13 @@ def _breadth_first(numbering, front: np.ndarray, zact: np.ndarray, off: np.ndarr
     `front`: (elements, acts, parent, via, levels, sorted keys, their element
     indices), stacked, so that the level lists and `numbering` die on return."""
     (n, _), (ng, R) = front.shape, off.shape
-    blocks, zero = [front], np.zeros(1, np.int32)
+    blocks, zero = [front], np.zeros(1, np.intp)
     acts, parent, via, levels = [], [zero], [zero], [0, 1]
     while True:
         m, count = front.shape[1], levels[-1]
         at0 = off.take(front[0], axis=1)
-        pkeys = np.zeros((ng, m), dtype=numbering.dtype)
-        for i in range(n):  # the least multiples' position keys, row 0 first
+        pkeys = zact.take(at0 + front[0]).astype(numbering.dtype, copy=False)
+        for i in range(1, n):  # the least multiples' position keys, row 0 first
             pkeys *= R
             pkeys += zact.take(at0 + front[i])
         ids, src = numbering.number(pkeys.ravel(), count)
@@ -349,26 +349,27 @@ def _breadth_first(numbering, front: np.ndarray, zact: np.ndarray, off: np.ndarr
             break
         if count + len(src) > cap:
             raise refusal
-        k, x = src // m, src % m
-        parent.append((levels[-2] + x).astype(np.int32))
-        via.append(k.astype(np.int32))
-        front = zact[at0[k, x] + front[:, x]]
+        k, x = np.divmod(src, m)
+        parent.append(levels[-2] + x)
+        via.append(k)
+        front = zact.take(at0.take(src) + front.take(x, axis=1))
         blocks.append(front)
         levels.append(count + len(src))
-    return (vdig[np.hstack(blocks).T], *map(np.hstack, (acts, parent, via)),
-            np.array(levels), *numbering.sorted_keys())
+    return (vdig[np.concatenate(blocks, 1).T], np.concatenate(acts, 1), np.concatenate(parent),
+            np.concatenate(via, dtype=np.int32), np.array(levels), *numbering.sorted_keys())
 
 
 class MatrixGroup:
     """A fully enumerated matrix group, optionally modulo central scalars.
 
-    The closure's Schreier data, as int32 tables over element indices:
-    `acts[k, x]` is the index of x * gens[k]; element x > 0 was first
-    reached as parent[x] * gens[via[x]]; BFS level i holds the indices
+    The closure's Schreier data, as int32 tables over element indices but
+    `parent`, intp so that walks gather through int64 indices: `acts[k, x]`
+    is the index of x * gens[k]; element x > 0 was first reached as
+    parent[x] * gens[via[x]]; BFS level i holds the indices
     levels[i] <= x < levels[i + 1], and level 0 is the identity alone: every
     closure numbers the identity 0, and the index layer relies on it.
 
-    A group of n x n matrices on ng generators keeps n^2 + 8 ng + 40 bytes
+    A group of n x n matrices on ng generators keeps n^2 + 8 ng + 44 bytes
     an element (4 ng more once `_gen_conj` is built).  Its construction
     peaks near that, at 1.2-1.8x on closures of 2e4 to 9e5 elements, the
     excess being one level's numbering.
@@ -389,10 +390,13 @@ class MatrixGroup:
         self.scalars = scalars  # quotient kernel as sorted field values, or None
         self.name = name
         ng, order = acts.shape  # _walk_up's tables; _step also reads _gen_conj
-        self._table = np.tile(np.arange(order, dtype=np.int32), ng + 1)
-        for row, a in zip(self._table.reshape(ng + 1, order), acts):  # one row at a time
-            row[a] = self._table[-order:]  # row k inverts acts[k]; the last is the identity
-        self._step = np.where(np.arange(order) > 0, via.astype(np.int64) * order, ng * order)
+        table = np.empty((ng + 1, order), dtype=np.int32)
+        table[ng] = np.arange(order)
+        for row, a in zip(table, acts):  # one scatter per generator
+            row[a] = table[ng]  # row k inverts acts[k]; the last is the identity
+        self._table = table.ravel()
+        self._step = via * np.int64(order)
+        self._step[0] = ng * order
         self.inv = _walk_up(self, np.zeros(order, dtype=np.int64), np.arange(order))
         self._power_maps: dict[int, np.ndarray] = {}  # prime r -> x^r
 
@@ -411,7 +415,10 @@ class MatrixGroup:
         least multiple is the z with the least z a, for a the first nonzero
         entry of row 0; each orbit row's is read off its multiples' positions.
         The kernel must be a subgroup of GF(q)^x (DomainError before any
-        work otherwise).
+        work otherwise).  The orbit holds e_1 ... e_n and is closed under
+        every generator g, so g is invertible exactly when it permutes the
+        orbit; if not (a zero row in the orbit included), DomainError comes
+        before the closure, but after an orbit past its bound refuses it.
 
         The orbit's R rows are sorted, so sum p_i R^(n-1-i) is a key with the
         lexicographic order of the matrices, and distinct elements have
@@ -430,16 +437,17 @@ class MatrixGroup:
         n = gens[0].shape[0]
         if any(g.shape[0] != n for g in gens):
             raise DomainError("generators of mixed dimension")
-        if np.any(backend.det_many(np.stack(gens), field) == 0):
-            raise DomainError("singular generator")
 
         zs = np.ones(1, dtype=np.uint8) if scal is None else scal
         q, ng = field.q, len(gens)
         refusal = CapExceeded(f"closure of {name} exceeds cap {cap}", needed=cap + 1, cap=cap)
         # the orbit has at most n |G/Z| |Z| rows, so more refuse the closure
         wq = np.array([q ** j for j in range(n - 1, -1, -1)], dtype=_int_dtype(q ** n))
-        vec, act, zpos = _row_orbit(field, gens, zs, wq, n * cap * len(zs), refusal)
-        vdig = (vec[:, None] // wq % q).astype(np.uint8)  # the orbit's rows as digits
+        vec, vdig, act, zpos = _row_orbit(field, gens, zs, wq, n * cap * len(zs), refusal)
+        hit = np.zeros(act.shape, dtype=bool)
+        hit[np.arange(ng)[:, None], act] = True
+        if not hit.all():  # gens[k] sends two orbit rows to one
+            raise DomainError("singular generator")
         best = vec.take(zpos).argmin(axis=0)  # s of the least zs[s] vec[v]
         # zact[(s ng + k) |vec| + v]: the position of zs[s] vec[v] gens[k]; the least
         # multiple of x * gens[k], row 0 of x at v, has its rows at off[k, v] + x's

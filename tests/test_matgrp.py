@@ -72,6 +72,51 @@ def test_closure_rejects_singular_generator():
         mg.MatrixGroup.generate(F3, [[[1, 0], [0, 0]]])
 
 
+class _ClosureStarted(Exception):
+    pass
+
+
+def _refuse_closure(*args):
+    raise _ClosureStarted
+
+
+def test_row_action_refuses_exactly_the_singular_generators(monkeypatch):
+    """A generator list is refused exactly when some determinant is 0, with
+    and without a kernel: seeded 2 x 2 and 3 x 3 lists over GF(2, 3, 4, 5,
+    7, 8, 9), a fifth of their matrices made singular by a last row that is
+    a multiple of the first.  The closure itself is never entered."""
+    monkeypatch.setattr(mg, "_breadth_first", _refuse_closure)
+    rng, refused = np.random.default_rng(47), [0, 0]
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        F = field_spec(q)
+        kernels = [None, *(sorted(F.subgroup_values(d)) for d in range(1, q) if (q - 1) % d == 0)]
+        for n in (2, 3):
+            for t in range(24):
+                gens = rng.integers(0, q, size=(int(rng.integers(1, 4)), n, n)).astype(np.uint8)
+                for g in gens:
+                    if rng.random() < 1 / 5:
+                        g[-1] = F.mul[int(rng.integers(0, q)), g[0]]
+                singular = bool((backend.det_many(gens, F) == 0).any())
+                with pytest.raises(DomainError if singular else _ClosureStarted) as err:
+                    mg.MatrixGroup.generate(F, gens, scalars=kernels[t % len(kernels)])
+                if singular:
+                    assert str(err.value) == "singular generator"
+                refused[singular] += 1
+    assert min(refused) > 100, refused
+
+
+@pytest.mark.parametrize("q, gens, scalars", [
+    (3, [[[1, 1], [1, 1]]], None),  # rows (1, 1) and (2, 2) only: never zero
+    (5, [[[1, 1], [0, 1]], [[0, 1], [4, 0]], [[1, 1], [2, 2]]], None),
+    (7, [[[1, 0], [0, 3]], [[0, 1], [0, 0]]], [1, 6]),  # the zero row enters the orbit
+    (2, [np.zeros((3, 3), dtype=np.uint8)], None),
+], ids=["rows never zero", "after invertible ones", "kernel {1, 6}", "zero matrix"])
+def test_singular_generator_is_refused_before_the_closure(q, gens, scalars, monkeypatch):
+    monkeypatch.setattr(mg, "_breadth_first", _refuse_closure)
+    with pytest.raises(DomainError, match=r"^singular generator$"):
+        mg.MatrixGroup.generate(field_spec(q), gens, scalars=scalars)
+
+
 def test_closure_rejects_entries_outside_the_field():
     """An entry that is not an integer in [0, q) names no element of GF(q):
     [[1, 3], [0, 1]] read in base 3 is diag(2, 1), and a uint8 cast reads
@@ -1018,7 +1063,7 @@ def test_quotient_by_a_kernel_outside_the_generated_group(q, z, monkeypatch):
 
 
 def _ref_row_orbit(F, gens, zs, wq):
-    """(vec, act, zpos) by the breadth-first search over every orbit row,
+    """(vec, vdig, act, zpos) by the breadth-first search over every orbit row,
     with the kernel's scalar matrices z I as extra generators: each new row
     multiplied by every generator and every scalar, row products read from
     the field's tables."""
@@ -1039,7 +1084,7 @@ def _ref_row_orbit(F, gens, zs, wq):
         front = np.array(sorted(new), dtype=wq.dtype)
     vec = np.array(sorted(seen), dtype=wq.dtype)
     at = np.array([np.searchsorted(vec, images(vec, g)) for g in mats])
-    return vec, at[:len(gens)], at[len(gens):]
+    return vec, (vec[:, None] // wq % q).astype(np.uint8), at[:len(gens)], at[len(gens):]
 
 
 # closures whose row orbits are checked against every-row reference: the
@@ -1059,8 +1104,8 @@ ROW_ORBIT_CASES = {
 
 @pytest.mark.parametrize("name", list(ROW_ORBIT_CASES))
 def test_class_orbit_matches_every_row_reference(name, monkeypatch):
-    """The orbit searched over the kernel's classes gives the (vec, act,
-    zpos) of the search over every row, on either numbering."""
+    """The orbit searched over the kernel's classes gives the (vec, vdig,
+    act, zpos) of the search over every row, on either numbering."""
     calls, orbit = [], mg._row_orbit
     monkeypatch.setattr(mg, "_row_orbit", lambda F, gens, zs, wq, *rest: (
         calls.append((F, gens, zs, wq, orbit(F, gens, zs, wq, *rest))), calls[-1][-1])[1])
@@ -1100,7 +1145,7 @@ def test_kernel_that_is_not_a_subgroup_is_refused(scalars, monkeypatch):
     {1, 2} 672, neither set being closed under products; a value 0 or at
     least q is no scalar.  Each is refused before any kernel call."""
     F, gens = field_spec(7), liea.levi_generators([2], 7, 1)
-    monkeypatch.setattr(backend, "det_many", lambda *args: pytest.fail("work started"))
+    monkeypatch.setattr(backend, "mm_one", lambda *args: pytest.fail("work started"))
     with pytest.raises(DomainError, match=r"^quotient kernel must"):
         mg.MatrixGroup.generate(F, gens, scalars=scalars)
 
@@ -1161,6 +1206,7 @@ def test_walk_and_conjugation_tables_match_their_definitions(build):
     F, order, ng = G.field, G.order, len(G.gen_idx)
     table = G._table.reshape(ng + 1, order)
     assert G._table.dtype == G._gen_conj.dtype == np.int32
+    assert G.parent.dtype == np.intp
     assert (np.take_along_axis(G.acts, table[:ng], axis=1) == np.arange(order)).all()
     assert (table[ng] == np.arange(order)).all()
     for k, g in enumerate(G.gen_idx):
