@@ -26,11 +26,12 @@ def backend_name() -> str:
 
 
 def mm_one(batch, b, field):
-    """Right-multiply every (r, n) matrix in the (m, r, n) `batch` by the
-    (n, k) matrix `b`."""
+    """Right-multiply every row of `batch`, of any shape (..., n), by the
+    (n, k) matrix `b`: one (r, n) matrix, or every matrix of an (m, r, n)
+    batch."""
     cols = field.mul[:, b]
     acc = cols[batch[..., 0], 0]
-    for i in range(1, batch.shape[2]):
+    for i in range(1, batch.shape[-1]):
         acc = field.add.ravel()[acc.astype(np.intp) * field.q + cols[batch[..., i], i]]
     return acc
 

@@ -282,9 +282,6 @@ class FieldSpec:
 
     # -- public element ops --------------------------------------------------
 
-    def mul_el(self, a: int, b: int) -> int:
-        return self.mul_list[a][b]
-
     def neg_el(self, a: int) -> int:
         return self.neg_list[a]
 
@@ -304,19 +301,16 @@ class FieldSpec:
         return int(self.exp[(int(self.log[a]) * e) % (self.q - 1)])
 
     def element_of_order(self, m: int) -> int:
-        """Element of F_q^x of multiplicative order m (m must divide q-1)."""
-        if (self.q - 1) % m != 0:
+        """Element of F_q^x of multiplicative order m (m >= 1 must divide q-1)."""
+        if m < 1 or (self.q - 1) % m != 0:
             raise DomainError(f"no element of order {m} in GF({self.q})^x")
         return self.pow_el(self.primitive, (self.q - 1) // m)
 
-    def subgroup_values(self, m: int) -> frozenset[int]:
-        """The unique order-m subgroup of F_q^x as a set of encodings."""
-        g = self.element_of_order(m)
-        vals, acc = set(), 1
-        for _ in range(m):
-            vals.add(acc)
-            acc = self.mul_el(acc, g)
-        return frozenset(vals)
+    def subgroup_values(self, m: int) -> np.ndarray:
+        """The unique order-m subgroup of F_q^x as uint8 encodings, z^s at s
+        for z = element_of_order(m)."""
+        self.element_of_order(m)  # refuses m as it does
+        return self.exp[np.arange(m) * ((self.q - 1) // m)].astype(np.uint8)
 
     def singer_block(self, e: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(w, w^-1, g): the regular-embedding images of a generator of

@@ -224,11 +224,11 @@ def _quotient_order(n: int, q: int, det_order: int, z_order: int) -> int:
 
 def quotient_closure(F: FieldSpec, gens, z_order: int, expected: int, cap: int | None,
                      name: str) -> mg.MatrixGroup:
-    """<gens>/Z for Z the scalars of order z_order, in one closure over the
-    cosets of Z; DomainError unless |<gens>/Z| * |Z| is the expected |<gens>|,
-    which also fails when Z is not inside <gens>."""
-    G = mg.MatrixGroup.generate(F, gens, cap=cap, name=name,
-                                scalars=F.subgroup_values(z_order) if z_order > 1 else None)
+    """<gens>/Z for Z the scalars of order z_order, passed to `generate` as
+    that order, in one closure over the cosets of Z; DomainError unless
+    |<gens>/Z| * |Z| is the expected |<gens>|, which also fails when Z is
+    not inside <gens>."""
+    G = mg.MatrixGroup.generate(F, gens, cap=cap, z_order=z_order, name=name)
     if G.order * z_order != expected:
         raise DomainError(f"closure of {name}: order {G.order} * |Z| = {z_order} "
                           f"!= expected {expected}")
@@ -302,8 +302,8 @@ def _matrix_power(F: FieldSpec, m: np.ndarray, e: int) -> np.ndarray:
     base = m.copy()
     while e:
         if e & 1:
-            acc = backend.mm_one(acc[None], base, F)[0]
-        base = backend.mm_one(base[None], base, F)[0]
+            acc = backend.mm_one(acc, base, F)
+        base = backend.mm_one(base, base, F)
         e >>= 1
     return acc
 
@@ -330,21 +330,18 @@ def det_preimage_generators(F: FieldSpec, t: np.ndarray, t_inv: np.ndarray,
     log_t, *logs = (int(F.log[x]) for x in backend.det_many(np.stack([t, *others]), F))
     k = m // math.gcd(log_t, m)
 
-    def mul(a, b):
-        return backend.mm_one(a[None], b, F)[0]
-
     powers, inv_powers = [mg.identity_matrix(n)], [mg.identity_matrix(n)]
     for _ in range(k):
-        powers.append(mul(powers[-1], t))
+        powers.append(backend.mm_one(powers[-1], t, F))
     for _ in range(k - 1):
-        inv_powers.append(mul(inv_powers[-1], t_inv))
+        inv_powers.append(backend.mm_one(inv_powers[-1], t_inv, F))
     gens = {powers[k].tobytes(): powers[k]}
     for s, log_s in zip(others, logs):
         c = next((c for c in range(k) if (log_s - c * log_t) % m == 0), None)
         if c is None:
             raise DomainError(f"a generator's determinant lies outside <det t> D_{d}")
         for i in range(k):
-            x = mul(mul(powers[i], s), inv_powers[(i + c) % k])
+            x = backend.mm_one(backend.mm_one(powers[i], s, F), inv_powers[(i + c) % k], F)
             gens.setdefault(x.tobytes(), x)
     gens.pop(mg.identity_matrix(n).tobytes(), None)
     return list(gens.values())

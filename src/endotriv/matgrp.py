@@ -3,9 +3,10 @@
 A MatrixGroup holds the full element table of a finite group of invertible
 n x n matrices over GF(q) (q <= 256).  Central quotients (PGL, PSL, G/Z)
 are stored the same way: every element is its lexicographically least
-multiple over the quotient kernel.  A quotient is closed over the cosets
-of its kernel, each product taken to its least multiple as it is found,
-so G itself is never enumerated.  The closure acts on rows (R. A.
+multiple over the quotient kernel Z, the scalars of one order |Z| dividing
+q - 1 (GF(q)^x is cyclic, so |Z| names them).  A quotient is closed over
+the cosets of its kernel, each product taken to its least multiple as it
+is found, so G itself is never enumerated.  The closure acts on rows (R. A.
 Parker's row vectors from the Meat-axe): each row is a vector index in
 [0, q^n), and x * g is the rows of x each multiplied by g.  So the closure
 takes the orbit of the basis rows under the generators and the kernel
@@ -165,19 +166,6 @@ def _merge_sorted(old: tuple[np.ndarray, ...], new: tuple[np.ndarray, ...]) -> l
     return out
 
 
-def _kernel(field: FieldSpec, scalars) -> np.ndarray:
-    """The quotient kernel as sorted field values: DomainError unless they
-    are values of GF(q)^x closed under products, that is a subgroup."""
-    scal = np.array(sorted({int(s) for s in scalars}), dtype=np.int64)
-    if not len(scal) or scal[0] < 1 or scal[-1] >= field.q:
-        raise DomainError(f"quotient kernel must hold nonzero values of GF({field.q})")
-    member = np.zeros(field.q, dtype=bool)
-    member[scal] = True
-    if not member[field.mul[scal[:, None], scal]].all():
-        raise DomainError(f"quotient kernel must be a subgroup of GF({field.q})^x")
-    return scal.astype(np.uint8)
-
-
 def _least_scalar(field: FieldSpec, zs: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """s per row of digits for which zs[s] row is least: the least zs[s] a, a its first nonzero."""
     lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
@@ -195,33 +183,32 @@ def _numbering(key0: int, bound: int, ng: int):
 def _row_orbit(field: FieldSpec, gens: list[np.ndarray], zs: np.ndarray, wq: np.ndarray,
                bound: int, refusal: CapExceeded):
     """The orbit of the identity's rows under the generators and the kernel
-    scalars, as (vec, vdig, act, zpos): vec its sorted row indices (wq the
-    place values of a row's digits), vdig their digits, act[k, v] the
-    position of vec[v] gens[k] and zpos[s, v] that of zs[s] vec[v].  The
-    kernel Z is central and z u has the zero pattern of u, so the search
-    runs over Z's classes of rows, each held by its least multiple: a level
-    is one kernel call giving ng images a class, each taken to its least
-    multiple as `generate` takes a product (a trivial kernel skips that
-    step), and numbered like the closure's products, by `_numbering` over
-    [0, q^n); each level's new classes are carried as digits.  Z is
-    cyclic, so with z^j r (r least) indexed by (j, r), (z^j r) g = z^(j+i) r'
-    for r g = z^i r', and z^i z^j r = z^(i+j) r: vec, act and zpos are read
-    off the classes once.  `refusal` is raised past `bound` rows."""
+    scalars zs[s] = z^s, as (vec, vdig, act, zpos): vec its sorted row
+    indices (wq the place values of a row's digits), vdig their digits,
+    act[k, v] the position of vec[v] gens[k] and zpos[s, v] that of
+    z^s vec[v].  The kernel Z is central and z u has the zero pattern of u,
+    so the search runs over Z's classes of rows, each held by its least
+    multiple: a level is one kernel call giving ng images a class, each
+    taken to its least multiple as `generate` takes a product (a trivial
+    kernel skips that step), and numbered like the closure's products, by
+    `_numbering` over [0, q^n); each level's new classes are carried as
+    digits.  Z is cyclic, so with z^j r (r least) indexed by (j, r),
+    (z^j r) g = z^(j+i) r' for r g = z^i r', and z^i z^j r = z^(i+j) r:
+    vec, act and zpos are read off the classes once.  `refusal` is raised past `bound` rows."""
     q, n, ng, nz = field.q, len(wq), len(gens), len(zs)
     wide = np.hstack(gens)  # every generator side by side
     new = np.eye(n, dtype=np.uint8)[::-1]  # the identity's rows e_i, sorted, each its class's least
     numbering = _numbering(1, q ** n, ng)  # e_n, of key 1, numbered 0
     numbering.number(wq[-2::-1].astype(numbering.dtype), 1)  # the other e_i numbered 1 ... n-1
     count = n
-    cyc = field.log[zs] // ((q - 1) // nz)  # zs[s] = z^cyc[s] for z = exp[(q-1)/|Z|]
     reps, cls, lift = [new], [], []
     while len(new):
-        img = backend.mm_one(new[None], wide, field)[0].reshape(len(new), ng, n)
+        img = backend.mm_one(new, wide, field).reshape(len(new), ng, n)
         img = img.transpose(1, 0, 2).reshape(-1, n)  # generator-major
         if nz > 1:
             s = _least_scalar(field, zs, img)
             img = field.mul[zs[s][:, None], img]
-            lift.append((-cyc[s]).reshape(ng, -1))  # r g = z^-cyc[s] (its least)
+            lift.append((-s).reshape(ng, -1))  # r g = z^-s (its least)
         ids, src = numbering.number((img @ wq).astype(numbering.dtype, copy=False), count)
         cls.append(ids.reshape(ng, -1))
         new = img.take(src, axis=0)
@@ -231,15 +218,14 @@ def _row_orbit(field: FieldSpec, gens: list[np.ndarray], zs: np.ndarray, wq: np.
             raise refusal
     reps, cls = np.concatenate(reps), np.concatenate(cls, 1)  # class c's least row, and c gens[k]'s class
     if nz > 1:  # z^j reps[c] at j |C| + c
-        zj = field.exp[np.arange(nz) * ((q - 1) // nz)]
-        reps = field.mul[zj[:, None, None], reps].reshape(-1, n)
+        reps = field.mul[zs[:, None, None], reps].reshape(-1, n)
     rows = reps @ wq
     order = np.argsort(rows)
     pos = np.empty(len(rows), dtype=np.intp)
     pos[order] = np.arange(len(rows))
     j, c = np.divmod(order, count)  # vec[v] = z^j[v] reps[c[v]]
     act = pos[(j + (np.concatenate(lift, 1)[:, c] if lift else 0)) % nz * count + cls[:, c]]
-    zpos = pos[(cyc[:, None] + j) % nz * count + c]
+    zpos = pos[(np.arange(nz)[:, None] + j) % nz * count + c]
     return rows[order], reps[order], act, zpos
 
 
@@ -360,7 +346,8 @@ def _breadth_first(numbering, front: np.ndarray, zact: np.ndarray, off: np.ndarr
 
 
 class MatrixGroup:
-    """A fully enumerated matrix group, optionally modulo central scalars.
+    """A fully enumerated matrix group, optionally modulo central scalars:
+    the subgroup of GF(q)^x of order z_order, 1 for a plain group.
 
     The closure's Schreier data, as int32 tables over element indices but
     `parent`, intp so that walks gather through int64 indices: `acts[k, x]`
@@ -377,7 +364,7 @@ class MatrixGroup:
 
     def __init__(self, field: FieldSpec, n: int, elements: np.ndarray, lookup: _Lookup,
                  acts: np.ndarray, parent: np.ndarray, via: np.ndarray, levels: np.ndarray,
-                 scalars: np.ndarray | None = None, name: str = "G"):
+                 z_order: int = 1, name: str = "G"):
         self.field = field
         self.n = n
         self.elements = elements
@@ -387,7 +374,7 @@ class MatrixGroup:
         self.via = via
         self.levels = levels
         self.gen_idx = [int(g) for g in acts[:, 0]]
-        self.scalars = scalars  # quotient kernel as sorted field values, or None
+        self.z_order = z_order  # |Z| of the quotient kernel Z, 1 for a plain group
         self.name = name
         ng, order = acts.shape  # _walk_up's tables; _step also reads _gen_conj
         table = np.empty((ng + 1, order), dtype=np.int32)
@@ -404,7 +391,7 @@ class MatrixGroup:
 
     @classmethod
     def generate(cls, field: FieldSpec, gens, cap: int | None = None,
-                 scalars=None, name: str = "G") -> "MatrixGroup":
+                 z_order: int = 1, name: str = "G") -> "MatrixGroup":
         """Breadth-first closure of the generators (deterministic order): each
         level multiplies its elements by every generator, takes each product
         to its least multiple over the kernel scalars, and numbers new
@@ -414,11 +401,13 @@ class MatrixGroup:
         read row 0 first, and every z x has the zero pattern of x, so the
         least multiple is the z with the least z a, for a the first nonzero
         entry of row 0; each orbit row's is read off its multiples' positions.
-        The kernel must be a subgroup of GF(q)^x (DomainError before any
-        work otherwise).  The orbit holds e_1 ... e_n and is closed under
-        every generator g, so g is invertible exactly when it permutes the
-        orbit; if not (a zero row in the orbit included), DomainError comes
-        before the closure, but after an orbit past its bound refuses it.
+        The kernel is the subgroup of GF(q)^x of order z_order, its scalars
+        zs[s] = z^s for z = field.element_of_order(z_order); z_order must be
+        at least 1 and divide q - 1 (DomainError before any work otherwise).
+        The orbit holds e_1 ... e_n and is closed under every generator g, so
+        g is invertible exactly when it permutes the orbit; if not (a zero
+        row in the orbit included), DomainError comes before the closure, but
+        after an orbit past its bound refuses it.
 
         The orbit's R rows are sorted, so sum p_i R^(n-1-i) is a key with the
         lexicographic order of the matrices, and distinct elements have
@@ -430,7 +419,7 @@ class MatrixGroup:
         the benchmark's closures.  The group keeps the sorted keys that the
         numbering holds at the end, for `locate`."""
         cap = enumeration_cap(cap)
-        scal = None if scalars is None else _kernel(field, scalars)
+        zs = field.subgroup_values(z_order)
         gens = [matrix(g, field.q) for g in gens]
         if not gens:
             raise DomainError("need at least one generator")
@@ -438,7 +427,6 @@ class MatrixGroup:
         if any(g.shape[0] != n for g in gens):
             raise DomainError("generators of mixed dimension")
 
-        zs = np.ones(1, dtype=np.uint8) if scal is None else scal
         q, ng = field.q, len(gens)
         refusal = CapExceeded(f"closure of {name} exceeds cap {cap}", needed=cap + 1, cap=cap)
         # the orbit has at most n |G/Z| |Z| rows, so more refuse the closure
@@ -459,7 +447,7 @@ class MatrixGroup:
         elements, acts, parent, via, levels, *keys = _breadth_first(
             _numbering(key0, R ** n, ng), front, zact, off, vdig, cap, refusal)
         return cls(field, n, elements, _Lookup(vec, *keys), acts, parent, via, levels,
-                   scalars=scal, name=name)
+                   z_order=z_order, name=name)
 
     # -- lookup ----------------------------------------------------------------
 
@@ -479,8 +467,9 @@ class MatrixGroup:
         if batch.shape[1:] != (self.n, self.n):  # a matrix of another size
             return np.zeros(len(batch), dtype=np.int64), np.zeros(len(batch), dtype=bool)
         found = found.all(axis=(1, 2))
-        zs, (vec, keys, key_idx) = self.scalars, self._lookup
-        if zs is not None:
+        vec, keys, key_idx = self._lookup
+        if self.z_order > 1:
+            zs = self.field.subgroup_values(self.z_order)
             z = zs[_least_scalar(self.field, zs, batch[:, 0])]
             batch = self.field.mul[z[:, None, None], batch]
         key = np.zeros(len(batch), dtype=keys.dtype)
@@ -755,9 +744,7 @@ def common_order(A: MatrixGroup, B: MatrixGroup) -> int:
     """Order of the intersection of two groups over one field, via element keys."""
     if A.field != B.field:
         raise DomainError("intersection across different fields")
-    za = None if A.scalars is None else tuple(int(s) for s in A.scalars)
-    zb = None if B.scalars is None else tuple(int(s) for s in B.scalars)
-    if za != zb:
+    if A.z_order != B.z_order:
         raise DomainError("intersection across different central quotients")
     return int(B.locate(A.elements)[1].sum())
 

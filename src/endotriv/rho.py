@@ -343,7 +343,7 @@ def _check_triviality(K: mg.MatrixGroup, p: int, ev: TrivialityEvidence | None,
                             else "witness subgroup not a nontrivial normal p-subgroup")
     if ev.kind == "block-split":
         sp = ev.split
-        if sp is None or ev.det_order is None or K.scalars is not None:
+        if sp is None or ev.det_order is None or K.z_order > 1:
             return ClauseResult(tag, False, "block-split needs a split, a determinant "
                                 "order and a plain block group")
         parts = (sp.part_a, sp.part_b)
@@ -396,7 +396,7 @@ def _check_containment(cert: MethodCertificate) -> ClauseResult:
 def _dets_in(F, mats, det_order: int) -> bool:
     """Every matrix has its determinant in the subgroup of order det_order."""
     allowed = np.zeros(F.q, dtype=bool)  # a mask over GF(q)
-    allowed[list(F.subgroup_values(det_order))] = True
+    allowed[F.subgroup_values(det_order)] = True
     return bool(allowed[backend.det_many(mats, F)].all())
 
 
@@ -424,7 +424,7 @@ def _check_whole_group(cert) -> str | None:
     group of that group's order whose generators have their determinants
     in Det.  The first hypothesis that fails, or None."""
     H, det_order = cert.H, cert.containment.det_order
-    if H.scalars is not None:
+    if H.z_order > 1:
         return "whole-group applies to plain groups"
     if not _dets_in(H.field, H.elements[list(H.gen_idx)], det_order) or \
             H.order != liea.group_order(H.n, H.field.q, det_order):
@@ -442,10 +442,10 @@ def _check_diagonal_characters(cert) -> str | None:
     Qg, Sg, n = c.q_subgroup, c.sylow, H.n
     if Qg is None:
         return "diagonal-characters needs the group Q"
-    # the kernel scalars must sit inside Q (so quotient normalizers correspond)
-    zs = H.scalars
-    if zs is not None and \
-            not Qg.locate(Qg.field.mul[zs[:, None, None], mg.identity_matrix(n)])[1].all():
+    # the kernel scalars must sit inside Q (so quotient normalizers
+    # correspond): Z is cyclic, so its generator z I does
+    z = H.field.element_of_order(H.z_order)
+    if not Qg.locate((z * mg.identity_matrix(n))[None])[1][0]:
         return "quotient kernel not inside Q"
     # Q diagonal (hence abelian) with pairwise distinct coordinate characters
     qmats = [Qg.elements[i] for i in Qg.gen_idx]
@@ -467,9 +467,7 @@ def _check_diagonal_characters(cert) -> str | None:
         return f"Q is not the unique abelian subgroup of type {qtype} in S ({len(same)} found)"
     # H is the monomial group with determinants in the given subgroup
     expect = liea.levi_order([1] * n, H.field.q, c.det_order) * math.factorial(n)
-    if H.scalars is not None:
-        expect //= len(H.scalars)
-    if H.order != expect:
+    if H.order != expect // H.z_order:
         return "H is not the full monomial subgroup"
     if not all(liea.is_monomial_matrix(H.elements[g]) for g in H.gen_idx):
         return "H has a non-monomial generator"
@@ -489,9 +487,8 @@ def _block_irreducible(F, gens, off: int, dim: int) -> bool:
     q^(dim^2) for dim >= 2, so the cap on the block group bounds it."""
     place = F.q ** np.arange(dim)
     vecs = (np.arange(F.q ** dim)[:, None] // place % F.q).astype(np.uint8)
-    maps = [backend.mm_one(vecs[None], g[off:off + dim, off:off + dim], F)[0] @ place
-            for g in gens]
-    inside = backend.mm_one(vecs[None, 1:], vecs.T, F)[0] == 0
+    maps = [backend.mm_one(vecs, g[off:off + dim, off:off + dim], F) @ place for g in gens]
+    inside = backend.mm_one(vecs[1:], vecs.T, F) == 0
     while True:
         kept = np.logical_and.reduce([inside] + [inside[:, m] for m in maps])
         if np.array_equal(kept, inside):
@@ -519,7 +516,7 @@ def _check_isotypic_blocks(cert) -> str | None:
         if not _block_irreducible(Sg.field, smats, off, b):
             return f"block at {off} of size {b} is reducible under S"
         off += b
-    if H.scalars is not None:
+    if H.z_order > 1:
         return "isotypic-blocks applies to plain groups"
     if H.order != liea.levi_order(blocks, H.field.q, c.det_order) or \
             not _blocks_respected(H, blocks):

@@ -209,8 +209,7 @@ def test_criterion_6_certificate_replay(composite_iii_replay):
     bad = next(i for i in range(Lbar.order)
                if mask[i] and i != 0
                and not Hbar.locate(with_square(Lbar.elements[i]))[1].any())
-    K = mg.MatrixGroup.generate(Lbar.field, [Lbar.elements[bad]],
-                                scalars=[int(s) for s in Lbar.scalars],
+    K = mg.MatrixGroup.generate(Lbar.field, [Lbar.elements[bad]], z_order=Lbar.z_order,
                                 name="corrupt")
     cert.witnesses[-1].aux_group = K
     cert.witnesses[-1].aux_evidence = rho.TrivialityEvidence(

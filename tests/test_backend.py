@@ -16,7 +16,7 @@ def ref_product(F, a, b):
         for j in range(k):
             acc = 0
             for t in range(n):
-                acc = int(F.add[acc, F.mul_el(int(a[i, t]), int(b[t, j]))])
+                acc = int(F.add[acc, F.mul[a[i, t], b[t, j]]])
             out[i, j] = acc
     return out
 
@@ -37,7 +37,7 @@ def random_invertible(F, n, m=64):
         perm = RNG.permutation(n)
         det = 1
         for d in U.diagonal():
-            det = F.mul_el(det, int(d))
+            det = int(F.mul[det, d])
         inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
         mats.append(ref_product(F, L, U)[perm])
         dets.append(F.neg_el(det) if inversions % 2 else det)
@@ -56,16 +56,19 @@ def test_kernels_match_scalar_references(q, n):
     got = backend.mm_one(A, B[0], F)
     assert all(np.array_equal(got[t], ref_product(F, A[t], B[0])) for t in range(len(A)))
     # one tall matrix times a wide one: every row of A times B[0] and B[1]
-    wide = backend.mm_one(A.reshape(1, -1, n), np.concatenate(B[:2], axis=1), F)[0]
+    wide = backend.mm_one(A.reshape(-1, n), np.concatenate(B[:2], axis=1), F)
     ref = [np.concatenate([ref_product(F, A[t], B[0]), ref_product(F, A[t], B[1])], axis=1)
            for t in range(len(A))]
     assert np.array_equal(wide, np.concatenate(ref))
+    # the 2-D matrix is multiplied as the batch of it alone
+    batched = backend.mm_one(A.reshape(1, -1, n), np.concatenate(B[:2], axis=1), F)
+    assert np.array_equal(batched, wide[None])
 
     # determinant is multiplicative, also across singular factors
     dA, dB = backend.det_many(A, F), backend.det_many(B, F)
     AB = np.stack([ref_product(F, A[t], B[t]) for t in range(len(A))])
     dAB = backend.det_many(AB, F)
-    assert all(dAB[t] == F.mul_el(int(dA[t]), int(dB[t])) for t in range(len(A)))
+    assert all(dAB[t] == F.mul[dA[t], dB[t]] for t in range(len(A)))
 
     # invertible inputs: known determinants
     M, dets = random_invertible(F, n)
@@ -105,7 +108,7 @@ def test_pivot_in_last_row_for_every_column(q, n):
         U[np.arange(n), np.arange(n)] = RNG.integers(1, q, size=n)
         det = 1
         for d in U.diagonal():
-            det = F.mul_el(det, int(d))
+            det = int(F.mul[det, d])
         mats.append(np.roll(U, -1, axis=0))
         dets.append(F.neg_el(det) if n % 2 == 0 else det)
     A = np.stack(mats)
@@ -119,7 +122,7 @@ def test_empty_batch(n):
     det = backend.det_many(np.zeros((0, n, n), dtype=np.uint8), F)
     assert det.shape == (0,) and det.dtype == np.int64
     b = random_matrices(4, n, m=1)[0]
-    for shape in ((0, n, n), (2, 0, n)):  # no matrices; matrices of no rows
+    for shape in ((0, n, n), (2, 0, n), (0, n)):  # no matrices; of no rows; no rows
         prod = backend.mm_one(np.zeros(shape, dtype=np.uint8), b, F)
         assert prod.shape == shape and prod.dtype == np.uint8
 

@@ -179,8 +179,8 @@ def test_oracle_closes_only_the_quotient(monkeypatch):
     orders = []
     generate = mg.MatrixGroup.generate.__func__
 
-    def spy(cls, field, gens, cap=None, scalars=None, name="G"):
-        G = generate(cls, field, gens, cap=cap, scalars=scalars, name=name)
+    def spy(cls, field, gens, cap=None, z_order=1, name="G"):
+        G = generate(cls, field, gens, cap=cap, z_order=z_order, name=name)
         orders.append(G.order)
         return G
 
@@ -269,9 +269,9 @@ def test_normalizer_cap_refused_before_closure(monkeypatch):
     names = []
     generate = mg.MatrixGroup.generate.__func__
 
-    def spy(cls, field, gens, cap=None, scalars=None, name="G"):
+    def spy(cls, field, gens, cap=None, z_order=1, name="G"):
         names.append(name)
-        return generate(cls, field, gens, cap=cap, scalars=scalars, name=name)
+        return generate(cls, field, gens, cap=cap, z_order=z_order, name=name)
 
     monkeypatch.setattr(mg.MatrixGroup, "generate", classmethod(spy))
     with pytest.raises(CapExceeded, match=r"^closure of N_GL\(S\) exceeds cap 20000$") as exc:
@@ -309,9 +309,9 @@ def test_cyclic_ext_ab_is_one_closure(monkeypatch):
     calls = {"generate": [], "find_generators": 0}
     generate = mg.MatrixGroup.generate.__func__
 
-    def spy_generate(cls, field, gens, cap=None, scalars=None, name="G"):
+    def spy_generate(cls, field, gens, cap=None, z_order=1, name="G"):
         calls["generate"].append((field, [mg.matrix(g) for g in gens]))
-        return generate(cls, field, gens, cap=cap, scalars=scalars, name=name)
+        return generate(cls, field, gens, cap=cap, z_order=z_order, name=name)
 
     def counting(key, fn):
         def wrapped(*args, **kwargs):
@@ -329,7 +329,7 @@ def test_cyclic_ext_ab_is_one_closure(monkeypatch):
         assert calls["find_generators"] == 0
         F, gens = calls["generate"][0]
         dets = backend.det_many(np.stack(gens), F)
-        assert np.isin(dets, list(F.subgroup_values(d))).all(), (n, q, p, d, z)
+        assert np.isin(dets, F.subgroup_values(d)).all(), (n, q, p, d, z)
 
 
 def test_sl42_at_p3_classify_and_route_b_disagree():

@@ -89,7 +89,7 @@ def test_row_action_refuses_exactly_the_singular_generators(monkeypatch):
     rng, refused = np.random.default_rng(47), [0, 0]
     for q in (2, 3, 4, 5, 7, 8, 9):
         F = field_spec(q)
-        kernels = [None, *(sorted(F.subgroup_values(d)) for d in range(1, q) if (q - 1) % d == 0)]
+        kernels = [d for d in range(1, q) if (q - 1) % d == 0]
         for n in (2, 3):
             for t in range(24):
                 gens = rng.integers(0, q, size=(int(rng.integers(1, 4)), n, n)).astype(np.uint8)
@@ -98,23 +98,23 @@ def test_row_action_refuses_exactly_the_singular_generators(monkeypatch):
                         g[-1] = F.mul[int(rng.integers(0, q)), g[0]]
                 singular = bool((backend.det_many(gens, F) == 0).any())
                 with pytest.raises(DomainError if singular else _ClosureStarted) as err:
-                    mg.MatrixGroup.generate(F, gens, scalars=kernels[t % len(kernels)])
+                    mg.MatrixGroup.generate(F, gens, z_order=kernels[t % len(kernels)])
                 if singular:
                     assert str(err.value) == "singular generator"
                 refused[singular] += 1
     assert min(refused) > 100, refused
 
 
-@pytest.mark.parametrize("q, gens, scalars", [
-    (3, [[[1, 1], [1, 1]]], None),  # rows (1, 1) and (2, 2) only: never zero
-    (5, [[[1, 1], [0, 1]], [[0, 1], [4, 0]], [[1, 1], [2, 2]]], None),
-    (7, [[[1, 0], [0, 3]], [[0, 1], [0, 0]]], [1, 6]),  # the zero row enters the orbit
-    (2, [np.zeros((3, 3), dtype=np.uint8)], None),
+@pytest.mark.parametrize("q, gens, z_order", [
+    (3, [[[1, 1], [1, 1]]], 1),  # rows (1, 1) and (2, 2) only: never zero
+    (5, [[[1, 1], [0, 1]], [[0, 1], [4, 0]], [[1, 1], [2, 2]]], 1),
+    (7, [[[1, 0], [0, 3]], [[0, 1], [0, 0]]], 2),  # the zero row enters the orbit
+    (2, [np.zeros((3, 3), dtype=np.uint8)], 1),
 ], ids=["rows never zero", "after invertible ones", "kernel {1, 6}", "zero matrix"])
-def test_singular_generator_is_refused_before_the_closure(q, gens, scalars, monkeypatch):
+def test_singular_generator_is_refused_before_the_closure(q, gens, z_order, monkeypatch):
     monkeypatch.setattr(mg, "_breadth_first", _refuse_closure)
     with pytest.raises(DomainError, match=r"^singular generator$"):
-        mg.MatrixGroup.generate(field_spec(q), gens, scalars=scalars)
+        mg.MatrixGroup.generate(field_spec(q), gens, z_order=z_order)
 
 
 def test_closure_rejects_entries_outside_the_field():
@@ -291,6 +291,16 @@ def test_central_quotient_groups():
     assert pgl.name == "PGL(2,3)"
     assert pgl.order == 24
     assert tf_rank_oracle(2, 3, 2, 2, 2).n_g == 2  # S4: two classes of Klein four-groups
+
+
+def test_common_order_needs_one_field_and_one_kernel():
+    sl25 = liea.enumerate_quotient(2, 5)
+    with pytest.raises(DomainError, match=r"^intersection across different fields$"):
+        mg.common_order(sl25, liea.enumerate_quotient(2, 7))
+    with pytest.raises(DomainError, match=r"^intersection across different central quotients$"):
+        mg.common_order(sl25, liea.enumerate_quotient(2, 5, 1, 2))
+    # the monomial group of SL(2,5): diag(a, a^-1) and the signed swap
+    assert mg.common_order(liea.block_normalizer(1, 2, 5), sl25) == 8
 
 
 def test_abelian_type():
@@ -542,7 +552,7 @@ def test_large_cyclic_commutator_subgroups_match_matrix_closure(key, order):
     full = G.as_subgroup()
     D = mg.commutator_subgroup(full)
     R = mg.MatrixGroup.generate(G.field, G.elements[mg._generator_commutators(full)],
-                                scalars=G.scalars)
+                                z_order=G.z_order)
     assert D.order == R.order == order
     assert D.members == frozenset(G.lookup_batch(R.elements).tolist())
 
@@ -741,7 +751,7 @@ def _matrix_closure(G, gens) -> np.ndarray:
     modulo G's scalars, and looked up in G."""
     if not len(gens):
         return np.array([0])
-    R = mg.MatrixGroup.generate(G.field, G.elements[list(gens)], scalars=G.scalars)
+    R = mg.MatrixGroup.generate(G.field, G.elements[list(gens)], z_order=G.z_order)
     return np.sort(G.lookup_batch(R.elements))
 
 
@@ -846,7 +856,7 @@ def test_inverse_roundtrip():
     gens = liea.levi_generators([2], 5, 4)
     rng = np.random.default_rng(3)
     for G, dtype in [(mg.MatrixGroup.generate(F, gens), np.int64),
-                     (mg.MatrixGroup.generate(F, gens, scalars=[1, 4]), np.int64),
+                     (mg.MatrixGroup.generate(F, gens, z_order=2), np.int64),
                      (_index_group(2, 13, 1, 2), np.int64)]:
         assert G.inv.dtype == dtype
         for x in [0, *G.gen_idx, *rng.integers(0, G.order, size=16)]:
@@ -867,7 +877,7 @@ def _ref_mul(F, a, b):
         for j in range(n):
             acc = 0
             for k in range(n):
-                acc = int(F.add[acc, F.mul_el(a[i][k], b[k][j])])
+                acc = int(F.add[acc, F.mul[a[i][k], b[k][j]]])
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
@@ -876,7 +886,7 @@ def _ref_mul(F, a, b):
 def _ref_closure(F, gens, scalars=(1,)):
     """(elements, acts, parent, via, levels, inv) of the generator-major BFS."""
     def canon(a):
-        return min(tuple(tuple(F.mul_el(s, x) for x in row) for row in a) for s in scalars)
+        return min(tuple(tuple(int(F.mul[s, x]) for x in row) for row in a) for s in scalars)
 
     gens = [canon(tuple(tuple(int(x) for x in row) for row in g)) for g in gens]
     n = len(gens[0])
@@ -1036,10 +1046,10 @@ QUOTIENT_BUILDERS = {
 def test_quotients_match_reference_bfs(name, monkeypatch):
     q, z, gens, build = QUOTIENT_BUILDERS[name]
     F = field_spec(q)
-    zvals = sorted(F.subgroup_values(z))
+    zvals = F.subgroup_values(z)
     ref = _ref_closure(F, gens(), zvals)
     for _ in _both_numberings(monkeypatch):
-        _assert_matches_reference(mg.MatrixGroup.generate(F, gens(), scalars=zvals), ref)
+        _assert_matches_reference(mg.MatrixGroup.generate(F, gens(), z_order=z), ref)
         _assert_matches_reference(build(), ref)
 
 
@@ -1054,10 +1064,10 @@ def test_quotient_by_a_kernel_outside_the_generated_group(q, z, monkeypatch):
     and the least multiple of a product can have a row (z e_3) that no word
     in the generators reaches, so the row orbit must be closed under Z."""
     F, gens = _dihedral(q)
-    zvals = sorted(F.subgroup_values(z))
+    zvals = F.subgroup_values(z)
     ref = _ref_closure(F, gens, zvals)
     for _ in _both_numberings(monkeypatch):
-        G = mg.MatrixGroup.generate(F, gens, scalars=zvals)
+        G = mg.MatrixGroup.generate(F, gens, z_order=z)
         assert G.order == mg.MatrixGroup.generate(F, gens).order == 2 * (q - 1)
         _assert_matches_reference(G, ref)
 
@@ -1094,7 +1104,7 @@ def _ref_row_orbit(F, gens, zs, wq):
 ROW_ORBIT_CASES = {
     **{f"quotient {name}": build for name, (*_, build) in QUOTIENT_BUILDERS.items()},
     **{f"outside {q}-{z}": partial(lambda q, z: mg.MatrixGroup.generate(
-        field_spec(q), _dihedral(q)[1], scalars=field_spec(q).subgroup_values(z)), q, z)
+        field_spec(q), _dihedral(q)[1], z_order=z), q, z)
        for q, z in OUTSIDE_KERNELS},
     **{f"reference {name}": partial(lambda b: mg.MatrixGroup.generate(*b()), b)
        for name, b in REFERENCE_GROUPS.items()},
@@ -1126,34 +1136,28 @@ def test_class_orbit_refuses_past_its_bound(monkeypatch):
     (bound 1320) the row orbit refuses the closure with the closure's own
     message, before any element is enumerated; at cap 89 the elements do."""
     G = cyclic_quotient_normalizer(3, 11, 3, 0, 5, 5, None)
-    gens, zvals = [G.elements[g] for g in G.gen_idx], [int(z) for z in G.scalars]
+    gens = [G.elements[g] for g in G.gen_idx]
     bfs, started = mg._breadth_first, []
     monkeypatch.setattr(mg, "_breadth_first", lambda *args: (started.append(1), bfs(*args))[1])
     for _ in _both_numberings(monkeypatch):
         for cap, from_orbit in ((88, True), (89, False)):
             started.clear()
             with pytest.raises(CapExceeded) as err:
-                mg.MatrixGroup.generate(G.field, gens, cap=cap, scalars=zvals, name="N")
+                mg.MatrixGroup.generate(G.field, gens, cap=cap, z_order=G.z_order, name="N")
             assert (str(err.value), err.value.needed, err.value.cap) == (
                 f"closure of N exceeds cap {cap}", cap + 1, cap)
             assert not started if from_orbit else started
 
 
-@pytest.mark.parametrize("scalars", [[1, 3], [1, 2], [0, 1], [1, 7], [1, 6, 9], []])
-def test_kernel_that_is_not_a_subgroup_is_refused(scalars, monkeypatch):
-    """SL(2,7) (336 elements) modulo {1, 3} read 504 elements and modulo
-    {1, 2} 672, neither set being closed under products; a value 0 or at
-    least q is no scalar.  Each is refused before any kernel call."""
+@pytest.mark.parametrize("z_order", [0, -1, 4, 7])
+def test_kernel_order_that_names_no_subgroup_is_refused(z_order, monkeypatch):
+    """GF(7)^x has a subgroup of each order dividing 6 and of no other:
+    an order below 1, or 4 or 7, names no kernel and is refused before
+    any kernel call."""
     F, gens = field_spec(7), liea.levi_generators([2], 7, 1)
     monkeypatch.setattr(backend, "mm_one", lambda *args: pytest.fail("work started"))
-    with pytest.raises(DomainError, match=r"^quotient kernel must"):
-        mg.MatrixGroup.generate(F, gens, scalars=scalars)
-
-
-def test_kernel_is_read_as_a_set():
-    F, gens = field_spec(7), liea.levi_generators([2], 7, 1)
-    G = mg.MatrixGroup.generate(F, gens, scalars=[6, 1, 6])
-    assert G.scalars.tolist() == [1, 6] and G.order == 168
+    with pytest.raises(DomainError, match=rf"^no element of order {z_order} in GF\(7\)\^x$"):
+        mg.MatrixGroup.generate(F, gens, z_order=z_order)
 
 
 def test_closure_tabulates_nothing_over_the_row_space():
@@ -1225,7 +1229,7 @@ def test_lookup_refuses_non_members(n, q, det, z):
     G = liea.enumerate_quotient(n, q, det, z)
     F = G.field
     x = G.elements[G.gen_idx[0]]
-    zvals = sorted(F.subgroup_values(z))
+    zvals = F.subgroup_values(z)
     singular = np.zeros((n, n), dtype=np.uint8)
     singular[0, 0] = 1
     wider = np.zeros((n + 1) ** 2, dtype=np.uint8)
@@ -1239,7 +1243,7 @@ def test_lookup_refuses_non_members(n, q, det, z):
     outside = [singular, wider.reshape(n + 1, n + 1), carried.reshape(n, n),
                np.full((n, n), q, dtype=np.uint8), aliased, x + 0.5]
     if det == 1:
-        s = next(s for s in range(2, q) if F.mul_el(s, s) != 1)  # det(s x) = s^2
+        s = next(s for s in range(2, q) if F.mul[s, s] != 1)  # det(s x) = s^2
         assert s not in zvals
         outside += [F.mul[s, x], mg.block_embed(n, [(0, np.array([[s]], dtype=np.uint8))])]
     for mat in outside + [m.tolist() for m in outside]:
@@ -1301,9 +1305,9 @@ def test_quotient_lookup_takes_the_least_multiple(name, monkeypatch):
     -1) and a matrix with a row outside the orbit are not found."""
     q, z, gens, _ = QUOTIENT_BUILDERS[name]
     F = field_spec(q)
-    zvals = sorted(F.subgroup_values(z))
+    zvals = F.subgroup_values(z)
     for _ in _both_numberings(monkeypatch):
-        G = mg.MatrixGroup.generate(F, gens(), scalars=zvals)
+        G = mg.MatrixGroup.generate(F, gens(), z_order=z)
         n, everything = G.n, np.arange(G.order)
         for zs in zvals:
             assert np.array_equal(G.lookup_batch(F.mul[zs, G.elements]), everything)

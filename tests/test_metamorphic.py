@@ -142,12 +142,11 @@ def _certificate_maps(F, n):
 
 def _move_certificate(cert, move):
     """Every group of the certificate closed again from its moved generator
-    list, with the same scalars, and every element moved with it."""
+    list, modulo the same scalars, and every element moved with it."""
     def close(G):
         return None if G is None else mg.MatrixGroup.generate(
             G.field, move([G.elements[g] for g in G.gen_idx]),
-            scalars=None if G.scalars is None else [int(s) for s in G.scalars],
-            name=f"{G.name}^M")
+            z_order=G.z_order, name=f"{G.name}^M")
 
     def evidence(ev):
         return ev if ev is None or ev.witness_gens is None else dataclasses.replace(

@@ -494,8 +494,8 @@ def test_torus_quotient_builds_no_whole_group(monkeypatch):
     orders = []
     generate = mg.MatrixGroup.generate.__func__
 
-    def spy(cls, field, gens, cap=None, scalars=None, name="G"):
-        G = generate(cls, field, gens, cap=cap, scalars=scalars, name=name)
+    def spy(cls, field, gens, cap=None, z_order=1, name="G"):
+        G = generate(cls, field, gens, cap=cap, z_order=z_order, name=name)
         orders.append(G.order)
         return G
 
@@ -544,8 +544,7 @@ def _tamper_containment(cert, **fields):
 
 def _central_quotient(S, z):
     """S closed again modulo the scalars of order z."""
-    return mg.MatrixGroup.generate(S.field, S.elements[S.gen_idx],
-                                   scalars=S.field.subgroup_values(z))
+    return mg.MatrixGroup.generate(S.field, S.elements[S.gen_idx], z_order=z)
 
 
 def _diagonal_q(cert, order, *exponents):
@@ -649,7 +648,7 @@ def _orbit_spans_are_full(F, mats):
     d = mats[0].shape[0]
 
     def act(m, v):
-        return tuple(functools.reduce(lambda acc, k: int(F.add[acc, F.mul_el(int(m[i, k]), v[k])]),
+        return tuple(functools.reduce(lambda acc, k: int(F.add[acc, F.mul[m[i, k], v[k]]]),
                                       range(d), 0) for i in range(d))
 
     for v in itertools.product(range(F.q), repeat=d):
@@ -662,7 +661,7 @@ def _orbit_spans_are_full(F, mats):
         span = {(0,) * d}
         for u in orbit:
             if u not in span:
-                span = {tuple(int(F.add[a, F.mul_el(c, b)]) for a, b in zip(s, u))
+                span = {tuple(int(F.add[a, F.mul[c, b]]) for a, b in zip(s, u))
                         for s in span for c in range(F.q)}
         if len(span) < F.q ** d:
             return False
@@ -735,8 +734,7 @@ def _aux_meeting_h_trivially(cert):
     bad = next(i for i in range(L.order) if cubes_one[i] and i != 0
                and not H.locate(backend.mm_one(np.stack([mg.identity_matrix(L.n), L.elements[i]]),
                                                L.elements[i], L.field))[1].any())
-    K = mg.MatrixGroup.generate(L.field, [L.elements[bad]],
-                                scalars=[int(s) for s in L.scalars], name="corrupt")
+    K = mg.MatrixGroup.generate(L.field, [L.elements[bad]], z_order=L.z_order, name="corrupt")
     return {"aux_group": K, "aux_evidence": rho.TrivialityEvidence(
         kind="normal-p-subgroup", witness_gens=[L.elements[bad]])}
 
