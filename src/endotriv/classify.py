@@ -198,12 +198,8 @@ def _classify_cyclic_extension(params: LieParams, notes: list[str],
 def classify(n: int, q: int, p: int, det_order: int = 1, z_order: int = 1,
              cap: int | None = None) -> TClassification:
     params = compute_params(n, q, p, det_order, z_order)
+    liea.require_p_divides(n, q, p, det_order, z_order)
     notes: list[str] = []
-    if params.sylow_trivial:
-        raise DomainError(
-            f"p = {p} does not divide the group order (n = {n} < e = {params.e})")
-    if params.quotient_order() % p != 0:
-        raise DomainError("p does not divide |G/Z|")
 
     if params.r == 1:
         notes.append("Sylow subgroup cyclic: e <= n < 2e")

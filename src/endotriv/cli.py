@@ -62,7 +62,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--json", action="store_true",
                         help="machine-readable output")
     common.add_argument("--cap", type=_cap, default=None,
-                        help="enumeration cap (overrides ENDOTRIV_CAP)")
+                        help=f"enumeration cap (default {mg.DEFAULT_CAP})")
     instance = argparse.ArgumentParser(add_help=False)  # the tuple (n, q, p, --det)
     for name in ("n", "q", "p"):
         instance.add_argument(name, type=int)

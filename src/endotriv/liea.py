@@ -56,9 +56,10 @@ def multiplicative_order_mod(q: int, p: int) -> int:
 
 
 def scalar_center_order(n: int, q: int, det_order: int) -> int:
-    """Order of the scalar subgroup {a : a^n in Det(G)} of F_q^x."""
-    if (q - 1) % det_order != 0:
-        raise DomainError(f"det order {det_order} does not divide q-1={q - 1}")
+    """Order of the scalar subgroup {a : a^n in Det(G)} of F_q^x; DomainError
+    unless det_order >= 1 divides q - 1."""
+    if det_order < 1 or (q - 1) % det_order != 0:
+        raise DomainError(f"det order {det_order} must divide q-1={q - 1}")
     m = (q - 1) // det_order
     return det_order * math.gcd(n, m)
 
@@ -88,7 +89,7 @@ class LieParams:
 
     @property
     def sylow_trivial(self) -> bool:
-        return self.n < self.e
+        return self.sylow_order() == 1
 
     @property
     def p_rank(self) -> int:
@@ -117,9 +118,6 @@ class LieParams:
     def sylow_order(self) -> int:
         return p_part(group_order(self.n, self.q, self.det_order), self.p)
 
-    def quotient_order(self) -> int:
-        return group_order(self.n, self.q, self.det_order) // self.z_order
-
     def quotient_sylow_order(self) -> int:
         return self.sylow_order() // p_part(self.z_order, self.p)
 
@@ -140,21 +138,36 @@ class LieParams:
         }
 
 
-def compute_params(n: int, q: int, p: int, det_order: int = 1,
-                   z_order: int = 1) -> LieParams:
+def check_tuple(n: int, q: int, det_order: int = 1, z_order: int = 1,
+                p: int | None = None) -> None:
+    """DomainError on the first rule the tuple (n, q, p, |Det G|, |Z|)
+    breaks: n >= 1, q a prime power, p prime when given, |Det G| dividing
+    q - 1 and |Z| >= 1 dividing the scalar center.  Each rule is decided
+    here alone, for every entry point that takes the tuple."""
     if n < 1:
         raise DomainError(f"dimension n={n} must be positive")
-    prime_power_split(q)  # validates q
-    if not is_prime(p):
+    prime_power_split(q)
+    if p is not None and not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    if q % p == 0:
-        raise DomainError(f"characteristic p={p} divides q={q}")
-    if det_order < 1 or (q - 1) % det_order != 0:
-        raise DomainError(f"det order {det_order} must divide q-1={q - 1}")
     zc = scalar_center_order(n, q, det_order)
     if z_order < 1 or zc % z_order != 0:
         raise DomainError(
             f"|Z|={z_order} must divide the scalar center order {zc}")
+
+
+def require_p_divides(n: int, q: int, p: int, det_order: int = 1, z_order: int = 1) -> None:
+    """DomainError unless p divides |G/Z|, by the order formula: the one
+    refusal of a prime with a trivial Sylow subgroup."""
+    order = group_order(n, q, det_order) // z_order
+    if order % p:
+        raise DomainError(f"p = {p} does not divide |{group_name(n, q, det_order, z_order)}| = {order}")
+
+
+def compute_params(n: int, q: int, p: int, det_order: int = 1,
+                   z_order: int = 1) -> LieParams:
+    check_tuple(n, q, det_order, z_order, p)
+    if q % p == 0:
+        raise DomainError(f"characteristic p={p} divides q={q}")
     e = multiplicative_order_mod(q, p)
     t = p_val(q ** e - 1, p)
     d = (q ** e - 1) // p ** t
@@ -195,31 +208,20 @@ def enumerate_quotient(n: int, q: int, det_order: int = 1, z_order: int = 1,
                        cap: int | None = None) -> mg.MatrixGroup:
     """G/Z for SL(n,q) <= G <= GL(n,q) with |Det(G)| = det_order and Z the
     scalars of order z_order: the one-block group, closed over cosets."""
-    _quotient_order(n, q, det_order, z_order)
+    check_tuple(n, q, det_order, z_order)
     return levi([n], q, det_order, cap=cap, z_order=z_order,
                 name=group_name(n, q, det_order, z_order))
 
 
 def quotient_sylow(n: int, q: int, p: int, det_order: int = 1, z_order: int = 1,
                    cap: int | None = None) -> tuple[mg.MatrixGroup, mg.Subgroup]:
-    """(G/Z, a Sylow p-subgroup of it): p is checked to be prime, and to
-    divide |G/Z| by the order formula, before G/Z is enumerated."""
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    order = _quotient_order(n, q, det_order, z_order)
-    if order % p:
-        raise DomainError(f"p = {p} does not divide |{group_name(n, q, det_order, z_order)}| = {order}")
+    """(G/Z, a Sylow p-subgroup of it): the tuple is checked, p prime
+    included, and p is checked to divide |G/Z| by the order formula, before
+    G/Z is enumerated."""
+    check_tuple(n, q, det_order, z_order, p)
+    require_p_divides(n, q, p, det_order, z_order)
     G = enumerate_quotient(n, q, det_order, z_order, cap=cap)
     return G, mg.sylow_subgroup_of(G, p)
-
-
-def _quotient_order(n: int, q: int, det_order: int, z_order: int) -> int:
-    """|G/Z| by formula; DomainError first when q is not a prime power or Z
-    is not a group of G's scalars."""
-    prime_power_split(q)
-    if scalar_center_order(n, q, det_order) % z_order != 0:
-        raise DomainError(f"|Z|={z_order} invalid for this group")
-    return group_order(n, q, det_order) // z_order
 
 
 def quotient_closure(F: FieldSpec, gens, z_order: int, expected: int, cap: int | None,
@@ -357,8 +359,7 @@ def build_sylow(params: LieParams, cap: int | None = None) -> tuple[str, mg.Matr
     closed once, its order checked against |S|; the cap admits |S|.
     """
     n, q, p, d = params.n, params.q, params.p, params.det_order
-    if params.sylow_trivial:
-        raise DomainError(f"p={p} does not divide the group order (n < e)")
+    require_p_divides(n, q, p, d)
     claimed, name = params.sylow_order(), f"Syl_{p}({group_name(n, q, d)})"
     mg.admit(q, cap, (claimed, f"closure of {name} exceeds cap {{cap}}"))
     F = params.field
@@ -512,18 +513,13 @@ def parse_group_spec(text: str) -> tuple[int, int, int, int]:
     if not m:
         raise GroupSpecError(f"malformed group spec: {text!r}")
     fam, n, q, d = m.group(1), int(m.group(2)), int(m.group(3)), m.group(4)
+    if d is not None and fam != "SL":
+        raise GroupSpecError("determinant suffix only applies to SL(n,q):d")
+    spec = (n, q, int(d), 1) if d is not None else {
+        "GL": (n, q, q - 1, 1), "SL": (n, q, 1, 1), "PGL": (n, q, q - 1, q - 1),
+        "PSL": (n, q, 1, math.gcd(n, q - 1))}[fam]
     try:
-        prime_power_split(q)
+        check_tuple(*spec)
     except DomainError as exc:
         raise GroupSpecError(str(exc)) from exc
-    if n < 1:
-        raise GroupSpecError("dimension must be >= 1")
-    if d is not None:
-        if fam != "SL":
-            raise GroupSpecError("determinant suffix only applies to SL(n,q):d")
-        d = int(d)
-        if d < 1 or (q - 1) % d != 0:
-            raise GroupSpecError(f"det order {d} must divide q-1={q - 1}")
-        return n, q, d, 1
-    return {"GL": (n, q, q - 1, 1), "SL": (n, q, 1, 1), "PGL": (n, q, q - 1, q - 1),
-            "PSL": (n, q, 1, math.gcd(n, q - 1))}[fam]
+    return spec

@@ -32,7 +32,6 @@ matrix.  Everything here is read-only after construction.
 
 from __future__ import annotations
 
-import os
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -66,17 +65,14 @@ def refuse_over(needed: int, cap: int, message: str) -> None:
         raise CapExceeded(message.format(needed=needed, cap=cap), needed=needed, cap=cap)
 
 
-def enumeration_cap(override: int | None = None) -> int:
-    if override is not None:
-        if override < 0:
-            raise DomainError(f"the enumeration cap must be a non-negative integer, got {override}")
-        return int(override)
-    env = os.environ.get("ENDOTRIV_CAP")
-    if not env:
+def enumeration_cap(cap: int | None) -> int:
+    """The cap an enumeration runs under: the argument alone, None meaning
+    DEFAULT_CAP; DomainError when it is negative."""
+    if cap is None:
         return DEFAULT_CAP
-    if not (env.isascii() and env.isdigit()):
-        raise DomainError(f"ENDOTRIV_CAP must be a non-negative integer, got {env!r}")
-    return int(env)
+    if cap < 0:
+        raise DomainError(f"the enumeration cap must be a non-negative integer, got {cap}")
+    return int(cap)
 
 
 def identity_matrix(n: int) -> np.ndarray:
@@ -725,7 +721,7 @@ def normalizer(G: MatrixGroup, H: Subgroup) -> Subgroup:
     if H.parent is not G:
         raise DomainError("subgroup does not live in the given group")
     inside, mask = _mask(G, H.idx), np.ones(G.order, dtype=bool)
-    for h in (H.gen_idx or (0,)):
+    for h in H.gen_idx:
         mask &= inside[G.sandwich_all(int(h))]
     if mask.all():
         return G.as_subgroup()  # with G's generators, not a greedy set found anew
@@ -929,7 +925,7 @@ def sylow_subgroup_of(G: MatrixGroup, p: int) -> Subgroup:
     pmask = G.elements_satisfying_power(target)
     P = trivial_subgroup(G)
     while P.order < target:
-        N = normalizer(G, P) if P.order > 1 else G.as_subgroup()
+        N = normalizer(G, P)
         xs = N.idx[pmask[N.idx] & ~_mask(G, P.idx)[N.idx]]
         if not len(xs):
             raise DomainError("Sylow ascent stalled")  # pragma: no cover

@@ -5,9 +5,12 @@ For a Sylow p-subgroup S of G and a nontrivial Q <= S, the chain is
     level 1:  [N_G(Q), N_G(Q)]
     level i:  < N_G(Q) /\\ level_{i-1}(R) : 1 != R <= S >
 
-computed simultaneously for every nontrivial R <= S.  Reaching N_G(Q)
-certifies that the trivial module is the only indecomposable with trivial
-Sylow restriction; the chain engine only reports the group theory.
+computed simultaneously for every nontrivial R <= S.  With K the p'-part
+of N_G(Q) modulo the last level, reaching N_G(Q) gives K = 0: the trivial
+module is then the only indecomposable with trivial Sylow restriction.
+That is sufficient for K = 0, not necessary: at p = 2, Q8 and GL(2,3)
+stop below N_G(S) with K = 0.  Whether level 1 should also hold N's
+p-elements is open.  The chain engine only reports the group theory.
 
 Two implementations are kept deliberately separate: the fast engine uses
 the identity < U_R (N /\\ A_R) > = < N /\\ U_R A_R >, one mask over G for
@@ -43,7 +46,7 @@ import numpy as np
 from . import backend, liea
 from . import matgrp as mg
 from .errors import CapExceeded, DomainError
-from .gf import field_spec, is_prime, p_part, p_val, prime_power_split
+from .gf import field_spec, p_part, p_val
 
 S_ORDER_CAP = 256
 NAIVE_TABLE_CAP = 1024  # largest group the naive twin builds a table for
@@ -771,11 +774,7 @@ def replay_proof_certificates(family: str, n: int | None = None,
     for (ni, qi, pi) in defaults if n is None else [given]:
         entry = {"family": family, "n": ni, "q": qi, "p": pi}
         try:
-            if not is_prime(pi):
-                raise DomainError(f"{pi} is not prime")
-            if ni < 1:
-                raise DomainError(f"dimension n={ni} must be positive")
-            prime_power_split(qi)
+            liea.check_tuple(ni, qi, p=pi)
             # through the module attribute, where a wrapper (a tracer) sees the call
             report = check_certificate(globals()[build.__name__](ni, qi, pi, cap=cap))
             entry["verdict"] = report.verdict

@@ -14,7 +14,7 @@ from endotriv.abst import AbelianStructure, from_cyclic_orders
 from endotriv.classify import classify, tf_rank_oracle
 from endotriv.cli import main as cli_main
 from endotriv.corpus import load_corpus, run_corpus
-from endotriv.errors import AmbiguousCase, EndotrivError
+from endotriv.errors import AmbiguousCase, DomainError, EndotrivError
 from endotriv.gf import field_spec, p_part
 
 
@@ -79,7 +79,7 @@ def test_criterion_2_rank_oracle_agreement():
 
 
 def test_criterion_3_sylow_construction_suite():
-    checked = 0
+    checked = refused = 0
     failures = []
     for n, q, p in itertools.product(range(1, 5), [2, 3, 4, 5, 7, 8, 9],
                                      [2, 3, 5, 7]):
@@ -89,6 +89,11 @@ def test_criterion_3_sylow_construction_suite():
             continue
         for det in {1, q - 1}:
             params = liea.compute_params(n, q, p, det)
+            if liea.group_order(n, q, det) % p:  # SL(1,q): no Sylow subgroup is built
+                with pytest.raises(DomainError, match=f"^p = {p} does not divide "):
+                    liea.build_sylow(params)
+                refused += 1
+                continue
             try:
                 _, S = liea.build_sylow(params)
             except EndotrivError as exc:  # pragma: no cover
@@ -117,7 +122,7 @@ def test_criterion_3_sylow_construction_suite():
                     if top != params.p_rank:
                         failures.append((n, q, p, det, "rank-formula"))
             checked += 1
-    assert checked >= 90
+    assert checked >= 90 and refused == 7
     assert not failures, failures[:5]
     print(f"\nACCEPTANCE 3: PASS - {checked} Sylow constructions, zero failures")
 

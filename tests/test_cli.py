@@ -248,9 +248,8 @@ DERIVED_PINNED = [
      '{"abelian": false, "claimed_order": 81, "generators": [[[2, 0, 0], [0, 1, 0], '
      '[0, 0, 1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]]], "order": 81, '
      '"shape": "C_3 wr C_3^(wr 1)"}'),
-    (("sylow", "1", "7", "3", "--det", "2"),
-     '{"abelian": true, "claimed_order": 1, "generators": [[[1]]], "order": 1, '
-     '"shape": "C_3 ^ det"}'),
+    (("sylow", "1", "7", "3", "--det", "6"),
+     '{"abelian": true, "claimed_order": 3, "generators": [[[2]]], "order": 3, "shape": "C_3"}'),
     (("rho", "SL(2,7)", "3"),
      '{"base_order": 3, "chain_orders": [3, 3], "group": "SL(2,7)", "normalizer_order": 12, '
      '"p": 3, "reached_normalizer": false, "stabilized_at": 1, "sylow_order": 3}'),
@@ -263,6 +262,33 @@ DERIVED_PINNED = [
 @pytest.mark.parametrize("args, expected", DERIVED_PINNED)
 def test_derived_fields_are_pinned(args, expected, capsys):
     assert run_cli(capsys, *args, "--json") == (0, expected + "\n", "")
+
+
+def test_trivial_sylow_is_reported_and_refused(capsys):
+    # n = e = 1 and p prime to |Det G|: |S| = 1 though n >= e
+    code, out, _ = run_cli(capsys, "params", "1", "7", "3", "--det", "2", "--json")
+    payload = json.loads(out)
+    assert code == 0 and (payload["sylow_trivial"], payload["sylow_cyclic"]) == (True, False)
+    for command in ("sylow", "classify"):
+        code, out, _ = run_cli(capsys, command, "1", "7", "3", "--det", "2", "--json")
+        assert (code, json.loads(out)) == (1, {"error": "domain",
+                                               "message": "p = 3 does not divide |SL(1,7):2| = 2"})
+
+
+@pytest.mark.parametrize("group, message", [("PGL(0,5)", "dimension n=0 must be positive"),
+                                            ("SL(2,6)", "6 is not a prime power"),
+                                            ("SL(2,5):3", "det order 3 must divide q-1=4")])
+def test_group_spec_rules_have_the_tuple_messages(group, message, capsys):
+    for command in ("oracle", "rho"):
+        code, out, err = run_cli(capsys, command, group, "2", "--json")
+        assert (code, out, err) == (64, "", f"usage error: {message}\n")
+
+
+def test_cap_help_gives_the_default(capsys):
+    with pytest.raises(SystemExit):
+        main(["classify", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"enumeration cap (default {mg.DEFAULT_CAP})" in help_text
 
 
 @pytest.mark.parametrize("cap", [(), ("--cap", "1000")])

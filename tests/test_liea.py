@@ -81,9 +81,13 @@ def test_build_sylow_is_the_det_filtered_gl_sylow():
         S_gl = mg.MatrixGroup.generate(F, liea._gl_sylow_generators(n, q, p, params.e, params.t)[0])
         dets = backend.det_many(S_gl.elements, F)
         for d in [d for d in range(1, q) if (q - 1) % d == 0]:
-            _, S = liea.build_sylow(liea.compute_params(n, q, p, d))
             keep = np.flatnonzero(np.isin(dets, F.subgroup_values(d)))
-            assert np.array_equal(np.sort(S_gl.lookup_batch(S.elements)), keep), (n, q, p, d)
+            if len(keep) == 1:  # p does not divide |G|: refused, not built trivial
+                with pytest.raises(DomainError, match=f"^p = {p} does not divide "):
+                    liea.build_sylow(liea.compute_params(n, q, p, d))
+            else:
+                _, S = liea.build_sylow(liea.compute_params(n, q, p, d))
+                assert np.array_equal(np.sort(S_gl.lookup_batch(S.elements)), keep), (n, q, p, d)
             checked += 1
     assert checked == 139
 
@@ -101,13 +105,17 @@ def test_build_sylow_is_one_closure(monkeypatch):
 
     monkeypatch.setattr(mg.MatrixGroup, "generate", classmethod(spy_generate))
     monkeypatch.setattr(mg, "find_generators", spy_find_generators)
-    # e = 1 with d < q-1 and d = q-1, semidihedral, e > 1, trivial S
-    for n, q, p, d in [(3, 7, 3, 2), (3, 7, 3, 6), (3, 7, 2, 1), (3, 3, 2, 2), (4, 2, 3, 1),
-                       (1, 7, 3, 2)]:
+    # e = 1 with d < q-1 and d = q-1, semidihedral, e > 1
+    for n, q, p, d in [(3, 7, 3, 2), (3, 7, 3, 6), (3, 7, 2, 1), (3, 3, 2, 2), (4, 2, 3, 1)]:
         calls["generate"] = 0
         _, S = liea.build_sylow(liea.compute_params(n, q, p, d))
         assert calls == {"generate": 1, "find_generators": 0}, (n, q, p, d)
         assert S.order == liea.compute_params(n, q, p, d).sylow_order()
+    # a trivial S is refused before any closure
+    calls["generate"] = 0
+    with pytest.raises(DomainError, match=r"^p = 3 does not divide \|SL\(1,7\):2\| = 2$"):
+        liea.build_sylow(liea.compute_params(1, 7, 3, 2))
+    assert calls == {"generate": 0, "find_generators": 0}
 
 
 def test_build_sylow_cap_admits_the_sylow_of_g():
@@ -139,8 +147,49 @@ def test_det_preimage_generators():
 
 
 def test_sylow_rejected_when_p_does_not_divide():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^p = 7 does not divide \|SL\(2,4\)\| = 60$"):
         liea.build_sylow(liea.compute_params(2, 4, 7))  # n < e
+    # n = 1 = e with p prime to |Det G|: |S| = 1, though n < e fails
+    params = liea.compute_params(1, 7, 3, 2)
+    assert params.sylow_trivial and not params.sylow_cyclic
+    with pytest.raises(DomainError, match=r"^p = 3 does not divide \|SL\(1,7\):2\| = 2$"):
+        liea.build_sylow(params)
+
+
+# (n, q, p, |Det G|, |Z|) breaking one input rule, and the one message for it
+TUPLE_RULES = [((0, 5, 3, 1, 1), "dimension n=0 must be positive"),
+               ((2, 6, 5, 1, 1), "6 is not a prime power"),
+               ((2, 5, 4, 1, 1), "4 is not prime"),
+               ((2, 5, 3, 3, 1), "det order 3 must divide q-1=4"),
+               ((2, 5, 3, 0, 1), "det order 0 must divide q-1=4"),
+               ((2, 5, 3, 1, 0), "|Z|=0 must divide the scalar center order 2"),
+               ((2, 5, 3, 1, 4), "|Z|=4 must divide the scalar center order 2")]
+
+
+@pytest.mark.parametrize("tup, message", TUPLE_RULES)
+def test_each_tuple_rule_has_one_message(tup, message):
+    n, q, p, det, z = tup
+    entries = [lambda: liea.compute_params(*tup), lambda: classify(*tup),
+               lambda: liea.quotient_sylow(*tup), lambda: classify_mod.tf_rank_oracle(*tup)]
+    if p != 4:  # enumerate_quotient takes no p
+        entries.append(lambda: liea.enumerate_quotient(n, q, det, z))
+    for entry in entries:
+        with pytest.raises(DomainError) as exc:
+            entry()
+        assert str(exc.value) == message
+
+
+def test_p_not_dividing_the_quotient_has_one_message(monkeypatch):
+    # refused by the order formula before anything is enumerated
+    monkeypatch.setattr(liea, "enumerate_quotient", None)
+    for tup, name, order in [((2, 4, 7, 1, 1), "SL(2,4)", 60),
+                             ((1, 7, 3, 2, 1), "SL(1,7):2", 2),
+                             ((1, 5, 2, 4, 4), "PGL(1,5)", 1)]:
+        message = f"p = {tup[2]} does not divide |{name}| = {order}"
+        for entry in (classify, liea.quotient_sylow, classify_mod.tf_rank_oracle):
+            with pytest.raises(DomainError) as exc:
+                entry(*tup)
+            assert str(exc.value) == message, entry
 
 
 SINGER_RELATION_PAIRS = [(3, 2), (5, 2), (4, 3), (2, 3)]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from endotriv import backend, liea, rho
+from endotriv import classify as classify_mod
 from endotriv import matgrp as mg
 from endotriv.abst import cyclic, from_cyclic_orders
 from endotriv.classify import cyclic_quotient_normalizer, tf_rank_oracle
@@ -139,14 +140,15 @@ def test_closure_cap():
         liea.enumerate_group(2, 5, cap=50)
 
 
-def test_cap_from_the_environment(monkeypatch):
-    monkeypatch.setenv("ENDOTRIV_CAP", "50")
-    with pytest.raises(CapExceeded):
-        liea.enumerate_group(2, 5)
-    for bad in ["abc", "-5", "1.5", " ", "\u00b2"]:  # the last is a superscript two
-        monkeypatch.setenv("ENDOTRIV_CAP", bad)
-        with pytest.raises(DomainError, match="^ENDOTRIV_CAP must be a non-negative integer"):
-            mg.enumeration_cap()
+def test_cap_is_the_argument_alone(monkeypatch):
+    # no environment variable sets the cap: None means DEFAULT_CAP, so the
+    # normalizer cache, keyed on the cap as passed, holds one answer per key
+    monkeypatch.setenv("ENDOTRIV_CAP", "10")
+    assert mg.enumeration_cap(None) == mg.DEFAULT_CAP
+    classify_mod._cyclic_ext_ab.cache_clear()
+    assert classify_mod.classify(2, 7, 3, 2, 2).case_tag == "cyclic.ext"
+    with pytest.raises(CapExceeded, match=r"^closure of N_G\(S\)/Z2 exceeds cap 10$"):
+        classify_mod.classify(2, 7, 3, 2, 2, cap=10)
 
 
 def test_negative_cap_override_is_refused():

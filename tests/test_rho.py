@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from endotriv import backend, liea, rho
+from endotriv import abst, backend, liea, rho
 from endotriv import matgrp as mg
 from endotriv.classify import tf_rank_oracle
 from endotriv.errors import CapExceeded, DomainError
@@ -22,6 +22,29 @@ def test_quaternion_chain_stalls_below_normalizer():
     assert ch.stabilized_at is not None
     assert not ch.reached_normalizer
     assert ch.chain[-1].order == 2 < ch.normalizer.order == 8
+
+
+# (group, chain orders, |N_G(S)|, N_G(S) modulo the last level) at p = 2 with
+# Q = S and four levels: none reaches N_G(S), and K, the p'-part of that
+# quotient, is 0 for Q8 and GL(2,3) but Z/3 for SL(2,3).  Reaching N_G(S)
+# is sufficient for K = 0, not necessary.
+UNREACHED_CHAINS = [
+    ("Q8", [2, 2], 8, abst.from_cyclic_orders([2, 2]), abst.TRIVIAL),
+    ("SL(2,3)", [8, 8, 8], 24, abst.cyclic(3), abst.cyclic(3)),
+    ("GL(2,3)", [4, 8, 8], 16, abst.cyclic(2), abst.TRIVIAL),
+]
+
+
+@pytest.mark.parametrize("engine", [rho.rho_chain, rho.rho_chain_naive])
+@pytest.mark.parametrize("name, orders, n_order, top, k", UNREACHED_CHAINS)
+def test_unreached_normalizer_leaves_k_open(engine, name, orders, n_order, top, k):
+    G = {"Q8": quaternion_group, "SL(2,3)": lambda: liea.enumerate_group(2, 3),
+         "GL(2,3)": lambda: liea.enumerate_group(2, 3, 2)}[name]()
+    S = mg.sylow_subgroup_of(G, 2)
+    ch = engine(G, S, S, max_i=4)
+    quotient = mg.quotient_structure(ch.normalizer, ch.chain[-1])
+    assert (ch.orders(), ch.normalizer.order, ch.reached_normalizer) == (orders, n_order, False)
+    assert (quotient, abst.prime_to_p_part(quotient, 2)) == (top, k)
 
 
 def test_p_group_first_level_is_derived_subgroup():

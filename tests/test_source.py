@@ -352,3 +352,58 @@ def test_every_sylow_clause_failure_is_named_by_a_test():
     tests = "".join(f.read_text() for f in sorted(Path(__file__).parent.rglob("*.py")))
     missing = [f"rho.py:{line}: {text!r}" for line, text in details if text not in tests]
     assert len(details) > len(checks) and not missing, missing
+
+
+# the enumeration cap is the argument alone: nothing in the package reads
+# the environment, so an answer (and a cached one) depends on its arguments
+def test_package_reads_no_environment():
+    found = []
+    for f in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(f.read_text(), str(f))):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "environb", "getenv"):
+                found.append(f"{f.name}:{node.lineno}: {node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [f"{f.name}:{node.lineno}: {a.name}" for a in node.names]
+    assert not found, found
+
+
+# each input rule is refused in one place: its message is raised only in the
+# routine that decides it, and the entry points that take the tuple call it
+INPUT_RULES = {"dimension n=": ("liea.py", "check_tuple"),
+               " is not prime": ("liea.py", "check_tuple"),
+               " is not a prime power": ("gf.py", "prime_power_split"),
+               " must divide q-1=": ("liea.py", "scalar_center_order"),
+               " must divide the scalar center": ("liea.py", "check_tuple"),
+               " does not divide |": ("liea.py", "require_p_divides")}
+RULE_CALLERS = {"check_tuple": {"compute_params", "enumerate_quotient", "quotient_sylow",
+                                "parse_group_spec", "replay_proof_certificates"},
+                "require_p_divides": {"classify", "quotient_sylow", "build_sylow"},
+                "scalar_center_order": {"check_tuple"}}
+
+
+def test_one_routine_refuses_each_input_rule():
+    inside, found, callers = set(), [], {}
+    for f in sorted(SRC.glob("*.py")):
+        tree = ast.parse(f.read_text(), str(f))
+        for d in tree.body:
+            if not isinstance(d, ast.FunctionDef):
+                continue
+            for node in ast.walk(d):
+                name = getattr(getattr(node, "func", None), "attr", None) \
+                    or getattr(getattr(node, "func", None), "id", None)
+                if isinstance(node, ast.Call) and name in RULE_CALLERS:
+                    callers.setdefault(name, set()).add(d.name)
+                if not isinstance(node, ast.Raise) or node.exc is None:
+                    continue
+                for c in ast.walk(node.exc):
+                    if not (isinstance(c, ast.Constant) and isinstance(c.value, str)):
+                        continue
+                    for marker, home in INPUT_RULES.items():
+                        if marker in c.value:
+                            if (f.name, d.name) == home:
+                                inside.add(marker)
+                            else:
+                                found.append(f"{f.name}:{c.lineno}: {marker!r}")
+    assert inside == set(INPUT_RULES) and not found, found
+    for rule, expected in RULE_CALLERS.items():
+        assert expected <= callers.get(rule, set()), (rule, expected - callers.get(rule, set()))
