@@ -34,10 +34,6 @@ class AbelianStructure:
             prev = d
 
     @property
-    def torsion_order(self) -> int:
-        return math.prod(self.invariant_factors)
-
-    @property
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.invariant_factors
 
@@ -95,46 +91,41 @@ def prime_to_p_part(a: AbelianStructure, p: int) -> AbelianStructure:
 
 @dataclass(frozen=True)
 class ExtensionDescriptor:
-    """A group known only as an extension of `quot` by `sub`.
+    """A group T known only as an extension 0 -> sub -> T -> quot -> 0.
 
-    `resolved` is filled when some governing result pins the middle term;
-    `candidates` lists all abelian middle terms compatible with the data
-    when the quotient is trivial or Z/2 (the only quotients arising here).
+    `candidates` lists every abelian middle term the data allow when the
+    quotient is trivial or Z/2 (the only quotients arising here).  T is
+    abelian, so `resolved` is the sole candidate when there is one: when
+    the quotient is trivial or |sub| is odd.
     """
 
     sub: AbelianStructure
     quot: AbelianStructure
-    resolved: AbelianStructure | None = None
-
-    def __post_init__(self):
-        if self.resolved is not None:
-            ok = (self.resolved.torsion_order
-                  == self.sub.torsion_order * self.quot.torsion_order
-                  and self.resolved.free_rank
-                  == self.sub.free_rank + self.quot.free_rank)
-            if not ok:
-                raise DomainError("resolved extension has inconsistent size")
 
     def candidates(self) -> tuple[AbelianStructure, ...]:
-        if self.resolved is not None:
-            return (self.resolved,)
         if self.quot.is_trivial:
             return (self.sub,)
         if self.quot == cyclic(2) and self.sub.free_rank == 0:
             return tuple(_index_two_overgroups(self.sub))
         return ()
 
+    @property
+    def resolved(self) -> AbelianStructure | None:
+        cands = self.candidates()
+        return cands[0] if len(cands) == 1 else None
+
     def to_json(self) -> dict:
+        resolved = self.resolved
         return {
             "kind": "extension",
             "sub": self.sub.to_json(),
             "quot": self.quot.to_json(),
-            "resolved": self.resolved.to_json() if self.resolved else None,
+            "resolved": resolved.to_json() if resolved else None,
             "candidates": [c.to_json() for c in self.candidates()],
         }
 
     def __str__(self):
-        status = str(self.resolved) if self.resolved else "unresolved"
+        status = self.resolved or "unresolved"
         return f"extension 1 -> {self.sub} -> T -> {self.quot} -> 0 ({status})"
 
 

@@ -3,7 +3,7 @@
 Dispatch priority, most specific first:
 
   1. Sylow subgroup of G/Z cyclic, Z trivial   -> closed cyclic-case formulas
-  2. Sylow subgroup of G/Z cyclic, Z nontrivial -> unresolved extension data
+  2. Sylow subgroup of G/Z cyclic, Z nontrivial -> the extension's middle terms
   3. n = 2, p odd, p | q-1 (noncyclic quotient) -> rank-1 free part plus X
   4. n = p = 3, 3 | q-1, Z absorbing the central 3-part -> the three-way split
   5. p = 2, n = 3                                -> the two-way split on q mod 4
@@ -169,7 +169,7 @@ def cyclic_quotient_normalizer(n: int, q: int, e: int, f: int, det_order: int,
 
 @lru_cache(maxsize=4096)
 def _cyclic_ext_ab(n: int, q: int, e: int, f: int, det: int, z: int,
-                   cap: int | None) -> AbelianStructure:
+                   cap: int) -> AbelianStructure:
     """Abelianization of N(S)/Z for the cyclic-Sylow branch (cached: it is
     independent of p, and the fuzz suite revisits the same tuples)."""
     full = cyclic_quotient_normalizer(n, q, e, f, det, z, cap).as_subgroup()
@@ -179,7 +179,7 @@ def _cyclic_ext_ab(n: int, q: int, e: int, f: int, det: int, z: int,
 def _classify_cyclic_extension(params: LieParams, notes: list[str],
                                cap: int | None) -> TClassification:
     ab = _cyclic_ext_ab(params.n, params.q, params.e, params.f,
-                        params.det_order, params.z_order, cap)
+                        params.det_order, params.z_order, mg.enumeration_cap(cap))
     sub = abst.prime_to_p_part(ab, params.p)
     if sub != ab:
         notes.append(f"normalizer abelianization {ab} had a p-part; "
@@ -187,10 +187,8 @@ def _classify_cyclic_extension(params: LieParams, notes: list[str],
     s_ord = params.quotient_sylow_order()
     quot = cyclic(2) if s_ord >= 3 else abst.TRIVIAL
     notes.append(f"|S| = {s_ord}; syzygy image {quot}")
-    # a trivial syzygy image pins the middle term
-    res = ExtensionDescriptor(sub=sub, quot=quot,
-                              resolved=sub if quot.is_trivial else None)
-    return TClassification(res, x_group(params), 0, "cyclic.ext", notes, params)
+    return TClassification(ExtensionDescriptor(sub, quot), x_group(params), 0,
+                           "cyclic.ext", notes, params)
 
 
 # ---------------------------------------------------------------------------

@@ -404,16 +404,17 @@ def _dets_in(F, mats, det_order: int) -> bool:
 
 
 def _check_sylow_image(cert) -> str | None:
-    """det_order divides q-1, and S is a p-group of the ambient Sylow order
-    (by the order formula) with determinants in the subgroup of order
-    det_order, contained in H.  The first hypothesis that fails, or None."""
-    c, n, q = cert.containment, cert.H.n, cert.H.field.q
-    Sg = c.sylow
+    """compute_params accepts (n, q, p, det_order), and S has the Sylow order
+    with determinants in the subgroup of order det_order, contained in H.
+    The first hypothesis that fails, or None."""
+    c, Sg = cert.containment, cert.containment.sylow
     if Sg is None or c.det_order is None:
         return f"{c.kind} needs the Sylow group and det_order"
-    if c.det_order < 1 or (q - 1) % c.det_order:
-        return f"det_order {c.det_order} does not divide q-1 = {q - 1}"
-    if Sg.order != p_part(liea.group_order(n, q, c.det_order), cert.p):
+    try:
+        params = liea.compute_params(cert.H.n, cert.H.field.q, cert.p, c.det_order)
+    except DomainError as exc:
+        return str(exc)
+    if Sg.order != params.sylow_order():
         return "S has wrong order"
     if not _dets_in(Sg.field, Sg.elements, c.det_order):
         return "S violates the determinant condition"

@@ -27,7 +27,8 @@ def test_direct_sum_examples():
 def test_direct_sum_preserves_order(xs, ys):
     a, b = from_cyclic_orders(xs), from_cyclic_orders(ys)
     got = from_cyclic_orders(list(a.invariant_factors) + list(b.invariant_factors))
-    assert got.torsion_order == a.torsion_order * b.torsion_order
+    assert math.prod(got.invariant_factors) == \
+        math.prod(a.invariant_factors) * math.prod(b.invariant_factors)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=60), max_size=6))
@@ -89,11 +90,12 @@ def test_extension_descriptor():
     assert from_cyclic_orders([2, 2, 2]) in cands2
     assert from_cyclic_orders([4, 2]) in cands2
     assert from_cyclic_orders([8]) not in cands2
-    with pytest.raises(DomainError):
-        ExtensionDescriptor(sub=cyclic(4), quot=cyclic(2), resolved=cyclic(4))
-    ok = ExtensionDescriptor(sub=cyclic(4), quot=cyclic(2),
-                             resolved=from_cyclic_orders([8]))
-    assert ok.candidates() == (from_cyclic_orders([8]),)
+    # resolved is the sole candidate: an odd sub, or a trivial quotient
+    assert e.resolved is None and e2.resolved is None
+    assert ExtensionDescriptor(cyclic(3), cyclic(2)).resolved == cyclic(6)
+    for sub in (abst.TRIVIAL, cyclic(4), from_cyclic_orders([2, 2], 1)):
+        assert ExtensionDescriptor(sub, abst.TRIVIAL).resolved == sub
+    assert ExtensionDescriptor(AbelianStructure(1), cyclic(2)).resolved is None
 
 
 def _chains(order, base=1):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -68,6 +69,36 @@ def test_cyclic_extension_descriptor():
     cands = tc.result.candidates()
     assert from_cyclic_orders([2, 2, 2]) in cands
     assert from_cyclic_orders([4, 2]) in cands
+
+
+# the fuzz stream's cyclic.ext tuples with a Z/2 syzygy image and one
+# abelian middle term (|sub| odd), which is then T: (n, q, p, det, z) -> T
+SOLE_CANDIDATE = {(3, 9, 7, 8, 8): [6], (5, 5, 11, 2, 2): [10], (3, 11, 7, 5, 5): [6],
+                  (5, 3, 11, 2, 2): [10], (1, 11, 5, 10, 2): [2], (3, 3, 13, 2, 2): [6]}
+
+
+@pytest.mark.parametrize("case", list(SOLE_CANDIDATE))
+def test_a_sole_candidate_resolves_the_extension(case):
+    tc = classify(*case, cap=20000)
+    want = from_cyclic_orders(SOLE_CANDIDATE[case])
+    assert tc.case_tag == "cyclic.ext" and tc.result.quot == cyclic(2)
+    assert tc.result.candidates() == (want,)
+    assert tc.result.resolved == want
+    assert tc.to_json()["resolved"] == want.to_json()
+
+
+# isomorphic inputs: the closed form of a Z = 1 input is among the candidates
+# of an isomorphic cyclic.ext input.  GL(3,2) = PSL(2,7); SL(2,4) = PGL(2,4)
+ISOMORPHIC_CLOSED_FORMS = [((3, 2, 3, 1, 1), (2, 7, 3, 1, 2)),
+                           ((2, 4, 5, 1, 1), (2, 4, 5, 3, 3))]
+
+
+@pytest.mark.parametrize("closed,ext", ISOMORPHIC_CLOSED_FORMS)
+def test_isomorphic_closed_form_is_a_candidate(closed, ext):
+    tc, te = classify(*closed), classify(*ext)
+    assert tc.case_tag.startswith("cyclic.") and te.case_tag == "cyclic.ext"
+    assert tc.result == cyclic(4)
+    assert tc.result in te.result.candidates() and te.result.resolved is None
 
 
 def test_cyclic_extension_sub_matches_ambient_scan():
@@ -261,7 +292,7 @@ def test_cyclic_closed_forms_factor_through_normalizer(n, q, p, det):
     ts = 2 if S.order >= 3 else 1
     tc = classify(n, q, p, det, 1)
     assert tc.case_tag.startswith("cyclic.")
-    assert tc.result.torsion_order == x.torsion_order * ts
+    assert math.prod(tc.result.invariant_factors) == math.prod(x.invariant_factors) * ts
 
 
 def test_normalizer_cap_refused_before_closure(monkeypatch):
@@ -303,6 +334,18 @@ def test_cyclic_ext_ab_matches_ambient_normalizer(n, q, p, d, z):
     S = mg.sylow_subgroup_of(G, p)
     N = mg.normalizer(G, S)
     assert _ext_ab(n, q, p, d, z) == mg.quotient_structure(N, mg.commutator_subgroup(N))
+
+
+def test_cyclic_ext_ab_keys_on_the_enumeration_cap():
+    # None and DEFAULT_CAP are one cap, so the second call is a hit
+    classify_mod._cyclic_ext_ab.cache_clear()
+    try:
+        first = classify(2, 7, 3, 2, 2)
+        assert classify(2, 7, 3, 2, 2, cap=mg.DEFAULT_CAP).result == first.result
+        info = classify_mod._cyclic_ext_ab.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    finally:
+        classify_mod._cyclic_ext_ab.cache_clear()
 
 
 def test_cyclic_ext_ab_is_one_closure(monkeypatch):

@@ -37,6 +37,17 @@ def test_classify_verify(capsys):
     assert payload["oracle"]["n_G"] == 1
 
 
+def test_classify_text_of_an_extension(capsys):
+    # one candidate is the answer; two or more are listed as unresolved
+    code, out, _ = run_cli(capsys, "classify", "5", "3", "11", "--det", "2", "--z", "2")
+    assert code == 0
+    assert out.splitlines()[0] == "[cyclic.ext] T = extension 1 -> Z/5 -> T -> Z/2 -> 0 (Z/10)"
+    assert "candidate middle terms" not in out
+    code, out, _ = run_cli(capsys, "classify", "2", "7", "3", "--det", "2", "--z", "2")
+    assert code == 0 and "(unresolved)" in out
+    assert "  candidate middle terms: Z/2 + Z/4 or Z/2 + Z/2 + Z/2" in out.splitlines()
+
+
 def test_json_round_trip_stability(capsys):
     for args in (("classify", "2", "5", "2"), ("classify", "2", "7", "3",
                                                "--det", "6", "--z", "6"),

@@ -10,6 +10,7 @@ from endotriv import matgrp as mg
 from endotriv.classify import classify
 from endotriv.errors import CapExceeded, DomainError, EndotrivError, GroupSpecError
 from endotriv.gf import field_spec, p_part
+from test_classify import SOLE_CANDIDATE
 from test_matgrp import element_orders
 
 
@@ -244,6 +245,29 @@ def _fuzz_stream(count):
         zc = liea.scalar_center_order(n, q, det)
         out.append((n, q, p, det, rng.choice([x for x in range(1, zc + 1) if zc % x == 0])))
     return out
+
+
+def test_fuzz_stream_extensions_resolve_by_their_candidates():
+    # every cyclic.ext tuple of one benchmark fuzz pass: resolved exactly when
+    # one middle term fits, null with two or more
+    sole, trivial_quotient, unresolved = set(), set(), set()
+    for case in _fuzz_stream(350):
+        try:
+            tc = classify(*case, cap=20000)
+        except EndotrivError:
+            continue
+        if tc.case_tag != "cyclic.ext":
+            continue
+        cands, resolved = tc.result.candidates(), tc.to_json()["resolved"]
+        if len(cands) > 1:
+            assert resolved is None and tc.result.resolved is None, case
+            unresolved.add(case)
+            continue
+        assert resolved == cands[0].to_json(), case
+        (trivial_quotient if tc.result.quot.is_trivial else sole).add(case)
+    assert sole == set(SOLE_CANDIDATE)
+    assert len(trivial_quotient) == 2 and len(unresolved) == 11
+    assert (2, 7, 3, 2, 2) in unresolved
 
 
 @pytest.fixture(scope="module")

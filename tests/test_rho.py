@@ -598,9 +598,9 @@ SYLOW_IMAGE_TAMPERS = {
                          "block at 0 of size 4 is reducible under S"),
     # GF(4)^x has no element of order 2 or 0: refused before any field call
     "scalar-det-order-2": ("scalar", lambda c: _tamper_containment(c, det_order=2),
-                           "det_order 2 does not divide q-1 = 3"),
+                           "det order 2 must divide q-1=3"),
     "scalar-det-order-0": ("scalar", lambda c: _tamper_containment(c, det_order=0),
-                           "det_order 0 does not divide q-1 = 3"),
+                           "det order 0 must divide q-1=3"),
     # the monomial group modulo Z3 relabelled as the whole group
     "torus-as-whole-group": ("torus", lambda c: _tamper_containment(c, kind="whole-group"),
                              "whole-group applies to plain groups"),
