@@ -737,12 +737,14 @@ def center(H: Subgroup) -> Subgroup:
 
 
 def common_order(A: MatrixGroup, B: MatrixGroup) -> int:
-    """Order of the intersection of two groups over one field, via element keys."""
+    """Order of the intersection of two groups over one field, via element
+    keys: the smaller group's elements located in the larger."""
     if A.field != B.field:
         raise DomainError("intersection across different fields")
     if A.z_order != B.z_order:
         raise DomainError("intersection across different central quotients")
-    return int(B.locate(A.elements)[1].sum())
+    small, large = sorted((A, B), key=lambda X: X.order)
+    return int(large.locate(small.elements)[1].sum())
 
 
 def image(G: MatrixGroup, K: MatrixGroup) -> Subgroup:

@@ -15,12 +15,14 @@ p-elements is open.  The chain engine only reports the group theory.
 Two implementations are kept deliberately separate: the fast engine uses
 the identity < U_R (N /\\ A_R) > = < N /\\ U_R A_R >, one mask over G for
 the union of the levels; the naive engine enumerates its own subgroup
-lattice and rescans every subgroup from definitions, as whole-array scans
-of all of G on its multiplication table: a normalizer checks every member,
-a commutator subgroup closes the commutators of every pair, inverses are
-read off the table, and a group above NAIVE_TABLE_CAP is refused.  They
-share only the request check and the closure's Schreier tables, and the
-test suite diffs them.  A chain derives where it stabilized from its levels.
+lattice, joins of cyclic subgroups with each distinct union closed once,
+and rescans every subgroup from definitions, as whole-array scans of all
+of G on its int16 multiplication table, read by whole rows: a normalizer
+checks every member, a commutator subgroup closes the commutators of
+every pair, inverses are read off the table, and a group above
+NAIVE_TABLE_CAP is refused.  They share only the request check and the
+closure's Schreier tables, and the test suite diffs them.  A chain derives
+where it stabilized from its levels.
 
 Certificates package the hypotheses of the one-dimensionality criterion
 at a prime p: a subgroup H containing N_G(S), the Sylow group S and why H
@@ -155,19 +157,33 @@ def _naive_table(G: mg.MatrixGroup) -> tuple[np.ndarray, np.ndarray]:
     """G's multiplication table tab[i, j] = i * j and its inverses, built
     once per group from the closure's Schreier tables alone: column j is
     column parent[j] moved by gens[via[j]], filled one BFS level at a time,
-    and the inverse of i is where row i holds the identity, index 0.  A
-    group above NAIVE_TABLE_CAP elements is refused before any product."""
+    and the inverse of j is where column j holds the identity, index 0.
+    The columns are the rows of a C-ordered int16 array (every index lies
+    below NAIVE_TABLE_CAP), so tab.T reads a block of products x * y as
+    whole rows y, then columns x.  A group above NAIVE_TABLE_CAP elements
+    is refused before any product."""
     mg.refuse_over(G.order, NAIVE_TABLE_CAP,
                    "|G| = {needed} exceeds the multiplication-table cap {cap}")
     tables = _naive_tables.get(G)
     if tables is None:
         acts, step = G.acts.ravel(), G.via.astype(np.int64) * G.order
-        cols = np.empty((G.order, G.order), dtype=np.int32)
+        cols = np.empty((G.order, G.order), dtype=np.int16)
         cols[0] = np.arange(G.order)
         for lo, hi in zip(G.levels[1:-1], G.levels[2:]):
             cols[lo:hi] = acts.take(step[lo:hi, None] + cols[G.parent[lo:hi]])
-        tables = _naive_tables[G] = cols.T, cols.argmin(axis=0)
+        tables = _naive_tables[G] = cols.T, cols.argmin(axis=1)
     return tables
+
+
+def _products(col, xs, ys):
+    """The block [y, x] = x * y of col = tab.T: whole rows ys, then columns xs."""
+    return col.take(ys, axis=0).take(xs, axis=1)
+
+
+def _times(col, a, b):
+    """a * b for index arrays a and b broadcast together, both factors
+    varying: one flat read of col = tab.T at b * |G| + a."""
+    return col.ravel().take(np.multiply(b, len(col), dtype=np.intp) + a)
 
 
 def _naive_closure(G, seed):
@@ -175,14 +191,14 @@ def _naive_closure(G, seed):
     of indices): a BFS on a mask over G, each round multiplying the new
     elements by every seed element and keeping the products not yet inside
     through a fresh mask."""
-    tab, _ = _naive_table(G)
+    col = _naive_table(G)[0].T
     inside = np.zeros(G.order, dtype=bool)
     inside[0] = True
     inside[seed if isinstance(seed, np.ndarray) else np.fromiter(seed, dtype=np.int64)] = True
     gens = frontier = inside.nonzero()[0]
     while frontier.size:
         fresh = np.zeros(G.order, dtype=bool)
-        fresh[tab[frontier[:, None], gens]] = True
+        fresh[_products(col, frontier, gens).astype(np.intp)] = True  # intp scatters faster
         fresh &= ~inside
         inside |= fresh
         frontier = fresh.nonzero()[0]
@@ -192,42 +208,48 @@ def _naive_closure(G, seed):
 def _naive_normalizer(G, members):
     """Every g with g x g^-1 in the set for every member x."""
     tab, inv = _naive_table(G)
+    col = tab.T
     xs = np.fromiter(members, dtype=np.int64)
     inside = np.zeros(G.order, dtype=bool)
     inside[xs] = True
-    conj = tab[tab[:, xs], inv[:, None]]
-    return frozenset(inside[conj].all(axis=1).nonzero()[0].tolist())
+    conj = _times(col, col.take(xs, axis=0), inv)  # [x, g] = (g x) g^-1
+    return frozenset(inside[conj].all(axis=0).nonzero()[0].tolist())
 
 
 def _naive_commutator(G, members):
     """The closure of a b a^-1 b^-1 over every pair of members."""
     tab, inv = _naive_table(G)
+    col = tab.T
     xs = np.fromiter(members, dtype=np.int64)
     ys = inv[xs]
-    return _naive_closure(G, tab[tab[xs[:, None], xs], tab[ys[:, None], ys]].ravel())
+    # (a b)(a^-1 b^-1), both blocks indexed [b, a]
+    return _naive_closure(G, _times(col, _products(col, xs, xs), _products(col, ys, ys)))
 
 
 def _naive_subgroups(G: mg.MatrixGroup, S: mg.Subgroup) -> list[mg.Subgroup]:
     """Every subgroup of S, sorted by (order, key): joins of cyclic
-    subgroups, each join closed from its generators."""
-    cyclics: dict[frozenset, tuple[int, ...]] = {frozenset([0]): ()}
+    subgroups, each join the closure of the union of the two, and each
+    distinct union closed once; a union that is a subgroup found already
+    is its own join."""
+    cyclics = {frozenset([0])}
     for x in S.idx:
         if x != 0:
-            cyclics.setdefault(_naive_closure(G, [int(x)]), (int(x),))
-    subs = dict(cyclics)
-    frontier = list(cyclics.items())
+            cyclics.add(_naive_closure(G, [int(x)]))
+    subs, met, frontier = set(cyclics), set(), list(cyclics)
     while frontier:
         nxt = []
-        for members, gens in frontier:
-            for cmem, cgens in cyclics.items():
-                if not cmem <= members:
-                    joined = _naive_closure(G, gens + cgens)
-                    if joined not in subs:
-                        subs[joined] = gens + cgens
-                        nxt.append((joined, gens + cgens))
+        for members in frontier:
+            for cmem in cyclics:
+                union = members | cmem
+                if union in subs or union in met:
+                    continue
+                met.add(union)
+                joined = _naive_closure(G, union)
+                if joined not in subs:
+                    subs.add(joined)
+                    nxt.append(joined)
         frontier = nxt
-    out = [mg.Subgroup(G, np.array(sorted(m), dtype=np.int64), gen_idx=g)
-           for m, g in subs.items()]
+    out = [mg.Subgroup(G, np.array(sorted(m), dtype=np.int64)) for m in subs]
     out.sort(key=lambda T: (T.order, T.key()))
     return out
 

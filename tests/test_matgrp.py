@@ -305,6 +305,26 @@ def test_common_order_needs_one_field_and_one_kernel():
     assert mg.common_order(liea.block_normalizer(1, 2, 5), sl25) == 8
 
 
+@pytest.mark.parametrize("pair", ["rp-case", "SL(2,5)"])
+def test_common_order_locates_the_smaller_group(monkeypatch, pair):
+    # |A /\ B| either way round, with the smaller group's elements as the batch
+    if pair == "rp-case":  # clause (2)(b): the corner block group (41 040) and H (648)
+        cert = rho.build_torus_quotient_certificate(3, 19, 3)
+        A, B, count = cert.witnesses[0].aux_group, cert.H, 216
+    else:
+        A, B, count = liea.block_normalizer(1, 2, 5), liea.enumerate_quotient(2, 5), 8
+    locate, calls = mg.MatrixGroup.locate, []
+
+    def spy(self, batch):
+        calls.append((self.order, len(batch)))
+        return locate(self, batch)
+
+    monkeypatch.setattr(mg.MatrixGroup, "locate", spy)
+    assert mg.common_order(A, B) == mg.common_order(B, A) == count
+    small, large = sorted((A.order, B.order))
+    assert calls == [(large, small)] * 2
+
+
 def test_abelian_type():
     G = liea.enumerate_group(2, 5, 4)
     z = mg.center(G.as_subgroup())

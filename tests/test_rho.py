@@ -315,7 +315,12 @@ def test_oracle_classes_match_the_naive_table(n, q, p, det, z):
 def test_naive_closure_matches_python_bfs(group):
     # duplicate seeds and the identity among them, as a list and as an array
     G = quaternion_group() if group == "Q8" else liea.enumerate_group(2, 3, 2 if group == "GL(2,3)" else 1)
-    tab = rho._naive_table(G)[0].tolist()
+    tab = rho._naive_table(G)[0]
+    # an int16 table whose columns are C-ordered rows, tab[i, j] = i * j for every pair
+    assert tab.dtype == np.int16 and tab.T.flags.c_contiguous
+    i, j = np.divmod(np.arange(G.order ** 2), G.order)
+    assert np.array_equal(tab[i, j], G._mul(i, j))
+    tab = tab.tolist()
     rng = np.random.default_rng(7)
     for size in (0, 1, 2, 3, 5):
         for _ in range(6):
@@ -324,6 +329,26 @@ def test_naive_closure_matches_python_bfs(group):
             ref = _python_closure(tab, seeds)
             assert rho._naive_closure(G, seeds) == ref, seeds
             assert rho._naive_closure(G, np.array(seeds, dtype=np.int64)) == ref, seeds
+
+
+@pytest.mark.parametrize("n, q, det", [(2, 3, 2), (2, 7, 1)])  # GL(2,3), SL(2,7)
+def test_naive_joins_close_each_union_once(monkeypatch, n, q, det):
+    # a join is the closure of a union M u C: no union is closed twice, and
+    # none that is already a subgroup found
+    G = liea.enumerate_group(n, q, det)
+    S = mg.sylow_subgroup_of(G, 2)
+    closure, closed, found = rho._naive_closure, [], {frozenset([0])}
+
+    def spy(G, seed):
+        seed = frozenset(map(int, seed))
+        assert seed not in closed and seed not in found, sorted(seed)
+        closed.append(seed)
+        found.add(out := closure(G, seed))
+        return out
+
+    monkeypatch.setattr(rho, "_naive_closure", spy)
+    subs = rho._naive_subgroups(G, S)
+    assert {T.members for T in subs} == found
 
 
 def test_naive_twin_refuses_groups_without_a_table(monkeypatch):
