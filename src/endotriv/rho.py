@@ -16,13 +16,14 @@ Two implementations are kept deliberately separate: the fast engine uses
 the identity < U_R (N /\\ A_R) > = < N /\\ U_R A_R >, one mask over G for
 the union of the levels; the naive engine enumerates its own subgroup
 lattice, joins of cyclic subgroups with each distinct union closed once,
-and rescans every subgroup from definitions, as whole-array scans of all
-of G on its int16 multiplication table, read by whole rows: a normalizer
-checks every member, a commutator subgroup closes the commutators of
-every pair, inverses are read off the table, and a group above
-NAIVE_TABLE_CAP is refused.  They share only the request check and the
-closure's Schreier tables, and the test suite diffs them.  A chain derives
-where it stabilized from its levels.
+and rescans every subgroup from definitions, scanning all of G on its
+int16 multiplication table by whole rows, at most NAIVE_BLOCK products at
+a time, so its peak is the table plus one block: a normalizer checks
+every member, a commutator subgroup closes the commutators of every pair,
+inverses are read off the table, and a group above NAIVE_TABLE_CAP is
+refused.  They share only the request check and the closure's Schreier
+tables, and the test suite diffs them.  A chain derives where it
+stabilized from its levels.
 
 Certificates package the hypotheses of the one-dimensionality criterion
 at a prime p: a subgroup H containing N_G(S), the Sylow group S and why H
@@ -52,6 +53,7 @@ from .gf import field_spec, p_part, p_val
 
 S_ORDER_CAP = 256
 NAIVE_TABLE_CAP = 1024  # largest group the naive twin builds a table for
+NAIVE_BLOCK = 1 << 16  # most products the naive twin forms in one array
 _naive_tables: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # G -> (tab, inv)
 
 
@@ -156,12 +158,12 @@ def rho_chain(G: mg.MatrixGroup, S: mg.Subgroup, Q: mg.Subgroup,
 def _naive_table(G: mg.MatrixGroup) -> tuple[np.ndarray, np.ndarray]:
     """G's multiplication table tab[i, j] = i * j and its inverses, built
     once per group from the closure's Schreier tables alone: column j is
-    column parent[j] moved by gens[via[j]], filled one BFS level at a time,
-    and the inverse of j is where column j holds the identity, index 0.
-    The columns are the rows of a C-ordered int16 array (every index lies
-    below NAIVE_TABLE_CAP), so tab.T reads a block of products x * y as
-    whole rows y, then columns x.  A group above NAIVE_TABLE_CAP elements
-    is refused before any product."""
+    column parent[j] moved by gens[via[j]], filled a block of one BFS level
+    at a time, and the inverse of j is where column j holds the identity,
+    index 0.  The columns are the rows of a C-ordered int16 array (every
+    index lies below NAIVE_TABLE_CAP), so tab.T reads a block of products
+    x * y as whole rows y, then columns x.  A group above NAIVE_TABLE_CAP
+    elements is refused before any product."""
     mg.refuse_over(G.order, NAIVE_TABLE_CAP,
                    "|G| = {needed} exceeds the multiplication-table cap {cap}")
     tables = _naive_tables.get(G)
@@ -170,9 +172,16 @@ def _naive_table(G: mg.MatrixGroup) -> tuple[np.ndarray, np.ndarray]:
         cols = np.empty((G.order, G.order), dtype=np.int16)
         cols[0] = np.arange(G.order)
         for lo, hi in zip(G.levels[1:-1], G.levels[2:]):
-            cols[lo:hi] = acts.take(step[lo:hi, None] + cols[G.parent[lo:hi]])
+            for rows in _blocks(np.arange(lo, hi), G.order):
+                cols[rows] = acts.take(step[rows, None] + cols[G.parent[rows]])
         tables = _naive_tables[G] = cols.T, cols.argmin(axis=1)
     return tables
+
+
+def _blocks(rows, width):
+    """rows in pieces of at most NAIVE_BLOCK products, `width` a row (rows itself if it fits)."""
+    step = NAIVE_BLOCK // width or 1
+    return [rows[i:i + step] for i in range(0, len(rows), step)] if len(rows) > step else [rows]
 
 
 def _products(col, xs, ys):
@@ -189,16 +198,18 @@ def _times(col, a, b):
 def _naive_closure(G, seed):
     """Every product of the seed elements (an index array, or any iterable
     of indices): a BFS on a mask over G, each round multiplying the new
-    elements by every seed element and keeping the products not yet inside
-    through a fresh mask."""
+    elements by every seed element, a block of seed rows at a time, and
+    keeping the products not yet inside through a fresh mask."""
     col = _naive_table(G)[0].T
     inside = np.zeros(G.order, dtype=bool)
     inside[0] = True
     inside[seed if isinstance(seed, np.ndarray) else np.fromiter(seed, dtype=np.int64)] = True
     gens = frontier = inside.nonzero()[0]
+    blocks = _blocks(gens, G.order)  # the same rows of col every round
     while frontier.size:
         fresh = np.zeros(G.order, dtype=bool)
-        fresh[_products(col, frontier, gens).astype(np.intp)] = True  # intp scatters faster
+        for rows in blocks:
+            fresh[_products(col, frontier, rows).astype(np.intp)] = True  # intp scatters faster
         fresh &= ~inside
         inside |= fresh
         frontier = fresh.nonzero()[0]
@@ -206,24 +217,29 @@ def _naive_closure(G, seed):
 
 
 def _naive_normalizer(G, members):
-    """Every g with g x g^-1 in the set for every member x."""
+    """Every g with g x g^-1 in the set for every member x, a block of x at a time."""
     tab, inv = _naive_table(G)
     col = tab.T
     xs = np.fromiter(members, dtype=np.int64)
     inside = np.zeros(G.order, dtype=bool)
     inside[xs] = True
-    conj = _times(col, col.take(xs, axis=0), inv)  # [x, g] = (g x) g^-1
-    return frozenset(inside[conj].all(axis=0).nonzero()[0].tolist())
+    keep = np.ones(G.order, dtype=bool)
+    for rows in _blocks(xs, G.order):  # [x, g] = (g x) g^-1
+        keep &= inside[_times(col, col.take(rows, axis=0), inv)].all(axis=0)
+    return frozenset(keep.nonzero()[0].tolist())
 
 
 def _naive_commutator(G, members):
-    """The closure of a b a^-1 b^-1 over every pair of members."""
+    """The closure of a b a^-1 b^-1 over every pair of members, marked on
+    one mask over G a block of b at a time and closed once."""
     tab, inv = _naive_table(G)
     col = tab.T
     xs = np.fromiter(members, dtype=np.int64)
     ys = inv[xs]
-    # (a b)(a^-1 b^-1), both blocks indexed [b, a]
-    return _naive_closure(G, _times(col, _products(col, xs, xs), _products(col, ys, ys)))
+    comms = np.zeros(G.order, dtype=bool)
+    for rows in _blocks(xs, G.order):  # (a b)(a^-1 b^-1), both blocks indexed [b, a]
+        comms[_times(col, _products(col, xs, rows), _products(col, ys, inv[rows]))] = True
+    return _naive_closure(G, comms.nonzero()[0])
 
 
 def _naive_subgroups(G: mg.MatrixGroup, S: mg.Subgroup) -> list[mg.Subgroup]:

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -268,23 +269,32 @@ def _orbit_reference(G, H):
     return {tuple(c) for c in cols.T.tolist()}
 
 
+# NAIVE_BLOCK values for the block seams: 1 and 7 cut every product array
+# into single rows, 100 into pieces of several rows with a shorter last one
+# (4 rows of SL(2,3), 2 of GL(2,3)), and the default holds these groups whole
+NAIVE_BLOCKS = [1, 7, 100, rho.NAIVE_BLOCK]
+
+
 @pytest.mark.parametrize("group", ["Q8", "SL(2,3)"])
-def test_naive_primitives_match_matrix_arithmetic(group):
-    # the twin reads G's multiplication table; this checks it against matrices
-    G = quaternion_group() if group == "Q8" else liea.enumerate_group(2, 3)
-    closure, normalizer, commutator = _matrix_twin(G)
-    for p in (2, 3):
-        if G.order % p:
-            continue
-        for key in _orbit_reference(G, mg.sylow_subgroup_of(G, p)):
-            members = frozenset(key)
-            for x in key:
-                for y in key:
-                    assert rho._naive_closure(G, [x, y]) == closure([x, y])
-            N = rho._naive_normalizer(G, members)
-            assert N == normalizer(members)
-            assert rho._naive_commutator(G, members) == commutator(members)
-            assert rho._naive_commutator(G, N) == commutator(N)
+def test_naive_primitives_match_matrix_arithmetic(monkeypatch, group):
+    # the twin reads G's multiplication table; this checks it against
+    # matrices, at each block size on a fresh G and table
+    for block in NAIVE_BLOCKS:
+        monkeypatch.setattr(rho, "NAIVE_BLOCK", block)
+        G = quaternion_group() if group == "Q8" else liea.enumerate_group(2, 3)
+        closure, normalizer, commutator = _matrix_twin(G)
+        for p in (2, 3):
+            if G.order % p:
+                continue
+            for key in _orbit_reference(G, mg.sylow_subgroup_of(G, p)):
+                members = frozenset(key)
+                for x in key:
+                    for y in key:
+                        assert rho._naive_closure(G, [x, y]) == closure([x, y])
+                N = rho._naive_normalizer(G, members)
+                assert N == normalizer(members)
+                assert rho._naive_commutator(G, members) == commutator(members)
+                assert rho._naive_commutator(G, N) == commutator(N)
 
 
 # (n, q, p, det, z) -> (rank-2 elementary abelian subgroups of S maximal in G/Z, G-classes)
@@ -312,23 +322,59 @@ def test_oracle_classes_match_the_naive_table(n, q, p, det, z):
 
 
 @pytest.mark.parametrize("group", ["Q8", "SL(2,3)", "GL(2,3)"])
-def test_naive_closure_matches_python_bfs(group):
-    # duplicate seeds and the identity among them, as a list and as an array
-    G = quaternion_group() if group == "Q8" else liea.enumerate_group(2, 3, 2 if group == "GL(2,3)" else 1)
-    tab = rho._naive_table(G)[0]
-    # an int16 table whose columns are C-ordered rows, tab[i, j] = i * j for every pair
-    assert tab.dtype == np.int16 and tab.T.flags.c_contiguous
-    i, j = np.divmod(np.arange(G.order ** 2), G.order)
-    assert np.array_equal(tab[i, j], G._mul(i, j))
-    tab = tab.tolist()
-    rng = np.random.default_rng(7)
-    for size in (0, 1, 2, 3, 5):
-        for _ in range(6):
-            seeds = rng.integers(0, G.order, size=size).tolist()
-            seeds += seeds[:2] + [0]
-            ref = _python_closure(tab, seeds)
-            assert rho._naive_closure(G, seeds) == ref, seeds
-            assert rho._naive_closure(G, np.array(seeds, dtype=np.int64)) == ref, seeds
+def test_naive_closure_matches_python_bfs(monkeypatch, group):
+    # duplicate seeds and the identity among them, as a list and as an array,
+    # at each block size on a fresh G and table
+    for block in NAIVE_BLOCKS:
+        monkeypatch.setattr(rho, "NAIVE_BLOCK", block)
+        G = (quaternion_group() if group == "Q8"
+             else liea.enumerate_group(2, 3, 2 if group == "GL(2,3)" else 1))
+        tab = rho._naive_table(G)[0]
+        # an int16 table whose columns are C-ordered rows, tab[i, j] = i * j for every pair
+        assert tab.dtype == np.int16 and tab.T.flags.c_contiguous
+        i, j = np.divmod(np.arange(G.order ** 2), G.order)
+        assert np.array_equal(tab[i, j], G._mul(i, j))
+        tab = tab.tolist()
+        rng = np.random.default_rng(7)
+        for size in (0, 1, 2, 3, 5):
+            for _ in range(6):
+                seeds = rng.integers(0, G.order, size=size).tolist()
+                seeds += seeds[:2] + [0]
+                ref = _python_closure(tab, seeds)
+                assert rho._naive_closure(G, seeds) == ref, seeds
+                assert rho._naive_closure(G, np.array(seeds, dtype=np.int64)) == ref, seeds
+
+
+def test_naive_commutator_spans_two_blocks():
+    # SL(2,7): the 336 x 336 pairs fill two default blocks of rows, and the
+    # closure of their commutators is the one read off the table in Python
+    G = liea.enumerate_group(2, 7)
+    xs = np.arange(G.order)
+    assert len(rho._blocks(xs, G.order)) == 2
+    tab, inv = (a.tolist() for a in rho._naive_table(G))
+    comms = {tab[tab[a][b]][tab[inv[a]][inv[b]]]
+             for a in range(G.order) for b in range(G.order)}
+    assert rho._naive_commutator(G, xs) == _python_closure(tab, comms)
+
+
+def _traced_peak_mb(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_naive_twin_peaks_at_its_table_plus_a_block():
+    # SL(2,9), 720 elements, 1 MB of table: forming the 518 400 pairs of a
+    # commutator subgroup in one array takes the chain at p = 2 (table
+    # included) to 8.0 MB and that commutator subgroup alone to 7.0 MB
+    G = liea.enumerate_group(2, 9)
+    S = mg.sylow_subgroup_of(G, 2)
+    assert _traced_peak_mb(lambda: rho.rho_chain_naive(G, S, S, max_i=3)) < 2.5
+    rho._naive_table(G)
+    assert _traced_peak_mb(lambda: rho._naive_commutator(G, range(G.order))) < 2.0
 
 
 @pytest.mark.parametrize("n, q, det", [(2, 3, 2), (2, 7, 1)])  # GL(2,3), SL(2,7)

@@ -76,6 +76,34 @@ def test_closure_builds_no_python_set():
                for node in ast.walk(closure))
 
 
+def _calls(node, name):
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+
+
+def test_twin_forms_its_products_a_block_at_a_time():
+    # the naive twin's peak is its table plus one block: every product array,
+    # a _products or _times call or the table fill's acts.take, is formed in
+    # the body of a loop over the pieces of the one block helper, _blocks
+    tree = ast.parse((SRC / "rho.py").read_text())
+    inside = set()
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        pieces = {t.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
+                  and _calls(node.value, "_blocks") for t in node.targets}
+        for loop in ast.walk(fn):
+            if isinstance(loop, ast.For) and (_calls(loop.iter, "_blocks")
+                                              or getattr(loop.iter, "id", None) in pieces):
+                inside.update(id(node) for stmt in loop.body for node in ast.walk(stmt))
+    products = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and (getattr(node.func, "id", None) in ("_products", "_times")
+                     or (getattr(node.func, "attr", None) == "take"
+                         and getattr(node.func.value, "id", None) == "acts"))]
+    assert len(products) >= 5
+    found = [f"rho.py:{node.lineno}" for node in products if id(node) not in inside]
+    assert not found, found
+
+
 # public names that nothing in the package reaches, each with its reason
 REACHED_FROM_OUTSIDE = {
     "rho.rho_chain_naive": "the naive twin that the tests diff the chain engine against",
