@@ -758,6 +758,8 @@ def normal_closure(H: Subgroup, seed_idx) -> Subgroup:
     K, fresh = trivial_subgroup(G), _sorted_unique(np.asarray(seed_idx, dtype=np.int64))
     while len(fresh):
         K = _closure_indices(G, fresh, K)
+        if K.order == H.order:
+            return K
         # conjugates of older seeds lie in the older closure already
         conj = _conjugates(G, H.gen_idx, fresh)
         fresh = _sorted_unique(conj[~_mask(G, K.idx)[conj]])
@@ -765,10 +767,11 @@ def normal_closure(H: Subgroup, seed_idx) -> Subgroup:
 
 
 def _generator_commutators(H: Subgroup) -> np.ndarray:
-    """[a, b] = (ab)(ba)^-1 for every ordered pair of H's generators."""
+    """[a, b] = (ab)(ba)^-1 for every ordered pair of H's generators, in two walks."""
     G = H.parent
     a, b = _pairs(H.gen_idx, H.gen_idx)
-    return G._mul(G._mul(a, b), G.inv[G._mul(b, a)])
+    ab, ba = np.split(G._mul(np.concatenate([a, b]), np.concatenate([b, a])), 2)
+    return _walk_up(G, ab, ba)
 
 
 def commutator_subgroup(H: Subgroup) -> Subgroup:

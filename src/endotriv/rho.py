@@ -14,16 +14,17 @@ p-elements is open.  The chain engine only reports the group theory.
 
 Two implementations are kept deliberately separate: the fast engine uses
 the identity < U_R (N /\\ A_R) > = < N /\\ U_R A_R >, one mask over G for
-the union of the levels; the naive engine enumerates its own subgroup
-lattice, joins of cyclic subgroups with each distinct union closed once,
-and rescans every subgroup from definitions, scanning all of G on its
-int16 multiplication table by whole rows, at most NAIVE_BLOCK products at
-a time, so its peak is the table plus one block: a normalizer checks
-every member, a commutator subgroup closes the commutators of every pair,
-inverses are read off the table, and a group above NAIVE_TABLE_CAP is
-refused.  They share only the request check and the closure's Schreier
-tables, and the test suite diffs them.  A chain derives where it
-stabilized from its levels.
+the union of the levels, and scans each generator prefix once; the naive
+engine holds every set as a boolean mask over G, enumerates its own
+subgroup lattice, joins of the cyclic subgroups of one power table with
+each distinct union closed once, and rescans every subgroup from
+definitions, scanning all of G on its int16 multiplication table by whole
+rows, at most NAIVE_BLOCK products at a time, so its peak is the table plus
+one block: a normalizer checks every member, a commutator subgroup closes
+the commutators of every pair, once per distinct normalizer, inverses are
+read off the table, and a group above NAIVE_TABLE_CAP is refused.  They
+share only the request check and the closure's Schreier tables, and the
+test suite diffs them.  A chain derives where it stabilized from its levels.
 
 Certificates package the hypotheses of the one-dimensionality criterion
 at a prime p: a subgroup H containing N_G(S), the Sylow group S and why H
@@ -116,15 +117,30 @@ def rho_chain(G: mg.MatrixGroup, S: mg.Subgroup, Q: mg.Subgroup,
               max_i: int = 4) -> RhoChain:
     """Exact chain for Q up to level max_i (fast engine).  Every level of R
     depends on R only through N_G(R), so the levels are kept once for each
-    distinct normalizer, keyed by N.key(); many subgroups share one."""
+    distinct normalizer; many subgroups share one.  The subgroups are visited
+    in the order of their generators, with the sandwich_all rows of the
+    current generator prefix on a stack, so each prefix is scanned once."""
     _require_chain(G, S, Q, max_i)
-    NQ = mg.normalizer(G, Q)
-    nq = NQ.key()
-    norms = {nq: NQ}
-    for T in nontrivial_subgroups(S):
-        if T != Q:
-            N = mg.normalizer(G, T)
-            norms.setdefault(N.key(), N)
+    visits = sorted([Q] + [T for T in nontrivial_subgroups(S) if T != Q],
+                    key=lambda T: T.gen_idx)
+    stack, norms = [], {}  # (h, g -> g h g^-1) along the prefix; N's bytes -> (N.idx, T)
+    for T in visits:
+        inside, mask = mg._mask(G, T.idx), np.ones(G.order, dtype=bool)
+        for i, h in enumerate(T.gen_idx):
+            if i < len(stack) and stack[i][0] != h:
+                del stack[i:]  # the prefix ends here
+            if i == len(stack):
+                stack.append((h, G.sandwich_all(h)))
+            mask &= inside[stack[i][1]]
+        key = (idx := mask.nonzero()[0]).tobytes()
+        norms.setdefault(key, (idx, T))
+        if T is Q:
+            nq = key
+    del stack  # the conjugation rows die before the levels
+    # a normalizer other than G grows from the first subgroup met that it normalizes
+    norms = {k: G.as_subgroup() if len(idx) == G.order else mg._closure_indices(G, idx, T)
+             for k, (idx, T) in norms.items()}
+    NQ = norms[nq]
     level = {k: mg.commutator_subgroup(N) for k, N in norms.items()}
 
     chain = [level[nq]]
@@ -133,10 +149,9 @@ def rho_chain(G: mg.MatrixGroup, S: mg.Subgroup, Q: mg.Subgroup,
         for L in level.values():
             pool[L.idx] = True
         nxt = {}
-        for k, N in norms.items():
-            seed = N.idx[pool[N.idx]]
-            same = np.array_equal(seed, level[k].idx)  # already a subgroup: no growth
-            nxt[k] = level[k] if same else mg.generated_subgroup(G, seed)
+        for k, N in norms.items():  # grown from the level below, which lies in N and the pool
+            grow = N.idx[pool[N.idx] & ~mg._mask(G, level[k].idx)[N.idx]]
+            nxt[k] = mg._closure_indices(G, grow, level[k]) if len(grow) else level[k]
         fixpoint = all(nxt[k] == level[k] for k in norms)
         level = nxt
         chain.append(level[nq])
@@ -168,7 +183,7 @@ def _naive_table(G: mg.MatrixGroup) -> tuple[np.ndarray, np.ndarray]:
                    "|G| = {needed} exceeds the multiplication-table cap {cap}")
     tables = _naive_tables.get(G)
     if tables is None:
-        acts, step = G.acts.ravel(), G.via.astype(np.int64) * G.order
+        acts, step = G.acts.ravel(), (G.via * G.order).astype(np.int32)
         cols = np.empty((G.order, G.order), dtype=np.int16)
         cols[0] = np.arange(G.order)
         for lo, hi in zip(G.levels[1:-1], G.levels[2:]):
@@ -196,14 +211,12 @@ def _times(col, a, b):
 
 
 def _naive_closure(G, seed):
-    """Every product of the seed elements (an index array, or any iterable
-    of indices): a BFS on a mask over G, each round multiplying the new
-    elements by every seed element, a block of seed rows at a time, and
-    keeping the products not yet inside through a fresh mask."""
+    """The mask of every product of the seed elements (a mask over G): a BFS,
+    each round multiplying the new elements by every seed element, a block
+    of seed rows at a time, keeping the products not yet inside."""
     col = _naive_table(G)[0].T
-    inside = np.zeros(G.order, dtype=bool)
+    inside = seed.copy()
     inside[0] = True
-    inside[seed if isinstance(seed, np.ndarray) else np.fromiter(seed, dtype=np.int64)] = True
     gens = frontier = inside.nonzero()[0]
     blocks = _blocks(gens, G.order)  # the same rows of col every round
     while frontier.size:
@@ -213,83 +226,94 @@ def _naive_closure(G, seed):
         fresh &= ~inside
         inside |= fresh
         frontier = fresh.nonzero()[0]
-    return frozenset(inside.nonzero()[0].tolist())
+    return inside
 
 
 def _naive_normalizer(G, members):
-    """Every g with g x g^-1 in the set for every member x, a block of x at a time."""
+    """The mask of every g with g x g^-1 in the mask `members` for every member x, x in blocks."""
     tab, inv = _naive_table(G)
     col = tab.T
-    xs = np.fromiter(members, dtype=np.int64)
-    inside = np.zeros(G.order, dtype=bool)
-    inside[xs] = True
     keep = np.ones(G.order, dtype=bool)
-    for rows in _blocks(xs, G.order):  # [x, g] = (g x) g^-1
-        keep &= inside[_times(col, col.take(rows, axis=0), inv)].all(axis=0)
-    return frozenset(keep.nonzero()[0].tolist())
+    for rows in _blocks(members.nonzero()[0], G.order):  # [x, g] = (g x) g^-1
+        keep &= members[_times(col, col.take(rows, axis=0), inv)].all(axis=0)
+    return keep
 
 
 def _naive_commutator(G, members):
-    """The closure of a b a^-1 b^-1 over every pair of members, marked on
-    one mask over G a block of b at a time and closed once."""
+    """The closure of a b a^-1 b^-1 over every pair of members (a mask over
+    G), marked on one mask a block of b at a time and closed once."""
     tab, inv = _naive_table(G)
     col = tab.T
-    xs = np.fromiter(members, dtype=np.int64)
+    xs = members.nonzero()[0]
     ys = inv[xs]
     comms = np.zeros(G.order, dtype=bool)
     for rows in _blocks(xs, G.order):  # (a b)(a^-1 b^-1), both blocks indexed [b, a]
         comms[_times(col, _products(col, xs, rows), _products(col, ys, inv[rows]))] = True
-    return _naive_closure(G, comms.nonzero()[0])
+    return _naive_closure(G, comms)
+
+
+def _naive_cyclics(G, xs):
+    """The mask of <x> for each x of the index array xs, in order, off its
+    power table: rows x, x^2, ... for a block of x at a time, each power the
+    last times x, until every row of the block is back at the identity."""
+    col = _naive_table(G)[0].T
+    for rows in _blocks(xs, G.order):
+        cyclic = np.zeros((len(rows), G.order), dtype=bool)
+        cyclic[:, 0] = True
+        at, power, back = np.arange(len(rows)), rows, rows == 0
+        while not back.all():
+            cyclic[at, power] = True
+            power = _times(col, power, rows)
+            back |= power == 0
+        yield from cyclic
 
 
 def _naive_subgroups(G: mg.MatrixGroup, S: mg.Subgroup) -> list[mg.Subgroup]:
     """Every subgroup of S, sorted by (order, key): joins of cyclic
-    subgroups, each join the closure of the union of the two, and each
-    distinct union closed once; a union that is a subgroup found already
-    is its own join."""
-    cyclics = {frozenset([0])}
-    for x in S.idx:
-        if x != 0:
-            cyclics.add(_naive_closure(G, [int(x)]))
-    subs, met, frontier = set(cyclics), set(), list(cyclics)
+    subgroups, each join the closure of the union of the two masks, and
+    each distinct union closed once; a union that is a subgroup found
+    already is its own join.  Masks are keyed by their bytes."""
+    cyclics = {m.tobytes(): m.copy() for m in _naive_cyclics(G, S.idx)}
+    subs, met, frontier = dict(cyclics), set(), list(cyclics.values())
     while frontier:
         nxt = []
         for members in frontier:
-            for cmem in cyclics:
-                union = members | cmem
-                if union in subs or union in met:
+            for cmem in cyclics.values():
+                key = (union := members | cmem).tobytes()
+                if key in subs or key in met:
                     continue
-                met.add(union)
+                met.add(key)
                 joined = _naive_closure(G, union)
-                if joined not in subs:
-                    subs.add(joined)
+                if subs.setdefault(joined.tobytes(), joined) is joined:
                     nxt.append(joined)
         frontier = nxt
-    out = [mg.Subgroup(G, np.array(sorted(m), dtype=np.int64)) for m in subs]
-    out.sort(key=lambda T: (T.order, T.key()))
-    return out
+    return sorted((mg.Subgroup(G, m.nonzero()[0]) for m in subs.values()),
+                  key=lambda T: (T.order, T.key()))
 
 
 def rho_chain_naive(G: mg.MatrixGroup, S: mg.Subgroup, Q: mg.Subgroup,
                     max_i: int = 4) -> RhoChain:
     """Definition-chasing reimplementation used as the agreement oracle,
-    on its own subgroup lattice."""
+    on its own subgroup lattice: one normalizer per subgroup, one commutator
+    subgroup and one closure a level per distinct normalizer."""
     _require_chain(G, S, Q, max_i)
     subs = [T for T in _naive_subgroups(G, S) if T.order > 1]
     qi = subs.index(Q)
-    norms = [_naive_normalizer(G, T.idx) for T in subs]
-    level = [_naive_commutator(G, N) for N in norms]
-    chain_sets = [level[qi]]
+    norms = [_naive_normalizer(G, mg._mask(G, T.idx)) for T in subs]
+    keys = [N.tobytes() for N in norms]
+    distinct = dict(zip(keys, norms))
+    level = {k: _naive_commutator(G, N) for k, N in distinct.items()}
+    chain_masks = [level[keys[qi]]]
     for _ in range(2, max_i + 1):
-        nxt = [_naive_closure(G, frozenset().union(*(N & L for L in level))) for N in norms]
-        fixpoint = nxt == level
+        stacked = np.stack([level[k] for k in keys])
+        nxt = {k: _naive_closure(G, (N & stacked).any(axis=0)) for k, N in distinct.items()}
+        fixpoint = all(np.array_equal(nxt[k], level[k]) for k in distinct)
         level = nxt
-        chain_sets.append(level[qi])
+        chain_masks.append(level[keys[qi]])
         if fixpoint:
             break
-    NQ = mg.Subgroup(G, np.array(sorted(norms[qi]), dtype=np.int64))
-    return RhoChain(Q, NQ, [mg.Subgroup(G, np.array(sorted(cs), dtype=np.int64))
-                            for cs in chain_sets])
+    return RhoChain(Q, mg.Subgroup(G, norms[qi].nonzero()[0]),
+                    [mg.Subgroup(G, m.nonzero()[0]) for m in chain_masks])
 
 
 # ---------------------------------------------------------------------------

@@ -426,6 +426,57 @@ def test_commutator_is_normal_with_abelian_quotient():
         mg.quotient_structure(full, comm)  # raises unless abelian
 
 
+GENERATOR_GROUPS = {"Q8": quaternion_group, "SL(2,3)": sl23,
+                    "GL(2,3)": lambda: liea.enumerate_group(2, 3, 2)}
+
+
+@pytest.mark.parametrize("name", GENERATOR_GROUPS)
+def test_generator_commutators_match_the_naive_table(monkeypatch, name):
+    # [a, b] = (ab)(ba)^-1 for every ordered pair of generators, a-major,
+    # read off the naive twin's table, in two walks: ab and ba together,
+    # then (ab)(ba)^-1
+    G = GENERATOR_GROUPS[name]()
+    tab, inv = rho._naive_table(G)
+    walks, walk_up = [], mg._walk_up
+    monkeypatch.setattr(mg, "_walk_up", lambda G, x, y: walks.append(len(x)) or walk_up(G, x, y))
+    for H in (G.as_subgroup(), mg.sylow_subgroup_of(G, 2)):
+        gens = H.gen_idx
+        want = [tab[tab[a, b], inv[tab[b, a]]] for a in gens for b in gens]
+        walks.clear()
+        assert mg._generator_commutators(H).tolist() == want, H.gen_idx
+        assert walks == [2 * len(want), len(want)]
+
+
+# (n, q, det) -> whether the group is perfect
+PERFECT = {"SL(2,5)": ((2, 5, 1), True), "SL(3,2)": ((3, 2, 1), True),
+           "SL(2,3)": ((2, 3, 1), False), "GL(2,3)": ((2, 3, 2), False)}
+
+
+@pytest.mark.parametrize("name", PERFECT)
+def test_commutator_subgroup_matches_the_naive_twin(monkeypatch, name):
+    # [G, G] against the twin's closure of the commutators of every pair; a
+    # normal closure that reaches |G| ends there, with no conjugates formed
+    (n, q, det), perfect = PERFECT[name]
+    G = liea.enumerate_group(n, q, det)
+    events, closure, conjugates = [], mg._closure_indices, mg._conjugates
+
+    def spy_closure(*args):
+        events.append((K := closure(*args)).order)
+        return K
+
+    def spy_conjugates(*args):
+        events.append("conjugates")
+        return conjugates(*args)
+
+    monkeypatch.setattr(mg, "_closure_indices", spy_closure)
+    monkeypatch.setattr(mg, "_conjugates", spy_conjugates)
+    D = mg.commutator_subgroup(G.as_subgroup())
+    every = np.ones(G.order, dtype=bool)
+    assert np.array_equal(D.idx, np.flatnonzero(rho._naive_commutator(G, every)))
+    assert (D.order == G.order) == perfect
+    assert (events[-1] == G.order) == perfect, events
+
+
 def test_global_elementary_abelian_rank_matches_formula():
     # exhaustive rank over the whole group (not just a Sylow subgroup)
     for (n, q, p, det) in [(2, 5, 2, 1), (2, 5, 2, 4), (2, 7, 3, 1),
@@ -442,7 +493,7 @@ def test_closure_extends_closed_subgroups(n, q, det):
     for H in mg.all_subgroups(mg.sylow_subgroup_of(G, 2)):
         for x in range(G.order):
             grown = mg._closure_indices(G, [x], H).idx
-            ref = sorted(rho._naive_closure(G, np.append(H.idx, x)))
+            ref = np.flatnonzero(rho._naive_closure(G, mg._mask(G, np.append(H.idx, x))))
             assert grown.dtype == np.int64 and np.array_equal(grown, ref), (H.key(), x)
 
 
@@ -454,7 +505,7 @@ def test_find_generators_rejects_unclosed_set():
     xinv = G.index_of(_inverse_matrix(G, x))
     H = mg.generated_subgroup(G, [x, xinv])
     assert H.gen_idx == (min(x, xinv),)
-    assert H.members == rho._naive_closure(G, [x])
+    assert H.members == _contents(rho._naive_closure(G, mg._mask(G, [x])))
     assert mg.generated_subgroup(G, mg.find_generators(G, H.idx)) == H
 
 
@@ -471,6 +522,11 @@ def test_generated_subgroup_ignores_seed_order_and_repeats():
             got = mg.generated_subgroup(G, given)
             assert np.array_equal(got.idx, want.idx) and got.gen_idx == want.gen_idx, size
     assert mg.generated_subgroup(G, []) == mg.trivial_subgroup(G)
+
+
+def _contents(mask):
+    """The indices a mask over a group holds, as a frozenset."""
+    return frozenset(np.flatnonzero(mask).tolist())
 
 
 def _python_closure(tab, seeds):
@@ -519,11 +575,11 @@ def test_closure_on_both_sides_of_the_coset_bound():
     for idx in (diagonal, borel):
         H = mg.generated_subgroup(G, idx)
         assert np.array_equal(H.idx, idx)
-        normalizing = rho._naive_normalizer(G, H.idx)
-        assert {x in normalizing for x in xs} == {True, False}
+        normalizing = rho._naive_normalizer(G, mg._mask(G, H.idx))
+        assert {bool(normalizing[x]) for x in xs} == {True, False}
         for x in xs:
             grown = mg._closure_indices(G, [x], H)
-            ref = sorted(rho._naive_closure(G, np.append(H.idx, x)))
+            ref = np.flatnonzero(rho._naive_closure(G, mg._mask(G, np.append(H.idx, x))))
             assert np.array_equal(grown.idx, ref), (len(idx), x)
 
 
@@ -548,12 +604,12 @@ def test_closure_contract_matches_the_naive_twin(name):
         for size in (1, 2, 3, 6):
             seeds = rng.integers(0, G.order, size=size).tolist()
             H = mg._closure_indices(G, seeds, base)
-            want, closed = list(start), rho._naive_closure(G, start)
+            want, closed = list(start), rho._naive_closure(G, mg._mask(G, start))
             for s in seeds:
-                if s not in closed:
+                if not closed[s]:
                     want.append(s)
-                    closed = rho._naive_closure(G, want)
-            ref = sorted(rho._naive_closure(G, start + seeds))
+                    closed = rho._naive_closure(G, mg._mask(G, want))
+            ref = np.flatnonzero(rho._naive_closure(G, mg._mask(G, start + seeds)))
             assert np.array_equal(H.idx, ref) and H.idx.dtype == np.int64, (base, seeds)
             assert H.gen_idx == tuple(want), (base, seeds)
 

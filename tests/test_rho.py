@@ -3,6 +3,7 @@ import functools
 import itertools
 import random
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from endotriv import matgrp as mg
 from endotriv.classify import tf_rank_oracle
 from endotriv.errors import CapExceeded, DomainError
 from endotriv.gf import field_spec
-from test_matgrp import _matmul_pairs, _python_closure, quaternion_group
+from test_matgrp import _contents, _matmul_pairs, _python_closure, quaternion_group
 
 
 def test_quaternion_chain_stalls_below_normalizer():
@@ -287,14 +288,15 @@ def test_naive_primitives_match_matrix_arithmetic(monkeypatch, group):
             if G.order % p:
                 continue
             for key in _orbit_reference(G, mg.sylow_subgroup_of(G, p)):
-                members = frozenset(key)
+                members, mask = frozenset(key), mg._mask(G, list(key))
                 for x in key:
                     for y in key:
-                        assert rho._naive_closure(G, [x, y]) == closure([x, y])
-                N = rho._naive_normalizer(G, members)
-                assert N == normalizer(members)
-                assert rho._naive_commutator(G, members) == commutator(members)
-                assert rho._naive_commutator(G, N) == commutator(N)
+                        pair = mg._mask(G, [x, y])
+                        assert _contents(rho._naive_closure(G, pair)) == closure([x, y])
+                N = rho._naive_normalizer(G, mask)
+                assert _contents(N) == normalizer(members)
+                assert _contents(rho._naive_commutator(G, mask)) == commutator(members)
+                assert _contents(rho._naive_commutator(G, N)) == commutator(_contents(N))
 
 
 # (n, q, p, det, z) -> (rank-2 elementary abelian subgroups of S maximal in G/Z, G-classes)
@@ -312,7 +314,8 @@ def test_oracle_classes_match_the_naive_table(n, q, p, det, z):
         power = tab[power, xs]
     pts, commute = xs[(power == one) & (xs != one)], tab == tab.T
     in_s = pts[mg._mask(G, mg.sylow_subgroup_of(G, p).idx)[pts]]
-    subs = {rho._naive_closure(G, [a, b]) for a in in_s for b in in_s if commute[a, b]}
+    subs = {_contents(rho._naive_closure(G, mg._mask(G, [a, b])))
+            for a in in_s for b in in_s if commute[a, b]}
     subs = [E for E in subs if len(E) == p * p
             and not any(commute[x, list(E)].all() for x in pts if x not in E)]
     classes = {frozenset(map(frozenset, tab[tab[:, list(E)], inv[:, None]].tolist()))
@@ -323,8 +326,8 @@ def test_oracle_classes_match_the_naive_table(n, q, p, det, z):
 
 @pytest.mark.parametrize("group", ["Q8", "SL(2,3)", "GL(2,3)"])
 def test_naive_closure_matches_python_bfs(monkeypatch, group):
-    # duplicate seeds and the identity among them, as a list and as an array,
-    # at each block size on a fresh G and table
+    # duplicate seeds and the identity among them, on a seed mask that the
+    # closure leaves as it was, at each block size on a fresh G and table
     for block in NAIVE_BLOCKS:
         monkeypatch.setattr(rho, "NAIVE_BLOCK", block)
         G = (quaternion_group() if group == "Q8"
@@ -341,8 +344,9 @@ def test_naive_closure_matches_python_bfs(monkeypatch, group):
                 seeds = rng.integers(0, G.order, size=size).tolist()
                 seeds += seeds[:2] + [0]
                 ref = _python_closure(tab, seeds)
-                assert rho._naive_closure(G, seeds) == ref, seeds
-                assert rho._naive_closure(G, np.array(seeds, dtype=np.int64)) == ref, seeds
+                mask = mg._mask(G, seeds)
+                assert _contents(rho._naive_closure(G, mask)) == ref, seeds
+                assert mask.sum() == len(set(seeds)), seeds  # the seed mask is not written
 
 
 def test_naive_commutator_spans_two_blocks():
@@ -354,7 +358,7 @@ def test_naive_commutator_spans_two_blocks():
     tab, inv = (a.tolist() for a in rho._naive_table(G))
     comms = {tab[tab[a][b]][tab[inv[a]][inv[b]]]
              for a in range(G.order) for b in range(G.order)}
-    assert rho._naive_commutator(G, xs) == _python_closure(tab, comms)
+    assert _contents(rho._naive_commutator(G, mg._mask(G, xs))) == _python_closure(tab, comms)
 
 
 def _traced_peak_mb(run):
@@ -374,27 +378,85 @@ def test_naive_twin_peaks_at_its_table_plus_a_block():
     S = mg.sylow_subgroup_of(G, 2)
     assert _traced_peak_mb(lambda: rho.rho_chain_naive(G, S, S, max_i=3)) < 2.5
     rho._naive_table(G)
-    assert _traced_peak_mb(lambda: rho._naive_commutator(G, range(G.order))) < 2.0
+    every = np.ones(G.order, dtype=bool)
+    assert _traced_peak_mb(lambda: rho._naive_commutator(G, every)) < 2.0
 
 
 @pytest.mark.parametrize("n, q, det", [(2, 3, 2), (2, 7, 1)])  # GL(2,3), SL(2,7)
 def test_naive_joins_close_each_union_once(monkeypatch, n, q, det):
     # a join is the closure of a union M u C: no union is closed twice, and
-    # none that is already a subgroup found
+    # none that is already a subgroup found; the cyclic subgroups come off
+    # the power table, not from closures
     G = liea.enumerate_group(n, q, det)
     S = mg.sylow_subgroup_of(G, 2)
-    closure, closed, found = rho._naive_closure, [], {frozenset([0])}
+    closure, closed = rho._naive_closure, []
+    found = {m.tobytes() for m in rho._naive_cyclics(G, S.idx)}
 
     def spy(G, seed):
-        seed = frozenset(map(int, seed))
-        assert seed not in closed and seed not in found, sorted(seed)
-        closed.append(seed)
-        found.add(out := closure(G, seed))
+        key = seed.tobytes()
+        assert key not in closed and key not in found, np.flatnonzero(seed)
+        closed.append(key)
+        found.add((out := closure(G, seed)).tobytes())
         return out
 
     monkeypatch.setattr(rho, "_naive_closure", spy)
     subs = rho._naive_subgroups(G, S)
-    assert {T.members for T in subs} == found
+    assert {mg._mask(G, T.idx).tobytes() for T in subs} == found
+
+
+@pytest.mark.parametrize("n, q, det, calls", [(2, 3, 2, (14, 7)), (2, 7, 1, (10, 8))])
+def test_naive_twin_takes_one_commutator_per_distinct_normalizer(monkeypatch, n, q, det, calls):
+    # GL(2,3), SL(2,7) at p = 2, on a lattice found beforehand: one
+    # normalizer per nontrivial subgroup, and one commutator subgroup and
+    # one closure a level per distinct normalizer
+    G = liea.enumerate_group(n, q, det)
+    S = mg.sylow_subgroup_of(G, 2)
+    whole = rho._naive_subgroups(G, S)
+    subs = [T for T in whole if T.order > 1]
+    distinct = {mg._mask(G, mg.normalizer(G, T).idx).tobytes() for T in subs}
+    monkeypatch.setattr(rho, "_naive_subgroups", lambda G, S: whole)
+    seen = {"_naive_normalizer": [], "_naive_commutator": [], "_naive_closure": []}
+    for name, log in seen.items():
+        monkeypatch.setattr(rho, name, lambda G, members, f=getattr(rho, name), log=log:
+                            log.append(members.tobytes()) or f(G, members))
+    ch = rho.rho_chain_naive(G, S, S, max_i=3)
+    normalizers, commutators = seen["_naive_normalizer"], seen["_naive_commutator"]
+    assert (len(normalizers), len(commutators)) == calls
+    assert sorted(normalizers) == sorted(mg._mask(G, T.idx).tobytes() for T in subs)
+    assert sorted(commutators) == sorted(distinct)
+    assert len(seen["_naive_closure"]) == len(distinct) * len(ch.chain)
+
+
+@pytest.mark.parametrize("n, q, det", [(2, 3, 2), (2, 7, 1), (2, 9, 1)])  # GL(2,3), SL(2,7), SL(2,9)
+def test_chain_scans_each_generator_prefix_once(monkeypatch, n, q, det):
+    # at p = 2 the fast engine visits Q = S and the other nontrivial subgroups
+    # by their generators: one conjugation row per distinct generator prefix,
+    # at most the longest generator tuple's count live at once and none once
+    # the chain is done, and its distinct normalizers are mg.normalizer's,
+    # each generated by its generators
+    G = liea.enumerate_group(n, q, det)
+    S = mg.sylow_subgroup_of(G, 2)
+    visits = [S] + [T for T in rho.nontrivial_subgroups(S) if T != S]
+    prefixes = {T.gen_idx[:i] for T in visits for i in range(1, len(T.gen_idx) + 1)}
+    deepest = max(len(T.gen_idx) for T in visits)
+    normalizers = {mg.normalizer(G, T).key() for T in visits}
+    rows, met, scan, commutator = [], [], G.sandwich_all, mg.commutator_subgroup
+
+    def spy(h):
+        row = scan(h)
+        rows.append(weakref.ref(row))
+        assert sum(r() is not None for r in rows) <= deepest
+        return row
+
+    monkeypatch.setattr(G, "sandwich_all", spy)
+    monkeypatch.setattr(mg, "commutator_subgroup", lambda N: met.append(N) or commutator(N))
+    ch = rho.rho_chain(G, S, S, max_i=3)
+    assert len(rows) == len(prefixes) < sum(len(T.gen_idx) for T in visits)
+    assert all(r() is None for r in rows)
+    assert sorted(N.key() for N in met) == sorted(normalizers)
+    assert ch.normalizer == mg.normalizer(G, S)
+    for N in met:
+        assert mg.generated_subgroup(G, N.gen_idx) == N
 
 
 def test_naive_twin_refuses_groups_without_a_table(monkeypatch):
@@ -471,7 +533,8 @@ def test_lattice_matches_naive_twin(case):
         assert [T.members for T in fast] == [T.members for T in slow]
         assert [(T.order, T.key()) for T in fast] == sorted((T.order, T.key()) for T in fast)
         for T in fast:
-            assert rho._naive_closure(G, T.gen_idx) == T.members, T.key()
+            gens = mg._mask(G, list(T.gen_idx))
+            assert _contents(rho._naive_closure(G, gens)) == T.members, T.key()
         if case == "rp-case":
             assert len(fast) == 144
     # the elementary abelian subgroups, ranks and maximal flags, from the twin's lattice
@@ -480,6 +543,20 @@ def test_lattice_matches_naive_twin(case):
     assert len(found) == len(eas)
     assert {e.subgroup.members: (p ** e.rank, e.maximal) for e in found} == {
         T.members: (T.order, not any(T.members < U.members for U in eas)) for T in eas}
+
+
+@pytest.mark.parametrize("case", ["Q8", (2, 3, 1, 2), (2, 3, 2, 2), (2, 7, 1, 2), "SL(2,4)"],
+                         ids=lambda c: c if isinstance(c, str) else "-".join(map(str, c)))
+def test_power_table_rows_are_the_cyclic_subgroups(monkeypatch, case):
+    # Q8, and SL(2,3), GL(2,3), SL(2,7) at p = 2, and the whole of SL(2,4):
+    # the row of x in the power table is the Python BFS closure of {x}, at
+    # each block size
+    G, S, _ = _lattice_case(case)
+    tab = rho._naive_table(G)[0].tolist()
+    want = [_python_closure(tab, [x]) for x in S.idx.tolist()]
+    for block in NAIVE_BLOCKS:
+        monkeypatch.setattr(rho, "NAIVE_BLOCK", block)
+        assert [_contents(m) for m in rho._naive_cyclics(G, S.idx)] == want, block
 
 
 def test_cyclic_extension_runs_without_closures(monkeypatch):

@@ -104,6 +104,16 @@ def test_twin_forms_its_products_a_block_at_a_time():
     assert not found, found
 
 
+def test_twin_holds_no_frozenset():
+    # the naive twin holds its sets as boolean masks over G, keyed by their
+    # bytes: no frozenset from its table to the certificates
+    lines = (SRC / "rho.py").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("def _naive_table"))
+    end = next(i for i, line in enumerate(lines) if line == "# evidence and certificates")
+    found = [f"rho.py:{i + 1}" for i in range(start, end) if "frozenset" in lines[i]]
+    assert not found, found
+
+
 # public names that nothing in the package reaches, each with its reason
 REACHED_FROM_OUTSIDE = {
     "rho.rho_chain_naive": "the naive twin that the tests diff the chain engine against",
